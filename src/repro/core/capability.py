@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from .pathid import PathId
 
 #: Bytes kept from each hash half; 8 bytes is ample for simulation.
 _DIGEST_BYTES = 8
+
+#: The unit at which the router accounts flow bandwidth and drops.
+AccountKey = Tuple[Hashable, int, PathId]
 
 
 def _encode(*parts: object) -> bytes:
@@ -34,6 +37,14 @@ def _encode(*parts: object) -> bytes:
 
 class CapabilityIssuer:
     """Issues and verifies capabilities; computes covert-defense keys.
+
+    Everything the issuer computes is a pure function of the router
+    secret and the flow ``(src, dst, path_id)``, so it is computed once
+    per flow and remembered: per-packet verification is a lookup, a
+    length check and one constant-time comparison.  The memo holds one
+    entry per flow seen, grouped by path identifier; whoever owns the
+    per-path state calls :meth:`forget` when it releases a path, which
+    bounds the memo by the paths that owner tracks.
 
     Parameters
     ----------
@@ -51,28 +62,62 @@ class CapabilityIssuer:
         self._k0 = hmac.new(secret, b"C0", hashlib.sha256).digest()
         self._k1 = hmac.new(secret, b"C1", hashlib.sha256).digest()
         self.n_max = n_max
+        # path id -> (src, dst) -> (C0 || C1, accounting unit)
+        self._flows: Dict[
+            PathId, Dict[Tuple[Hashable, Hashable], Tuple[bytes, AccountKey]]
+        ] = {}
+        self._buckets: Dict[Hashable, int] = {}
+
+    def _flow(
+        self, src_addr: Hashable, dst_addr: Hashable, pid: PathId
+    ) -> Tuple[bytes, AccountKey]:
+        """The flow's memo entry, computed on first sight."""
+        by_endpoints = self._flows.get(pid)
+        if by_endpoints is None:
+            by_endpoints = self._flows[pid] = {}
+        entry = by_endpoints.get((src_addr, dst_addr))
+        if entry is None:
+            bucket = self.fanout_bucket(dst_addr)
+            c0 = hmac.new(
+                self._k0, _encode(src_addr, dst_addr, pid), hashlib.sha256
+            ).digest()[:_DIGEST_BYTES]
+            c1 = hmac.new(
+                self._k1, _encode(src_addr, bucket, pid), hashlib.sha256
+            ).digest()[:_DIGEST_BYTES]
+            entry = (c0 + c1, (src_addr, bucket, pid))
+            by_endpoints[(src_addr, dst_addr)] = entry
+        return entry
+
+    def forget(self, pid: PathId) -> None:
+        """Release the memo of every flow on path ``pid``."""
+        self._flows.pop(pid, None)
+
+    def clear(self) -> None:
+        """Release every per-flow memo entry (the keys are kept, so
+        capabilities issued before stay valid)."""
+        self._flows.clear()
+
+    def memoised_paths(self) -> int:
+        """Number of path identifiers with memoised flows."""
+        return len(self._flows)
 
     # ------------------------------------------------------------------
     # issue / verify
     # ------------------------------------------------------------------
     def fanout_bucket(self, dst_addr: Hashable) -> int:
         """``F(IP_d)``: hash the destination into ``[0, n_max - 1]``."""
-        digest = hashlib.sha256(_encode("F", dst_addr)).digest()
-        return int.from_bytes(digest[:4], "big") % self.n_max
+        bucket = self._buckets.get(dst_addr)
+        if bucket is None:
+            digest = hashlib.sha256(_encode("F", dst_addr)).digest()
+            bucket = int.from_bytes(digest[:4], "big") % self.n_max
+            self._buckets[dst_addr] = bucket
+        return bucket
 
     def issue(
         self, src_addr: Hashable, dst_addr: Hashable, pid: PathId
     ) -> bytes:
         """Issue ``C0 || C1`` for a new connection."""
-        c0 = hmac.new(
-            self._k0, _encode(src_addr, dst_addr, pid), hashlib.sha256
-        ).digest()[:_DIGEST_BYTES]
-        c1 = hmac.new(
-            self._k1,
-            _encode(src_addr, self.fanout_bucket(dst_addr), pid),
-            hashlib.sha256,
-        ).digest()[:_DIGEST_BYTES]
-        return c0 + c1
+        return self._flow(src_addr, dst_addr, pid)[0]
 
     def verify(
         self,
@@ -84,18 +129,20 @@ class CapabilityIssuer:
         """Check both halves against the packet's addresses and path."""
         if capability is None or len(capability) != 2 * _DIGEST_BYTES:
             return False
-        return hmac.compare_digest(capability, self.issue(src_addr, dst_addr, pid))
+        return hmac.compare_digest(
+            capability, self._flow(src_addr, dst_addr, pid)[0]
+        )
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def account_key(
         self, src_addr: Hashable, dst_addr: Hashable, pid: PathId
-    ) -> Tuple[Hashable, int, PathId]:
+    ) -> AccountKey:
         """The unit at which the router accounts flow bandwidth and drops.
 
         All flows of one source whose destinations hash into the same
         ``C1`` bucket share an accounting unit — this is what defeats the
         covert attack's per-flow innocence.
         """
-        return (src_addr, self.fanout_bucket(dst_addr), pid)
+        return self._flow(src_addr, dst_addr, pid)[1]

@@ -25,7 +25,7 @@ service probability return to one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, Tuple
+from typing import Deque, Dict, Hashable, Iterable, Tuple
 
 INFINITE_MTD = float("inf")
 
@@ -36,13 +36,18 @@ class FlowDropTracker:
     This is the reference implementation used in the functional
     evaluation; the scalable approximation is
     :class:`~repro.core.dropfilter.DropRecordFilter`.
+
+    Invariant: each unit's record is in non-decreasing tick order —
+    :meth:`record_drop` refuses a tick older than the unit's newest.
+    Trimming from the old end, counting a window from the new end and the
+    sanitizer's ``mtd-monotonic`` check all rely on it.
     """
 
     def __init__(self, horizon: int = 2000) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.horizon = horizon
-        self._drops: Dict[Hashable, deque] = {}
+        self._drops: Dict[Hashable, Deque[int]] = {}
 
     def record_drop(self, key: Hashable, tick: int) -> None:
         """Record one drop of accounting unit ``key`` at ``tick``."""
@@ -50,14 +55,20 @@ class FlowDropTracker:
         if dq is None:
             dq = deque()
             self._drops[key] = dq
+        elif dq and tick < dq[-1]:
+            raise ValueError(
+                f"drop at tick {tick} is older than the newest record "
+                f"({dq[-1]}) of unit {key!r}"
+            )
         dq.append(tick)
 
-    def _trim(self, dq: deque, oldest: int) -> None:
+    def _trim(self, dq: Deque[int], oldest: int) -> None:
         while dq and dq[0] < oldest:
             dq.popleft()
 
     def drops_in_window(self, key: Hashable, tick: int, window: int) -> int:
-        """Drops of ``key`` within ``(tick - window, tick]``."""
+        """Drops of ``key`` within ``(tick - window, tick]``, in time
+        proportional to that count rather than to the retained record."""
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         dq = self._drops.get(key)
@@ -65,16 +76,20 @@ class FlowDropTracker:
             return 0
         self._trim(dq, tick - self.horizon)
         oldest = tick - window
-        return sum(1 for t in dq if t > oldest)
+        count = 0
+        for t in reversed(dq):
+            if t <= oldest:
+                break
+            count += 1
+        return count
 
     def mtd(self, key: Hashable, tick: int, window: int) -> float:
         """Eq. (IV.4): ``window / drops``; infinite when drop-free."""
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        drops = self.drops_in_window(key, tick, min(window, self.horizon))
+        window = min(window, self.horizon)
+        drops = self.drops_in_window(key, tick, window)
         if drops == 0:
             return INFINITE_MTD
-        return min(window, self.horizon) / drops
+        return window / drops
 
     def drop_count(self, key: Hashable) -> int:
         """All retained drops of ``key`` (horizon-pruned lazily; callers

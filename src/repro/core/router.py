@@ -242,10 +242,7 @@ class FLocPolicy(LinkPolicy):
         key = self.issuer.account_key(pkt.src_addr, pkt.dst_addr, pid)
         state.arrivals += 1
         state.last_arrival = tick
-        if key not in state.flows:
-            state.flows[key] = tick
-        else:
-            state.flows[key] = tick
+        state.flows[key] = tick
         syn_tick = state.syn_ticks.pop(pkt.flow_id, None)
         if syn_tick is not None:
             sample = max(1.0, float(tick - syn_tick))
@@ -380,9 +377,7 @@ class FLocPolicy(LinkPolicy):
             if not state.flows and state.last_arrival < horizon:
                 dead_paths.append(pid)
         for pid in dead_paths:
-            del self.paths[pid]
-            self.conformance.forget(pid)
-            self._lru.pop(pid, None)
+            self._forget_path(pid)
 
         # expire elapsed blocks eagerly: entries whose unblock tick has
         # passed admit identically either way, but units that never send
@@ -721,6 +716,14 @@ class FLocPolicy(LinkPolicy):
             self._lru[pid] = None
         return state
 
+    def _forget_path(self, pid: PathId) -> None:
+        """Drop a path and what is keyed by its identifier alone: its
+        conformance, its flows' capability memo, its LRU slot."""
+        del self.paths[pid]
+        self.conformance.forget(pid)
+        self.issuer.forget(pid)
+        self._lru.pop(pid, None)
+
     def _evict_path(self, tick: int) -> None:
         """Memory pressure: drop the least-recently-touched path, O(1).
 
@@ -738,13 +741,11 @@ class FLocPolicy(LinkPolicy):
             victim, _ = self._lru.popitem(last=False)
         else:
             victim = min(self.paths, key=lambda p: self.paths[p].last_arrival)
-        state = self.paths.pop(victim)
-        self._release_path(victim, state, tick, cause="memory-pressure")
+        self._release_path(victim, tick, cause="memory-pressure")
 
-    def _release_path(
-        self, pid: PathId, state: _PathState, tick: int, cause: str
-    ) -> None:
+    def _release_path(self, pid: PathId, tick: int, cause: str) -> None:
         """Fold (sketch mode) and free every trace of an evicted path."""
+        state = self.paths[pid]
         if self.sketch is not None:
             self.sketch.fold_path(
                 pid,
@@ -752,7 +753,7 @@ class FLocPolicy(LinkPolicy):
                 state.rtt_ewma,
                 self.conformance.known_value(pid),
             )
-        self.conformance.forget(pid)
+        self._forget_path(pid)
         for key in state.flows:
             if self.tracker is not None:
                 if self.sketch is not None:
@@ -913,6 +914,9 @@ class FLocPolicy(LinkPolicy):
             )
         for name, value in copy.deepcopy(snap).items():
             setattr(self, name, value)
+        # memo entries of paths the snapshot does not track would never
+        # be released; the memo is pure, so it refills from live traffic
+        self.issuer.clear()
 
     def restart(self, tick: int) -> None:
         """Cold router restart: all volatile state is lost.
@@ -948,6 +952,7 @@ class FLocPolicy(LinkPolicy):
                     )
         self.paths.clear()
         self._lru.clear()
+        self.issuer.clear()
         if self.sketch is not None:
             # the sketch tier is volatile router memory too: a cold
             # restart loses it along with the exact state
@@ -987,9 +992,7 @@ class FLocPolicy(LinkPolicy):
         line-card-failure analogue of :meth:`restart`.  The surviving
         state keeps operating; lost paths regenerate from live traffic."""
         for pid in [p for p in self.paths if rng.random() < fraction]:
-            del self.paths[pid]
-            self.conformance.forget(pid)
-            self._lru.pop(pid, None)
+            self._forget_path(pid)
         for key in [k for k in self._blocked if rng.random() < fraction]:
             del self._blocked[key]
         if self.tracker is not None:

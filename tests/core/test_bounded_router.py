@@ -6,11 +6,14 @@ the bounded-state machinery provably stays out of the default path:
 to the seed behaviour.
 """
 
+import random
+
 import pytest
 
 from repro.core.config import FLocConfig
 from repro.core.router import FLocPolicy
 from repro.net.engine import Engine
+from repro.net.packet import DATA, SYN, Packet
 from repro.net.topology import Topology
 
 
@@ -169,6 +172,126 @@ class TestSketchTier:
         assert list(other._lru) == list(policy._lru)
         reborn = other._path_state((0,), 3)
         assert reborn.lambda_rate == pytest.approx(6.0)
+
+
+def handshake(policy, src, pid, tick, dst="srv"):
+    """Pass a SYN through the policy; returns the stamped capability."""
+    syn = Packet(pid[0], SYN, 0, pid, ("a", "b"), src, dst, tick)
+    assert policy.admit(syn, tick)
+    return syn.capability
+
+
+def data(src, pid, tick, capability, dst="srv"):
+    return Packet(pid[0], DATA, 1, pid, ("a", "b"), src, dst, tick, capability)
+
+
+def admit(policy, pkt, tick):
+    """The engine's admit/on_drop pair; returns the decision."""
+    ok = policy.admit(pkt, tick)
+    if not ok:
+        policy.on_drop(pkt, tick)
+    return ok
+
+
+class TestCapabilityMemo:
+    """The per-flow capability memo: never weaker than recomputing, and
+    never larger than the tracked path set."""
+
+    def test_forged_capability_on_memoised_flow_is_spoofed(self):
+        policy = attached_policy(FLocConfig())
+        cap = handshake(policy, "h", (1, 9), tick=0)
+        assert admit(policy, data("h", (1, 9), 1, cap), 1)  # memoised now
+        forged = bytes([cap[0] ^ 1]) + cap[1:]
+        for bad in (forged, b"\x00" * 16, cap[:-1], None):
+            assert not admit(policy, data("h", (1, 9), 2, bad), 2)
+        assert policy.drop_stats["spoofed"] == 4
+        # a capability is bound to its flow, memoised neighbours or not
+        other = handshake(policy, "g", (1, 9), tick=2)
+        assert not admit(policy, data("h", (1, 9), 3, other), 3)
+        assert admit(policy, data("h", (1, 9), 3, cap), 3)
+
+    def test_capability_issued_before_restart_still_verifies(self):
+        policy = attached_policy(FLocConfig())
+        cap = handshake(policy, "h", (1, 9), tick=0)
+        policy.restart(tick=10)
+        assert policy.issuer.memoised_paths() == 0
+        assert admit(policy, data("h", (1, 9), 11, cap), 11)
+        assert policy.drop_stats["spoofed"] == 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FLocConfig(max_tracked_paths=3),
+            FLocConfig(state_backend="sketch", sketch_hot_paths=3),
+        ],
+        ids=["lru", "sketch"],
+    )
+    def test_memo_bounded_by_tracked_paths_under_eviction(self, cfg):
+        policy = attached_policy(cfg)
+        for i in range(40):
+            cap = handshake(policy, f"h{i}", (i, 9), tick=i)
+            admit(policy, data(f"h{i}", (i, 9), i, cap), i)
+            # a stale capability allocates path state before it is refused
+            admit(policy, data(f"h{i}", (100 + i, 9), i, cap), i)
+            assert policy.issuer.memoised_paths() <= len(policy.paths) <= 3
+
+    def test_memo_released_with_dead_paths(self):
+        policy = attached_policy(FLocConfig())
+        for i in range(5):
+            cap = handshake(policy, f"h{i}", (i, 9), tick=0)
+            admit(policy, data(f"h{i}", (i, 9), 1, cap), 1)
+        assert policy.issuer.memoised_paths() == 5
+        policy._refresh(tick=1 + 2 * policy.cfg.flow_active_window)
+        assert not policy.paths
+        assert policy.issuer.memoised_paths() == 0
+
+    def test_memo_released_by_corrupt_state(self):
+        policy = attached_policy(FLocConfig())
+        for i in range(20):
+            handshake(policy, f"h{i}", (i, 9), tick=0)
+        policy.corrupt_state(0.5, random.Random(4))
+        assert 0 < len(policy.paths) < 20
+        assert policy.issuer.memoised_paths() == len(policy.paths)
+
+    def test_restore_admits_identically(self):
+        policy = attached_policy(FLocConfig(max_tracked_paths=4))
+        caps = {
+            i: handshake(policy, f"h{i}", (i, 9), tick=0) for i in range(4)
+        }
+        snap = policy.snapshot()
+
+        def replay():
+            out = []
+            for tick in range(1, 30):
+                i = tick % 6  # flows 4 and 5 were never issued anything
+                cap = caps.get(i, caps[0])
+                out.append(admit(policy, data(f"h{i}", (i, 9), tick, cap), tick))
+            return out, dict(policy.drop_stats)
+
+        first = replay()
+        assert True in first[0] and False in first[0]
+        policy.restore(snap)
+        assert policy.issuer.memoised_paths() <= len(policy.paths)
+        assert replay() == first
+
+    def test_capability_pairs_computed_once_per_flow(self, monkeypatch):
+        from repro.core import capability
+
+        policy = attached_policy(FLocConfig())
+        calls = []
+        real_new = capability.hmac.new
+
+        def counting_new(*args, **kwargs):
+            calls.append(args)
+            return real_new(*args, **kwargs)
+
+        monkeypatch.setattr(capability.hmac, "new", counting_new)
+        flows = [("h0", (0, 9)), ("h1", (1, 9)), ("h2", (1, 9))]
+        caps = [handshake(policy, src, pid, tick=0) for src, pid in flows]
+        for n in range(1000):
+            (src, pid), cap = flows[n % 3], caps[n % 3]
+            assert admit(policy, data(src, pid, 1 + n, cap), 1 + n)
+        assert len(calls) <= 2 * len(flows)  # C0 and C1, once per flow
 
 
 class TestExactModeRegressionLock:
