@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -141,14 +145,6 @@ class LinkMonitor:
         self.series.flush()
 
     @property
-    def _series_tick(self) -> int:
-        return self.series.pending_tick
-
-    @property
-    def _tick_serviced(self) -> int:
-        return self.series.pending_value
-
-    @property
     def total_serviced(self) -> int:
         """Total packets serviced in the measurement window."""
         return sum(self.service_counts.values())
@@ -185,6 +181,14 @@ class Engine:
         # packets in flight on links with delay > 1 tick:
         # arrival tick -> [(next_link_or_None, packet), ...]
         self._scheduled: Dict[int, List[Tuple[Optional[Link], Packet]]] = {}
+        # route -> its links, None-terminated (see Packet.links): filled
+        # lazily by emit(), dropped (with the stamps of the packets in
+        # flight) when the topology's link set changes.  Keyed by the route
+        # itself, so rerouting a flow needs no hook.
+        self._route_links: Dict[
+            Sequence[Hashable], Tuple[Optional[Link], ...]
+        ] = {}
+        self._links_revision = topology.revision
         self._started = False
         self._hooks_per_tick: List[Callable[["Engine", int], None]] = []
         self._hook_labels: List[str] = []
@@ -287,21 +291,53 @@ class Engine:
     # packet movement
     # ------------------------------------------------------------------
     def emit(self, pkt: Packet) -> None:
-        """Inject ``pkt`` at the first link of its route (current tick)."""
+        """Inject ``pkt`` at the first link of its route (current tick).
+
+        The route is resolved to its links here, once per distinct route,
+        and the packet follows those ``Link`` objects to its destination:
+        a route naming a hop the topology lacks raises
+        :class:`~repro.errors.TopologyError` now, not mid-flight.
+        """
         self.packets_emitted += 1
-        route = pkt.route
-        link = self.topology.link(route[pkt.hop], route[pkt.hop + 1])
+        try:
+            links = self._route_links[pkt.route]
+        except (KeyError, TypeError):  # TypeError: hand-built list route
+            links = self._resolve_route(pkt.route)
+        pkt.links = links
+        link = links[pkt.hop]
+        if link is None:
+            raise SimulationError(f"{pkt!r} emitted at the end of its route")
         if not link.up:
             self._dead_drop(link, pkt)
             return
         link.arrivals.append(pkt)
         self._active[link] = None
 
-    def _schedule_next_hop(self, pkt: Packet, link: Link) -> None:
-        # next-tick buffer: a packet advances at most one hop per tick,
-        # regardless of the order links are processed in
-        link.arrivals_next.append(pkt)
-        self._touched_next[link] = None
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        # packets pickle without their links: re-stamp them on the next tick
+        self._links_revision = -1
+
+    def _reresolve_routes(self) -> None:
+        """Forget every resolved route and re-stamp the packets in flight:
+        a link was replaced (a stale resolution would cross the old object)
+        or this engine was just unpickled."""
+        self._links_revision = self.topology.revision
+        self._route_links.clear()
+        for _, pkts in self.packets_in_transit():
+            for pkt in pkts:
+                pkt.links = self._resolve_route(pkt.route)
+
+    def _resolve_route(
+        self, route: Sequence[Hashable]
+    ) -> Tuple[Optional[Link], ...]:
+        key = tuple(route)
+        links = self._route_links.get(key)
+        if links is None:
+            link = self.topology.link
+            links = (*(link(u, v) for u, v in zip(key, key[1:])), None)
+            self._route_links[key] = links
+        return links
 
     # ------------------------------------------------------------------
     # main loop
@@ -340,6 +376,8 @@ class Engine:
         tel = self.telemetry
         prof = tel.profiler if tel.profile_enabled else None
         clock = prof.start() if prof is not None else 0.0
+        if self.topology.revision != self._links_revision:
+            self._reresolve_routes()
         # phase 0: arrivals scheduled last tick become this tick's work.
         for link in self._touched_next:
             if link.arrivals_next:
@@ -380,19 +418,32 @@ class Engine:
         if prof is not None:
             clock = prof.lap("delivery", clock)
 
-        # phase 2: source emissions.
+        # phase 2: source emissions (a source that promised to have
+        # nothing to do before ``next_wake`` is not polled until then).
         for source in self._sources:
-            source.on_tick(self, tick)
+            if source.next_wake <= tick:
+                source.on_tick(self, tick)
         if prof is not None:
             clock = prof.lap("sources", clock)
 
         # phase 3: link processing.
         active = self._active
         self._active = {}
-        for link in active:
-            self._process_link(link, tick)
-        if prof is not None:
-            prof.lap("queueing", clock)
+        if prof is None:
+            for link in active:
+                self._process_link(link, tick)
+        else:
+            # links with a policy are charged to "admission", the rest to
+            # "forwarding": the split the benchmark's core.policy.* and
+            # net.engine.* layers draw
+            for link in active:
+                if link.policy is None:
+                    self._process_link(link, tick)
+                else:
+                    clock = prof.lap("forwarding", clock)
+                    self._process_link(link, tick)
+                    clock = prof.lap("admission", clock)
+            prof.lap("forwarding", clock)
             prof.tick_done()
         if tel.enabled:
             tel.sample_engine(self, tick)
@@ -400,19 +451,48 @@ class Engine:
         self.tick = tick + 1
 
     def _process_link(self, link: Link, tick: int) -> None:
+        arrivals = link.arrivals
+        link.arrivals = []
         if not link.up:
             # packets handed to a failed link are lost in transit; the
             # policy is not consulted (the router behind it is unreachable)
-            arrivals = link.arrivals
-            link.arrivals = []
             for pkt in arrivals:
                 self._dead_drop(link, pkt)
             return
         policy = link.policy
-        arrivals = link.arrivals
-        link.arrivals = []
         queue = link.queue
         monitors = link.monitors
+        buffer = link.buffer
+        capacity = link.capacity
+        delay = link.delay
+        # next-tick buffers: a packet advances at most one hop per tick,
+        # regardless of the order links are processed in
+        touched = self._touched_next
+        deliveries = self._deliveries_next
+
+        if (
+            policy is None
+            and buffer is None
+            and capacity is None
+            and delay == 1
+            and not monitors
+            and not queue
+        ):
+            # wire link: nothing to admit, bound, pace or observe, so every
+            # arrival goes straight to its next hop in arrival order.  All
+            # read at call time: a monitor attached or a link failed
+            # mid-run leaves this path at once.
+            link.serviced_total += len(arrivals)
+            for pkt in arrivals:
+                hop = pkt.hop + 1
+                pkt.hop = hop
+                nxt = pkt.links[hop]
+                if nxt is None:
+                    deliveries.append(pkt)
+                else:
+                    nxt.arrivals_next.append(pkt)
+                    touched[nxt] = None
+            return
 
         if policy is not None:
             # a tick's arrivals come from many upstream sources; real
@@ -436,59 +516,48 @@ class Engine:
                 for pkt in arrivals:
                     if id(pkt) not in kept:
                         self._drop(link, pkt, tick)
-            buffer = link.buffer
             for pkt in admitted:
                 if buffer is not None and len(queue) >= buffer:
                     self._drop(link, pkt, tick)
                 else:
                     queue.append(pkt)
+        elif buffer is None:
+            queue.extend(arrivals)
         else:
-            buffer = link.buffer
-            if buffer is None:
-                queue.extend(arrivals)
-            else:
-                for pkt in arrivals:
-                    if len(queue) >= buffer:
-                        self._drop(link, pkt, tick)
-                    else:
-                        queue.append(pkt)
+            for pkt in arrivals:
+                if len(queue) >= buffer:
+                    self._drop(link, pkt, tick)
+                else:
+                    queue.append(pkt)
 
         # service
-        if link.capacity is None:
+        if capacity is None:
             n_service = len(queue)
         else:
-            link.credit += link.capacity
+            link.credit += capacity
             n_service = int(link.credit)
             if n_service > len(queue):
                 n_service = len(queue)
             link.credit -= n_service
-            if link.credit > link.capacity:  # do not bank idle capacity
-                link.credit = link.capacity
-        route_end_delivery = self._deliveries_next
-        delay = link.delay
+            if link.credit > capacity:  # do not bank idle capacity
+                link.credit = capacity
+        link.serviced_total += n_service
         for _ in range(n_service):
             pkt = queue.popleft()
-            link.serviced_total += 1
             for mon in monitors:
                 mon.on_service(pkt, tick)
-            pkt.hop += 1
-            route = pkt.route
-            at_end = pkt.hop >= len(route) - 1
-            if delay == 1:
-                if at_end:
-                    route_end_delivery.append(pkt)
-                else:
-                    nxt = self.topology.link(route[pkt.hop], route[pkt.hop + 1])
-                    self._schedule_next_hop(pkt, nxt)
-            else:
-                nxt = (
-                    None
-                    if at_end
-                    else self.topology.link(route[pkt.hop], route[pkt.hop + 1])
-                )
+            hop = pkt.hop + 1
+            pkt.hop = hop
+            nxt = pkt.links[hop]
+            if delay != 1:
                 self._scheduled.setdefault(tick + delay, []).append((nxt, pkt))
+            elif nxt is None:
+                deliveries.append(pkt)
+            else:
+                nxt.arrivals_next.append(pkt)
+                touched[nxt] = None
         if queue:
-            self._touched_next[link] = None
+            touched[link] = None
 
     def _interleave(self, arrivals: List[Packet]) -> List[Packet]:
         """Randomly merge per-flow packet streams, preserving each flow's
@@ -556,6 +625,21 @@ class Engine:
         for pkts in self._scheduled.values():
             count += len(pkts)
         return count
+
+    def packets_in_transit(self) -> Iterator[Tuple[Link, Iterable[Packet]]]:
+        """``(link, packets about to cross it)`` for every packet that has
+        not finished its route.
+
+        Reached through the engine's work lists rather than
+        ``topology.links()``, so packets left on a link the topology no
+        longer holds are included.
+        """
+        for link in (*self._active, *self._touched_next):
+            yield link, chain(link.queue, link.arrivals, link.arrivals_next)
+        for arrivals in self._scheduled.values():  # long-haul hops
+            for dest, pkt in arrivals:
+                if dest is not None:
+                    yield dest, (pkt,)
 
     def total_link_drops(self) -> int:
         """Packets dropped on any link since the simulation started."""
@@ -638,15 +722,18 @@ class Engine:
 
     def _reply(self, flow: FlowInfo, pkt: Packet, kind: int, tick: int) -> None:
         """Destination host acknowledges a data or SYN packet."""
-        reply = Packet(
-            flow_id=flow.flow_id,
-            kind=kind,
-            seq=pkt.seq,
-            path_id=flow.path_id,
-            route=flow.reverse_route,
-            src_addr=flow.dst_host,
-            dst_addr=flow.src_host,
-            sent_tick=pkt.sent_tick,
-            capability=pkt.capability,
+        # positional on purpose: built once per delivered packet, and
+        # keyword passing cost a fifth of a drop-tail flood's run time
+        self.emit(
+            Packet(
+                flow.flow_id,
+                kind,
+                pkt.seq,
+                flow.path_id,
+                flow.reverse_route,
+                flow.dst_host,
+                flow.src_host,
+                pkt.sent_tick,
+                pkt.capability,
+            )
         )
-        self.emit(reply)

@@ -11,7 +11,10 @@ tokens.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Hashable, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from .topology import Link
 
 #: Packet kinds (small ints for speed; see :func:`kind_name`).
 DATA = 0
@@ -45,6 +48,12 @@ class Packet:
     route:
         The node-id route this packet follows, as a tuple; ``hop`` indexes
         the link about to be traversed (``route[hop] -> route[hop + 1]``).
+    links:
+        ``route`` resolved to its :class:`~repro.net.topology.Link` objects,
+        ``None``-terminated so ``links[hop] is None`` means "route
+        complete"; stamped by :meth:`Engine.emit` (empty until then), never
+        by the constructor, and left out of pickles: the engine re-stamps
+        the packets in flight after a restore.
     src_addr / dst_addr:
         Endpoint addresses used by capability hashing (host ids double as
         addresses).
@@ -58,12 +67,15 @@ class Packet:
         "seq",
         "path_id",
         "route",
+        "links",
         "hop",
         "src_addr",
         "dst_addr",
         "sent_tick",
         "capability",
     )
+    #: what a pickle carries: every slot but ``links`` (see ``__getstate__``)
+    _PICKLED = tuple(name for name in __slots__ if name != "links")
 
     def __init__(
         self,
@@ -82,14 +94,27 @@ class Packet:
         self.seq = seq
         self.path_id = path_id
         self.route = route
+        self.links: Tuple[Optional["Link"], ...] = ()
         self.hop = 0
         self.src_addr = src_addr
         self.dst_addr = dst_addr
         self.sent_tick = sent_tick
         self.capability = capability
 
+    # A packet that pickled its links would drag in every link of its route
+    # and, through their queues, every other packet's route: one recursion
+    # as deep as the network is wide (RecursionError on a 10x10 mesh).
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self._PICKLED)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        for name, value in zip(self._PICKLED, state):
+            setattr(self, name, value)
+        self.links = ()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet(flow={self.flow_id}, {kind_name(self.kind)}, seq={self.seq}, "
             f"hop={self.hop}/{len(self.route) - 1})"
         )
+

@@ -140,6 +140,9 @@ class Topology:
         self._links: Dict[Tuple[NodeId, NodeId], Link] = {}
         self._out: Dict[NodeId, List[NodeId]] = {}
         self._in: Dict[NodeId, List[NodeId]] = {}
+        #: bumped whenever the link set changes, so holders of resolved
+        #: ``Link`` objects (the engine's route cache) know to re-resolve
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -152,7 +155,13 @@ class Topology:
         buffer: Optional[int] = None,
         delay: int = 1,
     ) -> Link:
-        """Add a directed link; replaces any existing ``src -> dst`` link."""
+        """Add a directed link; replaces any existing ``src -> dst`` link.
+
+        A running engine notices at the start of its next tick (see
+        ``revision``) and moves the packets in flight onto the new object's
+        route; packets already waiting on a replaced link are serviced by
+        the old object one last time.
+        """
         if src == dst:
             raise TopologyError(f"self-loop link at node {src!r}")
         link = Link(src, dst, capacity=capacity, buffer=buffer, delay=delay)
@@ -162,6 +171,7 @@ class Topology:
             self._out.setdefault(dst, [])
             self._in.setdefault(src, [])
         self._links[(src, dst)] = link
+        self.revision += 1
         return link
 
     def add_duplex_link(

@@ -7,6 +7,12 @@ invariants that a silent accounting bug would break long before the
 figure-level output looks wrong:
 
 Packet engine (:class:`EngineSanitizer`)
+    * **route-links** — every packet waiting on a link or crossing a
+      long-haul hop is where its own resolved route says
+      (``pkt.links[pkt.hop]``), and that is the link the topology holds
+      for ``route[hop] -> route[hop + 1]`` — the existence check the
+      engine's per-hop lookup used to make before routes were resolved
+      once at emission;
     * **conservation** — packets emitted = delivered + dropped + in
       flight, across every link, scheduled hop and delivery buffer;
     * **queue-bounds** — no link queue is longer than its buffer;
@@ -154,11 +160,41 @@ class EngineSanitizer(_BaseSanitizer):
     def __call__(self, engine, tick: int) -> None:
         if not self._due(tick):
             return
+        self._check_route_links(engine, tick)
         self._check_conservation(engine, tick)
         self._check_links(engine, tick)
         self._check_policies(engine, tick)
 
     # -- invariants -----------------------------------------------------
+    def _check_route_links(self, engine, tick: int) -> None:
+        topology = engine.topology
+        for link, pkts in engine.packets_in_transit():
+            src, dst = link.src, link.dst
+            held = topology.has_link(src, dst) and topology.link(src, dst) is link
+            for pkt in pkts:
+                hop, route = pkt.hop, pkt.route
+                try:
+                    ok = (
+                        held
+                        and pkt.links[hop] is link
+                        and route[hop] == src
+                        and route[hop + 1] == dst
+                    )
+                except IndexError:
+                    ok = False
+                if not ok:
+                    why = (
+                        "its route resolves that hop to another link"
+                        if held
+                        else "the topology does not hold that link"
+                    )
+                    self._flag(
+                        tick,
+                        "route-links",
+                        f"{pkt!r} of route {route!r} is about to cross "
+                        f"{link!r}, but {why}",
+                    )
+
     def _check_conservation(self, engine, tick: int) -> None:
         emitted = engine.packets_emitted
         delivered = engine.packets_delivered

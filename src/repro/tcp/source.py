@@ -11,6 +11,12 @@ is what lets a FLoc router issue capabilities and measure per-flow RTT
 The sender is ACK-clocked: new segments are emitted while the in-flight
 count is below the congestion window, and ACK arrivals (engine delivery
 phase) update the window before the emission phase of the same tick.
+
+It is also event-driven: between an ACK and the next retransmission
+deadline ``on_tick`` has nothing to do (window, ``srtt`` and back-off only
+change in ``on_ack`` or in the RTO itself), so the source declares that
+deadline as its ``next_wake`` and the engine does not poll it until then
+(see :class:`~repro.net.source.TrafficSource`).
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ MIN_RTO_TICKS = 20
 
 #: Initial slow-start threshold (packets) — effectively "no threshold".
 INITIAL_SSTHRESH = 1 << 20
+
+#: ``next_wake`` of a source that only a delivery can give work to.
+NEVER = 1 << 62
 
 
 class TcpSource(TrafficSource):
@@ -87,6 +96,7 @@ class TcpSource(TrafficSource):
         self.retransmissions = 0
         self.timeouts = 0
         self.loss_events = 0
+        self.next_wake = start_tick
 
     # ------------------------------------------------------------------
     # TrafficSource interface
@@ -95,17 +105,21 @@ class TcpSource(TrafficSource):
         return (self.flow,)
 
     def on_tick(self, engine: Engine, tick: int) -> None:
-        if self.finished or tick < self.start_tick:
-            return
-        if not self.established:
-            self._handshake(engine, tick)
-            return
-        self._check_rto(engine, tick)
-        self._send_window(engine, tick)
+        if self.finished:
+            self.next_wake = NEVER
+        elif tick < self.start_tick:
+            self.next_wake = self.start_tick
+        elif not self.established:
+            self.next_wake = self._handshake(engine, tick)
+        else:
+            self._check_rto(engine, tick)
+            self._send_window(engine, tick)
+            self.next_wake = self._next_timer(tick)
 
     def on_synack(
         self, engine: Engine, flow: FlowInfo, pkt: Packet, tick: int
     ) -> None:
+        self.next_wake = 0
         if self.established:
             return
         self.established = True
@@ -118,6 +132,7 @@ class TcpSource(TrafficSource):
             self._rtt_sample(max(1, tick - self._first_syn_tick))
 
     def on_ack(self, engine: Engine, flow: FlowInfo, pkt: Packet, tick: int) -> None:
+        self.next_wake = 0
         seq = pkt.seq
         meta = self._meta
         entry = meta.pop(seq, None)
@@ -196,19 +211,37 @@ class TcpSource(TrafficSource):
         rtt = self.rtt_estimate()
         return max(MIN_RTO_TICKS, int(round(2.0 * rtt))) * self._rto_backoff
 
-    def _check_rto(self, engine: Engine, tick: int) -> None:
+    def _oldest_outstanding(self) -> Optional[int]:
+        """Sequence number of the oldest unacknowledged segment."""
         meta = self._meta
         if not meta:
-            return
+            return None
         order = self._order
         while order and order[0] not in meta:
             order.popleft()
-        if not order:
-            return
-        oldest = order[0]
-        if tick - meta[oldest][0] <= self._rto_ticks():
+        return order[0] if order else None
+
+    def _next_timer(self, tick: int) -> int:
+        """First tick after ``tick`` on which an established source acts
+        without an ACK arriving first."""
+        if int(self.cwnd) > len(self._meta) and self._has_unsent():
+            # re-sending a segment that was still outstanding used a window
+            # slot without filling it: the next tick sends more
+            return tick + 1
+        # the window is full or there is nothing left to send, so the next
+        # event is the oldest segment's RTO
+        oldest = self._oldest_outstanding()
+        if oldest is None:
+            return NEVER
+        return self._meta[oldest][0] + self._rto_ticks() + 1
+
+    def _check_rto(self, engine: Engine, tick: int) -> None:
+        oldest = self._oldest_outstanding()
+        meta = self._meta
+        if oldest is None or tick - meta[oldest][0] <= self._rto_ticks():
             return
         # timeout: everything outstanding is presumed lost
+        order = self._order
         self.timeouts += 1
         for seq in list(order):
             if meta.pop(seq, None) is not None:
@@ -224,32 +257,37 @@ class TcpSource(TrafficSource):
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
-    def _handshake(self, engine: Engine, tick: int) -> None:
-        resend_after = self._rto_ticks()
-        if (
-            self._syn_sent_tick is not None
-            and tick - self._syn_sent_tick <= resend_after
-        ):
-            return
-        if self._syn_sent_tick is not None:
-            self._rto_backoff = min(self._rto_backoff * 2, 64)
-            self._syn_retransmits += 1
-        else:
-            self._first_syn_tick = tick
-        self._syn_sent_tick = tick
-        engine.emit(self._packet(SYN, 0, tick))
+    def _handshake(self, engine: Engine, tick: int) -> int:
+        """(Re)send the SYN if its timer ran out; returns the tick at which
+        the timer of the SYN now outstanding runs out."""
+        sent = self._syn_sent_tick
+        if sent is None or tick - sent > self._rto_ticks():
+            if sent is not None:
+                self._rto_backoff = min(self._rto_backoff * 2, 64)
+                self._syn_retransmits += 1
+            else:
+                self._first_syn_tick = tick
+            self._syn_sent_tick = sent = tick
+            engine.emit(self._packet(SYN, 0, tick))
+        return sent + self._rto_ticks() + 1
+
+    def _has_unsent(self) -> bool:
+        """Whether a retransmission or a never-sent segment is waiting."""
+        return (
+            bool(self._retransmit)
+            or self.total_packets is None
+            or self._next_seq < self.total_packets
+        )
 
     def _send_window(self, engine: Engine, tick: int) -> None:
         meta = self._meta
         can_send = int(self.cwnd) - len(meta)
-        while can_send > 0:
+        while can_send > 0 and self._has_unsent():
             if self._retransmit:
                 seq = self._retransmit.popleft()
-            elif self.total_packets is None or self._next_seq < self.total_packets:
+            else:
                 seq = self._next_seq
                 self._next_seq += 1
-            else:
-                break
             meta[seq] = [tick, 0]
             self._order.append(seq)
             self.packets_sent += 1
@@ -259,13 +297,13 @@ class TcpSource(TrafficSource):
     def _packet(self, kind: int, seq: int, tick: int) -> Packet:
         flow = self.flow
         return Packet(
-            flow_id=flow.flow_id,
-            kind=kind,
-            seq=seq,
-            path_id=flow.path_id,
-            route=flow.route,
-            src_addr=flow.src_host,
-            dst_addr=flow.dst_host,
-            sent_tick=tick,
-            capability=self.capability,
+            flow.flow_id,
+            kind,
+            seq,
+            flow.path_id,
+            flow.route,
+            flow.src_host,
+            flow.dst_host,
+            tick,
+            self.capability,
         )

@@ -39,7 +39,8 @@ __all__ = [
 
 #: span (cat, name) -> report phase.  Synthetic ``cat="phase"`` spans
 #: (from TickProfiler totals) attribute under their own subsystem name,
-#: so the engine's ``queueing`` hot path shows up by name.
+#: so the engine's ``admission`` and ``forwarding`` hot paths show up by
+#: name.
 _PHASE_BY_CAT: Dict[str, str] = {
     "barrier": "barrier-wait",
     "checkpoint": "checkpoint",

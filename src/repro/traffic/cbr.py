@@ -89,13 +89,13 @@ class CbrSource(TrafficSource):
     def _packet(self, kind: int, seq: int, tick: int) -> Packet:
         flow = self.flow
         return Packet(
-            flow_id=flow.flow_id,
-            kind=kind,
-            seq=seq,
-            path_id=flow.path_id,
-            route=flow.route,
-            src_addr=flow.src_host,
-            dst_addr=flow.dst_host,
-            sent_tick=tick,
-            capability=self.capability,
+            flow.flow_id,
+            kind,
+            seq,
+            flow.path_id,
+            flow.route,
+            flow.src_host,
+            flow.dst_host,
+            tick,
+            self.capability,
         )

@@ -95,7 +95,7 @@ class TestMonitorSeries:
         # the final partial tick stays in the accumulator; everything
         # recorded is bounded by capacity per tick
         assert all(count <= 2 for _, count in monitor.series)
-        assert total + monitor._tick_serviced == 6
+        assert total + monitor.series.pending_value == 6
 
     def test_drop_counts_recorded(self):
         engine, flow = chain_engine(1, capacity=1.0, buffer=2)

@@ -13,6 +13,7 @@ from repro.core.router import FLocPolicy
 from repro.errors import Interrupted
 from repro.inet.scenarios import build_internet_scenario
 from repro.inet.simulator import FluidSimulator
+from repro.net.policy import DropTailPolicy
 from repro.runner import CheckpointStore, EngineRun, FluidRun, run_checkpointed
 from repro.traffic.scenarios import build_tree_scenario
 
@@ -55,6 +56,56 @@ def finalize_engine(run):
     )
 
 
+def build_flood_run():
+    # drop-tail flood: the TCP sources starve into RTO back-off, so a
+    # mid-run snapshot catches them asleep (next_wake in the future) with
+    # route-resolved packets of the flood in flight
+    scenario = build_tree_scenario(
+        scale_factor=0.05, attack_kind="cbr", attack_rate_mbps=4.0, seed=3
+    )
+    scenario.attach_policy(DropTailPolicy())
+    monitor = scenario.add_target_monitor()
+    return EngineRun(
+        payload=(monitor, scenario.legit_sources),
+        engine=scenario.engine,
+        total_ticks=600,
+    )
+
+
+def finalize_flood(run):
+    monitor, sources = run.payload
+    return (
+        run.engine.packets_emitted,
+        run.engine.packets_delivered,
+        [(l.serviced_total, l.dropped_total) for l in run.engine.topology.links()],
+        sorted(monitor.service_counts.items()),
+        sorted(monitor.drop_counts.items()),
+        [(s.packets_sent, s.timeouts, s.cwnd, s.next_wake) for s in sources],
+    )
+
+
+def assert_flood_snapshot_mid_sleep(run):
+    engine = run.engine
+    _, sources = run.payload
+    asleep = [s for s in sources if s.next_wake > engine.tick]
+    assert any(s.established and s.timeouts for s in asleep)
+    waiting = [
+        pkt
+        for link in engine.topology.links()
+        for pkt in (*link.queue, *link.arrivals_next)
+    ]
+    assert len(waiting) > 50
+    # packets pickle without their resolved links; the resumed engine
+    # re-stamps them before anything moves
+    assert all(pkt.links == () for pkt in waiting)
+    engine.run(1)
+    assert all(
+        pkt.links[pkt.hop] is link
+        for link in engine.topology.links()
+        for pkt in (*link.queue, *link.arrivals_next)
+    )
+
+
 def build_fluid_run():
     scenario = build_internet_scenario(
         variant="f-root", n_as=120, n_legit_sources=300, n_legit_ases=30,
@@ -70,11 +121,17 @@ def finalize_fluid(run):
 
 
 @pytest.mark.parametrize(
-    "build,finalize",
-    [(build_engine_run, finalize_engine), (build_fluid_run, finalize_fluid)],
-    ids=["packet-engine", "fluid-simulator"],
+    "build,finalize,polls,check_snapshot",
+    [
+        (build_engine_run, finalize_engine, 2, None),
+        (build_flood_run, finalize_flood, 16, assert_flood_snapshot_mid_sleep),
+        (build_fluid_run, finalize_fluid, 2, None),
+    ],
+    ids=["packet-engine", "packet-engine-asleep", "fluid-simulator"],
 )
-def test_kill_resume_bit_identical(tmp_path, build, finalize):
+def test_kill_resume_bit_identical(
+    tmp_path, build, finalize, polls, check_snapshot
+):
     reference = run_checkpointed(
         None, "ref", build, finalize, checkpoint_interval=1_000_000
     )
@@ -83,10 +140,12 @@ def test_kill_resume_bit_identical(tmp_path, build, finalize):
     with pytest.raises(Interrupted):
         run_checkpointed(
             store, "job", build, finalize,
-            checkpoint_interval=25, shutdown=FlipAfter(polls=2),
+            checkpoint_interval=25, shutdown=FlipAfter(polls=polls),
         )
     # the kill left a mid-run snapshot behind
     assert store.has("state", "job")
+    if check_snapshot is not None:
+        check_snapshot(store.load("state", "job"))
 
     resumed = run_checkpointed(
         store, "job", build, finalize, checkpoint_interval=25

@@ -112,6 +112,35 @@ class TestCorruptionDetection:
         assert err.value.invariant == "rate-nonnegative"
         assert err.value.tick <= 61
 
+    def test_stale_route_resolution_caught_within_one_tick(self):
+        # a link replaced behind a primed route cache, with the engine's
+        # invalidation bypassed: new emissions still resolve to the old
+        # object, which the topology no longer holds
+        scenario = make_scenario()
+        engine = scenario.engine
+        install_sanitizer(engine, "strict")
+        engine.run(200)
+        scenario.topology.add_link("root.0", "root")
+        engine._links_revision = scenario.topology.revision
+        with pytest.raises(InvariantViolation) as err:
+            engine.run(50)
+        assert err.value.invariant == "route-links"
+        assert err.value.tick <= 201
+
+    def test_corrupted_packet_links_caught_within_one_tick(self):
+        scenario = make_scenario()
+        engine = scenario.engine
+        install_sanitizer(engine, "strict")
+        engine.run(200)
+        target = scenario.topology.link(*scenario.target)
+        pkt = target.queue[0]
+        wrong = scenario.topology.link("root.0", "root")
+        pkt.links = pkt.links[: pkt.hop] + (wrong,) + pkt.links[pkt.hop + 1 :]
+        with pytest.raises(InvariantViolation) as err:
+            engine.run(1)
+        assert err.value.invariant == "route-links"
+        assert err.value.tick == 200
+
     def test_record_mode_collects_without_raising(self):
         scenario = make_scenario()
         faults = FaultSchedule()

@@ -77,13 +77,36 @@ class TestTickProfiler:
         prof = TickProfiler()
         t0 = prof.start()
         t1 = prof.lap("policy", t0)
-        prof.lap("queueing", t1)
+        prof.lap("forwarding", t1)
         prof.tick_done()
-        assert set(prof.totals_seconds) == {"policy", "queueing"}
+        assert set(prof.totals_seconds) == {"policy", "forwarding"}
         assert all(v >= 0.0 for v in prof.totals_seconds.values())
         assert prof.ticks_profiled == 1
         fractions = prof.breakdown()
         assert fractions and abs(sum(fractions.values()) - 1.0) < 1e-9
+
+    def test_engine_laps_split_link_processing_by_policy(self):
+        # the packet engine charges links that run an admission policy to
+        # "admission" and every other link to "forwarding"
+        from repro.core.config import FLocConfig
+        from repro.core.router import FLocPolicy
+        from repro.telemetry import Telemetry, use
+        from repro.traffic.scenarios import build_tree_scenario
+
+        tel = Telemetry(mode="metrics", profile=True)
+        with use(tel):
+            scenario = build_tree_scenario(
+                scale_factor=0.03, attack_kind="cbr", seed=3
+            )
+            scenario.attach_policy(FLocPolicy(FLocConfig()))
+            scenario.engine.run(200)
+        laps = tel.profiler.totals_seconds
+        assert set(laps) == {
+            "arrivals", "policy", "delivery", "sources",
+            "admission", "forwarding",
+        }
+        assert laps["admission"] > 0.0 and laps["forwarding"] > 0.0
+        assert tel.profiler.ticks_profiled == 200
 
     def test_pickle_erases_wall_clock_state(self):
         # checkpoints and digests must never observe host speed
