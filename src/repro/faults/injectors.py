@@ -194,8 +194,7 @@ class FluidCounterCorruption:
     def __call__(self, sim, tick: int, rng: random.Random) -> None:
         n = max(1, int(sim.n_flows * self.fraction))
         victims = rng.sample(range(sim.n_flows), min(n, sim.n_flows))
-        for idx in victims:
-            sim._rate_ewma[idx] = -abs(self.skew)
+        sim._rate_ewma[victims] = -abs(self.skew)
 
 
 class FluidLinkDegrade:

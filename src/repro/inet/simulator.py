@@ -59,6 +59,19 @@ from .scenarios import InternetScenario
 
 STRATEGIES = ("nd", "ff", "floc")
 
+#: ``FluidSimulator`` attributes rebuilt by ``_build_derived`` instead of
+#: being checkpointed
+_DERIVED = (
+    "_levels",
+    "_rtt_as",
+    "_tcp_floor_as",
+    "_counts_as_f64",
+    "_legit_idx",
+    "_rtt_legit",
+    "_inv_rtt_legit",
+    "_w_max_legit",
+)
+
 CATEGORY_NAMES = ("legit_in_legit", "legit_in_attack", "attack")
 
 
@@ -152,7 +165,6 @@ class FluidSimulator:
         self.attack_flag_factor = attack_flag_factor
         self.aggregation_interval = aggregation_interval
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
         # fault support: per-tick hooks (same interface as Engine, so a
         # repro.faults.FaultSchedule installs on either simulator) and the
         # post-restart warm-up window of the target defense
@@ -191,18 +203,16 @@ class FluidSimulator:
             self.is_attack = scn.flow_is_attack[keep]
             self.cats = cats_all[keep]
         self.n_flows = int(self.origin.shape[0])
-        # RTT: two ticks per AS hop plus destination handling
-        depth = np.asarray(scn.topology.depth, dtype=np.float64)
-        self.rtt = 2.0 * (depth[self.origin] + 2.0)
-        self.w_max = scn.legit_rate * self.rtt
-        self.w = np.minimum(2.0, self.w_max)
         # per-AS topology helpers
+        depth = np.asarray(scn.topology.depth, dtype=np.float64)
         self.parent = np.asarray(scn.topology.parent, dtype=np.int64)
         order = np.argsort(-depth)  # deepest first: children before parents
         self.as_order = order
+        self._build_derived()
+        # TCP windows, per flow; only the legitimate entries ever move
+        self.w = np.minimum(2.0, scn.legit_rate * self._rtt_as[self.origin])
         self.conformance = ConformanceTracker(beta=0.2)
         self._plan = None
-        self._group_index: Optional[np.ndarray] = None
         self._group_of_as: Optional[np.ndarray] = None
         self._group_shares: Optional[np.ndarray] = None
         self._flagged = np.zeros(self.n_flows, dtype=bool)
@@ -233,7 +243,42 @@ class FluidSimulator:
         # is attached after load anyway (see ShardUnitTask.run)
         state = dict(self.__dict__)
         state["_exchange"] = None
+        for name in _DERIVED:
+            state.pop(name, None)
         return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._build_derived()
+
+    def _build_derived(self) -> None:
+        """(Re)build the static lookup tables of the step hot path.
+
+        Everything here is a pure function of the scenario and of state
+        that *is* checkpointed, so none of it is pickled (see
+        ``_DERIVED``): a checkpoint stays as small as the state it
+        records, and one written without these attributes loads.
+        """
+        depth = np.asarray(self.scn.topology.depth, dtype=np.int64)
+        # RTT: two ticks per AS hop plus destination handling
+        self._rtt_as = 2.0 * (depth + 2.0)
+        # the rate below which a starved-but-conformant TCP flow cannot
+        # send (see the flag bar in ``_admit_floc``)
+        self._tcp_floor_as = 2.5 / self._rtt_as
+        self._counts_as_f64 = self._counts_by_as.astype(np.float64)
+        # the AIMD model runs on the legitimate flows only
+        self._legit_idx = np.flatnonzero(~self.is_attack)
+        self._rtt_legit = self._rtt_as[self.origin[self._legit_idx]]
+        self._inv_rtt_legit = 1.0 / self._rtt_legit
+        self._w_max_legit = self.scn.legit_rate * self._rtt_legit
+        # the survival pass walks the tree one depth level at a time,
+        # deepest first, in ``as_order`` order within a level (the order
+        # fixes the float summation order into each parent)
+        order = self.as_order[self.as_order != 0]
+        cuts = np.flatnonzero(np.diff(depth[order])) + 1
+        self._levels = [
+            (nodes, self.parent[nodes]) for nodes in np.split(order, cuts)
+        ]
 
     def _allreduce(
         self,
@@ -310,7 +355,6 @@ class FluidSimulator:
                 )
         self.conformance = ConformanceTracker(beta=0.2)
         self._plan = None
-        self._group_index = None
         self._group_of_as = None
         self._group_shares = None
         self._flagged[:] = False
@@ -322,9 +366,12 @@ class FluidSimulator:
     # per-tick pieces
     # ------------------------------------------------------------------
     def _send_rates(self) -> np.ndarray:
-        rates = np.where(
-            self.is_attack, self.scn.attack_rate, self.w / self.rtt
-        )
+        """Per-flow send rate: ``scn.attack_rate`` for bots (a scalar or
+        a per-flow array, read on every call — ``FluidRateRandomizer``
+        replaces it mid-run), window over RTT for legitimate flows."""
+        rates = np.full(self.n_flows, self.scn.attack_rate, dtype=np.float64)
+        legit = self._legit_idx
+        rates[legit] = self.w[legit] / self._rtt_legit
         return rates
 
     def _loads_by_as(self, rates: np.ndarray) -> np.ndarray:
@@ -340,29 +387,36 @@ class FluidSimulator:
 
     def _survival_from_loads(self, own: np.ndarray) -> np.ndarray:
         """Per-AS survival fraction from origin to (not including) the
-        target link, given the *full* per-AS source-load vector."""
-        scn = self.scn
-        n_as = scn.topology.n_as
-        admitted = np.zeros(n_as, dtype=np.float64)
-        passfrac = np.ones(n_as, dtype=np.float64)
-        inflow = own.copy()
-        for asn in self.as_order:
-            if asn == 0:
-                continue
-            offered = inflow[asn]
-            cap = scn.link_capacity[asn]
-            if offered > cap > 0:
-                passfrac[asn] = cap / offered
-                admitted[asn] = cap
-            else:
-                admitted[asn] = offered
-            inflow[self.parent[asn]] += admitted[asn]
+        target link, given the *full* per-AS source-load vector.
+
+        Root-ward, one depth level per step: a link passes
+        ``min(offered, capacity)`` into its parent (a capacity of 0 means
+        "no limit").  ``np.add.at`` adds a level's admitted loads into
+        the parents in ``as_order`` order, which is the summation order
+        of the per-AS loop this replaced, so every entry is bit-equal to
+        it.  ``scn.link_capacity`` is read on every call:
+        ``FluidLinkDegrade`` rewrites it mid-run.
+        """
+        caps = self.scn.link_capacity
+        inflow = np.array(own, dtype=np.float64)
+        passfrac: Optional[np.ndarray] = None
+        for nodes, parents in self._levels:
+            offered = inflow[nodes]
+            cap = caps[nodes]
+            clogged = (offered > cap) & (cap > 0)
+            if clogged.any():
+                if passfrac is None:
+                    passfrac = np.ones_like(inflow)
+                passfrac[nodes] = np.divide(
+                    cap, offered, out=np.ones_like(offered), where=clogged
+                )
+                offered = np.where(clogged, cap, offered)
+            np.add.at(inflow, parents, offered)
         # survival per AS = product of passfrac along the chain to root
-        surv = np.ones(n_as, dtype=np.float64)
-        for asn in self.as_order[::-1]:  # shallow first: parents before kids
-            if asn == 0:
-                continue
-            surv[asn] = surv[self.parent[asn]] * passfrac[asn]
+        surv = np.ones_like(inflow)
+        if passfrac is not None:
+            for nodes, parents in reversed(self._levels):
+                surv[nodes] = surv[parents] * passfrac[nodes]
         return surv
 
     def _upstream_survival(self, rates: np.ndarray) -> np.ndarray:
@@ -440,30 +494,25 @@ class FluidSimulator:
         """
         ases = sorted(self.pid_of_as)
         pids = [self.pid_of_as[a] for a in ases]
-        counts_by_as = self._counts_by_as
-        flow_counts = {
-            self.pid_of_as[asn]: int(counts_by_as[asn]) for asn in ases
-        }
+        counts_by_as = self._counts_by_as.tolist()
         legit, attack = self.conformance.partition(pids, threshold=0.5)
-        s_max = self.s_max
         self._plan = build_plan(
             legit,
             attack,
             self.conformance.values(),
-            {pid: float(c) for pid, c in flow_counts.items()},
-            s_max,
+            {pid: float(counts_by_as[asn]) for asn, pid in zip(ases, pids)},
+            self.s_max,
         )
         group_keys = {}
-        group_of_as = np.zeros(self.scn.topology.n_as, dtype=np.int64)
+        group_of_as = [0] * self.scn.topology.n_as
         shares: List[float] = []
-        for asn in ases:
-            key = self._plan.group(self.pid_of_as[asn])
+        for asn, pid in zip(ases, pids):
+            key = self._plan.group(pid)
             if key not in group_keys:
                 group_keys[key] = len(shares)
                 shares.append(self._plan.shares.get(key, 1.0))
             group_of_as[asn] = group_keys[key]
-        self._group_of_as = group_of_as
-        self._group_index = group_of_as[self.origin]
+        self._group_of_as = np.asarray(group_of_as, dtype=np.int64)
         self._group_shares = np.asarray(shares, dtype=np.float64)
         self.n_groups = len(shares)
 
@@ -474,6 +523,7 @@ class FluidSimulator:
         arr_by_as: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         n_as = self.scn.topology.n_as
+        arrivals = np.asarray(arrivals, dtype=np.float64)
         if arr_by_as is None:
             arr_by_as = np.bincount(
                 self.origin, weights=arrivals, minlength=n_as
@@ -494,7 +544,7 @@ class FluidSimulator:
                 return admitted
         cap = self.scn.target_capacity
         tel = self.telemetry
-        if self._group_index is None or (
+        if self._group_of_as is None or (
             tick > 0 and tick % self.aggregation_interval == 0
         ):
             previous_groups = self.n_groups
@@ -507,7 +557,6 @@ class FluidSimulator:
                         n_groups=self.n_groups,
                         previous_count=previous_groups,
                     )
-        gidx = self._group_index
         gidx_as = self._group_of_as
         shares = self._group_shares
         n_groups = self.n_groups
@@ -519,57 +568,70 @@ class FluidSimulator:
             gidx_as, weights=arr_by_as, minlength=n_groups
         )
         group_flows = np.bincount(
-            gidx_as,
-            weights=self._counts_by_as.astype(np.float64),
-            minlength=n_groups,
+            gidx_as, weights=self._counts_as_f64, minlength=n_groups
         )
         fair = alloc / np.maximum(group_flows, 1.0)
 
+        # Everything below that depends on a flow only through its origin
+        # AS is computed on the n_as vector and gathered once per flow.
+        fair_as = fair[gidx_as]
         # MTD-equivalent flagging: a flow whose *smoothed* send rate stays
         # above the flag factor times its fair share, inside an
         # over-subscribed group, is an attack flow (its drop rate — and so
         # its MTD — tracks that sustained rate; adaptive TCP flows decay
         # below the bar within an RTT or two).
-        oversub = group_arrival > alloc
         # the AIMD fluid model bottoms out at w = sqrt(2) (timeouts are not
         # modelled), so a conformant-but-starved TCP flow cannot send
         # slower than ~sqrt(2)/RTT; rates at or below that floor are what
         # the MTD reference classifies as responsive, so they never flag.
-        tcp_floor = 2.5 / self.rtt
-        bar = np.maximum(self.attack_flag_factor * fair[gidx], tcp_floor)
+        bar_as = np.maximum(
+            self.attack_flag_factor * fair_as, self._tcp_floor_as
+        )
+        # no rate exceeds an infinite bar: folds "and the group is
+        # over-subscribed" into the one per-flow compare
+        bar_as[~(group_arrival > alloc)[gidx_as]] = np.inf
+        origin = self.origin
         previously_flagged = self._flagged
-        self._flagged = (self._rate_ewma > bar) & oversub[gidx]
-        flagged = self._flagged
+        flagged = self._rate_ewma > bar_as[origin]
+        self._flagged = flagged
+        unflagged = ~flagged
+
+        # From here on the two flag classes are worked on as compressed
+        # per-class arrays and written into the per-flow result once.
+        # Each per-AS bincount runs over its own class only: the flows it
+        # leaves out would add 0.0, which changes no partial sum, so every
+        # entry is bit-equal to the full-length masked reduction.
+        origin_u = origin[unflagged]
+        arrivals_u = arrivals[unflagged]
+        origin_f = origin[flagged]
+        arrivals_f = arrivals[flagged]
         # Eq.-(IV.5) preferential cap: flagged flows get at most fair share
-        capped = np.where(flagged, np.minimum(arrivals, fair[gidx]), arrivals)
+        admitted_f = fair_as[origin_f]
+        np.minimum(arrivals_f, admitted_f, out=admitted_f)
 
         # exchange the flag-split arrival decomposition so the scale
         # factors, the work-conservation pools, and the flag telemetry are
         # computed from identical global values on every shard
+        n_flagged = int(origin_f.shape[0])
+        n_still = int(np.count_nonzero(flagged & previously_flagged))
         vectors, xcounts = self._allreduce(
             tick,
             "admit",
             {
                 "arr_unflagged": np.bincount(
-                    self.origin,
-                    weights=np.where(flagged, 0.0, arrivals),
-                    minlength=n_as,
+                    origin_u, weights=arrivals_u, minlength=n_as
                 ),
                 "arr_flagged": np.bincount(
-                    self.origin,
-                    weights=np.where(flagged, arrivals, 0.0),
-                    minlength=n_as,
+                    origin_f, weights=arrivals_f, minlength=n_as
                 ),
                 "capped_flagged": np.bincount(
-                    self.origin,
-                    weights=np.where(flagged, capped, 0.0),
-                    minlength=n_as,
+                    origin_f, weights=admitted_f, minlength=n_as
                 ),
             },
             {
-                "newly": int(np.count_nonzero(flagged & ~previously_flagged)),
-                "cleared": int(np.count_nonzero(previously_flagged & ~flagged)),
-                "flagged": int(np.count_nonzero(flagged)),
+                "newly": n_flagged - n_still,
+                "cleared": int(np.count_nonzero(previously_flagged)) - n_still,
+                "flagged": n_flagged,
             },
         )
         arr_unflagged = vectors["arr_unflagged"]
@@ -595,7 +657,10 @@ class FluidSimulator:
         )
         scale = np.minimum(1.0, alloc / np.maximum(group_demand, 1e-12))
         scale_as = scale[gidx_as]
-        admitted = capped * scale[gidx]
+        # admitted = capped * scale
+        admitted_u = scale_as[origin_u]
+        admitted_u *= arrivals_u
+        admitted_f *= scale_as[origin_f]
         admitted_total = float(np.sum(capped_by_as * scale_as))
 
         # work conservation (congested-mode random drop admits without
@@ -615,10 +680,17 @@ class FluidSimulator:
                 leftover -= pool_unflagged * grant_unflagged
             if leftover > 1e-9 and pool_flagged > 1e-9:
                 grant_flagged = min(1.0, leftover / pool_flagged)
-            unmet = arrivals - admitted
-            admitted = admitted + np.where(
-                flagged, unmet * grant_flagged, unmet * grant_unflagged
-            )
+            # admitted += (arrivals - admitted) * grant, per class; the
+            # compressed arrival copies double as the unmet-demand buffers
+            arrivals_u -= admitted_u
+            arrivals_u *= grant_unflagged
+            admitted_u += arrivals_u
+            arrivals_f -= admitted_f
+            arrivals_f *= grant_flagged
+            admitted_f += arrivals_f
+        admitted = np.empty(self.n_flows, dtype=np.float64)
+        admitted[unflagged] = admitted_u
+        admitted[flagged] = admitted_f
         self._admitted_total = (
             admitted_total
             + pool_unflagged * grant_unflagged
@@ -677,13 +749,20 @@ class FluidSimulator:
                 hook(self, tick)
                 clock = prof.lap(label, clock)
         rates = self._send_rates()
-        self._rate_ewma += 0.1 * (rates - self._rate_ewma)
+        # ewma += 0.1 * (rates - ewma), through one scratch array that
+        # then becomes this tick's arrivals
+        scratch = rates - self._rate_ewma
+        scratch *= 0.1
+        self._rate_ewma += scratch
         if prof is not None:
             clock = prof.lap("sources", clock)
         vectors, _ = self._allreduce(tick, "load", {"own": self._loads_by_as(rates)})
         own = vectors["own"]
         surv = self._survival_from_loads(own)
-        arrivals = rates * surv[self.origin]
+        # indices are AS numbers below n_as by construction; "clip" only
+        # spares take() the bounds-checked copy it makes under "raise"
+        arrivals = np.take(surv, self.origin, out=scratch, mode="clip")
+        arrivals *= rates
         arr_by_as = own * surv
         if prof is not None:
             clock = prof.lap("queueing", clock)
@@ -701,16 +780,17 @@ class FluidSimulator:
             tel.registry.series("fluid_admitted_pkts_per_tick").sample(
                 tick, self._admitted_total
             )
-        # TCP fluid update for legitimate flows
+        # TCP fluid update, legitimate flows only (a bot's window is
+        # never read)
+        legit = self._legit_idx
+        sent = rates[legit]
         p_drop = 1.0 - np.divide(
-            admitted, rates, out=np.ones_like(rates), where=rates > 1e-12
+            admitted[legit], sent, out=np.ones_like(sent), where=sent > 1e-12
         )
         p_drop = np.clip(p_drop, 0.0, 1.0)
-        legit = ~self.is_attack
-        w = self.w
-        dw = 1.0 / self.rtt - 0.5 * w * p_drop * rates
-        w = np.where(legit, np.clip(w + dw, 0.5, self.w_max), w)
-        self.w = w
+        w = self.w[legit]
+        dw = self._inv_rtt_legit - 0.5 * w * p_drop * sent
+        self.w[legit] = np.clip(w + dw, 0.5, self._w_max_legit)
         self._last_admitted = admitted
         if tick >= self._run_warmup:
             self._acc += admitted
@@ -802,7 +882,7 @@ class FluidSimulator:
             self.origin, weights=self._flagged.astype(np.float64), minlength=n_as
         )
         vectors, _ = self._allreduce(tick, "conf", {"flagged": flagged_local})
-        flagged = vectors["flagged"]
-        totals = self._counts_by_as
+        flagged = vectors["flagged"].tolist()
+        totals = self._counts_by_as.tolist()
         for asn, pid in self.pid_of_as.items():
-            self.conformance.update(pid, int(totals[asn]), int(flagged[asn]))
+            self.conformance.update(pid, totals[asn], int(flagged[asn]))

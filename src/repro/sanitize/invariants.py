@@ -379,13 +379,10 @@ class FluidSanitizer(_BaseSanitizer):
                 "rate-nonnegative",
                 f"flow {bad} smoothed rate is {float(sim._rate_ewma[bad])}",
             )
-        w = sim.w
-        legit = ~sim.is_attack
-        if np.any(legit):
-            w_legit = w[legit]
-            w_max = sim.w_max[legit] if hasattr(sim.w_max, "__len__") else sim.w_max
+        if sim._legit_idx.size:
+            w_legit = sim.w[sim._legit_idx]
             if float(w_legit.min()) < 0.5 - _EPS or np.any(
-                w_legit > w_max + _EPS
+                w_legit > sim._w_max_legit + _EPS
             ):
                 self._flag(
                     tick,

@@ -39,7 +39,7 @@ class TestRestartDefense:
         assert sim.n_groups > 0
         sim.restart_defense(80, warmup_ticks=30)
         assert sim.n_groups == 0
-        assert sim._plan is None and sim._group_index is None
+        assert sim._plan is None and sim._group_of_as is None
         assert not sim._flagged.any()
         assert np.all(sim._rate_ewma == 0.0)
         assert sim._warmup_until == 110
