@@ -36,19 +36,13 @@ Two scalability refinements are implemented faithfully:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
-
-def _indices(key: Hashable, m: int, size: int) -> Tuple[int, ...]:
-    digest = hashlib.blake2b(repr(key).encode(), digest_size=4 * m).digest()
-    return tuple(
-        int.from_bytes(digest[4 * i : 4 * i + 4], "big") % size for i in range(m)
-    )
+from ..sketch.cms import sketch_indices as _indices
 
 
 class DropRecordFilter:

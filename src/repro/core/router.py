@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 from ..errors import SimulationError
 from ..net.packet import DATA, SYN, Packet
 from ..net.policy import LinkPolicy
-from ..sketch import BoundedPathState
+from ..sketch import BoundedPathState, SketchIndex
 from ..tcp import model
 from .aggregation import AggregationPlan, build_plan, plan_moves
 from .capability import CapabilityIssuer
@@ -64,6 +64,7 @@ class _PathState:
         "arrivals",  # data arrivals in the current measurement interval
         "lambda_rate",  # EWMA request rate, packets/tick
         "last_arrival",
+        "sketch_idx",  # sketch backend: hash positions of ``pid``
     )
 
     def __init__(self, pid: PathId, initial_rtt: float) -> None:
@@ -76,6 +77,7 @@ class _PathState:
         self.arrivals = 0
         self.lambda_rate = 0.0
         self.last_arrival = 0
+        self.sketch_idx: Optional[SketchIndex] = None
 
     @property
     def n_flows(self) -> int:
@@ -94,6 +96,7 @@ class _GroupState:
         "measured_ref_mtd",
         "interval_drops",
         "drop_rate_ewma",
+        "sketch_idx",  # sketch backend: hash positions of ``key``
     )
 
     def __init__(
@@ -119,6 +122,7 @@ class _GroupState:
         self.measured_ref_mtd: Optional[float] = None
         self.interval_drops = 0
         self.drop_rate_ewma = 0.0
+        self.sketch_idx: Optional[SketchIndex] = None
 
 
 class FLocPolicy(LinkPolicy):
@@ -590,10 +594,8 @@ class FLocPolicy(LinkPolicy):
         if self.sketch is not None:
             # remember every live fill before the rebuild recreates the
             # buckets: an aggregation pass must not refill the attackers
-            for key, group in self.groups.items():
-                self.sketch.fold_bucket(
-                    key, group.bucket.tokens / max(group.bucket.size, 1e-9)
-                )
+            for group in self.groups.values():
+                self._fold_bucket_fill(group)
         self.groups.clear()
         self._rebuild_groups(tick)
 
@@ -652,14 +654,11 @@ class FLocPolicy(LinkPolicy):
             group = self.groups.get(key)
             if group is None or group.members != members:
                 if group is not None and self.sketch is not None:
-                    self.sketch.fold_bucket(
-                        key,
-                        group.bucket.tokens / max(group.bucket.size, 1e-9),
-                    )
+                    self._fold_bucket_fill(group)
                 bucket = PathTokenBucket(bandwidth, rtt, n_flows, now=tick)
-                self._seed_bucket_fill(key, bucket)
-                group = _GroupState(key, members, shares[key], bucket, bandwidth)
-                self.groups[key] = group
+                self.groups[key] = self._new_group(
+                    key, members, shares[key], bucket, bandwidth
+                )
             else:
                 group.share = shares[key]
                 group.bandwidth = bandwidth
@@ -669,11 +668,7 @@ class FLocPolicy(LinkPolicy):
         for key in list(self.groups):
             if key not in live:
                 if self.sketch is not None:
-                    group = self.groups[key]
-                    self.sketch.fold_bucket(
-                        key,
-                        group.bucket.tokens / max(group.bucket.size, 1e-9),
-                    )
+                    self._fold_bucket_fill(self.groups[key])
                 del self.groups[key]
 
     # ------------------------------------------------------------------
@@ -694,7 +689,10 @@ class FLocPolicy(LinkPolicy):
                 self._evict_path(tick)
             state = _PathState(pid, self._initial_rtt)
             if self.sketch is not None:
-                seeded = self.sketch.seed_path(pid)
+                # derived once, here; every later fold and seed of this
+                # path (and of its singleton group) reuses them
+                state.sketch_idx = self.sketch.path_indices(pid)
+                seeded = self.sketch.seed_path(pid, state.sketch_idx)
                 if seeded is not None:
                     # sketch-tier revival: a previously evicted path
                     # resumes from its (approximate) earned history
@@ -752,6 +750,7 @@ class FLocPolicy(LinkPolicy):
                 state.lambda_rate,
                 state.rtt_ewma,
                 self.conformance.known_value(pid),
+                state.sketch_idx,
             )
         self._forget_path(pid)
         for key in state.flows:
@@ -768,10 +767,7 @@ class FLocPolicy(LinkPolicy):
             group.members.remove(pid)
             if not group.members:
                 if self.sketch is not None:
-                    self.sketch.fold_bucket(
-                        group_key,
-                        group.bucket.tokens / max(group.bucket.size, 1e-9),
-                    )
+                    self._fold_bucket_fill(group)
                 del self.groups[group_key]
         self.eviction_stats[cause] = self.eviction_stats.get(cause, 0) + 1
         tel = self.engine.telemetry
@@ -793,20 +789,41 @@ class FLocPolicy(LinkPolicy):
             bandwidth = self.capacity / n_paths
             rtt = max(1.0, state.rtt_ewma * self.cfg.rtt_correction)
             bucket = PathTokenBucket(bandwidth, rtt, state.n_flows, now=tick)
-            self._seed_bucket_fill(key, bucket)
-            group = _GroupState(key, [pid], 1.0, bucket, bandwidth)
+            group = self._new_group(key, [pid], 1.0, bucket, bandwidth)
             self.groups[key] = group
         return group
 
-    def _seed_bucket_fill(self, key: Tuple, bucket: PathTokenBucket) -> None:
-        """Sketch mode: a re-created group's bucket resumes from its
-        remembered fill fraction instead of a free full refill — churning
-        identifiers must not mint fresh token capacity."""
-        if self.sketch is None:
-            return
-        fill = self.sketch.seed_bucket(key)
-        if fill is not None:
-            bucket.tokens = min(bucket.tokens, fill * bucket.size)
+    def _new_group(
+        self,
+        key: Tuple,
+        members: List[PathId],
+        share: float,
+        bucket: PathTokenBucket,
+        bandwidth: float,
+    ) -> _GroupState:
+        """A group around a fresh ``bucket``.  Sketch mode: the group
+        carries its key's hash positions, and a re-created group's bucket
+        resumes from its remembered fill fraction instead of a free full
+        refill — churning identifiers must not mint fresh token capacity."""
+        group = _GroupState(key, members, share, bucket, bandwidth)
+        if self.sketch is not None:
+            # a singleton group is keyed by its path id: same repr, same
+            # digest, so it shares the path's sketch rows; an aggregated
+            # key is hashed on its own
+            shared = self.paths[key].sketch_idx if members == [key] else None
+            group.sketch_idx = self.sketch.bucket_indices(key, shared)
+            fill = self.sketch.seed_bucket(key, group.sketch_idx)
+            if fill is not None:
+                bucket.tokens = min(bucket.tokens, fill * bucket.size)
+        return group
+
+    def _fold_bucket_fill(self, group: _GroupState) -> None:
+        """Sketch mode: remember a retiring group's bucket fill."""
+        assert self.sketch is not None
+        bucket = group.bucket
+        self.sketch.fold_bucket(
+            group.key, bucket.tokens / max(bucket.size, 1e-9), group.sketch_idx
+        )
 
     def _group_flows(self, group: _GroupState) -> int:
         return max(
@@ -855,7 +872,8 @@ class FLocPolicy(LinkPolicy):
         bounding its MTD from above, so evicting a path under memory
         pressure does not launder its own units' drop records when the
         same unit returns."""
-        est = self.sketch.unit_drop_estimate(key) if self.sketch else 0.0
+        assert self.sketch is not None  # both callers checked
+        est = self.sketch.unit_drop_estimate(key)
         if est >= 1.0:
             return min(exact_mtd, window / est)
         return exact_mtd

@@ -17,19 +17,21 @@ This package provides the fixed-memory tier the router falls back to:
   *folded* into sketches and *seeded* back when their traffic returns,
   so eviction degrades estimates instead of zeroing them.
 
-Everything here is picklable (plain ints/floats/numpy arrays, no
-lambdas, no RNG) and deterministic: estimates depend only on the folded
-key/value sequence, never on wall clock or iteration order.
+Everything here is picklable (plain ints/floats, ``array``/``bytearray``
+cell buffers, no lambdas, no RNG) and deterministic: estimates depend
+only on the folded key/value sequence, never on wall clock or iteration
+order.
 """
 
 from __future__ import annotations
 
-from .bounded import BoundedPathState
+from .bounded import BoundedPathState, SketchIndex
 from .cms import CountMinSketch, ValueSketch, sketch_indices
 
 __all__ = [
     "BoundedPathState",
     "CountMinSketch",
+    "SketchIndex",
     "ValueSketch",
     "sketch_indices",
 ]

@@ -13,12 +13,15 @@ evictions — the differential guarantee degrades with collision pressure
 instead of vanishing at the first churn wave.
 
 Memory is hard-bounded by construction: four value sketches, one
-count-min sketch, and one Bloom bit-array, all sized by
+count-min sketch, and one Bloom array, all sized by
 ``sketch_width``/``sketch_depth`` at configuration time and never
-resized.  Collisions are *measured*, not hidden: every fold records the
-readback error on the folded rate, and folds landing entirely on
-already-occupied cells count as collisions.  The router exports these
-through telemetry (``sketch_*`` metrics) and the ablation benchmark
+resized.  The hash positions of an identifier are the only per-id data
+the tier hands out (:data:`SketchIndex`); they live on the router's own
+path/group entry and die with it, never in a table here.  Collisions are
+*measured*, not hidden: every fold records the readback error on the
+folded rate, and folds landing entirely on already-occupied cells count
+as collisions.  The router exports these through telemetry
+(``sketch_*`` metrics) and the ablation benchmark
 (``benchmarks/sketch_bench.py``) reports them per budget.
 """
 
@@ -26,10 +29,15 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Tuple
 
-import numpy as np
-
 from ..core.pathid import PathId
 from .cms import CountMinSketch, ValueSketch, sketch_indices
+
+#: ``(sketch rows, Bloom rows)`` of one identifier.  Both are pure
+#: functions of the identifier, so whoever owns it may derive them once
+#: (:meth:`BoundedPathState.path_indices` / ``bucket_indices``), keep
+#: them for as long as it keeps the identifier, and hand them back to
+#: every fold and seed instead of paying the digests again.
+SketchIndex = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 class BoundedPathState:
@@ -47,8 +55,9 @@ class BoundedPathState:
         # router each measurement interval (exponential forgetting)
         self.unit_drop_sketch = CountMinSketch(width, depth, conservative=True)
         # Bloom membership of folded keys: distinguishes a genuine
-        # revival (key folded earlier) from a collision-only hit
-        self._seen_bits = np.zeros(8 * width, dtype=bool)
+        # revival (key folded earlier) from a collision-only hit; one
+        # 0/1 byte per position
+        self._seen_bits = bytearray(8 * width)
         self.folds_total = 0
         self.revivals_total = 0
         self.collisions_total = 0
@@ -61,11 +70,41 @@ class BoundedPathState:
         return sketch_indices((namespace, key), self.depth, 8 * self.width)
 
     def _bloom_contains(self, rows: Tuple[int, ...]) -> bool:
-        return all(bool(self._seen_bits[j]) for j in rows)
+        bits = self._seen_bits
+        for j in rows:
+            if not bits[j]:
+                return False
+        return True
 
     def _bloom_add(self, rows: Tuple[int, ...]) -> None:
+        bits = self._seen_bits
         for j in rows:
-            self._seen_bits[j] = True
+            bits[j] = 1
+
+    # ------------------------------------------------------------------
+    # hash positions
+    # ------------------------------------------------------------------
+    def path_indices(self, pid: PathId) -> SketchIndex:
+        """Rows of ``pid`` in the path sketches and in the path Bloom."""
+        return (
+            sketch_indices(pid, self.depth, self.width),
+            self._bloom_rows("path", pid),
+        )
+
+    def bucket_indices(
+        self, key: Hashable, path_indices: Optional[SketchIndex] = None
+    ) -> SketchIndex:
+        """Rows of group ``key`` in the fill sketch and the bucket Bloom.
+
+        A singleton group is keyed by its path identifier and hashes to
+        that path's own sketch rows: pass the path's ``path_indices`` to
+        share them (the Bloom rows are namespaced and never shared).
+        """
+        if path_indices is not None:
+            rows = path_indices[0]
+        else:
+            rows = sketch_indices(key, self.depth, self.width)
+        return (rows, self._bloom_rows("bucket", key))
 
     # ------------------------------------------------------------------
     # per-path fold / seed
@@ -76,12 +115,10 @@ class BoundedPathState:
         lambda_rate: float,
         rtt_ewma: float,
         conformance: Optional[float],
+        indices: Optional[SketchIndex] = None,
     ) -> None:
         """Fold an evicted path's scalars into the sketches."""
-        # one index computation shared by every same-geometry sketch;
-        # one more for the (wider) bloom
-        rows = sketch_indices(pid, self.depth, self.width)
-        bloom = self._bloom_rows("path", pid)
+        rows, bloom = indices or self.path_indices(pid)
         if not self._bloom_contains(bloom) and self.lambda_sketch.collided(
             pid, rows=rows
         ):
@@ -90,20 +127,20 @@ class BoundedPathState:
         readback = self.lambda_sketch.fold(pid, lambda_rate, rows=rows)
         if readback is not None:
             self.fold_abs_error_total += abs(readback - lambda_rate)
-        self.rtt_sketch.fold(pid, rtt_ewma, rows=rows)
+        self.rtt_sketch.blend(rows, rtt_ewma)
         if conformance is not None:
-            self.conformance_sketch.fold(pid, conformance, rows=rows)
+            self.conformance_sketch.blend(rows, conformance)
         self.folds_total += 1
 
     def seed_path(
-        self, pid: PathId
+        self, pid: PathId, indices: Optional[SketchIndex] = None
     ) -> Optional[Tuple[float, float, Optional[float]]]:
         """Estimates ``(lambda_rate, rtt_ewma, conformance)`` for a
         returning path, or ``None`` if it was never folded (modulo Bloom
         false positives, which surface as blended estimates)."""
-        if not self._bloom_contains(self._bloom_rows("path", pid)):
+        rows, bloom = indices or self.path_indices(pid)
+        if not self._bloom_contains(bloom):
             return None
-        rows = sketch_indices(pid, self.depth, self.width)
         lam = self.lambda_sketch.estimate(pid, rows=rows)
         if lam is None:
             return None
@@ -115,18 +152,25 @@ class BoundedPathState:
     # ------------------------------------------------------------------
     # token-bucket fill continuity
     # ------------------------------------------------------------------
-    def fold_bucket(self, key: Hashable, fill_fraction: float) -> None:
+    def fold_bucket(
+        self,
+        key: Hashable,
+        fill_fraction: float,
+        indices: Optional[SketchIndex] = None,
+    ) -> None:
         """Remember a retiring group's bucket fill (0 = drained)."""
-        self._bloom_add(self._bloom_rows("bucket", key))
-        self.bucket_fill_sketch.fold(
-            key, min(1.0, max(0.0, fill_fraction))
-        )
+        rows, bloom = indices or self.bucket_indices(key)
+        self._bloom_add(bloom)
+        self.bucket_fill_sketch.blend(rows, min(1.0, max(0.0, fill_fraction)))
 
-    def seed_bucket(self, key: Hashable) -> Optional[float]:
+    def seed_bucket(
+        self, key: Hashable, indices: Optional[SketchIndex] = None
+    ) -> Optional[float]:
         """Estimated fill fraction for a re-created group's bucket."""
-        if not self._bloom_contains(self._bloom_rows("bucket", key)):
+        rows, bloom = indices or self.bucket_indices(key)
+        if not self._bloom_contains(bloom):
             return None
-        fill = self.bucket_fill_sketch.estimate(key)
+        fill = self.bucket_fill_sketch.estimate(key, rows=rows)
         if fill is None:
             return None
         return min(1.0, max(0.0, fill))
@@ -157,7 +201,7 @@ class BoundedPathState:
             + self.conformance_sketch.memory_bytes
             + self.bucket_fill_sketch.memory_bytes
             + self.unit_drop_sketch.memory_bytes
-            + int(self._seen_bits.nbytes)
+            + len(self._seen_bits)
         )
 
     def stats(self) -> Dict[str, float]:

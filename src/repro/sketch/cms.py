@@ -1,6 +1,7 @@
 """Count-min sketch primitives with deterministic blake2b hashing.
 
-Index derivation mirrors :func:`repro.core.dropfilter._indices`: one
+Index derivation is shared with the Section V-B drop-record filter
+(:mod:`repro.core.dropfilter` imports :func:`sketch_indices`): one
 blake2b digest per key yields ``depth`` independent 4-byte row offsets.
 Hashing a key is therefore a pure function of ``repr(key)`` — no seeds,
 no RNG, no process-dependent state — which keeps every estimate
@@ -23,7 +24,9 @@ RTT estimates, and bucket fill fractions.
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, Optional, Tuple
+import struct
+from array import array
+from typing import Any, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,14 +38,18 @@ from ..errors import ConfigError
 MIN_WIDTH = 8
 MAX_DEPTH = 16
 
+#: ``_UNPACK_WORDS[depth]`` splits a ``4 * depth``-byte digest into its
+#: big-endian 4-byte words in one call.  blake2b rejects any other depth
+#: before the table is indexed.
+_UNPACK_WORDS = tuple(
+    struct.Struct(">%dI" % depth).unpack for depth in range(MAX_DEPTH + 1)
+)
+
 
 def sketch_indices(key: Hashable, depth: int, width: int) -> Tuple[int, ...]:
     """``depth`` deterministic row offsets for ``key`` in ``[0, width)``."""
     digest = hashlib.blake2b(repr(key).encode(), digest_size=4 * depth).digest()
-    return tuple(
-        int.from_bytes(digest[4 * i : 4 * i + 4], "big") % width
-        for i in range(depth)
-    )
+    return tuple([word % width for word in _UNPACK_WORDS[depth](digest)])
 
 
 def _validate_geometry(width: int, depth: int) -> None:
@@ -52,6 +59,24 @@ def _validate_geometry(width: int, depth: int) -> None:
         raise ConfigError(
             f"sketch depth must be in [1, {MAX_DEPTH}], got {depth}"
         )
+
+
+def _zero_cells(width: int, depth: int) -> "array[float]":
+    """``depth`` rows of ``width`` float64 cells, row-major, all zero.
+
+    Cell ``(i, j)`` lives at ``i * width + j``.  A flat ``array("d")``
+    because folds and estimates touch ``depth`` cells one at a time: a
+    plain float load/store here, a boxed-scalar round trip on a numpy
+    array (same IEEE double arithmetic either way).
+    """
+    return array("d", (0.0,)) * (depth * width)
+
+
+def _as_numpy(cells: "array[float]") -> "np.ndarray[Any, np.dtype[np.float64]]":
+    """Zero-copy numpy view for the whole-array operations.  Built per
+    call and never stored: a stored view would pickle as a second copy
+    of the cells and stop aliasing them after a restore."""
+    return np.frombuffer(cells, dtype=np.float64)
 
 
 class CountMinSketch:
@@ -70,44 +95,52 @@ class CountMinSketch:
         self.width = width
         self.depth = depth
         self.conservative = conservative
-        self._cells = np.zeros((depth, width), dtype=np.float64)
+        self._cells = _zero_cells(width, depth)
+
+    def _offsets(self, key: Hashable) -> List[int]:
+        width = self.width
+        rows = sketch_indices(key, self.depth, width)
+        return [i * width + j for i, j in enumerate(rows)]
 
     def add(self, key: Hashable, value: float = 1.0) -> float:
         """Add ``value`` to ``key``; returns the post-update estimate."""
-        rows = sketch_indices(key, self.depth, self.width)
+        cells = self._cells
+        offsets = self._offsets(key)
+        current = [cells[k] for k in offsets]
         if self.conservative and value > 0.0:
-            current = min(
-                float(self._cells[i, j]) for i, j in enumerate(rows)
-            )
-            target = current + value
-            for i, j in enumerate(rows):
-                if float(self._cells[i, j]) < target:
-                    self._cells[i, j] = target
+            target = min(current) + value
+            for k, cell in zip(offsets, current):
+                if cell < target:
+                    cells[k] = target
             return target
-        for i, j in enumerate(rows):
-            self._cells[i, j] += value
-        return min(float(self._cells[i, j]) for i, j in enumerate(rows))
+        updated = [cell + value for cell in current]
+        for k, cell in zip(offsets, updated):
+            cells[k] = cell
+        return min(updated)
 
     def estimate(self, key: Hashable) -> float:
-        rows = sketch_indices(key, self.depth, self.width)
-        return min(float(self._cells[i, j]) for i, j in enumerate(rows))
+        cells = self._cells
+        return min([cells[k] for k in self._offsets(key)])
 
     def scale(self, factor: float) -> None:
         """Multiply every cell (exponential decay for ``factor`` < 1)."""
         if factor < 0.0:
             raise ConfigError(f"scale factor must be >= 0, got {factor}")
-        self._cells *= factor
+        view = _as_numpy(self._cells)
+        view *= factor
 
     def reset(self) -> None:
-        self._cells.fill(0.0)
+        _as_numpy(self._cells).fill(0.0)
 
     @property
     def memory_bytes(self) -> int:
-        return int(self._cells.nbytes)
+        return len(self._cells) * self._cells.itemsize
 
     def fill_ratio(self) -> float:
         """Fraction of non-zero cells (collision-pressure indicator)."""
-        return float(np.count_nonzero(self._cells)) / float(self._cells.size)
+        return float(np.count_nonzero(_as_numpy(self._cells))) / float(
+            len(self._cells)
+        )
 
 
 class ValueSketch:
@@ -117,8 +150,8 @@ class ValueSketch:
         _validate_geometry(width, depth)
         self.width = width
         self.depth = depth
-        self._weight = np.zeros((depth, width), dtype=np.float64)
-        self._wsum = np.zeros((depth, width), dtype=np.float64)
+        self._weight = _zero_cells(width, depth)
+        self._wsum = _zero_cells(width, depth)
 
     def fold(
         self,
@@ -134,14 +167,27 @@ class ValueSketch:
         ``rows`` lets a caller holding several same-geometry sketches
         compute :func:`sketch_indices` once and share it.
         """
-        if weight <= 0.0:
-            raise ConfigError(f"fold weight must be > 0, got {weight}")
         if rows is None:
             rows = sketch_indices(key, self.depth, self.width)
-        for i, j in enumerate(rows):
-            self._weight[i, j] += weight
-            self._wsum[i, j] += weight * value
+        self.blend(rows, value, weight)
         return self._estimate_rows(rows, default=value)
+
+    def blend(
+        self, rows: Tuple[int, ...], value: float, weight: float = 1.0
+    ) -> None:
+        """:meth:`fold` without the readback, for a caller that holds the
+        rows and would discard the estimate."""
+        if weight <= 0.0:
+            raise ConfigError(f"fold weight must be > 0, got {weight}")
+        weights = self._weight
+        wsums = self._wsum
+        width = self.width
+        mass = weight * value
+        base = 0
+        for j in rows:
+            weights[base + j] += weight
+            wsums[base + j] += mass
+            base += width
 
     def estimate(
         self,
@@ -160,40 +206,55 @@ class ValueSketch:
         """Whether every one of ``key``'s cells already holds mass."""
         if rows is None:
             rows = sketch_indices(key, self.depth, self.width)
-        return all(float(self._weight[i, j]) > 0.0 for i, j in enumerate(rows))
+        weights = self._weight
+        width = self.width
+        base = 0
+        for j in rows:
+            if not weights[base + j] > 0.0:
+                return False
+            base += width
+        return True
 
     def _estimate_rows(
         self, rows: Tuple[int, ...], default: Optional[float]
     ) -> Optional[float]:
+        weights = self._weight
+        width = self.width
         best_w = 0.0
-        best_sum = 0.0
-        seen = False
-        for i, j in enumerate(rows):
-            w = float(self._weight[i, j])
+        best_at = -1
+        base = 0
+        for j in rows:
+            w = weights[base + j]
             if w <= 0.0:
                 return default
-            if not seen or w < best_w:
+            if best_at < 0 or w < best_w:
                 best_w = w
-                best_sum = float(self._wsum[i, j])
-                seen = True
-        if not seen or best_w <= 0.0:
+                best_at = base + j
+            base += width
+        if best_at < 0:
             return default
-        return best_sum / best_w
+        return self._wsum[best_at] / best_w
 
     def scale(self, factor: float) -> None:
         """Decay all mass; the means survive, their confidence fades."""
         if factor < 0.0:
             raise ConfigError(f"scale factor must be >= 0, got {factor}")
-        self._weight *= factor
-        self._wsum *= factor
+        for cells in (self._weight, self._wsum):
+            view = _as_numpy(cells)
+            view *= factor
 
     def reset(self) -> None:
-        self._weight.fill(0.0)
-        self._wsum.fill(0.0)
+        _as_numpy(self._weight).fill(0.0)
+        _as_numpy(self._wsum).fill(0.0)
 
     @property
     def memory_bytes(self) -> int:
-        return int(self._weight.nbytes) + int(self._wsum.nbytes)
+        return (
+            len(self._weight) * self._weight.itemsize
+            + len(self._wsum) * self._wsum.itemsize
+        )
 
     def fill_ratio(self) -> float:
-        return float(np.count_nonzero(self._weight)) / float(self._weight.size)
+        return float(np.count_nonzero(_as_numpy(self._weight))) / float(
+            len(self._weight)
+        )

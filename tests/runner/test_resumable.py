@@ -17,6 +17,8 @@ from repro.net.policy import DropTailPolicy
 from repro.runner import CheckpointStore, EngineRun, FluidRun, run_checkpointed
 from repro.traffic.scenarios import build_tree_scenario
 
+from ..sketch import churn
+
 
 class FlipAfter:
     """Stand-in shutdown flag that trips after N polls (no real signals)."""
@@ -106,6 +108,25 @@ def assert_flood_snapshot_mid_sleep(run):
     )
 
 
+def build_sketch_churn_run():
+    # sketch-backed router under identifier churn: a mid-run snapshot
+    # holds 64 path entries and their groups (one keyed by an aggregate),
+    # each carrying the hash positions derived when it was allocated
+    engine, policy, monitor = churn.build(**churn.AGGREGATING)
+    return EngineRun(payload=(policy, monitor), engine=engine, total_ticks=400)
+
+
+def finalize_sketch_churn(run):
+    return churn.state_digest(*run.payload)
+
+
+def assert_sketch_snapshot_carries_indices(run):
+    policy, _ = run.payload
+    assert run.engine.tick == 200 and len(policy.paths) == 64
+    assert any(isinstance(key[0], str) for key in policy.groups)
+    churn.assert_carried_equals_fresh(policy)
+
+
 def build_fluid_run():
     scenario = build_internet_scenario(
         variant="f-root", n_as=120, n_legit_sources=300, n_legit_ases=30,
@@ -125,9 +146,20 @@ def finalize_fluid(run):
     [
         (build_engine_run, finalize_engine, 2, None),
         (build_flood_run, finalize_flood, 16, assert_flood_snapshot_mid_sleep),
+        (
+            build_sketch_churn_run,
+            finalize_sketch_churn,
+            8,
+            assert_sketch_snapshot_carries_indices,
+        ),
         (build_fluid_run, finalize_fluid, 2, None),
     ],
-    ids=["packet-engine", "packet-engine-asleep", "fluid-simulator"],
+    ids=[
+        "packet-engine",
+        "packet-engine-asleep",
+        "packet-engine-sketch-churn",
+        "fluid-simulator",
+    ],
 )
 def test_kill_resume_bit_identical(
     tmp_path, build, finalize, polls, check_snapshot
