@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Fleet speedup benchmark: serial vs ``--workers N`` wall times.
+"""Fleet speedup benchmark: in-process vs ``--workers N`` wall times.
 
 Runs the same two workloads the CI fleet lane exercises — a small
-figure sweep (fig03 + fig04) and a seed-pinned chaos sweep — once
-serially and once on the multiprocess fleet, verifies the results are
-identical (the fleet's whole contract), and records wall times in
-``BENCH_fleet.json``.
+figure sweep (fig03 + fig04) and a seed-pinned chaos sweep — once on
+the scheduler's in-process executor ("serial") and once on its spawn
+pool, verifies the results are identical (the scheduler's whole
+contract), and records wall times in ``BENCH_fleet.json``.
 
 The recorded ``cores`` field matters for reading the numbers: on a
 single-core box the fleet *cannot* be faster than serial — it pays
@@ -29,11 +29,10 @@ import sys
 import tempfile
 import time
 
-from repro.chaos.engine import ChaosOptions, run_chaos
+from repro.chaos.engine import ChaosOptions, chaos_tasks, run_chaos
 from repro.experiments.common import FunctionalSettings
-from repro.fleet import FleetOptions, chaos_tasks, figure_tasks, run_fleet
-from repro.runner import CheckpointStore, SupervisedRunner
-from repro.runner.figures import build_figure_job
+from repro.fleet import FleetOptions, run_fleet
+from repro.runner import CheckpointStore, figure_tasks
 
 FIGURES = ("fig03", "fig04")
 
@@ -59,16 +58,12 @@ def _fresh_store(scratch: str, label: str) -> CheckpointStore:
 
 def bench_figures(workers: int, scratch: str) -> dict:
     settings = _settings()
-    jobs = {fig: build_figure_job(fig, settings) for fig in FIGURES}
+    tasks = [t for fig in FIGURES for t in figure_tasks(fig, settings)]
 
     start = time.perf_counter()
-    serial = {}
-    for fig in FIGURES:
-        report = SupervisedRunner().run_units(jobs[fig].units)
-        serial.update(report.results)
+    serial = run_fleet(tasks).results  # the in-process executor
     serial_seconds = time.perf_counter() - start
 
-    tasks = [t for fig in FIGURES for t in figure_tasks(fig, settings)]
     start = time.perf_counter()
     fleet = run_fleet(
         tasks,

@@ -35,13 +35,12 @@ from repro.fleet import (
     FleetOptions,
     ProcessFault,
     ProcessFaultPlan,
-    ShardUnitTask,
     run_fleet,
 )
 from repro.inet.scenarios import build_internet_scenario
 from repro.inet.shard import merge_shard_results
 from repro.inet.simulator import FluidSimulator
-from repro.runner import CheckpointStore
+from repro.runner import CheckpointStore, ShardUnitTask
 
 FULL = {
     "n_as": 1200,

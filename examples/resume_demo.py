@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Crash-safe runs: checkpoint a figure job, kill it, resume bit-identically.
 
-Walks the whole supervised-runner lifecycle in-process (no real signals
-needed):
+Walks the whole supervised-run lifecycle through the scheduler's
+in-process executor (no real signals needed):
 
 1. run the FIG-13 strategy sweep decomposed into per-(variant, strategy)
    units, with strict invariant checking and a checkpoint directory;
@@ -25,7 +25,6 @@ from repro import (
     FLocConfig,
     FLocPolicy,
     InvariantViolation,
-    SupervisedRunner,
     build_figure_job,
     build_tree_scenario,
     install_sanitizer,
@@ -33,48 +32,50 @@ from repro import (
 from repro.analysis.report import format_table
 from repro.errors import Interrupted
 from repro.experiments.common import FunctionalSettings
+from repro.fleet import FleetOptions, run_fleet
+from repro.runner import figure_tasks
+
+
+class TripAfter:
+    """Wraps a task: once ``budget`` tasks have run, raises the same
+    Interrupted the SIGTERM handler path produces."""
+
+    budget = 2
+
+    def __init__(self, task):
+        self.task, self.name = task, task.name
+
+    def run(self, ctx):
+        if TripAfter.budget == 0:
+            raise Interrupted("simulated SIGTERM")
+        TripAfter.budget -= 1
+        return self.task.run(ctx)
 
 
 def interrupted_then_resumed(settings: FunctionalSettings) -> None:
     job = build_figure_job("fig13", settings, variants=("f-root",))
-    print(f"fig13 decomposes into {len(job.units)} units:")
-    for name, _ in job.units:
-        print(f"  {name}")
+    tasks = figure_tasks("fig13", settings, variants=("f-root",))
+    print(f"fig13 decomposes into {len(tasks)} units:")
+    for task in tasks:
+        print(f"  {task.name}")
 
-    reference = SupervisedRunner(sanitize=settings.sanitize).run_units(
-        job.units, job.fingerprint
-    )
+    options = FleetOptions(sanitize=settings.sanitize)
+    reference = run_fleet(tasks, options=options)
 
     ckpt_dir = tempfile.mkdtemp(prefix="floc-ckpt-")
     print(f"\ncheckpointing to {ckpt_dir}; interrupting after 2 units...")
 
-    class TripAfter:
-        # drop-in for the unit function: raises the same Interrupted the
-        # SIGTERM handler path produces, after `n` units completed
-        def __init__(self, n):
-            self.left = n
-
-    trip = TripAfter(2)
-    units = []
-    for name, fn in job.units:
-        def wrapped(ctx, fn=fn):
-            if trip.left == 0:
-                raise Interrupted("simulated SIGTERM")
-            trip.left -= 1
-            return fn(ctx)
-
-        units.append((name, wrapped))
-
-    store = CheckpointStore(ckpt_dir)
-    partial = SupervisedRunner(
-        store=store, sanitize=settings.sanitize
-    ).run_units(units, job.fingerprint)
+    partial = run_fleet(
+        [TripAfter(task) for task in tasks],
+        CheckpointStore(ckpt_dir), options, fingerprint=job.fingerprint,
+    )
     print(f"first run: status={partial.status}, "
           f"completed={partial.completed()}")
 
-    resumed = SupervisedRunner(
-        store=CheckpointStore(ckpt_dir), sanitize=settings.sanitize
-    ).run_units(job.units, job.fingerprint)
+    resumed = run_fleet(
+        tasks, CheckpointStore(ckpt_dir), options,
+        fingerprint=job.fingerprint,
+    )
     print(f"resume:    status={resumed.status}, "
           f"resumed={[o.name for o in resumed.outcomes if o.status == 'resumed']}")
 

@@ -100,7 +100,6 @@ from .runner import (
     FluidRun,
     GracefulShutdown,
     RetryPolicy,
-    SupervisedRunner,
     Watchdog,
     build_figure_job,
     run_checkpointed,
@@ -177,7 +176,6 @@ __all__ = [
     "SanitizerReport",
     "install_sanitizer",
     "CheckpointStore",
-    "SupervisedRunner",
     "RetryPolicy",
     "Watchdog",
     "GracefulShutdown",

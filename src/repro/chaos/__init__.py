@@ -21,7 +21,7 @@ Layers (bottom-up):
 * :mod:`~repro.chaos.artifact` — byte-stable replay JSON artifacts and
   ``--replay`` verification.
 * :mod:`~repro.chaos.engine` — the sweep: each campaign a crash-isolated
-  :class:`~repro.runner.supervisor.SupervisedRunner` unit.
+  task of the scheduler (:func:`repro.fleet.pool.run_fleet`).
 
 Everything is deterministic in ``(seed, options)``: sampled specs, run
 measurements, shrink trajectories, and artifact bytes.
@@ -45,7 +45,7 @@ from .engine import (
     CampaignJob,
     ChaosOptions,
     ChaosReport,
-    build_chaos_units,
+    chaos_tasks,
     run_chaos,
 )
 from .shrink import ShrinkResult, shrink_campaign
@@ -90,7 +90,7 @@ __all__ = [
     "SloSpec",
     "SloVerdict",
     "WindowShare",
-    "build_chaos_units",
+    "chaos_tasks",
     "default_slo",
     "dump_artifact",
     "evaluate_slos",

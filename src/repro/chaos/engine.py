@@ -1,27 +1,29 @@
-"""The chaos sweep: sample N campaigns, run each as a supervised unit.
+"""The chaos sweep: sample N campaigns, run each as a supervised task.
 
-Each campaign executes as one crash-isolated unit of a
-:class:`~repro.runner.supervisor.SupervisedRunner` job: a crash inside
-campaign 7 is retried per the runner's policy and, failing that, recorded
-as a failed unit without taking down campaigns 8..N; with a checkpoint
-store a killed sweep resumes past every completed campaign.  Unit results
-are plain dicts of primitives, so they ride through the runner's pickle
-checkpoints unchanged.
+Each campaign is one crash-isolated task of the scheduler
+(:func:`repro.fleet.pool.run_fleet`): a crash inside campaign 7 is
+retried per the run's policy and, failing that, recorded as a failed
+task without taking down campaigns 8..N; with a checkpoint store a
+killed sweep resumes past every completed campaign.  A task is a
+:class:`CampaignJob` — a frozen recipe of primitives, so it crosses a
+spawn boundary as readily as it runs in-process — and its result is a
+plain dict of primitives, so it rides through pickle checkpoints
+unchanged.
 
-On an SLO violation the unit delta-debugs the campaign down to a minimal
+On an SLO violation the task delta-debugs the campaign down to a minimal
 reproducer (:mod:`repro.chaos.shrink`) and writes a replay artifact
 (:mod:`repro.chaos.artifact`) into the sweep's artifact directory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..errors import ConfigError
-from ..runner import CheckpointStore, RetryPolicy, SupervisedRunner
-from ..runner.supervisor import JobReport, UnitContext
+from ..runner.checkpoint import CheckpointStore
+from ..runner.supervisor import RetryPolicy, UnitContext
 from ..trace import current_tracer
 from .artifact import write_artifact
 from .campaign import run_campaign
@@ -33,6 +35,9 @@ from .spec import (
     exhaustion_campaign,
     sample_campaign,
 )
+
+if TYPE_CHECKING:  # the scheduler is imported where it is called
+    from ..fleet.pool import FleetOptions, FleetReport
 
 
 @dataclass
@@ -77,37 +82,37 @@ class ChaosOptions:
             )
 
 
+@dataclass(frozen=True)
 class CampaignJob:
-    """One campaign as a supervised unit (a plain picklable callable).
+    """One campaign as a schedulable task: sweep name + spec dict.
 
-    Returns a dict of primitives: the spec, the run digest, per-SLO
-    verdict rows, and — when the campaign violated an SLO and shrinking
-    is on — the shrink summary and the written artifact path.
+    ``run`` returns a dict of primitives: the spec, the run digest,
+    per-SLO verdict rows, and — when the campaign violated an SLO and
+    shrinking is on — the shrink summary and the written artifact path.
     """
 
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        shrink: bool = True,
-        max_shrink_trials: int = 64,
-        artifact_dir: Optional[str] = None,
-    ) -> None:
-        self.spec = spec
-        self.shrink = shrink
-        self.max_shrink_trials = max_shrink_trials
-        self.artifact_dir = artifact_dir
+    campaign: str
+    spec: Dict[str, Any]
+    shrink: bool = True
+    max_shrink_trials: int = 64
+    artifact_dir: Optional[str] = None
 
-    def __call__(self, ctx: UnitContext) -> Dict[str, Any]:
+    @property
+    def name(self) -> str:
+        return self.campaign
+
+    def run(self, ctx: UnitContext) -> Dict[str, Any]:
+        spec = CampaignSpec.from_dict(self.spec)
         tracer = current_tracer()
         with tracer.span(
             "campaign.run", cat="campaign",
-            parent=ctx.trace_parent, simulator=self.spec.simulator,
+            parent=ctx.trace_parent, simulator=spec.simulator,
         ) as span:
-            result = run_campaign(self.spec)
+            result = run_campaign(spec)
             span.end(ok=result.ok)
         out: Dict[str, Any] = {
-            "spec": self.spec.to_dict(),
-            "simulator": self.spec.simulator,
+            "spec": spec.to_dict(),
+            "simulator": spec.simulator,
             "ok": result.ok,
             "digest": result.digest,
             "verdicts": result.report.rows(),
@@ -123,7 +128,7 @@ class CampaignJob:
             parent=ctx.trace_parent, slo=violated.slo,
         ) as span:
             shrunk = shrink_campaign(
-                self.spec,
+                spec,
                 violated.slo,
                 max_trials=self.max_shrink_trials,
             )
@@ -150,10 +155,9 @@ class CampaignJob:
 
 @dataclass
 class ChaosReport:
-    """Outcome of one sweep: the runner's job report plus SLO tallies."""
+    """Outcome of one sweep: the scheduler's report plus SLO tallies."""
 
-    job: JobReport
-    specs: List[CampaignSpec] = field(default_factory=list)
+    job: "FleetReport"
 
     @property
     def campaigns(self) -> List[Dict[str, Any]]:
@@ -181,68 +185,51 @@ class ChaosReport:
         return self.job.status
 
 
-def build_chaos_units(
-    options: ChaosOptions,
-) -> List[Tuple[str, CampaignJob]]:
-    """The sweep's supervised unit list (deterministic in options)."""
-    units: List[Tuple[str, CampaignJob]] = []
-    for index in range(options.campaigns):
-        spec = sample_campaign(
-            options.seed,
-            index,
-            simulator=options.simulator,
-            slo=options.slo,
-            include_silent=options.include_silent,
-        )
-        units.append(
-            (
-                f"campaign-{index:03d}",
-                CampaignJob(
-                    spec,
-                    shrink=options.shrink,
-                    max_shrink_trials=options.max_shrink_trials,
-                    artifact_dir=options.artifact_dir,
-                ),
-            )
-        )
-    for index in range(options.exhaustion):
-        spec = exhaustion_campaign(
-            options.seed,
-            index,
-            slo=options.slo,
-            state_backend=options.state_backend,
-            max_tracked_paths=options.max_tracked_paths,
-        )
-        units.append(
-            (
-                f"exhaustion-{index:03d}",
-                CampaignJob(
-                    spec,
-                    shrink=options.shrink,
-                    max_shrink_trials=options.max_shrink_trials,
-                    artifact_dir=options.artifact_dir,
-                ),
-            )
-        )
-    return units
-
-
-def run_chaos(
-    options: ChaosOptions,
-    store: Optional[CheckpointStore] = None,
-    deadline_seconds: Optional[float] = None,
-    log: Optional[Callable[[str], None]] = None,
-) -> ChaosReport:
-    """Run one chaos sweep under runner supervision."""
+def chaos_tasks(options: ChaosOptions) -> List[CampaignJob]:
+    """The sweep's task list, in sweep (canonical) order; a pure function
+    of ``options``."""
     options.validate()
-    units = build_chaos_units(options)
-    runner = SupervisedRunner(
-        store=store,
-        deadline_seconds=deadline_seconds,
-        retry=RetryPolicy(seed=options.seed),
-        log=log,
-    )
-    fingerprint = {
+    specs = [
+        (
+            f"campaign-{index:03d}",
+            sample_campaign(
+                options.seed,
+                index,
+                simulator=options.simulator,
+                slo=options.slo,
+                include_silent=options.include_silent,
+            ),
+        )
+        for index in range(options.campaigns)
+    ] + [
+        # state-exhaustion campaigns run after the sampled ones
+        (
+            f"exhaustion-{index:03d}",
+            exhaustion_campaign(
+                options.seed,
+                index,
+                slo=options.slo,
+                state_backend=options.state_backend,
+                max_tracked_paths=options.max_tracked_paths,
+            ),
+        )
+        for index in range(options.exhaustion)
+    ]
+    return [
+        CampaignJob(
+            campaign=name,
+            spec=spec.to_dict(),
+            shrink=options.shrink,
+            max_shrink_trials=options.max_shrink_trials,
+            artifact_dir=options.artifact_dir,
+        )
+        for name, spec in specs
+    ]
+
+
+def chaos_fingerprint(options: ChaosOptions) -> Dict[str, Any]:
+    """The job fingerprint a sweep's checkpoint store is pinned to."""
+    fingerprint: Dict[str, Any] = {
         "kind": "chaos-sweep",
         "seed": options.seed,
         "campaigns": options.campaigns,
@@ -255,5 +242,29 @@ def run_chaos(
         fingerprint["exhaustion"] = options.exhaustion
         fingerprint["state_backend"] = options.state_backend
         fingerprint["max_tracked_paths"] = options.max_tracked_paths
-    job = runner.run_units(units, job_fingerprint=fingerprint)
-    return ChaosReport(job=job, specs=[unit[1].spec for unit in units])
+    return fingerprint
+
+
+def run_chaos(
+    options: ChaosOptions,
+    store: Optional[CheckpointStore] = None,
+    fleet: Optional["FleetOptions"] = None,
+    log: Optional[Callable[[str], None]] = None,
+) -> ChaosReport:
+    """Run one chaos sweep through the scheduler.
+
+    ``fleet`` carries the supervision knobs (executor, deadline,
+    telemetry mode, process faults); its retry policy defaults to one
+    seeded from the sweep.
+    """
+    from ..fleet.pool import FleetOptions, run_fleet
+
+    fleet = fleet if fleet is not None else FleetOptions()
+    if fleet.retry is None:
+        fleet = replace(fleet, retry=RetryPolicy(seed=options.seed))
+    return ChaosReport(
+        job=run_fleet(
+            chaos_tasks(options), store, fleet, log=log,
+            fingerprint=chaos_fingerprint(options),
+        )
+    )

@@ -16,7 +16,7 @@ Rule families
 ``FLC002``
     Checkpoint/pickle safety: lambdas or nested closures installed into
     state reachable from checkpointed objects (``EngineRun``/``FluidRun``
-    wrappers, ``SupervisedRunner``).
+    wrappers, tasks handed to ``run_fleet``).
 ``FLC003``
     Float equality on rates, tokens, shares, and other continuous
     quantities.

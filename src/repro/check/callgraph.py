@@ -10,7 +10,7 @@ whole-project layer those rules need:
 
 * :class:`SymbolTable` — every function and method of the project,
   keyed by dotted qualname (``repro.fleet.worker.worker_main``,
-  ``repro.fleet.jobs.ShardUnitTask.run``), with each module's import
+  ``repro.runner.figures.ShardUnitTask.run``), with each module's import
   aliases alongside.
 * :class:`CallGraph` — best-effort static call edges between those
   functions.  Resolution is deliberately *over-approximate* where
@@ -23,7 +23,8 @@ whole-project layer those rules need:
   defect.
 * :func:`spawn_entrypoints` — the roots a spawn worker executes:
   ``*main`` functions of the ``fleet.worker`` module and every ``run``
-  method of the task descriptors in ``fleet.jobs``.
+  method of the task descriptors, which live next to what they
+  describe (:data:`TASK_MODULES`).
 
 Known blind spots (documented in ``docs/architecture.md``): calls
 through variables holding callables, ``getattr`` dispatch, decorators
@@ -37,7 +38,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
 
-from .astutil import dotted_name, import_aliases
+from .astutil import dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .engine import SourceModule
@@ -49,6 +50,11 @@ __all__ = [
     "module_aliases",
     "spawn_entrypoints",
 ]
+
+
+#: Module tails whose classes are the task descriptors the pool
+#: dispatches: their ``run`` methods execute inside spawn workers.
+TASK_MODULES = ("runner.figures", "chaos.engine")
 
 
 def module_aliases(module: "SourceModule") -> Dict[str, str]:
@@ -63,7 +69,7 @@ def module_aliases(module: "SourceModule") -> Dict[str, str]:
     ``repro.fleet.worker`` binds ``CheckpointStore`` to
     ``repro.runner.checkpoint.CheckpointStore``.
     """
-    aliases = import_aliases(module.tree)
+    aliases = dict(module.import_aliases)
     parts = module.module.split(".")
     # for a package __init__, `.` refers to the package itself
     anchor = parts if module.relpath.endswith("__init__.py") else parts[:-1]
@@ -91,7 +97,7 @@ def module_aliases(module: "SourceModule") -> Dict[str, str]:
 class FunctionInfo:
     """One function or method of the project."""
 
-    qualname: str  # module-dotted: repro.fleet.jobs.ShardUnitTask.run
+    qualname: str  # module-dotted: repro.runner.figures.ShardUnitTask.run
     module: str
     cls: Optional[str]  # enclosing class name, None for top-level
     name: str
@@ -273,7 +279,7 @@ def spawn_entrypoints(table: SymbolTable) -> List[str]:
 
     * every top-level ``*main`` function of a ``*.fleet.worker`` module
       (the process body handed to ``Process(target=...)``), and
-    * every ``run`` method of a class in a ``*.fleet.jobs`` module (the
+    * every ``run`` method of a class in a :data:`TASK_MODULES` module (the
       task descriptors the pool dispatches dynamically — including
       ``ShardUnitTask.run``, the gang member a shard worker executes).
     """
@@ -292,7 +298,7 @@ def spawn_entrypoints(table: SymbolTable) -> List[str]:
         elif (
             info.cls is not None
             and info.name == "run"
-            and "fleet.jobs" in info.module
+            and info.module.endswith(TASK_MODULES)
         ):
             roots.append(info.qualname)
     return sorted(roots)

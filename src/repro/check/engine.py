@@ -12,10 +12,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..errors import ConfigError
+from .astutil import import_aliases
 from .baseline import Baseline, BaselineEntry
 from .diagnostics import Diagnostic, Severity
 from .rules import RELAXED_RULE_IDS, ProjectRule, Rule, all_rules
@@ -76,6 +78,12 @@ class SourceModule:
     def load(cls, path: Path, relpath: str, module: str) -> "SourceModule":
         """Read and parse a file; propagates ``SyntaxError``/``OSError``."""
         return cls(path, relpath, module, path.read_text(encoding="utf-8"))
+
+    @cached_property
+    def import_aliases(self) -> Dict[str, str]:
+        """The module's :func:`~repro.check.astutil.import_aliases` map,
+        walked once (rules ask per call node); read-only by convention."""
+        return import_aliases(self.tree)
 
     def line_text(self, line: int) -> str:
         """Stripped source text of a 1-based line ('' when out of range)."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
-from ..astutil import dotted_name, import_aliases, resolve_call_name
+from ..astutil import dotted_name, resolve_call_name
 from ..dataflow import SinkSpec, TaintPolicy, analyze_function
 from ..diagnostics import Diagnostic
 from . import Rule, register
@@ -126,7 +126,7 @@ class ArrayAliasingRule(Rule):
     scope = ("repro.inet", "repro.fleet", "repro.runner")
 
     def check(self, module) -> Iterator[Diagnostic]:
-        aliases = import_aliases(module.tree)
+        aliases = module.import_aliases
         policy = _policy()
         for fn in _functions(module.tree):
             summary = analyze_function(fn, aliases, policy)
@@ -184,8 +184,7 @@ class ArrayAliasingRule(Rule):
 
 
 def _call_names(call: ast.Call, module):
-    aliases = import_aliases(module.tree)
-    resolved = resolve_call_name(call.func, aliases)
+    resolved = resolve_call_name(call.func, module.import_aliases)
     terminal = resolved.rsplit(".", 1)[-1] if resolved else None
     if terminal is None and isinstance(call.func, ast.Attribute):
         terminal = call.func.attr

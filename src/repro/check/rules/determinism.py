@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import import_aliases, resolve_call_name
+from ..astutil import resolve_call_name
 from ..diagnostics import Diagnostic
 from . import Rule, register
 
@@ -104,7 +104,7 @@ class DeterminismRule(Rule):
     )
 
     def check(self, module) -> Iterator[Diagnostic]:
-        aliases = import_aliases(module.tree)
+        aliases = module.import_aliases
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -9,7 +9,8 @@ installed into checkpoint-reachable state:
 
 * a ``lambda`` (or a nested ``def``) passed as any argument to a
   checkpoint sink — ``*.checkpointed(...)``, ``run_checkpointed(...)``,
-  or the ``SupervisedRunner`` constructor;
+  or the scheduler entry point ``run_fleet(...)``, whose tasks and
+  results are pickled into the store (and across a spawn);
 * a ``lambda`` assigned onto an instance attribute (``self.x = lambda``,
   including defaulting forms like ``self._log = log or (lambda: None)``)
   inside the runner/CLI layer, where instances end up in pickled state.
@@ -29,12 +30,12 @@ from . import Rule, register
 
 #: Callee names (terminal segment) whose arguments become pickled state.
 CHECKPOINT_SINKS = frozenset(
-    {"checkpointed", "run_checkpointed", "SupervisedRunner"}
+    {"checkpointed", "run_checkpointed", "run_fleet"}
 )
 
 #: Modules where instance attributes are reachable from pickled state.
 #: repro.chaos instances (CampaignJob, injectors inside specs) ride
-#: through SupervisedRunner checkpoints; repro.traffic sources are
+#: through the scheduler's checkpoints; repro.traffic sources are
 #: engine state pickled by EngineRun snapshots.
 ATTRIBUTE_SCOPE = ("repro.runner", "repro.cli", "repro.chaos", "repro.traffic")
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
-from ..astutil import import_aliases, resolve_call_name
+from ..astutil import resolve_call_name
 from ..diagnostics import Diagnostic
 from . import Rule, register
 
@@ -176,7 +176,7 @@ class SpanHygieneRule(Rule):
     )
 
     def check(self, module) -> Iterator[Diagnostic]:
-        aliases = import_aliases(module.tree)
+        aliases = module.import_aliases
         yield from self._check_span_closure(module, aliases)
         if module.module == "repro.trace" or module.module.startswith(
             "repro.trace."

@@ -5,14 +5,14 @@ Commands
 ``list``
     Show the reproducible figures and their one-line descriptions.
 ``run FIG [FIG ...] [options]``
-    Run one or more figures' experiments under the supervised runner and
-    print their rows (e.g. ``run fig08``, ``run fig06 fig07 fig08``).
-    With ``--workers N`` the unit jobs execute on the crash-isolated
-    multiprocess fabric (:mod:`repro.fleet`) instead of in-process;
-    results and telemetry are byte-identical either way.  For the
+    Run one or more figures' experiments through the scheduler
+    (:mod:`repro.fleet`) and print their rows (e.g. ``run fig08``,
+    ``run fig06 fig07 fig08``).  Unit jobs execute in this process, or
+    with ``--workers N`` on N crash-isolated worker processes; results
+    and telemetry are byte-identical either way.  For the
     internet-scale figures, ``--shards N`` splits each unit's flow
     population over N lock-step workers (barrier-synchronized, with
-    per-epoch checkpoint salvage) — still byte-identical to serial.
+    per-epoch checkpoint salvage) — still byte-identical.
 ``quickstart``
     The README quickstart: FLoc on a flooded link, bandwidth breakdown.
 ``chaos [options]``
@@ -40,7 +40,7 @@ profile per-subsystem wall time.  Exports land in ``--telemetry-dir``
 digests are byte-identical with it on or off.
 
 ``run`` and ``chaos`` also accept ``--trace``: wall-clock span tracing
-of the execution fabric itself (supervisor, fleet workers, shard
+of the execution fabric itself (scheduler, fleet workers, shard
 barriers, checkpoint/salvage, chaos campaigns, per-tick phases).  Every
 process appends to its own ``spans-*.jsonl`` under ``--trace-dir``
 (default ``trace/``); at the end of the run the files are merged into a
@@ -50,17 +50,18 @@ with it on or off — and wall-clock data never reaches checkpoints.
 
 Scale/duration flags apply to the functional figures; internet-scale
 figures take ``--variants``.  Every ``run`` is supervised (see
-:mod:`repro.runner`): ``--checkpoint-dir`` makes it crash-safe,
+:mod:`repro.fleet.pool`): ``--checkpoint-dir`` makes it crash-safe,
 ``--resume`` continues a killed run bit-identically, ``--deadline``
-bounds its wall-clock time and ``--sanitize`` installs the runtime
-invariant layer on every simulator.
+bounds the whole run's wall-clock time (all figures together, whatever
+the executor) and ``--sanitize`` installs the runtime invariant layer on
+every simulator.
 
 Exit codes: 0 all units completed; 1 every unit failed; 2 bad
 configuration or unusable checkpoint directory; 3 partial (some units
 failed — completed rows are still printed and salvaged); 4 watchdog
 deadline exceeded; 5 interrupted by SIGTERM/SIGINT (progress
 checkpointed; re-run with ``--resume``); 6 a poison job was quarantined
-by the fleet (its reproducer artifact path is in the status table);
+by the worker pool (its reproducer artifact path is in the status table);
 7 no data — ``metrics`` found no telemetry export at the given path, or
 ``trace`` found no span files in the given directory (the command names
 the missing artifact and how to produce it).
@@ -74,7 +75,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional
 
 from .analysis.export import write_csv
 from .analysis.report import format_table
@@ -110,14 +113,11 @@ EXIT_CODES = {
     "nodata": 7,
 }
 
-#: Statuses from best to worst; multi-job runs exit with the worst one.
-_STATUS_ORDER = (
-    "ok", "partial", "failed", "quarantined", "deadline", "interrupted",
-)
-
-
 def _worst_status(statuses) -> str:
-    return max(statuses, key=_STATUS_ORDER.index, default="ok")
+    """Multi-job runs exit with the worst job's status."""
+    from .fleet.pool import FLEET_STATUSES
+
+    return max(statuses, key=FLEET_STATUSES.index, default="ok")
 
 
 #: Cap for auto-detected worker/shard counts: these workloads stop
@@ -132,36 +132,6 @@ def _auto_count(value: Optional[int]) -> Optional[int]:
     return value
 
 
-def _heartbeat_from(args, default_timeout: float) -> Tuple[float, float]:
-    """Heartbeat (interval, timeout): flag > environment > default.
-
-    ``REPRO_HEARTBEAT_INTERVAL`` / ``REPRO_HEARTBEAT_TIMEOUT`` let CI
-    and wrapper scripts tune liveness conviction without threading flags
-    through every call site; an explicit flag still wins.
-    """
-    def from_env(name: str, fallback: float) -> float:
-        env = os.environ.get(name)
-        if not env:
-            return fallback
-        try:
-            value = float(env)
-        except ValueError:
-            raise ConfigError(
-                f"{name}={env!r} is not a number of seconds"
-            ) from None
-        if value <= 0:
-            raise ConfigError(f"{name}={env!r} must be > 0 seconds")
-        return value
-
-    interval = getattr(args, "heartbeat_interval", None)
-    if interval is None:
-        interval = from_env("REPRO_HEARTBEAT_INTERVAL", 0.1)
-    timeout = getattr(args, "heartbeat_timeout", None)
-    if timeout is None:
-        timeout = from_env("REPRO_HEARTBEAT_TIMEOUT", default_timeout)
-    return interval, timeout
-
-
 def _settings(args) -> FunctionalSettings:
     return FunctionalSettings(
         scale=args.scale,
@@ -173,25 +143,15 @@ def _settings(args) -> FunctionalSettings:
 
 
 def _runner_log(message: str) -> None:
-    """Log sink for the supervised runner.
-
-    Module-level (not a lambda) so runner state holding the sink stays
-    picklable across checkpoints.
-    """
+    """The scheduler's log sink."""
     sys.stderr.write(f"[runner] {message}\n")
 
 
-def _telemetry_from_args(args):
-    """Build the session telemetry the ``--telemetry`` flag asked for."""
-    from .telemetry import NULL_TELEMETRY, Telemetry
-
+def _telemetry_mode(args) -> str:
+    """The telemetry mode ``--telemetry`` asked for ("jsonl" is the
+    tracing mode named after its artifact)."""
     mode = getattr(args, "telemetry", "off")
-    if mode == "off":
-        return NULL_TELEMETRY
-    # "jsonl" is the tracing mode named after its artifact
-    return Telemetry(
-        mode="trace" if mode == "jsonl" else mode, profile=True
-    )
+    return "trace" if mode == "jsonl" else mode
 
 
 def _tracer_from_args(args):
@@ -210,18 +170,6 @@ def _tracer_from_args(args):
         if name.startswith("spans-") and name.endswith(".jsonl"):
             os.unlink(os.path.join(args.trace_dir, name))
     return Tracer(args.trace_dir, proc="main")
-
-
-def _shadow_telemetry(tel, tracer):
-    """Serial ``--trace`` without ``--telemetry``: returns a shadow
-    recorder (plus a flag saying so) that exists only to feed the
-    tracer's per-tick phase spans and must never be exported.  Fleet
-    workers build their own shadow (see :mod:`repro.fleet.worker`)."""
-    if tracer.enabled and not tel.enabled:
-        from .telemetry import Telemetry
-
-        return Telemetry(mode="metrics", profile=True), True
-    return tel, False
 
 
 def _finish_trace(args, tracer) -> None:
@@ -275,25 +223,11 @@ def _emit(args, name: str, headers, rows, title: str) -> None:
         sys.stdout.write(f"wrote {path}\n")
 
 
-def _fig_status(freport, names: List[str]) -> str:
-    """Derive one figure's job status from its units' fleet outcomes."""
-    by_name = {o.name: o for o in freport.outcomes}
-    outs = [by_name[n] for n in names if n in by_name]
-    missing = len(names) - len(outs)
-    if any(o.status == "quarantined" for o in outs):
-        return "quarantined"
-    done = sum(1 for o in outs if o.status in ("done", "resumed"))
-    failed = sum(1 for o in outs if o.status == "failed")
-    if missing and freport.status in ("deadline", "interrupted"):
-        return freport.status
-    if not failed and not missing:
-        return "ok"
-    return "partial" if done else "failed"
-
-
-def _shard_fig_status(freport, tasks, names: List[str]) -> str:
-    """Figure status from shard-gang outcomes: a unit counts as done
-    only when *every* one of its shards finished."""
+def _fig_status(freport, tasks, names: List[str]) -> str:
+    """One figure's job status from its units' task outcomes.  A unit is
+    the tasks sharing its name as ``task.unit`` — one figure task, or
+    every shard of a gang — and counts as done only when *all* of them
+    finished."""
     by_name = {o.name: o for o in freport.outcomes}
     per_unit: List[str] = []
     for unit in names:
@@ -321,7 +255,7 @@ def _shard_fig_status(freport, tasks, names: List[str]) -> str:
 
 def _merge_shard_units(tasks, results: Dict[str, Any]) -> Dict[str, Any]:
     """Fold per-shard pieces into per-unit results, unit names matching
-    the serial runner's.  Units with any shard missing are dropped —
+    the unsharded job's.  Units with any shard missing are dropped —
     the figure finalizer reports them as missing rather than rendering
     rows from a partial flow population."""
     from .inet.shard import merge_shard_results
@@ -337,15 +271,75 @@ def _merge_shard_units(tasks, results: Dict[str, Any]) -> Dict[str, Any]:
     return merged
 
 
+@contextmanager
+def _supervision(args, store, plan, **knobs):
+    """What ``run`` and ``chaos`` share around the scheduler.
+
+    Yields a namespace carrying the ``store`` to run on and ``fleet``,
+    the :class:`~repro.fleet.pool.FleetOptions` the flags ask for; the
+    caller runs the scheduler inside the block and leaves its
+    ``FleetReport`` on ``.report``.  A spawn pool needs a shared store
+    for results and mid-task salvage even when the user asked for no
+    checkpoints: it is lent a scratch one, removed when the run ends
+    ``ok`` and kept (its path printed) otherwise — quarantine
+    reproducers live in it.  On the way out the merged telemetry is
+    exported and the trace finished.
+    """
+    import shutil
+    import tempfile
+
+    from .fleet.pool import FleetOptions
+    from .runner import CheckpointStore
+    from .trace import use_tracer
+
+    scratch = store is None and args.workers is not None
+    if scratch:
+        store = CheckpointStore(tempfile.mkdtemp(prefix="repro-fleet-"))
+    timeout = args.heartbeat_timeout
+    if timeout is None:
+        # fast conviction under a fault plan — the heartbeat pulse runs
+        # on its own thread, so 5s of silence from a live worker cannot
+        # happen by accident — else a generous 30s
+        timeout = 5.0 if plan is not None else 30.0
+    run = SimpleNamespace(
+        store=store,
+        report=None,
+        fleet=FleetOptions(
+            workers=args.workers,
+            telemetry_mode=_telemetry_mode(args),
+            deadline_seconds=args.deadline,
+            fault_plan=plan,
+            heartbeat_timeout_seconds=timeout,
+            **knobs,
+        ),
+    )
+    tracer = _tracer_from_args(args)
+    try:
+        with use_tracer(tracer):
+            yield run
+    except ReproError:
+        if scratch:  # refused before any task ran: nothing to inspect
+            shutil.rmtree(store.root, ignore_errors=True)
+        raise
+    if scratch and run.report.ok:
+        shutil.rmtree(store.root, ignore_errors=True)
+    elif scratch:
+        sys.stderr.write(f"kept the run's scratch store: {store.root}\n")
+    _export_telemetry(args, run.report.telemetry)
+    _finish_trace(args, tracer)
+
+
 def _run_figures(args) -> int:
+    from .fleet.faults import sample_process_faults
+    from .fleet.pool import run_fleet
     from .runner import (
         CheckpointStore,
         RetryPolicy,
-        SupervisedRunner,
         build_figure_job,
+        figure_tasks,
+        shard_figure_tasks,
     )
-    from .fleet.jobs import INTERNET_PLACEMENTS
-    from .telemetry import use
+    from .runner.figures import INTERNET_PLACEMENTS
 
     figures = list(dict.fromkeys(args.figures))
     settings = _settings(args)
@@ -383,12 +377,6 @@ def _run_figures(args) -> int:
             # --checkpoint-dir without --resume restarts the job; stale
             # entries must not be mistaken for this run's results
             store.reset()
-    elif args.workers is not None:
-        # the fleet needs a shared store for results and mid-task salvage
-        # even when the user did not ask for checkpoints
-        import tempfile
-
-        store = CheckpointStore(tempfile.mkdtemp(prefix="repro-fleet-"))
 
     if len(figures) == 1:
         fingerprint = jobs[figures[0]].fingerprint
@@ -404,122 +392,55 @@ def _run_figures(args) -> int:
             }
         )
     if shards is not None:
-        # a sharded store is not resumable by a serial run (and vice
+        # a sharded store is not resumable by an unsharded run (and vice
         # versa): state keys, exchange layout and epochs all differ
         fingerprint = dict(fingerprint)
         fingerprint["shards"] = shards
         fingerprint["epoch_ticks"] = args.epoch_ticks
-    if store is not None:
-        store.check_job(fingerprint)
-
-    tel = _telemetry_from_args(args)
-    tracer = _tracer_from_args(args)
-    tel, shadow_tel = _shadow_telemetry(tel, tracer)
-    statuses: Dict[str, str] = {}
-    results: Dict[str, Any] = {}
-    unit_rows: List[Tuple[str, str, int, str]] = []
-
-    if args.workers is not None:
-        from .fleet import (
-            FleetOptions,
-            figure_tasks,
-            run_fleet,
-            sample_process_faults,
-            shard_figure_tasks,
-        )
-
-        if shards is not None:
-            tasks = [
-                task
-                for fig in figures
-                for task in shard_figure_tasks(
-                    fig,
-                    shards,
-                    variants=variants,
-                    epoch_ticks=args.epoch_ticks,
-                    barrier_timeout_seconds=args.barrier_timeout,
-                )
-            ]
-        else:
-            tasks = [
-                task
-                for fig in figures
-                for task in figure_tasks(fig, settings, variants=variants)
-            ]
-        plan = None
-        if getattr(args, "process_faults", 0):
-            plan = sample_process_faults(
-                args.seed,
-                [t.name for t in tasks],
-                args.process_faults,
-                prefer="#s" if shards is not None else None,
+        tasks = [
+            task
+            for fig in figures
+            for task in shard_figure_tasks(
+                fig,
+                shards,
+                variants=variants,
+                epoch_ticks=args.epoch_ticks,
+                barrier_timeout_seconds=args.barrier_timeout,
             )
-        hb_interval, hb_timeout = _heartbeat_from(
-            args, 5.0 if plan is not None else 30.0
-        )
-        mode = getattr(args, "telemetry", "off")
-        from .trace import use_tracer
-
-        with use_tracer(tracer):
-            freport = run_fleet(
-                tasks,
-                store,
-                FleetOptions(
-                    workers=args.workers,
-                    telemetry_mode="trace" if mode == "jsonl" else mode,
-                    sanitize=settings.sanitize,
-                    retry=RetryPolicy(
-                        max_retries=args.retries, seed=args.seed
-                    ),
-                    deadline_seconds=args.deadline,
-                    fault_plan=plan,
-                    heartbeat_interval_seconds=hb_interval,
-                    heartbeat_timeout_seconds=hb_timeout,
-                ),
-                log=_runner_log,
-            )
-        tel = freport.telemetry
-        shadow_tel = False  # the merged fleet telemetry is the real one
-        results = dict(freport.results)
-        unit_rows = freport.summary_rows()
-        if shards is not None:
-            results = _merge_shard_units(tasks, results)
-            for fig in figures:
-                statuses[fig] = _shard_fig_status(
-                    freport, tasks, [name for name, _ in jobs[fig].units]
-                )
-        else:
-            for fig in figures:
-                statuses[fig] = _fig_status(
-                    freport, [name for name, _ in jobs[fig].units]
-                )
+        ]
     else:
-        from .trace import use_tracer
+        tasks = [
+            task
+            for fig in figures
+            for task in figure_tasks(fig, settings, variants=variants)
+        ]
+    plan = None
+    if getattr(args, "process_faults", 0):
+        plan = sample_process_faults(
+            args.seed,
+            [t.name for t in tasks],
+            args.process_faults,
+            prefer="#s" if shards is not None else None,
+        )
+    with _supervision(
+        args, store, plan,
+        sanitize=settings.sanitize,
+        retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
+    ) as run:
+        run.report = run_fleet(
+            tasks, run.store, run.fleet,
+            log=_runner_log, fingerprint=fingerprint,
+        )
+    freport, store = run.report, run.store
+    results = dict(freport.results)
+    if shards is not None:
+        results = _merge_shard_units(tasks, results)
+    statuses = {
+        fig: _fig_status(freport, tasks, [name for name, _ in jobs[fig].units])
+        for fig in figures
+    }
 
-        with use_tracer(tracer), use(tel):
-            for fig in figures:
-                runner = SupervisedRunner(
-                    store=store,
-                    deadline_seconds=args.deadline,
-                    retry=RetryPolicy(
-                        max_retries=args.retries, seed=args.seed
-                    ),
-                    sanitize=settings.sanitize,
-                    log=_runner_log,
-                )
-                report = runner.run_units(jobs[fig].units)
-                statuses[fig] = report.status
-                results.update(report.results)
-                unit_rows.extend(report.summary_rows())
-                if report.status in ("deadline", "interrupted"):
-                    break  # the whole run is cut off, not just this job
-
-    if not shadow_tel:
-        _export_telemetry(args, tel)
-    _finish_trace(args, tracer)
     for fig in figures:
-        if fig not in statuses:
-            continue  # never started (an earlier job hit the deadline)
         output = jobs[fig].finalize(results)
         _emit(args, fig, output.headers, output.rows, FIGURES[fig])
         for note in output.notes:
@@ -530,22 +451,27 @@ def _run_figures(args) -> int:
         sys.stdout.write(
             format_table(
                 ["job", "status"],
-                [[fig, statuses.get(fig, "not started")] for fig in figures],
+                [[fig, statuses[fig]] for fig in figures],
                 title="job statuses",
             )
         )
         sys.stdout.write("\n")
     if worst != "ok":
         sys.stderr.write(f"job {worst}:\n")
-        for name, status, attempts, error in unit_rows:
-            suffix = f" ({error})" if error else ""
-            sys.stderr.write(f"  {name}: {status}{suffix}\n")
+        _write_outcomes(freport)
         if store is not None and results:
-            path = store.save("salvage", "partial-results", dict(results))
+            path = store.save("salvage", "partial-results", dict(results))  # flocheck: disable=FLC011 -- results are the tasks' pure outputs; the report's wall-clock fields (wall_seconds, outcome seconds) are not among them
             sys.stderr.write(
                 f"salvaged {len(results)} unit result(s) to {path}\n"
             )
     return EXIT_CODES[worst]
+
+
+def _write_outcomes(freport) -> None:
+    """The per-task outcome table: which results are trustworthy."""
+    for name, status, _, error in freport.summary_rows():
+        suffix = f" ({error})" if error else ""
+        sys.stderr.write(f"  {name}: {status}{suffix}\n")
 
 
 def _quickstart(args) -> int:
@@ -587,6 +513,7 @@ def _quickstart(args) -> int:
 def _chaos(args) -> int:
     from .chaos import (
         ChaosOptions,
+        chaos_tasks,
         default_slo,
         replay_artifact,
         run_chaos,
@@ -594,9 +521,13 @@ def _chaos(args) -> int:
     from .runner import CheckpointStore
 
     if args.replay:
-        from .telemetry import use
+        from .telemetry import NULL_TELEMETRY, Telemetry, use
 
-        tel = _telemetry_from_args(args)
+        mode = _telemetry_mode(args)
+        tel = (
+            NULL_TELEMETRY if mode == "off"
+            else Telemetry(mode=mode, profile=True)
+        )
         with use(tel):
             outcome = replay_artifact(args.replay)
         _export_telemetry(args, tel)
@@ -635,108 +566,21 @@ def _chaos(args) -> int:
         max_tracked_paths=args.max_paths,
     )
     store = CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
-    from .telemetry import use
-
     args.workers = _auto_count(args.workers)
     if args.process_faults and args.workers is None:
         raise ConfigError("--process-faults requires --workers")
+    plan = None
+    if args.process_faults:
+        from .fleet.faults import sample_process_faults
 
-    tel = _telemetry_from_args(args)
-    tracer = _tracer_from_args(args)
-    tel, shadow_tel = _shadow_telemetry(tel, tracer)
-    if args.workers is not None:
-        import tempfile
-
-        from .chaos.spec import CampaignSpec
-        from .fleet import (
-            FleetOptions,
-            chaos_tasks,
-            run_fleet,
-            sample_process_faults,
+        plan = sample_process_faults(
+            args.seed,
+            [task.name for task in chaos_tasks(options)],
+            args.process_faults,
         )
-        from .runner import RetryPolicy
-        from .runner.supervisor import JobReport, UnitOutcome
-
-        tasks = chaos_tasks(options)
-        plan = None
-        if args.process_faults:
-            plan = sample_process_faults(
-                args.seed, [t.name for t in tasks], args.process_faults
-            )
-        if store is None:
-            store = CheckpointStore(tempfile.mkdtemp(prefix="repro-fleet-"))
-        fingerprint = {
-            "kind": "chaos-sweep",
-            "seed": args.seed,
-            "campaigns": args.campaigns,
-            "simulator": args.simulator,
-            "include_silent": args.include_silent,
-        }
-        if options.exhaustion:
-            # same conditional keying as run_chaos: pre-existing sweep
-            # checkpoints keep their fingerprints
-            fingerprint["exhaustion"] = options.exhaustion
-            fingerprint["state_backend"] = options.state_backend
-            fingerprint["max_tracked_paths"] = options.max_tracked_paths
-        store.check_job(fingerprint)
-        mode = getattr(args, "telemetry", "off")
-        # default conviction: fast (5s) under a fault plan — the
-        # heartbeat pulse runs on its own thread, so 5s of silence from
-        # a live worker cannot happen by accident — else a generous 30s
-        hb_interval, hb_timeout = _heartbeat_from(
-            args, 5.0 if plan is not None else 30.0
-        )
-        from .trace import use_tracer
-
-        with use_tracer(tracer):
-            freport = run_fleet(
-                tasks,
-                store,
-                FleetOptions(
-                    workers=args.workers,
-                    telemetry_mode="trace" if mode == "jsonl" else mode,
-                    retry=RetryPolicy(seed=args.seed),
-                    deadline_seconds=args.deadline,
-                    fault_plan=plan,
-                    heartbeat_interval_seconds=hb_interval,
-                    heartbeat_timeout_seconds=hb_timeout,
-                ),
-                log=_runner_log,
-            )
-        tel = freport.telemetry
-        shadow_tel = False  # the merged fleet telemetry is the real one
-        from .chaos import ChaosReport
-
-        report = ChaosReport(
-            job=JobReport(
-                status=freport.status,
-                outcomes=[
-                    UnitOutcome(
-                        name=o.name,
-                        status=o.status,
-                        attempts=o.attempts,
-                        error=o.error,
-                        seconds=o.seconds,
-                    )
-                    for o in freport.outcomes
-                ],
-                results=dict(freport.results),
-            ),
-            specs=[CampaignSpec.from_dict(t.spec) for t in tasks],
-        )
-    else:
-        from .trace import use_tracer
-
-        with use_tracer(tracer), use(tel):
-            report = run_chaos(
-                options,
-                store=store,
-                deadline_seconds=args.deadline,
-                log=_runner_log,
-            )
-    if not shadow_tel:
-        _export_telemetry(args, tel)
-    _finish_trace(args, tracer)
+    with _supervision(args, store, plan) as run:
+        report = run_chaos(options, run.store, run.fleet, log=_runner_log)
+        run.report = report.job
     rows = []
     unit_names = sorted(report.job.results)
     for name, campaign in zip(unit_names, report.campaigns):
@@ -772,9 +616,7 @@ def _chaos(args) -> int:
         return EXIT_CODES["partial"]
     if report.job.status != "ok":
         sys.stderr.write(f"sweep {report.job.status}:\n")
-        for name, status, attempts, error in report.job.summary_rows():
-            suffix = f" ({error})" if error else ""
-            sys.stderr.write(f"  {name}: {status}{suffix}\n")
+        _write_outcomes(report.job)
     return EXIT_CODES[report.job.status]
 
 
@@ -985,14 +827,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, metavar="N", default=None,
         help="run unit jobs on N supervised worker processes (the fleet: "
              "crash isolation, hang detection, checkpoint salvage); "
-             "results and telemetry match the serial run byte for byte; "
+             "results and telemetry match the in-process run byte for byte; "
              "0 auto-detects (cpu count, capped at 8)",
     )
     run.add_argument(
         "--shards", type=int, metavar="N", default=None,
         help="shard each internet-scale figure unit's flow population "
              "over N lock-step fleet workers (barrier-synchronized, "
-             "per-epoch checkpoints, byte-identical to serial); "
+             "per-epoch checkpoints, byte-identical to unsharded); "
              "0 auto-detects (cpu count, capped at 8); implies "
              "--workers N unless given; internet figures only",
     )
@@ -1034,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--deadline", type=float, metavar="SECONDS", default=None,
-        help="wall-clock watchdog deadline (per job serially; for the "
-             "whole fleet with --workers)",
+        help="wall-clock watchdog deadline for the whole run (all "
+             "figures together, with or without --workers)",
     )
     run.add_argument(
         "--retries", type=int, metavar="N", default=1,
@@ -1099,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock watchdog deadline for the sweep")
     chaos.add_argument("--workers", type=int, metavar="N", default=None,
                        help="run campaigns on N supervised worker "
-                            "processes (digests match the serial sweep); "
+                            "processes (digests match the in-process sweep); "
                             "0 auto-detects (cpu count, capped at 8)")
     chaos.add_argument("--process-faults", type=int, metavar="N", default=0,
                        help="inject N process-level faults (worker "
@@ -1203,15 +1045,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_heartbeat(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--heartbeat-interval", type=float, metavar="SECONDS", default=None,
-        help="worker heartbeat pulse interval (default 0.1; or the "
-             "REPRO_HEARTBEAT_INTERVAL environment variable)",
-    )
-    parser.add_argument(
         "--heartbeat-timeout", type=float, metavar="SECONDS", default=None,
         help="silence after which a worker is convicted as hung and "
-             "SIGKILLed (default 30, or 5 under --process-faults; or the "
-             "REPRO_HEARTBEAT_TIMEOUT environment variable)",
+             "SIGKILLed (default 30, or 5 under --process-faults)",
     )
 
 

@@ -1,9 +1,13 @@
-"""Crash-isolated multiprocess execution fabric.
+"""The execution fabric: one scheduler, an in-process and a spawn executor.
 
-``repro.fleet`` runs the repo's two unit-job families — figure sweep
-cells (:mod:`repro.runner.figures`) and chaos campaigns
-(:mod:`repro.chaos.engine`) — on a spawn-based worker pool with real
-fault tolerance:
+:func:`~repro.fleet.pool.run_fleet` runs any list of tasks (objects with
+a ``name`` and a ``run(ctx)``; the repo's two families are the figure
+recipes in :mod:`repro.runner.figures` and the chaos campaigns in
+:mod:`repro.chaos.engine`) under one supervision discipline — store
+pre-salvage, retries, deadline, graceful stop, outcome rows, spans,
+per-task telemetry merged deterministically in canonical task order
+(:mod:`repro.fleet.merge`) — either in the calling process or on a
+spawn-based worker pool with real fault tolerance:
 
 * hung workers are convicted by a heartbeat liveness watchdog and
   SIGKILLed (:mod:`repro.fleet.heartbeat`);
@@ -13,13 +17,13 @@ fault tolerance:
   on another worker (:mod:`repro.fleet.pool`);
 * tasks that keep killing workers are quarantined with a reproducer
   artifact instead of retried forever;
-* per-task telemetry merges deterministically in canonical task order
-  (:mod:`repro.fleet.merge`), so ``--workers N`` output is byte-
-  identical to serial for every N;
 * the chaos fault space extends to the fabric itself — planned
   worker kills and stalls (:mod:`repro.fleet.faults`) make every
   ``repro chaos --process-faults`` sweep a supervision integration
   test.
+
+Output is byte-identical whichever executor ran the tasks, for every
+worker count.
 """
 
 from .faults import (
@@ -29,14 +33,6 @@ from .faults import (
     sample_process_faults,
 )
 from .heartbeat import Heartbeat, HeartbeatMonitor
-from .jobs import (
-    ChaosCampaignTask,
-    FigureUnitTask,
-    ShardUnitTask,
-    chaos_tasks,
-    figure_tasks,
-    shard_figure_tasks,
-)
 from .merge import merge_registries, merge_telemetry
 from .pool import (
     FLEET_STATUSES,
@@ -50,20 +46,14 @@ from .worker import WorkerConfig, worker_main
 __all__ = [
     "FAULT_KINDS",
     "FLEET_STATUSES",
-    "ChaosCampaignTask",
-    "FigureUnitTask",
     "FleetOptions",
     "FleetReport",
     "Heartbeat",
     "HeartbeatMonitor",
     "ProcessFault",
     "ProcessFaultPlan",
-    "ShardUnitTask",
     "TaskOutcome",
     "WorkerConfig",
-    "chaos_tasks",
-    "figure_tasks",
-    "shard_figure_tasks",
     "merge_registries",
     "merge_telemetry",
     "run_fleet",

@@ -8,8 +8,9 @@ file* per worker:
 * the worker side (:class:`Heartbeat`) rewrites its file — atomically,
   via temp + ``os.replace``, so the supervisor never reads a torn JSON —
   from two places: a daemon *pulse thread* beating every
-  ``interval_seconds`` (proves the process is alive and scheduled: a
-  SIGSTOP, an OOM freeze, or a GIL-holding hang in C all silence it),
+  ``HEARTBEAT_INTERVAL_SECONDS`` (proves the process is alive and
+  scheduled: a SIGSTOP, an OOM freeze, or a GIL-holding hang in C all
+  silence it),
   and the job path itself at start/finish and at cooperative poll
   points (carries *progress*: which job, how many beats into it);
 * the supervisor side (:class:`HeartbeatMonitor`) remembers, per
@@ -31,6 +32,10 @@ import tempfile
 import threading
 import time
 from typing import Any, Dict, Optional
+
+#: Pulse-thread beat period.  A constant, not a knob: conviction speed is
+#: tuned by the monitor's timeout, which only has to exceed this.
+HEARTBEAT_INTERVAL_SECONDS = 0.1
 
 
 def heartbeat_path(directory: str, worker_id: int) -> str:
@@ -55,16 +60,10 @@ def _atomic_write_text(path: str, text: str) -> None:
 class Heartbeat:
     """Worker-side heartbeat writer with a background pulse thread."""
 
-    def __init__(
-        self,
-        directory: str,
-        worker_id: int,
-        interval_seconds: float = 0.1,
-    ) -> None:
+    def __init__(self, directory: str, worker_id: int) -> None:
         os.makedirs(directory, exist_ok=True)
         self.path = heartbeat_path(directory, worker_id)
         self.worker_id = worker_id
-        self.interval_seconds = interval_seconds
         self.suppressed = False
         self._beats = 0
         self._state = "starting"
@@ -87,7 +86,7 @@ class Heartbeat:
             self._thread.join(timeout=1.0)
 
     def _pulse(self) -> None:
-        while not self._stop.wait(self.interval_seconds):
+        while not self._stop.wait(HEARTBEAT_INTERVAL_SECONDS):
             self.beat()
 
     # -- beats ----------------------------------------------------------

@@ -1,16 +1,16 @@
 """Deterministic reduction of per-task telemetry into one registry.
 
-Parallel determinism rests on two pillars.  First, every unit job and
-chaos campaign is a pure function of its spec and seed (seed-per-shard:
-seeds derive from names/indices, never from which worker ran what), so
-*results* are trivially order-independent.  Second, telemetry: a serial
-run threads one shared :class:`~repro.telemetry.Telemetry` through all
-units, so its registry reflects units folded in canonical order.  The
-fleet instead gives every task a fresh telemetry of the same mode and
-ships it back with the result; this module folds those per-task pieces
-together **in canonical task order** (the serial unit order, regardless
-of completion order or worker assignment), reproducing the serial
-registry kind by kind:
+Determinism across executors rests on two pillars.  First, every unit
+job and chaos campaign is a pure function of its spec and seed
+(seed-per-shard: seeds derive from names/indices, never from which
+process ran what), so *results* are trivially order-independent.
+Second, telemetry: the scheduler gives every task a fresh telemetry of
+the run's mode — in-process and in spawn workers alike — and this module
+folds those per-task pieces together **in canonical task order** (the
+task list's order, regardless of completion order or worker
+assignment), reproducing kind by kind what one shared
+:class:`~repro.telemetry.Telemetry` threaded through the tasks in that
+order would hold:
 
 * ``Counter`` — piece values sum.
 * ``Gauge`` — last writer wins; a piece that never touched the gauge
@@ -32,11 +32,13 @@ registry kind by kind:
 * ``TraceLog`` — events concatenate under one ``maxlen`` window while
   ``emitted_total``/``counts_by_kind`` sum, so eviction accounting
   matches a single shared log.
+* ``TickProfiler`` — per-subsystem wall seconds and profiled ticks sum
+  (in-process pieces only: a pickled piece's profiler is empty by
+  construction).
 
-The one caveat is float addition: counters that accumulate fractional
-volumes (the fluid model's ``*_pkts`` counters) are summed per piece
-first and may differ from serial in the last ulp.  Integer-valued
-metrics — everything the packet engine emits — merge exactly.
+Floats are added per piece first, then across pieces in task order;
+since every executor produces and folds the same pieces, that is the one
+association order every export shares.
 """
 
 from __future__ import annotations
@@ -193,4 +195,11 @@ def merge_telemetry(pieces: Sequence[NullTelemetry]) -> NullTelemetry:
     merge_registries(merged.registry, [p.registry for p in enabled])
     if merged.trace is not None:
         _merge_traces(merged.trace, [p.trace for p in enabled])
+    if merged.profiler is not None:
+        totals = merged.profiler.totals_seconds
+        for piece in enabled:
+            if piece.profiler is not None:
+                for name, seconds in piece.profiler.totals_seconds.items():
+                    totals[name] = totals.get(name, 0.0) + seconds
+                merged.profiler.ticks_profiled += piece.profiler.ticks_profiled
     return merged

@@ -1,38 +1,50 @@
-"""The fleet supervisor: spawn pool, liveness watchdog, salvage, merge.
+"""The scheduler: every ``repro run`` / ``repro chaos`` task goes through here.
 
-The pool owns a set of spawn-started workers, each with a private task
-queue, all reporting into one result queue.  The supervision loop:
+:func:`run_fleet` owns everything supervision means — pre-salvage from
+the store, retry/backoff, deadline, SIGTERM stop, per-task outcome rows,
+status derivation, the ``fleet`` → ``task:<name>`` span family and the
+canonical-order telemetry fold — and has two executors for the tasks
+themselves, both calling the same :func:`repro.fleet.worker._run_task`:
 
-1. drain worker reports (``done``/``fail``);
-2. convict dead or hung workers — a worker is *dead* when its process
-   has an exit code, *hung* when its heartbeat file has not changed for
-   ``heartbeat_timeout_seconds`` or its task has overrun
-   ``task_timeout_seconds`` (hung workers are SIGKILLed, which turns
-   them into dead ones);
-3. for each dead worker: salvage its task (if the shared store already
-   holds the completed unit, the worker died in the report window — the
-   result is loaded, nothing re-runs), otherwise count the death
-   against the task and either re-enqueue it (a replacement worker
-   resumes from the last tick-level checkpoint) or quarantine it once
-   it has killed ``max_worker_deaths`` distinct workers;
-4. replace dead workers with fresh processes (worker ids are never
-   reused, so "distinct workers killed" is well-defined);
-5. assign ready tasks — including ``RetryPolicy``-delayed retries of
-   transient failures — to idle workers.  Tasks exposing a non-``None``
-   ``gang`` attribute (e.g. shard tasks of one simulation unit) launch
-   atomically: every unfinished member must be ready and seated at once,
-   because gang members advance lock-step through a barrier exchange and
-   a partial launch would deadlock.  After the initial launch, members
-   re-enter the queue individually (a salvaged member rejoins its
-   still-running peers), and the telemetry fold keeps one piece per gang
-   — members record identical global telemetry by construction.
+* ``FleetOptions.workers=None`` — **in-process**: the earliest ready
+  task runs in the calling process, with the run's real
+  ``GracefulShutdown`` and ``Watchdog`` on its ``UnitContext`` (a task
+  that unwinds on either ends the run as ``interrupted``/``deadline``).
+  No store is required and no ``fleet/`` directory is written.
+* ``workers=N`` — a **spawn pool**: N shared-nothing worker processes,
+  each with a private task queue, all reporting into one result queue.
+  The supervision loop then also
+
+  1. drains worker reports (``done``/``fail``);
+  2. convicts dead or hung workers — *dead* when the process has an exit
+     code, *hung* when its heartbeat file has not changed for
+     ``heartbeat_timeout_seconds`` (hung workers are SIGKILLed, which
+     turns them into dead ones);
+  3. for each dead worker salvages its task (if the shared store already
+     holds the completed unit, the worker died in the report window —
+     the result is loaded, nothing re-runs), otherwise counts the death
+     against the task and either re-enqueues it (a replacement worker
+     resumes from the last tick-level checkpoint) or quarantines it once
+     it has killed ``max_worker_deaths`` distinct workers;
+  4. replaces dead workers with fresh processes (worker ids are never
+     reused, so "distinct workers killed" is well-defined);
+  5. assigns ready tasks — including ``RetryPolicy``-delayed retries —
+     to idle workers.  Tasks exposing a non-``None`` ``gang`` attribute
+     (e.g. shard tasks of one simulation unit) launch atomically: every
+     unfinished member must be ready and seated at once, because gang
+     members advance lock-step through a barrier exchange and a partial
+     launch would deadlock.  After the initial launch, members re-enter
+     the queue individually (a salvaged member rejoins its still-running
+     peers), and the telemetry fold keeps one piece per gang — members
+     record identical global telemetry by construction.
 
 Determinism: results are keyed by task name and every task is a pure
-function of its recipe, so scheduling cannot change them; telemetry
-pieces are folded in canonical task order by :mod:`repro.fleet.merge`.
-A ``FleetReport`` therefore matches its serial counterpart byte for
-byte, whatever the worker count, scheduling interleaving, or mid-run
-worker deaths.
+function of its recipe, so neither the executor nor scheduling can
+change them; telemetry pieces are folded in canonical task order by
+:mod:`repro.fleet.merge`.  A ``FleetReport`` is therefore the same byte
+for byte whatever the worker count, scheduling interleaving, or mid-run
+worker deaths.  The scheduler knows nothing about what it runs: a task
+is anything with a ``name`` and a ``run(ctx)``.
 """
 
 from __future__ import annotations
@@ -44,18 +56,22 @@ import tempfile
 import time
 from queue import Empty
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ConfigError
+from ..errors import CheckpointError, ConfigError, DeadlineExceeded, Interrupted
 from ..runner.checkpoint import CheckpointStore
-from ..runner.supervisor import GracefulShutdown, RetryPolicy, Watchdog
+from ..runner.supervisor import (
+    GracefulShutdown,
+    RetryPolicy,
+    UnitContext,
+    Watchdog,
+)
 from ..telemetry import NullTelemetry
 from ..trace import SpanHandle, current_tracer
 from .faults import ProcessFaultPlan
-from .heartbeat import HeartbeatMonitor
+from .heartbeat import HEARTBEAT_INTERVAL_SECONDS, HeartbeatMonitor
 from .merge import merge_telemetry
-from .worker import WorkerConfig, telemetry_key, worker_main
+from .worker import WorkerConfig, _run_task, load_completed, worker_main
 
 __all__ = [
     "FLEET_STATUSES",
@@ -65,11 +81,14 @@ __all__ = [
     "run_fleet",
 ]
 
-#: Fleet statuses from best to worst; extends the runner's job statuses
-#: with ``quarantined`` (a poison job was isolated).
+#: Run statuses from best to worst (``quarantined``: a poison job was
+#: isolated by the spawn pool).
 FLEET_STATUSES = (
     "ok", "partial", "failed", "quarantined", "deadline", "interrupted",
 )
+
+#: How long one spawn-pool supervision sweep waits for worker reports.
+POLL_INTERVAL_SECONDS = 0.05
 
 
 def _slug(name: str) -> str:
@@ -82,37 +101,41 @@ def _null_log(message: str) -> None:
 
 @dataclass
 class FleetOptions:
-    """Supervision knobs for one fleet run."""
+    """Supervision knobs for one run."""
 
-    workers: int = 2
+    #: ``None`` runs every task in the calling process; N >= 1 runs them
+    #: on a spawn pool of N workers
+    workers: Optional[int] = None
     telemetry_mode: str = "off"
     sanitize: Optional[str] = None
-    checkpoint_interval: int = 200
     retry: Optional[RetryPolicy] = None
     deadline_seconds: Optional[float] = None
-    heartbeat_interval_seconds: float = 0.1
     heartbeat_timeout_seconds: float = 30.0
-    task_timeout_seconds: Optional[float] = None
     max_worker_deaths: int = 2
-    poll_interval_seconds: float = 0.05
     fault_plan: Optional[ProcessFaultPlan] = None
 
     def validate(self) -> None:
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.max_worker_deaths < 1:
             raise ConfigError(
                 f"max_worker_deaths must be >= 1, got {self.max_worker_deaths}"
             )
-        if self.heartbeat_timeout_seconds <= self.heartbeat_interval_seconds:
+        if self.heartbeat_timeout_seconds <= HEARTBEAT_INTERVAL_SECONDS:
             raise ConfigError(
-                "heartbeat_timeout_seconds must exceed the beat interval"
+                "heartbeat_timeout_seconds must exceed the "
+                f"{HEARTBEAT_INTERVAL_SECONDS}s beat interval"
+            )
+        if self.workers is None and self.fault_plan is not None:
+            raise ConfigError(
+                "process faults kill or stall spawn workers; they need "
+                "workers >= 1, not the in-process executor"
             )
 
 
 @dataclass
 class TaskOutcome:
-    """What happened to one task, fleet-wide."""
+    """What happened to one task."""
 
     name: str
     status: str  # "done" | "resumed" | "failed" | "quarantined"
@@ -124,8 +147,8 @@ class TaskOutcome:
 
 @dataclass
 class FleetReport:
-    """Outcome of one fleet run; shaped like a ``JobReport`` plus
-    supervision facts."""
+    """Outcome of one run: per-task outcome rows, results by task name,
+    the merged telemetry, and (for a spawn pool) supervision facts."""
 
     status: str
     outcomes: List[TaskOutcome] = field(default_factory=list)
@@ -162,8 +185,8 @@ class _Worker:
         self.id = worker_id
         self.process = process
         self.queue = queue
-        self.assigned: Optional[Tuple[int, Any, int, float]] = None
-        # (seq, task, attempt, assigned_at)
+        self.assigned: Optional[Tuple[int, Any, int]] = None
+        # (seq, task, attempt)
 
     @property
     def idle(self) -> bool:
@@ -177,27 +200,23 @@ class _FleetRun:
     def __init__(
         self,
         tasks: Sequence[Any],
-        store: CheckpointStore,
+        store: Optional[CheckpointStore],
         options: FleetOptions,
         log: Callable[[str], None],
     ) -> None:
         options.validate()
         self.tasks = list(tasks)
-        self.order = {task.name: i for i, task in enumerate(self.tasks)}
-        if len(self.order) != len(self.tasks):
+        if len({task.name for task in self.tasks}) != len(self.tasks):
             raise ConfigError("fleet task names must be unique")
+        if options.workers is not None and store is None:
+            raise ConfigError(
+                "a spawn pool needs a checkpoint store: results, salvage "
+                "state and heartbeats all live in it"
+            )
         self.store = store
         self.options = options
         self.log = log
         self.retry = options.retry if options.retry is not None else RetryPolicy()
-        self.fleet_dir = os.path.join(store.root, "fleet")
-        os.makedirs(os.path.join(self.fleet_dir, "hb"), exist_ok=True)
-        self.monitor = HeartbeatMonitor(
-            os.path.join(self.fleet_dir, "hb"),
-            timeout_seconds=options.heartbeat_timeout_seconds,
-        )
-        self.ctx = get_context("spawn")
-        self.result_queue = self.ctx.Queue()
         self.workers: Dict[int, _Worker] = {}
         self.next_worker_id = 0
         self.next_seq = 0
@@ -222,23 +241,35 @@ class _FleetRun:
             if gang is not None:
                 self.gang_members.setdefault(gang, []).append(task.name)
         self.gangs_launched: Set[str] = set()
+        seats = options.workers or 1
         for gang, members in self.gang_members.items():
-            if len(members) > options.workers:
+            if len(members) > seats:
                 raise ConfigError(
                     f"gang {gang!r} needs {len(members)} workers but the "
-                    f"pool has {options.workers}; gangs launch atomically, "
-                    "so workers must cover the largest gang"
+                    f"run has {seats} (workers={options.workers}); gangs "
+                    "launch atomically, so a spawn pool must cover the "
+                    "largest gang"
                 )
 
     # -- worker lifecycle ----------------------------------------------
-    def _config(self) -> WorkerConfig:
-        return WorkerConfig(
+    def _open_pool(self) -> None:
+        """Everything only a spawn pool needs (and only it may import)."""
+        from multiprocessing import get_context
+
+        assert self.store is not None
+        self.fleet_dir = os.path.join(self.store.root, "fleet")
+        os.makedirs(os.path.join(self.fleet_dir, "hb"), exist_ok=True)
+        self.monitor = HeartbeatMonitor(
+            os.path.join(self.fleet_dir, "hb"),
+            timeout_seconds=self.options.heartbeat_timeout_seconds,
+        )
+        self.ctx = get_context("spawn")
+        self.result_queue = self.ctx.Queue()
+        self.config = WorkerConfig(
             fleet_dir=self.fleet_dir,
             store_root=self.store.root,
             telemetry_mode=self.options.telemetry_mode,
             sanitize=self.options.sanitize,
-            checkpoint_interval=self.options.checkpoint_interval,
-            heartbeat_interval_seconds=self.options.heartbeat_interval_seconds,
             fault_plan=self.options.fault_plan,
             trace=self.tracer.context() if self.tracer.enabled else None,
         )
@@ -252,7 +283,7 @@ class _FleetRun:
         queue = self.ctx.Queue()
         process = self.ctx.Process(
             target=worker_main,
-            args=(worker_id, self._config(), queue, self.result_queue),
+            args=(worker_id, self.config, queue, self.result_queue),
             name=f"fleet-worker-{worker_id}",
             daemon=True,
         )
@@ -268,7 +299,8 @@ class _FleetRun:
         return worker
 
     def start_workers(self) -> None:
-        for _ in range(min(self.options.workers, len(self.tasks)) or 1):
+        self._open_pool()
+        for _ in range(min(self.options.workers or 1, len(self.tasks))):
             self.spawn_worker()
 
     def stop_workers(self, force: bool = False) -> None:
@@ -297,28 +329,74 @@ class _FleetRun:
         self.next_seq += 1
         heapq.heappush(self.ready, (at, self.next_seq, task, attempt))
 
-    def _assign(self, worker: _Worker, task: Any, attempt: int) -> None:
-        now = time.monotonic()
-        self.next_seq += 1
-        seq = self.next_seq
-        worker.assigned = (seq, task, attempt, now)
-        self.inflight[seq] = (task, attempt)
-        self.started.setdefault(task.name, now)
+    def _begin(self, task: Any, attempt: int, worker: Optional[int]) -> SpanHandle:
+        """Note one attempt starting; returns the task's span."""
+        self.started.setdefault(task.name, time.monotonic())
         span = self.task_spans.get(task.name)
         if span is None:
-            # the task span survives worker deaths and reassignments: it
-            # covers first assignment to final outcome, with the worker-
-            # side execution spans parented under it
+            # the task span survives retries, worker deaths and
+            # reassignments: it covers first assignment to final outcome,
+            # with the execution spans parented under it
             span = self.tracer.span(
                 f"task:{task.name}", cat="task", parent=self._fleet_span_id()
             )
             self.task_spans[task.name] = span
-        span.event("assign", worker=worker.id, attempt=attempt)
+        span.event("assign", worker=worker, attempt=attempt)
+        return span
+
+    def _assign(self, worker: _Worker, task: Any, attempt: int) -> None:
+        self.next_seq += 1
+        seq = self.next_seq
+        worker.assigned = (seq, task, attempt)
+        self.inflight[seq] = (task, attempt)
+        span = self._begin(task, attempt, worker.id)
         try:
             worker.queue.put(("task", seq, task, span.span_id))
         except (OSError, ValueError):
             # queue to a dying worker; liveness sweep will reassign
             pass
+
+    def run_inline(
+        self, shutdown: GracefulShutdown, watchdog: Optional[Watchdog]
+    ) -> Optional[str]:
+        """The in-process executor: run the earliest ready task here.
+
+        Returns the run status to stop with when the task unwound on a
+        job-level condition (its mid-run state is already checkpointed),
+        else ``None``.
+        """
+        at, _, task, attempt = heapq.heappop(self.ready)
+        span = self._begin(task, attempt, worker=None)
+        wait = at - time.monotonic()
+        if wait > 0:  # only a retry's backoff is ever in the future
+            with self.tracer.span(
+                "retry.wait", cat="retry", parent=span.span_id,
+                attempt=attempt - 1,
+            ):
+                time.sleep(wait)
+        ctx = UnitContext(
+            name=task.name,
+            store=self.store,
+            shutdown=shutdown,
+            watchdog=watchdog,
+            sanitize=self.options.sanitize,
+            trace_parent=span.span_id,
+        )
+        try:
+            result, telemetry, resumed = _run_task(
+                task, ctx, self.options.telemetry_mode, span, profile=True
+            )
+        except (DeadlineExceeded, Interrupted) as exc:
+            self.log(f"{task.name}: {exc}")
+            return "deadline" if isinstance(exc, DeadlineExceeded) else "interrupted"
+        except Exception as exc:  # noqa: BLE001 - becomes the task's outcome
+            self.attempt_failed(
+                task, attempt, f"{type(exc).__name__}: {exc}",
+                self.retry.retryable(exc),
+            )
+        else:
+            self.record_done(task.name, result, telemetry, resumed, attempt)
+        return None
 
     def _end_task_span(self, name: str, status: str) -> None:
         span = self.task_spans.pop(name, None)
@@ -407,6 +485,20 @@ class _FleetRun:
         self._end_task_span(name, "failed")
         self.log(f"{name}: failed after {attempts} attempt(s): {error}")
 
+    def attempt_failed(
+        self, task: Any, attempt: int, error: str, retryable: bool
+    ) -> None:
+        """One attempt raised: schedule the retry or record the failure."""
+        if retryable and attempt <= self.retry.max_retries:
+            delay = self.retry.backoff(task.name, attempt)
+            self.log(
+                f"{task.name}: attempt {attempt} failed ({error}); "
+                f"retrying in {delay:.2f}s"
+            )
+            self.enqueue(task, attempt + 1, time.monotonic() + delay)
+        else:
+            self.record_failed(task.name, attempt, error)
+
     def quarantine(self, task: Any, attempts: int) -> None:
         name = task.name
         if name in self.outcomes:
@@ -444,20 +536,15 @@ class _FleetRun:
 
     def salvage_or_requeue(self, worker: _Worker) -> None:
         """A worker died holding a task: salvage, requeue, or quarantine."""
-        assert worker.assigned is not None
-        seq, task, attempt, _ = worker.assigned
+        assert worker.assigned is not None and self.store is not None
+        seq, task, attempt = worker.assigned
         self.inflight.pop(seq, None)
         name = task.name
         self.store.refresh()
-        if self.store.has("unit", name):
+        done = load_completed(self.store, name)
+        if done is not None:
             # died after persisting the result but before reporting it
-            telemetry: NullTelemetry = NullTelemetry()
-            if self.store.has("telemetry", telemetry_key(name)):
-                telemetry = self.store.load("telemetry", telemetry_key(name))
-            self.record_done(
-                name, self.store.load("unit", name), telemetry,
-                resumed=False, attempts=attempt,
-            )
+            self.record_done(name, *done, resumed=False, attempts=attempt)
             return
         dead = self.deaths.setdefault(name, set())
         dead.add(worker.id)
@@ -493,21 +580,11 @@ class _FleetRun:
                 attempts = task_attempt[1] if task_attempt else 1
                 self.record_done(name, result, telemetry, resumed, attempts)
             elif kind == "fail":
-                _, worker_id, seq, name, error, retryable = message
+                _, worker_id, seq, _, error, retryable = message
                 self._release(worker_id, seq)
                 task_attempt = self.inflight.pop(seq, None)
-                if task_attempt is None:
-                    continue
-                task, attempt = task_attempt
-                if retryable and attempt <= self.retry.max_retries:
-                    delay = self.retry.backoff(name, attempt)
-                    self.log(
-                        f"{name}: attempt {attempt} failed ({error}); "
-                        f"retrying in {delay:.2f}s"
-                    )
-                    self.enqueue(task, attempt + 1, time.monotonic() + delay)
-                else:
-                    self.record_failed(name, attempt, error)
+                if task_attempt is not None:
+                    self.attempt_failed(*task_attempt, error, retryable)
             if remaining <= 0:
                 return
 
@@ -518,24 +595,13 @@ class _FleetRun:
                 worker.assigned = None
 
     def sweep_liveness(self) -> None:
-        now = time.monotonic()
         for worker in list(self.workers.values()):
             hung = False
             if worker.process.exitcode is None:
-                stale = self.monitor.stale(worker.id)
-                overrun = (
-                    self.options.task_timeout_seconds is not None
-                    and worker.assigned is not None
-                    and now - worker.assigned[3]
-                    > self.options.task_timeout_seconds
-                )
-                if not stale and not overrun:
+                if not self.monitor.stale(worker.id):
                     continue
                 hung = True
-                why = "heartbeat stale" if stale else "task timeout"
-                self.log(
-                    f"worker {worker.id}: {why}; sending SIGKILL"
-                )
+                self.log(f"worker {worker.id}: heartbeat stale; sending SIGKILL")
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
             # dead (either found dead, or just killed for hanging)
@@ -624,63 +690,75 @@ def _recipe_of(task: Any) -> Dict[str, Any]:
 
 def run_fleet(
     tasks: Sequence[Any],
-    store: CheckpointStore,
+    store: Optional[CheckpointStore] = None,
     options: Optional[FleetOptions] = None,
     log: Optional[Callable[[str], None]] = None,
+    fingerprint: Optional[Dict[str, Any]] = None,
 ) -> FleetReport:
-    """Run ``tasks`` on a supervised spawn pool; returns a
-    :class:`FleetReport` equal to the serial run's, whatever happens to
-    the workers along the way."""
+    """Run ``tasks`` under supervision — in this process or on a spawn
+    pool, per ``options.workers`` — and return the :class:`FleetReport`,
+    the same whichever executor ran them and whatever happened to the
+    workers along the way.
+
+    With a ``store``, ``fingerprint`` pins the job the store belongs to
+    (a mismatch is a :class:`~repro.errors.CheckpointError`) and tasks
+    the store already completed are loaded, never re-run.
+    """
     options = options if options is not None else FleetOptions()
     run = _FleetRun(tasks, store, options, log if log is not None else _null_log)
-    run.fleet_span = run.tracer.span(
-        "fleet", cat="job", workers=options.workers, tasks=len(run.tasks)
-    )
     watchdog = (
         Watchdog(options.deadline_seconds)
         if options.deadline_seconds is not None
         else None
     )
+    if store is not None:
+        if fingerprint is not None:
+            store.check_job(fingerprint)
+        store.refresh()
+        if options.telemetry_mode != "off" and store.has("telemetry", "registry"):
+            raise CheckpointError(
+                f"checkpoint store {store.root} was written by a release "
+                "that kept one job-level telemetry snapshot "
+                "('telemetry/registry') instead of per-task pieces; the "
+                "units it completed have no pieces to fold, so resuming "
+                "with telemetry on would export part of the stream. "
+                "Resume without --telemetry, or restart the job with "
+                "--checkpoint-dir"
+            )
+    run.fleet_span = run.tracer.span(
+        "fleet", cat="job", workers=options.workers, tasks=len(run.tasks)
+    )
     started = time.monotonic()
     status_override: Optional[str] = None
     try:
-        # pre-salvage: anything this store already completed never hits a
-        # queue
-        run.store.refresh()
         for task in run.tasks:
-            if run.store.has("unit", task.name):
-                telemetry: NullTelemetry = NullTelemetry()
-                if run.store.has("telemetry", telemetry_key(task.name)):
-                    telemetry = run.store.load(
-                        "telemetry", telemetry_key(task.name)
-                    )
-                run.record_done(
-                    task.name, run.store.load("unit", task.name), telemetry,
-                    resumed=True, attempts=0,
-                )
+            # pre-salvage: anything this store already completed never
+            # reaches an executor
+            done = load_completed(store, task.name) if store is not None else None
+            if done is not None:
+                run.record_done(task.name, *done, resumed=True, attempts=0)
             else:
                 run.enqueue(task, attempt=1, at=started)
         with GracefulShutdown() as shutdown:
-            force = False
             try:
-                if run.unfinished():
+                if run.unfinished() and options.workers is not None:
                     run.start_workers()
-                while run.unfinished():
+                while run.unfinished() and status_override is None:
                     if shutdown.requested:
                         status_override = "interrupted"
-                        run.log("shutdown requested; stopping fleet")
-                        break
-                    if watchdog is not None and watchdog.expired:
+                    elif watchdog is not None and watchdog.expired:
                         status_override = "deadline"
-                        run.log("fleet deadline exceeded; stopping")
-                        break
-                    run.assign_ready()
-                    run.drain_results(options.poll_interval_seconds)
-                    run.sweep_liveness()
+                    elif options.workers is None:
+                        status_override = run.run_inline(shutdown, watchdog)
+                    else:
+                        run.assign_ready()
+                        run.drain_results(POLL_INTERVAL_SECONDS)
+                        run.sweep_liveness()
                 if status_override is not None:
-                    force = True
+                    run.log(f"run {status_override}; stopping")
             finally:
-                run.stop_workers(force=force)
+                # mid-task workers won't drain their queue: force
+                run.stop_workers(force=status_override is not None)
         return run.report(status_override, time.monotonic() - started)
     finally:
         run.fleet_span.end()

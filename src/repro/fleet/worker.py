@@ -22,7 +22,10 @@ the replacement worker resumes instead of restarting.
 Each task runs under a **fresh** telemetry of the configured mode; the
 piece ships back with the result and the supervisor folds the pieces in
 canonical task order (:mod:`repro.fleet.merge`), which is what makes
-``--workers N`` telemetry equal to serial regardless of scheduling.
+telemetry independent of the executor and of scheduling.  The in-process
+executor (``FleetOptions.workers=None``) calls the same :func:`_run_task`
+directly, with a real ``GracefulShutdown``/``Watchdog`` on the context
+where a worker has its :class:`HeartbeatPulse`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from ..runner.checkpoint import CheckpointStore
 from ..runner.supervisor import NON_RETRYABLE, UnitContext
@@ -41,18 +44,33 @@ from ..trace import (
     TraceContext,
     Tracer,
     current_tracer,
-    phase_delta,
     use_tracer,
 )
 from .faults import FaultInjector, ProcessFaultPlan
 from .heartbeat import Heartbeat
 
-__all__ = ["WorkerConfig", "worker_main", "telemetry_key"]
+__all__ = ["WorkerConfig", "load_completed", "worker_main", "telemetry_key"]
 
 
 def telemetry_key(name: str) -> str:
     """Store key for one task's telemetry piece."""
     return f"task-{name}"
+
+
+def load_completed(
+    store: CheckpointStore, name: str
+) -> Optional[Tuple[Any, NullTelemetry]]:
+    """A finished task's ``(result, telemetry piece)`` from the store, or
+    ``None`` while the store holds no result under ``name``."""
+    if not store.has("unit", name):
+        return None
+    key = telemetry_key(name)
+    telemetry = (
+        store.load("telemetry", key)
+        if store.has("telemetry", key)
+        else NullTelemetry()
+    )
+    return store.load("unit", name), telemetry
 
 
 @dataclass(frozen=True)
@@ -63,8 +81,6 @@ class WorkerConfig:
     store_root: str
     telemetry_mode: str = "off"  # "off" | "metrics" | "trace"
     sanitize: Optional[str] = None
-    checkpoint_interval: int = 200
-    heartbeat_interval_seconds: float = 0.1
     fault_plan: Optional[ProcessFaultPlan] = None
     #: run tracing context (trace id, span dir, epoch); None = no tracing
     trace: Optional[TraceContext] = None
@@ -87,78 +103,58 @@ class HeartbeatPulse:
         self._heartbeat.beat("run", job=self._job)
 
 
-def _fresh_telemetry(mode: str, profile: bool = False) -> NullTelemetry:
+def _fresh_telemetry(mode: str, profile: bool, tracing: bool) -> NullTelemetry:
     """One task's telemetry recorder.
 
-    When tracing is on (``profile=True``) the recorder always carries a
-    profiler so the tracer can synthesize per-tick phase spans; for
+    ``profile`` keeps the tick profiler when telemetry is on; tracing
+    always needs one, to synthesize per-tick phase spans — for
     ``mode == "off"`` that means a *shadow* telemetry the caller must
-    discard after the profiler is read — it exists only to feed the
-    trace, never the store or the supervisor's merge.
+    discard after the profiler is read: it exists only to feed the
+    trace, never the store or the merge.
     """
-    if mode == "off":
-        return (
-            Telemetry(mode="metrics", profile=True)
-            if profile
-            else NullTelemetry()
-        )
-    return Telemetry(mode=mode, profile=profile)
+    if mode != "off":
+        return Telemetry(mode=mode, profile=profile or tracing)
+    return Telemetry(mode="metrics", profile=True) if tracing else NullTelemetry()
 
 
 def _run_task(
     task: Any,
-    store: CheckpointStore,
-    config: WorkerConfig,
-    heartbeat: Heartbeat,
+    ctx: UnitContext,
+    telemetry_mode: str,
     task_span: SpanHandle,
+    profile: bool,
 ) -> tuple:
-    """Execute (or salvage) one task; returns (result, telemetry, resumed)."""
-    name = task.name
-    store.refresh()
-    if store.has("unit", name):
-        # completed by a worker that died before reporting, or by an
-        # earlier (serial or fleet) run sharing this store
-        task_span.event("task.salvaged")
-        result = store.load("unit", name)
-        telemetry = (
-            store.load("telemetry", telemetry_key(name))
-            if store.has("telemetry", telemetry_key(name))
-            else NullTelemetry()
-        )
-        return result, telemetry, True
+    """Execute (or salvage) one task; returns (result, telemetry, resumed).
+
+    ``profile`` keeps the piece's tick profiler even without tracing:
+    the in-process executor sets it (its pieces are never pickled, so
+    their wall-time totals reach the merged ``profile`` export); a spawn
+    worker's would pickle away to empty, so it profiles only to feed the
+    tracer's phase spans.
+    """
+    name, store = task.name, ctx.store
+    if store is not None:
+        store.refresh()
+        done = load_completed(store, name)
+        if done is not None:
+            # completed by a worker that died before reporting, or by
+            # another run sharing this store
+            task_span.event("task.salvaged")
+            return done[0], done[1], True
     tracer = current_tracer()
-    telemetry = _fresh_telemetry(config.telemetry_mode, profile=tracer.enabled)
-    shadow = config.telemetry_mode == "off" and telemetry.enabled
-    ctx = UnitContext(
-        name=name,
-        store=store,
-        shutdown=None,
-        watchdog=HeartbeatPulse(heartbeat, name),  # type: ignore[arg-type]
-        sanitize=config.sanitize,
-        checkpoint_interval=config.checkpoint_interval,
-        trace_parent=task_span.span_id,
-    )
-    profile_before = (
-        dict(telemetry.profiler.totals_seconds)
-        if telemetry.profiler is not None
-        else {}
-    )
+    telemetry = _fresh_telemetry(telemetry_mode, profile, tracer.enabled)
     with use(telemetry):
         result = task.run(ctx)
     if telemetry.profiler is not None:
-        tracer.emit_phases(
-            task_span,
-            phase_delta(
-                profile_before, dict(telemetry.profiler.totals_seconds)
-            ),
-        )
-    if shadow:
-        # the shadow recorder existed only for the profiler above; the
-        # supervisor asked for telemetry off, so ship (and store) none
+        tracer.emit_phases(task_span, telemetry.profiler.totals_seconds)
+    if telemetry_mode == "off":
+        # a shadow recorder existed only for the profiler above; the
+        # caller asked for telemetry off, so ship (and store) none
         telemetry = NullTelemetry()
-    if telemetry.enabled:
-        store.save("telemetry", telemetry_key(name), telemetry)
-    store.save("unit", name, result)
+    if store is not None:
+        if telemetry.enabled:
+            store.save("telemetry", telemetry_key(name), telemetry)
+        store.save("unit", name, result)
     return result, telemetry, False
 
 
@@ -172,11 +168,7 @@ def worker_main(
     # Ctrl-C lands on the whole process group; the supervisor owns
     # worker lifecycle, so workers must not die to a stray SIGINT.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    heartbeat = Heartbeat(
-        os.path.join(config.fleet_dir, "hb"),
-        worker_id,
-        interval_seconds=config.heartbeat_interval_seconds,
-    )
+    heartbeat = Heartbeat(os.path.join(config.fleet_dir, "hb"), worker_id)
     heartbeat.start()
     injector = FaultInjector(
         config.fault_plan, os.path.join(config.fleet_dir, "faults")
@@ -200,9 +192,16 @@ def worker_main(
                 f"task:{name}", cat="task",
                 parent=parent_span, worker=worker_id,
             ) as span:
+                ctx = UnitContext(
+                    name=name,
+                    store=store,
+                    watchdog=HeartbeatPulse(heartbeat, name),  # type: ignore[arg-type]
+                    sanitize=config.sanitize,
+                    trace_parent=span.span_id,
+                )
                 try:
                     result, telemetry, resumed = _run_task(
-                        task, store, config, heartbeat, span
+                        task, ctx, config.telemetry_mode, span, profile=False
                     )
                 except Exception as exc:  # noqa: BLE001 - reported to supervisor
                     retryable = not isinstance(exc, NON_RETRYABLE)

@@ -1,4 +1,4 @@
-"""Crash-safe supervised experiment runner.
+"""Crash-safe experiment running: storage, resumable runs, figure jobs.
 
 Layers (bottom-up):
 
@@ -6,24 +6,31 @@ Layers (bottom-up):
   storage (:class:`CheckpointStore`).
 * :mod:`~repro.runner.resumable` — tick-level resumable simulation runs
   (:class:`EngineRun`, :class:`FluidRun`, :func:`run_checkpointed`).
-* :mod:`~repro.runner.supervisor` — watchdogs, retries, graceful
-  shutdown and the per-unit loop (:class:`SupervisedRunner`).
+* :mod:`~repro.runner.supervisor` — what a supervised task sees of its
+  supervisor: watchdog, retry policy, graceful shutdown,
+  :class:`UnitContext`.  The supervisor itself is the scheduler,
+  :func:`repro.fleet.pool.run_fleet`.
 * :mod:`~repro.runner.figures` — the registry decomposing every figure
-  into supervised units (:func:`build_figure_job`).
+  into units (:func:`build_figure_job`) and the picklable task recipes
+  the scheduler runs (:func:`figure_tasks`, :func:`shard_figure_tasks`).
 """
 
 from .checkpoint import KINDS, CheckpointStore
-from .figures import FigureJob, FigureOutput, build_figure_job
+from .figures import (
+    FigureJob,
+    FigureOutput,
+    FigureUnitTask,
+    ShardUnitTask,
+    build_figure_job,
+    figure_tasks,
+    shard_figure_tasks,
+)
 from .resumable import EngineRun, FluidRun, run_checkpointed
 from .supervisor import (
-    JOB_STATUSES,
     NON_RETRYABLE,
     GracefulShutdown,
-    JobReport,
     RetryPolicy,
-    SupervisedRunner,
     UnitContext,
-    UnitOutcome,
     Watchdog,
 )
 
@@ -32,17 +39,17 @@ __all__ = [
     "CheckpointStore",
     "FigureJob",
     "FigureOutput",
+    "FigureUnitTask",
+    "ShardUnitTask",
     "build_figure_job",
+    "figure_tasks",
+    "shard_figure_tasks",
     "EngineRun",
     "FluidRun",
     "run_checkpointed",
-    "JOB_STATUSES",
     "NON_RETRYABLE",
     "GracefulShutdown",
-    "JobReport",
     "RetryPolicy",
-    "SupervisedRunner",
     "UnitContext",
-    "UnitOutcome",
     "Watchdog",
 ]

@@ -1,21 +1,20 @@
-"""Job supervision: watchdogs, retries, graceful shutdown, unit loop.
+"""Supervision primitives shared by every executor of the scheduler.
 
-The :class:`SupervisedRunner` drives a list of named *units* (independent
-callables, typically the cells of a figure sweep) under a shared
-discipline:
+:func:`repro.fleet.pool.run_fleet` drives tasks either in the calling
+process or on a spawn pool; what a task sees of its supervisor is the
+same either way and lives here:
 
-* units whose results are already checkpointed are skipped on resume;
-* each unit gets a bounded number of retries with seed-derived jittered
-  backoff (deterministic errors — bad config, invariant violations — are
-  never retried: re-running cannot fix them);
-* a cooperative watchdog enforces a wall-clock deadline, checked between
-  units and inside resumable tick loops, so cancellation is clean (no
+* :class:`RetryPolicy` — a bounded number of retries with seed-derived
+  jittered backoff (deterministic errors — bad config, invariant
+  violations — are never retried: re-running cannot fix them);
+* :class:`Watchdog` — a cooperative wall-clock deadline, checked between
+  tasks and inside resumable tick loops, so cancellation is clean (no
   half-written checkpoints);
-* SIGTERM/SIGINT request a graceful stop: the current unit checkpoints
-  its mid-run state, completed results stay in the store, and the job
-  reports ``interrupted`` so a later ``--resume`` continues bit-identically;
-* whatever completed when a job dies is salvaged: the per-unit outcome
-  table records exactly which results are trustworthy.
+* :class:`GracefulShutdown` — SIGTERM/SIGINT request a stop: the current
+  task checkpoints its mid-run state, completed results stay in the
+  store, and the run reports ``interrupted`` so a later ``--resume``
+  continues bit-identically;
+* :class:`UnitContext` — what the scheduler hands a task's ``run``.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from __future__ import annotations
 import hashlib
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..errors import (
     ConfigError,
@@ -32,36 +31,10 @@ from ..errors import (
     Interrupted,
     InvariantViolation,
 )
-from ..telemetry import current
-from ..trace import current_tracer, phase_delta
 from .checkpoint import CheckpointStore
 
 #: Errors retrying cannot fix: same inputs -> same failure.
 NON_RETRYABLE = (ConfigError, InvariantViolation, DeadlineExceeded, Interrupted)
-
-#: Job-level statuses, from best to worst.
-JOB_STATUSES = ("ok", "partial", "failed", "deadline", "interrupted")
-
-
-def _null_log(message: str) -> None:
-    """Default no-op log sink.
-
-    Module-level (not a lambda) so a runner instance holding it stays
-    picklable for checkpoint/salvage paths.
-    """
-
-
-def _profiler_totals() -> Dict[str, float]:
-    """Snapshot of the session profiler's per-subsystem totals.
-
-    Used to synthesize per-phase child spans for a unit (the delta
-    between two snapshots is the unit's own tick-phase time); empty when
-    profiling is off, which turns the synthesis into a no-op.
-    """
-    profiler = current().profiler
-    if profiler is None:
-        return {}
-    return dict(profiler.totals_seconds)
 
 
 class Watchdog:
@@ -216,218 +189,3 @@ class UnitContext:
             watchdog=self.watchdog,
             trace_parent=self.trace_parent,
         )
-
-
-@dataclass
-class UnitOutcome:
-    """What happened to one unit."""
-
-    name: str
-    status: str  # "done" | "resumed" | "failed"
-    attempts: int = 0
-    error: Optional[str] = None
-    seconds: float = 0.0
-
-
-@dataclass
-class JobReport:
-    """Outcome of one supervised job."""
-
-    status: str  # one of JOB_STATUSES
-    outcomes: List[UnitOutcome] = field(default_factory=list)
-    results: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def completed(self) -> List[str]:
-        return [o.name for o in self.outcomes if o.status in ("done", "resumed")]
-
-    def failed(self) -> List[str]:
-        return [o.name for o in self.outcomes if o.status == "failed"]
-
-    def summary_rows(self) -> List[Tuple[str, str, int, str]]:
-        return [
-            (o.name, o.status, o.attempts, o.error or "")
-            for o in self.outcomes
-        ]
-
-
-class SupervisedRunner:
-    """Runs named units under checkpointing, retry, deadline and signal
-    supervision."""
-
-    def __init__(
-        self,
-        store: Optional[CheckpointStore] = None,
-        deadline_seconds: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        sanitize: Optional[str] = None,
-        checkpoint_interval: int = 200,
-        sleep: Callable[[float], None] = time.sleep,
-        log: Optional[Callable[[str], None]] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.store = store
-        self.deadline_seconds = deadline_seconds
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.sanitize = sanitize
-        self.checkpoint_interval = checkpoint_interval
-        self._sleep = sleep
-        self._log = log if log is not None else _null_log
-        self._clock = clock
-
-    def run_units(
-        self,
-        units: Sequence[Tuple[str, Callable[[UnitContext], Any]]],
-        job_fingerprint: Optional[Dict[str, Any]] = None,
-    ) -> JobReport:
-        """Run every unit; returns the :class:`JobReport`.
-
-        Results of units already in the store are loaded, not re-run —
-        that, plus per-unit determinism (fresh simulators seeded from the
-        unit's settings), is what makes a killed job resumable with
-        bit-identical output.
-        """
-        if self.store is not None and job_fingerprint is not None:
-            self.store.check_job(job_fingerprint)
-        # resume the telemetry stream: a killed job's registry (series,
-        # counters) continues instead of restarting, so exported series
-        # from a resumed job match an uninterrupted run
-        telemetry = current()
-        if (
-            self.store is not None
-            and telemetry.enabled
-            and self.store.has("telemetry", "registry")
-        ):
-            telemetry.adopt_state(self.store.load("telemetry", "registry"))
-        watchdog = (
-            Watchdog(self.deadline_seconds, clock=self._clock)
-            if self.deadline_seconds is not None
-            else None
-        )
-        report = JobReport(status="ok")
-        job_span = current_tracer().span("job", cat="job", units=len(units))
-        try:
-            with GracefulShutdown() as shutdown:
-                try:
-                    for name, fn in units:
-                        if watchdog is not None:
-                            watchdog.check()
-                        shutdown.raise_if_requested(context=name)
-                        self._run_one(
-                            name, fn, report, shutdown, watchdog,
-                            parent_span=job_span.span_id,
-                        )
-                except DeadlineExceeded as exc:
-                    self._log(f"deadline: {exc}")
-                    report.status = "deadline"
-                except Interrupted as exc:
-                    self._log(f"interrupted: {exc}")
-                    report.status = "interrupted"
-            if report.status == "ok" and report.failed():
-                report.status = "partial" if report.completed() else "failed"
-            job_span.end(status=report.status)
-        finally:
-            job_span.end()
-        return report
-
-    # ------------------------------------------------------------------
-    def _run_one(
-        self,
-        name: str,
-        fn: Callable[[UnitContext], Any],
-        report: JobReport,
-        shutdown: GracefulShutdown,
-        watchdog: Optional[Watchdog],
-        parent_span: Optional[str] = None,
-    ) -> None:
-        tracer = current_tracer()
-        if self.store is not None and self.store.has("unit", name):
-            report.results[name] = self.store.load("unit", name)
-            report.outcomes.append(UnitOutcome(name=name, status="resumed"))
-            tracer.event("unit.resumed", cat="unit", parent=parent_span, unit=name)
-            self._log(f"{name}: resumed from checkpoint")
-            return
-        span = tracer.span(f"unit:{name}", cat="unit", parent=parent_span)
-        ctx = UnitContext(
-            name=name,
-            store=self.store,
-            shutdown=shutdown,
-            watchdog=watchdog,
-            sanitize=self.sanitize,
-            checkpoint_interval=self.checkpoint_interval,
-            trace_parent=span.span_id,
-        )
-        attempts = 0
-        started = self._clock()
-        profile_before = _profiler_totals()
-        try:
-            while True:
-                attempts += 1
-                try:
-                    result = fn(ctx)
-                except (DeadlineExceeded, Interrupted):
-                    # job-level conditions: unwind to run_units, which stamps
-                    # the report status (completed units stay salvageable)
-                    raise
-                except Exception as exc:
-                    if (
-                        self.retry.retryable(exc)
-                        and attempts <= self.retry.max_retries
-                        and not shutdown.requested
-                    ):
-                        delay = self.retry.backoff(name, attempts)
-                        self._log(
-                            f"{name}: attempt {attempts} failed ({exc}); "
-                            f"retrying in {delay:.2f}s"
-                        )
-                        with tracer.span(
-                            "retry.wait", cat="retry",
-                            parent=span.span_id, attempt=attempts,
-                        ):
-                            self._sleep(delay)
-                        continue
-                    report.outcomes.append(
-                        UnitOutcome(
-                            name=name,
-                            status="failed",
-                            attempts=attempts,
-                            error=f"{type(exc).__name__}: {exc}",
-                            seconds=self._clock() - started,
-                        )
-                    )
-                    self._log(
-                        f"{name}: failed after {attempts} attempt(s): {exc}"
-                    )
-                    span.end(
-                        status="failed", attempts=attempts,
-                        error=type(exc).__name__,
-                    )
-                    return
-                break
-            if self.store is not None:
-                self.store.save("unit", name, result)
-                telemetry = current()
-                if telemetry.enabled:
-                    # snapshot after every completed unit: at most one unit's
-                    # worth of telemetry is lost to a crash (the profiler's
-                    # wall-clock state intentionally pickles away to empty)
-                    self.store.save("telemetry", "registry", telemetry)
-            report.results[name] = result
-            report.outcomes.append(
-                UnitOutcome(
-                    name=name,
-                    status="done",
-                    attempts=attempts,
-                    seconds=self._clock() - started,
-                )
-            )
-            tracer.emit_phases(
-                span, phase_delta(profile_before, _profiler_totals())
-            )
-            span.end(status="done", attempts=attempts)
-            self._log(f"{name}: done ({attempts} attempt(s))")
-        finally:
-            span.end()

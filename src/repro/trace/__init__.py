@@ -3,9 +3,9 @@
 Where :mod:`repro.telemetry` answers *what did the simulation decide*
 (tick-keyed metrics and decision events, digest-safe by construction),
 this package answers *where did the wall clock go*: spans covering the
-supervisor, fleet pool workers, shard gangs (barrier publish / collect /
-timeout epochs), SupervisedRunner phases (checkpoint save / load /
-salvage, watchdog retries), chaos campaign jobs, and — synthesized from
+scheduler, fleet pool workers, shard gangs (barrier publish / collect /
+timeout epochs), resumable-run phases (checkpoint save / load /
+salvage, retry backoff), chaos campaign jobs, and — synthesized from
 :class:`~repro.telemetry.profiler.TickProfiler` totals — the per-tick
 engine/fluid phases.
 

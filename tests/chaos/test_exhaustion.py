@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import ChaosOptions, CampaignSpec, build_chaos_units
+from repro.chaos import ChaosOptions, CampaignSpec, chaos_tasks
 from repro.chaos.spec import (
     DEFAULT_BOUNDED_FLOOR,
     SAMPLED_PACKET_ATTACKER_KINDS,
@@ -114,23 +114,22 @@ class TestExhaustionCampaign:
 
 class TestSweepWiring:
     def test_exhaustion_units_appended(self):
-        units = build_chaos_units(
+        tasks = chaos_tasks(
             ChaosOptions(campaigns=2, exhaustion=2, max_tracked_paths=64)
         )
-        names = [name for name, _ in units]
-        assert names == [
+        assert [task.name for task in tasks] == [
             "campaign-000",
             "campaign-001",
             "exhaustion-000",
             "exhaustion-001",
         ]
-        for name, job in units[2:]:
-            assert job.spec.state_backend == "sketch"
-            assert job.spec.max_tracked_paths == 64
+        for task in tasks[2:]:
+            spec = CampaignSpec.from_dict(task.spec)
+            assert spec.state_backend == "sketch"
+            assert spec.max_tracked_paths == 64
 
     def test_zero_exhaustion_is_the_default(self):
-        units = build_chaos_units(ChaosOptions(campaigns=2))
-        assert len(units) == 2
+        assert len(chaos_tasks(ChaosOptions(campaigns=2))) == 2
 
     def test_negative_exhaustion_rejected(self):
         with pytest.raises(ConfigError):

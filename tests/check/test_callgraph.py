@@ -66,7 +66,7 @@ FLEET = {
         def _helper():
             return 1
         """,
-    "repro.fleet.jobs": """\
+    "repro.runner.figures": """\
         class ShardUnitTask:
             def run(self, ctx):
                 self._go(ctx)
@@ -95,8 +95,8 @@ class TestSymbolTable:
     def test_indexes_functions_and_methods(self):
         table = build_table()
         assert "repro.fleet.worker.worker_main" in table.functions
-        assert "repro.fleet.jobs.ShardUnitTask.run" in table.functions
-        assert table.functions["repro.fleet.jobs.ShardUnitTask.run"].is_method
+        assert "repro.runner.figures.ShardUnitTask.run" in table.functions
+        assert table.functions["repro.runner.figures.ShardUnitTask.run"].is_method
 
     def test_by_simple_name(self):
         table = build_table()
@@ -118,8 +118,8 @@ class TestCallGraph:
 
     def test_self_method_edge(self):
         graph = CallGraph(build_table())
-        assert "repro.fleet.jobs.ShardUnitTask._go" in graph.callees(
-            "repro.fleet.jobs.ShardUnitTask.run"
+        assert "repro.runner.figures.ShardUnitTask._go" in graph.callees(
+            "repro.runner.figures.ShardUnitTask.run"
         )
 
     def test_attribute_call_over_approximates(self):
@@ -133,7 +133,7 @@ class TestCallGraph:
         )
         graph = CallGraph(table)
         # `task.run` is dynamic: edges to every known `run`
-        assert "repro.fleet.jobs.ShardUnitTask.run" in graph.callees(
+        assert "repro.runner.figures.ShardUnitTask.run" in graph.callees(
             "repro.fleet.pool.dispatch"
         )
 
@@ -161,8 +161,8 @@ class TestSpawnEntrypoints:
     def test_worker_mains_and_job_runs(self):
         roots = spawn_entrypoints(build_table())
         assert roots == [
-            "repro.fleet.jobs.ShardUnitTask.run",
             "repro.fleet.worker.worker_main",
+            "repro.runner.figures.ShardUnitTask.run",
         ]
 
     def test_helpers_are_not_roots(self):

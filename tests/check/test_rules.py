@@ -99,8 +99,8 @@ class TestFLC002PickleSafety:
         found = findings(
             "FLC002",
             """
-            def make(SupervisedRunner):
-                return SupervisedRunner(log=lambda m: None)
+            def make(run_fleet, tasks):
+                return run_fleet(tasks, log=lambda m: None)
             """,
             module="repro.cli",
         )

@@ -1,15 +1,14 @@
-"""Task recipes: picklable, canonical, and equal to the serial units."""
+"""Task recipes: picklable, canonical, and equal to the units they name."""
 
 import pickle
 
 import pytest
 
-from repro.chaos.engine import ChaosOptions, build_chaos_units
-from repro.chaos.spec import CampaignSpec
+from repro.chaos.engine import ChaosOptions, chaos_tasks
+from repro.chaos.spec import CampaignSpec, sample_campaign
 from repro.errors import ConfigError
 from repro.experiments.common import FunctionalSettings
-from repro.fleet.jobs import chaos_tasks, figure_tasks
-from repro.runner.figures import build_figure_job
+from repro.runner.figures import build_figure_job, figure_tasks
 from repro.runner.supervisor import UnitContext
 
 
@@ -57,11 +56,13 @@ class TestChaosTasks:
         )
 
     def test_names_and_specs_match_serial_sweep(self):
-        units = build_chaos_units(self.options())
         tasks = chaos_tasks(self.options())
-        assert [t.name for t in tasks] == [name for name, _ in units]
-        for task, (_, unit) in zip(tasks, units):
-            assert CampaignSpec.from_dict(task.spec) == unit.spec
+        assert [t.name for t in tasks] == ["campaign-000", "campaign-001"]
+        for index, task in enumerate(tasks):
+            assert CampaignSpec.from_dict(task.spec) == sample_campaign(
+                5, index, simulator="fluid"
+            )
+            assert not task.shrink and task.artifact_dir is None
 
     def test_tasks_pickle(self):
         for task in chaos_tasks(self.options()):

@@ -10,13 +10,12 @@ sweep that never saw a fault.
 
 import pytest
 
-from repro.chaos.engine import ChaosOptions, run_chaos
+from repro.chaos.engine import ChaosOptions, chaos_tasks, run_chaos
 from repro.errors import ConfigError
 from repro.fleet import (
     FleetOptions,
     ProcessFault,
     ProcessFaultPlan,
-    chaos_tasks,
     run_fleet,
     sample_process_faults,
 )

@@ -15,14 +15,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.common import FunctionalSettings
-from repro.fleet import (
-    FleetOptions,
+from repro.fleet import FleetOptions, merge_telemetry, run_fleet
+from repro.runner import (
+    CheckpointStore,
+    RetryPolicy,
+    UnitContext,
     figure_tasks,
-    merge_telemetry,
-    run_fleet,
 )
-from repro.runner import CheckpointStore, RetryPolicy, SupervisedRunner
-from repro.runner.figures import build_figure_job
 from repro.telemetry import Telemetry, use
 from repro.telemetry.exporters import render_prometheus
 
@@ -72,10 +71,14 @@ class TestOptions:
             FleetOptions(workers=0).validate()
 
     def test_heartbeat_timeout_must_exceed_interval(self):
+        # the beat interval is a 0.1 s constant
         with pytest.raises(ConfigError):
-            FleetOptions(
-                heartbeat_interval_seconds=1.0, heartbeat_timeout_seconds=0.5
-            ).validate()
+            FleetOptions(heartbeat_timeout_seconds=0.1).validate()
+        FleetOptions(heartbeat_timeout_seconds=0.2).validate()
+
+    def test_spawn_pool_needs_a_store(self):
+        with pytest.raises(ConfigError, match="checkpoint store"):
+            run_fleet([PoisonTask()], None, FleetOptions(workers=1))
 
     def test_duplicate_task_names_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "store"))
@@ -87,35 +90,42 @@ class TestOptions:
 class TestDeterminism:
     def test_fleet_matches_serial_results_and_telemetry(self, tmp_path):
         figures = ["fig03", "fig04"]
-        jobs = {f: build_figure_job(f, settings()) for f in figures}
-
-        serial_tel = Telemetry(mode="metrics")
-        serial_results = {}
-        with use(serial_tel):
-            for fig in figures:
-                report = SupervisedRunner().run_units(jobs[fig].units)
-                assert report.ok
-                serial_results.update(report.results)
-
         tasks = [t for f in figures for t in figure_tasks(f, settings())]
+
+        # reference: ONE telemetry threaded through every task in order;
+        # per-task pieces merged in that order must equal this registry
+        shared_tel = Telemetry(mode="metrics")
+        with use(shared_tel):
+            shared = {t.name: t.run(UnitContext(name=t.name)) for t in tasks}
+
+        inline = run_fleet(tasks, None, FleetOptions(telemetry_mode="metrics"))
         fleet = run_fleet(
             tasks,
             CheckpointStore(str(tmp_path / "store")),
             FleetOptions(workers=2, telemetry_mode="metrics"),
         )
-        assert fleet.status == "ok"
-        assert [o.status for o in fleet.outcomes] == ["done"] * len(tasks)
-        assert set(fleet.results) == set(serial_results)
-        for name in serial_results:
-            assert pickle.dumps(fleet.results[name]) == pickle.dumps(
-                serial_results[name]
-            ), f"{name} diverged from serial"
-        assert render_prometheus(fleet.telemetry.registry) == render_prometheus(
-            serial_tel.registry
-        )
-        assert (
-            fleet.telemetry.registry.snapshot() == serial_tel.registry.snapshot()
-        )
+        assert inline.workers_spawned == 0 and fleet.workers_spawned == 2
+        for report in (inline, fleet):
+            assert report.status == "ok"
+            assert [o.status for o in report.outcomes] == ["done"] * len(tasks)
+            assert set(report.results) == set(shared)
+            for name in shared:
+                assert pickle.dumps(report.results[name]) == pickle.dumps(
+                    shared[name]
+                ), f"{name} diverged from the shared-telemetry reference"
+            assert render_prometheus(
+                report.telemetry.registry
+            ) == render_prometheus(shared_tel.registry)
+            assert (
+                report.telemetry.registry.snapshot()
+                == shared_tel.registry.snapshot()
+            )
+        assert [
+            (o.name, o.status, o.attempts, o.error) for o in inline.outcomes
+        ] == [(o.name, o.status, o.attempts, o.error) for o in fleet.outcomes]
+        # in-process pieces are never pickled: their profile survives
+        assert inline.telemetry.profiler is not None
+        assert fleet.telemetry.profiler is None
 
     def test_completed_store_resumes_without_spawning(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "store"))

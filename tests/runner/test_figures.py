@@ -1,4 +1,5 @@
-"""Figure jobs and the supervised CLI: decomposition, resume, exit codes."""
+"""Figure jobs through the scheduler and the CLI: decomposition, resume,
+exit codes."""
 
 import os
 
@@ -7,11 +8,8 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments.common import FunctionalSettings
-from repro.runner import (
-    CheckpointStore,
-    SupervisedRunner,
-    build_figure_job,
-)
+from repro.fleet import run_fleet
+from repro.runner import CheckpointStore, build_figure_job, figure_tasks
 
 SMALL = FunctionalSettings(
     scale=0.05, warmup_seconds=1.0, measure_seconds=2.0, seed=1
@@ -67,9 +65,11 @@ class TestJobExecution:
         from repro.experiments.fig03 import run_fig03
 
         job = build_figure_job("fig03", SMALL)
-        report = SupervisedRunner(
-            store=CheckpointStore(str(tmp_path))
-        ).run_units(job.units, job.fingerprint)
+        report = run_fleet(
+            figure_tasks("fig03", SMALL),
+            CheckpointStore(str(tmp_path)),
+            fingerprint=job.fingerprint,
+        )
         assert report.ok
         output = job.finalize(report.results)
         assert output.rows == sorted(
@@ -78,13 +78,13 @@ class TestJobExecution:
 
     def test_resumed_job_reuses_results(self, tmp_path):
         job = build_figure_job("fig03", SMALL)
-        store = CheckpointStore(str(tmp_path))
-        first = SupervisedRunner(store=store).run_units(
-            job.units, job.fingerprint
+        tasks = figure_tasks("fig03", SMALL)
+        first = run_fleet(
+            tasks, CheckpointStore(str(tmp_path)), fingerprint=job.fingerprint
         )
-        second = SupervisedRunner(
-            store=CheckpointStore(str(tmp_path))
-        ).run_units(job.units, job.fingerprint)
+        second = run_fleet(
+            tasks, CheckpointStore(str(tmp_path)), fingerprint=job.fingerprint
+        )
         assert [o.status for o in second.outcomes] == ["resumed"]
         assert job.finalize(second.results).rows == \
             job.finalize(first.results).rows
@@ -117,6 +117,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", "fig03", "--seed", "9", "--resume", ckpt]) == 2
         assert "different job" in capsys.readouterr().err
+
+    def test_resume_of_a_job_level_telemetry_store_says_why(
+        self, tmp_path, capsys
+    ):
+        from repro.telemetry import Telemetry
+
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["run", "fig03", "--checkpoint-dir", ckpt]) == 0
+        CheckpointStore(ckpt).save(
+            "telemetry", "registry", Telemetry(mode="metrics")
+        )
+        capsys.readouterr()
+        code = main(["run", "fig03", "--resume", ckpt, "--telemetry",
+                     "metrics", "--telemetry-dir", str(tmp_path / "tel")])
+        assert code == 2
+        assert "job-level telemetry snapshot" in capsys.readouterr().err
+        assert main(["run", "fig03", "--resume", ckpt]) == 0
 
     def test_sanitize_strict_accepted(self, capsys):
         assert main(["run", "fig03", "--sanitize", "strict"]) == 0

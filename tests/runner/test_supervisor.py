@@ -1,4 +1,13 @@
-"""SupervisedRunner: retries, deadlines, shutdown, salvage."""
+"""Supervision through the scheduler's in-process executor: retries,
+deadlines, shutdown, salvage.
+
+Everything here runs ``run_fleet(..., workers=None)`` with closure tasks
+(the in-process executor never pickles a task), and without a store
+unless the behaviour under test is the store's.
+"""
+
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import pytest
 
@@ -7,21 +16,30 @@ from repro.errors import (
     DeadlineExceeded,
     InvariantViolation,
 )
+from repro.fleet import FleetOptions, run_fleet
 from repro.runner import (
     CheckpointStore,
     GracefulShutdown,
     RetryPolicy,
-    SupervisedRunner,
     Watchdog,
 )
 
 
-def make_runner(tmp_path=None, **kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_retries=2, base_delay=0.0))
-    kwargs.setdefault("sleep", lambda seconds: None)
-    if tmp_path is not None:
-        kwargs.setdefault("store", CheckpointStore(str(tmp_path)))
-    return SupervisedRunner(**kwargs)
+@dataclass
+class Task:
+    """A closure as a task: what the scheduler needs is a name and a run."""
+
+    name: str
+    run: Callable[[Any], Any]
+
+
+def run_units(units, tmp_path=None, fingerprint=None, **options):
+    options.setdefault("retry", RetryPolicy(max_retries=2, base_delay=0.0))
+    store = CheckpointStore(str(tmp_path)) if tmp_path is not None else None
+    tasks = [Task(name, fn) for name, fn in units]
+    return run_fleet(
+        tasks, store, FleetOptions(**options), fingerprint=fingerprint
+    )
 
 
 class TestRetry:
@@ -34,7 +52,7 @@ class TestRetry:
                 raise RuntimeError("transient")
             return "ok"
 
-        report = make_runner().run_units([("u", flaky)])
+        report = run_units([("u", flaky)])
         assert report.status == "ok"
         assert report.results["u"] == "ok"
         assert report.outcomes[0].attempts == 3
@@ -43,7 +61,7 @@ class TestRetry:
         def always_fails(ctx):
             raise RuntimeError("permanent")
 
-        report = make_runner().run_units([("u", always_fails)])
+        report = run_units([("u", always_fails)])
         assert report.status == "failed"
         assert report.outcomes[0].attempts == 3  # initial + 2 retries
         assert "RuntimeError" in report.outcomes[0].error
@@ -59,7 +77,7 @@ class TestRetry:
             attempts.append(1)
             raise exc
 
-        report = make_runner().run_units([("u", fails)])
+        report = run_units([("u", fails)])
         assert report.outcomes[0].status == "failed"
         assert len(attempts) == 1
 
@@ -81,7 +99,7 @@ class TestPartialSalvage:
         def bad(ctx):
             raise ConfigError("nope")
 
-        report = make_runner().run_units(
+        report = run_units(
             [("good1", lambda ctx: 1), ("bad", bad), ("good2", lambda ctx: 2)]
         )
         assert report.status == "partial"
@@ -93,7 +111,7 @@ class TestPartialSalvage:
         def bad(ctx):
             raise ConfigError("nope")
 
-        report = make_runner().run_units([("a", bad), ("b", bad)])
+        report = run_units([("a", bad), ("b", bad)])
         assert report.status == "failed"
 
 
@@ -106,10 +124,10 @@ class TestResume:
             return ctx.name.upper()
 
         units = [("a", unit), ("b", unit)]
-        first = make_runner(tmp_path).run_units(units, {"fig": "x"})
+        first = run_units(units, tmp_path, {"fig": "x"})
         assert first.status == "ok" and calls == ["a", "b"]
 
-        second = make_runner(tmp_path).run_units(units, {"fig": "x"})
+        second = run_units(units, tmp_path, {"fig": "x"})
         assert second.status == "ok"
         assert calls == ["a", "b"]  # nothing re-ran
         assert [o.status for o in second.outcomes] == ["resumed", "resumed"]
@@ -118,27 +136,38 @@ class TestResume:
     def test_fingerprint_mismatch_refuses(self, tmp_path):
         from repro.errors import CheckpointError
 
-        make_runner(tmp_path).run_units([("a", lambda ctx: 1)], {"seed": 1})
+        run_units([("a", lambda ctx: 1)], tmp_path, {"seed": 1})
         with pytest.raises(CheckpointError, match="different job"):
-            make_runner(tmp_path).run_units([("a", lambda ctx: 1)], {"seed": 2})
+            run_units([("a", lambda ctx: 1)], tmp_path, {"seed": 2})
+
+    def test_job_level_telemetry_snapshot_refused_with_telemetry_on(
+        self, tmp_path
+    ):
+        from repro.errors import CheckpointError
+        from repro.telemetry import Telemetry
+
+        # a store from a release that snapshotted one registry for the
+        # whole job instead of per-task pieces
+        CheckpointStore(str(tmp_path)).save(
+            "telemetry", "registry", Telemetry(mode="metrics")
+        )
+        units = [("a", lambda ctx: 1)]
+        with pytest.raises(CheckpointError, match="job-level telemetry"):
+            run_units(units, tmp_path, telemetry_mode="metrics")
+        # without telemetry there is nothing to lose: the store resumes
+        assert run_units(units, tmp_path).status == "ok"
 
 
 class TestWatchdog:
     def test_deadline_between_units(self):
-        clock = {"t": 0.0}
-
-        def fake_clock():
-            return clock["t"]
-
         def slow(ctx):
-            clock["t"] += 10.0
+            # ten seconds pass on the run's watchdog while the unit runs
+            ctx.watchdog._started -= 10.0
             return 1
 
-        report = SupervisedRunner(
-            deadline_seconds=15.0,
-            clock=fake_clock,
-            sleep=lambda s: None,
-        ).run_units([("a", slow), ("b", slow), ("c", slow)])
+        report = run_units(
+            [("a", slow), ("b", slow), ("c", slow)], deadline_seconds=15.0
+        )
         assert report.status == "deadline"
         assert report.completed() == ["a", "b"]  # c never started
         assert "c" not in report.results
@@ -168,7 +197,7 @@ class TestShutdown:
             ctx.shutdown.signum = 15
             return 1
 
-        report = make_runner(tmp_path).run_units([("a", unit), ("b", unit)])
+        report = run_units([("a", unit), ("b", unit)], tmp_path)
         assert report.status == "interrupted"
         assert ran == ["a"]
         assert report.completed() == ["a"]
@@ -182,3 +211,59 @@ class TestShutdown:
         with GracefulShutdown():
             assert signal.getsignal(signal.SIGTERM) != before
         assert signal.getsignal(signal.SIGTERM) == before
+
+    def test_scheduler_restores_handlers_too(self):
+        import signal
+
+        before = signal.getsignal(signal.SIGTERM)
+        seen = []
+        run_units(
+            [("a", lambda ctx: seen.append(signal.getsignal(signal.SIGTERM)))]
+        )
+        assert seen[0] != before
+        assert signal.getsignal(signal.SIGTERM) == before
+
+
+class TestInProcessExecutor:
+    def test_task_unwinding_on_the_watchdog_ends_the_run(self):
+        def polls(ctx):
+            ctx.watchdog._started -= 10.0
+            ctx.watchdog.check()  # what a resumable tick loop does
+
+        report = run_units(
+            [("a", polls), ("b", lambda ctx: 1)], deadline_seconds=5.0
+        )
+        assert report.status == "deadline"
+        assert report.outcomes == [] and report.results == {}
+
+    def test_task_unwinding_on_shutdown_ends_the_run(self):
+        def stopped(ctx):
+            ctx.shutdown.requested = True
+            ctx.shutdown.raise_if_requested(context=ctx.name)
+
+        report = run_units([("a", stopped), ("b", lambda ctx: 1)])
+        assert report.status == "interrupted"
+        assert report.outcomes == []
+
+    def test_fault_plan_needs_a_spawn_pool(self):
+        from repro.fleet import ProcessFault, ProcessFaultPlan
+
+        plan = ProcessFaultPlan(
+            faults=(ProcessFault("a", "kill_worker", 0.1),)
+        )
+        with pytest.raises(ConfigError, match="in-process"):
+            run_units([("a", lambda ctx: 1)], fault_plan=plan)
+
+    def test_multi_member_gang_needs_a_spawn_pool(self, tmp_path):
+        @dataclass
+        class Member(Task):
+            gang: str = "g"
+
+        tasks = [Member("g#0", lambda ctx: 0), Member("g#1", lambda ctx: 1)]
+        with pytest.raises(ConfigError, match="gang"):
+            run_fleet(tasks, CheckpointStore(str(tmp_path)))
+
+    def test_no_store_no_fleet_directory(self, tmp_path):
+        report = run_units([("a", lambda ctx: 1)], tmp_path)
+        assert report.status == "ok" and report.workers_spawned == 0
+        assert not (tmp_path / "fleet").exists()

@@ -208,6 +208,44 @@ class TestMultiJobRuns:
         )
 
 
+class TestScratchStore:
+    """``--workers`` without ``--checkpoint-dir`` runs on a lent scratch
+    store: gone when the run ends ok, kept and named otherwise."""
+
+    @pytest.fixture
+    def tmp(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_removed_when_the_run_ends_ok(self, tmp, capsys):
+        assert main(["run", "fig03", "--workers", "1"]) == 0
+        assert main(
+            ["chaos", "--seed", "2024", "--campaigns", "1", "--simulator",
+             "packet", "--no-shrink", "--workers", "1"]
+        ) == 0
+        assert list(tmp.glob("repro-fleet-*")) == []
+        assert "scratch store" not in capsys.readouterr().err
+
+    def test_kept_and_named_when_it_does_not(self, tmp, capsys):
+        # a bogus skitter variant makes every fig13 unit fail
+        code = main(
+            ["run", "fig13", "--variants", "bogus-map", "--workers", "1"]
+        )
+        assert code == 1
+        (kept,) = tmp.glob("repro-fleet-*")
+        assert f"scratch store: {kept}" in capsys.readouterr().err
+
+    def test_removed_when_the_run_is_refused(self, tmp, capsys):
+        assert main(["run", "fig03", "--workers", "1", "--deadline", "0"]) == 2
+        assert list(tmp.glob("repro-fleet-*")) == []
+
+    def test_in_process_runs_need_no_store(self, tmp, capsys):
+        assert main(["run", "fig03"]) == 0
+        assert list(tmp.iterdir()) == []
+
+
 class TestTraceCommand:
     def test_trace_flags_parsed(self):
         args = build_parser().parse_args(

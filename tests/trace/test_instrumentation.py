@@ -1,6 +1,6 @@
 """Live spans from the instrumented fabric + digest identity with tracing.
 
-These tests run the real supervisor / fleet / chaos layers with a real
+These tests run the real scheduler (both executors) and chaos layers with a real
 tracer attached and assert (a) the span DAG they emit is the documented
 taxonomy and joins across processes, and (b) results and digests are
 byte-identical with tracing on or off — the regression lock for the
@@ -11,11 +11,11 @@ import pickle
 
 from repro.chaos import ChaosOptions, run_chaos
 from repro.experiments.common import FunctionalSettings
-from repro.fleet import FleetOptions, figure_tasks, run_fleet
+from repro.fleet import FleetOptions, run_fleet
 import numpy as np
 
 from repro.inet.shard import BarrierExchange, ShardSpec
-from repro.runner import CheckpointStore, SupervisedRunner
+from repro.runner import CheckpointStore, figure_tasks
 from repro.trace import NullTracer, Tracer, merge_trace, use_tracer
 
 
@@ -25,33 +25,49 @@ def _settings():
     )
 
 
-def _quick_unit(ctx):
-    return {"name": ctx.name}
+class QuickTask:
+    def __init__(self, name):
+        self.name = name
+
+    def run(self, ctx):
+        return {"name": ctx.name}
 
 
 class TestRunnerSpans:
+    """The in-process executor emits the one span family, single-process."""
+
     def test_job_and_unit_spans_with_parenting(self, tmp_path):
         tracer = Tracer(str(tmp_path), proc="main")
         with use_tracer(tracer):
-            report = SupervisedRunner().run_units(
-                [("u1", _quick_unit), ("u2", _quick_unit)]
-            )
+            report = run_fleet([QuickTask("u1"), QuickTask("u2")])
         tracer.close()
         assert report.status == "ok"
         merged = merge_trace(str(tmp_path))
+        assert list(merged.procs) == ["main"]
         by_name = {s.name: s for s in merged.spans}
-        job = by_name["job"]
+        job = by_name["fleet"]
         assert job.cat == "job"
         assert job.args["status"] == "ok"
-        for unit in ("unit:u1", "unit:u2"):
+        for unit in ("task:u1", "task:u2"):
             assert by_name[unit].parent == job.span_id
             assert by_name[unit].args["status"] == "done"
         assert merged.truncated_spans == 0
 
     def test_no_tracer_no_files(self, tmp_path):
-        report = SupervisedRunner().run_units([("u1", _quick_unit)])
+        report = run_fleet([QuickTask("u1")])
         assert report.status == "ok"
         assert list(tmp_path.iterdir()) == []
+
+    def test_in_process_phases_parent_under_the_task_span(self, tmp_path):
+        tracer = Tracer(str(tmp_path), proc="main")
+        with use_tracer(tracer):
+            report = run_fleet(figure_tasks("fig07", _settings())[:1])
+        tracer.close()
+        assert report.status == "ok"
+        merged = merge_trace(str(tmp_path))
+        task_ids = {s.span_id for s in merged.spans if s.cat == "task"}
+        phases = [s for s in merged.spans if s.cat == "phase"]
+        assert phases and all(s.parent in task_ids for s in phases)
 
 
 class TestFleetSpans:
