@@ -72,7 +72,7 @@ def test_filter_false_positive_budget(benchmark):
             "fp_4M_with_selection": DropRecordFilter.false_positive_with_selection(
                 4e6, 3.5e6, k=1, m=4, bits=24
             ),
-            "memory_mb": DropRecordFilter(m=4, bits=24).memory_bytes / 2**20,
+            "memory_mb": DropRecordFilter.payload_bytes(4, 24) / 2**20,
         }
 
     numbers = benchmark.pedantic(compute, rounds=1, iterations=1)

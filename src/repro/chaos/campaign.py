@@ -86,6 +86,8 @@ class Measurements:
     #: default exact-mode campaign must keep its historical digest.
     eviction_stats: Dict[str, int] = field(default_factory=dict)
     tracked_paths_peak: int = 0
+    #: per-container peaks (``FLocPolicy.state_peaks``)
+    state_peaks: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -321,6 +323,7 @@ def _execute_packet(spec: CampaignSpec) -> Measurements:
         ),
         eviction_stats=dict(policy.eviction_stats),
         tracked_paths_peak=policy.tracked_paths_peak,
+        state_peaks=dict(policy.state_peaks),
     )
     measurements.digest = run_digest(spec, measurements)
     return measurements
@@ -455,5 +458,6 @@ def run_campaign(
         drop_provenance=measurements.drop_provenance or None,
         eviction_stats=measurements.eviction_stats or None,
         tracked_paths_peak=measurements.tracked_paths_peak,
+        state_peaks=measurements.state_peaks or None,
     )
     return CampaignResult(spec=spec, measurements=measurements, report=report)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.router import STATE_BOUNDS
 from .spec import CampaignSpec, FaultSpec
 
 #: Oracle names, in evaluation (and severity-of-report) order.
@@ -239,10 +240,13 @@ def _bounded_state_verdict(
     windows: List[WindowShare],
     eviction_stats: Optional[Dict[str, int]],
     tracked_paths_peak: int,
+    state_peaks: Optional[Dict[str, int]] = None,
 ) -> SloVerdict:
     """Degradation SLO: the differential-guarantee floor for long-lived
     legitimate paths must survive identifier churn at a fixed memory
-    budget, and the budget itself must actually hold.
+    budget, and the budget itself must actually hold — for the tracked
+    paths and for every other per-identifier container of the router,
+    each against its :data:`~repro.core.router.STATE_BOUNDS` multiple.
 
     Judged over the same fault-excused windows as the ``floor`` oracle
     (churn pressure is the adversary under test, not a fault), against
@@ -269,11 +273,16 @@ def _bounded_state_verdict(
     budget_detail = ""
     if budget is not None:
         within = tracked_paths_peak <= budget
-        ok = ok and within
         budget_detail = (
             f"; peak tracked paths {tracked_paths_peak} vs budget "
             f"{budget}" + ("" if within else " EXCEEDED")
         )
+        for name, peak in sorted((state_peaks or {}).items()):
+            bound = STATE_BOUNDS[name] * budget
+            if peak > bound:
+                within = False
+                budget_detail += f"; {name} peak {peak} vs {bound} EXCEEDED"
+        ok = ok and within
     return SloVerdict(
         "bounded_state",
         ok,
@@ -291,6 +300,7 @@ def evaluate_slos(
     drop_provenance: Optional[Dict[str, float]] = None,
     eviction_stats: Optional[Dict[str, int]] = None,
     tracked_paths_peak: int = 0,
+    state_peaks: Optional[Dict[str, int]] = None,
 ) -> SloReport:
     """Judge one campaign run against its full SLO catalog.
 
@@ -298,8 +308,9 @@ def evaluate_slos(
     (see :meth:`repro.telemetry.Telemetry.drop_provenance`); when given,
     the floor verdict's detail attributes the loss to its top causes.
     Provenance never changes a verdict's ``ok`` — it annotates.
-    ``eviction_stats`` / ``tracked_paths_peak`` are the policy's state-
-    pressure measurements feeding the ``bounded_state`` oracle.
+    ``eviction_stats`` / ``tracked_paths_peak`` / ``state_peaks`` are the
+    policy's state-pressure measurements feeding the ``bounded_state``
+    oracle.
     """
     return SloReport(
         verdicts=[
@@ -308,7 +319,7 @@ def evaluate_slos(
             _sanitizer_verdict(spec, sanitizer_violations),
             _replay_verdict(replay_matched),
             _bounded_state_verdict(
-                spec, windows, eviction_stats, tracked_paths_peak
+                spec, windows, eviction_stats, tracked_paths_peak, state_peaks
             ),
         ]
     )

@@ -40,11 +40,16 @@ class CapabilityIssuer:
 
     Everything the issuer computes is a pure function of the router
     secret and the flow ``(src, dst, path_id)``, so it is computed once
-    per flow and remembered: per-packet verification is a lookup, a
-    length check and one constant-time comparison.  The memo holds one
-    entry per flow seen, grouped by path identifier; whoever owns the
-    per-path state calls :meth:`forget` when it releases a path, which
-    bounds the memo by the paths that owner tracks.
+    per flow and remembered: per-packet verification of a remembered
+    flow is a lookup, a length check and one constant-time comparison.
+    The memo holds one entry per *verified* flow, grouped by path
+    identifier: only :meth:`issue` and :meth:`account_key` write it —
+    the calls a router makes for a SYN it answers and for data it has
+    authenticated — while :meth:`verify` only reads it, so no packet can
+    buy an entry by being refused.  Whoever owns the per-path state
+    calls :meth:`forget` when it releases a path; the memo is then a
+    subset of the paths that owner tracks by construction, whatever
+    order it calls in.
 
     Parameters
     ----------
@@ -68,6 +73,18 @@ class CapabilityIssuer:
         ] = {}
         self._buckets: Dict[Hashable, int] = {}
 
+    def _c0(
+        self, src_addr: Hashable, dst_addr: Hashable, pid: PathId
+    ) -> bytes:
+        return hmac.new(
+            self._k0, _encode(src_addr, dst_addr, pid), hashlib.sha256
+        ).digest()[:_DIGEST_BYTES]
+
+    def _c1(self, src_addr: Hashable, bucket: int, pid: PathId) -> bytes:
+        return hmac.new(
+            self._k1, _encode(src_addr, bucket, pid), hashlib.sha256
+        ).digest()[:_DIGEST_BYTES]
+
     def _flow(
         self, src_addr: Hashable, dst_addr: Hashable, pid: PathId
     ) -> Tuple[bytes, AccountKey]:
@@ -78,13 +95,10 @@ class CapabilityIssuer:
         entry = by_endpoints.get((src_addr, dst_addr))
         if entry is None:
             bucket = self.fanout_bucket(dst_addr)
-            c0 = hmac.new(
-                self._k0, _encode(src_addr, dst_addr, pid), hashlib.sha256
-            ).digest()[:_DIGEST_BYTES]
-            c1 = hmac.new(
-                self._k1, _encode(src_addr, bucket, pid), hashlib.sha256
-            ).digest()[:_DIGEST_BYTES]
-            entry = (c0 + c1, (src_addr, bucket, pid))
+            capability = self._c0(src_addr, dst_addr, pid) + self._c1(
+                src_addr, bucket, pid
+            )
+            entry = (capability, (src_addr, bucket, pid))
             by_endpoints[(src_addr, dst_addr)] = entry
         return entry
 
@@ -126,11 +140,28 @@ class CapabilityIssuer:
         dst_addr: Hashable,
         pid: PathId,
     ) -> bool:
-        """Check both halves against the packet's addresses and path."""
+        """Check both halves against the packet's addresses and path.
+
+        Read-only: a flow the memo holds costs one comparison; any other
+        is checked half by half and leaves no entry behind — ``C1`` is
+        computed only once ``C0`` has matched, so a forged identifier
+        costs one HMAC and no state.  The answer is that of
+        ``compare_digest(capability, issue(src, dst, pid))`` either way.
+        """
         if capability is None or len(capability) != 2 * _DIGEST_BYTES:
             return False
+        by_endpoints = self._flows.get(pid)
+        if by_endpoints is not None:
+            entry = by_endpoints.get((src_addr, dst_addr))
+            if entry is not None:
+                return hmac.compare_digest(capability, entry[0])
+        if not hmac.compare_digest(
+            capability[:_DIGEST_BYTES], self._c0(src_addr, dst_addr, pid)
+        ):
+            return False
         return hmac.compare_digest(
-            capability, self._flow(src_addr, dst_addr, pid)[0]
+            capability[_DIGEST_BYTES:],
+            self._c1(src_addr, self.fanout_bucket(dst_addr), pid),
         )
 
     # ------------------------------------------------------------------

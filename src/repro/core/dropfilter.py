@@ -215,8 +215,14 @@ class DropRecordFilter:
                 return k
         return 1
 
+    @staticmethod
+    def payload_bytes(m: int, bits: int) -> int:
+        """Payload footprint of an ``m`` x ``2^bits`` filter, from its
+        dimensions alone (no arrays are built)."""
+        # 3 fields; the paper budgets 2 bytes per field per entry.
+        return m * (1 << bits) * 3 * 2
+
     @property
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the filter's payload fields."""
-        # 3 fields; the paper budgets 2 bytes per field per entry.
-        return self.m * self.size * 3 * 2
+        return self.payload_bytes(self.m, self.bits)

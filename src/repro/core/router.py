@@ -4,8 +4,9 @@
 and implements the full paper pipeline:
 
 1. **capabilities** — SYNs passing the router get a two-part capability
-   stamped; data packets are verified (spoofed traffic is dropped) and
-   mapped to their *accounting unit* (source x fanout-bucket x path), the
+   stamped; data packets are verified before anything else (spoofed
+   traffic is dropped and counted, and costs no state) and mapped to
+   their *accounting unit* (source x fanout-bucket x path), the
    covert-attack countermeasure of Section IV-B.3;
 2. **per-path state** — active-flow counts, request rate ``lambda_Si``
    (EWMA), and path RTTs measured from the SYN -> first-data interval and
@@ -49,6 +50,29 @@ from .tokenbucket import PathTokenBucket
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..net.engine import Engine
     from ..net.topology import Link
+
+
+#: The per-identifier containers of :class:`FLocPolicy` (the names
+#: :meth:`FLocPolicy.state_census` reports) and the multiple of the path
+#: budget — ``sketch_hot_paths`` or ``max_tracked_paths`` — each is held
+#: to at every measurement refresh.  Path-keyed containers hold at most
+#: one entry per tracked path.  Unit-keyed ones hold one per accounting
+#: unit or pending handshake of a tracked path; each of those was
+#: authenticated or bought with a SYN, so their multiple is the
+#: flows-per-path of the traffic, never the attacker's churn rate — 4
+#: covers the Fig. 5 tree at every scale the tests, chaos campaigns and
+#: benchmarks run it at.
+STATE_BOUNDS: Dict[str, int] = {
+    "paths": 1,
+    "lru": 1,
+    "memo": 1,
+    "conformance": 1,
+    "groups": 1,
+    "plan": 1,
+    "tracker_units": 4,
+    "blocked": 4,
+    "syn_ticks": 4,
+}
 
 
 class _PathState:
@@ -156,6 +180,9 @@ class FLocPolicy(LinkPolicy):
         # experiment bookkeeping (like drop_stats, survives restarts)
         self.eviction_stats: Dict[str, int] = {"memory-pressure": 0, "restart": 0}
         self.tracked_paths_peak = 0
+        # largest :meth:`state_census` reading per container, taken at
+        # every measurement refresh
+        self.state_peaks: Dict[str, int] = dict.fromkeys(STATE_BOUNDS, 0)
         # drop-cause counters, for experiments and tests
         self.drop_stats = {
             "spoofed": 0,
@@ -235,14 +262,17 @@ class FLocPolicy(LinkPolicy):
     def _admit_data(self, pkt: Packet, tick: int) -> bool:
         cfg = self.cfg
         pid = pkt.path_id
-        state = self._path_state(pid, tick)
-
+        # authenticate before allocating (Section III-A): until C0 || C1
+        # checks out, the identifier and the unit the packet names are
+        # the sender's claim, and nothing is allocated, touched or
+        # charged on a claim
         if cfg.capability_checks and not self.issuer.verify(
             pkt.capability, pkt.src_addr, pkt.dst_addr, pid
         ):
             self._pending_drop_cause = "spoofed"
             return False
 
+        state = self._path_state(pid, tick)
         key = self.issuer.account_key(pkt.src_addr, pkt.dst_addr, pid)
         state.arrivals += 1
         state.last_arrival = tick
@@ -336,7 +366,9 @@ class FLocPolicy(LinkPolicy):
         cause = self._pending_drop_cause or "overflow"
         self._pending_drop_cause = None
         self.drop_stats[cause] += 1
-        if pkt.kind != DATA:
+        if pkt.kind != DATA or cause == "spoofed":
+            # a forged packet names a unit it does not belong to: one
+            # counter, and no record a legitimate flow could be framed by
             return
         pid = pkt.path_id
         state = self.paths.get(pid)
@@ -539,6 +571,11 @@ class FLocPolicy(LinkPolicy):
             # exponential forgetting of folded drop history: half-life of
             # one measurement interval keeps revived MTD clamps honest
             self.sketch.decay_drops(0.5)
+
+        peaks = self.state_peaks
+        for name, size in self.state_census().items():
+            if size > peaks[name]:
+                peaks[name] = size
 
         if tel.enabled:
             reg = tel.registry
@@ -893,6 +930,7 @@ class FLocPolicy(LinkPolicy):
         "sketch",
         "eviction_stats",
         "tracked_paths_peak",
+        "state_peaks",
         "drop_stats",
         "_pending_drop_cause",
         "_warmup_until",
@@ -1048,6 +1086,23 @@ class FLocPolicy(LinkPolicy):
         for state in self.paths.values():
             out |= state.attack_flows
         return out
+
+    def state_census(self) -> Dict[str, int]:
+        """Entries held right now in each per-identifier container, under
+        the names of :data:`STATE_BOUNDS`."""
+        return {
+            "paths": len(self.paths),
+            "lru": len(self._lru),
+            "memo": self.issuer.memoised_paths(),
+            "conformance": len(self.conformance),
+            "groups": len(self.groups),
+            "plan": len(self.plan.group_of),
+            "tracker_units": (
+                self.tracker.tracked_units() if self.tracker is not None else 0
+            ),
+            "blocked": len(self._blocked),
+            "syn_ticks": sum(len(s.syn_ticks) for s in self.paths.values()),
+        }
 
     def conformance_snapshot(self) -> Dict[PathId, float]:
         """Current conformance per known path."""

@@ -3,13 +3,14 @@
 FLoc keeps per-path state, so an attacker who *re-identifies* itself —
 rotating through fresh path identifiers the way a botnet rotates through
 spoofed prefixes or newly announced more-specifics — attacks the
-router's memory rather than the link: every unseen identifier allocates
-a ``_PathState``, and with ``max_tracked_paths`` set, forces an eviction
-that may destroy a long-lived legitimate path's earned history.  This is
-the pressure NetFence-style bounded core-router state is designed to
-survive; :class:`PathChurnFloodSource` generates it deterministically so
-the chaos campaigns and the ``bounded_state`` SLO can measure whether
-FLoc's differential guarantee floor holds at a fixed memory budget.
+router's memory rather than the link: every identifier the router
+accepts allocates a ``_PathState``, and with ``max_tracked_paths`` set,
+forces an eviction that may destroy a long-lived legitimate path's
+earned history.  This is the pressure NetFence-style bounded core-router
+state is designed to survive; :class:`PathChurnFloodSource` generates it
+deterministically so the chaos campaigns and the ``bounded_state`` SLO
+can measure whether FLoc's differential guarantee floor holds at a fixed
+memory budget.
 
 Unlike :class:`~repro.traffic.adaptive.AdaptiveCbrSource`, whose
 ``"churn"`` mutation reacts to drops and draws from a small fixed pool,
@@ -19,11 +20,17 @@ two modes:
 
 * ``rehandshake=True`` — the bot re-SYNs after every churn, acquiring a
   valid capability for each fresh identifier ("in a legitimate manner",
-  paper Section I); every identifier becomes real tracked state.
+  paper Section I); every identifier becomes real tracked state.  This
+  is the vector that remains, and it is paid for: a SYN still allocates,
+  one handshake per identifier.  Churning faster than the handshake
+  completes turns it into the mode below on *tracked* identifiers (the
+  SYN-ACK for identifier A arrives after the bot has sent a SYN for B).
 * ``rehandshake=False`` — the bot keeps its stale capability, so its
-  data is dropped as spoofed — but the router has already allocated
-  path state by the time verification runs, which is precisely the
-  cheap-packet exhaustion vector.
+  data is dropped as spoofed.  Against a router that allocates path
+  state or records the drop before it verifies, this is the cheap-packet
+  exhaustion vector; :class:`~repro.core.router.FLocPolicy`
+  authenticates first, so each such packet costs it one HMAC and one
+  counter.  The mode is the adversary that keeps that vector closed.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ class PathChurnFloodSource(CbrSource):
         Size of the identifier space churned over (distinct origin IDs).
     rehandshake:
         Re-SYN after each churn (valid capabilities) or keep the stale
-        capability (spoofed-exhaustion mode); see the module docstring.
+        capability (forged-packet mode); see the module docstring.
     """
 
     def __init__(

@@ -112,6 +112,33 @@ class TestExhaustionCampaign:
         assert spec.state_backend == "exact"
 
 
+class TestExecution:
+    #: run digests of ``exhaustion_campaign(7, 1)`` at commit ``16d0649``
+    #: (before the router authenticated first): its churn squad
+    #: re-handshakes, so the admission order cannot show in the outcome
+    PINNED = {
+        "sketch": "98fede1445265462aeec5f811cac15bb1766ffbb86e033f2a3881ebc9a6a103c",
+        "exact": "929bbde2de758340f7328b3765cff69624ecec7b38a39b7797821802aca75459",
+    }
+
+    @pytest.mark.parametrize("backend", sorted(PINNED))
+    def test_budget_holds_for_every_container(self, backend):
+        from repro.chaos.campaign import run_campaign
+        from repro.core.router import STATE_BOUNDS
+
+        spec = exhaustion_campaign(7, 1, state_backend=backend)
+        result = run_campaign(spec, verify_replay=False)
+        assert result.digest == self.PINNED[backend]
+        peaks = result.measurements.state_peaks
+        assert sorted(peaks) == sorted(STATE_BOUNDS)
+        assert peaks["paths"] == result.measurements.tracked_paths_peak == 64
+        assert result.measurements.eviction_stats["memory-pressure"] > 100
+        assert not result.report.violates("bounded_state")
+        verdict = result.report.verdicts[-1]
+        assert verdict.slo == "bounded_state"
+        assert "EXCEEDED" not in verdict.detail
+
+
 class TestSweepWiring:
     def test_exhaustion_units_appended(self):
         tasks = chaos_tasks(

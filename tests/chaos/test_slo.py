@@ -212,6 +212,33 @@ class TestBoundedStateOracle:
         )
         assert not report.violates("bounded_state")
 
+    def test_every_container_is_judged_and_the_offender_named(self):
+        from repro.core.router import STATE_BOUNDS
+
+        at_bound = {name: mult * 64 for name, mult in STATE_BOUNDS.items()}
+        report = evaluate_slos(
+            self.bounded_spec(max_paths=64),
+            windows([0.9] * 6),
+            0,
+            tracked_paths_peak=64,
+            state_peaks=at_bound,
+        )
+        assert not report.violates("bounded_state")
+        for name in STATE_BOUNDS:
+            report = evaluate_slos(
+                self.bounded_spec(max_paths=64),
+                windows([0.9] * 6),
+                0,
+                tracked_paths_peak=64,
+                state_peaks={**at_bound, name: at_bound[name] + 1},
+            )
+            assert report.violates("bounded_state")
+            verdict = [
+                v for v in report.verdicts if v.slo == "bounded_state"
+            ][0]
+            assert f"{name} peak {at_bound[name] + 1}" in verdict.detail
+            assert verdict.detail.count("EXCEEDED") == 1
+
     def test_fault_impacted_windows_are_excused(self):
         spec = self.bounded_spec(
             floor=0.4,

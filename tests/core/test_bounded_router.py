@@ -11,10 +11,12 @@ import random
 import pytest
 
 from repro.core.config import FLocConfig
-from repro.core.router import FLocPolicy
+from repro.core.router import STATE_BOUNDS, FLocPolicy
 from repro.net.engine import Engine
 from repro.net.packet import DATA, SYN, Packet
 from repro.net.topology import Topology
+from repro.traffic import PathChurnFloodSource
+from repro.traffic.scenarios import build_tree_scenario
 
 
 def attached_policy(cfg):
@@ -231,8 +233,9 @@ class TestCapabilityMemo:
         for i in range(40):
             cap = handshake(policy, f"h{i}", (i, 9), tick=i)
             admit(policy, data(f"h{i}", (i, 9), i, cap), i)
-            # a stale capability allocates path state before it is refused
+            # a stale capability is refused before it can allocate
             admit(policy, data(f"h{i}", (100 + i, 9), i, cap), i)
+            assert (100 + i, 9) not in policy.paths
             assert policy.issuer.memoised_paths() <= len(policy.paths) <= 3
 
     def test_memo_released_with_dead_paths(self):
@@ -292,6 +295,152 @@ class TestCapabilityMemo:
             (src, pid), cap = flows[n % 3], caps[n % 3]
             assert admit(policy, data(src, pid, 1 + n, cap), 1 + n)
         assert len(calls) <= 2 * len(flows)  # C0 and C1, once per flow
+
+
+class TestForgedPacketsCostNothing:
+    """A packet that fails ``C0 || C1`` buys a ``spoofed`` count and
+    nothing else: no path, no memo entry, no eviction, no drop record
+    under the unit it names."""
+
+    def test_forged_flood_cannot_frame_the_flow_it_names(self):
+        cfg = FLocConfig()
+        policy = attached_policy(cfg)
+        pid, unit = (1, 9), ("h", policy.issuer.fanout_bucket("srv"), (1, 9))
+        cap = handshake(policy, "h", pid, tick=0)
+        assert admit(policy, data("h", pid, 1, cap), 1)
+        assert unit in policy.paths[pid].flows
+        forged = bytes([cap[0] ^ 1]) + cap[1:]
+        # ten forged packets a tick in the victim's name, across three
+        # measurement refreshes: enough drops to convict and block it
+        for tick in range(2, 3 * cfg.measure_interval + 2):
+            policy.on_tick(tick)
+            for _ in range(10):
+                assert not admit(policy, data("h", pid, tick, forged), tick)
+            assert admit(policy, data("h", pid, tick, cap), tick)
+        assert policy.drop_stats["spoofed"] == 10 * 3 * cfg.measure_interval
+        assert policy.tracker.drop_count(unit) == 0
+        assert policy.tracker.tracked_units() == 0
+        group = policy.groups[policy.plan.group(pid)]
+        assert group.interval_drops == 0 and group.drop_rate_ewma == 0.0
+        assert unit not in policy.paths[pid].attack_flows
+        assert unit not in policy._blocked
+        assert policy.conformance.value(pid) == 1.0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FLocConfig(max_tracked_paths=3),
+            FLocConfig(state_backend="sketch", sketch_hot_paths=3),
+        ],
+        ids=["lru", "sketch"],
+    )
+    def test_forged_identifiers_evict_nobody(self, cfg):
+        policy = attached_policy(cfg)
+        caps = {
+            i: handshake(policy, f"h{i}", (i, 9), tick=0) for i in range(3)
+        }
+        before = (list(policy._lru), policy.state_census())
+        for n in range(200):
+            stale = caps[n % 3]
+            for bad in (stale, None, b"\x00" * 16, stale[:-1]):
+                assert not admit(policy, data("h0", (1000 + n, 9), 1, bad), 1)
+        assert (list(policy._lru), policy.state_census()) == before
+        assert policy.eviction_stats["memory-pressure"] == 0
+        assert policy.drop_stats["spoofed"] == 800
+        if policy.sketch is not None:
+            assert policy.sketch.folds_total == 0
+
+
+BUDGET = 64
+
+#: regime -> (churn_interval, rehandshake).  ``stale``: the bot keeps
+#: its first capability, so every packet is forged on a fresh
+#: identifier.  ``late-synack``: the handshake takes longer than eight
+#: ticks, so the SYN-ACK for identifier A arrives once the bot has moved
+#: on (and sent a SYN) to B — forged packets on a *tracked* identifier.
+#: ``syn-only``: a fresh SYN every tick and never any data — the vector
+#: that is paid for, one handshake per identifier.
+CHURN_REGIMES = {
+    "stale": (1, False),
+    "late-synack": (8, True),
+    "syn-only": (1, True),
+}
+
+
+def churn_scenario(regime, backend):
+    """The Fig. 5 tree at scale 0.03, legitimate TCP only, plus two
+    :class:`PathChurnFloodSource` bots per attack leaf in one regime,
+    against a 64-path budget on either backend."""
+    interval, rehandshake = CHURN_REGIMES[regime]
+    scenario = build_tree_scenario(
+        scale_factor=0.03, attack_kind="none", seed=3
+    )
+    engine, topology = scenario.engine, scenario.topology
+    rate = scenario.units.mbps_to_pkts_per_tick(2.0)
+    leaf_of_as = {asn: leaf for leaf, asn in scenario.as_of_leaf.items()}
+    start_rng = engine.spawn_rng("census-start")
+    for pid in scenario.attack_path_ids:
+        for i in range(2):
+            host = f"c_{pid[0]}_{i}"
+            topology.add_duplex_link(host, leaf_of_as[pid[0]], capacity=None)
+            flow = engine.open_flow(
+                host, scenario.servers[0], pid, is_attack=True
+            )
+            engine.add_source(
+                PathChurnFloodSource(
+                    flow,
+                    rate,
+                    churn_interval=interval,
+                    id_space=10**6,
+                    rehandshake=rehandshake,
+                    start_tick=start_rng.randrange(40),
+                )
+            )
+    if backend == "sketch":
+        cfg = FLocConfig(state_backend="sketch", sketch_hot_paths=BUDGET)
+    else:
+        cfg = FLocConfig(max_tracked_paths=BUDGET)
+    policy = FLocPolicy(cfg)
+    scenario.attach_policy(policy)
+    return engine, policy
+
+
+class TestContainerBounds:
+    """Router memory is a function of the path budget, not of attacker
+    churn x the drop-record horizon: every per-identifier container
+    stays within its :data:`STATE_BOUNDS` multiple in every regime."""
+
+    @pytest.mark.parametrize("backend", ["sketch", "exact"])
+    @pytest.mark.parametrize("regime", sorted(CHURN_REGIMES))
+    def test_every_container_within_its_multiple(self, regime, backend):
+        engine, policy = churn_scenario(regime, backend)
+        interval = policy.cfg.measure_interval
+        units_at = {}
+        while engine.tick < 1500:
+            engine.run(interval)
+            census = policy.state_census()
+            assert sorted(census) == sorted(STATE_BOUNDS)
+            over = {
+                name: size
+                for name, size in census.items()
+                if size > STATE_BOUNDS[name] * BUDGET
+            }
+            assert not over, f"tick {engine.tick}: {over}"
+            units_at[engine.tick] = census["tracker_units"]
+        for name, peak in policy.state_peaks.items():
+            assert peak <= STATE_BOUNDS[name] * BUDGET, name
+        # flat, not a ramp towards churn rate x the 2,000-tick horizon
+        assert units_at[1500] <= units_at[500] + BUDGET // 4
+        # each regime is what it says it is
+        spoofed = policy.drop_stats["spoofed"]
+        evictions = policy.eviction_stats["memory-pressure"]
+        if regime == "stale":
+            assert spoofed > 10_000 and evictions == 0
+        elif regime == "late-synack":
+            assert spoofed > 5_000 and evictions > 1_000
+        else:
+            assert spoofed == 0 and evictions > 10_000
+        assert policy.tracked_paths_peak <= BUDGET
 
 
 class TestExactModeRegressionLock:

@@ -122,6 +122,11 @@ class TestDimensioning:
         small = small_filter(bits=10)
         big = small_filter(bits=12)
         assert big.memory_bytes == 4 * small.memory_bytes
+        # the dimensioning is stated without building the arrays
+        assert small.memory_bytes == DropRecordFilter.payload_bytes(
+            small.m, 10
+        )
+        assert DropRecordFilter.payload_bytes(4, 24) == 4 * 2**24 * 6
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

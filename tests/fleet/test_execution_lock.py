@@ -9,6 +9,15 @@ them: the figure/sweep CSV, ``metrics.prom``, ``series.csv``,
 ``events.jsonl`` and ``metrics.json`` minus its wall-clock ``profile``
 section (key order included: the export preserves label insertion
 order, so the digest does too).
+
+The chaos sweep's first campaign fields an adaptive squad with the
+``churn`` mutation — a rotated path identifier under a stale capability,
+5,600 forged packets — so its telemetry (not its run digests: the
+sweep CSV is the ``ccad110`` one) moved when the router began to
+authenticate before it allocates or records.  Those four pins were
+recorded at ``16d0649``, the commit before that change, with each
+campaign's policy behind :class:`tests.sketch.churn.PreVerified`;
+the last test keeps that filter a byte-for-byte no-op.
 """
 
 import hashlib
@@ -17,6 +26,8 @@ import json
 import pytest
 
 from repro.cli import main
+
+from ..sketch.churn import PreVerified
 
 FIG06 = ["run", "fig06", "--scale", "0.03", "--seconds", "2", "--warmup", "1",
          "--seed", "3"]
@@ -40,13 +51,13 @@ PINNED = {
         "chaos.csv":
             "128b529491e9c9bade49e5b2fe2a08e107997e357d0dbb5bb27956031512ec62",
         "metrics.prom":
-            "844ac829dcb479448264b06c00429c76e396ad52d811789b238c5af7857ba975",
+            "b785f4c1a5c0ba17c444502bd97162ac8c1ad398811a553b5ba209abf1799aa8",
         "series.csv":
-            "6e60569de53ddc705600f61d41c9ab850d7fd988292270ccb1a0a084d76acb31",
+            "07f881014221fb800c12d1027ff511ce1d9aec660c7020ab7db6dd198bc128e4",
         "events.jsonl":
-            "264e5b8f702277c2afe018ae6aa83460149db97a4a31185fa41c168ea34254ed",
+            "009b9a9d00620bba3603785440ae0802aa00ed492172758dc8ae5e5b3d656e68",
         "metrics.json":
-            "36c2d965b9cfc70329853f10d237bffa3e6fc0170060a7aab54a034bd124c918",
+            "9d790aa365c534d11b09e780a83f14eccc39a2450fe5cd26530207d337384fa3",
     },
 }
 
@@ -84,5 +95,19 @@ def test_fig06_outputs_match_the_pinned_serial_run(tmp_path, capsys, executor):
 @EXECUTORS
 def test_chaos_outputs_match_the_pinned_serial_sweep(tmp_path, capsys, executor):
     argv = CHAOS + ["--artifact-dir", str(tmp_path / "art")] + executor
+    digests = _run_and_digest(tmp_path, argv, "chaos.csv")
+    assert digests == PINNED["chaos"]
+
+
+def test_chaos_outputs_are_the_same_behind_a_capability_filter(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.chaos import campaign
+
+    router = campaign.FLocPolicy
+    monkeypatch.setattr(
+        campaign, "FLocPolicy", lambda config: PreVerified(router(config))
+    )
+    argv = CHAOS + ["--artifact-dir", str(tmp_path / "art")]
     digests = _run_and_digest(tmp_path, argv, "chaos.csv")
     assert digests == PINNED["chaos"]
