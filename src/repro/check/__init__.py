@@ -34,10 +34,6 @@ Rule families
     Spawn safety (lexical): module-global mutation inside functions of
     the multiprocess packages (``repro.fleet``, ``repro.runner``), where
     spawn workers silently diverge from the parent.
-``FLC008``
-    Barrier protocol: collect-before-publish ordering, epoch/tick
-    counters that go backwards, raw (non-atomic) writes inside barrier
-    classes, swallowed ``ShardBarrierTimeout``, unbounded barrier polls.
 ``FLC009``
     Cross-process write atomicity and *interprocedural* spawn safety:
     bare ``open(..., "w")`` without ``os.replace`` in modules other
@@ -46,8 +42,8 @@ Rule families
     FLC007's lexical scope.
 ``FLC010``
     NumPy aliasing: array views (slices, ``reshape``/``ravel``/... )
-    flowing into persisted state (checkpoint payloads, ``ShardResult``,
-    pickles), and in-place mutation of a buffer after it was published.
+    flowing into persisted state (checkpoint payloads, pickles), and
+    in-place mutation of a buffer after it was persisted.
 ``FLC011``
     Digest purity (interprocedural taint): wall-clock, pid, env,
     entropy, hostname, fs-enumeration-order, or RNG values reaching a

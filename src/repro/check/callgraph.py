@@ -10,7 +10,7 @@ whole-project layer those rules need:
 
 * :class:`SymbolTable` — every function and method of the project,
   keyed by dotted qualname (``repro.fleet.worker.worker_main``,
-  ``repro.runner.figures.ShardUnitTask.run``), with each module's import
+  ``repro.runner.figures.FigureUnitTask.run``), with each module's import
   aliases alongside.
 * :class:`CallGraph` — best-effort static call edges between those
   functions.  Resolution is deliberately *over-approximate* where
@@ -97,7 +97,7 @@ def module_aliases(module: "SourceModule") -> Dict[str, str]:
 class FunctionInfo:
     """One function or method of the project."""
 
-    qualname: str  # module-dotted: repro.runner.figures.ShardUnitTask.run
+    qualname: str  # module-dotted: repro.runner.figures.FigureUnitTask.run
     module: str
     cls: Optional[str]  # enclosing class name, None for top-level
     name: str
@@ -280,8 +280,7 @@ def spawn_entrypoints(table: SymbolTable) -> List[str]:
     * every top-level ``*main`` function of a ``*.fleet.worker`` module
       (the process body handed to ``Process(target=...)``), and
     * every ``run`` method of a class in a :data:`TASK_MODULES` module (the
-      task descriptors the pool dispatches dynamically — including
-      ``ShardUnitTask.run``, the gang member a shard worker executes).
+      task descriptors the pool dispatches dynamically).
     """
     roots: List[str] = []
     for info in table.functions.values():

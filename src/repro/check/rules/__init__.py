@@ -124,7 +124,6 @@ def _load_builtin_rules() -> None:
     """Import the builtin rule modules so their ``@register`` calls run."""
     from . import (  # noqa: F401  (imported for registration side effects)
         array_aliasing,
-        barrier_protocol,
         config_drift,
         determinism,
         digest_purity,

@@ -1,14 +1,13 @@
 """FLC010 — numpy views aliasing into persisted or shipped state.
 
-The serial-vs-sharded byte-identity guarantee assumes that what a
-worker persists (checkpoint payloads, barrier pieces, shard results) is
-a *snapshot*.  A numpy view — a slice, ``reshape``, ``ravel``,
-``transpose`` — is not: it shares memory with the live simulation
-arrays, so a sink that holds the reference past the call (a telemetry
-registry, a ``ShardResult`` kept until the epoch's pickle) records
-whatever the simulation mutated it into, not what it was when handed
-over.  That failure is silent and order-dependent — the exact bug class
-that breaks byte-identity only at scale.
+The in-process-vs-pool byte-identity guarantee assumes that what a
+worker persists (checkpoint payloads, pickles) is a *snapshot*.  A numpy
+view — a slice, ``reshape``, ``ravel``, ``transpose`` — is not: it
+shares memory with the live simulation arrays, so a sink that holds the
+reference past the call (a telemetry registry, a result kept until a
+later pickle) records whatever the simulation mutated it into, not what
+it was when handed over.  That failure is silent and order-dependent —
+the exact bug class that breaks byte-identity only at scale.
 
 The rule runs the forward dataflow pass (:mod:`repro.check.dataflow`)
 per function with *view* taint:
@@ -21,8 +20,7 @@ per function with *view* taint:
 * everything else launders: unlike purity taint, almost every library
   call (``np.sum``, ``np.where``) returns fresh memory, so unknown
   calls do **not** propagate view taint (``calls_propagate=False``);
-* sinks: ``CheckpointStore.save`` payloads, ``pickle.dumps``, barrier
-  ``_publish`` payloads, and ``ShardResult(...)`` fields.
+* sinks: ``CheckpointStore.save`` payloads and ``pickle.dumps``.
 
 A second, order-aware pass flags in-place mutation (``buf[i] = ...``,
 ``buf += ...``) of a variable *after* it was handed to one of those
@@ -65,20 +63,21 @@ SANITIZERS = {
 }
 
 
-def _sink_label(
+def _checkpoint_save(
     call: ast.Call, resolved: Optional[str], terminal: Optional[str]
 ) -> Optional[str]:
-    total_args = len(call.args) + len(call.keywords)
-    if terminal == "save" and total_args >= 3:
+    if terminal == "save" and len(call.args) + len(call.keywords) >= 3:
         return "a checkpoint payload"
+    return None
+
+
+def _pickle_dumps(
+    call: ast.Call, resolved: Optional[str], terminal: Optional[str]
+) -> Optional[str]:
     if terminal == "dumps" and resolved is not None and (
         resolved.startswith("pickle.") or resolved.endswith(".pickle.dumps")
     ):
         return "a pickled payload"
-    if terminal == "_publish" and total_args >= 3:
-        return "a barrier piece"
-    if terminal == "ShardResult":
-        return "a shard result"
     return None
 
 
@@ -89,21 +88,12 @@ def _policy() -> TaintPolicy:
         },
         sanitizers=set(SANITIZERS),
         sinks=[
-            SinkSpec(match=_sink_label, args=[2], kwargs=("obj", "payload")),
-            SinkSpec(match=_pickle_or_result, args="all"),
+            SinkSpec(match=_checkpoint_save, args=[2], kwargs=("obj",)),
+            SinkSpec(match=_pickle_dumps, args="all"),
         ],
         view_subscripts=True,
         calls_propagate=False,
     )
-
-
-def _pickle_or_result(
-    call: ast.Call, resolved: Optional[str], terminal: Optional[str]
-) -> Optional[str]:
-    label = _sink_label(call, resolved, terminal)
-    if label in ("a pickled payload", "a shard result"):
-        return label
-    return None
 
 
 def _functions(tree: ast.Module) -> Iterator[ast.AST]:
@@ -121,7 +111,7 @@ class ArrayAliasingRule(Rule):
     rule_id = "FLC010"
     description = (
         "numpy views and in-place mutations must not reach persisted "
-        "state (checkpoints, barrier pieces, shard results)"
+        "state (checkpoints, pickles)"
     )
     scope = ("repro.inet", "repro.fleet", "repro.runner")
 

@@ -20,9 +20,8 @@ run to a fixpoint over per-function summaries
 * **sanitizers** — ``sorted()`` (the blessed fix for listdir order);
 * **sinks** — ``hashlib.*`` constructor arguments, ``.update()`` on a
   variable assigned from a ``hashlib`` constructor, checkpoint
-  ``save(kind, name, obj)`` payloads, barrier ``_publish`` payloads —
-  plus *derived* sinks: any project function whose parameter provably
-  reaches one of the above.
+  ``save(kind, name, obj)`` payloads — plus *derived* sinks: any
+  project function whose parameter provably reaches one of the above.
 
 Blind spots (documented in docs/architecture.md): taint stored on
 ``self`` in one method and read in another, taint through containers at
@@ -33,7 +32,7 @@ Documented exemption: the span tracer (:mod:`repro.trace`) reads wall
 clocks by design — through ``repro.trace.clock``, the FLC001 carve-out
 — and its timestamps reach per-process JSONL text files only.  No
 exemption entry is needed *here* because those values provably never
-flow into a hashlib call, checkpoint ``save`` payload, or barrier piece:
+flow into a hashlib call or checkpoint ``save`` payload:
 tracers pickle empty (``__getstate__`` erases all state, enforced by
 FLC012) and the span-file writer is a plain text sink.  If a future
 change routes a span timestamp into a digest input, this rule is
@@ -187,13 +186,11 @@ class DigestPurityRule(ProjectRule):
                 total = len(call.args) + len(call.keywords)
                 if terminal == "save" and total >= 3:
                     return "a checkpoint payload"
-                if terminal == "_publish" and total >= 3:
-                    return "a barrier piece"
                 return None
 
             return [
                 SinkSpec(match=direct, args="all"),
-                SinkSpec(match=payload, args=[2], kwargs=("obj", "payload")),
+                SinkSpec(match=payload, args=[2], kwargs=("obj",)),
             ]
 
         def policy_factory(

@@ -32,7 +32,6 @@ the checked set, never hide a mutation.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator, Optional, Set, Tuple
 
 from ..astutil import dotted_name, resolve_call_name
@@ -45,8 +44,6 @@ from .spawn_safety import (
     _local_bindings,
     _mutable_globals,
 )
-
-_BARRIER_CLASS = re.compile(r"Barrier|Exchange")
 
 #: package-relative subtrees whose files another process reads
 _CROSS_PROCESS_TAILS = ("fleet", "runner", "inet")
@@ -105,9 +102,7 @@ class ProcessSafetyRule(ProjectRule):
             if _module_tail(module.module) not in _CROSS_PROCESS_TAILS:
                 continue
             aliases = module_aliases(module)
-            for cls_name, fn in _functions(module.tree):
-                if cls_name is not None and _BARRIER_CLASS.search(cls_name):
-                    continue  # FLC008 owns barrier classes
+            for fn in _functions(module.tree):
                 replaces = _uses_os_replace(fn, aliases)
                 for node in ast.walk(fn):
                     if not isinstance(node, ast.Call):
@@ -178,8 +173,8 @@ class ProcessSafetyRule(ProjectRule):
 def _functions(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield None, node
+            yield node
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield node.name, sub
+                    yield sub

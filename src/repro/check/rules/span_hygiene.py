@@ -27,7 +27,7 @@ span timestamps are wall-clock readings (the FLC001 carve-out for
 files.  Any ``pickle.*`` call in the package, and any ``__getstate__``
 that returns a non-empty payload, would let wall-clock state ride into
 checkpoints or digests — both are flagged.  Fixed-at-zero on the tree,
-like FLC008–FLC011.
+like FLC009–FLC011.
 """
 
 from __future__ import annotations

@@ -9,10 +9,7 @@ Commands
     (:mod:`repro.fleet`) and print their rows (e.g. ``run fig08``,
     ``run fig06 fig07 fig08``).  Unit jobs execute in this process, or
     with ``--workers N`` on N crash-isolated worker processes; results
-    and telemetry are byte-identical either way.  For the
-    internet-scale figures, ``--shards N`` splits each unit's flow
-    population over N lock-step workers (barrier-synchronized, with
-    per-epoch checkpoint salvage) — still byte-identical.
+    and telemetry are byte-identical either way.
 ``quickstart``
     The README quickstart: FLoc on a flooded link, bandwidth breakdown.
 ``chaos [options]``
@@ -40,8 +37,8 @@ profile per-subsystem wall time.  Exports land in ``--telemetry-dir``
 digests are byte-identical with it on or off.
 
 ``run`` and ``chaos`` also accept ``--trace``: wall-clock span tracing
-of the execution fabric itself (scheduler, fleet workers, shard
-barriers, checkpoint/salvage, chaos campaigns, per-tick phases).  Every
+of the execution fabric itself (scheduler, fleet workers,
+checkpoint/salvage, chaos campaigns, per-tick phases).  Every
 process appends to its own ``spans-*.jsonl`` under ``--trace-dir``
 (default ``trace/``); at the end of the run the files are merged into a
 Perfetto-loadable ``trace.json`` and a summary is printed.  Like
@@ -120,13 +117,13 @@ def _worst_status(statuses) -> str:
     return max(statuses, key=FLEET_STATUSES.index, default="ok")
 
 
-#: Cap for auto-detected worker/shard counts: these workloads stop
+#: Cap for the auto-detected worker count: these workloads stop
 #: scaling long before the core counts shared CI runners advertise.
 _AUTO_CAP = 8
 
 
 def _auto_count(value: Optional[int]) -> Optional[int]:
-    """Resolve ``--workers 0`` / ``--shards 0`` to a detected count."""
+    """Resolve ``--workers 0`` to a detected count."""
     if value == 0:
         return min(os.cpu_count() or 1, _AUTO_CAP)
     return value
@@ -223,25 +220,23 @@ def _emit(args, name: str, headers, rows, title: str) -> None:
         sys.stdout.write(f"wrote {path}\n")
 
 
-def _fig_status(freport, tasks, names: List[str]) -> str:
-    """One figure's job status from its units' task outcomes.  A unit is
-    the tasks sharing its name as ``task.unit`` — one figure task, or
-    every shard of a gang — and counts as done only when *all* of them
-    finished."""
+def _fig_status(freport, names: List[str]) -> str:
+    """One figure's job status from the outcomes of its units' tasks
+    (a unit is one task, named after it)."""
     by_name = {o.name: o for o in freport.outcomes}
     per_unit: List[str] = []
     for unit in names:
-        members = [t.name for t in tasks if t.unit == unit]
-        outs = [by_name[m] for m in members if m in by_name]
-        missing = len(members) - len(outs)
-        if any(o.status == "quarantined" for o in outs):
+        outcome = by_name.get(unit)
+        if outcome is None:
+            per_unit.append(
+                freport.status
+                if freport.status in ("deadline", "interrupted")
+                else "failed"
+            )
+        elif outcome.status == "quarantined":
             per_unit.append("quarantined")
-        elif not missing and all(
-            o.status in ("done", "resumed") for o in outs
-        ):
+        elif outcome.status in ("done", "resumed"):
             per_unit.append("ok")
-        elif missing and freport.status in ("deadline", "interrupted"):
-            per_unit.append(freport.status)
         else:
             per_unit.append("failed")
     if any(s == "quarantined" for s in per_unit):
@@ -251,24 +246,6 @@ def _fig_status(freport, tasks, names: List[str]) -> str:
     if any(s in ("deadline", "interrupted") for s in per_unit):
         return freport.status
     return "partial" if any(s == "ok" for s in per_unit) else "failed"
-
-
-def _merge_shard_units(tasks, results: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold per-shard pieces into per-unit results, unit names matching
-    the unsharded job's.  Units with any shard missing are dropped —
-    the figure finalizer reports them as missing rather than rendering
-    rows from a partial flow population."""
-    from .inet.shard import merge_shard_results
-
-    by_unit: Dict[str, List[Any]] = {}
-    for task in tasks:
-        piece = results.get(task.name)
-        by_unit.setdefault(task.unit, []).append(piece)
-    merged: Dict[str, Any] = {}
-    for unit, pieces in by_unit.items():
-        if all(piece is not None for piece in pieces):
-            merged[unit] = merge_shard_results(pieces)
-    return merged
 
 
 @contextmanager
@@ -337,33 +314,14 @@ def _run_figures(args) -> int:
         RetryPolicy,
         build_figure_job,
         figure_tasks,
-        shard_figure_tasks,
     )
-    from .runner.figures import INTERNET_PLACEMENTS
 
     figures = list(dict.fromkeys(args.figures))
     settings = _settings(args)
     variants = tuple(args.variants)
     args.workers = _auto_count(args.workers)
-    shards = _auto_count(getattr(args, "shards", None))
-    if shards is not None:
-        if shards < 1:
-            raise ConfigError(f"--shards must be >= 1 (or 0 = auto), got {shards}")
-        outside = [f for f in figures if f not in INTERNET_PLACEMENTS]
-        if outside:
-            raise ConfigError(
-                f"--shards applies only to the internet-scale figures "
-                f"{tuple(sorted(INTERNET_PLACEMENTS))}; got {outside}"
-            )
-        if args.workers is None:
-            args.workers = shards
-        if args.workers < shards:
-            raise ConfigError(
-                f"--workers {args.workers} cannot seat a {shards}-shard "
-                "gang; use --workers >= --shards"
-            )
     if getattr(args, "process_faults", 0) and args.workers is None:
-        raise ConfigError("--process-faults requires --workers or --shards")
+        raise ConfigError("--process-faults requires --workers")
     jobs = {
         fig: build_figure_job(fig, settings, variants=variants)
         for fig in figures
@@ -391,36 +349,15 @@ def _run_figures(args) -> int:
                 if k not in ("kind", "figure")
             }
         )
-    if shards is not None:
-        # a sharded store is not resumable by an unsharded run (and vice
-        # versa): state keys, exchange layout and epochs all differ
-        fingerprint = dict(fingerprint)
-        fingerprint["shards"] = shards
-        fingerprint["epoch_ticks"] = args.epoch_ticks
-        tasks = [
-            task
-            for fig in figures
-            for task in shard_figure_tasks(
-                fig,
-                shards,
-                variants=variants,
-                epoch_ticks=args.epoch_ticks,
-                barrier_timeout_seconds=args.barrier_timeout,
-            )
-        ]
-    else:
-        tasks = [
-            task
-            for fig in figures
-            for task in figure_tasks(fig, settings, variants=variants)
-        ]
+    tasks = [
+        task
+        for fig in figures
+        for task in figure_tasks(fig, settings, variants=variants)
+    ]
     plan = None
     if getattr(args, "process_faults", 0):
         plan = sample_process_faults(
-            args.seed,
-            [t.name for t in tasks],
-            args.process_faults,
-            prefer="#s" if shards is not None else None,
+            args.seed, [t.name for t in tasks], args.process_faults
         )
     with _supervision(
         args, store, plan,
@@ -433,10 +370,8 @@ def _run_figures(args) -> int:
         )
     freport, store = run.report, run.store
     results = dict(freport.results)
-    if shards is not None:
-        results = _merge_shard_units(tasks, results)
     statuses = {
-        fig: _fig_status(freport, tasks, [name for name, _ in jobs[fig].units])
+        fig: _fig_status(freport, [name for name, _ in jobs[fig].units])
         for fig in figures
     }
 
@@ -831,29 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
              "0 auto-detects (cpu count, capped at 8)",
     )
     run.add_argument(
-        "--shards", type=int, metavar="N", default=None,
-        help="shard each internet-scale figure unit's flow population "
-             "over N lock-step fleet workers (barrier-synchronized, "
-             "per-epoch checkpoints, byte-identical to unsharded); "
-             "0 auto-detects (cpu count, capped at 8); implies "
-             "--workers N unless given; internet figures only",
-    )
-    run.add_argument(
-        "--epoch-ticks", type=int, metavar="K", default=50,
-        help="barrier-epoch length for --shards: every K ticks each "
-             "shard checkpoints and garbage-collects its exchange files "
-             "(default 50)",
-    )
-    run.add_argument(
-        "--barrier-timeout", type=float, metavar="SECONDS", default=120.0,
-        help="how long a shard waits at a barrier for a missing peer "
-             "before raising a retryable straggler timeout (default 120)",
-    )
-    run.add_argument(
         "--process-faults", type=int, metavar="N", default=0,
         help="inject N process-level faults (worker SIGKILL / heartbeat "
-             "stall) into the fleet; sharded runs aim them at shard "
-             "workers; requires --workers or --shards",
+             "stall) into the fleet; requires --workers",
     )
     run.add_argument(
         "--variants", nargs="+", default=["f-root"],
@@ -1070,8 +985,7 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", action="store_true",
         help="span-trace the execution fabric (supervisor, fleet "
-             "workers, shard barriers, checkpoint/salvage, per-tick "
-             "phases) into per-process JSONL files merged into a "
+             "workers, checkpoint/salvage, per-tick phases) into per-process JSONL files merged into a "
              "Perfetto-loadable trace.json; results and digests are "
              "byte-identical either way",
     )

@@ -59,13 +59,3 @@ class Interrupted(RunnerError):
     after checkpointing its progress; re-run with ``--resume`` to
     continue."""
 
-
-class ShardBarrierTimeout(RunnerError):
-    """A shard waited past its deadline for a peer's barrier-exchange
-    round (the peer is dead, stalled, or quarantined).
-
-    Deliberately *retryable* (not in the fleet's NON_RETRYABLE set): the
-    straggler restarts from its last barrier checkpoint, and if the dead
-    peer was salvaged in the meantime the rejoin succeeds; repeated
-    timeouts exhaust the retry policy and fail loudly instead of
-    returning a silent partial result."""

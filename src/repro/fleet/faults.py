@@ -82,15 +82,8 @@ def sample_process_faults(
     seed: int,
     task_names: Sequence[str],
     count: int,
-    prefer: Optional[str] = None,
 ) -> ProcessFaultPlan:
-    """Deterministically plan ``count`` faults over ``task_names``.
-
-    With ``prefer``, names containing that substring are sampled first
-    (falling back to the rest once exhausted) — sharded runs pass
-    ``prefer="#s"`` so faults land on shard workers, exercising the
-    barrier-salvage path rather than a plain unit rerun.
-    """
+    """Deterministically plan ``count`` faults over ``task_names``."""
     if count < 0:
         raise ConfigError(f"fault count must be >= 0, got {count}")
     names = sorted(set(task_names))
@@ -98,15 +91,7 @@ def sample_process_faults(
     if count == 0:
         return ProcessFaultPlan()
     rng = chaos_rng(seed, "process-faults")
-    if prefer is not None:
-        preferred = [name for name in names if prefer in name]
-        rest = [name for name in names if prefer not in name]
-        victims = rng.sample(preferred, min(count, len(preferred)))
-        if len(victims) < count:
-            victims.extend(rng.sample(rest, count - len(victims)))
-        victims = sorted(victims)
-    else:
-        victims = sorted(rng.sample(names, count))
+    victims = sorted(rng.sample(names, count))
     faults: List[ProcessFault] = []
     for victim in victims:
         kind = FAULT_KINDS[rng.randrange(len(FAULT_KINDS))]

@@ -2,8 +2,8 @@
 
 Determinism across executors rests on two pillars.  First, every unit
 job and chaos campaign is a pure function of its spec and seed
-(seed-per-shard: seeds derive from names/indices, never from which
-process ran what), so *results* are trivially order-independent.
+(seeds derive from names/indices, never from which process ran
+what), so *results* are trivially order-independent.
 Second, telemetry: the scheduler gives every task a fresh telemetry of
 the run's mode — in-process and in spawn workers alike — and this module
 folds those per-task pieces together **in canonical task order** (the
@@ -19,7 +19,7 @@ order would hold:
   insertion order = first-seen in canonical order (serial insertion
   order), which matters because ``metrics.json`` preserves it.
 * ``LabeledGauge`` — per-label last-write-wins: these hold absolute
-  engine scrapes, so the later shard replaces, never sums.
+  engine scrapes, so the later piece replaces, never sums.
 * ``TickSeries`` — pieces concatenate group-by-group with the serial
   pending-point protocol: a piece whose first group continues the
   running pending tick accumulates into it rather than opening a new
@@ -109,7 +109,7 @@ def _merge_metric(out: Metric, piece: Metric) -> None:
             for bin_index, count in bins.items():
                 merged[bin_index] = merged.get(bin_index, 0) + count
     elif isinstance(piece, LabeledGauge) and isinstance(out, LabeledGauge):
-        # absolute per-label scrape: later shard's value replaces,
+        # absolute per-label scrape: later piece's value replaces,
         # first-seen label order still matches serial insertion order
         for label, value in piece.items():
             out[label] = value

@@ -29,14 +29,7 @@ themselves, both calling the same :func:`repro.fleet.worker._run_task`:
   4. replaces dead workers with fresh processes (worker ids are never
      reused, so "distinct workers killed" is well-defined);
   5. assigns ready tasks — including ``RetryPolicy``-delayed retries —
-     to idle workers.  Tasks exposing a non-``None`` ``gang`` attribute
-     (e.g. shard tasks of one simulation unit) launch atomically: every
-     unfinished member must be ready and seated at once, because gang
-     members advance lock-step through a barrier exchange and a partial
-     launch would deadlock.  After the initial launch, members re-enter
-     the queue individually (a salvaged member rejoins its still-running
-     peers), and the telemetry fold keeps one piece per gang — members
-     record identical global telemetry by construction.
+     to idle workers.
 
 Determinism: results are keyed by task name and every task is a pure
 function of its recipe, so neither the executor nor scheduling can
@@ -44,7 +37,8 @@ change them; telemetry pieces are folded in canonical task order by
 :mod:`repro.fleet.merge`.  A ``FleetReport`` is therefore the same byte
 for byte whatever the worker count, scheduling interleaving, or mid-run
 worker deaths.  The scheduler knows nothing about what it runs: a task
-is anything with a ``name`` and a ``run(ctx)``.
+is anything with a ``name`` and a ``run(ctx)``, and tasks never talk to
+each other.
 """
 
 from __future__ import annotations
@@ -235,21 +229,6 @@ class _FleetRun:
         self.tracer = current_tracer()
         self.fleet_span: Optional[SpanHandle] = None
         self.task_spans: Dict[str, SpanHandle] = {}
-        self.gang_members: Dict[str, List[str]] = {}
-        for task in self.tasks:
-            gang = getattr(task, "gang", None)
-            if gang is not None:
-                self.gang_members.setdefault(gang, []).append(task.name)
-        self.gangs_launched: Set[str] = set()
-        seats = options.workers or 1
-        for gang, members in self.gang_members.items():
-            if len(members) > seats:
-                raise ConfigError(
-                    f"gang {gang!r} needs {len(members)} workers but the "
-                    f"run has {seats} (workers={options.workers}); gangs "
-                    "launch atomically, so a spawn pool must cover the "
-                    "largest gang"
-                )
 
     # -- worker lifecycle ----------------------------------------------
     def _open_pool(self) -> None:
@@ -406,48 +385,9 @@ class _FleetRun:
     def assign_ready(self) -> None:
         now = time.monotonic()
         idle = [w for w in self.workers.values() if w.idle]
-        if not idle or not self.ready or self.ready[0][0] > now:
-            return
-        due: List[Tuple[float, int, Any, int]] = []
-        while self.ready and self.ready[0][0] <= now:
-            due.append(heapq.heappop(self.ready))
-        due_by_name = {entry[2].name: entry for entry in due}
-        taken: Set[str] = set()
-        for entry in due:
-            task, attempt = entry[2], entry[3]
-            if task.name in taken:
-                continue
-            if not idle:
-                break
-            gang = getattr(task, "gang", None)
-            if gang is None or gang in self.gangs_launched:
-                # non-gang tasks, and gang members requeued after a
-                # worker death, assign individually: the surviving
-                # members are still parked in the barrier exchange
-                self._assign(idle.pop(), task, attempt)
-                taken.add(task.name)
-                continue
-            # initial gang launch is all-or-nothing: every member not
-            # already finished must be due *and* seatable right now,
-            # else a partial gang deadlocks at the first barrier
-            pending = [
-                member for member in self.gang_members[gang]
-                if member not in self.outcomes
-            ]
-            if any(member not in due_by_name for member in pending):
-                continue
-            if len(pending) > len(idle):
-                continue
-            for member in pending:
-                m_entry = due_by_name[member]
-                self._assign(idle.pop(), m_entry[2], m_entry[3])
-                taken.add(member)
-            self.gangs_launched.add(gang)
-        for entry in due:
-            if entry[2].name not in taken:
-                # push back under the original (at, seq) key so relative
-                # order is stable across supervision sweeps
-                heapq.heappush(self.ready, entry)
+        while idle and self.ready and self.ready[0][0] <= now:
+            _, _, task, attempt = heapq.heappop(self.ready)
+            self._assign(idle.pop(), task, attempt)
 
     def _finish(self, outcome: TaskOutcome) -> None:
         outcome.worker_deaths = len(self.deaths.get(outcome.name, ()))
@@ -647,21 +587,13 @@ class _FleetRun:
         # truncation-free even on unclean exits
         for name in sorted(self.task_spans):
             self._end_task_span(name, status_override or "abandoned")
-        # one telemetry piece per gang: every member of a gang records
-        # the same global stream (shard sims replicate global reductions),
-        # so folding all of them would multiply every counter by the
-        # gang size; the first present member in task order contributes
-        fold: List[NullTelemetry] = []
-        seen_gangs: Set[str] = set()
-        for task in self.tasks:
-            if task.name not in self.pieces:
-                continue
-            gang = getattr(task, "gang", None)
-            if gang is not None:
-                if gang in seen_gangs:
-                    continue
-                seen_gangs.add(gang)
-            fold.append(self.pieces[task.name])
+        # task order, not completion order: the fold is what makes the
+        # export independent of scheduling
+        fold = [
+            self.pieces[task.name]
+            for task in self.tasks
+            if task.name in self.pieces
+        ]
         with self.tracer.span(
             "merge.telemetry", cat="run", parent=self._fleet_span_id(),
             pieces=len(fold),

@@ -27,15 +27,6 @@ equivalents with matched statistics (see DESIGN.md substitutions):
 from .skitter import SkitterLikeMap, generate_route_tree
 from .botlist import BotPlacement, place_bots, place_legitimate
 from .scenarios import InternetScenario, build_internet_scenario
-from .shard import (
-    BarrierExchange,
-    ShardResult,
-    ShardSpec,
-    merge_shard_results,
-    partition_scenario,
-    shard_of_path,
-    shard_result,
-)
 from .simulator import FluidSimulator, FluidResult
 
 __all__ = [
@@ -46,13 +37,6 @@ __all__ = [
     "place_legitimate",
     "InternetScenario",
     "build_internet_scenario",
-    "BarrierExchange",
-    "ShardResult",
-    "ShardSpec",
-    "merge_shard_results",
-    "partition_scenario",
-    "shard_of_path",
-    "shard_result",
     "FluidSimulator",
     "FluidResult",
 ]

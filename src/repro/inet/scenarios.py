@@ -98,9 +98,9 @@ def build_internet_scenario(
 
     ``build_flow_links=False`` skips the per-flow link-chain table — the
     only O(flows) Python loop in assembly.  The fluid simulator never
-    reads ``flow_links`` (it works on per-AS aggregates), so 10^6-flow
-    shard benches turn it off; anything that walks per-flow paths needs
-    the default.
+    reads ``flow_links`` (it works on per-AS aggregates), so the
+    benchmark's fluid workload turns it off; anything that walks
+    per-flow paths needs the default.
     """
     if placement not in PLACEMENTS:
         raise ConfigError(f"unknown placement {placement!r}; choose {PLACEMENTS}")

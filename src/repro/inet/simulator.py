@@ -23,23 +23,6 @@ Three target-link strategies reproduce the paper's comparisons:
   flagging, Eq.-(IV.5)-equivalent preferential caps, conformance tracking
   and the *same* aggregation code (Algorithm 1 and Eq. IV.8) used by the
   packet-level router.
-
-Shard mode
-----------
-
-The simulator can run a *partition* of the flow population (one origin-AS
-shard of the path-identifier space, see :mod:`repro.inet.shard`) while
-remaining bit-identical to the serial run.  The trick is that **every
-cross-flow reduction goes through full-length per-AS vectors**: each
-shard bincounts its local flows per origin AS (all flows of an AS live in
-exactly one shard, in the same relative order as serially, so every
-per-AS partial sum is the bit-exact serial value), shards exchange the
-per-AS partials through a barrier exchange that rebuilds the full vector
-by *assignment* from the owning shard (never addition), and all global
-scalars are reduced from that identical full vector with identical numpy
-operations.  A serial simulator is simply the degenerate case where the
-local bincount already *is* the full vector and the exchange is a
-pass-through.
 """
 
 from __future__ import annotations
@@ -93,59 +76,8 @@ class FluidResult:
         return self.shares["legit_in_legit"] + self.shares["legit_in_attack"]
 
 
-def result_from_matrix(
-    *,
-    strategy: str,
-    s_max: Optional[int],
-    n_groups: int,
-    matrix: np.ndarray,
-    measured_ticks: int,
-    target_capacity: float,
-    n_flows_by_cat: Dict[str, int],
-    series: List[Tuple[int, float, float, float]],
-) -> FluidResult:
-    """Assemble a :class:`FluidResult` from the canonical per-(category,
-    origin-AS) admitted-volume matrix.
-
-    Serial ``finish_run`` and the shard merge (:func:`repro.inet.shard.
-    merge_shard_results`) both build their result through this one
-    function, from bit-identical matrices — which is what makes a merged
-    shard run byte-identical to the serial run by construction.
-    """
-    budget = target_capacity * max(1, measured_ticks)
-    shares: Dict[str, float] = {}
-    per_flow_mean: Dict[str, float] = {}
-    n_flows: Dict[str, int] = {}
-    for idx, name in enumerate(CATEGORY_NAMES):
-        total = float(np.sum(matrix[idx]))
-        shares[name] = total / budget
-        count = int(n_flows_by_cat[name])
-        n_flows[name] = count
-        per_flow_mean[name] = (
-            total / (count * max(1, measured_ticks)) if count else 0.0
-        )
-    return FluidResult(
-        strategy=strategy,
-        s_max=s_max,
-        shares=shares,
-        utilization=float(np.sum(matrix)) / budget,
-        per_flow_mean=per_flow_mean,
-        n_flows=n_flows,
-        n_groups=n_groups,
-        series=list(series),
-    )
-
-
 class FluidSimulator:
-    """Runs one scenario under one target-link strategy.
-
-    With ``shard`` set (a :class:`repro.inet.shard.ShardSpec`), the
-    simulator keeps only the flows whose origin AS the shard owns, and
-    every cross-flow reduction goes through the attached barrier
-    exchange (see the module docstring).  Global, deterministic state —
-    per-AS flow counts, the path-id map, conformance, the aggregation
-    plan — is replicated identically on every shard.
-    """
+    """Runs one scenario under one target-link strategy."""
 
     def __init__(
         self,
@@ -155,7 +87,6 @@ class FluidSimulator:
         attack_flag_factor: float = 1.5,
         aggregation_interval: int = 50,
         seed: int = 11,
-        shard: Optional[Any] = None,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}; choose {STRATEGIES}")
@@ -176,33 +107,20 @@ class FluidSimulator:
         self.telemetry: NullTelemetry = current()
 
         scn = scenario
-        n_as = scn.topology.n_as
-        origin_all = scn.flow_origin_as
-        cats_all = scn.categories()
-        # global (scenario-wide) statistics, identical on every shard:
-        # group plans, conformance totals, fair shares, and result
-        # denominators must never depend on which flows are local
-        self.n_flows_total = scn.n_flows
-        self._counts_by_as = np.bincount(origin_all, minlength=n_as)
+        self.origin = scn.flow_origin_as
+        self.is_attack = scn.flow_is_attack
+        self.cats = scn.categories()
+        self.n_flows = int(self.origin.shape[0])
+        self._counts_by_as = np.bincount(
+            self.origin, minlength=scn.topology.n_as
+        )
         self._n_flows_by_cat = {
-            name: int(np.count_nonzero(cats_all == idx))
+            name: int(np.count_nonzero(self.cats == idx))
             for idx, name in enumerate(CATEGORY_NAMES)
         }
         self.pid_of_as = {
-            asn: scn.topology.path_of(asn) for asn in set(origin_all.tolist())
+            asn: scn.topology.path_of(asn) for asn in set(self.origin.tolist())
         }
-        self._shard = shard
-        self._exchange: Optional[Any] = None
-        if shard is None:
-            self.origin = origin_all
-            self.is_attack = scn.flow_is_attack
-            self.cats = cats_all
-        else:
-            keep = shard.shard_of_as[origin_all] == shard.shard
-            self.origin = origin_all[keep]
-            self.is_attack = scn.flow_is_attack[keep]
-            self.cats = cats_all[keep]
-        self.n_flows = int(self.origin.shape[0])
         # per-AS topology helpers
         depth = np.asarray(scn.topology.depth, dtype=np.float64)
         self.parent = np.asarray(scn.topology.parent, dtype=np.int64)
@@ -223,26 +141,8 @@ class FluidSimulator:
         self._rate_ewma = np.zeros(self.n_flows, dtype=np.float64)
         self.n_groups = 0
 
-    # ------------------------------------------------------------------
-    # shard support
-    # ------------------------------------------------------------------
-    def attach_exchange(self, exchange: Any) -> None:
-        """Attach the barrier exchange a shard-mode simulator reduces
-        through.  Must be (re)called after every checkpoint load — the
-        exchange is deliberately dropped from pickled state."""
-        if self._shard is None:
-            raise ConfigError(
-                "attach_exchange() on a non-sharded simulator; pass a "
-                "ShardSpec to the constructor first"
-            )
-        self._exchange = exchange
-
     def __getstate__(self) -> Dict[str, Any]:
-        # the exchange may hold an injected poll hook (a bound watchdog
-        # method); checkpoints must never carry it, and a fresh exchange
-        # is attached after load anyway (see ShardUnitTask.run)
         state = dict(self.__dict__)
-        state["_exchange"] = None
         for name in _DERIVED:
             state.pop(name, None)
         return state
@@ -279,33 +179,6 @@ class FluidSimulator:
         self._levels = [
             (nodes, self.parent[nodes]) for nodes in np.split(order, cuts)
         ]
-
-    def _allreduce(
-        self,
-        tick: int,
-        round_key: str,
-        vectors: Dict[str, np.ndarray],
-        counts: Optional[Dict[str, int]] = None,
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
-        """Resolve per-AS partial vectors into full (global) vectors.
-
-        Serial runs pass through untouched: a lone simulator's bincounts
-        over all flows *are* the global vectors.  Shard-mode simulators
-        delegate to the attached exchange, which assembles each full
-        vector column-by-column from the owning shard — by assignment,
-        never addition, so the result is bit-identical to serial.
-        Integer ``counts`` are summed across shards (exact in any order).
-        """
-        if self._shard is None:
-            return vectors, dict(counts or {})
-        if self._exchange is None:
-            raise ConfigError(
-                "shard-mode FluidSimulator has no exchange attached; "
-                "call attach_exchange() before stepping"
-            )
-        return self._exchange.allreduce(
-            tick, round_key, vectors, dict(counts or {})
-        )
 
     # ------------------------------------------------------------------
     # fault support (used by repro.faults injectors)
@@ -375,19 +248,14 @@ class FluidSimulator:
         return rates
 
     def _loads_by_as(self, rates: np.ndarray) -> np.ndarray:
-        """Per-origin-AS source load, reduced over *local* flows.
-
-        ``np.bincount`` accumulates in input order, and a shard holds
-        every flow of its owned ASes in serial relative order, so each
-        owned entry is the bit-exact serial partial sum.
-        """
+        """Per-origin-AS source load."""
         return np.bincount(
             self.origin, weights=rates, minlength=self.scn.topology.n_as
         )
 
     def _survival_from_loads(self, own: np.ndarray) -> np.ndarray:
         """Per-AS survival fraction from origin to (not including) the
-        target link, given the *full* per-AS source-load vector.
+        target link, given the per-AS source-load vector.
 
         Root-ward, one depth level per step: a link passes
         ``min(offered, capacity)`` into its parent (a capacity of 0 means
@@ -420,9 +288,8 @@ class FluidSimulator:
         return surv
 
     def _upstream_survival(self, rates: np.ndarray) -> np.ndarray:
-        """Serial convenience wrapper: reduce local rates per AS and
-        propagate.  Shard-mode ``step_run`` exchanges the load vector
-        through the barrier before calling ``_survival_from_loads``."""
+        """Reduce per-flow rates per AS and propagate (``step_run`` keeps
+        the load vector, so it calls the two halves itself)."""
         return self._survival_from_loads(self._loads_by_as(rates))
 
     # -- target-link strategies ------------------------------------------
@@ -431,10 +298,8 @@ class FluidSimulator:
     ) -> np.ndarray:
         """Uniform random-drop admission.
 
-        The arrival total is always reduced from the canonical per-AS
-        vector — never from the local flow array — so every shard
-        computes the bit-identical global scalar.  Direct callers (tests,
-        warm-up) may omit ``arr_by_as`` and get the local reduction.
+        The arrival total is reduced from the per-AS vector, which
+        ``step_run`` already holds; direct callers may omit it.
         """
         if arr_by_as is None:
             arr_by_as = np.bincount(
@@ -449,34 +314,30 @@ class FluidSimulator:
         self._admitted_total = total * factor
         return arrivals * factor
 
-    def _admit_ff(self, arrivals: np.ndarray, tick: int = 0) -> np.ndarray:
+    def _admit_ff(self, arrivals: np.ndarray) -> np.ndarray:
         """Section VII-C, verbatim: one high-priority pool holds all
         legitimate packets plus attack packets up to their fair bandwidth;
         normal-priority (excess attack) packets are serviced only from
         whatever capacity the pool leaves idle.  Pool totals are reduced
-        per origin AS and exchanged so every shard sees the global pools.
+        per origin AS first, then over ASes.
         """
         cap = self.scn.target_capacity
-        fair = cap / max(1, self.n_flows_total)
+        fair = cap / max(1, self.n_flows)
         legit = ~self.is_attack
         hp = np.where(legit, arrivals, np.minimum(arrivals, fair))
         lp = np.where(self.is_attack, arrivals - hp, 0.0)
         n_as = self.scn.topology.n_as
-        vectors, _ = self._allreduce(
-            tick,
-            "admit",
-            {
-                "hp": np.bincount(self.origin, weights=hp, minlength=n_as),
-                "lp": np.bincount(self.origin, weights=lp, minlength=n_as),
-            },
+        hp_total = float(
+            np.sum(np.bincount(self.origin, weights=hp, minlength=n_as))
         )
-        hp_total = float(np.sum(vectors["hp"]))
         if hp_total >= cap:
             self._admitted_total = hp_total * (cap / hp_total)
             return hp * (cap / hp_total)
         admitted = hp.copy()
         remaining = cap - hp_total
-        lp_total = float(np.sum(vectors["lp"]))
+        lp_total = float(
+            np.sum(np.bincount(self.origin, weights=lp, minlength=n_as))
+        )
         granted = 0.0
         if lp_total > 0:
             factor = min(1.0, remaining / lp_total)
@@ -486,12 +347,7 @@ class FluidSimulator:
         return admitted
 
     def _rebuild_groups(self) -> None:
-        """Run conformance partition + aggregation, rebuild group arrays.
-
-        Every input is replicated global state (the path-id map, the
-        static per-AS flow counts, the conformance tracker fed from
-        exchanged flag counts), so all shards rebuild the identical plan.
-        """
+        """Run conformance partition + aggregation, rebuild group arrays."""
         ases = sorted(self.pid_of_as)
         pids = [self.pid_of_as[a] for a in ases]
         counts_by_as = self._counts_by_as.tolist()
@@ -515,6 +371,32 @@ class FluidSimulator:
         self._group_of_as = np.asarray(group_of_as, dtype=np.int64)
         self._group_shares = np.asarray(shares, dtype=np.float64)
         self.n_groups = len(shares)
+
+    def _class_sums(
+        self,
+        origin_u: np.ndarray,
+        arrivals_u: np.ndarray,
+        origin_f: np.ndarray,
+        arrivals_f: np.ndarray,
+        capped_f: np.ndarray,
+    ) -> Tuple[np.ndarray, ...]:
+        """Per-origin-AS sums of the two flag classes' arrivals and of
+        the flagged class's capped arrivals.
+
+        ``np.bincount`` over an empty class returns *int64* zeros, so the
+        dtype is pinned: every sum is float64 of shape ``(n_as,)`` for
+        every input (a no-op for a non-empty class).
+        """
+        n_as = self.scn.topology.n_as
+        classes = (
+            (origin_u, arrivals_u), (origin_f, arrivals_f), (origin_f, capped_f)
+        )
+        return tuple(
+            np.bincount(origin, weights=weights, minlength=n_as).astype(
+                np.float64, copy=False
+            )
+            for origin, weights in classes
+        )
 
     def _admit_floc(
         self,
@@ -562,8 +444,8 @@ class FluidSimulator:
         n_groups = self.n_groups
         alloc = cap * shares / shares.sum()
 
-        # group demand/size from the canonical per-AS vectors (group
-        # membership is per origin AS, so AS-level bincounts are exact)
+        # group demand/size from the per-AS vectors (group membership
+        # is per origin AS, so AS-level bincounts are exact)
         group_arrival = np.bincount(
             gidx_as, weights=arr_by_as, minlength=n_groups
         )
@@ -609,37 +491,14 @@ class FluidSimulator:
         admitted_f = fair_as[origin_f]
         np.minimum(arrivals_f, admitted_f, out=admitted_f)
 
-        # exchange the flag-split arrival decomposition so the scale
-        # factors, the work-conservation pools, and the flag telemetry are
-        # computed from identical global values on every shard
-        n_flagged = int(origin_f.shape[0])
-        n_still = int(np.count_nonzero(flagged & previously_flagged))
-        vectors, xcounts = self._allreduce(
-            tick,
-            "admit",
-            {
-                "arr_unflagged": np.bincount(
-                    origin_u, weights=arrivals_u, minlength=n_as
-                ),
-                "arr_flagged": np.bincount(
-                    origin_f, weights=arrivals_f, minlength=n_as
-                ),
-                "capped_flagged": np.bincount(
-                    origin_f, weights=admitted_f, minlength=n_as
-                ),
-            },
-            {
-                "newly": n_flagged - n_still,
-                "cleared": int(np.count_nonzero(previously_flagged)) - n_still,
-                "flagged": n_flagged,
-            },
+        arr_unflagged, arr_flagged, capped_flagged = self._class_sums(
+            origin_u, arrivals_u, origin_f, arrivals_f, admitted_f
         )
-        arr_unflagged = vectors["arr_unflagged"]
-        arr_flagged = vectors["arr_flagged"]
-        capped_flagged = vectors["capped_flagged"]
         if tel.enabled:
-            newly = xcounts["newly"]
-            cleared = xcounts["cleared"]
+            n_flagged = int(origin_f.shape[0])
+            n_still = int(np.count_nonzero(flagged & previously_flagged))
+            newly = n_flagged - n_still
+            cleared = int(np.count_nonzero(previously_flagged)) - n_still
             if newly or cleared:
                 tel.registry.counter("fluid_flag_transitions_count").inc(
                     float(newly + cleared)
@@ -648,7 +507,7 @@ class FluidSimulator:
                     tel.emit_event(
                         tick, "fluid_flag", "mtd",
                         newly_flagged=newly, cleared=cleared,
-                        flagged_total=xcounts["flagged"],
+                        flagged_total=n_flagged,
                     )
 
         capped_by_as = arr_unflagged + capped_flagged
@@ -668,7 +527,7 @@ class FluidSimulator:
         # demand first — flagged flows are still preferentially dropped —
         # and only then to flagged flows.  The pool totals decompose per
         # AS (unmet = arrivals - capped*scale), so they reduce from the
-        # exchanged vectors and every shard grants the same fractions.
+        # per-AS class sums.
         pool_unflagged = float(np.sum(arr_unflagged - arr_unflagged * scale_as))
         pool_flagged = float(np.sum(arr_flagged - capped_flagged * scale_as))
         grant_unflagged = 0.0
@@ -756,8 +615,7 @@ class FluidSimulator:
         self._rate_ewma += scratch
         if prof is not None:
             clock = prof.lap("sources", clock)
-        vectors, _ = self._allreduce(tick, "load", {"own": self._loads_by_as(rates)})
-        own = vectors["own"]
+        own = self._loads_by_as(rates)
         surv = self._survival_from_loads(own)
         # indices are AS numbers below n_as by construction; "clip" only
         # spares take() the bounds-checked copy it makes under "raise"
@@ -769,11 +627,11 @@ class FluidSimulator:
         if self.strategy == "nd":
             admitted = self._admit_nd(arrivals, arr_by_as)
         elif self.strategy == "ff":
-            admitted = self._admit_ff(arrivals, tick)
+            admitted = self._admit_ff(arrivals)
         else:
             admitted = self._admit_floc(arrivals, tick, arr_by_as)
             if tick % self._conf_interval == 0:
-                self._update_conformance(tick)
+                self._update_conformance()
         if prof is not None:
             clock = prof.lap("policy", clock)
         if tel.enabled and tick % tel.sample_interval_ticks == 0:
@@ -806,56 +664,60 @@ class FluidSimulator:
     def _series_point(
         self, tick: int, admitted: np.ndarray
     ) -> Tuple[int, float, float, float]:
-        """One canonical series sample: per-category admitted volume at
-        the target, reduced through the per-AS vectors so every shard
-        records the identical point."""
-        n_as = self.scn.topology.n_as
-        parts = {
-            name: np.bincount(
-                self.origin,
-                weights=np.where(self.cats == idx, admitted, 0.0),
-                minlength=n_as,
-            )
-            for idx, name in enumerate(CATEGORY_NAMES)
-        }
-        vectors, _ = self._allreduce(tick, "series", parts)
+        """One series sample: per-category admitted volume at the
+        target, as a fraction of its capacity."""
+        by_cat = self._by_category_and_as(admitted)
         cap = self.scn.target_capacity
         return (
             tick,
-            float(np.sum(vectors["legit_in_legit"]) / cap),
-            float(np.sum(vectors["legit_in_attack"]) / cap),
-            float(np.sum(vectors["attack"]) / cap),
+            float(np.sum(by_cat[0]) / cap),
+            float(np.sum(by_cat[1]) / cap),
+            float(np.sum(by_cat[2]) / cap),
         )
 
-    def acc_matrix(self) -> np.ndarray:
-        """Per-(category, origin-AS) admitted volume over the measured
-        window.  In shard mode only the owned columns are populated; the
-        shard merge reassembles the full matrix by assignment."""
+    def _by_category_and_as(self, per_flow: np.ndarray) -> np.ndarray:
+        """``per_flow`` summed per (category, origin AS): one row per
+        entry of ``CATEGORY_NAMES``."""
         n_as = self.scn.topology.n_as
-        rows = [
-            np.bincount(
-                self.origin,
-                weights=np.where(self.cats == idx, self._acc, 0.0),
-                minlength=n_as,
-            )
-            for idx in range(len(CATEGORY_NAMES))
-        ]
-        return np.stack(rows)
+        return np.stack(
+            [
+                np.bincount(
+                    self.origin,
+                    weights=np.where(self.cats == idx, per_flow, 0.0),
+                    minlength=n_as,
+                )
+                for idx in range(len(CATEGORY_NAMES))
+            ]
+        )
 
     def finish_run(self) -> FluidResult:
         """Assemble the :class:`FluidResult` for a completed (or salvaged
         partial) run."""
         if self.telemetry.enabled:
             self.telemetry.scrape_fluid(self)
-        return result_from_matrix(
+        matrix = self._by_category_and_as(self._acc)
+        measured_ticks = max(1, self._measured_ticks)
+        budget = self.scn.target_capacity * measured_ticks
+        shares: Dict[str, float] = {}
+        per_flow_mean: Dict[str, float] = {}
+        n_flows: Dict[str, int] = {}
+        for idx, name in enumerate(CATEGORY_NAMES):
+            total = float(np.sum(matrix[idx]))
+            shares[name] = total / budget
+            count = self._n_flows_by_cat[name]
+            n_flows[name] = count
+            per_flow_mean[name] = (
+                total / (count * measured_ticks) if count else 0.0
+            )
+        return FluidResult(
             strategy=self.strategy,
             s_max=self.s_max,
+            shares=shares,
+            utilization=float(np.sum(matrix)) / budget,
+            per_flow_mean=per_flow_mean,
+            n_flows=n_flows,
             n_groups=self.n_groups,
-            matrix=self.acc_matrix(),
-            measured_ticks=self._measured_ticks,
-            target_capacity=self.scn.target_capacity,
-            n_flows_by_cat=self._n_flows_by_cat,
-            series=self._series,
+            series=list(self._series),
         )
 
     def run(
@@ -870,19 +732,12 @@ class FluidSimulator:
             pass
         return self.finish_run()
 
-    def _update_conformance(self, tick: int = 0) -> None:
-        """Fold the current flagging into per-path conformance.
-
-        Flag counts are reduced per origin AS and exchanged; totals come
-        from the static global per-AS flow counts — so every shard feeds
-        its (replicated) conformance tracker the identical observations.
-        """
+    def _update_conformance(self) -> None:
+        """Fold the current flagging into per-path conformance."""
         n_as = self.scn.topology.n_as
-        flagged_local = np.bincount(
+        flagged = np.bincount(
             self.origin, weights=self._flagged.astype(np.float64), minlength=n_as
-        )
-        vectors, _ = self._allreduce(tick, "conf", {"flagged": flagged_local})
-        flagged = vectors["flagged"].tolist()
+        ).tolist()
         totals = self._counts_by_as.tolist()
         for asn, pid in self.pid_of_as.items():
             self.conformance.update(pid, totals[asn], int(flagged[asn]))

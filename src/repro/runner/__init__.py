@@ -12,7 +12,7 @@ Layers (bottom-up):
   :func:`repro.fleet.pool.run_fleet`.
 * :mod:`~repro.runner.figures` — the registry decomposing every figure
   into units (:func:`build_figure_job`) and the picklable task recipes
-  the scheduler runs (:func:`figure_tasks`, :func:`shard_figure_tasks`).
+  the scheduler runs (:func:`figure_tasks`).
 """
 
 from .checkpoint import KINDS, CheckpointStore
@@ -20,10 +20,8 @@ from .figures import (
     FigureJob,
     FigureOutput,
     FigureUnitTask,
-    ShardUnitTask,
     build_figure_job,
     figure_tasks,
-    shard_figure_tasks,
 )
 from .resumable import EngineRun, FluidRun, run_checkpointed
 from .supervisor import (
@@ -40,10 +38,8 @@ __all__ = [
     "FigureJob",
     "FigureOutput",
     "FigureUnitTask",
-    "ShardUnitTask",
     "build_figure_job",
     "figure_tasks",
-    "shard_figure_tasks",
     "EngineRun",
     "FluidRun",
     "run_checkpointed",

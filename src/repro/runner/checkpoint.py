@@ -58,7 +58,6 @@ import json
 import os
 import pickle
 import re
-import shutil
 import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -379,18 +378,3 @@ class CheckpointStore:
                 os.unlink(os.path.join(self.root, filename))
             except OSError:
                 pass
-        shutil.rmtree(os.path.join(self.root, "exchange"), ignore_errors=True)
-
-    def exchange_dir(self, namespace: str) -> str:
-        """Scratch directory for shard barrier-exchange traffic.
-
-        Deliberately *outside* the manifest: exchange files churn once
-        per tick per shard, far too fast to contend on the manifest
-        lock, and they are transport, not state — a salvaged shard
-        republishes identical bytes deterministically.  The directory
-        is keyed by unit name so concurrent units never collide, and
-        :meth:`reset` clears the whole exchange tree.
-        """
-        path = os.path.join(self.root, "exchange", _slug(namespace))
-        os.makedirs(path, exist_ok=True)
-        return path

@@ -19,12 +19,12 @@ their single long fluid run is the most expensive thing the suite does.
 The scheduler (:func:`repro.fleet.pool.run_fleet`) runs *tasks*, and a
 task may have to cross a spawn boundary, where the unit closures built
 here cannot go.  So what is scheduled is the *recipe*: a frozen
-dataclass of primitives (:class:`FigureUnitTask`, :class:`ShardUnitTask`)
-from which ``run`` rebuilds the closure table — cheap; the simulation is
-the expensive part — and picks its unit by name.  The rebuilt unit is
-the same pure function of the same settings and seed wherever it runs,
-and task ``name``s double as checkpoint keys, so every executor
-salvages every other's progress.
+dataclass of primitives (:class:`FigureUnitTask`) from which ``run``
+rebuilds the closure table — cheap; the simulation is the expensive
+part — and picks its unit by name.  The rebuilt unit is the same pure
+function of the same settings and seed wherever it runs, and task
+``name``s double as checkpoint keys, so every executor salvages every
+other's progress.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ from ..experiments.common import FunctionalSettings, mean
 from .supervisor import UnitContext
 
 UnitFn = Callable[[UnitContext], Any]
-
-#: figure -> bot placement for the internet-scale figures (the only
-#: figures the fluid simulator — and therefore sharding — applies to)
-INTERNET_PLACEMENTS = {
-    "fig13": "localized",
-    "fig14": "dispersed",
-    "fig15": "separated",
-}
 
 
 @dataclass
@@ -384,11 +376,12 @@ def _fig11_job(settings: FunctionalSettings, variants: Tuple[str, ...]) -> Figur
 # ----------------------------------------------------------------------
 # internet-scale figures (tick-level checkpointing inside each unit)
 # ----------------------------------------------------------------------
-def _internet_job(figure: str, variants: Tuple[str, ...]) -> FigureJob:
+def _internet_job(
+    figure: str, placement: str, variants: Tuple[str, ...]
+) -> FigureJob:
     from ..experiments.fig13 import InternetRunSettings
 
     iset = InternetRunSettings()
-    placement = INTERNET_PLACEMENTS[figure]
     units: List[Tuple[str, UnitFn]] = []
     for variant in variants:
         for label, strategy, s_max in iset.strategies:
@@ -533,9 +526,9 @@ def build_figure_job(
         "fig09": lambda: _fig09_job(settings),
         "fig10": lambda: _fig10_job(settings),
         "fig11": lambda: _fig11_job(settings, variants),
-        "fig13": lambda: _internet_job("fig13", variants),
-        "fig14": lambda: _internet_job("fig14", variants),
-        "fig15": lambda: _internet_job("fig15", variants),
+        "fig13": lambda: _internet_job("fig13", "localized", variants),
+        "fig14": lambda: _internet_job("fig14", "dispersed", variants),
+        "fig15": lambda: _internet_job("fig15", "separated", variants),
         "faults": lambda: _faults_job(settings),
     }
     try:
@@ -588,129 +581,6 @@ class FigureUnitTask:
         )
 
 
-@dataclass(frozen=True)
-class ShardUnitTask:
-    """One shard of one internet-figure unit, by recipe.
-
-    All shards of a unit form a *gang* (``gang`` = the unit name): the
-    pool launches them together — they advance lock-step through the
-    barrier exchange and none can finish without the others — and the
-    unit's merged result is assembled by the caller from the per-shard
-    pieces via :func:`repro.inet.shard.merge_shard_results`.
-    """
-
-    figure: str
-    unit: str  # e.g. "fig13:f-root:ND" — the unsharded unit's name
-    variant: str
-    placement: str
-    label: str
-    strategy: str
-    s_max: Optional[int]
-    shard: int
-    n_shards: int
-    epoch_ticks: int
-    barrier_timeout_seconds: float
-    settings: Dict[str, Any]  # InternetRunSettings scalar fields
-
-    @property
-    def name(self) -> str:
-        return f"{self.unit}#s{self.shard}of{self.n_shards}"
-
-    @property
-    def gang(self) -> Optional[str]:
-        return self.unit if self.n_shards > 1 else None
-
-    def run(self, ctx: UnitContext) -> Any:
-        from ..inet.shard import BarrierExchange, ShardSpec, partition_scenario
-        from .resumable import FluidRun, run_checkpointed
-
-        task = self
-
-        def build() -> FluidRun:
-            from ..inet.simulator import FluidSimulator
-            from ..sanitize import install_sanitizer
-
-            scenario = _build_internet_scenario_for(task)
-            spec = ShardSpec(
-                shard=task.shard,
-                n_shards=task.n_shards,
-                shard_of_as=partition_scenario(
-                    scenario, task.n_shards, int(task.settings["seed"])
-                ),
-            )
-            sim = FluidSimulator(
-                scenario,
-                strategy=task.strategy,
-                s_max=task.s_max,
-                seed=int(task.settings["seed"]),
-                shard=spec,
-            )
-            install_sanitizer(sim, ctx.sanitize)
-            return FluidRun(
-                sim,
-                ticks=int(task.settings["ticks"]),
-                warmup=int(task.settings["warmup"]),
-                payload=task.unit,
-            )
-
-        def prepare(run: FluidRun) -> None:
-            # fresh exchange on every (re)start: checkpoints deliberately
-            # drop it, and the poll hook (heartbeat pulse) is live state
-            exchange = BarrierExchange(
-                ctx.store.exchange_dir(task.unit),
-                run.sim._shard,
-                epoch_ticks=task.epoch_ticks,
-                timeout_seconds=task.barrier_timeout_seconds,
-            )
-            if ctx.watchdog is not None:
-                exchange.poll_hook = ctx.watchdog.check
-            run.sim.attach_exchange(exchange)
-
-        if ctx.store is None:
-            raise ConfigError(
-                f"shard task {self.name} needs a checkpoint store: the "
-                "barrier exchange and salvage protocol live in it"
-            )
-        # checkpoint every barrier epoch (not ctx.checkpoint_interval):
-        # the salvage guarantee is "a dead shard resumes from the last
-        # barrier", so snapshot cadence and epoch cadence must agree
-        return run_checkpointed(
-            ctx.store,
-            self.name,
-            build,
-            _finish_shard_run,
-            checkpoint_interval=self.epoch_ticks,
-            shutdown=ctx.shutdown,
-            watchdog=ctx.watchdog,
-            prepare=prepare,
-        )
-
-
-def _build_internet_scenario_for(task: ShardUnitTask) -> Any:
-    from ..inet.scenarios import build_internet_scenario
-
-    s = task.settings
-    return build_internet_scenario(
-        variant=task.variant,
-        placement=task.placement,
-        n_as=int(s["n_as"]),
-        n_legit_sources=int(s["n_legit_sources"]),
-        n_legit_ases=int(s["n_legit_ases"]),
-        n_bots=int(s["n_bots"]),
-        target_capacity=float(s["target_capacity"]),
-        seed=int(s["seed"]),
-        # the fluid simulator never reads per-flow link chains; 10^6-flow
-        # benches skip building them (see build_internet_scenario)
-        build_flow_links=bool(s.get("build_flow_links", True)),
-    )
-
-
-def _finish_shard_run(run: Any) -> Any:
-    from ..inet.shard import shard_result
-
-    return shard_result(run.sim, run.payload)
-
-
 def figure_tasks(
     figure: str,
     settings: FunctionalSettings,
@@ -729,53 +599,3 @@ def figure_tasks(
         for name, _ in job.units
     ]
 
-
-def shard_figure_tasks(
-    figure: str,
-    n_shards: int,
-    variants: Tuple[str, ...] = ("f-root",),
-    epoch_ticks: int = 50,
-    barrier_timeout_seconds: float = 120.0,
-) -> List[ShardUnitTask]:
-    """Shard tasks for one internet figure, unit-major in the figure
-    job's canonical unit order (all shards of a unit adjacent)."""
-    if figure not in INTERNET_PLACEMENTS:
-        raise ConfigError(
-            f"--shards applies only to the internet-scale figures "
-            f"{tuple(sorted(INTERNET_PLACEMENTS))}, not {figure!r}"
-        )
-    if n_shards < 1:
-        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
-    from ..experiments.fig13 import InternetRunSettings
-
-    iset = InternetRunSettings()
-    settings = {
-        "n_as": iset.n_as,
-        "n_legit_sources": iset.n_legit_sources,
-        "n_legit_ases": iset.n_legit_ases,
-        "n_bots": iset.n_bots,
-        "target_capacity": iset.target_capacity,
-        "ticks": iset.ticks,
-        "warmup": iset.warmup,
-        "seed": iset.seed,
-    }
-    placement = INTERNET_PLACEMENTS[figure]
-    return [
-        ShardUnitTask(
-            figure=figure,
-            unit=f"{figure}:{variant}:{label}",
-            variant=variant,
-            placement=placement,
-            label=label,
-            strategy=strategy,
-            s_max=s_max,
-            shard=shard,
-            n_shards=n_shards,
-            epoch_ticks=epoch_ticks,
-            barrier_timeout_seconds=barrier_timeout_seconds,
-            settings=settings,
-        )
-        for variant in variants
-        for label, strategy, s_max in iset.strategies
-        for shard in range(n_shards)
-    ]

@@ -91,10 +91,8 @@ class FluidRun:
         ticks: int,
         warmup: int,
         record_series: bool = False,
-        payload: Any = None,
     ) -> None:
         self.sim = sim
-        self.payload = payload
         sim.begin_run(ticks, warmup, record_series)
 
     @property
@@ -121,20 +119,16 @@ def run_checkpointed(
     checkpoint_interval: int = 200,
     shutdown: Optional[GracefulShutdown] = None,
     watchdog: Optional[Watchdog] = None,
-    prepare: Optional[Callable[[Any], None]] = None,
     trace_parent: Optional[str] = None,
 ) -> Any:
     """Run (or resume) one tick-level simulation to completion.
 
     ``build()`` constructs a fresh :class:`EngineRun`/:class:`FluidRun`;
     if the store holds a ``state`` snapshot under ``name`` it is loaded
-    instead and the build is skipped entirely.  ``prepare(run)``, when
-    given, runs after either path — its job is re-attaching live objects
-    that deliberately do not ride through pickle (e.g. a shard
-    simulator's barrier exchange with its watchdog poll hook).  Between
-    segments the current state is snapshotted; on a shutdown request the
-    final snapshot is written and :class:`~repro.errors.Interrupted`
-    raised.  On completion the state entry is deleted (the caller
+    instead and the build is skipped entirely.  Between segments the
+    current state is snapshotted; on a shutdown request the final
+    snapshot is written and :class:`~repro.errors.Interrupted` raised.
+    On completion the state entry is deleted (the caller
     checkpoints the finalized result at unit granularity) and
     ``finalize(run)`` returned.
     """
@@ -154,8 +148,6 @@ def run_checkpointed(
     if run is None:
         with tracer.span("build", cat="run", parent=trace_parent, unit=name):
             run = build()
-    if prepare is not None:
-        prepare(run)
     segment = 0
     while not run.done:
         if watchdog is not None:

@@ -170,7 +170,7 @@ class UnitContext:
     sanitize: Optional[str] = None
     checkpoint_interval: int = 200
     #: span id of the supervisor's unit/task span, so spans opened deeper
-    #: in the stack (checkpoint save, salvage, barrier epochs) parent
+    #: in the stack (checkpoint save, salvage, tick segments) parent
     #: under it on the merged timeline
     trace_parent: Optional[str] = None
 

@@ -220,12 +220,7 @@ class Telemetry(NullTelemetry):
     def scrape_fluid(self, sim: Any) -> None:
         reg = self.registry
         reg.gauge("fluid_run_ticks").set(float(getattr(sim, "_run_tick", 0)))
-        # shard-mode simulators hold a partition of the flows; the gauge
-        # reports the scenario-wide population so every shard (and the
-        # serial run) records the identical value
-        reg.gauge("fluid_flows_count").set(
-            float(getattr(sim, "n_flows_total", sim.n_flows))
-        )
+        reg.gauge("fluid_flows_count").set(float(sim.n_flows))
         reg.gauge("fluid_groups_count").set(float(sim.n_groups))
 
     # -- provenance / persistence ---------------------------------------

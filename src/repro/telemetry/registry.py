@@ -132,7 +132,7 @@ class LabeledGauge(LabeledCounter[K]):
     semantics: scrapes of running totals (e.g. per-link serviced counts
     at the end of each ``Engine.run`` call) assign the current absolute
     value, so re-scraping the same engine is idempotent and merging two
-    telemetry shards keeps the later shard's value instead of summing.
+    telemetry pieces keeps the later piece's value instead of summing.
     """
 
     kind = "labeled_gauge"

@@ -3,11 +3,10 @@
 Where :mod:`repro.telemetry` answers *what did the simulation decide*
 (tick-keyed metrics and decision events, digest-safe by construction),
 this package answers *where did the wall clock go*: spans covering the
-scheduler, fleet pool workers, shard gangs (barrier publish / collect /
-timeout epochs), resumable-run phases (checkpoint save / load /
-salvage, retry backoff), chaos campaign jobs, and — synthesized from
-:class:`~repro.telemetry.profiler.TickProfiler` totals — the per-tick
-engine/fluid phases.
+scheduler, fleet pool workers, resumable-run phases (checkpoint save /
+load / salvage, retry backoff), chaos campaign jobs, and — synthesized
+from :class:`~repro.telemetry.profiler.TickProfiler` totals — the
+per-tick engine/fluid phases.
 
 Layout::
 
@@ -15,8 +14,7 @@ Layout::
     spans.py     Tracer / NullTracer / SpanHandle / TraceContext,
                  per-process JSONL span sinks, current_tracer()/use_tracer()
     merge.py     deterministic canonical-order merge + torn-file salvage
-    analysis.py  critical path, self/total rollups, phase attribution,
-                 barrier-wait straggler report
+    analysis.py  critical path, self/total rollups, phase attribution
     export.py    Chrome trace-event / Perfetto JSON + ASCII reports
 
 The cardinal rule, shared with the tick profiler and enforced by
@@ -38,7 +36,6 @@ from .spans import (
     TraceContext,
     Tracer,
     current_tracer,
-    phase_delta,
     use_tracer,
 )
 
@@ -57,7 +54,6 @@ __all__ = [
     "critical_path",
     "current_tracer",
     "merge_trace",
-    "phase_delta",
     "render_report",
     "use_tracer",
     "write_chrome_trace",

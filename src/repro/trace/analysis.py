@@ -1,4 +1,4 @@
-"""Where did the wall clock go: rollups, critical path, stragglers.
+"""Where did the wall clock go: rollups, critical path, phases.
 
 Works on a :class:`~repro.trace.merge.MergedTrace` and never re-reads
 the host clock — everything here is arithmetic over already-recorded
@@ -12,13 +12,12 @@ Three views:
   ``checkpoint.save`` children has almost no self time.
 * **Critical path** — the last-finisher walk through the span DAG: from
   the latest-ending root, repeatedly descend into the child that ends
-  last.  Across the fleet/gang DAG this surfaces the chain of spans that
-  actually bounded the run's wall clock (the straggler shard's barrier
-  epoch, the retry that pushed a unit past the others, ...).
+  last.  Across the fleet DAG this surfaces the chain of spans that
+  actually bounded the run's wall clock (the slowest worker's last
+  task, the retry that pushed a unit past the others, ...).
 * **Phase attribution** — buckets span time into the named phases the
-  roadmap cares about (queueing / barrier-wait / checkpoint / salvage /
-  ...), using each span's *self* time so a second is never attributed
-  twice.
+  roadmap cares about (queueing / checkpoint / salvage / ...), using
+  each span's *self* time so a second is never attributed twice.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
 #: so the engine's ``admission`` and ``forwarding`` hot paths show up by
 #: name.
 _PHASE_BY_CAT: Dict[str, str] = {
-    "barrier": "barrier-wait",
     "checkpoint": "checkpoint",
     "salvage": "salvage",
     "retry": "retry-wait",
@@ -60,8 +58,6 @@ def attribute_phase(span: Span) -> str:
         return "checkpoint"
     if span.name.startswith("salvage"):
         return "salvage"
-    if span.name.startswith("barrier"):
-        return "barrier-wait"
     return span.cat
 
 
@@ -121,11 +117,6 @@ class TraceAnalysis:
     #: report phase -> attributed self seconds (sums to <= wall across procs)
     phases: Dict[str, float] = field(default_factory=dict)
     critical_path: List[Span] = field(default_factory=list)
-    #: proc -> seconds that proc spent inside barrier.collect spans; the
-    #: proc with the *least* wait is the likely straggler (everyone else
-    #: was waiting for it).
-    barrier_wait_by_proc: Dict[str, float] = field(default_factory=dict)
-    straggler: Optional[str] = None
     torn_lines: int = 0
     truncated_spans: int = 0
 
@@ -154,7 +145,6 @@ def analyze(trace: MergedTrace) -> TraceAnalysis:
     selfs = self_times(trace)
     rollups: Dict[Tuple[str, str], PhaseRollup] = {}
     phases: Dict[str, float] = {}
-    barrier_wait: Dict[str, float] = {}
     for span in trace.spans:
         key = (span.cat, span.name)
         roll = rollups.get(key)
@@ -167,11 +157,6 @@ def analyze(trace: MergedTrace) -> TraceAnalysis:
             roll.truncated += 1
         phase = attribute_phase(span)
         phases[phase] = phases.get(phase, 0.0) + selfs[span.span_id]
-        if span.cat == "barrier" and span.name == "barrier.collect":
-            barrier_wait[span.proc] = barrier_wait.get(span.proc, 0.0) + span.duration
-    straggler: Optional[str] = None
-    if len(barrier_wait) >= 2:
-        straggler = min(barrier_wait.items(), key=lambda kv: (kv[1], kv[0]))[0]
     return TraceAnalysis(
         trace_id=trace.trace_id,
         wall_seconds=trace.duration,
@@ -181,8 +166,6 @@ def analyze(trace: MergedTrace) -> TraceAnalysis:
         ),
         phases=phases,
         critical_path=critical_path(trace),
-        barrier_wait_by_proc=barrier_wait,
-        straggler=straggler,
         torn_lines=trace.torn_lines,
         truncated_spans=trace.truncated_spans,
     )

@@ -121,8 +121,8 @@ def _bar(fraction: float, width: int) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-#: per-process row budget — a sharded run emits thousands of barrier
-#: spans; the lane keeps the longest ones and sums the rest
+#: per-process row budget: the lane keeps the longest spans and sums
+#: the rest
 MAX_LANE_ROWS = 12
 
 
@@ -212,14 +212,6 @@ def render_report(trace: MergedTrace, width: int = 72) -> str:
             f"  {'  ' * depth}{span.name} [{span.proc}] "
             f"{span.duration:.3f}s"
         )
-    if analysis.barrier_wait_by_proc:
-        lines.append("")
-        lines.append("barrier wait by proc (least wait = likely straggler)")
-        for proc, seconds in sorted(
-            analysis.barrier_wait_by_proc.items(), key=lambda kv: (kv[1], kv[0])
-        ):
-            mark = "  <- straggler" if proc == analysis.straggler else ""
-            lines.append(f"  {proc:<10} {seconds:>9.3f}s{mark}")
     lines.append("")
     lines.append(ascii_timeline(trace, width=width))
     return "\n".join(lines)

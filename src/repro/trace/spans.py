@@ -51,28 +51,8 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "current_tracer",
-    "phase_delta",
     "use_tracer",
 ]
-
-
-def phase_delta(
-    before: Dict[str, float], after: Dict[str, float]
-) -> Dict[str, float]:
-    """Positive per-subsystem deltas between two profiler snapshots.
-
-    Instrumentation sites snapshot ``TickProfiler.totals_seconds`` before
-    and after a unit of work and hand the delta to
-    :meth:`Tracer.emit_phases`, which renders it as synthetic per-phase
-    child spans — that is how the per-tick engine/fluid phases join the
-    cross-process timeline without per-tick span records.
-    """
-    out: Dict[str, float] = {}
-    for name, total in after.items():
-        delta = total - before.get(name, 0.0)
-        if delta > 0.0:
-            out[name] = delta
-    return out
 
 
 @dataclass(frozen=True)

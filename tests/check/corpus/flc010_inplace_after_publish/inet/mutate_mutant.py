@@ -1,11 +1,11 @@
-"""Seeded defect: array mutated in place after being published."""
+"""Seeded defect: array mutated in place after being checkpointed."""
 
 
 class Publisher:
-    def exchange(self, tick, key, buf):
-        self._publish(tick, key, buf)
+    def __init__(self, store):
+        self.store = store
+
+    def exchange(self, name, buf):
+        self.store.save("state", name, buf)
         buf[0] = 0.0
         return buf
-
-    def _publish(self, tick, key, payload):
-        return None

@@ -1,11 +1,8 @@
-"""Seeded defect: a reshape view shipped inside a shard result."""
+"""Seeded defect: a reshape view shipped inside a pickled result."""
 
-
-class ShardResult:
-    def __init__(self, owned):
-        self.owned = owned
+import pickle
 
 
 def pack(grid):
     flat = grid.reshape(-1)
-    return ShardResult(owned=flat)
+    return pickle.dumps(flat)

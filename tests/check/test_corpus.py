@@ -4,9 +4,9 @@ Every directory under ``tests/check/corpus/`` is one case: a fragment
 of a ``repro`` package tree containing exactly one seeded defect, plus
 an ``EXPECT.txt`` declaring which rule must fire and how many times.
 The driver materialises the fragment as a real package, runs *only* the
-four interprocedural rule families (FLC008–FLC011), and asserts the
+three interprocedural rule families (FLC009–FLC011), and asserts the
 expected rule fires the expected number of times — and that the other
-three families stay silent, so each mutant is caught by exactly the
+two families stay silent, so each mutant is caught by exactly the
 intended rule.
 
 The corpus directory is excluded from ``--include-tests`` sweeps (the
@@ -23,7 +23,7 @@ from repro.check import Baseline, Checker
 from repro.check.rules import get_rule
 
 CORPUS = Path(__file__).parent / "corpus"
-NEW_FAMILIES = ("FLC008", "FLC009", "FLC010", "FLC011")
+NEW_FAMILIES = ("FLC009", "FLC010", "FLC011")
 
 
 def corpus_cases():

@@ -410,9 +410,10 @@ class TestCliCheck:
         assert cli_main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("FLC001", "FLC002", "FLC003", "FLC004",
-                        "FLC005", "FLC006", "FLC007", "FLC008",
+                        "FLC005", "FLC006", "FLC007",
                         "FLC009", "FLC010", "FLC011"):
             assert rule_id in out
+        assert "FLC008" not in out  # retired with the shard layer, id not reused
 
     def test_stale_baseline_fails_strict_only(self, tmp_path, capsys):
         bogus = tmp_path / "baseline.json"

@@ -6,12 +6,25 @@ through the simulation.  The supervisor must convict the dead worker,
 salvage the campaign from its tick-level checkpoints, finish it on a
 replacement worker, and produce run digests byte-identical to a serial
 sweep that never saw a fault.
+
+The figure-unit case kills from outside instead, the instant the
+victim's mid-run ``FluidRun`` snapshot is in the store, so the
+replacement provably resumes from that snapshot rather than from tick 0.
 """
+
+import glob
+import json
+import os
+import pickle
+import signal
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.chaos.engine import ChaosOptions, chaos_tasks, run_chaos
 from repro.errors import ConfigError
+from repro.experiments.common import FunctionalSettings
 from repro.fleet import (
     FleetOptions,
     ProcessFault,
@@ -19,7 +32,8 @@ from repro.fleet import (
     run_fleet,
     sample_process_faults,
 )
-from repro.runner import CheckpointStore
+from repro.runner import CheckpointStore, UnitContext, figure_tasks
+from repro.trace import Tracer, merge_trace, use_tracer
 
 
 def options():
@@ -46,6 +60,23 @@ class TestFaultPlan:
     def test_invalid_fault_kind_rejected(self):
         with pytest.raises(ConfigError):
             ProcessFault(task="x", kind="meteor_strike", delay_seconds=0.1)
+
+
+def _kill_worker_once_checkpointed(root, victim, stop):
+    """SIGKILL whichever worker runs ``victim`` as soon as the store at
+    ``root`` holds its mid-run state; returns the pid it killed."""
+    store = CheckpointStore(root)
+    while not stop.wait(0.002):
+        store.refresh()
+        if not store.has("state", victim):
+            continue
+        for path in glob.glob(os.path.join(root, "fleet", "hb", "*.hb.json")):
+            with open(path, encoding="utf-8") as fh:
+                beat = json.load(fh)
+            if beat["job"] == victim:
+                os.kill(beat["pid"], signal.SIGKILL)
+                return beat["pid"]
+    return None
 
 
 class TestKillRecovery:
@@ -105,3 +136,51 @@ class TestKillRecovery:
         assert fleet.status == "ok"
         assert fleet.workers_spawned > 2
         assert digests(fleet.results) == digests(serial.job.results)
+
+    def test_sigkilled_fluid_unit_resumes_from_snapshot(self, tmp_path):
+        tasks = [
+            task
+            for task in figure_tasks("fig13", FunctionalSettings())
+            if task.unit.endswith((":NA", ":A-lo"))
+        ]
+        victim = tasks[0].name
+        want = {t.name: t.run(UnitContext(name=t.name)) for t in tasks}
+
+        root = str(tmp_path / "store")
+        stop = threading.Event()
+        tracer = Tracer(str(tmp_path / "trace"), proc="main")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            killer = pool.submit(
+                _kill_worker_once_checkpointed, root, victim, stop
+            )
+            try:
+                with use_tracer(tracer):
+                    fleet = run_fleet(
+                        tasks,
+                        CheckpointStore(root),
+                        FleetOptions(
+                            workers=2,
+                            heartbeat_timeout_seconds=5.0,
+                            max_worker_deaths=3,
+                        ),
+                    )
+            finally:
+                stop.set()
+                tracer.close()
+            assert killer.result(timeout=10.0), "no mid-run snapshot seen"
+
+        assert fleet.status == "ok"
+        by_name = {o.name: o for o in fleet.outcomes}
+        assert by_name[victim].worker_deaths == 1
+        assert fleet.workers_spawned == 3, "no replacement worker was spawned"
+        # the replacement loaded the dead worker's snapshot: it did not
+        # start the unit over
+        loads = [
+            span for span in merge_trace(str(tmp_path / "trace")).spans
+            if span.name == "salvage.load" and span.args["unit"] == victim
+        ]
+        assert [span.args["ticks_done"] for span in loads] == [200]
+        for task in tasks:
+            assert pickle.dumps(fleet.results[task.name]) == pickle.dumps(
+                want[task.name]
+            ), task.name

@@ -47,7 +47,7 @@ class TestLabeled:
         assert dict(out.get("c_count")) == {"x": 5, "y": 1}
 
     def test_labeled_gauges_overwrite_per_label(self):
-        # engine scrapes are absolute totals; a resumed shard's scrape
+        # engine scrapes are absolute totals; a resumed piece's scrape
         # must replace the previous one, never add to it
         a, b = regs()
         a.labeled_gauge("s_packets").set("x", 10)

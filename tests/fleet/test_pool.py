@@ -127,6 +127,44 @@ class TestDeterminism:
         assert inline.telemetry.profiler is not None
         assert fleet.telemetry.profiler is None
 
+    def test_interleaved_fluid_figure_units_match_in_process(self, tmp_path):
+        """Fluid units of two internet figures, interleaved in the task
+        list, on a 2-worker pool: results, registry and decision events
+        equal the in-process run's.  The reference is the in-process
+        executor, not one telemetry shared across tasks: fluid drop
+        volumes are fractional counters, and both executors fold the
+        same per-task pieces while a shared counter adds tick by tick."""
+        tasks = [
+            task
+            for pair in zip(
+                figure_tasks("fig13", settings()),
+                figure_tasks("fig14", settings()),
+            )
+            for task in pair
+            if task.unit.endswith((":ND", ":NA"))
+        ]
+        assert [t.figure for t in tasks] == ["fig13", "fig14"] * 2
+        inline = run_fleet(tasks, None, FleetOptions(telemetry_mode="trace"))
+        fleet = run_fleet(
+            tasks,
+            CheckpointStore(str(tmp_path / "store")),
+            FleetOptions(workers=2, telemetry_mode="trace"),
+        )
+        assert inline.status == fleet.status == "ok"
+        assert fleet.workers_spawned == 2
+        for task in tasks:
+            assert pickle.dumps(fleet.results[task.name]) == pickle.dumps(
+                inline.results[task.name]
+            ), task.name
+        assert (
+            fleet.telemetry.registry.snapshot()
+            == inline.telemetry.registry.snapshot()
+        )
+        assert [e.to_dict() for e in fleet.telemetry.trace] == [
+            e.to_dict() for e in inline.telemetry.trace
+        ]
+        assert len(fleet.telemetry.trace) > 0
+
     def test_completed_store_resumes_without_spawning(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "store"))
         tasks = figure_tasks("fig03", settings())

@@ -4,26 +4,17 @@ The step's lookup tables (per-AS floors, the legit index and its
 per-legit constants, the survival pass's level lists) are derived state:
 a pickle must not carry them (its size is held in
 ``test_fluid_memory.py``), a state dict written without them must load,
-and a run resumed from a mid-run pickle — serial or sharded — must
-end byte-identical to one that never stopped.  And nothing the step
-hands out (``_last_admitted``, ``_flagged``) may be written again by a
-later tick.
+and a run resumed from a mid-run pickle must end byte-identical to one
+that never stopped.  And nothing the step hands out (``_last_admitted``,
+``_flagged``) may be written again by a later tick.
 """
 
 import pickle
-import threading
 
 import numpy as np
 import pytest
 
 from repro.inet.scenarios import build_internet_scenario
-from repro.inet.shard import (
-    BarrierExchange,
-    ShardSpec,
-    merge_shard_results,
-    partition_scenario,
-    shard_result,
-)
 from repro.inet.simulator import _DERIVED, FluidSimulator
 
 TICKS = 90
@@ -98,51 +89,6 @@ class TestResume:
             pass
         assert pickle.dumps(sim.finish_run()) == pickle.dumps(want_result)
         assert _state_bytes(sim) == want_state
-
-    def test_two_shard_resume_from_mid_run_pickle_is_identical(self, tmp_path):
-        want_result, _ = _run_straight("floc")
-        owners = partition_scenario(_scenario(), 2, SEED)
-        pieces = [None, None]
-        errors = []
-
-        def exchange_for(spec):
-            return BarrierExchange(
-                str(tmp_path / "x"), spec, epoch_ticks=20,
-                timeout_seconds=60.0,
-            )
-
-        def drive(shard):
-            try:
-                spec = ShardSpec(shard=shard, n_shards=2, shard_of_as=owners)
-                sim = FluidSimulator(
-                    _scenario(), strategy="floc", seed=SEED, shard=spec
-                )
-                sim.attach_exchange(exchange_for(spec))
-                sim.begin_run(ticks=TICKS, warmup=WARMUP, record_series=True)
-                for _ in range(STOP_AT):
-                    sim.step_run()
-                sim = pickle.loads(pickle.dumps(sim))
-                sim.attach_exchange(exchange_for(spec))
-                while sim.step_run():
-                    pass
-                pieces[shard] = shard_result(sim, unit="floc")
-            except BaseException as exc:  # surfaced in the main thread
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=drive, args=(shard,), daemon=True)
-            for shard in (0, 1)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120.0)
-        if errors:
-            raise errors[0]
-        assert all(piece is not None for piece in pieces)
-        assert pickle.dumps(merge_shard_results(pieces)) == pickle.dumps(
-            want_result
-        )
 
 
 class TestHandedOutArrays:

@@ -4,7 +4,11 @@ The per-AS survival loop and the full-length masked ``np.where``
 reductions of ``_admit_floc`` live on here, verbatim, as oracles; the
 simulator's level-wise survival pass and per-flag-class bincounts must
 match them byte for byte on random trees, loads, capacities and flag
-patterns.
+patterns — and on the degenerate *shapes* a random draw rarely reaches
+(an empty flag class, a single flow, a starved target), where the
+per-AS class sums must still be float64 of shape ``(n_as,)``:
+``np.bincount`` over an empty class returns int64 zeros, whose bytes
+equal float64 zeros', so a bytes comparison alone cannot see it.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from repro.inet.scenarios import InternetScenario
 from repro.inet.simulator import FluidSimulator
 from repro.inet.skitter import SkitterLikeMap
+from repro.telemetry import Telemetry
 
 # loads and capacities drawn from a few exactly representable values, so
 # ``offered == cap`` and all-zero subtrees actually occur
@@ -139,7 +144,7 @@ def admit_floc_oracle(sim, arrivals, arr_by_as):
     per-AS tables and per-class bincounts: every per-flow quantity
     gathered through the per-flow group index, every flag-split
     reduction a full-length ``np.where`` mask.  Pure: returns what the
-    method would have exchanged, stored and returned."""
+    method would have summed per AS, reported, stored and returned."""
     n_as = sim.scn.topology.n_as
     cap = sim.scn.target_capacity
     depth = np.asarray(sim.scn.topology.depth, dtype=np.float64)
@@ -217,18 +222,33 @@ def admit_floc_oracle(sim, arrivals, arr_by_as):
 
 
 class RecordingSim(FluidSimulator):
-    """Serial simulator that keeps what it hands to ``_allreduce``."""
+    """Simulator that keeps the per-AS class sums ``_admit_floc`` built."""
 
-    def _allreduce(self, tick, round_key, vectors, counts=None):
-        self.exchanged = (round_key, vectors, dict(counts or {}))
-        return super()._allreduce(tick, round_key, vectors, counts)
+    def _class_sums(self, *classes):
+        self.class_sums = super()._class_sums(*classes)
+        return self.class_sums
+
+
+#: scenario shapes a free draw almost never produces; "free" is that draw
+SHAPES = (
+    "free",
+    "none_flagged",
+    "all_flagged",
+    "attack_only_as",
+    "single_flow",
+    "starved_target",
+)
 
 
 @st.composite
 def admit_cases(draw):
+    shape = draw(st.sampled_from(SHAPES))
     parent = draw(trees(max_as=12))
     n_as = len(parent)
-    n_flows = draw(st.integers(min_value=1, max_value=40))
+    n_flows = (
+        1 if shape == "single_flow"
+        else draw(st.integers(min_value=1, max_value=40))
+    )
     origins = sorted(
         draw(
             st.lists(
@@ -244,37 +264,69 @@ def admit_cases(draw):
     previous = draw(st.lists(st.booleans(), min_size=n_flows, max_size=n_flows))
     target = draw(st.sampled_from([0.5, 2.0, 5.0, 40.0]))
     s_max = draw(st.sampled_from([None, 2, 4]))
-    return parent, origins, is_attack, arrivals, ewma, previous, target, s_max
+    if shape == "none_flagged":
+        ewma = [0.0] * n_flows
+    elif shape == "all_flagged":
+        # every group over-subscribed, every smoothed rate above any bar
+        arrivals = [6.5] * n_flows
+        ewma = [1e6] * n_flows
+        target = 0.5
+    elif shape == "attack_only_as":
+        is_attack = [a or o == origins[0] for o, a in zip(origins, is_attack)]
+    elif shape == "starved_target":
+        target = 0.005  # below one flow's smallest non-zero rate
+    return (
+        shape, parent, origins, is_attack, arrivals, ewma, previous, target,
+        s_max,
+    )
 
 
 @given(admit_cases())
 @settings(max_examples=200, deadline=None)
 def test_floc_admission_matches_masked_reductions(case):
-    parent, origins, is_attack, arrivals, ewma, previous, target, s_max = case
-    caps = [target] + [100.0] * (len(parent) - 1)
+    (
+        shape, parent, origins, is_attack, arrivals, ewma, previous, target,
+        s_max,
+    ) = case
+    n_as = len(parent)
+    caps = [target] + [100.0] * (n_as - 1)
     sim = make_sim(
         parent, origins, is_attack, caps, cls=RecordingSim, s_max=s_max
     )
     sim.begin_run(ticks=10, warmup=0)
     sim._rebuild_groups()
+    # the flag counts are observable through telemetry only
+    sim.telemetry = Telemetry(mode="trace")
     sim._rate_ewma = np.asarray(ewma, dtype=np.float64)
     sim._flagged = np.asarray(previous, dtype=bool)
     arrivals = np.asarray(arrivals, dtype=np.float64)
-    arr_by_as = np.bincount(
-        sim.origin, weights=arrivals, minlength=len(parent)
-    )
+    arr_by_as = np.bincount(sim.origin, weights=arrivals, minlength=n_as)
     want_admitted, want_flagged, want_vectors, want_counts, want_total = (
         admit_floc_oracle(sim, arrivals, arr_by_as)
     )
     kept = arrivals.copy()
     got = sim._admit_floc(arrivals, tick=1, arr_by_as=arr_by_as)
     assert arrivals.tobytes() == kept.tobytes()  # the argument is not scratch
-    round_key, vectors, counts = sim.exchanged
-    assert round_key == "admit"
-    assert list(vectors) == list(want_vectors)
-    for name, want in want_vectors.items():
-        assert vectors[name].tobytes() == want.tobytes(), name
-    assert counts == want_counts
+    if shape == "none_flagged":
+        assert not want_flagged.any()
+    elif shape == "all_flagged":
+        assert want_flagged.all()
+    assert len(sim.class_sums) == len(want_vectors)
+    for (name, want), got_sum in zip(want_vectors.items(), sim.class_sums):
+        assert got_sum.dtype == np.float64, name
+        assert got_sum.shape == (n_as,), name
+        assert got_sum.tobytes() == want.tobytes(), name
+    flag_events = [e.data for e in sim.telemetry.trace.events("fluid_flag")]
+    if want_counts["newly"] or want_counts["cleared"]:
+        assert flag_events == [
+            {
+                "newly_flagged": want_counts["newly"],
+                "cleared": want_counts["cleared"],
+                "flagged_total": want_counts["flagged"],
+            }
+        ]
+    else:
+        assert flag_events == []
     assert sim._flagged.tobytes() == want_flagged.tobytes()
     assert got.tobytes() == want_admitted.tobytes()
     assert repr(sim._admitted_total) == repr(want_total)

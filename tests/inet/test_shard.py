@@ -1,4 +1,5 @@
-"""Shard-parallel fluid simulation: bit-identity, barrier, GC, salvage."""
+"""The partitioner and file all-reduce of ``repro.inet.shard`` (kept for
+``benchmarks/e2e`` only): ownership, barrier deadline, GC, republish."""
 
 import os
 import pickle
@@ -7,19 +8,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShardBarrierTimeout
+from repro.errors import ConfigError
 from repro.inet.scenarios import build_internet_scenario
 from repro.inet.shard import (
     BarrierExchange,
+    ShardBarrierTimeout,
     ShardSpec,
-    merge_shard_results,
     partition_scenario,
-    shard_result,
 )
-from repro.inet.simulator import FluidSimulator
 
-TICKS = 60
-WARMUP = 30
 SEED = 7
 
 
@@ -28,78 +25,6 @@ def _scenario():
         n_as=120, n_legit_sources=240, n_legit_ases=30, n_bots=2_000,
         target_capacity=150.0, seed=SEED,
     )
-
-
-def _run_serial(strategy, s_max=None, record_series=False):
-    sim = FluidSimulator(_scenario(), strategy=strategy, s_max=s_max, seed=SEED)
-    return sim.run(ticks=TICKS, warmup=WARMUP, record_series=record_series)
-
-
-def _run_sharded(strategy, n_shards, tmp_path, s_max=None,
-                 record_series=False, epoch_ticks=20):
-    """Run ``n_shards`` shard simulators lock-step in threads (a shard's
-    tick cannot complete before its peers publish the same tick's
-    rounds, so sequential stepping would deadlock) and merge."""
-    scenario = _scenario()
-    owners = partition_scenario(scenario, n_shards, SEED)
-    exchange_dir = str(tmp_path / f"x-{strategy}-{s_max}")
-    pieces = [None] * n_shards
-    errors = []
-
-    def drive(shard):
-        try:
-            spec = ShardSpec(shard=shard, n_shards=n_shards, shard_of_as=owners)
-            sim = FluidSimulator(
-                _scenario(), strategy=strategy, s_max=s_max, seed=SEED,
-                shard=spec,
-            )
-            sim.attach_exchange(BarrierExchange(
-                exchange_dir, spec, epoch_ticks=epoch_ticks,
-                timeout_seconds=60.0,
-            ))
-            sim.begin_run(ticks=TICKS, warmup=WARMUP,
-                          record_series=record_series)
-            while sim.step_run():
-                pass
-            pieces[shard] = shard_result(sim, unit=strategy)
-        except BaseException as exc:  # surfaced in the main thread
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=drive, args=(shard,), daemon=True)
-        for shard in range(n_shards)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120.0)
-    if errors:
-        raise errors[0]
-    assert all(piece is not None for piece in pieces)
-    return merge_shard_results(pieces)
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("strategy,s_max", [
-        ("nd", None), ("ff", None), ("floc", None), ("floc", 8),
-    ])
-    def test_two_shards_byte_identical_to_serial(
-        self, tmp_path, strategy, s_max
-    ):
-        serial = _run_serial(strategy, s_max=s_max)
-        merged = _run_sharded(strategy, 2, tmp_path, s_max=s_max)
-        assert pickle.dumps(merged) == pickle.dumps(serial)
-
-    def test_three_shards_byte_identical_to_serial(self, tmp_path):
-        serial = _run_serial("floc")
-        merged = _run_sharded("floc", 3, tmp_path)
-        assert pickle.dumps(merged) == pickle.dumps(serial)
-
-    def test_series_samples_are_canonical(self, tmp_path):
-        serial = _run_serial("floc", record_series=True)
-        merged = _run_sharded("floc", 2, tmp_path, record_series=True)
-        assert merged.series == serial.series
-        assert len(merged.series) == TICKS - WARMUP
 
 
 class TestPartition:
@@ -144,8 +69,8 @@ class TestExchange:
         with pytest.raises(ShardBarrierTimeout):
             exchange.allreduce(0, "load", {"own": np.zeros(8)}, {})
         assert calls
-        # pickling drops the hook (checkpoints must not carry live
-        # supervisor objects); default clock/sleep pickle by reference
+        # pickling drops the hook (a live object of the driver);
+        # default clock/sleep pickle by reference
         plain = BarrierExchange(str(tmp_path), self._spec())
         plain.poll_hook = _record_hook(calls)
         revived = pickle.loads(pickle.dumps(plain))
@@ -186,7 +111,7 @@ class TestExchange:
         exchange = BarrierExchange(str(tmp_path), spec)
         first = np.arange(4, dtype=np.float64)
         exchange.allreduce(0, "load", {"own": first}, {})
-        # a salvaged replay re-publishes; existing bytes must win
+        # a replay re-publishes; existing bytes must win
         path = exchange._path(0, "load", 0)
         before = open(path, "rb").read()
         exchange.allreduce(0, "load", {"own": first.copy()}, {})
@@ -216,29 +141,6 @@ class TestExchange:
                 shard=0, n_shards=2,
                 shard_of_as=np.full(4, 7, dtype=np.int64),
             )
-
-
-class TestMerge:
-    def _pieces(self, tmp_path):
-        serial = _run_serial("floc")
-        scenario = _scenario()
-        owners = partition_scenario(scenario, 2, SEED)
-        merged = _run_sharded("floc", 2, tmp_path)
-        return serial, merged, owners
-
-    def test_incomplete_set_refused(self, tmp_path):
-        scenario = _scenario()
-        owners = partition_scenario(scenario, 2, SEED)
-        spec = ShardSpec(shard=0, n_shards=2, shard_of_as=owners)
-        sim = FluidSimulator(scenario, strategy="nd", seed=SEED, shard=spec)
-        sim.begin_run(ticks=0, warmup=0)
-        piece = shard_result(sim, unit="nd")
-        with pytest.raises(ConfigError, match="missing shard"):
-            merge_shard_results([piece])
-        with pytest.raises(ConfigError, match="duplicate"):
-            merge_shard_results([piece, piece])
-        with pytest.raises(ConfigError):
-            merge_shard_results([])
 
 
 def _no_sleep(seconds):

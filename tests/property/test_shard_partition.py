@@ -1,10 +1,10 @@
 """Property-based tests on the shard partitioner.
 
-The bit-identity guarantee of sharded runs rests on the partitioner
-being a *total, stable partition* of the path-identifier space: every
-path id lands in exactly one shard, the assignment never depends on
-enumeration order or on which process computes it, and it is a pure
-function of ``(path_id, n_shards, seed)``.
+``repro.inet.shard`` is kept only for ``benchmarks/e2e``; while it is
+there, its partitioner stays a *total, stable partition* of the
+path-identifier space: every path id lands in exactly one shard, the
+assignment never depends on enumeration order or on which process
+computes it, and it is a pure function of ``(path_id, n_shards, seed)``.
 """
 
 from hypothesis import given, settings

@@ -254,15 +254,6 @@ class TestInProcessExecutor:
         with pytest.raises(ConfigError, match="in-process"):
             run_units([("a", lambda ctx: 1)], fault_plan=plan)
 
-    def test_multi_member_gang_needs_a_spawn_pool(self, tmp_path):
-        @dataclass
-        class Member(Task):
-            gang: str = "g"
-
-        tasks = [Member("g#0", lambda ctx: 0), Member("g#1", lambda ctx: 1)]
-        with pytest.raises(ConfigError, match="gang"):
-            run_fleet(tasks, CheckpointStore(str(tmp_path)))
-
     def test_no_store_no_fleet_directory(self, tmp_path):
         report = run_units([("a", lambda ctx: 1)], tmp_path)
         assert report.status == "ok" and report.workers_spawned == 0

@@ -1,4 +1,4 @@
-"""Critical path, self/total rollups, phase and straggler attribution."""
+"""Critical path, self/total rollups, phase attribution."""
 
 from repro.trace import analyze, critical_path, merge_trace
 from repro.trace.analysis import attribute_phase, self_times
@@ -7,15 +7,15 @@ from repro.trace.merge import Span
 from .helpers import begin, end, write_spans
 
 
-def _gang_trace(tmp_path):
-    """A two-worker gang: w1 straggles, w0 waits at the barrier for it."""
+def _fleet_trace(tmp_path):
+    """Two tasks on a two-worker pool; w1's finishes last."""
     write_spans(
         tmp_path,
         "main",
         [
             begin("main", 1, 0.0, "fleet", cat="job"),
-            begin("main", 2, 0.1, "task:u#s0", cat="task", parent="main:1"),
-            begin("main", 3, 0.1, "task:u#s1", cat="task", parent="main:1"),
+            begin("main", 2, 0.1, "task:u0", cat="task", parent="main:1"),
+            begin("main", 3, 0.1, "task:u1", cat="task", parent="main:1"),
             end("main", 2, 9.0),
             end("main", 3, 9.5),
             end("main", 1, 10.0),
@@ -25,10 +25,8 @@ def _gang_trace(tmp_path):
         tmp_path,
         "w0",
         [
-            begin("w0", 1, 0.2, "task:u#s0", cat="task", parent="main:2"),
-            # w0 reaches the barrier early and waits 3s for w1
-            begin("w0", 2, 1.0, "barrier.collect", parent="w0:1",
-                  cat="barrier"),
+            begin("w0", 1, 0.2, "task:u0", cat="task", parent="main:2"),
+            begin("w0", 2, 1.0, "ticks", parent="w0:1", cat="run"),
             end("w0", 2, 4.0),
             begin("w0", 3, 5.0, "checkpoint.save", parent="w0:1",
                   cat="checkpoint"),
@@ -40,9 +38,8 @@ def _gang_trace(tmp_path):
         tmp_path,
         "w1",
         [
-            begin("w1", 1, 0.2, "task:u#s1", cat="task", parent="main:3"),
-            begin("w1", 2, 3.5, "barrier.collect", parent="w1:1",
-                  cat="barrier"),
+            begin("w1", 1, 0.2, "task:u1", cat="task", parent="main:3"),
+            begin("w1", 2, 3.5, "ticks", parent="w1:1", cat="run"),
             end("w1", 2, 4.0),
             begin("w1", 3, 4.5, "salvage.load", parent="w1:1",
                   cat="salvage"),
@@ -55,7 +52,7 @@ def _gang_trace(tmp_path):
 
 class TestCriticalPath:
     def test_last_finisher_walk_crosses_processes(self, tmp_path):
-        trace = _gang_trace(tmp_path)
+        trace = _fleet_trace(tmp_path)
         path = [s.span_id for s in critical_path(trace)]
         # fleet -> the later-ending supervisor task span -> the worker
         # span it parents -> that worker's last-ending child
@@ -110,9 +107,6 @@ class TestPhaseAttribution:
                 proc="x", start=0.0, end=1.0,
             )
 
-        assert attribute_phase(span("barrier", "barrier.collect")) == (
-            "barrier-wait"
-        )
         assert attribute_phase(span("checkpoint", "checkpoint.save")) == (
             "checkpoint"
         )
@@ -124,39 +118,20 @@ class TestPhaseAttribution:
         assert attribute_phase(span("task", "task:u")) == "task"
 
     def test_analysis_charges_self_time_to_named_phases(self, tmp_path):
-        analysis = analyze(_gang_trace(tmp_path))
-        assert abs(analysis.phases["barrier-wait"] - 3.5) < 1e-9
+        analysis = analyze(_fleet_trace(tmp_path))
+        assert abs(analysis.phases["run"] - 3.5) < 1e-9
         assert abs(analysis.phases["checkpoint"] - 0.5) < 1e-9
         assert abs(analysis.phases["salvage"] - 0.5) < 1e-9
         assert analysis.wall_seconds == 10.0
 
     def test_rollups_sorted_by_total_with_counts(self, tmp_path):
-        analysis = analyze(_gang_trace(tmp_path))
-        barrier = next(
+        analysis = analyze(_fleet_trace(tmp_path))
+        ticks = next(
             r for r in analysis.rollups
-            if (r.cat, r.name) == ("barrier", "barrier.collect")
+            if (r.cat, r.name) == ("run", "ticks")
         )
-        assert barrier.count == 2
-        assert abs(barrier.total_seconds - 3.5) < 1e-9
+        assert ticks.count == 2
+        assert abs(ticks.total_seconds - 3.5) < 1e-9
         totals = [r.total_seconds for r in analysis.rollups]
         assert totals == sorted(totals, reverse=True)
 
-
-class TestStraggler:
-    def test_least_barrier_wait_is_the_straggler(self, tmp_path):
-        analysis = analyze(_gang_trace(tmp_path))
-        # w0 waited 3s at collect, w1 only 0.5s: w1 kept everyone waiting
-        assert analysis.barrier_wait_by_proc == {"w0": 3.0, "w1": 0.5}
-        assert analysis.straggler == "w1"
-
-    def test_single_proc_has_no_straggler(self, tmp_path):
-        write_spans(
-            tmp_path,
-            "w0",
-            [
-                begin("w0", 1, 0.0, "barrier.collect", cat="barrier"),
-                end("w0", 1, 1.0),
-            ],
-        )
-        analysis = analyze(merge_trace(str(tmp_path)))
-        assert analysis.straggler is None

@@ -12,11 +12,8 @@ import pickle
 from repro.chaos import ChaosOptions, run_chaos
 from repro.experiments.common import FunctionalSettings
 from repro.fleet import FleetOptions, run_fleet
-import numpy as np
-
-from repro.inet.shard import BarrierExchange, ShardSpec
 from repro.runner import CheckpointStore, figure_tasks
-from repro.trace import NullTracer, Tracer, merge_trace, use_tracer
+from repro.trace import Tracer, merge_trace, use_tracer
 
 
 def _settings():
@@ -145,24 +142,6 @@ class TestChaosDigestIdentity:
 
 
 class TestCheckpointPurity:
-    def test_barrier_exchange_pickles_without_its_tracer(self, tmp_path):
-        tracer = Tracer(str(tmp_path / "trace"), proc="main")
-        with use_tracer(tracer):
-            exchange = BarrierExchange(
-                str(tmp_path / "xc"),
-                ShardSpec(
-                    shard=0,
-                    n_shards=2,
-                    shard_of_as=np.zeros(4, dtype=np.int64),
-                ),
-            )
-            assert exchange.tracer is tracer
-        clone = pickle.loads(pickle.dumps(exchange))
-        # the live tracer is replaced by a disabled shell on the way out
-        assert type(clone.tracer) is NullTracer
-        assert not clone.tracer.enabled
-        tracer.close()
-
     def test_tracer_state_never_reaches_pickles(self, tmp_path):
         tracer = Tracer(str(tmp_path), proc="main")
         tracer.span("unit").end()

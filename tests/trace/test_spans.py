@@ -12,7 +12,6 @@ from repro.trace import (
     TraceContext,
     Tracer,
     current_tracer,
-    phase_delta,
     use_tracer,
 )
 
@@ -181,13 +180,6 @@ class TestPicklePurity:
 
 
 class TestPhases:
-    def test_phase_delta_keeps_positive_deltas_only(self):
-        before = {"queueing": 1.0, "policy": 2.0, "gone": 5.0}
-        after = {"queueing": 1.5, "policy": 2.0, "tcp": 0.25, "gone": 4.0}
-        assert phase_delta(before, after) == {
-            "queueing": 0.5, "tcp": 0.25,
-        }
-
     def test_emit_phases_lays_spans_back_to_back_ascending(self, tmp_path):
         tracer = Tracer(str(tmp_path), proc="main", epoch=100.0)
         parent = tracer.span("unit")
