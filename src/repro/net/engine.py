@@ -119,19 +119,32 @@ class LinkMonitor:
             return False
         return self.stop_tick is None or tick < self.stop_tick
 
+    # on_service/on_drop run once per serviced or dropped packet on a
+    # monitored link, so they test the window and count in place;
+    # _in_window stays for subclasses that bin by it.
     def on_service(self, pkt: Packet, tick: int) -> None:
         """Called by the engine when ``pkt`` is serviced on the link."""
-        if not self._in_window(tick):
+        if tick < self.start_tick:
             return
-        self.service_counts.inc(pkt.flow_id)
+        stop = self.stop_tick
+        if stop is not None and tick >= stop:
+            return
+        counts = self.service_counts
+        flow_id = pkt.flow_id
+        counts[flow_id] = counts.get(flow_id, 0) + 1
         if self.record_series:
             self.series.observe(tick)
 
     def on_drop(self, pkt: Packet, tick: int) -> None:
         """Called by the engine when ``pkt`` is dropped on the link."""
-        if not self._in_window(tick):
+        if tick < self.start_tick:
             return
-        self.drop_counts.inc(pkt.flow_id)
+        stop = self.stop_tick
+        if stop is not None and tick >= stop:
+            return
+        counts = self.drop_counts
+        flow_id = pkt.flow_id
+        counts[flow_id] = counts.get(flow_id, 0) + 1
 
     def flush(self) -> None:
         """Finalise the in-progress series point.
@@ -413,8 +426,45 @@ class Engine:
             clock = prof.lap("policy", clock)
 
         # phase 1: deliveries (end hosts react: sinks ACK, sources absorb).
-        for pkt in self._deliveries:
-            self._deliver(pkt, tick)
+        deliveries = self._deliveries
+        if deliveries:
+            self.packets_delivered += len(deliveries)
+            flows = self.flows
+            emit = self.emit
+            for pkt in deliveries:
+                flow = flows.get(pkt.flow_id)
+                if flow is None:
+                    raise SimulationError(
+                        f"delivery for unknown flow {pkt.flow_id}"
+                    )
+                kind = pkt.kind
+                if kind == DATA or kind == SYN:
+                    # the destination host acknowledges.  Positional on
+                    # purpose: built once per delivered packet, and keyword
+                    # passing cost a fifth of a drop-tail flood's run time
+                    emit(
+                        Packet(
+                            flow.flow_id,
+                            ACK if kind == DATA else SYNACK,
+                            pkt.seq,
+                            flow.path_id,
+                            flow.reverse_route,
+                            flow.dst_host,
+                            flow.src_host,
+                            pkt.sent_tick,
+                            pkt.capability,
+                        )
+                    )
+                elif kind == ACK:
+                    # looked up on the instance, per delivery: observers
+                    # wrap a source's hooks by assignment
+                    if flow.source is not None:
+                        flow.source.on_ack(self, flow, pkt, tick)
+                elif kind == SYNACK:
+                    if flow.source is not None:
+                        flow.source.on_synack(self, flow, pkt, tick)
+                else:  # pragma: no cover - defensive
+                    raise SimulationError(f"unknown packet kind {kind}")
         if prof is not None:
             clock = prof.lap("delivery", clock)
 
@@ -426,23 +476,49 @@ class Engine:
         if prof is not None:
             clock = prof.lap("sources", clock)
 
-        # phase 3: link processing.
+        # phase 3: link processing.  Next-tick buffers: a packet advances
+        # at most one hop per tick, regardless of the order links are
+        # processed in.
         active = self._active
         self._active = {}
-        if prof is None:
-            for link in active:
+        touched = self._touched_next
+        delivered = self._deliveries_next
+        for link in active:
+            if (
+                link.policy is None
+                and link.buffer is None
+                and link.capacity is None
+                and link.delay == 1
+                and not link.monitors
+                and not link.queue
+                and link.up
+            ):
+                # wire link: nothing to admit, bound, pace or observe, so
+                # every arrival goes straight to its next hop in arrival
+                # order.  All read here, every tick: a monitor attached or
+                # a link failed mid-run leaves this path at once.
+                arrivals = link.arrivals
+                link.arrivals = []
+                link.serviced_total += len(arrivals)
+                for pkt in arrivals:
+                    hop = pkt.hop + 1
+                    pkt.hop = hop
+                    nxt = pkt.links[hop]
+                    if nxt is None:
+                        delivered.append(pkt)
+                    else:
+                        nxt.arrivals_next.append(pkt)
+                        touched[nxt] = None
+            elif prof is None or link.policy is None:
                 self._process_link(link, tick)
-        else:
-            # links with a policy are charged to "admission", the rest to
-            # "forwarding": the split the benchmark's core.policy.* and
-            # net.engine.* layers draw
-            for link in active:
-                if link.policy is None:
-                    self._process_link(link, tick)
-                else:
-                    clock = prof.lap("forwarding", clock)
-                    self._process_link(link, tick)
-                    clock = prof.lap("admission", clock)
+            else:
+                # links with a policy are charged to "admission", the
+                # rest to "forwarding": the split the benchmark's
+                # core.policy.* and net.engine.* layers draw
+                clock = prof.lap("forwarding", clock)
+                self._process_link(link, tick)
+                clock = prof.lap("admission", clock)
+        if prof is not None:
             prof.lap("forwarding", clock)
             prof.tick_done()
         if tel.enabled:
@@ -451,6 +527,9 @@ class Engine:
         self.tick = tick + 1
 
     def _process_link(self, link: Link, tick: int) -> None:
+        """One tick of a link that decides something: admission, a bounded
+        buffer, paced service, a propagation delay, observers, a backlog,
+        or being down."""
         arrivals = link.arrivals
         link.arrivals = []
         if not link.up:
@@ -461,48 +540,17 @@ class Engine:
             return
         policy = link.policy
         queue = link.queue
-        monitors = link.monitors
-        buffer = link.buffer
-        capacity = link.capacity
-        delay = link.delay
-        # next-tick buffers: a packet advances at most one hop per tick,
-        # regardless of the order links are processed in
-        touched = self._touched_next
-        deliveries = self._deliveries_next
-
-        if (
-            policy is None
-            and buffer is None
-            and capacity is None
-            and delay == 1
-            and not monitors
-            and not queue
-        ):
-            # wire link: nothing to admit, bound, pace or observe, so every
-            # arrival goes straight to its next hop in arrival order.  All
-            # read at call time: a monitor attached or a link failed
-            # mid-run leaves this path at once.
-            link.serviced_total += len(arrivals)
-            for pkt in arrivals:
-                hop = pkt.hop + 1
-                pkt.hop = hop
-                nxt = pkt.links[hop]
-                if nxt is None:
-                    deliveries.append(pkt)
-                else:
-                    nxt.arrivals_next.append(pkt)
-                    touched[nxt] = None
-            return
-
-        if policy is not None:
+        if policy is None:
+            admitted = arrivals
+        else:
             # a tick's arrivals come from many upstream sources; real
             # routers see them interleaved, not in source-registration
             # order — without this, the same flows always sit at the
             # tick's tail and absorb every token-exhaustion drop
             if len(arrivals) > 1:
                 arrivals = self._interleave(arrivals)
-            admitted = policy.batch_admit(arrivals, tick)
-            if admitted is None:
+            kept = policy.batch_admit(arrivals, tick)
+            if kept is None:
                 admitted = []
                 for pkt in arrivals:
                     # drop notification happens immediately after a failed
@@ -510,27 +558,30 @@ class Engine:
                     if policy.admit(pkt, tick):
                         admitted.append(pkt)
                     else:
-                        self._drop(link, pkt, tick)
-            elif len(admitted) != len(arrivals):
-                kept = set(map(id, admitted))
-                for pkt in arrivals:
-                    if id(pkt) not in kept:
-                        self._drop(link, pkt, tick)
-            for pkt in admitted:
-                if buffer is not None and len(queue) >= buffer:
-                    self._drop(link, pkt, tick)
-                else:
-                    queue.append(pkt)
-        elif buffer is None:
-            queue.extend(arrivals)
+                        self._drop(link, (pkt,), tick)
+            else:
+                admitted = kept
+                if len(kept) != len(arrivals):
+                    held = set(map(id, kept))
+                    self._drop(
+                        link,
+                        [pkt for pkt in arrivals if id(pkt) not in held],
+                        tick,
+                    )
+        # enqueue: the queue only grows here, so the free room is known
+        # up front and the overflow is the tail, in arrival order (a
+        # policy's on_drop must not touch link.queue)
+        buffer = link.buffer
+        if buffer is None:
+            queue.extend(admitted)
         else:
-            for pkt in arrivals:
-                if len(queue) >= buffer:
-                    self._drop(link, pkt, tick)
-                else:
-                    queue.append(pkt)
+            room = max(0, buffer - len(queue))
+            queue.extend(admitted[:room])
+            if room < len(admitted):
+                self._drop(link, admitted[room:], tick)
 
         # service
+        capacity = link.capacity
         if capacity is None:
             n_service = len(queue)
         else:
@@ -541,21 +592,29 @@ class Engine:
             link.credit -= n_service
             if link.credit > capacity:  # do not bank idle capacity
                 link.credit = capacity
-        link.serviced_total += n_service
-        for _ in range(n_service):
-            pkt = queue.popleft()
-            for mon in monitors:
-                mon.on_service(pkt, tick)
-            hop = pkt.hop + 1
-            pkt.hop = hop
-            nxt = pkt.links[hop]
-            if delay != 1:
-                self._scheduled.setdefault(tick + delay, []).append((nxt, pkt))
-            elif nxt is None:
-                deliveries.append(pkt)
-            else:
-                nxt.arrivals_next.append(pkt)
-                touched[nxt] = None
+        touched = self._touched_next
+        if n_service:
+            link.serviced_total += n_service
+            monitors = link.monitors
+            delay = link.delay
+            delivered = self._deliveries_next
+            popleft = queue.popleft
+            for _ in range(n_service):
+                pkt = popleft()
+                for mon in monitors:
+                    mon.on_service(pkt, tick)
+                hop = pkt.hop + 1
+                pkt.hop = hop
+                nxt = pkt.links[hop]
+                if delay != 1:
+                    self._scheduled.setdefault(tick + delay, []).append(
+                        (nxt, pkt)
+                    )
+                elif nxt is None:
+                    delivered.append(pkt)
+                else:
+                    nxt.arrivals_next.append(pkt)
+                    touched[nxt] = None
         if queue:
             touched[link] = None
 
@@ -566,41 +625,61 @@ class Engine:
         by_flow: Dict[int, List[Packet]] = {}
         for pkt in arrivals:
             by_flow.setdefault(pkt.flow_id, []).append(pkt)
-        if len(by_flow) <= 1:
+        n = len(by_flow)
+        if n <= 1:
             return arrivals
         streams = list(by_flow.values())
-        cursors = [0] * len(streams)
+        for stream in streams:
+            stream.reverse()  # popped from the end, oldest first
         out: List[Packet] = []
-        randrange = self._interleave_rng.randrange
-        while streams:
-            i = randrange(len(streams)) if len(streams) > 1 else 0
+        append = out.append
+        # The draw is the standard library's uniform integer below n
+        # (Random._randbelow_with_getrandbits) written out: same values,
+        # same generator state, two Python frames fewer per packet.  Every
+        # drop victim downstream depends on these draws, so
+        # tests/net/test_engine_draws.py holds the two equal on every
+        # CPython of the CI matrix: an interpreter that changes _randbelow
+        # fails there, by name, before the digest pins do.
+        getrandbits = self._interleave_rng.getrandbits
+        bits = n.bit_length()
+        while n > 1:
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
             stream = streams[i]
-            out.append(stream[cursors[i]])
-            cursors[i] += 1
-            if cursors[i] == len(stream):
-                last = len(streams) - 1
-                streams[i] = streams[last]
-                cursors[i] = cursors[last]
+            append(stream.pop())
+            if not stream:
+                n -= 1
+                streams[i] = streams[n]
                 streams.pop()
-                cursors.pop()
+                bits = n.bit_length()
+        # the last stream standing is drained without a draw
+        stream = streams[0]
+        stream.reverse()
+        out.extend(stream)
         return out
 
-    def _drop(self, link: Link, pkt: Packet, tick: int) -> None:
-        link.dropped_total += 1
+    def _drop(self, link: Link, pkts: Sequence[Packet], tick: int) -> None:
+        """Drop ``pkts`` on ``link``, in order: count, attribute, notify
+        the policy, then the monitors, packet by packet."""
         policy = link.policy
-        if policy is not None:
-            tel = self.telemetry
-            if tel.enabled:
-                # peek the cause before on_drop consumes the policy's
-                # pending-cause state; a policy that does not attribute
-                # its drops falls back to the terminal stage
-                cause = policy.pending_drop_cause() or "overflow"
-                tel.record_drop(tick, cause, pkt.flow_id, pkt.path_id)
-            policy.on_drop(pkt, tick)
-        elif self.telemetry.enabled:
-            self.telemetry.record_drop(tick, "overflow", pkt.flow_id, pkt.path_id)
-        for mon in link.monitors:
-            mon.on_drop(pkt, tick)
+        tel = self.telemetry
+        traced = tel.enabled
+        monitors = link.monitors
+        for pkt in pkts:
+            link.dropped_total += 1
+            if policy is not None:
+                if traced:
+                    # peek the cause before on_drop consumes the policy's
+                    # pending-cause state; a policy that does not attribute
+                    # its drops falls back to the terminal stage
+                    cause = policy.pending_drop_cause() or "overflow"
+                    tel.record_drop(tick, cause, pkt.flow_id, pkt.path_id)
+                policy.on_drop(pkt, tick)
+            elif traced:
+                tel.record_drop(tick, "overflow", pkt.flow_id, pkt.path_id)
+            for mon in monitors:
+                mon.on_drop(pkt, tick)
 
     def _dead_drop(self, link: Link, pkt: Packet) -> None:
         """Loss on a failed link: counted and monitored, but not reported
@@ -698,42 +777,3 @@ class Engine:
             self.topology.validate_route(list(reverse_route))
         flow.route = tuple(route)
         flow.reverse_route = tuple(reverse_route)
-
-    # ------------------------------------------------------------------
-    # end-host behaviour
-    # ------------------------------------------------------------------
-    def _deliver(self, pkt: Packet, tick: int) -> None:
-        self.packets_delivered += 1
-        flow = self.flows.get(pkt.flow_id)
-        if flow is None:
-            raise SimulationError(f"delivery for unknown flow {pkt.flow_id}")
-        if pkt.kind == DATA:
-            self._reply(flow, pkt, ACK, tick)
-        elif pkt.kind == SYN:
-            self._reply(flow, pkt, SYNACK, tick)
-        elif pkt.kind == ACK:
-            if flow.source is not None:
-                flow.source.on_ack(self, flow, pkt, tick)
-        elif pkt.kind == SYNACK:
-            if flow.source is not None:
-                flow.source.on_synack(self, flow, pkt, tick)
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown packet kind {pkt.kind}")
-
-    def _reply(self, flow: FlowInfo, pkt: Packet, kind: int, tick: int) -> None:
-        """Destination host acknowledges a data or SYN packet."""
-        # positional on purpose: built once per delivered packet, and
-        # keyword passing cost a fifth of a drop-tail flood's run time
-        self.emit(
-            Packet(
-                flow.flow_id,
-                kind,
-                pkt.seq,
-                flow.path_id,
-                flow.reverse_route,
-                flow.dst_host,
-                flow.src_host,
-                pkt.sent_tick,
-                pkt.capability,
-            )
-        )

@@ -54,7 +54,11 @@ class LinkPolicy:
         return True
 
     def on_drop(self, pkt: Packet, tick: int) -> None:
-        """Notification that ``pkt`` was dropped on this link."""
+        """Notification that ``pkt`` was dropped on this link.
+
+        Must not add to or remove from ``link.queue``: the engine sizes a
+        tick's enqueue once, before it reports the overflow.
+        """
 
     def pending_drop_cause(self) -> Optional[str]:
         """Cause label for the drop about to be reported via :meth:`on_drop`.
@@ -77,6 +81,7 @@ class LinkPolicy:
         :meth:`admit` calls (the engine treats the rest as drops), or
         ``None`` to use per-packet admission.  Policies that need to see a
         tick's arrivals together (random selection among arrivals) use this.
+        ``arrivals`` itself may be returned; the engine only reads it.
         """
         return None
 
@@ -108,6 +113,14 @@ class DropTailPolicy(LinkPolicy):
     def admit(self, pkt: Packet, tick: int) -> bool:
         buffer = self.link.buffer
         return buffer is None or len(self.link.queue) < buffer
+
+    def batch_admit(self, arrivals: List[Packet], tick: int) -> List[Packet]:
+        # The queue does not grow while a tick's arrivals are judged, so
+        # one verdict is every admit() call of the tick: all pass (the
+        # engine's enqueue stage tail-drops what does not fit) or none.
+        if not arrivals or self.admit(arrivals[0], tick):
+            return arrivals
+        return []
 
 
 class RandomDropPolicy(LinkPolicy):

@@ -108,6 +108,44 @@ class TestTickProfiler:
         assert laps["admission"] > 0.0 and laps["forwarding"] > 0.0
         assert tel.profiler.ticks_profiled == 200
 
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_one_link_loop_reads_the_clock_only_when_profiled(
+        self, monkeypatch, profile
+    ):
+        # profiled and unprofiled ticks share one phase-3 loop; the laps in
+        # it must cost nothing — not one clock read — with the profiler off
+        import time
+        import types
+
+        from repro.net.policy import DropTailPolicy
+        from repro.telemetry import Telemetry, profiler, use
+        from repro.traffic.scenarios import build_tree_scenario
+
+        reads = []
+
+        def perf_counter():
+            reads.append(1)
+            return time.perf_counter()
+
+        monkeypatch.setattr(
+            profiler, "time", types.SimpleNamespace(perf_counter=perf_counter)
+        )
+        tel = Telemetry(mode="metrics", profile=profile)
+        with use(tel):
+            scenario = build_tree_scenario(
+                scale_factor=0.03, attack_kind="cbr", seed=3
+            )
+            scenario.attach_policy(DropTailPolicy())
+            scenario.engine.run(100)
+        if not profile:
+            assert reads == []
+            return
+        # per tick: start, arrivals, policy, delivery, sources, the closing
+        # forwarding lap, and two laps around each link that runs a policy
+        # (one here, active on every tick once the flood reaches it)
+        assert 6 * 100 < len(reads) <= 8 * 100
+        assert tel.profiler.totals_seconds["admission"] > 0.0
+
     def test_pickle_erases_wall_clock_state(self):
         # checkpoints and digests must never observe host speed
         prof = TickProfiler()
