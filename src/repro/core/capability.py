@@ -43,13 +43,14 @@ class CapabilityIssuer:
     per flow and remembered: per-packet verification of a remembered
     flow is a lookup, a length check and one constant-time comparison.
     The memo holds one entry per *verified* flow, grouped by path
-    identifier: only :meth:`issue` and :meth:`account_key` write it —
-    the calls a router makes for a SYN it answers and for data it has
-    authenticated — while :meth:`verify` only reads it, so no packet can
-    buy an entry by being refused.  Whoever owns the per-path state
-    calls :meth:`forget` when it releases a path; the memo is then a
-    subset of the paths that owner tracks by construction, whatever
-    order it calls in.
+    identifier: only :meth:`issue`, :meth:`account_key` and an
+    :meth:`authenticate` that succeeds write it — the calls a router
+    makes for a SYN it answers and for data it has authenticated — while
+    :meth:`verify` and a refusing :meth:`authenticate` only read it, so
+    no packet can buy an entry by being refused.  Whoever owns the
+    per-path state calls :meth:`forget` when it releases a path; the memo
+    is then a subset of the paths that owner tracks by construction,
+    whatever order it calls in.
 
     Parameters
     ----------
@@ -163,6 +164,31 @@ class CapabilityIssuer:
             capability[_DIGEST_BYTES:],
             self._c1(src_addr, self.fanout_bucket(dst_addr), pid),
         )
+
+    def authenticate(
+        self,
+        capability: Optional[bytes],
+        src_addr: Hashable,
+        dst_addr: Hashable,
+        pid: PathId,
+    ) -> Optional[AccountKey]:
+        """The flow's accounting unit if ``capability`` is its
+        ``C0 || C1``, else ``None``: what a router asks of every data
+        packet, answered by one memo lookup.  Read-only on refusal, as
+        :meth:`verify` is; an authentic flow the memo does not hold yet
+        is remembered, as :meth:`account_key` would next."""
+        if capability is None or len(capability) != 2 * _DIGEST_BYTES:
+            return None
+        by_endpoints = self._flows.get(pid)
+        if by_endpoints is not None:
+            entry = by_endpoints.get((src_addr, dst_addr))
+            if entry is not None:
+                if hmac.compare_digest(capability, entry[0]):
+                    return entry[1]
+                return None
+        if not self.verify(capability, src_addr, dst_addr, pid):
+            return None
+        return self._flow(src_addr, dst_addr, pid)[1]
 
     # ------------------------------------------------------------------
     # accounting

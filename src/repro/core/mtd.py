@@ -25,7 +25,7 @@ service probability return to one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, Tuple
+from typing import Deque, Dict, Hashable, Iterable, List, Tuple
 
 INFINITE_MTD = float("inf")
 
@@ -74,7 +74,8 @@ class FlowDropTracker:
         dq = self._drops.get(key)
         if not dq:
             return 0
-        self._trim(dq, tick - self.horizon)
+        if dq[0] < tick - self.horizon:
+            self._trim(dq, tick - self.horizon)
         oldest = tick - window
         count = 0
         for t in reversed(dq):
@@ -111,6 +112,11 @@ class FlowDropTracker:
                 stale.append(key)
         for key in stale:
             del self._drops[key]
+
+    def units(self) -> List[Hashable]:
+        """The accounting units holding a drop record, in the order their
+        records were opened."""
+        return list(self._drops)
 
     def tracked_units(self) -> int:
         """Number of accounting units with live drop records."""

@@ -152,6 +152,19 @@ class _GroupState:
 class FLocPolicy(LinkPolicy):
     """FLoc admission control for one congested link."""
 
+    # Admission scratch, not snapshot state: the refusal :meth:`on_drop`
+    # is about to be told of — ``(packet, cause, unit, group)``, the last
+    # two ``None`` where the refusal came before they were resolved — and
+    # the target queue's length and mode as this tick's arrivals see them.
+    # Class-level defaults, so a policy pickled before these existed
+    # starts its next tick like any other.
+    _pending: Optional[
+        Tuple[Packet, str, Optional[Hashable], Optional[_GroupState]]
+    ] = None
+    _judged_tick = -1
+    _tick_queue = 0
+    _tick_mode = QueueMode.UNCONGESTED
+
     def __init__(self, config: Optional[FLocConfig] = None) -> None:
         self.cfg = config or FLocConfig()
         self.issuer = CapabilityIssuer(self.cfg.secret, n_max=self.cfg.n_max)
@@ -192,7 +205,6 @@ class FLocPolicy(LinkPolicy):
             "random": 0,
             "overflow": 0,
         }
-        self._pending_drop_cause: Optional[str] = None
         # fault-tolerance state: warm-up window after a restart (ticks are
         # absolute engine ticks; None = normal operation) and the clock
         # offset installed by a jitter fault
@@ -246,48 +258,77 @@ class FLocPolicy(LinkPolicy):
     # admission
     # ------------------------------------------------------------------
     def admit(self, pkt: Packet, tick: int) -> bool:
-        if pkt.kind == SYN:
-            return self._admit_syn(pkt, tick)
-        if pkt.kind != DATA:
+        """Decide one arrival, start to finish in this frame: a flooded
+        router pays this per packet (Sections III-A, V-B).  The arithmetic
+        of ``QueueManager.early_congestion``, ``FlowDropTracker.mtd``,
+        ``MtdClassifier.service_probability`` and
+        ``PathTokenBucket.request`` is written out here; those methods
+        stay as each component's statement of it.  A refusal leaves the
+        pending record :meth:`on_drop` consumes."""
+        kind = pkt.kind
+        if kind != DATA:
+            if kind == SYN:
+                pid = pkt.path_id
+                state = self._path_state(pid, tick)
+                pkt.capability = self.issuer.issue(
+                    pkt.src_addr, pkt.dst_addr, pid
+                )
+                state.syn_ticks[pkt.flow_id] = tick
             return True
-        return self._admit_data(pkt, tick)
 
-    def _admit_syn(self, pkt: Packet, tick: int) -> bool:
-        pid = pkt.path_id
-        state = self._path_state(pid, tick)
-        pkt.capability = self.issuer.issue(pkt.src_addr, pkt.dst_addr, pid)
-        state.syn_ticks[pkt.flow_id] = tick
-        return True
-
-    def _admit_data(self, pkt: Packet, tick: int) -> bool:
         cfg = self.cfg
         pid = pkt.path_id
         # authenticate before allocating (Section III-A): until C0 || C1
         # checks out, the identifier and the unit the packet names are
         # the sender's claim, and nothing is allocated, touched or
         # charged on a claim
-        if cfg.capability_checks and not self.issuer.verify(
-            pkt.capability, pkt.src_addr, pkt.dst_addr, pid
-        ):
-            self._pending_drop_cause = "spoofed"
-            return False
+        key = None
+        if cfg.capability_checks:
+            key = self.issuer.authenticate(
+                pkt.capability, pkt.src_addr, pkt.dst_addr, pid
+            )
+            if key is None:
+                self._pending = (pkt, "spoofed", None, None)
+                return False
 
-        state = self._path_state(pid, tick)
-        key = self.issuer.account_key(pkt.src_addr, pkt.dst_addr, pid)
+        state = self.paths.get(pid)
+        if state is None:
+            state = self._path_state(pid, tick)
+        elif (
+            cfg.max_tracked_paths if self.sketch is None else cfg.sketch_hot_paths
+        ) is not None:
+            # a tracked path under a path limit (_path_limit): touch its
+            # LRU slot; pop + reinsert = move_to_end without a KeyError hazard
+            lru = self._lru
+            lru.pop(pid, None)
+            lru[pid] = None
+        if key is None:
+            key = self.issuer.account_key(pkt.src_addr, pkt.dst_addr, pid)
         state.arrivals += 1
         state.last_arrival = tick
         state.flows[key] = tick
-        syn_tick = state.syn_ticks.pop(pkt.flow_id, None)
-        if syn_tick is not None:
-            sample = max(1.0, float(tick - syn_tick))
-            state.rtt_ewma += 0.25 * (sample - state.rtt_ewma)
+        if state.syn_ticks:
+            syn_tick = state.syn_ticks.pop(pkt.flow_id, None)
+            if syn_tick is not None:
+                sample = max(1.0, float(tick - syn_tick))
+                state.rtt_ewma += 0.25 * (sample - state.rtt_ewma)
 
-        unblock = self._blocked.get(key)
-        if unblock is not None:
-            if tick < unblock:
-                self._pending_drop_cause = "blocked"
-                return False
-            del self._blocked[key]
+        if self._blocked:
+            unblock = self._blocked.get(key)
+            if unblock is not None:
+                if tick < unblock:
+                    self._pending = (pkt, "blocked", key, None)
+                    return False
+                del self._blocked[key]
+
+        if tick != self._judged_tick:
+            # the queue does not change while a tick's arrivals are
+            # judged: its length and mode are taken once per tick
+            self._judged_tick = tick
+            self._tick_queue = len(self.link.queue)
+            self._tick_mode = self.qm.mode(self._tick_queue)
+        q_curr = self._tick_queue
+        mode = self._tick_mode
 
         if self._warmup_until is not None:
             # post-restart warm-up: the token buckets and MTD records were
@@ -295,20 +336,20 @@ class FLocPolicy(LinkPolicy):
             # neutral congested-mode admission (random queue threshold,
             # footnote 8) — it needs no per-path history — while the state
             # bookkeeping above re-converges lambda_Si and the RTTs.
-            q_curr = len(self.link.queue)
-            if self.qm.mode(q_curr) is QueueMode.UNCONGESTED:
-                return True
-            if self.qm.random_drop(q_curr):
-                self._pending_drop_cause = "random"
+            if mode is not QueueMode.UNCONGESTED and self.qm.random_drop(q_curr):
+                self._pending = (pkt, "random", key, None)
                 return False
             return True
 
-        group = self._group_state(pid, tick)
-        q_curr = len(self.link.queue)
-        mode = self.qm.mode(q_curr)
+        group = self.groups.get(self.plan.group_of.get(pid, pid))
+        if group is None:
+            group = self._group_state(pid, tick)
         if mode is QueueMode.UNCONGESTED:
-            if not self.qm.early_congestion(
-                q_curr, group.bandwidth, state.lambda_rate
+            # early bucket activation for an over-subscribing path:
+            # Q_curr > Q_min * min(1, C_Si / lambda_Si)
+            rate = state.lambda_rate
+            if rate <= 0 or q_curr <= self.qm.q_min * min(
+                1.0, group.bandwidth / rate
             ):
                 return True
             mode = QueueMode.CONGESTED
@@ -319,64 +360,93 @@ class FLocPolicy(LinkPolicy):
         # respond to the drops — are penalised increasingly aggressively
         # (Section IV-B: "more aggressively penalizes the flows whose MTDs
         # keep decreasing") via an escalation exponent on the ratio.
+        bucket = group.bucket
         if cfg.preferential_drop and key in state.attack_flows:
-            if self.tracker is not None:
-                mtd_value = self._mtd(key, tick, group)
-                p_service = self.classifier.service_probability(
-                    mtd_value, self._reference_mtd(group)
+            # reference MTD: measured when drop records exist, else n * T
+            reference = group.measured_ref_mtd
+            if reference is None:
+                reference = bucket.n_flows * bucket.period
+            tracker = self.tracker
+            if tracker is not None:
+                # Eq. (IV.4) over k = max(n_g, mtd_window_periods) periods
+                flows = 0
+                paths = self.paths
+                for member in group.members:
+                    member_state = paths.get(member)
+                    if member_state is not None:
+                        flows += len(member_state.flows)
+                window = max(
+                    1,
+                    int(max(flows, 1, cfg.mtd_window_periods) * bucket.period),
                 )
+                span = min(window, tracker.horizon)
+                drops = tracker.drops_in_window(key, tick, span)
+                mtd_value = span / drops if drops else INFINITE_MTD
+                if self.sketch is not None:
+                    mtd_value = self._sketch_clamped_mtd(mtd_value, key, window)
+                p_service = 1.0
+                if reference > 0:
+                    p_service = min(1.0, mtd_value / reference)
             else:
                 # scalable mode: Eq. (V.1) preferential drop ratio
                 p_service = 1.0 - self.drop_filter.preferential_drop_ratio(
-                    key, tick, self._reference_mtd(group)
+                    key, tick, reference
                 )
             streak = state.attack_streak.get(key, 1)
             if streak > 1:
                 p_service = p_service ** min(3.0, 1.0 + 0.5 * (streak - 1))
             if self._rng.random() > p_service:
-                self._pending_drop_cause = "preferential"
+                self._pending = (pkt, "preferential", key, group)
                 return False
 
-        bucket = group.bucket
-        tel = self.engine.telemetry
-        if mode is QueueMode.CONGESTED:
-            bucket.use_increased = True
-            if bucket.request():
-                if tel.enabled:
-                    tel.registry.counter("token_grants_count").inc()
-                return True
-            if self.qm.random_drop(q_curr):
-                self._pending_drop_cause = "random"
-                return False
-            return True
-        # flooding mode: strict tokens at the base bucket size
-        bucket.use_increased = False
-        if bucket.request():
+        # one token; congested mode draws on the increased bucket size and
+        # falls back to the random threshold, flooding mode is strict at
+        # the base size
+        congested = mode is QueueMode.CONGESTED
+        bucket.use_increased = congested
+        bucket.requests_total += 1
+        if bucket.tokens >= 1.0:
+            bucket.tokens -= 1.0
+            tel = self.engine.telemetry
             if tel.enabled:
                 tel.registry.counter("token_grants_count").inc()
             return True
-        self._pending_drop_cause = "token"
-        return False
+        bucket.denials_total += 1
+        if not congested:
+            self._pending = (pkt, "token", key, group)
+            return False
+        if self.qm.random_drop(q_curr):
+            self._pending = (pkt, "random", key, group)
+            return False
+        return True
 
     def pending_drop_cause(self) -> Optional[str]:
         """Telemetry peek: the cause :meth:`on_drop` is about to consume."""
-        return self._pending_drop_cause
+        pending = self._pending
+        return pending[1] if pending is not None else None
 
     def on_drop(self, pkt: Packet, tick: int) -> None:
-        cause = self._pending_drop_cause or "overflow"
-        self._pending_drop_cause = None
+        pending = self._pending
+        self._pending = None
+        if pending is not None and pending[0] is pkt:
+            _, cause, key, group = pending
+        else:
+            # a tail drop; a record a wrapper left unconsumed names
+            # another packet and is discarded with it
+            cause, key, group = "overflow", None, None
         self.drop_stats[cause] += 1
         if pkt.kind != DATA or cause == "spoofed":
             # a forged packet names a unit it does not belong to: one
             # counter, and no record a legitimate flow could be framed by
             return
         pid = pkt.path_id
-        state = self.paths.get(pid)
-        if state is None:
-            return
-        key = self.issuer.account_key(pkt.src_addr, pkt.dst_addr, pid)
-        group = self._group_state(pid, tick)
-        group.bucket.record_drop()
+        if key is None:
+            if pid not in self.paths:
+                return
+            key = self.issuer.account_key(pkt.src_addr, pkt.dst_addr, pid)
+        if group is None:
+            group = self._group_state(pid, tick)
+        group.bucket.drops_this_period += 1
         group.interval_drops += 1
         if self.tracker is not None:
             self.tracker.record_drop(key, tick)
@@ -863,12 +933,12 @@ class FLocPolicy(LinkPolicy):
         )
 
     def _group_flows(self, group: _GroupState) -> int:
-        return max(
-            1,
-            sum(
-                len(self.paths[p].flows) for p in group.members if p in self.paths
-            ),
-        )
+        flows = 0
+        for pid in group.members:
+            state = self.paths.get(pid)
+            if state is not None:
+                flows += len(state.flows)
+        return max(1, flows)
 
     def _reference_mtd(self, group: _GroupState) -> float:
         """Reference MTD: measured when drop records exist, else n*T."""
@@ -879,28 +949,6 @@ class FLocPolicy(LinkPolicy):
     def _mtd_window(self, group: _GroupState) -> int:
         k = max(self._group_flows(group), self.cfg.mtd_window_periods)
         return max(1, int(k * group.bucket.period))
-
-    def _mtd(
-        self,
-        key: Hashable,
-        tick: int,
-        group: _GroupState,
-        window: Optional[int] = None,
-    ) -> float:
-        """Exact-mode MTD (Eq. IV.4); the scalable mode uses the drop
-        filter's Eq. (V.1) machinery directly instead."""
-        if window is None:
-            window = self._mtd_window(group)
-        if self.tracker is None:
-            ref = self._reference_mtd(group)
-            excess = self.drop_filter.excess_ratio(key, tick, ref)
-            if excess <= 0:
-                return INFINITE_MTD
-            return ref / (1.0 + excess)
-        mtd_value = self.tracker.mtd(key, tick, window)
-        if self.sketch is not None:
-            mtd_value = self._sketch_clamped_mtd(mtd_value, key, window)
-        return mtd_value
 
     def _sketch_clamped_mtd(
         self, exact_mtd: float, key: Hashable, window: int
@@ -932,7 +980,6 @@ class FLocPolicy(LinkPolicy):
         "tracked_paths_peak",
         "state_peaks",
         "drop_stats",
-        "_pending_drop_cause",
         "_warmup_until",
         "_clock_offset",
         "_initial_rtt",
@@ -970,6 +1017,7 @@ class FLocPolicy(LinkPolicy):
             )
         for name, value in copy.deepcopy(snap).items():
             setattr(self, name, value)
+        self._forget_scratch()
         # memo entries of paths the snapshot does not track would never
         # be released; the memo is pure, so it refills from live traffic
         self.issuer.clear()
@@ -1039,7 +1087,7 @@ class FLocPolicy(LinkPolicy):
             self.cfg.q_min_fraction,
             rng=self.qm._rng,
         )
-        self._pending_drop_cause = None
+        self._forget_scratch()
         self._warmup_until = tick + self.cfg.restart_warmup_ticks
 
     def corrupt_state(self, fraction: float, rng: random.Random) -> None:
@@ -1047,19 +1095,26 @@ class FLocPolicy(LinkPolicy):
         states, blocks, drop records, and token balances — the
         line-card-failure analogue of :meth:`restart`.  The surviving
         state keeps operating; lost paths regenerate from live traffic."""
+        self._forget_scratch()
         for pid in [p for p in self.paths if rng.random() < fraction]:
             self._forget_path(pid)
         for key in [k for k in self._blocked if rng.random() < fraction]:
             del self._blocked[key]
         if self.tracker is not None:
             for key in [
-                k for k in list(self.tracker._drops) if rng.random() < fraction
+                k for k in self.tracker.units() if rng.random() < fraction
             ]:
                 self.tracker.forget(key)
         for group in self.groups.values():
             if rng.random() < fraction:
                 group.bucket.tokens = 0.0
                 group.interval_drops = 0
+
+    def _forget_scratch(self) -> None:
+        """Drop the pending refusal and the tick-scoped queue reading:
+        the state they were taken from is being replaced."""
+        self._pending = None
+        self._judged_tick = -1
 
     def jitter_clock(self, offset: int) -> None:
         """Shift the measurement-interval phase by ``offset`` ticks."""

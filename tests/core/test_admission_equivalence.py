@@ -27,6 +27,8 @@ edit them, and the oracle calling them is what holds the two equal.
 from __future__ import annotations
 
 import array
+import hmac
+import itertools
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -50,8 +52,6 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry, use
 from repro.traffic import PathChurnFloodSource
 from repro.traffic.cbr import CbrSource
 from repro.traffic.scenarios import DST_HUB, ROOT, build_tree_scenario
-
-import hmac
 
 
 # ----------------------------------------------------------------------
@@ -688,7 +688,9 @@ def image(run: Run) -> Dict[str, Any]:
         log = run.telemetry.trace
         fresh = log.emitted_total - run.seen_events
         run.seen_events = log.emitted_total
-        out["events"] = [e.to_dict() for e in log.events()[-fresh:]] if fresh else []
+        out["events"] = [
+            e.to_dict() for e in itertools.islice(log, len(log) - fresh, None)
+        ]
         out["drop_causes"] = run.telemetry.drop_provenance()
     return out
 

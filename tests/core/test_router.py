@@ -1,9 +1,14 @@
 """FLocPolicy end-to-end behaviour on the congested link."""
 
+import random
+
 import pytest
 
 from repro.core.config import FLocConfig
 from repro.core.router import FLocPolicy
+from repro.net.engine import Engine
+from repro.net.packet import DATA, SYN, Packet
+from repro.net.topology import Topology
 from repro.traffic.scenarios import build_tree_scenario
 
 
@@ -26,8 +31,6 @@ class TestCapabilities:
         assert all(s.capability is not None for s in established)
 
     def test_spoofed_data_dropped(self, no_attack_tree):
-        from repro.net.packet import DATA, Packet
-
         policy, _ = run_floc(no_attack_tree, seconds=2.0, warmup=0.5)
         flow = no_attack_tree.legit_flows[0]
         forged = Packet(
@@ -143,3 +146,66 @@ class TestAblations:
         assert policy.drop_filter is not None
         assert policy.tracker is None
         assert monitor.total_serviced > 0
+
+
+class TestPendingRecord:
+    """A refusal's pending record names its packet: whatever happens to
+    the ``on_drop`` that should have consumed it, it labels no other
+    packet's drop."""
+
+    @staticmethod
+    def refused(policy, tick=1):
+        """A forged DATA packet, refused and left pending."""
+        forged = Packet(7, DATA, 0, (1, 9), ("a", "b"), "h", "srv", tick,
+                        b"\x00" * 16)
+        assert not policy.admit(forged, tick)
+        assert policy.pending_drop_cause() == "spoofed"
+        return forged
+
+    @staticmethod
+    def policy():
+        topo = Topology()
+        topo.add_duplex_link("a", "b", capacity=10.0, buffer=50)
+        policy = FLocPolicy(FLocConfig())
+        policy.attach(topo.link("a", "b"), Engine(topo, seed=1))
+        return policy
+
+    def test_stale_record_does_not_label_another_packets_drop(self):
+        policy = self.policy()
+        syn = Packet(1, SYN, 0, (1, 9), ("a", "b"), "h", "srv", 0)
+        assert policy.admit(syn, 0)
+        data = Packet(1, DATA, 1, (1, 9), ("a", "b"), "h", "srv", 1,
+                      syn.capability)
+        assert policy.admit(data, 1)
+        self.refused(policy)  # a wrapper swallows this refusal's on_drop
+        policy.on_drop(data, 1)  # the admitted packet overflows the buffer
+        assert policy.drop_stats["spoofed"] == 0
+        assert policy.drop_stats["overflow"] == 1
+        # recorded in full, as any tail drop of an authenticated packet is
+        unit = policy.issuer.account_key("h", "srv", (1, 9))
+        assert policy.tracker.drop_count(unit) == 1
+        assert policy.groups[(1, 9)].interval_drops == 1
+        # and the stale record went with it
+        assert policy.pending_drop_cause() is None
+
+    def test_own_packet_consumes_its_record(self):
+        policy = self.policy()
+        forged = self.refused(policy)
+        policy.on_drop(forged, 1)
+        assert policy.drop_stats["spoofed"] == 1
+        assert policy.drop_stats["overflow"] == 0
+        assert policy.pending_drop_cause() is None
+
+    @pytest.mark.parametrize("event", ["restart", "restore", "corrupt_state"])
+    def test_state_replacement_clears_the_record(self, event):
+        policy = self.policy()
+        snap = policy.snapshot()
+        self.refused(policy)
+        if event == "restart":
+            policy.restart(2)
+        elif event == "restore":
+            policy.restore(snap)
+        else:
+            policy.corrupt_state(0.5, random.Random(1))
+        assert policy.pending_drop_cause() is None
+        assert policy._judged_tick == -1
