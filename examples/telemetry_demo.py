@@ -3,18 +3,19 @@
 
 The telemetry layer (:mod:`repro.telemetry`) observes a run without
 changing it: a metrics registry (counters, gauges, histograms, tick
-series), a tick-keyed decision-trace log, and a per-subsystem wall-time
-profiler.  This demo walks the whole surface by hand:
+series) and a tick-keyed decision-trace log.  Wall time is the span
+tracer's (:mod:`repro.trace`), whose tick profiler times each phase of
+every tick.  This demo walks the whole surface by hand:
 
 1. run the Section VI tree scenario under a CBR flood twice — once with
-   telemetry off, once with full tracing — and show the monitor output
-   is bit-identical (telemetry is observation-only);
+   telemetry off, once with full tracing and a span tracer — and show
+   the monitor output is bit-identical (both are observation-only);
 2. read the registry: FLoc decision counters, the queue-depth
    histogram, and the engine's delivered-packet tick series;
 3. read the drop provenance — every engine drop carries exactly one
    cause from the Section V pipeline order — and the raw trace events
    behind it;
-4. print the profiler's per-subsystem wall-time breakdown;
+4. print the tracer's per-subsystem wall-time breakdown;
 5. export everything (metrics.json, metrics.prom, series.csv,
    events.jsonl) the way ``repro run --telemetry trace`` does, then
    render the export back with the ``repro metrics`` loader.
@@ -29,6 +30,7 @@ from repro.core.config import FLocConfig
 from repro.core.router import FLocPolicy
 from repro.telemetry import DROP_CAUSES, NULL_TELEMETRY, Telemetry, use
 from repro.telemetry.exporters import export_all, load_metrics_json
+from repro.trace import Tracer, use_tracer
 from repro.traffic.scenarios import build_tree_scenario
 
 
@@ -50,8 +52,12 @@ def run_flood(tel):
 
 # -- 1. observation-only: identical results with telemetry on or off ----
 baseline = run_flood(NULL_TELEMETRY)
-tel = Telemetry(mode="trace", profile=True)
-traced = run_flood(tel)
+tel = Telemetry(mode="trace")
+# the tracer writes span files only once a span opens; this demo opens
+# none and reads the tracer's tick profiler directly
+tracer = Tracer(tempfile.gettempdir())
+with use_tracer(tracer):
+    traced = run_flood(tel)
 
 assert traced.service_counts == baseline.service_counts
 assert traced.drop_counts == baseline.drop_counts
@@ -88,9 +94,10 @@ print(f"trace totals: {tel.trace.emitted_total} events emitted, "
       f"by kind {dict(sorted(tel.trace.counts_by_kind.items()))}")
 
 # -- 4. where the wall time went ----------------------------------------
+totals = tracer.profiler.totals_seconds
 print("\nper-subsystem wall-time fractions:")
-for name, frac in sorted(tel.profiler.breakdown().items()):
-    print(f"  {name:10s} {frac:6.1%}")
+for name, seconds in sorted(totals.items()):
+    print(f"  {name:10s} {seconds / sum(totals.values()):6.1%}")
 
 # -- 5. export and reload, the CLI round trip ---------------------------
 with tempfile.TemporaryDirectory() as tmp:

@@ -28,9 +28,10 @@ its evaluation depends on:
 * a deterministic chaos-campaign engine — seed-sampled fault + adaptive
   adversary compositions judged against resilience SLOs, with
   delta-debugged, replayable reproducer artifacts (:mod:`repro.chaos`),
-* a unified telemetry layer — metrics registry, tick-keyed decision
-  tracing with per-drop provenance, and a per-subsystem tick profiler,
-  observation-only by construction (:mod:`repro.telemetry`),
+* a unified telemetry layer — metrics registry and tick-keyed decision
+  tracing with per-drop provenance, observation-only by construction
+  (:mod:`repro.telemetry`) — and cross-process span tracing with a
+  per-subsystem tick profiler (:mod:`repro.trace`),
 * measurement/reporting helpers (:mod:`repro.analysis`) and one runner
   per paper figure (:mod:`repro.experiments`).
 

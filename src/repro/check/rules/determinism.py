@@ -19,10 +19,12 @@ The telemetry package is in scope — its registry, event log, and
 exporters must be tick-driven so traces replay byte-identically — with
 exactly one carve-out: :data:`WALL_CLOCK_ALLOWED_MODULES` exempts
 ``repro.telemetry.profiler`` from the *wall-clock* findings (and only
-those).  The tick profiler's entire job is attributing real elapsed time
-to subsystems; its measurements never feed back into simulation state,
-and its pickle support erases them so checkpoints and digests stay
-wall-clock-free.
+those).  That module is the tick profiler, which the span tracer owns
+(the simulators reach it through ``current_tracer().profiler``); it
+stays at that dotted path because old checkpoints name it.  Its entire
+job is attributing real elapsed time to subsystems; its measurements
+never feed back into simulation state, and its pickle support erases
+them so checkpoints and digests stay wall-clock-free.
 
 The span-tracing package ``repro.trace`` is in scope on the same terms:
 its one allowed clock is ``repro.trace.clock`` (the second and last

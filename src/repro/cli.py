@@ -19,7 +19,7 @@ Commands
     re-executes and verifies (see :mod:`repro.chaos`).
 ``check [options]``
     The flocheck static-analysis rules (see :mod:`repro.check`).
-``metrics PATH [--profile]``
+``metrics PATH``
     Render a ``metrics.json`` telemetry export (or the directory holding
     one) as a table.
 ``trace {report,export} DIR``
@@ -31,14 +31,16 @@ Commands
 ``run`` and ``chaos`` accept ``--telemetry {off,metrics,trace,jsonl}``:
 ``metrics`` records the registry (counters, gauges, series), ``trace``
 additionally logs every FLoc decision event keyed by simulation tick
-(``jsonl`` is an alias emphasising the event-log artifact), and both
-profile per-subsystem wall time.  Exports land in ``--telemetry-dir``
-(default ``telemetry/``).  Telemetry is observation-only: results and
+(``jsonl`` is an alias emphasising the event-log artifact).  Exports
+land in ``--telemetry-dir`` (default ``telemetry/``) and are the same
+bytes whatever the executor.  Telemetry is observation-only: results and
 digests are byte-identical with it on or off.
 
-``run`` and ``chaos`` also accept ``--trace``: wall-clock span tracing
-of the execution fabric itself (scheduler, fleet workers,
-checkpoint/salvage, chaos campaigns, per-tick phases).  Every
+``run`` and ``chaos`` (``--replay`` included) also accept ``--trace``:
+wall-clock span tracing of the execution fabric itself (scheduler, fleet
+workers, checkpoint/salvage, chaos campaigns, and the per-tick phases
+the tracer's tick profiler times — the one answer to "where did the
+time go").  Every
 process appends to its own ``spans-*.jsonl`` under ``--trace-dir``
 (default ``trace/``); at the end of the run the files are merged into a
 Perfetto-loadable ``trace.json`` and a summary is printed.  Like
@@ -457,15 +459,19 @@ def _chaos(args) -> int:
 
     if args.replay:
         from .telemetry import NULL_TELEMETRY, Telemetry, use
+        from .trace import use_tracer
 
         mode = _telemetry_mode(args)
-        tel = (
-            NULL_TELEMETRY if mode == "off"
-            else Telemetry(mode=mode, profile=True)
-        )
-        with use(tel):
-            outcome = replay_artifact(args.replay)
+        tel = NULL_TELEMETRY if mode == "off" else Telemetry(mode=mode)
+        tracer = _tracer_from_args(args)
+        with use_tracer(tracer), use(tel):
+            with tracer.span(
+                "campaign.replay", cat="campaign", artifact=args.replay
+            ) as span:
+                outcome = replay_artifact(args.replay)
+                tracer.emit_phases(span)
         _export_telemetry(args, tel)
+        _finish_trace(args, tracer)
         _emit(
             args,
             "chaos-replay",
@@ -608,12 +614,6 @@ def _metrics(args) -> int:
             + (f" ({kinds})" if kinds else "")
             + "\n"
         )
-    profile = payload.get("profile")
-    if profile and args.profile:
-        for subsystem, seconds in sorted(
-            profile.get("totals_seconds", {}).items()
-        ):
-            sys.stdout.write(f"profile: {subsystem} {seconds:.6f}s\n")
     return 0
 
 
@@ -864,7 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "itself; requires --workers")
     chaos.add_argument("--replay", metavar="FILE", default=None,
                        help="re-execute a reproducer artifact and verify it "
-                            "still fails identically (other flags ignored)")
+                            "still fails identically (sweep flags ignored; "
+                            "--telemetry and --trace apply)")
     chaos.add_argument("--csv", metavar="DIR", default=None,
                        help="also write the sweep table to DIR/chaos.csv")
     _add_heartbeat(chaos)
@@ -877,10 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "path", metavar="PATH",
         help="a metrics.json file, or the --telemetry-dir that holds one",
-    )
-    metrics.add_argument(
-        "--profile", action="store_true",
-        help="also print the per-subsystem wall-time profile, if recorded",
     )
 
     trace = sub.add_parser(

@@ -32,9 +32,6 @@ order would hold:
 * ``TraceLog`` — events concatenate under one ``maxlen`` window while
   ``emitted_total``/``counts_by_kind`` sum, so eviction accounting
   matches a single shared log.
-* ``TickProfiler`` — per-subsystem wall seconds and profiled ticks sum
-  (in-process pieces only: a pickled piece's profiler is empty by
-  construction).
 
 Floats are added per piece first, then across pieces in task order;
 since every executor produces and folds the same pieces, that is the one
@@ -188,18 +185,10 @@ def merge_telemetry(pieces: Sequence[NullTelemetry]) -> NullTelemetry:
     )
     merged = Telemetry(
         mode=first.mode,
-        profile=any(p.profile_enabled for p in enabled),
         max_events=max_events,
         sample_interval_ticks=first.sample_interval_ticks,
     )
     merge_registries(merged.registry, [p.registry for p in enabled])
     if merged.trace is not None:
         _merge_traces(merged.trace, [p.trace for p in enabled])
-    if merged.profiler is not None:
-        totals = merged.profiler.totals_seconds
-        for piece in enabled:
-            if piece.profiler is not None:
-                for name, seconds in piece.profiler.totals_seconds.items():
-                    totals[name] = totals.get(name, 0.0) + seconds
-                merged.profiler.ticks_profiled += piece.profiler.ticks_profiled
     return merged

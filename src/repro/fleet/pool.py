@@ -363,7 +363,7 @@ class _FleetRun:
         )
         try:
             result, telemetry, resumed = _run_task(
-                task, ctx, self.options.telemetry_mode, span, profile=True
+                task, ctx, self.options.telemetry_mode, span
             )
         except (DeadlineExceeded, Interrupted) as exc:
             self.log(f"{task.name}: {exc}")

@@ -103,34 +103,18 @@ class HeartbeatPulse:
         self._heartbeat.beat("run", job=self._job)
 
 
-def _fresh_telemetry(mode: str, profile: bool, tracing: bool) -> NullTelemetry:
-    """One task's telemetry recorder.
-
-    ``profile`` keeps the tick profiler when telemetry is on; tracing
-    always needs one, to synthesize per-tick phase spans — for
-    ``mode == "off"`` that means a *shadow* telemetry the caller must
-    discard after the profiler is read: it exists only to feed the
-    trace, never the store or the merge.
-    """
-    if mode != "off":
-        return Telemetry(mode=mode, profile=profile or tracing)
-    return Telemetry(mode="metrics", profile=True) if tracing else NullTelemetry()
-
-
 def _run_task(
     task: Any,
     ctx: UnitContext,
     telemetry_mode: str,
     task_span: SpanHandle,
-    profile: bool,
 ) -> tuple:
     """Execute (or salvage) one task; returns (result, telemetry, resumed).
 
-    ``profile`` keeps the piece's tick profiler even without tracing:
-    the in-process executor sets it (its pieces are never pickled, so
-    their wall-time totals reach the merged ``profile`` export); a spawn
-    worker's would pickle away to empty, so it profiles only to feed the
-    tracer's phase spans.
+    Under an enabled tracer the task's ticks are profiled into the
+    tracer, and their totals become phase spans under ``task_span``
+    whether the task returns or raises, so no task's seconds are left
+    to the next one's span.
     """
     name, store = task.name, ctx.store
     if store is not None:
@@ -141,16 +125,16 @@ def _run_task(
             # another run sharing this store
             task_span.event("task.salvaged")
             return done[0], done[1], True
-    tracer = current_tracer()
-    telemetry = _fresh_telemetry(telemetry_mode, profile, tracer.enabled)
-    with use(telemetry):
-        result = task.run(ctx)
-    if telemetry.profiler is not None:
-        tracer.emit_phases(task_span, telemetry.profiler.totals_seconds)
-    if telemetry_mode == "off":
-        # a shadow recorder existed only for the profiler above; the
-        # caller asked for telemetry off, so ship (and store) none
-        telemetry = NullTelemetry()
+    telemetry = (
+        Telemetry(mode=telemetry_mode)
+        if telemetry_mode != "off"
+        else NullTelemetry()
+    )
+    try:
+        with use(telemetry):
+            result = task.run(ctx)
+    finally:
+        current_tracer().emit_phases(task_span)
     if store is not None:
         if telemetry.enabled:
             store.save("telemetry", telemetry_key(name), telemetry)
@@ -201,7 +185,7 @@ def worker_main(
                 )
                 try:
                     result, telemetry, resumed = _run_task(
-                        task, ctx, config.telemetry_mode, span, profile=False
+                        task, ctx, config.telemetry_mode, span
                     )
                 except Exception as exc:  # noqa: BLE001 - reported to supervisor
                     retryable = not isinstance(exc, NON_RETRYABLE)

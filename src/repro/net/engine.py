@@ -38,6 +38,7 @@ from typing import (
 
 from ..errors import SimulationError
 from ..telemetry import LabeledCounter, NullTelemetry, TickSeries, current
+from ..trace import current_tracer
 from ..units import DEFAULT_SCALE, UnitScale
 from .packet import ACK, DATA, SYN, SYNACK, Packet
 from .topology import Link, Topology
@@ -387,7 +388,7 @@ class Engine:
     def _step(self) -> None:
         tick = self.tick
         tel = self.telemetry
-        prof = tel.profiler if tel.profile_enabled else None
+        prof = current_tracer().profiler
         clock = prof.start() if prof is not None else 0.0
         if self.topology.revision != self._links_revision:
             self._reresolve_routes()

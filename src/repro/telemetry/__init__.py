@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, decision tracing, tick profiler.
+"""Unified telemetry: metrics registry, decision tracing, drop provenance.
 
 One facade, :class:`Telemetry`, is shared by the packet engine
 (:mod:`repro.net.engine`) and the fluid simulator
@@ -7,13 +7,12 @@ telemetry at construction time, so enabling instrumentation is::
 
     from repro.telemetry import Telemetry, use
 
-    tel = Telemetry(mode="trace", profile=True)
+    tel = Telemetry(mode="trace")
     with use(tel):
         scenario = build_tree_scenario(...)
         scenario.run_seconds(6.0)
     tel.registry.snapshot()          # metrics
     tel.trace.events("drop")         # decision trace
-    tel.profiler.breakdown()         # wall-time per subsystem
 
 Design invariants:
 
@@ -23,9 +22,14 @@ Design invariants:
   ``enabled == False``; instrumentation sites guard on that single
   attribute, so a run without telemetry pays one attribute load and a
   branch per site.
-* **Tick-keyed.**  Metrics and events carry simulation ticks, never wall
-  clock; only the profiler reads ``perf_counter``, and its data is
-  excluded from pickles (checkpoints, digests) by construction.
+* **Tick-keyed.**  Metrics and events carry simulation ticks and
+  telemetry reads no clock.  Wall time per subsystem is the span
+  tracer's job: :mod:`repro.trace` owns the tick profiler, whose module
+  stays in this package so that old checkpoints still unpickle.
+* **Per-task install.**  :func:`use` installs a session for one task,
+  and the scheduler pickles each task's session back to fold it; the
+  tracer has its own slot (``current_tracer()/use_tracer()``) because it
+  is installed once per process and never pickled.
 * **No simulator imports.**  This package duck-types engines and
   simulators; :mod:`repro.net` / :mod:`repro.inet` import *it*, never
   the other way round.
@@ -38,7 +42,6 @@ from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..errors import ConfigError
 from .events import DROP_CAUSES, TraceEvent, TraceLog, precedence
-from .profiler import TickProfiler
 from .registry import (
     BinnedCounter,
     Counter,
@@ -65,7 +68,6 @@ __all__ = [
     "NullTelemetry",
     "RingSeries",
     "Telemetry",
-    "TickProfiler",
     "TickSeries",
     "TraceEvent",
     "TraceLog",
@@ -95,10 +97,8 @@ class NullTelemetry:
     def __init__(self) -> None:
         self.enabled: bool = False
         self.trace_enabled: bool = False
-        self.profile_enabled: bool = False
         self.registry: MetricsRegistry = MetricsRegistry()
         self.trace: Optional[TraceLog] = None
-        self.profiler: Optional[TickProfiler] = None
         self.sample_interval_ticks: int = 16
 
     # -- event / metric entry points (no-ops when disabled) ------------
@@ -141,7 +141,6 @@ class Telemetry(NullTelemetry):
     def __init__(
         self,
         mode: str = "metrics",
-        profile: bool = False,
         max_events: int = 100_000,
         sample_interval_ticks: int = 16,
     ) -> None:
@@ -155,9 +154,7 @@ class Telemetry(NullTelemetry):
         self.mode = mode
         self.enabled = True
         self.trace_enabled = mode == "trace"
-        self.profile_enabled = profile
         self.trace = TraceLog(max_events) if self.trace_enabled else None
-        self.profiler = TickProfiler() if profile else None
         self.sample_interval_ticks = sample_interval_ticks
 
     # -- event / metric entry points ------------------------------------
@@ -242,10 +239,6 @@ class Telemetry(NullTelemetry):
         self.registry = other.registry
         if self.trace is not None and other.trace is not None:
             self.trace = other.trace
-
-    # Profiler wall-time never reaches checkpoints: TickProfiler's own
-    # __getstate__ empties it, so a pickled Telemetry round-trips with a
-    # fresh profiler but intact registry/trace.
 
 
 #: Shared disabled singleton; simulators default to this.

@@ -2,10 +2,7 @@
 
 All exports are deterministic for a deterministic run: metric names are
 sorted, events stream in emission order, and no timestamps other than
-simulation ticks ever appear.  The one exception is the profiler
-breakdown inside ``metrics.json``, which is wall-clock derived and
-clearly namespaced under ``"profile"`` so downstream diffing can ignore
-it.
+simulation ticks ever appear, so every executor writes the same bytes.
 """
 
 from __future__ import annotations
@@ -54,13 +51,11 @@ def _metrics_payload(tel: NullTelemetry) -> Dict[str, Any]:
             "evicted_total": tel.trace.evicted_total,
             "counts_by_kind": dict(sorted(tel.trace.counts_by_kind.items())),
         }
-    if tel.profiler is not None:
-        payload["profile"] = tel.profiler.snapshot()
     return payload
 
 
 def export_metrics_json(tel: NullTelemetry, path: str) -> str:
-    """Write the registry (plus trace/profile summaries) as JSON."""
+    """Write the registry (plus the trace summary) as JSON."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(_metrics_payload(tel), handle, indent=2, sort_keys=False)
         handle.write("\n")

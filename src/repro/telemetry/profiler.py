@@ -1,12 +1,19 @@
 """Wall-time attribution per simulation subsystem.
 
-This is the one module in the package that touches a wall clock
-(``time.perf_counter``), and the one FLC001 allowlist exemption for it
-lives in :mod:`repro.check.rules.determinism`.  The containment is
-deliberate: profiler output is *diagnostic only* — it never feeds run
-digests, checkpoints, or any simulated quantity.  :meth:`__getstate__`
-drops all timings so a pickled engine (and therefore a chaos digest or a
-checkpoint file) can never differ because of how fast the host ran.
+The profiler belongs to the span tracer: an enabled
+:class:`~repro.trace.Tracer` holds one, the packet engine and the fluid
+simulator read it from :func:`~repro.trace.current_tracer` on every tick,
+and the scheduler turns its totals into per-task phase spans.  It keeps
+this dotted path because checkpoints written while telemetry owned it
+name the class here.
+
+It is one of the two modules allowed to read a wall clock
+(``time.perf_counter``; the other is :mod:`repro.trace.clock`), by the
+FLC001 allowlist in :mod:`repro.check.rules.determinism`.  Profiler
+output is *diagnostic only* — it never feeds run digests, checkpoints,
+or any simulated quantity — and :meth:`__getstate__` drops all timings,
+so anything that holds a profiler pickles the same however fast the
+host ran.
 
 Usage inside a tick loop::
 
@@ -51,30 +58,6 @@ class TickProfiler:
 
     def tick_done(self) -> None:
         self.ticks_profiled += 1
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.totals_seconds.values())
-
-    def breakdown(self) -> Dict[str, float]:
-        """Fraction of profiled wall time per subsystem (sums to ~1)."""
-        total = self.total_seconds
-        if total <= 0.0:
-            return {name: 0.0 for name in sorted(self.totals_seconds)}
-        return {
-            name: self.totals_seconds[name] / total
-            for name in sorted(self.totals_seconds)
-        }
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "ticks_profiled": self.ticks_profiled,
-            "totals_seconds": {
-                name: self.totals_seconds[name]
-                for name in sorted(self.totals_seconds)
-            },
-            "breakdown": self.breakdown(),
-        }
 
     # Wall-clock data must never reach a checkpoint or digest: pickling a
     # profiler yields an empty one.

@@ -5,6 +5,15 @@ The tracing facade mirrors :mod:`repro.telemetry`: a disabled
 :class:`Tracer` is the enabled subclass, and instrumentation sites read
 the module-level *current* tracer via :func:`current_tracer` /
 :func:`use_tracer`.  Hot paths guard on the single ``enabled`` attribute.
+The slot is separate from telemetry's ``current()/use()`` because the
+lifetimes differ: a tracer is installed once per process and never
+pickled, a telemetry session once per task and pickled back with it.
+
+An enabled tracer also owns the tick profiler
+(:class:`~repro.telemetry.profiler.TickProfiler`): the packet engine and
+the fluid simulator read ``current_tracer().profiler`` on every tick —
+``None`` on the disabled tracer, so an untraced run reads no clock — and
+:meth:`Tracer.emit_phases` turns its totals into one task's phase spans.
 
 Each process appends newline-delimited JSON records to its own span
 file (``spans-main.jsonl`` for the supervisor, ``spans-w3.jsonl`` for
@@ -23,7 +32,8 @@ flocheck (FLC001/FLC011/FLC012):
   or timestamp may ever reach a run digest, a checkpoint, or a simulated
   quantity.  A pickled :class:`Tracer` round-trips *disabled and empty*
   (like ``TickProfiler.__getstate__``), so objects that accidentally hold
-  one cannot smuggle timings into persisted state.
+  one cannot smuggle timings into persisted state; simulators never hold
+  the profiler, they look it up per tick.
 * **Clock containment.**  All clock reads live in
   :mod:`repro.trace.clock`; this module only ever handles the floats it
   returns.
@@ -42,6 +52,7 @@ from types import TracebackType
 from typing import Any, Dict, Iterator, Optional, Type
 
 from ..errors import ConfigError
+from ..telemetry.profiler import TickProfiler
 from .clock import since, wall_now
 
 __all__ = [
@@ -153,6 +164,7 @@ class NullTracer:
     def __init__(self) -> None:
         self.enabled: bool = False
         self.proc: str = "off"
+        self.profiler: Optional[TickProfiler] = None
 
     # -- span entry points (no-ops when disabled) -----------------------
     def span(
@@ -177,10 +189,8 @@ class NullTracer:
     ) -> None:
         """Emit a pre-measured complete span (begin and end in one record)."""
 
-    def emit_phases(
-        self, parent: Any, phases: Dict[str, float], cat: str = "phase"
-    ) -> None:
-        """Synthesize per-phase child spans from profiler totals."""
+    def emit_phases(self, parent: SpanHandle) -> None:
+        """Turn the profiler's totals into phase spans under ``parent``."""
 
     # -- propagation / lifecycle ----------------------------------------
     def context(self, parent: Any = None) -> Optional[TraceContext]:
@@ -193,6 +203,8 @@ class NullTracer:
 
 class Tracer(NullTracer):
     """Enabled tracer writing one JSONL span file for this process."""
+
+    profiler: TickProfiler
 
     def __init__(
         self,
@@ -209,6 +221,7 @@ class Tracer(NullTracer):
         self.trace_dir = str(trace_dir)
         self.epoch = wall_now() if epoch is None else float(epoch)
         self.trace_id = trace_id if trace_id is not None else f"trace-{self.proc}"
+        self.profiler = TickProfiler()
         self._seq = 0
         self._fh: Optional[Any] = None
         self._lock = threading.Lock()
@@ -318,10 +331,9 @@ class Tracer(NullTracer):
             }
         )
 
-    def emit_phases(
-        self, parent: Any, phases: Dict[str, float], cat: str = "phase"
-    ) -> None:
-        """Lay profiler phase totals out as child spans of ``parent``.
+    def emit_phases(self, parent: SpanHandle) -> None:
+        """Lay the profiler's phase totals out as child spans of
+        ``parent``, then start a fresh profiler for whatever runs next.
 
         The profiler only knows *totals* per subsystem, not when each
         tick phase ran, so the synthesized spans are placed back to back
@@ -330,10 +342,8 @@ class Tracer(NullTracer):
         critical-path walk should pick when the parent's own wall time is
         dominated by that phase.
         """
-        if not phases:
-            return
-        if not isinstance(parent, SpanHandle):
-            return
+        phases = self.profiler.totals_seconds
+        self.profiler = TickProfiler()
         cursor = parent.start_ts
         for name, seconds in sorted(
             phases.items(), key=lambda kv: (kv[1], kv[0])
@@ -344,7 +354,7 @@ class Tracer(NullTracer):
                 name,
                 cursor,
                 seconds,
-                cat=cat,
+                cat="phase",
                 parent=parent.span_id,
                 synthetic=True,
             )

@@ -6,9 +6,8 @@ before serial execution became the scheduler's in-process executor
 every unit).  Both executors of the one scheduler — in-process (no
 ``--workers``) and a spawn pool of two — must reproduce every one of
 them: the figure/sweep CSV, ``metrics.prom``, ``series.csv``,
-``events.jsonl`` and ``metrics.json`` minus its wall-clock ``profile``
-section (key order included: the export preserves label insertion
-order, so the digest does too).
+``events.jsonl`` and ``metrics.json`` (key order included: the export
+preserves label insertion order, so the digest does too).
 
 The chaos sweep's first campaign fields an adaptive squad with the
 ``churn`` mutation — a rotated path identifier under a stale capability,
@@ -81,7 +80,6 @@ def _run_and_digest(tmp_path, argv, table):
     for name in ("metrics.prom", "series.csv", "events.jsonl"):
         digests[name] = _sha((tel_dir / name).read_bytes())
     payload = json.loads((tel_dir / "metrics.json").read_text())
-    payload.pop("profile", None)
     digests["metrics.json"] = _sha(json.dumps(payload).encode())
     return digests
 

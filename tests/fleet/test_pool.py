@@ -23,7 +23,7 @@ from repro.runner import (
     figure_tasks,
 )
 from repro.telemetry import Telemetry, use
-from repro.telemetry.exporters import render_prometheus
+from repro.telemetry.exporters import export_all, render_prometheus
 
 
 def settings():
@@ -123,9 +123,13 @@ class TestDeterminism:
         assert [
             (o.name, o.status, o.attempts, o.error) for o in inline.outcomes
         ] == [(o.name, o.status, o.attempts, o.error) for o in fleet.outcomes]
-        # in-process pieces are never pickled: their profile survives
-        assert inline.telemetry.profiler is not None
-        assert fleet.telemetry.profiler is None
+        # telemetry reads no clock, so every export is the same bytes
+        inline_files = export_all(inline.telemetry, str(tmp_path / "inline"))
+        fleet_files = export_all(fleet.telemetry, str(tmp_path / "fleet"))
+        assert sorted(inline_files) == sorted(fleet_files)
+        for kind, path in inline_files.items():
+            with open(path, "rb") as a, open(fleet_files[kind], "rb") as b:
+                assert a.read() == b.read(), kind
 
     def test_interleaved_fluid_figure_units_match_in_process(self, tmp_path):
         """Fluid units of two internet figures, interleaved in the task

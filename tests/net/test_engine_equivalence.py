@@ -29,6 +29,7 @@ from repro.net.policy import DropTailPolicy, LinkPolicy, RandomDropPolicy
 from repro.net.topology import Link, Topology
 from repro.tcp.source import TcpSource
 from repro.telemetry import NULL_TELEMETRY, Telemetry, use
+from repro.trace import NULL_TRACER, Tracer, current_tracer, use_tracer
 from repro.traffic.adaptive import AdaptiveCbrSource
 from repro.traffic.cbr import CbrSource
 from repro.traffic.churn import PathChurnFloodSource
@@ -44,7 +45,7 @@ class OracleEngine(Engine):
     def _step(self) -> None:
         tick = self.tick
         tel = self.telemetry
-        prof = tel.profiler if tel.profile_enabled else None
+        prof = current_tracer().profiler
         clock = prof.start() if prof is not None else 0.0
         if self.topology.revision != self._links_revision:
             self._reresolve_routes()
@@ -548,7 +549,7 @@ class Run:
 def build(shape: Shape, side: Side) -> Run:
     telemetry = None
     if shape.telemetry != "off":
-        telemetry = Telemetry(mode="trace", profile=shape.telemetry == "profile")
+        telemetry = Telemetry(mode="trace")
     with use(telemetry or NULL_TELEMETRY):  # the engine binds it when built
         return _build(shape, side, telemetry)
 
@@ -721,15 +722,19 @@ def policy_log(run: Run, shape: Shape) -> Any:
 
 def assert_equivalent(shape: Shape, ticks: int) -> Tuple[Run, Run]:
     new, old = build(shape, NEW), build(shape, OLD)
-    for tick in range(ticks):
-        new.engine.run(1)
-        old.engine.run(1)
-        got, want = snapshot(new), snapshot(old)
-        for key in want:
-            assert got[key] == want[key], f"{key} diverged at tick {tick}"
-        assert policy_log(new, shape) == policy_log(old, shape), (
-            f"policy calls diverged at tick {tick}"
-        )
+    # both engines profile into one tracer; it opens no span, so it
+    # writes no file
+    profiled = shape.telemetry == "profile"
+    with use_tracer(Tracer("unused") if profiled else NULL_TRACER):
+        for tick in range(ticks):
+            new.engine.run(1)
+            old.engine.run(1)
+            got, want = snapshot(new), snapshot(old)
+            for key in want:
+                assert got[key] == want[key], f"{key} diverged at tick {tick}"
+            assert policy_log(new, shape) == policy_log(old, shape), (
+                f"policy calls diverged at tick {tick}"
+            )
     return new, old
 
 

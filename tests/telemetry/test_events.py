@@ -5,7 +5,8 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry import DROP_CAUSES, TickProfiler, TraceLog, precedence
+from repro.telemetry import DROP_CAUSES, TraceLog, precedence
+from repro.telemetry.profiler import TickProfiler
 
 
 class TestDropCauses:
@@ -82,35 +83,50 @@ class TestTickProfiler:
         assert set(prof.totals_seconds) == {"policy", "forwarding"}
         assert all(v >= 0.0 for v in prof.totals_seconds.values())
         assert prof.ticks_profiled == 1
-        fractions = prof.breakdown()
-        assert fractions and abs(sum(fractions.values()) - 1.0) < 1e-9
 
-    def test_engine_laps_split_link_processing_by_policy(self):
+    def test_engine_laps_split_link_processing_by_policy(self, tmp_path):
         # the packet engine charges links that run an admission policy to
         # "admission" and every other link to "forwarding"
         from repro.core.config import FLocConfig
         from repro.core.router import FLocPolicy
-        from repro.telemetry import Telemetry, use
+        from repro.trace import Tracer, use_tracer
         from repro.traffic.scenarios import build_tree_scenario
 
-        tel = Telemetry(mode="metrics", profile=True)
-        with use(tel):
+        tracer = Tracer(str(tmp_path))
+        with use_tracer(tracer):
             scenario = build_tree_scenario(
                 scale_factor=0.03, attack_kind="cbr", seed=3
             )
             scenario.attach_policy(FLocPolicy(FLocConfig()))
             scenario.engine.run(200)
-        laps = tel.profiler.totals_seconds
+        laps = tracer.profiler.totals_seconds
         assert set(laps) == {
             "arrivals", "policy", "delivery", "sources",
             "admission", "forwarding",
         }
         assert laps["admission"] > 0.0 and laps["forwarding"] > 0.0
-        assert tel.profiler.ticks_profiled == 200
+        assert tracer.profiler.ticks_profiled == 200
+
+    def test_fluid_laps(self, tmp_path):
+        from repro.inet.scenarios import build_internet_scenario
+        from repro.inet.simulator import FluidSimulator
+        from repro.trace import Tracer, use_tracer
+
+        scn = build_internet_scenario(
+            n_as=60, n_legit_sources=120, n_legit_ases=15, n_bots=600,
+            target_capacity=100.0, seed=13,
+        )
+        sim = FluidSimulator(scn, strategy="floc", seed=3)
+        tracer = Tracer(str(tmp_path))
+        with use_tracer(tracer):
+            sim.run(ticks=30, warmup=10)
+        laps = tracer.profiler.totals_seconds
+        assert set(laps) == {"sources", "queueing", "policy", "tcp"}
+        assert tracer.profiler.ticks_profiled == 30
 
     @pytest.mark.parametrize("profile", [False, True])
     def test_one_link_loop_reads_the_clock_only_when_profiled(
-        self, monkeypatch, profile
+        self, monkeypatch, tmp_path, profile
     ):
         # profiled and unprofiled ticks share one phase-3 loop; the laps in
         # it must cost nothing — not one clock read — with the profiler off
@@ -119,6 +135,7 @@ class TestTickProfiler:
 
         from repro.net.policy import DropTailPolicy
         from repro.telemetry import Telemetry, profiler, use
+        from repro.trace import NULL_TRACER, Tracer, use_tracer
         from repro.traffic.scenarios import build_tree_scenario
 
         reads = []
@@ -130,8 +147,9 @@ class TestTickProfiler:
         monkeypatch.setattr(
             profiler, "time", types.SimpleNamespace(perf_counter=perf_counter)
         )
-        tel = Telemetry(mode="metrics", profile=profile)
-        with use(tel):
+        # telemetry on in both arms: it reads no clock of its own
+        tracer = Tracer(str(tmp_path)) if profile else NULL_TRACER
+        with use(Telemetry(mode="metrics")), use_tracer(tracer):
             scenario = build_tree_scenario(
                 scale_factor=0.03, attack_kind="cbr", seed=3
             )
@@ -144,7 +162,7 @@ class TestTickProfiler:
         # forwarding lap, and two laps around each link that runs a policy
         # (one here, active on every tick once the flood reaches it)
         assert 6 * 100 < len(reads) <= 8 * 100
-        assert tel.profiler.totals_seconds["admission"] > 0.0
+        assert tracer.profiler.totals_seconds["admission"] > 0.0
 
     def test_pickle_erases_wall_clock_state(self):
         # checkpoints and digests must never observe host speed

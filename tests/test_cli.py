@@ -72,6 +72,21 @@ class TestChaosCommand:
         assert main(["chaos", "--replay", str(artifacts[0])]) == 0
         assert "reproduced" in capsys.readouterr().out
 
+    def test_replay_writes_a_trace(self, tmp_path, capsys):
+        art, trace_dir = tmp_path / "art", tmp_path / "trace"
+        main(
+            ["chaos", "--seed", "2024", "--campaigns", "1", "--simulator",
+             "packet", "--floor", "0.99", "--max-shrink-trials", "2",
+             "--artifact-dir", str(art)]
+        )
+        (artifact,) = art.glob("reproducer-*.json")
+        assert main(
+            ["chaos", "--replay", str(artifact), "--trace",
+             "--trace-dir", str(trace_dir)]
+        ) == 0
+        assert (trace_dir / "spans-main.jsonl").exists()
+        assert (trace_dir / "trace.json").exists()
+
 
 class TestTelemetryFlags:
     def test_run_and_chaos_accept_telemetry(self):
@@ -86,10 +101,9 @@ class TestTelemetryFlags:
         assert args.telemetry_dir == "telemetry"
 
     def test_metrics_subcommand_parsed(self):
-        args = build_parser().parse_args(["metrics", "tel", "--profile"])
+        args = build_parser().parse_args(["metrics", "tel"])
         assert args.command == "metrics"
         assert args.path == "tel"
-        assert args.profile
 
     def test_chaos_exports_and_metrics_renders(self, tmp_path, capsys):
         tel_dir = tmp_path / "tel"
@@ -104,7 +118,7 @@ class TestTelemetryFlags:
         assert (tel_dir / "metrics.json").exists()
         assert (tel_dir / "events.jsonl").exists()
 
-        assert main(["metrics", str(tel_dir), "--profile"]) == 0
+        assert main(["metrics", str(tel_dir)]) == 0
         out = capsys.readouterr().out
         assert "telemetry export" in out
         assert "drops_by_cause_packets" in out

@@ -8,12 +8,21 @@ observation-only contract.
 """
 
 import pickle
+from dataclasses import dataclass
 
 from repro.chaos import ChaosOptions, run_chaos
+from repro.errors import ConfigError
 from repro.experiments.common import FunctionalSettings
 from repro.fleet import FleetOptions, run_fleet
-from repro.runner import CheckpointStore, figure_tasks
+from repro.runner import CheckpointStore, figure_tasks, run_checkpointed
 from repro.trace import Tracer, merge_trace, use_tracer
+
+from ..runner.test_resumable import (
+    build_engine_run,
+    build_fluid_run,
+    finalize_engine,
+    finalize_fluid,
+)
 
 
 def _settings():
@@ -28,6 +37,49 @@ class QuickTask:
 
     def run(self, ctx):
         return {"name": ctx.name}
+
+
+class FailsAfterTicks:
+    """Runs 50 packet-engine ticks, then fails for good."""
+
+    name = "fails"
+
+    def run(self, ctx):
+        build_engine_run().advance(50)
+        raise ConfigError("refused after 50 ticks")
+
+
+RUNS = {
+    "engine": (build_engine_run, finalize_engine),
+    "fluid": (build_fluid_run, finalize_fluid),
+}
+
+
+@dataclass(frozen=True)
+class SnapshottingTask:
+    """One simulator run that snapshots itself every 50 ticks."""
+
+    name: str
+
+    def run(self, ctx):
+        build, finalize = RUNS[self.name]
+        return run_checkpointed(
+            ctx.store, self.name, build, finalize, checkpoint_interval=50,
+            trace_parent=ctx.trace_parent,
+        )
+
+
+class SnapshotLog(CheckpointStore):
+    """A store that keeps the bytes of every mid-run snapshot."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.snapshots = []
+
+    def save(self, kind, name, obj):
+        if kind == "state":
+            self.snapshots.append(pickle.dumps(obj))
+        return super().save(kind, name, obj)
 
 
 class TestRunnerSpans:
@@ -65,6 +117,21 @@ class TestRunnerSpans:
         task_ids = {s.span_id for s in merged.spans if s.cat == "task"}
         phases = [s for s in merged.spans if s.cat == "phase"]
         assert phases and all(s.parent in task_ids for s in phases)
+
+    def test_a_failed_task_leaves_no_phase_seconds_to_the_next(
+        self, tmp_path
+    ):
+        tracer = Tracer(str(tmp_path), proc="main")
+        with use_tracer(tracer):
+            report = run_fleet([FailsAfterTicks(), QuickTask("next")])
+        tracer.close()
+        assert [o.status for o in report.outcomes] == ["failed", "done"]
+        merged = merge_trace(str(tmp_path))
+        tasks = {s.span_id: s.name for s in merged.spans if s.cat == "task"}
+        phases = [s for s in merged.spans if s.cat == "phase"]
+        # the failed task's ticks are charged to its own span
+        assert phases
+        assert {tasks[s.parent] for s in phases} == {"task:fails"}
 
 
 class TestFleetSpans:
@@ -142,6 +209,26 @@ class TestChaosDigestIdentity:
 
 
 class TestCheckpointPurity:
+    def test_mid_run_snapshots_hold_no_profiler(self, tmp_path):
+        # the tracer times every tick, but a snapshot pickles only the
+        # simulator and its telemetry, neither of which holds a profiler
+        store = SnapshotLog(str(tmp_path / "store"))
+        tracer = Tracer(str(tmp_path / "trace"), proc="main")
+        with use_tracer(tracer):
+            report = run_fleet(
+                [SnapshottingTask("engine"), SnapshottingTask("fluid")], store
+            )
+        tracer.close()
+        assert report.status == "ok"
+        assert {
+            type(pickle.loads(blob)).__name__ for blob in store.snapshots
+        } == {"EngineRun", "FluidRun"}
+        for blob in store.snapshots:
+            assert b"TickProfiler" not in blob
+        assert any(
+            s.cat == "phase" for s in merge_trace(str(tmp_path / "trace")).spans
+        )
+
     def test_tracer_state_never_reaches_pickles(self, tmp_path):
         tracer = Tracer(str(tmp_path), proc="main")
         tracer.span("unit").end()

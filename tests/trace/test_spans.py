@@ -109,7 +109,8 @@ class TestNullTracer:
         span.end()
         null.event("y")
         null.emit_complete("z", 0.0, 1.0)
-        null.emit_phases(span, {"queueing": 1.0})
+        null.emit_phases(span)
+        assert null.profiler is None
         assert null.context() is None
         null.close()
         assert list(tmp_path.iterdir()) == []
@@ -183,9 +184,12 @@ class TestPhases:
     def test_emit_phases_lays_spans_back_to_back_ascending(self, tmp_path):
         tracer = Tracer(str(tmp_path), proc="main", epoch=100.0)
         parent = tracer.span("unit")
-        tracer.emit_phases(
-            parent, {"queueing": 0.4, "tcp": 0.1, "idle": 0.0}
+        tracer.profiler.totals_seconds.update(
+            {"queueing": 0.4, "tcp": 0.1, "idle": 0.0}
         )
+        tracer.emit_phases(parent)
+        # the totals are spent: the next task's span starts from zero
+        assert tracer.profiler.totals_seconds == {}
         parent.end()
         tracer.close()
         xs = [
