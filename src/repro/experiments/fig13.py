@@ -35,7 +35,14 @@ from ..sanitize import install_sanitizer
 
 @dataclass
 class InternetRunSettings:
-    """Size/duration knobs for internet-scale runs (see scenario docs)."""
+    """Size/duration knobs for internet-scale runs (see scenario docs).
+
+    The defaults are a 5x reduction of the paper's Section VII size with
+    its ratios.  At the full size (2,000 ASes, 10 k legitimate sources,
+    100 k bots, 16,000 pkt/tick) FLoc's legitimate share falls below the
+    paper's majority claim; EXPERIMENTS.md, "Known deviations", has the
+    numbers.
+    """
 
     n_as: int = 500
     n_legit_sources: int = 2_000
@@ -102,6 +109,7 @@ def run_fig13(
             n_bots=settings.n_bots,
             target_capacity=settings.target_capacity,
             seed=settings.seed,
+            build_flow_links=False,
         )
         for label, strategy, s_max in settings.strategies:
             sim = FluidSimulator(

@@ -194,7 +194,10 @@ class FluidCounterCorruption:
     def __call__(self, sim, tick: int, rng: random.Random) -> None:
         n = max(1, int(sim.n_flows * self.fraction))
         victims = rng.sample(range(sim.n_flows), min(n, sim.n_flows))
-        sim._rate_ewma[victims] = -abs(self.skew)
+        # a victim's counter diverges from its class-mates': it needs a
+        # state row of its own
+        sim.split(victims)
+        sim._rate_ewma[sim.flow_class[victims]] = -abs(self.skew)
 
 
 class FluidLinkDegrade:

@@ -408,6 +408,7 @@ def _internet_job(
                         n_bots=iset.n_bots,
                         target_capacity=iset.target_capacity,
                         seed=iset.seed,
+                        build_flow_links=False,
                     )
                     sim = FluidSimulator(
                         scenario, strategy=strategy, s_max=s_max,

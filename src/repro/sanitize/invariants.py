@@ -32,9 +32,11 @@ Packet engine (:class:`EngineSanitizer`)
 
 Fluid simulator (:class:`FluidSanitizer`)
     * **capacity** — the last tick's admitted volume at the target link
-      does not exceed its capacity;
+      (each class's per-member volume times its member count) does not
+      exceed its capacity;
     * **admitted-nonnegative** / **rate-nonnegative** — no negative
-      admitted volumes, send rates, or smoothed rates;
+      admitted volumes, send rates, or smoothed rates (a bad class is
+      reported as its first member flow);
     * **window-bounds** — TCP fluid windows stay within ``[0.5, w_max]``;
     * **link-capacity-nonnegative** — no AS uplink has negative capacity
       (a degradation injector gone wrong);
@@ -355,9 +357,11 @@ class FluidSanitizer(_BaseSanitizer):
                 f"AS {bad} uplink capacity is "
                 f"{float(sim.scn.link_capacity[bad])}",
             )
+        # per-class state: a class stands for ``count`` flows, and a
+        # bad entry is reported as the class's first member
         admitted = getattr(sim, "_last_admitted", None)
         if admitted is not None:
-            total = float(admitted.sum())
+            total = float(np.sum(sim.count * admitted))
             if total > cap * (1.0 + 1e-9) + _EPS:
                 self._flag(
                     tick,
@@ -370,14 +374,16 @@ class FluidSanitizer(_BaseSanitizer):
                 self._flag(
                     tick,
                     "admitted-nonnegative",
-                    f"flow {bad} admitted {float(admitted[bad])} < 0",
+                    f"flow {int(sim._class_first[bad])} admitted "
+                    f"{float(admitted[bad])} < 0",
                 )
         if sim._rate_ewma.size and float(sim._rate_ewma.min()) < -_EPS:
             bad = int(np.argmin(sim._rate_ewma))
             self._flag(
                 tick,
                 "rate-nonnegative",
-                f"flow {bad} smoothed rate is {float(sim._rate_ewma[bad])}",
+                f"flow {int(sim._class_first[bad])} smoothed rate is "
+                f"{float(sim._rate_ewma[bad])}",
             )
         if sim._legit_idx.size:
             w_legit = sim.w[sim._legit_idx]

@@ -268,7 +268,10 @@ class FluidRateRandomizer:
     the *aggregate* attack rate equals the scenario's original flood —
     the adversary sheds its per-flow rate signature without giving up
     attack volume.  Legitimate flows are untouched (the per-flow rate
-    array only reads attack entries for flagged-as-attack flows).
+    array only reads attack entries for flagged-as-attack flows).  The
+    bots are split into singleton classes first
+    (:meth:`~repro.inet.simulator.FluidSimulator.split`), since members
+    of one class no longer send alike.
 
     Plain picklable object; the RNG is derived lazily from the host
     simulator's master seed.
@@ -303,5 +306,6 @@ class FluidRateRandomizer:
         factors *= n_bots / factors.sum()  # aggregate flood unchanged
         rates = np.full(sim.n_flows, self._base_rate, dtype=np.float64)
         rates[sim.is_attack] = self._base_rate * factors
+        sim.split(np.flatnonzero(sim.is_attack))
         sim.scn.attack_rate = rates
         self.rerolls += 1

@@ -48,7 +48,7 @@ class TestRestartDefense:
         sim = FluidSimulator(scenario, strategy="floc", seed=3)
         sim.restart_defense(0, warmup_ticks=100)
         rates = sim._send_rates()
-        arrivals = rates * sim._upstream_survival(rates)[sim.origin]
+        arrivals = rates * sim._upstream_survival(rates)[sim.class_origin]
         during = sim._admit_floc(arrivals, tick=10)
         neutral = sim._admit_nd(arrivals)
         assert np.allclose(during, neutral)

@@ -6,7 +6,9 @@ a pickle must not carry them (its size is held in
 ``test_fluid_memory.py``), a state dict written without them must load,
 and a run resumed from a mid-run pickle must end byte-identical to one
 that never stopped.  And nothing the step hands out (``_last_admitted``,
-``_flagged``) may be written again by a later tick.
+``_flagged``) may be written again by a later tick.  A checkpoint of the
+per-flow simulator, which has no class partition, is refused rather
+than resumed.
 """
 
 import pickle
@@ -14,8 +16,13 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.errors import CheckpointError
 from repro.inet.scenarios import build_internet_scenario
 from repro.inet.simulator import _DERIVED, FluidSimulator
+from repro.runner import CheckpointStore
+from repro.runner.resumable import FluidRun, run_checkpointed
+
+from .fluid_oracle import FluidSimulator as PerFlowSimulator
 
 TICKS = 90
 WARMUP = 30
@@ -128,3 +135,24 @@ class TestHandedOutArrays:
             assert live.tobytes() == copy.tobytes(), (name, at)
         admitted = [live for name, _, live, _ in held if name == "admitted"]
         assert len({id(a) for a in admitted}) == len(admitted)
+
+
+class TestPerFlowCheckpoint:
+    def test_mid_run_per_flow_checkpoint_fails_and_does_not_resume(
+        self, tmp_path
+    ):
+        parent = PerFlowSimulator(_scenario(), strategy="floc", seed=SEED)
+        run = FluidRun(parent, ticks=TICKS, warmup=WARMUP)
+        run.advance(STOP_AT)
+        # a checkpoint the per-flow simulator wrote names this class
+        parent.__class__ = FluidSimulator
+        store = CheckpointStore(str(tmp_path))
+        store.save("state", "unit", run)
+        built = []
+        with pytest.raises(CheckpointError, match="flow_class"):
+            run_checkpointed(
+                store, "unit", build=lambda: built.append(run),
+                finalize=lambda done: done,
+            )
+        assert built == []
+        assert store.has("state", "unit")

@@ -224,8 +224,8 @@ def admit_floc_oracle(sim, arrivals, arr_by_as):
 class RecordingSim(FluidSimulator):
     """Simulator that keeps the per-AS class sums ``_admit_floc`` built."""
 
-    def _class_sums(self, *classes):
-        self.class_sums = super()._class_sums(*classes)
+    def _class_sums(self, *sets):
+        self.class_sums = super()._class_sums(*sets)
         return self.class_sums
 
 
@@ -293,6 +293,8 @@ def test_floc_admission_matches_masked_reductions(case):
     sim = make_sim(
         parent, origins, is_attack, caps, cls=RecordingSim, s_max=s_max
     )
+    # one class per flow: the per-flow arrays below are per-class state
+    sim.split(np.arange(len(origins)))
     sim.begin_run(ticks=10, warmup=0)
     sim._rebuild_groups()
     # the flag counts are observable through telemetry only

@@ -1,4 +1,8 @@
-"""Fluid-simulator internals: admission strategies in isolation."""
+"""Fluid-simulator internals: admission strategies in isolation.
+
+The simulator works per class (one per origin AS and kind, ``count``
+members each), so volumes are summed with each class weighted by its
+count."""
 
 import numpy as np
 import pytest
@@ -19,19 +23,23 @@ def sim():
 def arrivals_of(sim):
     rates = sim._send_rates()
     surv = sim._upstream_survival(rates)
-    return rates * surv[sim.origin]
+    return rates * surv[sim.class_origin]
+
+
+def total(sim, per_member):
+    return float(np.sum(sim.count * per_member))
 
 
 class TestAdmitNd:
     def test_under_capacity_passes_through(self, sim):
-        arrivals = np.full(sim.n_flows, 200.0 / sim.n_flows / 2)
+        arrivals = np.full(sim.n_classes, 200.0 / sim.n_flows / 2)
         admitted = sim._admit_nd(arrivals)
         assert np.allclose(admitted, arrivals)
 
     def test_over_capacity_scales_proportionally(self, sim):
-        arrivals = np.full(sim.n_flows, 1.0)
+        arrivals = np.full(sim.n_classes, 1.0)
         admitted = sim._admit_nd(arrivals)
-        assert admitted.sum() == pytest.approx(200.0)
+        assert total(sim, admitted) == pytest.approx(200.0)
         assert np.allclose(admitted / arrivals, admitted[0] / arrivals[0])
 
 
@@ -40,8 +48,8 @@ class TestAdmitFf:
         arrivals = arrivals_of(sim)
         admitted = sim._admit_ff(arrivals)
         cap = sim.scn.target_capacity
-        assert admitted.sum() <= cap + 1e-6
-        legit = ~sim.is_attack
+        assert total(sim, admitted) <= cap + 1e-6
+        legit = ~sim._class_attack
         fair = cap / sim.n_flows
         # attack high-priority share per flow never exceeds min(a, fair)
         # scaled by the common pool factor
@@ -51,7 +59,7 @@ class TestAdmitFf:
     def test_legit_flows_never_zeroed(self, sim):
         arrivals = arrivals_of(sim)
         admitted = sim._admit_ff(arrivals)
-        legit = ~sim.is_attack
+        legit = ~sim._class_attack
         sending = legit & (arrivals > 1e-9)
         assert np.all(admitted[sending] > 0)
 
@@ -71,13 +79,13 @@ class TestAdmitFloc:
         sim._admit_floc(arrivals, tick=0)
         flagged = sim._flagged
         if flagged.any():
-            attack_fraction = sim.is_attack[flagged].mean()
-            assert attack_fraction > 0.9
+            attack = flagged & sim._class_attack
+            assert total(sim, attack) / total(sim, flagged) > 0.9
 
     def test_conservation(self, sim):
         arrivals = arrivals_of(sim)
         admitted = sim._admit_floc(arrivals, tick=0)
-        assert admitted.sum() <= sim.scn.target_capacity + 1e-6
+        assert total(sim, admitted) <= sim.scn.target_capacity + 1e-6
         assert np.all(admitted >= -1e-12)
         assert np.all(admitted <= arrivals + 1e-9)
 
@@ -88,12 +96,15 @@ class TestUpstream:
         the leaf links admitted."""
         rates = sim._send_rates()
         surv = sim._upstream_survival(rates)
-        arrival_total = (rates * surv[sim.origin]).sum()
-        assert arrival_total <= rates.sum() + 1e-6
+        arrival_total = total(sim, rates * surv[sim.class_origin])
+        assert arrival_total <= total(sim, rates) + 1e-6
 
     def test_bot_heavy_subtrees_lose_more_upstream(self, sim):
         rates = sim._send_rates()
         surv = sim._upstream_survival(rates)
-        attack_surv = surv[sim.origin][sim.is_attack].mean()
-        legit_surv = surv[sim.origin][~sim.is_attack].mean()
+        # per-flow means: each class weighted by its member count
+        surv = surv[sim.class_origin]
+        attack = sim._class_attack
+        attack_surv = np.average(surv[attack], weights=sim.count[attack])
+        legit_surv = np.average(surv[~attack], weights=sim.count[~attack])
         assert attack_surv <= legit_surv + 1e-9

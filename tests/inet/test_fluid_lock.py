@@ -1,13 +1,23 @@
 """Byte lock on the fluid simulator's per-tick arithmetic.
 
-The pins were computed at the parent of the PR that rewrote the step hot
+``PINS`` were computed at the parent of the PR that rewrote the step hot
 path (plain-float survival pass, per-AS tables, legit-only TCP update),
-*before* any source edit.  Every optimisation of ``step_run`` has to keep
-them: each digest covers the per-flow accumulator, windows, smoothed
-rates, flags and last admission, the recorded series and every
-``FluidResult`` field, across the three strategies and the run-time
-paths that rewrite the simulator's inputs mid-run (per-flow attack
-rates, degraded uplinks, a defense restart with its warm-up branch).
+*before* any source edit, when the simulator kept one state row per
+flow.  The class-collapsed simulator must still reproduce every one of
+them when every flow is split into a class of its own: each digest
+covers the accumulator, windows, smoothed rates, flags and last
+admission expanded to one row per flow (``array[sim.flow_class]``), the
+recorded series and every ``FluidResult`` field, across the three
+strategies and the run-time paths that rewrite the simulator's inputs
+mid-run (per-flow attack rates, degraded uplinks, a defense restart with
+its warm-up branch).
+
+``CLASS_PINS`` hold the same digests under the default partition, one
+class per (origin AS, kind).  There a class's reductions multiply by its
+member count instead of adding its members one by one, so the last
+digits move; ``test_fluid_classes.py`` holds that partition to the
+per-flow oracle (identical flags and group plans, shares within 1e-12
+relative), which is what licenses these pins.
 """
 
 import hashlib
@@ -91,16 +101,20 @@ VARIANTS = {
 }
 
 
-def run_digest(strategy, variant):
+def run_digest(strategy, variant, split_all=False):
     setup, s_max = VARIANTS[variant]
     scenario = build_scenario()  # fresh: hooks rewrite the scenario's arrays
     sim = FluidSimulator(scenario, strategy=strategy, s_max=s_max, seed=5)
+    if split_all:
+        sim.split(np.arange(sim.n_flows))
     run_kwargs = setup(sim, scenario)
     result = sim.run(ticks=TICKS, warmup=WARMUP, **run_kwargs)
     h = hashlib.sha256()
     for array in (
         sim._acc, sim.w, sim._rate_ewma, sim._flagged, sim._last_admitted
     ):
+        # per-class state, expanded to one row per flow
+        array = array[sim.flow_class]
         h.update(str(array.dtype).encode())
         h.update(np.ascontiguousarray(array).tobytes())
     h.update(repr(result.series).encode())
@@ -144,22 +158,59 @@ PINS = {
 }
 
 
+CLASS_PINS = {
+    "nd-degrade": "407ec709020bd1b0cb2e9b7d923831d9328b3dc48cf7cc6146ab24269b0fb733",
+    "nd-plain": "0956afcf47bb466ab42e87f057b9dadcce1a4c14d0293f980995839c5d45949a",
+    "nd-randomizer": "89bee613473907ccec4a51ae8ce47a546dceb05d5049e7cce48845acbf2aaf52",
+    "nd-restart": "f923eafeefdf21a1a4fae39a73f6e2b097214bc8074261a190ea638fa790247c",
+    "nd-s_max": "388c837b76ff6358477f1c8e0d7b26e84102f33588ea50e73a950c2ff18297fa",
+    "nd-series": "1e468365d61e9b543dc93605b92f50ed53f20ef75710abdd8cf6e87d2bfaf302",
+    "ff-degrade": "e82e78b530ac1efc132f93f56a35a1c6d86df268b601f6eb619fa3a69871d423",
+    "ff-plain": "06bebc4b529abb2f81c7170610e859503bf8c0fa07210dca078f49d0daee9475",
+    "ff-randomizer": "baa8f0701900773eec66e107ddf5923ce629f303868bac1a4c93247ef8041d0d",
+    "ff-restart": "55ae8ae25bd3368f9d112ae7084be4dadc0bf0a4f69f625ce7df0191285435e7",
+    "ff-s_max": "b457c9cb76663d5773223ffdd88f8b33b2dfa0412a4864069757b497c01b57e9",
+    "ff-series": "edc5c060846bb6b64e494623a1bed80a4414407f76bbf62cb5b3eec5c3a06604",
+    "floc-degrade": "0a94ce3a33bd7c36cfc23826cf83667a21a0fc302b67f16779fd4d60d0f00c07",
+    "floc-plain": "1ab5631424b9eacb1af291e27754663f8f81197ba1fd3a096de44069fd9b399f",
+    "floc-randomizer": "7a2629d5c4cbfaa4ea669b547bbe2116fd60b21766cd5e8424fd714f82558505",
+    "floc-restart": "cc582d5d38d2187201f72004c06d9a0a17f4a46d6e38a71a6a057af63c87a6fc",
+    "floc-s_max": "7dcefa2258e297c3aa6ef37496bba5c63999011121d1aa98ee4674e4f51aa4af",
+    "floc-series": "d1968772c73ceeb3a845df89af0f21c4a7a19cde36b05ca50750d8f4dd3c10b4",
+}
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("strategy", ["nd", "ff", "floc"])
 def test_step_bytes_match_parent_pin(strategy, variant):
-    assert run_digest(strategy, variant) == PINS[f"{strategy}-{variant}"]
+    """Split into singletons, the class axis is the per-flow model."""
+    digest = run_digest(strategy, variant, split_all=True)
+    assert digest == PINS[f"{strategy}-{variant}"]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("strategy", ["nd", "ff", "floc"])
+def test_step_bytes_match_class_pin(strategy, variant):
+    assert run_digest(strategy, variant) == CLASS_PINS[f"{strategy}-{variant}"]
 
 
 def test_lock_scenario_exercises_the_branches_it_pins():
     """The pins are only worth something if the small scenario reaches
     the code they are meant to hold still: clogged uplinks, flagged and
-    unflagged flows side by side, and a warm-up window."""
+    unflagged flows side by side, a warm-up window, classes of many
+    members, and bots split by the randomizer."""
     scenario = build_scenario()
     sim = FluidSimulator(scenario, strategy="floc", seed=5)
     sim.run(ticks=WARMUP, warmup=WARMUP)
     rates = sim._send_rates()
     surv = sim._upstream_survival(rates)
     assert surv.min() < 1.0 and surv.max() == 1.0
-    assert 0 < int(sim._flagged.sum()) < sim.n_flows
+    assert 0 < int(sim.count[sim._flagged].sum()) < sim.n_flows
+    assert sim.count.max() > 1.0
     sim.restart_defense(WARMUP, warmup_ticks=5)
     assert sim._warmup_until == WARMUP + 5
+    with_randomizer(sim, scenario)
+    sim.begin_run(ticks=1, warmup=0)
+    sim.step_run()
+    assert np.all(sim.count[sim._class_attack] == 1.0)
+    assert sim.count[~sim._class_attack].max() > 1.0

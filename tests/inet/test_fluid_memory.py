@@ -1,14 +1,15 @@
-"""Transient-memory guard for the fluid step.
+"""Memory guard for the fluid step.
 
-``peak_rss_mb`` on the ``inet_fluid_floc`` benchmark workload may rise by
-5 % at most, which at 110 k flows is about four full-length float64
-arrays.  A workspace buffer or a few more live temporaries in
-``step_run`` can spend that without any test noticing, so this test
-counts them: the ``tracemalloc`` peak of a simulator over 20 steps, in
-units of one full-length float64 array, must not exceed what the same
-measurement gave at the parent of the PR that rewrote the step hot path.
-(That PR itself brought the counts down to about 8.8 / 10.4 / 12.2.)
-A mid-run pickle is held to the parent's size in the same units.
+The simulator keeps one state row per (origin AS, kind) class, so the
+only full-length arrays a run holds are the scenario's flow tables and
+the flow-to-class map ``flow_class``; a step allocates nothing of flow
+length.  This test counts what is left: the ``tracemalloc`` peak of a
+simulator over 20 steps, in units of one full-length float64 array,
+must not exceed what it was when flows were collapsed into classes, and
+a mid-run pickle is held to its size then in the same units.  With one
+state row per flow the counts were 13.75 / 13.75 / 18.38 (peak) and
+7.67 / 7.67 / 8.75 (pickle), so a return to per-flow state or per-flow
+step temporaries fails here.
 """
 
 import pickle
@@ -20,10 +21,11 @@ from repro.inet.scenarios import build_internet_scenario
 from repro.inet.simulator import FluidSimulator
 
 # peak_bytes / (8 * n_flows), simulator state plus step temporaries, as
-# measured at the parent (13.75 / 13.75 / 18.38) rounded up to a tenth
-PARENT_PEAK_ARRAYS = {"nd": 13.8, "ff": 13.8, "floc": 18.4}
-# len(pickle.dumps(sim)) / (8 * n_flows) after 60 ticks, at the parent
-PARENT_PICKLE_ARRAYS = {"nd": 7.67, "ff": 7.67, "floc": 8.75}
+# measured on the class axis (1.76 / 1.77 / 2.62) rounded up to a tenth
+PARENT_PEAK_ARRAYS = {"nd": 1.8, "ff": 1.8, "floc": 2.7}
+# len(pickle.dumps(sim)) / (8 * n_flows) after 60 ticks, measured on the
+# class axis (2.47 / 2.47 / 2.55) rounded up to a tenth
+PARENT_PICKLE_ARRAYS = {"nd": 2.5, "ff": 2.5, "floc": 2.6}
 
 
 @pytest.fixture(scope="module")

@@ -42,10 +42,11 @@ class TestMechanics:
         sim = FluidSimulator(scenario, strategy="floc")
         rates = sim._send_rates()
         surv = sim._upstream_survival(rates)
-        arrivals = rates * surv[sim.origin]
+        arrivals = rates * surv[sim.class_origin]
         admitted = sim._admit_floc(arrivals, 0)
         assert np.all(admitted <= arrivals + 1e-9)
-        assert admitted.sum() <= scenario.target_capacity + 1e-6
+        admitted_total = float(np.sum(sim.count * admitted))
+        assert admitted_total <= scenario.target_capacity + 1e-6
 
     def test_series_recording(self, scenario):
         sim = FluidSimulator(scenario, strategy="ff")

@@ -1,5 +1,6 @@
 """Runtime invariant sanitizer: clean runs pass, corruption is caught."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import FLocConfig
@@ -111,6 +112,27 @@ class TestCorruptionDetection:
             sim.run(ticks=120, warmup=40)
         assert err.value.invariant == "rate-nonnegative"
         assert err.value.tick <= 61
+        # the diagnostic names a real, corrupted flow
+        flow = int(err.value.detail.split()[1])
+        assert 0 <= flow < sim.n_flows
+        assert sim._rate_ewma[sim.flow_class[flow]] < 0
+
+    def test_fluid_over_admission_of_a_collapsed_class_caught(self):
+        """A class stands for ``count`` flows: its per-member admitted
+        volume counts that many times against the target capacity."""
+        sim = make_sim()
+        sanitizer = install_sanitizer(sim, "strict")
+        sim.begin_run(ticks=1, warmup=0)
+        cap = sim.scn.target_capacity
+        big = int(np.argmax(sim.count))
+        assert sim.count[big] > 2.0
+        admitted = np.zeros(sim.n_classes)
+        admitted[big] = 2.0 * cap / sim.count[big]  # twice the link in all
+        sim._last_admitted = admitted
+        assert admitted.sum() <= cap  # an unweighted sum would miss it
+        with pytest.raises(InvariantViolation) as err:
+            sanitizer(sim, 1)
+        assert err.value.invariant == "capacity"
 
     def test_stale_route_resolution_caught_within_one_tick(self):
         # a link replaced behind a primed route cache, with the engine's

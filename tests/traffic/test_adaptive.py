@@ -171,9 +171,13 @@ class _StubFluidSim:
 
         self.scn = _Scn()
         self.scn.attack_rate = base
+        self.splits = []
 
     def spawn_rng(self, name):
         return random.Random(f"stub:{name}")
+
+    def split(self, flows):
+        self.splits.append(list(flows))
 
 
 class TestFluidRateRandomizer:
@@ -187,6 +191,8 @@ class TestFluidRateRandomizer:
         assert rates[sim.is_attack].sum() == pytest.approx(4 * 2.0)
         assert not np.allclose(rates[sim.is_attack], 2.0)
         assert np.allclose(rates[~sim.is_attack], 2.0)
+        # the bots, and only they, became classes of their own first
+        assert sim.splits == [[0, 1, 2, 3]]
 
     def test_only_fires_on_the_interval(self):
         sim = _StubFluidSim()
