@@ -398,7 +398,8 @@ def build_plan(
     """
     plan = AggregationPlan()
     remaining_attack = list(dict.fromkeys(attack_pids))
-    remaining_legit = [p for p in dict.fromkeys(legit_pids) if p not in set(remaining_attack)]
+    attack_set = set(remaining_attack)
+    remaining_legit = [p for p in dict.fromkeys(legit_pids) if p not in attack_set]
     plan.s_max = s_max
     plan.n_legit_inputs = len(remaining_legit)
 

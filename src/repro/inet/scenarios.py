@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,7 +81,7 @@ def build_internet_scenario(
     n_legit_sources: int = 2_000,
     n_legit_ases: int = 100,
     n_bots: int = 20_000,
-    n_attack_ases: int = None,
+    n_attack_ases: Optional[int] = None,
     target_capacity: float = 1_000.0,
     headroom: float = 1.5,
     attack_rate: float = 1.0,
@@ -117,7 +117,8 @@ def build_internet_scenario(
     if placement == "separated":
         # Fig. 15 topologies: legitimate ASes are kept apart from attack
         # ASes (no intentional placement, and sampling avoids them)
-        candidates = [a for a in non_root if a not in set(bots.attack_ases)]
+        attack_set = set(bots.attack_ases)
+        candidates = [a for a in non_root if a not in attack_set]
         overlap = 0.0
     else:
         candidates = non_root

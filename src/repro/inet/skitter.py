@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
 
@@ -76,7 +78,7 @@ class SkitterLikeMap:
 def generate_route_tree(
     n_as: int = 500,
     variant: str = "f-root",
-    seed: int = None,
+    seed: Optional[int] = None,
 ) -> SkitterLikeMap:
     """Generate a skitter-like AS route tree.
 
@@ -94,32 +96,40 @@ def generate_route_tree(
     hub_bias = params["hub_bias"]
     max_depth = params["max_depth"]
 
+    # The pick is a linear scan's: the first eligible AS whose running
+    # weight sum (``acc += w`` in ``eligible`` order) reaches ``pick``,
+    # else ``eligible[-1]``.  ``np.cumsum`` adds sequentially in that
+    # order, so ``searchsorted`` finds the same AS.  One weight per
+    # eligible AS is kept, and only the chosen AS's changes.  The list
+    # feeds ``total`` through the builtin ``sum``, whose float algorithm
+    # differs between CPython versions, as the scan's total did; the
+    # array feeds the prefix scan.
     parent = [0]
     depth = [0]
     degree = [1.0]
     eligible = [0]  # ASes that can still take children
+    leaf_weight = 2.0**hub_bias  # (degree 1 + 1) ** hub_bias
+    weights = [leaf_weight]
+    weight_arr = np.empty(n_as, dtype=np.float64)
+    weight_arr[0] = leaf_weight
     for asn in range(1, n_as):
-        weights = [(degree[a] + 1.0) ** hub_bias for a in eligible]
         total = sum(weights)
         pick = rng.random() * total
-        acc = 0.0
-        chosen = eligible[-1]
-        for a, w in zip(eligible, weights):
-            acc += w
-            if pick <= acc:
-                chosen = a
-                break
+        n_eligible = len(eligible)
+        k = int(np.cumsum(weight_arr[:n_eligible]).searchsorted(pick))
+        k = min(k, n_eligible - 1)
+        chosen = eligible[k]
         parent.append(chosen)
         depth.append(depth[chosen] + 1)
         degree.append(1.0)
         degree[chosen] += 1.0
+        weights[k] = weight_arr[k] = (degree[chosen] + 1.0) ** hub_bias
         if depth[-1] < max_depth:
+            weight_arr[n_eligible] = leaf_weight
             eligible.append(asn)
+            weights.append(leaf_weight)
 
-    paths: Dict[int, Tuple[int, ...]] = {}
-    for asn in range(n_as):
-        chain = [asn]
-        while chain[-1] != 0:
-            chain.append(parent[chain[-1]])
-        paths[asn] = tuple(chain)
+    paths: Dict[int, Tuple[int, ...]] = {0: (0,)}
+    for asn in range(1, n_as):
+        paths[asn] = (asn,) + paths[parent[asn]]
     return SkitterLikeMap(variant=variant, parent=parent, depth=depth, paths=paths)

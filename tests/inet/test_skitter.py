@@ -1,9 +1,13 @@
 """Skitter-like route-tree generation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.inet.skitter import VARIANTS, generate_route_tree
+
+from . import skitter_oracle
 
 
 class TestGeneration:
@@ -56,3 +60,19 @@ class TestGeneration:
             generate_route_tree(n_as=1)
         with pytest.raises(ConfigError):
             generate_route_tree(n_as=10, variant="marsnet")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(VARIANTS)),
+    n_as=st.integers(min_value=2, max_value=2500),
+    seed=st.none() | st.integers(min_value=-(2**63), max_value=2**63),
+)
+def test_prefix_scan_matches_linear_scan_oracle(variant, n_as, seed):
+    """The incremental weights and prefix scan pick every parent the old
+    recompute-and-scan generator picked."""
+    got = generate_route_tree(n_as=n_as, variant=variant, seed=seed)
+    want = skitter_oracle.generate_route_tree(n_as=n_as, variant=variant, seed=seed)
+    assert got.parent == want.parent
+    assert got.depth == want.depth
+    assert got.paths == want.paths
