@@ -253,84 +253,83 @@ def aggregate_legitimate_paths(
     tree = PathTree(legit_pids)
     factor_cap = 1.0 + bandwidth_increase_cap
 
-    def cost_ok(units: List[_LegitUnit]) -> bool:
-        total_flows = sum(u.flows for u in units)
-        if total_flows <= 0:
-            return False
-        mean_e = sum(u.conformance for u in units) / len(units)
-        weighted_e = sum(u.conformance * u.flows for u in units) / total_flows
-        return mean_e - weighted_e <= cost_tolerance
-
-    def cap_violators(units: List[_LegitUnit]) -> List[_LegitUnit]:
-        """Units whose per-flow allocation would grow past the cap.
-
-        Allocation before is ``|paths_u| / n_u`` shares per flow; after
-        the merge it is ``|paths_G| / n_G``.
-        """
-        total_flows = sum(u.flows for u in units)
-        n_paths = sum(len(u.paths) for u in units)
-        if total_flows <= 0:
-            return []
-        after = n_paths / total_flows
-        out = []
-        for unit in units:
-            if unit.flows <= 0:
-                continue
-            before = len(unit.paths) / unit.flows
-            if after / before > factor_cap:
-                out.append(unit)
-        return out
-
     def try_merge(
         units: List[_LegitUnit], suffix: PathId
     ) -> Optional[List[_LegitUnit]]:
         """Merge as many of ``units`` as allowed; None if no merge."""
-        candidates = list(units)
-        # iteratively exclude covert-guard violators: removing one unit
-        # changes the post-merge allocation, so repeat to a fixed point
+        candidates = units
+        # exclude the units whose per-flow allocation would grow past the
+        # cap (``|paths_u| / n_u`` shares per flow before the merge,
+        # ``|paths_G| / n_G`` after); removing one changes the post-merge
+        # allocation, so repeat to a fixed point
         while len(candidates) >= 2:
-            violators = cap_violators(candidates)
-            if not violators:
+            total_flows = sum(u.flows for u in candidates)
+            if total_flows <= 0:
                 break
-            excluded_ids = {id(v) for v in violators}
-            candidates = [u for u in candidates if id(u) not in excluded_ids]
-        if len(candidates) < 2 or not cost_ok(candidates):
+            after = sum(len(u.paths) for u in candidates) / total_flows
+            kept = [
+                u
+                for u in candidates
+                if u.flows <= 0
+                or not after / (len(u.paths) / u.flows) > factor_cap
+            ]
+            if len(kept) == len(candidates):
+                break
+            candidates = kept
+        if len(candidates) < 2:
             return None
         total_flows = sum(u.flows for u in candidates)
+        if total_flows <= 0:
+            return None
+        # Eq. (IV.8) over the units
+        mean_e = sum(u.conformance for u in candidates) / len(candidates)
         weighted_e = (
             sum(u.conformance * u.flows for u in candidates) / total_flows
         )
+        if not mean_e - weighted_e <= cost_tolerance:
+            return None
         merged = _LegitUnit(
             [pid for u in candidates for pid in u.paths],
             total_flows,
             weighted_e,
             suffix=suffix,
         )
-        kept_ids = {id(u) for u in candidates}
-        rest = [u for u in units if id(u) not in kept_ids]
-        return [merged] + rest
+        kept_units = set(candidates)
+        return [merged] + [u for u in units if u not in kept_units]
 
-    def merge_at(node: PathTreeNode) -> List[_LegitUnit]:
-        # gather units from children (recursively merged) and own leaves;
-        # unmerged units propagate upward so every ancestor gets a chance
-        units: List[_LegitUnit] = []
-        for child in node.children.values():
-            units.extend(merge_at(child))
-        for pid in node.leaf_pids:
-            units.append(
-                _LegitUnit(
-                    [pid],
-                    max(0.0, flow_counts.get(pid, 0.0)),
-                    conformance.get(pid, 1.0),
-                    suffix=pid,
+    def merge_at(node: PathTreeNode) -> Tuple[List[_LegitUnit], bool]:
+        """The units left at ``node`` after merging in its subtree, and
+        whether ``try_merge`` already failed on exactly these units."""
+        if len(node.children) == 1 and not node.leaf_pids:
+            # a pass-through node holds its child's units unchanged, and
+            # whether try_merge merges depends on the units alone: a
+            # failure below is a failure here
+            (child,) = node.children.values()
+            units, failed = merge_at(child)
+            if failed:
+                return units, True
+        else:
+            # gather units from children (recursively merged) and own
+            # leaves; unmerged units propagate upward so every ancestor
+            # gets a chance
+            units = []
+            for child in node.children.values():
+                units.extend(merge_at(child)[0])
+            for pid in node.leaf_pids:
+                units.append(
+                    _LegitUnit(
+                        [pid],
+                        max(0.0, flow_counts.get(pid, 0.0)),
+                        conformance.get(pid, 1.0),
+                        suffix=pid,
+                    )
                 )
-            )
         if len(units) < 2:
-            return units
+            return units, False
         merged = try_merge(units, node.suffix)
-        return merged if merged is not None else units
+        return (units, True) if merged is None else (merged, False)
 
-    final_units = merge_at(tree.root)
+    final_units, _ = merge_at(tree.root)
     return [
         (unit.suffix, unit.paths)
         for unit in final_units

@@ -23,6 +23,7 @@ to catch (strict mode must flag them within one tick).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Tuple
 
@@ -200,6 +201,11 @@ class FluidCounterCorruption:
         sim._rate_ewma[sim.flow_class[victims]] = -abs(self.skew)
 
 
+#: the capacity :class:`FluidLinkDegrade` writes for a dead uplink: the
+#: smallest positive float, since 0 would read as "no limit"
+_DEAD_UPLINK = math.ulp(0.0)
+
+
 class FluidLinkDegrade:
     """Capacity degradation of one AS uplink in the fluid simulator.
 
@@ -207,6 +213,12 @@ class FluidLinkDegrade:
     outage: 0 kills the uplink outright); :meth:`up` restores the original
     capacity.  Works on any :class:`~repro.inet.simulator.FluidSimulator`
     host.
+
+    A capacity of 0 means "no limit" (see
+    :class:`~repro.inet.scenarios.InternetScenario`), so at ``factor`` 0
+    :meth:`down` writes the smallest positive float instead, which passes
+    nothing.  An uplink that had no limit keeps none at any ``factor``
+    above 0.
     """
 
     def __init__(self, asn: int, factor: float = 0.0) -> None:
@@ -221,7 +233,9 @@ class FluidLinkDegrade:
         if not self._active:
             self._original = float(sim.scn.link_capacity[self.asn])
             self._active = True
-        sim.scn.link_capacity[self.asn] = self._original * self.factor
+        sim.scn.link_capacity[self.asn] = (
+            self._original * self.factor if self.factor > 0.0 else _DEAD_UPLINK
+        )
 
     def up(self, sim, tick: int, rng: random.Random) -> None:
         if self._active:

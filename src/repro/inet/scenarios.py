@@ -40,7 +40,9 @@ class InternetScenario:
     topology: SkitterLikeMap
     placement: str
     target_capacity: float  # packets per tick at the flooded link
-    # links: index 0 is the target link; link i>0 carries AS i -> parent
+    # links: index 0 is the target link; link i>0 carries AS i -> parent.
+    # A capacity of 0 means "no limit": the fluid survival pass never
+    # clogs such a link (a dead link has a tiny positive capacity)
     link_capacity: np.ndarray
     # flows
     flow_origin_as: np.ndarray  # int, per flow

@@ -1,6 +1,8 @@
 """Attack-path aggregation (Algorithm 1) and legitimate-path aggregation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import (
     AggregationPlan,
@@ -10,6 +12,8 @@ from repro.core.aggregation import (
     legitimate_aggregation_cost,
 )
 from repro.errors import ConfigError
+
+from . import aggregation_oracle
 
 ROOT_AS = 99
 
@@ -107,6 +111,57 @@ class TestLegitimateAggregation:
             legitimate_aggregation_cost(pids, conf, counts) > 0
         )
         assert aggregate_legitimate_paths(pids, conf, counts) == []
+
+
+@st.composite
+def legit_cases(draw):
+    """A route tree, the paths of some of its ASes (inner ones too, so a
+    node can hold a leaf and children), their conformance and flow
+    counts (zeros, a covert-sized count, some missing), a cap and a
+    tolerance."""
+    n_as = draw(st.integers(min_value=2, max_value=30))
+    parent = [0] + [
+        draw(st.integers(min_value=0, max_value=asn - 1))
+        for asn in range(1, n_as)
+    ]
+    paths = {0: (0,)}
+    for asn in range(1, n_as):
+        paths[asn] = (asn,) + paths[parent[asn]]
+    ases = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_as - 1),
+            min_size=0, max_size=n_as,
+        )
+    )
+    pids = [paths[asn] for asn in ases]
+    conformance = st.one_of(
+        st.sampled_from([0.0, 0.2, 0.5, 0.8, 0.98, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    flows = st.one_of(
+        st.sampled_from([0.0, 0.0, 1.0, 3.0, 15.0, 30.0, 100_000.0]),
+        st.floats(min_value=0.0, max_value=500.0),
+    )
+    conf = {p: draw(conformance) for p in pids if draw(st.booleans())}
+    counts = {p: draw(flows) for p in pids if draw(st.integers(0, 5))}
+    cap = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]))
+    tolerance = draw(st.sampled_from([0.0, 0.02, 0.1, 1.0]))
+    return pids, conf, counts, cap, tolerance
+
+
+@given(legit_cases())
+@settings(max_examples=300, deadline=None)
+def test_legitimate_aggregation_matches_oracle(case):
+    """Skipping try_merge at pass-through nodes whose units already failed
+    below, and the one-filter exclusion rounds, change no plan."""
+    pids, conf, counts, cap, tolerance = case
+    want = aggregation_oracle.aggregate_legitimate_paths(
+        pids, conf, counts, cap, cost_tolerance=tolerance
+    )
+    got = aggregate_legitimate_paths(
+        pids, conf, counts, cap, cost_tolerance=tolerance
+    )
+    assert got == want
 
 
 class TestBuildPlan:

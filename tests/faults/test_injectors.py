@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import FLocConfig
@@ -15,6 +16,7 @@ from repro.faults.injectors import (
     state_corruption,
 )
 from repro.inet.scenarios import build_internet_scenario
+from repro.inet.simulator import FluidSimulator
 from repro.net.engine import Engine
 from repro.net.topology import Topology
 from repro.tcp.source import TcpSource
@@ -149,6 +151,38 @@ class TestFluidLinkDegrade:
         assert scn.link_capacity[3] == pytest.approx(original * 0.25)
         degrade.up(host, 2, RNG)
         assert scn.link_capacity[3] == pytest.approx(original)
+
+    def test_factor_zero_kills_the_uplink(self):
+        """0 is "no limit" to the survival pass, so a dead uplink must get
+        a positive capacity: nothing from its subtree survives it, and
+        every other AS survives as before."""
+        scn = self.scenario()
+        sim = FluidSimulator(scn, strategy="floc", seed=4)
+        rates = sim._send_rates()
+        before = sim._upstream_survival(rates)
+        asn = int(np.bincount(scn.flow_origin_as)[1:].argmax()) + 1
+        degrade = FluidLinkDegrade(asn, factor=0.0)
+        degrade.down(sim, 0, RNG)
+        assert 0.0 < scn.link_capacity[asn] < 1e-300
+        after = sim._upstream_survival(rates)
+        behind = np.array(
+            [asn in scn.topology.path_of(a) for a in range(scn.topology.n_as)]
+        )
+        assert np.all(after[behind] == 0.0)
+        assert after[~behind].tobytes() == before[~behind].tobytes()
+        degrade.up(sim, 1, RNG)
+        assert sim._upstream_survival(rates).tobytes() == before.tobytes()
+
+    def test_positive_factor_keeps_an_unlimited_uplink_unlimited(self):
+        scn = self.scenario()
+        scn.link_capacity[3] = 0.0
+
+        class Host:
+            def __init__(self, scn):
+                self.scn = scn
+
+        FluidLinkDegrade(3, factor=0.5).down(Host(scn), 0, RNG)
+        assert scn.link_capacity[3] == 0.0
 
     def test_negative_factor_rejected(self):
         with pytest.raises(SimulationError):

@@ -1,7 +1,9 @@
 """Checkpoint and buffer-aliasing safety of the fluid step.
 
 The step's lookup tables (per-AS floors, the legit index and its
-per-legit constants, the survival pass's level lists) are derived state:
+per-legit constants, the survival pass's level lists and pair table,
+the current plan's allocations, fair shares and flag bars) are derived
+state:
 a pickle must not carry them (its size is held in
 ``test_fluid_memory.py``), a state dict written without them must load,
 and a run resumed from a mid-run pickle must end byte-identical to one
@@ -80,6 +82,7 @@ class TestDerivedState:
                     assert np.array_equal(g_nodes, w_nodes)
                     assert np.array_equal(g_par, w_par)
             else:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
                 assert got.tobytes() == want.tobytes(), name
 
 

@@ -8,10 +8,14 @@ patterns — and on the degenerate *shapes* a random draw rarely reaches
 (an empty flag class, a single flow, a starved target), where the
 per-AS class sums must still be float64 of shape ``(n_as,)``:
 ``np.bincount`` over an empty class returns int64 zeros, whose bytes
-equal float64 zeros', so a bytes comparison alone cannot see it.
+equal float64 zeros', so a bytes comparison alone cannot see it.  The
+survival pass's no-clog shortcut is held to the same per-AS loop with
+capacities a few ulps either side of an uplink's load, a boundary no
+shipped run reaches.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +138,116 @@ def test_survival_pass_accumulates_irrational_loads_in_loop_order():
         want = survival_oracle(sim, own)
         assert sim._survival_from_loads(own).tobytes() == want.tobytes()
         assert want.min() < 1.0
+
+
+def unclogged_offered(sim, own):
+    """Every uplink's offered load as the per-AS loop sums it when no
+    uplink clogs."""
+    inflow = own.copy()
+    for asn in sim.as_order:
+        if asn:
+            inflow[sim.parent[asn]] += inflow[asn]
+    return inflow
+
+
+def nudged(x, ulps):
+    """``x`` moved ``ulps`` representable floats up (or down, if < 0)."""
+    toward = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, toward)
+    return x
+
+
+@st.composite
+def boundary_cases(draw):
+    """Loads that do not add exactly, and capacities within a few ulps of
+    an uplink's unclogged load, or of the shortcut's ``1e-9`` margin
+    below it, on either side."""
+    parent = draw(trees())
+    n_as = len(parent)
+    load = st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=10.0, width=64)
+    )
+    own = [0.0] + draw(st.lists(load, min_size=n_as - 1, max_size=n_as - 1))
+    edges = [
+        draw(
+            st.tuples(
+                st.sampled_from(["exact", "margin", "free", "none"]),
+                st.integers(min_value=-4, max_value=4),
+            )
+        )
+        for _ in range(n_as)
+    ]
+    return parent, own, edges
+
+
+@given(boundary_cases())
+@settings(max_examples=200, deadline=None)
+def test_survival_shortcut_at_the_capacity_boundary(case):
+    parent, own, edges = case
+    n_as = len(parent)
+    own = np.asarray(own, dtype=np.float64)
+    origins = list(range(1, n_as))
+    sim = make_sim(parent, origins, [False] * len(origins), [1.0] * n_as)
+    offered = unclogged_offered(sim, own)
+    caps = sim.scn.link_capacity
+    for asn, (edge, ulps) in enumerate(edges[1:], start=1):
+        if edge == "exact":
+            caps[asn] = nudged(offered[asn], ulps)
+        elif edge == "margin":
+            caps[asn] = nudged(offered[asn] / (1.0 - 1e-9), ulps)
+        elif edge == "free":
+            caps[asn] = 2.0 * offered[asn] + 1.0
+        else:
+            caps[asn] = 0.0
+    want = survival_oracle(sim, own)
+    assert sim._survival_from_loads(own).tobytes() == want.tobytes()
+    # each uplink alone one ulp either side of its load, every other one
+    # free: the two sums of a subtree may differ in the last place, so
+    # a shortcut without its margin would skip a clogged step here
+    for asn in range(1, n_as):
+        for ulps in (-1, 1):
+            sim.scn.link_capacity = 2.0 * offered + 1.0
+            sim.scn.link_capacity[asn] = nudged(offered[asn], ulps)
+            want = survival_oracle(sim, own)
+            assert sim._survival_from_loads(own).tobytes() == want.tobytes()
+
+
+class Unwalkable:
+    """Stands in for ``_levels``: fails if the level walk starts."""
+
+    def __iter__(self):
+        raise AssertionError("the level walk ran")
+
+    def __reversed__(self):
+        raise AssertionError("the level walk ran")
+
+
+def test_survival_shortcut_takes_each_branch():
+    rng = np.random.default_rng(5)
+    parent = [0] + [int(rng.integers(0, asn)) for asn in range(1, 40)]
+    origins = list(range(1, 40))
+    own = np.concatenate(([0.0], rng.uniform(0.0, 1.0, size=39)))
+    sim = make_sim(parent, origins, [False] * 39, [1.0] * 40)
+    offered = unclogged_offered(sim, own)
+    levels = sim._levels
+    # every uplink well above its load: all ones, without walking
+    sim.scn.link_capacity = 1.5 * offered + 1e-3
+    sim._levels = Unwalkable()
+    assert sim._survival_from_loads(own).tobytes() == np.ones(40).tobytes()
+    # one uplink exactly at its load clogs nothing, but is inside the
+    # margin: the walk decides, and still answers all ones
+    busiest = int(np.argmax(offered[1:])) + 1
+    sim.scn.link_capacity[busiest] = offered[busiest]
+    with pytest.raises(AssertionError, match="level walk"):
+        sim._survival_from_loads(own)
+    sim._levels = levels
+    assert sim._survival_from_loads(own).tobytes() == np.ones(40).tobytes()
+    # one ulp less clogs it
+    sim.scn.link_capacity[busiest] = nudged(offered[busiest], -1)
+    got = sim._survival_from_loads(own)
+    assert got.tobytes() == survival_oracle(sim, own).tobytes()
+    assert got[busiest] < 1.0
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,23 @@ def with_randomizer(sim, scenario):
     return {}
 
 
+class LiftLimit:
+    """Writes capacity 0 ("no limit") on one uplink; :meth:`up` puts the
+    old capacity back.  ``FluidLinkDegrade(factor=0.0)`` wrote this 0
+    when the pins were taken; it now kills the uplink instead."""
+
+    def __init__(self, asn):
+        self.asn = asn
+        self.original = None
+
+    def down(self, sim, tick, rng):
+        self.original = float(sim.scn.link_capacity[self.asn])
+        sim.scn.link_capacity[self.asn] = 0.0
+
+    def up(self, sim, tick, rng):
+        sim.scn.link_capacity[self.asn] = self.original
+
+
 def with_degrade(sim, scenario):
     # a clean uplink squeezed below its load, the most contaminated
     # uplink (clogged from tick 0) squeezed further, and another clogged
@@ -74,14 +91,14 @@ def with_degrade(sim, scenario):
     # "no limit"
     clean = FluidLinkDegrade(busiest_clean_as(scenario), factor=0.1)
     worst = FluidLinkDegrade(int(scenario.attack_ases[0]), factor=0.3)
-    dead = FluidLinkDegrade(int(scenario.attack_ases[3]), factor=0.0)
+    lifted = LiftLimit(int(scenario.attack_ases[3]))
     faults = FaultSchedule()
     faults.at(70, clean.down, name="clean-down")
     faults.at(80, worst.down, name="worst-down")
-    faults.at(90, dead.down, name="dead-down")
+    faults.at(90, lifted.down, name="dead-down")
     faults.at(130, clean.up, name="clean-up")
     faults.at(140, worst.up, name="worst-up")
-    faults.at(150, dead.up, name="dead-up")
+    faults.at(150, lifted.up, name="dead-up")
     faults.install(sim)
     return {"record_series": True}
 
