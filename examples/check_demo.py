@@ -21,7 +21,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 
-from repro.check import Baseline, Checker
+from repro.check import Checker
 
 BUGGY_POLICY = textwrap.dedent('''\
     """A toy link policy with determinism bugs flocheck should catch."""
@@ -57,11 +57,11 @@ def main():
         (root / "net" / "__init__.py").write_text("")
         (root / "net" / "jitter_policy.py").write_text(BUGGY_POLICY)
 
-        report = Checker(root, baseline=Baseline()).run()
+        report = Checker(root).run()
 
         print(f"modules checked: {report.modules_checked}")
-        print(f"findings: {len(report.new_findings)}\n")
-        for diag in report.new_findings:
+        print(f"findings: {len(report.findings)}\n")
+        for diag in report.findings:
             print(diag.format())
             print()
 

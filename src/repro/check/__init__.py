@@ -35,59 +35,46 @@ Rule families
     the multiprocess packages (``repro.fleet``, ``repro.runner``), where
     spawn workers silently diverge from the parent.
 ``FLC009``
-    Cross-process write atomicity and *interprocedural* spawn safety:
-    bare ``open(..., "w")`` without ``os.replace`` in modules other
-    processes read concurrently, and global mutation in any function
-    reachable from a spawn entrypoint through the call graph — beyond
-    FLC007's lexical scope.
-``FLC010``
-    NumPy aliasing: array views (slices, ``reshape``/``ravel``/... )
-    flowing into persisted state (checkpoint payloads, pickles), and
-    in-place mutation of a buffer after it was persisted.
-``FLC011``
-    Digest purity (interprocedural taint): wall-clock, pid, env,
-    entropy, hostname, fs-enumeration-order, or RNG values reaching a
-    ``hashlib`` digest or persisted payload, traced across function
-    boundaries via summaries.
+    Cross-process write atomicity: bare ``open(..., "w")`` without
+    ``os.replace`` in modules other processes read concurrently.
+``FLC012``
+    Span hygiene: spans opened without a closing shape, and pickling or
+    non-empty ``__getstate__`` inside ``repro.trace``.
 ``FLC099``
     Suppression hygiene (engine pseudo-rule): a ``disable=`` comment
-    without a trailing reason — such comments are inert.
+    without a trailing reason (such comments are inert), or one that
+    silenced no finding.
 
-Suppression and baselines
--------------------------
-A finding on a line carrying ``# flocheck: disable=FLC001 -- <reason>``
-(comma lists and ``disable=all`` work too) is suppressed at the source.
-The trailing ``-- <reason>`` is mandatory: a reasonless comment does not
-suppress anything and is itself flagged as ``FLC099``.  Every
-suppression in the tree is auditable via ``repro check
---show-suppressed``.  Findings that predate the checker are
-*grandfathered* in a baseline file (``baseline.json`` next to this
-package): they do not fail the build, but a baseline entry that no
-longer matches any finding is itself an error under ``--strict`` — the
-baseline can only shrink, never drift.
+``FLC008``, ``FLC010`` and ``FLC011`` are retired; ids are not reused.
+
+Suppression
+-----------
+A finding on a line whose comment reads ``flocheck: disable=FLC001 --
+<reason>`` (comma lists and ``disable=all`` work too) is suppressed at
+the source.  Only comments count: the same text inside a string does
+nothing.  The trailing ``-- <reason>`` is mandatory: a reasonless comment
+does not suppress anything and is itself flagged as ``FLC099``, as is a
+suppression that silenced no finding of a rule that ran on its module —
+so waivers cannot outlive their findings.  Every suppression in the tree
+is auditable via ``repro check --show-suppressed``.
 
 Entry points
 ------------
-``python -m repro check [--strict]`` from the CLI — with ``--sarif OUT``
-for a SARIF 2.1.0 export, ``--graph`` to dump the call-graph summary,
-``--include-tests`` to widen the sweep over ``tests/`` and
-``benchmarks/`` with a relaxed rule subset — or programmatically::
+``python -m repro check`` from the CLI — with ``--include-tests`` to
+widen the sweep over ``tests/`` and ``benchmarks/`` with a relaxed rule
+subset — or programmatically::
 
     from repro.check import Checker
     report = Checker.for_package().run()
-    for diag in report.new_findings:
+    for diag in report.findings:
         print(diag.format())
 """
 
-from .baseline import Baseline, BaselineEntry
 from .diagnostics import Diagnostic, Severity
 from .engine import Checker, CheckReport, SourceModule
 from .rules import Rule, all_rules, get_rule, rule_catalog
-from .sarif import report_to_sarif, write_sarif
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "CheckReport",
     "Diagnostic",
@@ -96,7 +83,5 @@ __all__ = [
     "SourceModule",
     "all_rules",
     "get_rule",
-    "report_to_sarif",
     "rule_catalog",
-    "write_sarif",
 ]

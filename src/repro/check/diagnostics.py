@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Severity(enum.Enum):
@@ -11,7 +11,7 @@ class Severity(enum.Enum):
 
     ``ERROR`` findings break determinism, resumability, or correctness
     outright; ``WARNING`` findings are hazards that need a human look.
-    Both fail a ``--strict`` run unless baselined or suppressed.
+    Both fail a run unless suppressed.
     """
 
     ERROR = "error"
@@ -23,12 +23,7 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding: rule id, location, message, and a fix hint.
-
-    ``line_content`` is the stripped source line the finding sits on; the
-    baseline matches findings by ``(rule_id, path, line_content)`` so
-    entries survive unrelated edits that shift line numbers.
-    """
+    """One finding: rule id, location, message, and a fix hint."""
 
     rule_id: str
     severity: Severity
@@ -37,12 +32,6 @@ class Diagnostic:
     col: int
     message: str
     hint: str = ""
-    line_content: str = field(default="", compare=False)
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching (line-number independent)."""
-        return (self.rule_id, self.path, self.line_content)
 
     def format(self, show_hint: bool = True) -> str:
         """Render ``path:line:col: RULE severity: message``."""

@@ -3,38 +3,43 @@
 The engine parses every ``.py`` file under the ``repro`` package root into
 a :class:`SourceModule` (text + AST + suppression comments), hands them to
 the registered rules, filters findings through same-line
-``# flocheck: disable=...`` suppressions, and splits the survivors against
-the baseline into *new* vs *grandfathered*.
+``# flocheck: disable=...`` suppressions, and reports every suppression
+that is malformed or silenced nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigError
 from .astutil import import_aliases
-from .baseline import Baseline, BaselineEntry
 from .diagnostics import Diagnostic, Severity
-from .rules import RELAXED_RULE_IDS, ProjectRule, Rule, all_rules
+from .rules import (
+    RELAXED_RULE_IDS,
+    ProjectRule,
+    Rule,
+    all_rules,
+    known_rule_ids,
+)
 
 #: Pseudo rule id for files the engine cannot parse at all.
 PARSE_ERROR_RULE = "FLC000"
 
-#: Pseudo rule id for malformed suppression comments (engine-emitted,
-#: like FLC000 — not in the registry, never itself suppressible).
+#: Pseudo rule id for malformed or unused suppression comments
+#: (engine-emitted, like FLC000 — not in the registry, never itself
+#: suppressible).
 SUPPRESSION_RULE = "FLC099"
 
 _SUPPRESS = re.compile(
     r"#\s*flocheck:\s*disable=([A-Za-z0-9_,\s]*?)\s*(?:--\s*(\S.*?))?\s*$"
 )
-
-#: Default baseline location: shipped next to this package.
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,6 @@ class SuppressionRecord:
     line: int
     ids: frozenset  # upper-cased rule ids, or {"ALL"}
     reason: str  # "" when missing (malformed)
-    line_content: str = ""
 
     @property
     def well_formed(self) -> bool:
@@ -65,7 +69,6 @@ class SourceModule:
         self.relpath = relpath
         self.module = module
         self.text = text
-        self.lines: List[str] = text.splitlines()
         self.tree: ast.AST = ast.parse(text, filename=str(path))
         self.suppressions: List[SuppressionRecord] = self._parse_suppressions()
         self._active: Dict[int, Set[str]] = {
@@ -85,41 +88,42 @@ class SourceModule:
         walked once (rules ask per call node); read-only by convention."""
         return import_aliases(self.tree)
 
-    def line_text(self, line: int) -> str:
-        """Stripped source text of a 1-based line ('' when out of range)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
     def _parse_suppressions(self) -> List[SuppressionRecord]:
+        """Suppressions from comment tokens only: the same text inside a
+        string literal (a docstring quoting the syntax, a test fixture)
+        is not a comment and waives nothing."""
+        if "flocheck" not in self.text:
+            return []
         records: List[SuppressionRecord] = []
-        for lineno, text in enumerate(self.lines, start=1):
-            match = _SUPPRESS.search(text)
+        for token in tokenize.generate_tokens(io.StringIO(self.text).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESS.search(token.string)
             if not match:
                 continue
             ids = frozenset(
-                token.strip().upper()
-                for token in match.group(1).split(",")
-                if token.strip()
+                part.strip().upper()
+                for part in match.group(1).split(",")
+                if part.strip()
             )
             if ids:
                 records.append(
                     SuppressionRecord(
-                        line=lineno,
+                        line=token.start[0],
                         ids=ids,
                         reason=(match.group(2) or "").strip(),
-                        line_content=text.strip(),
                     )
                 )
         return records
 
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        """Whether ``rule_id`` is disabled on ``line`` by a well-formed
-        (reason-carrying) suppression comment."""
-        ids = self._active.get(line)
-        if ids is None:
-            return False
-        return "ALL" in ids or rule_id.upper() in ids
+    def suppressor(self, line: int, rule_id: str) -> Optional[str]:
+        """The id (``rule_id`` or ``"ALL"``) under which a well-formed
+        (reason-carrying) suppression comment disables ``rule_id`` on
+        ``line``; None when it is not disabled there."""
+        ids = self._active.get(line, ())
+        if rule_id.upper() in ids:
+            return rule_id.upper()
+        return "ALL" if "ALL" in ids else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SourceModule({self.module!r})"
@@ -143,10 +147,6 @@ class Project:
         self._cache: Dict[str, Optional[SourceModule]] = {
             m.module: m for m in modules
         }
-
-    @property
-    def package_name(self) -> str:
-        return self.package_root.name
 
     @property
     def repo_root(self) -> Path:
@@ -176,30 +176,9 @@ class Project:
         except OSError:
             return None
 
-    def iter_modules(self) -> List[SourceModule]:
-        """The loaded *package* modules of this run, name-sorted.
-
-        Cross-file rules (call graph, interprocedural taint) analyze the
-        package tree only — external roots pulled in by
-        ``--include-tests`` are excluded so test helpers never become
-        phantom call-graph nodes.
-        """
-        return sorted(
-            (
-                m
-                for m in self._cache.values()
-                if m is not None
-                and (
-                    m.module == self.package_name
-                    or m.module.startswith(self.package_name + ".")
-                )
-            ),
-            key=lambda m: m.module,
-        )
-
     def _load_module(self, name: str) -> Optional[SourceModule]:
         parts = name.split(".")
-        if parts[0] != self.package_name:
+        if parts[0] != self.package_root.name:
             return None
         below = parts[1:]
         stem = self.package_root.joinpath(*below) if below else self.package_root
@@ -222,15 +201,9 @@ def module_relpath(package_root: Path, path: Path) -> str:
     """Path of a module file relative to the package *parent* directory.
 
     ``src/repro/core/router.py`` -> ``repro/core/router.py`` — stable
-    across checkouts and install locations, which keeps baseline entries
-    portable.
+    across checkouts and install locations.
     """
     return path.relative_to(package_root.parent).as_posix()
-
-
-def module_name(package_root: Path, path: Path) -> str:
-    """Dotted module name of a file under the package root."""
-    return _dotted(package_root.parent, path)
 
 
 def _dotted(base: Path, path: Path) -> str:
@@ -246,43 +219,25 @@ def _dotted(base: Path, path: Path) -> str:
 class CheckReport:
     """Outcome of one checker run."""
 
-    new_findings: List[Diagnostic] = field(default_factory=list)
-    baselined: List[Diagnostic] = field(default_factory=list)
+    #: non-suppressed findings, sorted by location
+    findings: List[Diagnostic] = field(default_factory=list)
     suppressed: List[Diagnostic] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     #: every parsed suppression comment, as ``(relpath, record)`` pairs —
     #: the audit surface behind ``repro check --show-suppressed``
     suppression_records: List[tuple] = field(default_factory=list)
     modules_checked: int = 0
-    partial: bool = False  # True when a paths subset was checked
-
-    @property
-    def findings(self) -> List[Diagnostic]:
-        """All non-suppressed findings (new + grandfathered)."""
-        return sorted(
-            self.new_findings + self.baselined,
-            key=lambda d: (d.path, d.line, d.col, d.rule_id),
-        )
 
     @property
     def ok(self) -> bool:
-        """No new findings (baselined and suppressed ones are tolerated)."""
-        return not self.new_findings
-
-    def strict_ok(self) -> bool:
-        """``ok`` plus a non-drifting baseline."""
-        return self.ok and not self.stale_baseline
+        """No findings (reason-suppressed ones are tolerated)."""
+        return not self.findings
 
     def summary(self) -> str:
-        parts = [
-            f"{self.modules_checked} modules checked",
-            f"{len(self.new_findings)} new finding(s)",
-            f"{len(self.baselined)} baselined",
-            f"{len(self.suppressed)} suppressed",
-        ]
-        if self.stale_baseline:
-            parts.append(f"{len(self.stale_baseline)} stale baseline entr(ies)")
-        return ", ".join(parts)
+        return (
+            f"{self.modules_checked} modules checked, "
+            f"{len(self.findings)} finding(s), "
+            f"{len(self.suppressed)} suppressed"
+        )
 
 
 class Checker:
@@ -292,14 +247,12 @@ class Checker:
         self,
         package_root: Path,
         rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Baseline] = None,
         extra_roots: Sequence[Path] = (),
     ) -> None:
         self.package_root = Path(package_root)
         if not self.package_root.is_dir():
             raise ConfigError(f"package root {self.package_root} is not a directory")
         self.rules: List[Rule] = list(rules) if rules is not None else all_rules()
-        self.baseline = baseline if baseline is not None else Baseline()
         #: Directories outside the package (tests/, benchmarks/) also
         #: swept by this run; their modules get the relaxed rule subset.
         self.extra_roots: List[Path] = [Path(r).resolve() for r in extra_roots]
@@ -312,35 +265,19 @@ class Checker:
         cls,
         package_root: Optional[Path] = None,
         rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Baseline] = None,
-        use_default_baseline: bool = True,
         extra_roots: Sequence[Path] = (),
     ) -> "Checker":
-        """Checker for the installed ``repro`` package with its shipped
-        baseline (unless ``use_default_baseline`` is off)."""
+        """Checker for the installed ``repro`` package."""
         root = (
             Path(package_root)
             if package_root is not None
             else Path(__file__).resolve().parent.parent
         )
-        if baseline is None and use_default_baseline:
-            baseline = Baseline.load(str(DEFAULT_BASELINE))
-        return cls(root, rules=rules, baseline=baseline, extra_roots=extra_roots)
+        return cls(root, rules=rules, extra_roots=extra_roots)
 
     # ------------------------------------------------------------------
     # collection
     # ------------------------------------------------------------------
-    def collect(
-        self, paths: Optional[Sequence[str]] = None
-    ) -> List[SourceModule]:
-        """Parse the selected source files (whole package by default).
-
-        Unparseable files are skipped here; :meth:`run` surfaces them as
-        ``FLC000`` diagnostics so they still fail the build.
-        """
-        modules, _failures = self._load_selected(paths)
-        return modules
-
     def _load_selected(
         self, paths: Optional[Sequence[str]]
     ) -> tuple:
@@ -413,8 +350,8 @@ class Checker:
         """The directory relpaths/module names are computed against.
 
         Package files anchor at the package *parent* (``repro/...`` —
-        stable across checkouts, keeps baseline entries portable); files
-        under an extra root anchor at that root's parent (``tests/...``).
+        stable across checkouts); files under an extra root anchor at
+        that root's parent (``tests/...``).
         """
         candidates = [self.package_root.parent] + [
             r.parent for r in self.extra_roots
@@ -432,68 +369,95 @@ class Checker:
     # running
     # ------------------------------------------------------------------
     def run(self, paths: Optional[Sequence[str]] = None) -> CheckReport:
-        partial = bool(paths)
         modules, raw = self._load_selected(paths)
         project = Project(self.package_root, modules)
-        package_name = self.package_root.name
         for rule in self.rules:
             if isinstance(rule, ProjectRule):
                 raw.extend(rule.check_project(project))
-                continue
-            for module in modules:
-                external = not (
-                    module.module == package_name
-                    or module.module.startswith(package_name + ".")
-                )
-                if external:
-                    # tests/benchmarks get the relaxed subset, ignoring
-                    # the rule's package-prefixed scope
-                    if rule.rule_id in RELAXED_RULE_IDS:
-                        raw.extend(rule.check(module))
-                elif rule.applies_to(module):
-                    raw.extend(rule.check(module))
+        ran: Dict[str, Set[str]] = {}
         for module in modules:
-            raw.extend(_suppression_hygiene(module))
-        raw.sort(key=lambda d: (d.path, d.line, d.col, d.rule_id))
+            rules = self._rules_on(module)
+            ran[module.relpath] = {rule.rule_id for rule in rules}
+            for rule in rules:
+                raw.extend(rule.check(module))  # project rules yield nothing
 
-        report = CheckReport(modules_checked=len(modules), partial=partial)
+        report = CheckReport(modules_checked=len(modules))
         for module in modules:
             for record in module.suppressions:
                 report.suppression_records.append((module.relpath, record))
         report.suppression_records.sort(key=lambda item: (item[0], item[1].line))
-        unsuppressed: List[Diagnostic] = []
+        used: Set[Tuple[str, int, str]] = set()
         for diag in raw:
+            # unparseable files (FLC000) have no module to carry a waiver
             module = project.module_for_path(diag.path)
-            if (
-                diag.rule_id not in (PARSE_ERROR_RULE, SUPPRESSION_RULE)
-                and module is not None
-                and module.suppressed(diag.line, diag.rule_id)
-            ):
-                report.suppressed.append(diag)
+            by = module.suppressor(diag.line, diag.rule_id) if module else None
+            if by is None:
+                report.findings.append(diag)
             else:
-                unsuppressed.append(diag)
-
-        match = self.baseline.match(unsuppressed)
-        report.new_findings = match.new
-        report.baselined = match.baselined
-        # A subset run sees only a slice of the tree; baseline entries for
-        # unchecked files are not stale, so skip the drift check entirely.
-        report.stale_baseline = [] if partial else match.stale
+                report.suppressed.append(diag)
+                used.add((diag.path, diag.line, by))
+        # `disable=all` is judged only when every registered rule ran
+        complete = set(known_rule_ids()) <= {r.rule_id for r in self.rules}
+        for module in modules:
+            report.findings.extend(
+                _suppression_hygiene(module, ran[module.relpath], used, complete)
+            )
+        report.findings.sort(key=lambda d: (d.path, d.line, d.col, d.rule_id))
         return report
 
+    def _rules_on(self, module: SourceModule) -> List[Rule]:
+        """The rules that check ``module``: tests/benchmarks get the
+        relaxed subset, ignoring each rule's package-prefixed scope."""
+        package_name = self.package_root.name
+        if module.module == package_name or module.module.startswith(
+            package_name + "."
+        ):
+            return [rule for rule in self.rules if rule.applies_to(module)]
+        return [rule for rule in self.rules if rule.rule_id in RELAXED_RULE_IDS]
 
-def _suppression_hygiene(module: SourceModule) -> List[Diagnostic]:
-    """``FLC099`` findings for malformed suppression comments.
+
+def _suppression_hygiene(
+    module: SourceModule,
+    ran: Set[str],
+    used: Set[Tuple[str, int, str]],
+    complete: bool,
+) -> List[Diagnostic]:
+    """``FLC099`` findings for malformed and unused suppression comments.
 
     A suppression without a trailing ``-- <reason>`` is inert (it does
     not suppress anything) *and* reported, so a stray waiver can neither
-    silently mask findings nor linger unexplained.
+    silently mask findings nor linger unexplained.  A well-formed one is
+    reported when it names a rule no checker has, or a rule that ran on
+    this module without a finding on its line: a waiver whose finding is
+    gone would hide the next real one there.  Rules that did not run
+    (a ``rules=`` subset, the relaxed subset for tests) are not judged.
     """
+    if not module.suppressions:
+        return []
+    known = set(known_rule_ids())
     out: List[Diagnostic] = []
     for record in module.suppressions:
-        if record.well_formed:
-            continue
-        ids = ",".join(sorted(record.ids))
+        if not record.well_formed:
+            message = (
+                f"suppression of {','.join(sorted(record.ids))} has no "
+                "reason; it is ignored"
+            )
+            hint = "append ' -- <why this rule does not apply here>'"
+        else:
+            dead = sorted(
+                rule_id
+                for rule_id in record.ids
+                if (module.relpath, record.line, rule_id) not in used
+                and (
+                    complete
+                    if rule_id == "ALL"
+                    else rule_id not in known or rule_id in ran
+                )
+            )
+            if not dead:
+                continue
+            message = f"suppression of {','.join(dead)} silenced no finding"
+            hint = "delete the stale waiver (or the stale rule id from it)"
         out.append(
             Diagnostic(
                 rule_id=SUPPRESSION_RULE,
@@ -501,11 +465,8 @@ def _suppression_hygiene(module: SourceModule) -> List[Diagnostic]:
                 path=module.relpath,
                 line=record.line,
                 col=0,
-                message=(
-                    f"suppression of {ids} has no reason; it is ignored"
-                ),
-                hint="append ' -- <why this rule does not apply here>'",
-                line_content=record.line_content,
+                message=message,
+                hint=hint,
             )
         )
     return out

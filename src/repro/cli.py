@@ -397,7 +397,7 @@ def _run_figures(args) -> int:
         sys.stderr.write(f"job {worst}:\n")
         _write_outcomes(freport)
         if store is not None and results:
-            path = store.save("salvage", "partial-results", dict(results))  # flocheck: disable=FLC011 -- results are the tasks' pure outputs; the report's wall-clock fields (wall_seconds, outcome seconds) are not among them
+            path = store.save("salvage", "partial-results", dict(results))
             sys.stderr.write(
                 f"salvaged {len(results)} unit result(s) to {path}\n"
             )
@@ -641,8 +641,7 @@ def _trace_cmd(args) -> int:
 
 
 def _check(args) -> int:
-    from .check import Baseline, Checker, rule_catalog
-    from .check.engine import DEFAULT_BASELINE
+    from .check import Checker, rule_catalog
 
     if args.list_rules:
         rows = [[rid, sev, desc] for rid, sev, desc in rule_catalog()]
@@ -650,33 +649,10 @@ def _check(args) -> int:
         sys.stdout.write("\n")
         return 0
 
-    baseline_path = args.baseline or str(DEFAULT_BASELINE)
-    baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
     extra_roots = _check_extra_roots() if args.include_tests else ()
-    checker = Checker.for_package(baseline=baseline, extra_roots=extra_roots)
-
-    if args.graph:
-        return _check_graph(checker)
-
-    if args.update_baseline:
-        report = checker.run(args.paths or None)
-        findings = report.new_findings + report.baselined
-        Baseline.from_findings(findings).save(baseline_path)
-        sys.stdout.write(
-            f"wrote {len(findings)} finding(s) to {baseline_path}; "
-            f"edit in justifications\n"
-        )
-        return 0
-
-    report = checker.run(args.paths or None)
-    for diag in report.new_findings:
+    report = Checker.for_package(extra_roots=extra_roots).run(args.paths or None)
+    for diag in report.findings:
         sys.stdout.write(diag.format() + "\n")
-    if args.strict:
-        for entry in report.stale_baseline:
-            sys.stdout.write(
-                f"stale baseline entry (finding fixed? remove it): "
-                f"{entry.describe()}\n"
-            )
     if args.show_suppressed:
         if report.suppression_records:
             sys.stdout.write("suppressions:\n")
@@ -686,16 +662,8 @@ def _check(args) -> int:
             sys.stdout.write(
                 f"  {relpath}:{record.line}: {ids}: {reason}\n"
             )
-    if args.sarif:
-        from .check.sarif import write_sarif
-
-        write_sarif(report, args.sarif)
-        sys.stdout.write(f"wrote SARIF report to {args.sarif}\n")
     sys.stdout.write(report.summary() + "\n")
-    failed = bool(report.new_findings) or (
-        args.strict and bool(report.stale_baseline)
-    )
-    return 1 if failed else 0
+    return 0 if report.ok else 1
 
 
 def _check_extra_roots():
@@ -715,32 +683,6 @@ def _check_extra_roots():
         for root in (repo_root / "tests", repo_root / "benchmarks")
         if root.is_dir()
     ]
-
-
-def _check_graph(checker) -> int:
-    """Dump the call graph + spawn reachability (debug surface)."""
-    from .check.callgraph import CallGraph, SymbolTable, spawn_entrypoints
-    from .check.engine import Project
-
-    modules = checker.collect()
-    project = Project(checker.package_root, modules)
-    table = SymbolTable.build(project.iter_modules())
-    graph = CallGraph(table)
-    roots = spawn_entrypoints(table)
-    reachable = graph.reachable(roots)
-    sys.stdout.write(
-        f"{len(table.functions)} functions, {graph.edge_count()} call "
-        f"edges\n"
-    )
-    sys.stdout.write("spawn entrypoints:\n")
-    for root in roots:
-        sys.stdout.write(f"  {root}\n")
-    sys.stdout.write(
-        f"reachable from spawn entrypoints: {len(reachable)} functions\n"
-    )
-    for qualname in sorted(reachable):
-        sys.stdout.write(f"  {qualname}\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -909,33 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: the whole package)",
     )
     check.add_argument(
-        "--strict", action="store_true",
-        help="also fail on stale baseline entries (the baseline can only "
-             "shrink, never drift); this is the CI mode",
-    )
-    check.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline file of grandfathered findings "
-             "(default: the one shipped with repro.check)",
-    )
-    check.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    check.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to accept exactly the current findings "
-             "(edit in justifications afterwards)",
-    )
-    check.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    check.add_argument(
-        "--sarif", metavar="OUT", default=None,
-        help="also write the report as SARIF 2.1.0 to OUT (new, "
-             "baselined, and suppressed findings; CI uploads this so "
-             "findings annotate PR diffs)",
     )
     check.add_argument(
         "--show-suppressed", action="store_true",
@@ -946,11 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--include-tests", action="store_true",
         help="also sweep tests/ and benchmarks/ with the relaxed rule "
              "subset (mutable defaults, spawn-payload safety)",
-    )
-    check.add_argument(
-        "--graph", action="store_true",
-        help="print the call graph summary and spawn-entrypoint "
-             "reachability instead of running the rules",
     )
     return parser
 

@@ -630,8 +630,15 @@ class FluidSimulator:
         # The plan's flag bar (see ``_plan_tables``) holds where the group
         # is over-subscribed; elsewhere no rate exceeds an infinite bar,
         # which folds that condition into the one per-class compare.
+        # Over-subscribed means above the allocation by more than a
+        # ``1e-9`` relative margin.  A group that is exactly the subtree
+        # of a saturated uplink whose capacity equals its allocation
+        # arrives at the allocation itself; without the margin, rounding
+        # alone (a class's count times its rate against its members'
+        # running sum) would decide whether its flows flag.
         bar_as = np.where(
-            (group_arrival > alloc)[gidx_as], self._flag_bar_as, np.inf
+            (group_arrival > alloc * (1.0 + 1e-9))[gidx_as],
+            self._flag_bar_as, np.inf,
         )
         origin = self.class_origin
         count = self.count

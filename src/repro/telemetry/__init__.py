@@ -257,7 +257,7 @@ def use(telemetry: NullTelemetry) -> Iterator[NullTelemetry]:
     """Install ``telemetry`` as current for the duration of a block."""
     global _current
     previous = _current
-    _current = telemetry  # flocheck: disable=FLC009 -- worker-local install: each spawn worker rebinds its own copy and ships the telemetry back explicitly in its result
+    _current = telemetry
     try:
         yield telemetry
     finally:

@@ -26,7 +26,7 @@ payloads, and the worker parents its root spans under the supervisor's
 span ids.
 
 Design invariants, inherited from the telemetry layer and enforced by
-flocheck (FLC001/FLC011/FLC012):
+flocheck (FLC001/FLC012):
 
 * **Observation only.**  Spans carry wall-clock data, so no span, tracer,
   or timestamp may ever reach a run digest, a checkpoint, or a simulated
@@ -413,7 +413,7 @@ def use_tracer(tracer: NullTracer) -> Iterator[NullTracer]:
     """Install ``tracer`` as current for the duration of a block."""
     global _current_tracer
     previous = _current_tracer
-    _current_tracer = tracer  # flocheck: disable=FLC009 -- process-local install mirroring telemetry.use: each process rebinds its own tracer and all output goes to its own span file
+    _current_tracer = tracer
     try:
         yield tracer
     finally:

@@ -4,10 +4,10 @@ Every directory under ``tests/check/corpus/`` is one case: a fragment
 of a ``repro`` package tree containing exactly one seeded defect, plus
 an ``EXPECT.txt`` declaring which rule must fire and how many times.
 The driver materialises the fragment as a real package, runs *only* the
-three interprocedural rule families (FLC009–FLC011), and asserts the
-expected rule fires the expected number of times — and that the other
-two families stay silent, so each mutant is caught by exactly the
-intended rule.
+corpus families (today FLC009, the torn cross-process write), and
+asserts the expected rule fires the expected number of times — and that
+no other family fires, so each mutant is caught by exactly the intended
+rule.
 
 The corpus directory is excluded from ``--include-tests`` sweeps (the
 engine skips any path with a ``corpus`` component): these files are
@@ -19,11 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import Baseline, Checker
+from repro.check import Checker
 from repro.check.rules import get_rule
 
 CORPUS = Path(__file__).parent / "corpus"
-NEW_FAMILIES = ("FLC009", "FLC010", "FLC011")
+FAMILIES = ("FLC009",)
 
 
 def corpus_cases():
@@ -56,13 +56,11 @@ def test_seeded_defect_caught_by_exactly_its_rule(case, tmp_path):
     expected_rule, expected_count = expectation(case)
     root = materialise(case, tmp_path)
     checker = Checker(
-        root,
-        rules=[get_rule(rule_id) for rule_id in NEW_FAMILIES],
-        baseline=Baseline(),
+        root, rules=[get_rule(rule_id) for rule_id in FAMILIES]
     )
     report = checker.run()
     by_rule = {}
-    for diag in report.new_findings:
+    for diag in report.findings:
         by_rule.setdefault(diag.rule_id, []).append(diag)
     assert expected_rule in by_rule, (
         f"{case.name}: {expected_rule} did not fire; "
@@ -81,7 +79,7 @@ def test_seeded_defect_caught_by_exactly_its_rule(case, tmp_path):
 
 def test_corpus_covers_every_new_family():
     seen = {expectation(case)[0] for case in corpus_cases()}
-    assert seen == set(NEW_FAMILIES)
+    assert seen == set(FAMILIES)
 
 
 def test_corpus_has_three_or_more_cases_per_family():

@@ -1,23 +1,13 @@
-"""Engine behaviour: suppression, baselines, project rules, exit codes."""
+"""Engine behaviour: suppression, project rules, exit codes."""
 
-import json
 import textwrap
 
 import pytest
 
-from repro.check import Baseline, BaselineEntry, Checker
-from repro.check.baseline import MatchResult
+from repro.check import Checker
 from repro.check.rules import get_rule
 from repro.cli import main as cli_main
 from repro.errors import ConfigError
-
-BAD_NET_MODULE = """\
-import time
-
-
-def stamp():
-    return time.time()
-"""
 
 
 def write_package(tmp_path, files):
@@ -46,8 +36,8 @@ class TestSuppression:
                     return time.time()  # flocheck: disable=FLC001 -- test fixture
                 """,
         })
-        report = Checker(root, baseline=Baseline()).run()
-        assert report.new_findings == []
+        report = Checker(root).run()
+        assert report.findings == []
         assert len(report.suppressed) == 1
         assert report.suppressed[0].rule_id == "FLC001"
 
@@ -61,8 +51,8 @@ class TestSuppression:
                     return time.time()  # flocheck: disable=all -- test fixture
                 """,
         })
-        report = Checker(root, baseline=Baseline()).run()
-        assert report.new_findings == []
+        report = Checker(root).run()
+        assert report.findings == []
         assert len(report.suppressed) == 1
 
     def test_other_rule_not_suppressed(self, tmp_path):
@@ -75,14 +65,27 @@ class TestSuppression:
                     return time.time()  # flocheck: disable=FLC005 -- test fixture
                 """,
         })
-        report = Checker(root, baseline=Baseline()).run()
-        assert [d.rule_id for d in report.new_findings] == ["FLC001"]
+        report = Checker(root).run()
+        # FLC001 still fires, and the FLC005 waiver that silenced nothing
+        # is itself reported
+        assert sorted(d.rule_id for d in report.findings) == [
+            "FLC001", "FLC099",
+        ]
+
+    def test_string_literal_is_not_a_suppression(self, tmp_path):
+        root = write_package(tmp_path, {
+            "core/mod.py": """\
+                def same(rate):
+                    return rate == 0.5, "# flocheck: disable=FLC003 -- x"
+                """,
+        })
+        report = Checker(root).run()
+        assert [d.rule_id for d in report.findings] == ["FLC003"]
+        assert report.suppressed == []
+        assert report.suppression_records == []
 
 
-# Built by concatenation so this file never contains a literal
-# reasonless suppression — the --include-tests sweep scans this very
-# file, and the hygiene scan is line-based.
-REASONLESS_SUPPRESS = "# " + "flocheck: disable="
+REASONLESS_SUPPRESS = "# flocheck: disable="
 
 
 class TestSuppressionHygiene:
@@ -99,14 +102,14 @@ class TestSuppressionHygiene:
     def test_reasonless_comment_is_inert(self, tmp_path):
         """A suppression without '-- <reason>' does not suppress."""
         root = write_package(tmp_path, self.REASONLESS)
-        report = Checker(root, baseline=Baseline()).run()
-        assert "FLC001" in [d.rule_id for d in report.new_findings]
+        report = Checker(root).run()
+        assert "FLC001" in [d.rule_id for d in report.findings]
         assert report.suppressed == []
 
     def test_reasonless_comment_emits_flc099(self, tmp_path):
         root = write_package(tmp_path, self.REASONLESS)
-        report = Checker(root, baseline=Baseline()).run()
-        hygiene = [d for d in report.new_findings if d.rule_id == "FLC099"]
+        report = Checker(root).run()
+        hygiene = [d for d in report.findings if d.rule_id == "FLC099"]
         assert len(hygiene) == 1
         assert "reason" in hygiene[0].message
 
@@ -120,8 +123,8 @@ class TestSuppressionHygiene:
                     return time.time()  {REASONLESS_SUPPRESS}all
                 """,
         })
-        report = Checker(root, baseline=Baseline()).run()
-        assert "FLC099" in [d.rule_id for d in report.new_findings]
+        report = Checker(root).run()
+        assert "FLC099" in [d.rule_id for d in report.findings]
 
     def test_reasoned_comment_emits_nothing(self, tmp_path):
         root = write_package(tmp_path, {
@@ -133,8 +136,8 @@ class TestSuppressionHygiene:
                     return time.time()  # flocheck: disable=FLC001 -- test fixture
                 """,
         })
-        report = Checker(root, baseline=Baseline()).run()
-        assert report.new_findings == []
+        report = Checker(root).run()
+        assert report.findings == []
 
     def test_suppression_records_capture_reason_state(self, tmp_path):
         root = write_package(tmp_path, {
@@ -150,7 +153,7 @@ class TestSuppressionHygiene:
                     return time.time()  {REASONLESS_SUPPRESS}FLC001
                 """,
         })
-        report = Checker(root, baseline=Baseline()).run()
+        report = Checker(root).run()
         records = {
             record.line: record
             for relpath, record in report.suppression_records
@@ -160,6 +163,48 @@ class TestSuppressionHygiene:
         assert len(well_formed) == 1
         assert well_formed[0].reason == "test fixture"
         assert all("FLC001" in r.ids for r in records.values())
+
+
+class TestUnusedSuppression:
+    STALE = {
+        "core/mod.py": """\
+            def scale(rate):
+                return rate * 2  # flocheck: disable=FLC003 -- was rate == 0.5
+            """,
+    }
+
+    def test_waiver_that_silenced_nothing_is_flc099(self, tmp_path):
+        root = write_package(tmp_path, self.STALE)
+        report = Checker(root).run()
+        assert [(d.rule_id, d.line) for d in report.findings] == [
+            ("FLC099", 2),
+        ]
+        assert "FLC003 silenced no finding" in report.findings[0].message
+
+    def test_retired_rule_id_is_flc099(self, tmp_path):
+        root = write_package(tmp_path, {
+            "core/mod.py": "X = 1  # flocheck: disable=FLC011 -- retired\n",
+        })
+        report = Checker(root, rules=[get_rule("FLC003")]).run()
+        assert [d.rule_id for d in report.findings] == ["FLC099"]
+
+    def test_rules_that_did_not_run_are_not_judged(self, tmp_path):
+        root = write_package(tmp_path, {
+            **self.STALE,
+            # FLC001 is scoped to the simulation packages, not the runner
+            "runner/mod.py": "X = 1  # flocheck: disable=FLC001 -- scope\n",
+        })
+        extra = tmp_path / "tests"
+        extra.mkdir()
+        # tests get the relaxed subset, which has no FLC003
+        (extra / "test_x.py").write_text(
+            "X = 1  # flocheck: disable=FLC003 -- fixture\n"
+        )
+        report = Checker(
+            root, rules=[get_rule("FLC001"), get_rule("FLC005")],
+            extra_roots=[extra],
+        ).run()
+        assert report.findings == []
 
 
 class TestExtraRoots:
@@ -187,11 +232,9 @@ class TestExtraRoots:
     def test_external_modules_get_relaxed_rule_subset(self, tmp_path):
         root = write_package(tmp_path, {"net/mod.py": "X = 1\n"})
         extra = self.write_external(tmp_path)
-        report = Checker(
-            root, baseline=Baseline(), extra_roots=[extra]
-        ).run()
+        report = Checker(root, extra_roots=[extra]).run()
         external = [
-            d for d in report.new_findings if d.path.startswith("tests/")
+            d for d in report.findings if d.path.startswith("tests/")
         ]
         rules = {d.rule_id for d in external}
         assert "FLC007" in rules  # relaxed subset still runs
@@ -203,99 +246,22 @@ class TestExtraRoots:
         corpus = extra / "corpus" / "case_a"
         corpus.mkdir(parents=True)
         (corpus / "mutant.py").write_text("import time\nT = time.time()\n")
-        report = Checker(
-            root, baseline=Baseline(), extra_roots=[extra]
-        ).run()
+        report = Checker(root, extra_roots=[extra]).run()
         assert not any(
-            "corpus" in d.path for d in report.new_findings
+            "corpus" in d.path for d in report.findings
         )
 
     def test_missing_extra_root_is_config_error(self, tmp_path):
         root = write_package(tmp_path, {"net/mod.py": "X = 1\n"})
         with pytest.raises(ConfigError):
-            Checker(
-                root,
-                baseline=Baseline(),
-                extra_roots=[tmp_path / "nope"],
-            )
-
-
-class TestBaseline:
-    def test_round_trip_and_match(self, tmp_path):
-        root = write_package(tmp_path, {"net/mod.py": BAD_NET_MODULE})
-        report = Checker(root, baseline=Baseline()).run()
-        assert len(report.new_findings) == 1
-
-        baseline = Baseline.from_findings(report.new_findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(str(path))
-        reloaded = Baseline.load(str(path))
-        assert len(reloaded) == 1
-
-        report2 = Checker(root, baseline=reloaded).run()
-        assert report2.new_findings == []
-        assert len(report2.baselined) == 1
-        assert report2.stale_baseline == []
-        assert report2.strict_ok()
-
-    def test_baseline_survives_line_shift(self, tmp_path):
-        root = write_package(tmp_path, {"net/mod.py": BAD_NET_MODULE})
-        baseline = Baseline.from_findings(
-            Checker(root, baseline=Baseline()).run().new_findings
-        )
-        # unrelated edit above the finding shifts its line number
-        (root / "net" / "mod.py").write_text(
-            "# a new leading comment\n" + BAD_NET_MODULE
-        )
-        report = Checker(root, baseline=baseline).run()
-        assert report.new_findings == []
-        assert len(report.baselined) == 1
-
-    def test_fixed_finding_makes_entry_stale(self, tmp_path):
-        root = write_package(tmp_path, {"net/mod.py": BAD_NET_MODULE})
-        baseline = Baseline.from_findings(
-            Checker(root, baseline=Baseline()).run().new_findings
-        )
-        (root / "net" / "mod.py").write_text("def stamp():\n    return 0\n")
-        report = Checker(root, baseline=baseline).run()
-        assert report.new_findings == []
-        assert len(report.stale_baseline) == 1
-        assert report.ok
-        assert not report.strict_ok()
-
-    def test_duplicate_entries_rejected(self):
-        entry = BaselineEntry(rule="FLC001", path="a.py", line_content="x")
-        with pytest.raises(ConfigError):
-            Baseline([entry, entry])
-
-    def test_count_semantics(self):
-        entry = BaselineEntry(
-            rule="FLC001", path="a.py", line_content="x", count=2
-        )
-        from repro.check.diagnostics import Diagnostic, Severity
-
-        def d():
-            return Diagnostic(
-                rule_id="FLC001", severity=Severity.ERROR, path="a.py",
-                line=1, col=0, message="m", line_content="x",
-            )
-
-        result = Baseline([entry]).match([d(), d(), d()])
-        assert isinstance(result, MatchResult)
-        assert len(result.baselined) == 2
-        assert len(result.new) == 1  # third occurrence exceeds the count
-        assert result.stale == []
-
-        partial = Baseline([entry]).match([d()])
-        assert len(partial.baselined) == 1
-        assert partial.stale == [entry]  # undershooting the count is stale
+            Checker(root, extra_roots=[tmp_path / "nope"])
 
 
 class TestParseErrors:
     def test_syntax_error_is_flc000(self, tmp_path):
         root = write_package(tmp_path, {"net/broken.py": "def f(:\n"})
-        report = Checker(root, baseline=Baseline()).run()
-        assert [d.rule_id for d in report.new_findings] == ["FLC000"]
+        report = Checker(root).run()
+        assert [d.rule_id for d in report.findings] == ["FLC000"]
 
 
 DRIFT_FILES = {
@@ -353,10 +319,10 @@ class TestProjectRuleConfigDrift:
             docs_dir = tmp_path / "docs"
             docs_dir.mkdir(exist_ok=True)
             (docs_dir / "architecture.md").write_text(textwrap.dedent(docs))
-        return Checker(root, rules=[get_rule("FLC006")], baseline=Baseline())
+        return Checker(root, rules=[get_rule("FLC006")])
 
     def test_consistent_project_clean(self, tmp_path):
-        assert self.build(tmp_path).run().new_findings == []
+        assert self.build(tmp_path).run().findings == []
 
     def test_unmapped_settings_field_flagged(self, tmp_path):
         files = dict(self.FILES)
@@ -364,7 +330,7 @@ class TestProjectRuleConfigDrift:
             'sanitize: str = "off"',
             'sanitize: str = "off"\n    brand_new_knob: int = 0',
         )
-        found = self.build(tmp_path, files=files).run().new_findings
+        found = self.build(tmp_path, files=files).run().findings
         assert any("brand_new_knob" in d.message for d in found)
 
     def test_vanished_cli_flag_flagged(self, tmp_path):
@@ -372,64 +338,46 @@ class TestProjectRuleConfigDrift:
         files["cli.py"] = files["cli.py"].replace(
             '    parser.add_argument("--seed")\n', ""
         )
-        found = self.build(tmp_path, files=files).run().new_findings
+        found = self.build(tmp_path, files=files).run().findings
         assert any("--seed" in d.message for d in found)
 
     def test_undocumented_config_field_flagged(self, tmp_path):
         docs = self.DOCS.replace("| `beta` | 0.2 | conformance EWMA |\n", "")
-        found = self.build(tmp_path, docs=docs).run().new_findings
+        found = self.build(tmp_path, docs=docs).run().findings
         assert any(
             "beta" in d.message and "missing from" in d.message for d in found
         )
 
     def test_stale_docs_row_flagged(self, tmp_path):
         docs = self.DOCS + "| `retired_knob` | 0 | gone |\n"
-        found = self.build(tmp_path, docs=docs).run().new_findings
+        found = self.build(tmp_path, docs=docs).run().findings
         assert any("retired_knob" in d.message for d in found)
 
     def test_missing_section_flagged(self, tmp_path):
-        found = self.build(tmp_path, docs="# Arch\n\nno table\n").run().new_findings
+        found = self.build(tmp_path, docs="# Arch\n\nno table\n").run().findings
         assert len(found) == 1
         assert "no 'FLoc configuration reference' section" in found[0].message
 
     def test_missing_docs_tree_skipped(self, tmp_path):
         # installed package without docs/: nothing to cross-check
         checker = self.build(tmp_path, docs=None)
-        assert checker.run().new_findings == []
+        assert checker.run().findings == []
 
 
 class TestCliCheck:
     def test_clean_tree_exits_zero(self, capsys):
         assert cli_main(["check"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
-
-    def test_strict_clean_tree_exits_zero(self, capsys):
-        assert cli_main(["check", "--strict"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert cli_main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("FLC001", "FLC002", "FLC003", "FLC004",
-                        "FLC005", "FLC006", "FLC007",
-                        "FLC009", "FLC010", "FLC011"):
+                        "FLC005", "FLC006", "FLC007", "FLC009", "FLC012"):
             assert rule_id in out
-        assert "FLC008" not in out  # retired with the shard layer, id not reused
-
-    def test_stale_baseline_fails_strict_only(self, tmp_path, capsys):
-        bogus = tmp_path / "baseline.json"
-        bogus.write_text(json.dumps({
-            "version": 1,
-            "findings": [{
-                "rule": "FLC001",
-                "path": "repro/net/engine.py",
-                "line_content": "this_line_does_not_exist()",
-                "count": 1,
-                "justification": "test fixture",
-            }],
-        }))
-        assert cli_main(["check", "--baseline", str(bogus)]) == 0
-        assert cli_main(["check", "--strict", "--baseline", str(bogus)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
+        # retired ids are not reused
+        for rule_id in ("FLC008", "FLC010", "FLC011"):
+            assert rule_id not in out
 
     def test_unknown_path_is_config_error(self, capsys):
         assert cli_main(["check", "does/not/exist.py"]) == 2
@@ -439,27 +387,16 @@ class TestCliCheck:
         core_dir = repro.core.__file__.rsplit("/", 1)[0]
         assert cli_main(["check", core_dir]) == 0
 
-    def test_sarif_and_show_suppressed(self, tmp_path, capsys):
-        out = tmp_path / "flocheck.sarif"
-        assert cli_main(
-            ["check", "--strict", "--sarif", str(out), "--show-suppressed"]
-        ) == 0
-        document = json.loads(out.read_text())
-        assert document["version"] == "2.1.0"
-        assert document["runs"][0]["tool"]["driver"]["name"] == "flocheck"
+    def test_show_suppressed(self, capsys):
+        import repro.fleet
+        fleet_dir = repro.fleet.__file__.rsplit("/", 1)[0]
+        assert cli_main(["check", "--show-suppressed", fleet_dir]) == 0
         text = capsys.readouterr().out
-        # every in-tree suppression is listed, with its reason
-        assert "suppression" in text
+        assert "suppressions:\n  repro/fleet/merge.py:" in text
         assert "NO REASON" not in text
 
-    def test_graph_mode(self, capsys):
-        assert cli_main(["check", "--graph"]) == 0
-        out = capsys.readouterr().out
-        assert "functions" in out
-        assert "spawn entrypoints" in out
-
     def test_include_tests_widens_the_sweep(self, capsys):
-        assert cli_main(["check", "--strict", "--include-tests"]) == 0
+        assert cli_main(["check", "--include-tests"]) == 0
         out = capsys.readouterr().out
         # the widened sweep checks strictly more modules than the package
         modules = int(out.split(" modules checked")[0].rsplit(None, 1)[-1])

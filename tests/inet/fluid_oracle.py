@@ -1,7 +1,9 @@
 """The fluid simulator as it stood at commit ``2cb5ca7``, kept as the oracle.
 
-Everything below the imports is the old ``repro.inet.simulator`` verbatim:
-one state row per *flow* — windows, smoothed rates, flags, accumulators
+Everything below the imports is the old ``repro.inet.simulator`` verbatim,
+save one later model change it must share: a group counts as
+over-subscribed only above its allocation by a ``1e-9`` relative margin.
+One state row per *flow* — windows, smoothed rates, flags, accumulators
 and admitted volumes are all full-length arrays, and every per-AS
 reduction is a ``bincount`` over the flows.  ``test_fluid_classes.py``
 requires the class-collapsed simulator, fully split into singleton
@@ -455,8 +457,9 @@ class FluidSimulator:
             self.attack_flag_factor * fair_as, self._tcp_floor_as
         )
         # no rate exceeds an infinite bar: folds "and the group is
-        # over-subscribed" into the one per-flow compare
-        bar_as[~(group_arrival > alloc)[gidx_as]] = np.inf
+        # over-subscribed" (beyond a 1e-9 relative margin) into the one
+        # per-flow compare
+        bar_as[~(group_arrival > alloc * (1.0 + 1e-9))[gidx_as]] = np.inf
         origin = self.origin
         previously_flagged = self._flagged
         flagged = self._rate_ewma > bar_as[origin]

@@ -22,7 +22,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -273,8 +273,31 @@ def test_fully_split_matches_per_flow_oracle_bytes(case):
     assert pickle.dumps(vars(got)) == pickle.dumps(vars(want))
 
 
+#: AS 1's uplink (capacity 1.5) carries its subtree {1, 2, 4}; after the
+#: tick-45 regroup that subtree and the flowless target AS 0 form a group
+#: whose allocation is 1.5 too, so its arrival sits on the
+#: over-subscription boundary
+SATURATED_UPLINK_IS_A_GROUP = {
+    "shape": "free",
+    "parent": [0, 0, 1, 0, 1],
+    "origins": [1] * 12 + [2] * 7 + [3] * 4 + [4] * 3 + [2] * 2,
+    "is_attack": [False] * 26 + [True] * 2,
+    "caps": [0.0, 1.5, 0.0, 0.0, 0.0],
+    "target": 2.0,
+    "attack_rate": 6.5,
+    "legit_rate": 0.2,
+    "strategy": "floc",
+    "s_max": None,
+    "interval": 5,
+    "fault_tick": 0,
+    "fault_arg": 0.0,
+    "fault_as": 1,
+}
+
+
 @given(cases())
 @settings(max_examples=200, deadline=None)
+@example(case=SATURATED_UPLINK_IS_A_GROUP)
 def test_collapsed_matches_per_flow_oracle_per_member(case):
     oracle = build(Oracle, case)
     sim = build(FluidSimulator, case)

@@ -275,7 +275,7 @@ def admit_floc_oracle(sim, arrivals, arr_by_as):
         minlength=n_groups,
     )
     fair = alloc / np.maximum(group_flows, 1.0)
-    oversub = group_arrival > alloc
+    oversub = group_arrival > alloc * (1.0 + 1e-9)
     tcp_floor = 2.5 / rtt
     bar = np.maximum(sim.attack_flag_factor * fair[gidx], tcp_floor)
     previously_flagged = sim._flagged
