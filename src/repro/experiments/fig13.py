@@ -16,7 +16,10 @@ variants.
 * FIG-15 (the report's closing experiment): "separated" placement — no
   intentional legitimate presence in attack ASes.
 
-Shape claims asserted by the benches: ND denies legitimate service
+The three figures run as figure jobs (``repro.runner.figures``), one
+unit per (variant, strategy) cell; this module holds the size and
+strategy settings they share.  Shape claims asserted by
+``tests/paper/test_fig13_15_internet.py``: ND denies legitimate service
 (~0 %); FF leaves legitimate flows ~20 %; FLoc lifts them to the
 legitimate-path share of identifiers (~70 %+); aggregation increases
 legitimate-path bandwidth and decreases attack-path bandwidth; per-flow,
@@ -25,12 +28,8 @@ legitimate flows of attack ASes beat bots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from ..inet.scenarios import build_internet_scenario
-from ..inet.simulator import FluidResult, FluidSimulator
-from ..sanitize import install_sanitizer
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 @dataclass
@@ -61,72 +60,3 @@ class InternetRunSettings:
         ("A-hi", "floc", 80),
         ("A-lo", "floc", 40),
     )
-
-
-@dataclass
-class Fig13Result:
-    """(variant, strategy label) -> fluid result."""
-
-    placement: str
-    results: Dict[Tuple[str, str], FluidResult] = field(default_factory=dict)
-
-    def rows(self) -> List[Tuple[str, str, float, float, float, float]]:
-        """Rows (variant, strategy, legit-legit, legit-attack, attack, util)."""
-        return [
-            (
-                variant,
-                label,
-                r.shares["legit_in_legit"],
-                r.shares["legit_in_attack"],
-                r.shares["attack"],
-                r.utilization,
-            )
-            for (variant, label), r in sorted(self.results.items())
-        ]
-
-
-def run_fig13(
-    placement: str = "localized",
-    variants: Tuple[str, ...] = ("f-root", "h-root", "jpn"),
-    settings: InternetRunSettings = None,
-    sanitize: Optional[str] = None,
-) -> Fig13Result:
-    """Run the strategy sweep for one placement across map variants.
-
-    ``placement``: "localized" (FIG-13), "dispersed" (FIG-14) or
-    "separated" (FIG-15).  ``sanitize`` installs the runtime invariant
-    layer on every simulator ("strict" or "record").
-    """
-    settings = settings or InternetRunSettings()
-    out = Fig13Result(placement=placement)
-    for variant in variants:
-        scenario = build_internet_scenario(
-            variant=variant,
-            placement=placement,
-            n_as=settings.n_as,
-            n_legit_sources=settings.n_legit_sources,
-            n_legit_ases=settings.n_legit_ases,
-            n_bots=settings.n_bots,
-            target_capacity=settings.target_capacity,
-            seed=settings.seed,
-            build_flow_links=False,
-        )
-        for label, strategy, s_max in settings.strategies:
-            sim = FluidSimulator(
-                scenario, strategy=strategy, s_max=s_max, seed=settings.seed
-            )
-            install_sanitizer(sim, sanitize)
-            out.results[(variant, label)] = sim.run(
-                ticks=settings.ticks, warmup=settings.warmup
-            )
-    return out
-
-
-def run_fig14(**kwargs) -> Fig13Result:
-    """FIG-14: the dispersed-attack variant of the sweep."""
-    return run_fig13(placement="dispersed", **kwargs)
-
-
-def run_fig15(**kwargs) -> Fig13Result:
-    """FIG-15: the separated (no forced overlap) variant of the sweep."""
-    return run_fig13(placement="separated", **kwargs)

@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite.
 
 Simulation-backed tests run at small scale (a few dozen flows, a few
-simulated seconds); the full-figure reproductions live in ``benchmarks/``.
+simulated seconds); the paper's figures, at the scale EXPERIMENTS.md
+quotes, live in ``tests/paper/``.
 """
 
 from __future__ import annotations

@@ -6,30 +6,26 @@ touching memory far less often — the property that lets FLoc run on
 backbone routers.
 """
 
-from conftest import emit
-
 from repro.analysis.report import format_table
 from repro.core.config import FLocConfig
 from repro.core.dropfilter import DropRecordFilter
 from repro.experiments.common import run_breakdown
 from repro.traffic.scenarios import build_tree_scenario
 
+from . import SETTINGS
 
-def test_ablation_drop_filter(benchmark, settings):
-    def run():
-        out = {}
-        for label, use_filter in (("exact", False), ("bloom", True)):
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="cbr",
-                attack_rate_mbps=2.0,
-                seed=settings.seed,
-            )
-            cfg = FLocConfig(use_drop_filter=use_filter)
-            out[label] = run_breakdown(scenario, "floc", settings, cfg)
-        return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_drop_filter():
+    results = {}
+    for label, use_filter in (("exact", False), ("bloom", True)):
+        scenario = build_tree_scenario(
+            scale_factor=SETTINGS.scale,
+            attack_kind="cbr",
+            attack_rate_mbps=2.0,
+            seed=SETTINGS.seed,
+        )
+        cfg = FLocConfig(use_drop_filter=use_filter)
+        results[label] = run_breakdown(scenario, "floc", SETTINGS, cfg)
     rows = []
     for label, result in results.items():
         b = result.breakdown
@@ -41,7 +37,7 @@ def test_ablation_drop_filter(benchmark, settings):
             updates = sum(policy.drop_stats.values())
             drops = updates
         rows.append([label, b.legit_total, b.attack, drops, updates])
-    emit(
+    print(
         format_table(
             ["tracker", "legit total", "attack", "drops seen",
              "memory updates"],
@@ -63,20 +59,16 @@ def test_ablation_drop_filter(benchmark, settings):
     )
 
 
-def test_filter_false_positive_budget(benchmark):
+def test_filter_false_positive_budget():
     """The paper's dimensioning numbers for the drop filter."""
-
-    def compute():
-        return {
-            "fp_0.5M": DropRecordFilter.false_positive_ratio(0.5e6, 4, 24),
-            "fp_4M_with_selection": DropRecordFilter.false_positive_with_selection(
-                4e6, 3.5e6, k=1, m=4, bits=24
-            ),
-            "memory_mb": DropRecordFilter.payload_bytes(4, 24) / 2**20,
-        }
-
-    numbers = benchmark.pedantic(compute, rounds=1, iterations=1)
-    emit(
+    numbers = {
+        "fp_0.5M": DropRecordFilter.false_positive_ratio(0.5e6, 4, 24),
+        "fp_4M_with_selection": DropRecordFilter.false_positive_with_selection(
+            4e6, 3.5e6, k=1, m=4, bits=24
+        ),
+        "memory_mb": DropRecordFilter.payload_bytes(4, 24) / 2**20,
+    }
+    print(
         format_table(
             ["quantity", "value"],
             [[k, f"{v:.3g}"] for k, v in numbers.items()],

@@ -5,29 +5,25 @@ domains — per-path token buckets alone confine the attack to its domains
 but split each contaminated domain's allocation between bots and victims.
 """
 
-from conftest import emit
-
 from repro.analysis.report import format_table
 from repro.core.config import FLocConfig
 from repro.experiments.common import mean, run_breakdown
 from repro.traffic.scenarios import build_tree_scenario
 
+from . import SETTINGS
 
-def test_ablation_preferential_drop(benchmark, settings):
-    def run():
-        out = {}
-        for label, pref in (("with", True), ("without", False)):
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="cbr",
-                attack_rate_mbps=2.0,
-                seed=settings.seed,
-            )
-            cfg = FLocConfig(preferential_drop=pref)
-            out[label] = run_breakdown(scenario, "floc", settings, cfg)
-        return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_preferential_drop():
+    results = {}
+    for label, pref in (("with", True), ("without", False)):
+        scenario = build_tree_scenario(
+            scale_factor=SETTINGS.scale,
+            attack_kind="cbr",
+            attack_rate_mbps=2.0,
+            seed=SETTINGS.seed,
+        )
+        cfg = FLocConfig(preferential_drop=pref)
+        results[label] = run_breakdown(scenario, "floc", SETTINGS, cfg)
     rows = []
     for label, result in results.items():
         b = result.breakdown
@@ -40,7 +36,7 @@ def test_ablation_preferential_drop(benchmark, settings):
                 mean(result.attack_rates),
             ]
         )
-    emit(
+    print(
         format_table(
             ["variant", "legit-in-attack share", "attack share",
              "legit/flow Mbps", "bot/flow Mbps"],

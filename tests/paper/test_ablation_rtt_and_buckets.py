@@ -9,8 +9,6 @@
   worst-case bucket covers full synchronisation.
 """
 
-from conftest import emit
-
 from repro.analysis.report import format_table
 from repro.core.config import FLocConfig
 from repro.experiments.common import run_breakdown
@@ -18,28 +16,26 @@ from repro.experiments.fig04 import aggregate_request_series, token_utilization
 from repro.tcp import model
 from repro.traffic.scenarios import build_tree_scenario
 
+from . import SETTINGS
 
-def test_ablation_rtt_correction(benchmark, settings):
-    def run():
-        out = {}
-        for corr in (0.5, 1.0, 2.0):
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="cbr",
-                attack_rate_mbps=2.0,
-                seed=settings.seed,
-            )
-            cfg = FLocConfig(rtt_correction=corr)
-            out[corr] = run_breakdown(scenario, "floc", settings, cfg)
-        return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_rtt_correction():
+    results = {}
+    for corr in (0.5, 1.0, 2.0):
+        scenario = build_tree_scenario(
+            scale_factor=SETTINGS.scale,
+            attack_kind="cbr",
+            attack_rate_mbps=2.0,
+            seed=SETTINGS.seed,
+        )
+        cfg = FLocConfig(rtt_correction=corr)
+        results[corr] = run_breakdown(scenario, "floc", SETTINGS, cfg)
     rows = []
     for corr, result in sorted(results.items()):
         b = result.breakdown
         overflow = result.extra["policy"].drop_stats["overflow"]
         rows.append([corr, b.legit_total, b.attack, b.utilization, overflow])
-    emit(
+    print(
         format_table(
             ["RTT multiplier", "legit total", "attack", "util",
              "overflow drops"],
@@ -53,30 +49,27 @@ def test_ablation_rtt_correction(benchmark, settings):
     assert results[0.5].breakdown.legit_total >= results[2.0].breakdown.legit_total - 0.05
 
 
-def test_ablation_bucket_sizing(benchmark):
-    def compute():
-        n, bw, rtt, steps = 30, 15.0, 12.0, 600
-        peak = model.peak_window(bw, rtt, n)
-        period = max(2, int(round(peak / 2.0 * rtt)))
-        partial = aggregate_request_series(n, peak, period, "partial", steps)
-        mean_req = n * model.mean_window(peak)
-        demand = sum(partial)
-        ratio = model.increased_bucket_size(bw, rtt, n) / model.bucket_size(
-            bw, rtt, n
-        )
+def test_ablation_bucket_sizing():
+    n, bw, rtt, steps = 30, 15.0, 12.0, 600
+    peak = model.peak_window(bw, rtt, n)
+    period = max(2, int(round(peak / 2.0 * rtt)))
+    partial = aggregate_request_series(n, peak, period, "partial", steps)
+    mean_req = n * model.mean_window(peak)
+    demand = sum(partial)
+    ratio = model.increased_bucket_size(bw, rtt, n) / model.bucket_size(
+        bw, rtt, n
+    )
 
-        def served_fraction(bucket):
-            # fraction of the flows' aggregate demand the bucket admits
-            return sum(min(x, bucket) for x in partial) / demand
+    def served_fraction(bucket):
+        # fraction of the flows' aggregate demand the bucket admits
+        return sum(min(x, bucket) for x in partial) / demand
 
-        return {
-            "N (base)": served_fraction(mean_req),
-            "N' (increased)": served_fraction(mean_req * ratio),
-            "4/3 N (sync worst case)": served_fraction(mean_req * 4.0 / 3.0),
-        }
-
-    served = benchmark.pedantic(compute, rounds=1, iterations=1)
-    emit(
+    served = {
+        "N (base)": served_fraction(mean_req),
+        "N' (increased)": served_fraction(mean_req * ratio),
+        "4/3 N (sync worst case)": served_fraction(mean_req * 4.0 / 3.0),
+    }
+    print(
         format_table(
             ["bucket", "demand served (partial sync)"],
             [[k, v] for k, v in served.items()],
@@ -90,23 +83,18 @@ def test_ablation_bucket_sizing(benchmark):
     assert served["4/3 N (sync worst case)"] >= served["N' (increased)"] - 1e-9
 
 
-def test_ablation_smax_sweep(benchmark, settings):
+def test_ablation_smax_sweep():
     """|S|max controls the guarantee/collateral trade-off (Sec. IV-C)."""
-
-    def run():
-        out = {}
-        for s_max in (None, 25, 15):
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="cbr",
-                attack_rate_mbps=2.0,
-                seed=settings.seed,
-            )
-            cfg = FLocConfig(s_max=s_max)
-            out[s_max] = run_breakdown(scenario, "floc", settings, cfg)
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {}
+    for s_max in (None, 25, 15):
+        scenario = build_tree_scenario(
+            scale_factor=SETTINGS.scale,
+            attack_kind="cbr",
+            attack_rate_mbps=2.0,
+            seed=SETTINGS.seed,
+        )
+        cfg = FLocConfig(s_max=s_max)
+        results[s_max] = run_breakdown(scenario, "floc", SETTINGS, cfg)
     rows = []
     for s_max, result in results.items():
         b = result.breakdown
@@ -114,7 +102,7 @@ def test_ablation_smax_sweep(benchmark, settings):
         rows.append(
             [str(s_max), groups, b.legit_in_legit, b.legit_in_attack, b.attack]
         )
-    emit(
+    print(
         format_table(
             ["|S|max", "identifiers", "legit-legit", "legit-attack", "attack"],
             rows,

@@ -5,36 +5,32 @@ release needs, covering the two related-work baselines the paper only
 discusses (CDF-PSP) alongside the evaluated ones.
 """
 
-from conftest import emit
-
 from repro.analysis.fairness import jain_index
 from repro.analysis.report import format_table
 from repro.experiments.common import run_breakdown
 from repro.traffic.scenarios import build_tree_scenario
 
+from . import SETTINGS
+
 SCHEMES = ("floc", "pushback", "redpd", "cdfpsp", "fairshare", "red",
            "droptail")
 
 
-def test_baselines_roundup(benchmark, settings):
-    def run():
-        out = {}
-        for scheme in SCHEMES:
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="cbr",
-                attack_rate_mbps=2.0,
-                seed=settings.seed,
-                start_spread_seconds=0.5,
-                # the flood starts after CDF-PSP's training window, so the
-                # history-based baseline is tested on its own terms —
-                # identical timing for every scheme
-                attack_start_seconds=3.5,
-            )
-            out[scheme] = run_breakdown(scenario, scheme, settings)
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_baselines_roundup():
+    results = {}
+    for scheme in SCHEMES:
+        scenario = build_tree_scenario(
+            scale_factor=SETTINGS.scale,
+            attack_kind="cbr",
+            attack_rate_mbps=2.0,
+            seed=SETTINGS.seed,
+            start_spread_seconds=0.5,
+            # the flood starts after CDF-PSP's training window, so the
+            # history-based baseline is tested on its own terms —
+            # identical timing for every scheme
+            attack_start_seconds=3.5,
+        )
+        results[scheme] = run_breakdown(scenario, scheme, SETTINGS)
     rows = []
     for scheme, result in results.items():
         b = result.breakdown
@@ -47,7 +43,7 @@ def test_baselines_roundup(benchmark, settings):
                 jain_index(result.legit_in_legit_rates),
             ]
         )
-    emit(
+    print(
         format_table(
             ["scheme", "legit-legit", "legit-attack", "attack",
              "legit Jain index"],

@@ -1,8 +1,8 @@
-"""The paper's shape claims, at a scale that runs in seconds.
+"""FIG-6: attack confinement for TCP / CBR / Shrew attacks.
 
-The pinned digests prove that a rewrite did not *change* the router;
-these prove that it still does what the paper says it does (ROADMAP
-3(d)).  First in: Fig. 6 under a CBR flood.
+The first test runs the figure at the Section VI setting.  The second
+checks its CBR case directly on the router, at a scale that runs in
+about a second, on two seeds.
 """
 
 import collections
@@ -10,10 +10,38 @@ import collections
 import pytest
 
 from repro import FLocConfig, FLocPolicy, build_tree_scenario
+from repro.experiments.common import mean
+from repro.experiments.fig06 import run_fig06
 from repro.net.policy import DropTailPolicy
+
+from . import SETTINGS
 
 WARMUP_TICKS = 800  # FLoc convicts the attack paths between 600 and 800
 WINDOW_TICKS = 2000
+
+
+@pytest.mark.parametrize("attack_kind", ["tcp", "cbr", "shrew"])
+def test_fig06_confinement(attack_kind):
+    result = run_fig06(attack_kind, SETTINGS)
+    legit = result.legit_path_means
+    attack = result.attack_path_means
+
+    fair = result.fair_path_mbps
+    # paper shape: every legitimate path keeps close to its fair share —
+    # the attack is confined to the paths that originate it
+    assert mean(legit) > 0.75 * fair
+    assert min(legit) > 0.45 * fair
+    # attack paths never take grossly more than their allocation
+    assert mean(attack) < 1.6 * fair
+
+    if attack_kind == "tcp":
+        # adaptive attackers are indistinguishable per flow; confinement
+        # keeps every path near fair regardless of population
+        assert max(attack) < 1.8 * fair
+    else:
+        # for CBR/Shrew the token bucket activates early on attack paths:
+        # legitimate paths do at least as well as under the TCP attack
+        assert mean(legit) > 0.8 * fair
 
 
 def target_shares(policy, seed):

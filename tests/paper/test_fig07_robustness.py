@@ -1,31 +1,18 @@
-"""FIG-7 bench: robustness CDFs across schemes and attack strengths."""
-
-from conftest import emit
+"""FIG-7: robustness CDFs across schemes and attack strengths."""
 
 from repro.analysis.cdf import percentile
-from repro.analysis.report import format_table
 from repro.experiments.common import mean
 from repro.experiments.fig07 import run_fig07
 
+from . import SETTINGS
 
-def test_fig07_robustness(benchmark, settings):
-    result = benchmark.pedantic(
-        lambda: run_fig07(
-            settings,
-            schemes=("floc", "pushback", "redpd"),
-            attack_rates_mbps=(0.5, 2.0, 4.0),
-        ),
-        rounds=1,
-        iterations=1,
+
+def test_fig07_robustness():
+    result = run_fig07(
+        SETTINGS,
+        schemes=("floc", "pushback", "redpd"),
+        attack_rates_mbps=(0.5, 2.0, 4.0),
     )
-    emit(
-        format_table(
-            ["scheme", "bot Mbps", "mean", "p10", "p50", "p90"],
-            result.summary_rows(),
-            title="FIG-7: legit-path per-flow bandwidth (Mbps)",
-        )
-    )
-    emit(f"ideal fair per-flow rate: {result.ideal_flow_mbps:.3f} Mbps")
 
     def series(scheme):
         return {

@@ -1,27 +1,14 @@
-"""FIG-8 bench: differential bandwidth guarantees vs attack rate."""
+"""FIG-8: differential bandwidth guarantees vs attack rate."""
 
-from conftest import emit
-
-from repro.analysis.report import format_table
 from repro.experiments.fig08 import run_fig08
+
+from . import SETTINGS
 
 RATES = (0.2, 0.8, 2.0, 4.0)
 
 
-def test_fig08_differential(benchmark, settings):
-    result = benchmark.pedantic(
-        lambda: run_fig08(settings, attack_rates_mbps=RATES, s_max=25),
-        rounds=1,
-        iterations=1,
-    )
-    emit(
-        format_table(
-            ["scheme", "bot Mbps", "legit-legit", "legit-attack", "attack",
-             "util"],
-            result.rows(),
-            title="FIG-8: bandwidth shares by category (|S|max = 25)",
-        )
-    )
+def test_fig08_differential():
+    result = run_fig08(SETTINGS, attack_rates_mbps=RATES, s_max=25)
 
     floc = {r: result.breakdowns[("floc", r)] for r in RATES}
     push = {r: result.breakdowns[("pushback", r)] for r in RATES}

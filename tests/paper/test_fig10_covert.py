@@ -1,27 +1,14 @@
-"""FIG-10 bench: covert attacks vs fanout for FLoc / Pushback / RED-PD."""
+"""FIG-10: covert attacks vs fanout for FLoc / Pushback / RED-PD."""
 
-from conftest import emit
-
-from repro.analysis.report import format_table
 from repro.experiments.fig10 import run_fig10
+
+from . import SETTINGS
 
 FANOUTS = (1, 4, 10)
 
 
-def test_fig10_covert(benchmark, settings):
-    result = benchmark.pedantic(
-        lambda: run_fig10(settings, fanouts=FANOUTS, n_max=2),
-        rounds=1,
-        iterations=1,
-    )
-    emit(
-        format_table(
-            ["scheme", "fanout", "legit total", "attack", "util"],
-            result.rows(),
-            title=f"FIG-10: covert attack (n_max = {result.n_max}, "
-            f"{result.per_flow_rate_mbps} Mbps per flow)",
-        )
-    )
+def test_fig10_covert():
+    result = run_fig10(SETTINGS, fanouts=FANOUTS, n_max=2)
 
     floc = {f: result.breakdowns[("floc", f)] for f in FANOUTS}
     redpd = {f: result.breakdowns[("redpd", f)] for f in FANOUTS}

@@ -1,7 +1,7 @@
 """Experiment runners produce well-formed, shape-correct results.
 
 These run at very small scale — the full-figure reproductions with the
-paper's shape assertions are in ``benchmarks/``.
+paper's shape assertions are in ``tests/paper/``.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.experiments.fig02 import run_fig02
 from repro.experiments.fig03 import run_fig03
 from repro.experiments.fig04 import run_fig04
 from repro.experiments.fig11 import run_fig11, topology_stats
-from repro.experiments.fig13 import InternetRunSettings, run_fig13
 from repro.inet.scenarios import build_internet_scenario
 from repro.traffic.scenarios import build_tree_scenario
 
@@ -91,17 +90,3 @@ class TestInternetRunners:
         s = topology_stats(scenario)
         assert s.placement == "localized"
         assert 0.0 <= s.legit_in_attack_as_fraction <= 1.0
-
-    def test_fig13_small_run(self):
-        settings = InternetRunSettings(
-            n_as=150, n_legit_sources=300, n_legit_ases=30, n_bots=2_000,
-            target_capacity=150.0, ticks=80, warmup=40,
-            strategies=(("ND", "nd", None), ("NA", "floc", None)),
-        )
-        result = run_fig13(
-            placement="localized", variants=("f-root",), settings=settings
-        )
-        assert set(result.results) == {("f-root", "ND"), ("f-root", "NA")}
-        nd = result.results[("f-root", "ND")]
-        na = result.results[("f-root", "NA")]
-        assert na.legit_total > nd.legit_total
