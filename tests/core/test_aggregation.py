@@ -11,6 +11,7 @@ from repro.core.aggregation import (
     build_plan,
     legitimate_aggregation_cost,
 )
+from repro.core.pathid import PathTree
 from repro.errors import ConfigError
 
 from . import aggregation_oracle
@@ -162,6 +163,70 @@ def test_legitimate_aggregation_matches_oracle(case):
         pids, conf, counts, cap, cost_tolerance=tolerance
     )
     assert got == want
+
+
+@st.composite
+def plan_cases(draw):
+    """A ``legit_cases`` draw plus an attack set over the same route tree
+    (overlapping the legitimate paths or not), an ``s_max`` and whether
+    legitimate aggregation runs."""
+    pids, conf, counts, cap, tolerance = draw(legit_cases())
+    extra = draw(
+        st.lists(st.sampled_from(pids), max_size=len(pids) // 2)
+        if pids else st.just([])
+    )
+    attack = [p for p in pids if not draw(st.integers(0, 3))] + extra
+    s_max = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    legitimate_aggregation = draw(st.sampled_from([True, True, False]))
+    return (
+        pids, attack, conf, counts, cap, tolerance, s_max,
+        legitimate_aggregation,
+    )
+
+
+def tree_shape(tree):
+    """Node suffixes in ``nodes()`` order, each node's children in their
+    insertion order, and its leaves."""
+    return [
+        (node.suffix, list(node.children), list(node.leaf_pids))
+        for node in tree.nodes()
+    ]
+
+
+@given(plan_cases())
+@settings(max_examples=300, deadline=None)
+def test_plan_and_tree_match_oracle(case):
+    """The traffic tree and the whole plan (Algorithm 1, Eq. IV.8 and
+    the singletons) are the oracle's: same groups with members in the
+    same order, same shares, same node order."""
+    (
+        pids, attack, conf, counts, cap, tolerance, s_max,
+        legitimate_aggregation,
+    ) = case
+    for paths in (pids, attack, pids + attack):
+        assert tree_shape(PathTree(paths)) == tree_shape(
+            aggregation_oracle.PathTree(paths)
+        )
+    kwargs = dict(
+        bandwidth_increase_cap=cap,
+        legitimate_aggregation=legitimate_aggregation,
+        cost_tolerance=tolerance,
+    )
+    want = aggregation_oracle.build_plan(
+        pids, attack, conf, counts, s_max, **kwargs
+    )
+    got = build_plan(pids, attack, conf, counts, s_max, **kwargs)
+    assert list(got.group_of.items()) == list(want.group_of.items())
+    assert list(got.members.items()) == list(want.members.items())
+    assert list(got.shares.items()) == list(want.shares.items())
+    assert got.n_groups == want.n_groups
+    assert (got.s_max, got.n_legit_inputs) == (want.s_max, want.n_legit_inputs)
+    if s_max is not None and attack:
+        assert aggregate_attack_paths(
+            attack, conf, len(pids), s_max
+        ) == aggregation_oracle.aggregate_attack_paths(
+            attack, conf, len(pids), s_max
+        )
 
 
 class TestBuildPlan:
