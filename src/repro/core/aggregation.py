@@ -26,7 +26,7 @@ Two complementary aggregations run at a congested router:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigError
 from .pathid import PathId, PathTree, PathTreeNode
@@ -203,22 +203,9 @@ def legitimate_aggregation_cost(
     return mean_e - weighted
 
 
-class _LegitUnit:
-    """A current aggregation unit: one path or an already-merged group."""
-
-    __slots__ = ("paths", "flows", "conformance", "suffix")
-
-    def __init__(
-        self,
-        paths: List[PathId],
-        flows: float,
-        conformance: float,
-        suffix: PathId = (),
-    ) -> None:
-        self.paths = paths
-        self.flows = flows
-        self.conformance = conformance
-        self.suffix = suffix
+#: A current unit of ``aggregate_legitimate_paths``, one path or an
+#: already-merged group: ``(paths, flows, conformance, suffix)``.
+_LegitUnit = Tuple[List[PathId], float, float, PathId]
 
 
 def aggregate_legitimate_paths(
@@ -245,6 +232,14 @@ def aggregate_legitimate_paths(
       keeps covert paths with huge flow counts from soaking bandwidth
       (Section IV-C.2).
 
+    Every float reduction here is the builtin ``sum`` over the units in
+    the order they are listed.  A test holds this function to a verbatim
+    reference implementation bit for bit, and CI runs it on Python 3.10
+    and 3.12, whose ``sum`` rounds differently (3.12 adds floats with
+    compensation).  Only the same call over the same sequence matches
+    the reference on both; an ``np.bincount`` pass or a reordered sum
+    would not.
+
     Returns ``[(suffix, member paths), ...]`` for groups of >= 2 paths.
     """
     legit_pids = list(dict.fromkeys(legit_pids))
@@ -258,44 +253,42 @@ def aggregate_legitimate_paths(
     ) -> Optional[List[_LegitUnit]]:
         """Merge as many of ``units`` as allowed; None if no merge."""
         candidates = units
+        total_flows = 0.0
         # exclude the units whose per-flow allocation would grow past the
         # cap (``|paths_u| / n_u`` shares per flow before the merge,
         # ``|paths_G| / n_G`` after); removing one changes the post-merge
         # allocation, so repeat to a fixed point
         while len(candidates) >= 2:
-            total_flows = sum(u.flows for u in candidates)
+            total_flows = sum([u[1] for u in candidates])
             if total_flows <= 0:
-                break
-            after = sum(len(u.paths) for u in candidates) / total_flows
+                return None
+            after = sum([len(u[0]) for u in candidates]) / total_flows
             kept = [
                 u
                 for u in candidates
-                if u.flows <= 0
-                or not after / (len(u.paths) / u.flows) > factor_cap
+                if u[1] <= 0 or not after / (len(u[0]) / u[1]) > factor_cap
             ]
             if len(kept) == len(candidates):
                 break
             candidates = kept
         if len(candidates) < 2:
             return None
-        total_flows = sum(u.flows for u in candidates)
-        if total_flows <= 0:
-            return None
-        # Eq. (IV.8) over the units
-        mean_e = sum(u.conformance for u in candidates) / len(candidates)
-        weighted_e = (
-            sum(u.conformance * u.flows for u in candidates) / total_flows
-        )
+        # Eq. (IV.8) over the units (the loop's last pass summed
+        # ``total_flows`` over exactly these)
+        mean_e = sum([u[2] for u in candidates]) / len(candidates)
+        weighted_e = sum([u[2] * u[1] for u in candidates]) / total_flows
         if not mean_e - weighted_e <= cost_tolerance:
             return None
-        merged = _LegitUnit(
-            [pid for u in candidates for pid in u.paths],
+        merged: _LegitUnit = (
+            [pid for u in candidates for pid in u[0]],
             total_flows,
             weighted_e,
-            suffix=suffix,
+            suffix,
         )
-        kept_units = set(candidates)
-        return [merged] + [u for u in units if u not in kept_units]
+        if candidates is units:
+            return [merged]
+        kept_ids = {id(u) for u in candidates}
+        return [merged] + [u for u in units if id(u) not in kept_ids]
 
     def merge_at(node: PathTreeNode) -> Tuple[List[_LegitUnit], bool]:
         """The units left at ``node`` after merging in its subtree, and
@@ -317,11 +310,11 @@ def aggregate_legitimate_paths(
                 units.extend(merge_at(child)[0])
             for pid in node.leaf_pids:
                 units.append(
-                    _LegitUnit(
+                    (
                         [pid],
                         max(0.0, flow_counts.get(pid, 0.0)),
                         conformance.get(pid, 1.0),
-                        suffix=pid,
+                        pid,
                     )
                 )
         if len(units) < 2:
@@ -331,9 +324,9 @@ def aggregate_legitimate_paths(
 
     final_units, _ = merge_at(tree.root)
     return [
-        (unit.suffix, unit.paths)
-        for unit in final_units
-        if len(unit.paths) >= 2
+        (suffix, paths)
+        for paths, _, _, suffix in final_units
+        if len(paths) >= 2
     ]
 
 
@@ -403,14 +396,19 @@ def build_plan(
     plan.n_legit_inputs = len(remaining_legit)
 
     if s_max is not None and remaining_attack:
+        merged_attack: Set[PathId] = set()
         for suffix, members in aggregate_attack_paths(
             remaining_attack, conformance, len(remaining_legit), s_max
         ):
             plan.add_group(("AGG-A",) + tuple(suffix), members, 1.0)
-            member_set = set(map(tuple, members))
-            remaining_attack = [p for p in remaining_attack if tuple(p) not in member_set]
+            merged_attack.update(map(tuple, members))
+        if merged_attack:
+            remaining_attack = [
+                p for p in remaining_attack if tuple(p) not in merged_attack
+            ]
 
     if legitimate_aggregation and len(remaining_legit) >= 2:
+        merged_legit: Set[PathId] = set()
         for suffix, members in aggregate_legitimate_paths(
             remaining_legit,
             conformance,
@@ -419,8 +417,11 @@ def build_plan(
             cost_tolerance=cost_tolerance,
         ):
             plan.add_group(("AGG-L",) + tuple(suffix), members, float(len(members)))
-            member_set = set(map(tuple, members))
-            remaining_legit = [p for p in remaining_legit if tuple(p) not in member_set]
+            merged_legit.update(map(tuple, members))
+        if merged_legit:
+            remaining_legit = [
+                p for p in remaining_legit if tuple(p) not in merged_legit
+            ]
 
     for pid in remaining_legit + remaining_attack:
         plan.add_group(pid, [pid], 1.0)

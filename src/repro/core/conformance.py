@@ -12,7 +12,7 @@ for attack-path aggregation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ConfigError
 from .pathid import PathId
@@ -32,15 +32,29 @@ class ConformanceTracker:
 
     def update(self, pid: PathId, n_flows: int, n_attack: int) -> float:
         """Fold one measurement interval into the path's conformance."""
-        if n_flows < 0 or n_attack < 0 or n_attack > max(n_flows, 0):
-            raise ConfigError(
-                f"invalid flow counts n={n_flows}, attack={n_attack}"
-            )
-        instant = 1.0 if n_flows == 0 else 1.0 - n_attack / n_flows
-        previous = self._values.get(pid, self.initial)
-        value = self.beta * instant + (1.0 - self.beta) * previous
-        self._values[pid] = value
-        return value
+        self.update_many(((pid, n_flows, n_attack),))
+        return self._values[pid]
+
+    def update_many(
+        self, measurements: Iterable[Tuple[PathId, int, int]]
+    ) -> None:
+        """Fold one measurement interval into many paths' conformance:
+        :meth:`update` for each ``(pid, n_flows, n_attack)``, in order,
+        in one call."""
+        beta = self.beta
+        keep = 1.0 - beta
+        initial = self.initial
+        values = self._values
+        previous = values.get
+        for pid, n_flows, n_attack in measurements:
+            # past the first test ``n_flows`` is not negative, so the
+            # attack count is bounded by ``max(n_flows, 0) == n_flows``
+            if n_flows < 0 or n_attack < 0 or n_attack > n_flows:
+                raise ConfigError(
+                    f"invalid flow counts n={n_flows}, attack={n_attack}"
+                )
+            instant = 1.0 if n_flows == 0 else 1.0 - n_attack / n_flows
+            values[pid] = beta * instant + keep * previous(pid, initial)
 
     def value(self, pid: PathId) -> float:
         """Current conformance of ``pid`` (paths start fully conformant)."""
@@ -55,11 +69,13 @@ class ConformanceTracker:
 
     def partition(
         self, pids: Iterable[PathId], threshold: float
-    ) -> Tuple[list, list]:
+    ) -> Tuple[List[PathId], List[PathId]]:
         """Split paths into (legitimate, attack) by the threshold ``E_th``."""
-        legit, attack = [], []
+        legit: List[PathId] = []
+        attack: List[PathId] = []
+        values, initial = self._values, self.initial
         for pid in pids:
-            if self.value(pid) < threshold:
+            if values.get(pid, initial) < threshold:
                 attack.append(pid)
             else:
                 legit.append(pid)

@@ -89,20 +89,29 @@ class PathTree:
             self.insert(pid)
 
     def insert(self, pid: PathId) -> None:
-        """Add one full path identifier to the tree."""
+        """Add one full path identifier to the tree.
+
+        The tree holds every suffix of every path it holds, so the
+        suffixes of ``pid`` that are missing are its longest ones: find
+        the longest that is present, then create the missing ones router
+        side first.  ``nodes()`` lists nodes in creation order, and
+        ``aggregate_attack_paths`` breaks cost ties by that order.
+        """
         if not pid:
             raise ConfigError("empty path identifier")
-        node = self.root
-        # walk from the router side towards the origin
-        for i in range(len(pid) - 1, -1, -1):
-            suffix = pid[i:]
-            asn = pid[i]
-            child = node.children.get(asn)
-            if child is None:
+        nodes = self._nodes
+        node = nodes.get(pid)
+        if node is None:
+            start = 1
+            while pid[start:] not in nodes:  # the root's () always is
+                start += 1
+            node = nodes[pid[start:]]
+            for i in range(start - 1, -1, -1):
+                suffix = pid[i:]
                 child = PathTreeNode(suffix)
-                node.children[asn] = child
-                self._nodes[suffix] = child
-            node = child
+                node.children[pid[i]] = child
+                nodes[suffix] = child
+                node = child
         node.leaf_pids.append(pid)
 
     def node(self, suffix: PathId) -> Optional[PathTreeNode]:

@@ -21,6 +21,14 @@ corrupted counter) first calls :meth:`FluidSimulator.split`, which turns
 the flows it names into singleton classes.  Split into singletons
 throughout, the simulator is the per-flow model exactly.
 
+A tick's per-AS quantities live on the *slot* axis: the ASes that
+originate flows, in ascending order (a few hundred of the scenario's
+thousands), with ``_class_slot`` mapping each class to its origin's
+slot.  A bincount that leaves out the ASes without flows leaves out
+only zero terms, so every slot entry is bit-equal to its per-AS one.
+Totals over ASes are still summed in the per-AS layout: ``np.sum`` is
+pairwise, and its rounding depends on where the zeros sit.
+
 The tree structure makes upstream propagation exact and cheap: a link's
 offered load is its own AS's source rate plus its children's admitted
 output, computed root-ward in one pass per tick.
@@ -45,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.aggregation import build_plan
+from ..core.aggregation import GroupKey, build_plan
 from ..core.conformance import ConformanceTracker
 from ..errors import CheckpointError, ConfigError, SimulationError
 from ..telemetry import NullTelemetry, current
@@ -58,12 +66,15 @@ STRATEGIES = ("nd", "ff", "floc")
 #: being checkpointed
 _DERIVED = (
     "_levels",
-    "_pair_link",
-    "_pair_origin",
+    "_slot_as",
+    "_pair_uplink",
+    "_pair_slot",
+    "_uplinks",
     "_rtt_as",
-    "_tcp_floor_as",
-    "_counts_as_f64",
+    "_tcp_floor_slot",
+    "_counts_slot",
     "class_origin",
+    "_class_slot",
     "_class_attack",
     "_class_cat",
     "_legit_idx",
@@ -71,8 +82,9 @@ _DERIVED = (
     "_inv_rtt_legit",
     "_w_max_legit",
     "_alloc",
-    "_fair_as",
-    "_flag_bar_as",
+    "_group_of_slot",
+    "_fair_slot",
+    "_flag_bar_slot",
 )
 
 #: per-class run state that ``split`` carries over to the new classes
@@ -225,13 +237,16 @@ class FluidSimulator:
         depth = np.asarray(scn.topology.depth, dtype=np.int64)
         # RTT: two ticks per AS hop plus destination handling
         self._rtt_as = 2.0 * (depth + 2.0)
+        # the slot axis: the ASes with flows, ascending
+        slot_as = self._slot_as = np.flatnonzero(self._counts_by_as)
         # the rate below which a starved-but-conformant TCP flow cannot
         # send (see the flag bar in ``_plan_tables``)
-        self._tcp_floor_as = 2.5 / self._rtt_as
-        self._counts_as_f64 = self._counts_by_as.astype(np.float64)
-        # a class's origin, kind and category are its first member's
+        self._tcp_floor_slot = 2.5 / self._rtt_as[slot_as]
+        self._counts_slot = self._counts_by_as[slot_as].astype(np.float64)
+        # a class's origin, slot, kind and category are its first member's
         first = self._class_first
         self.class_origin = self.origin[first]
+        self._class_slot = np.searchsorted(slot_as, self.class_origin)
         self._class_attack = self.is_attack[first]
         self._class_cat = scn.categories()[first]
         # the AIMD model runs on the legitimate classes only
@@ -247,44 +262,51 @@ class FluidSimulator:
         self._levels = [
             (nodes, self.parent[nodes]) for nodes in np.split(order, cuts)
         ]
-        # (uplink, origin AS) for every AS with flows and every uplink on
-        # its way to the target: one bincount over these pairs is every
-        # uplink's offered load when none clogs (see
-        # ``_survival_from_loads``; int32 keeps the table small)
-        link = origin = np.flatnonzero(self._counts_by_as)
-        pair_link, pair_origin = [link[:0]], [link[:0]]
+        # (uplink, slot) for every AS with flows and every uplink on its
+        # way to the target, the uplink numbered by its place in
+        # ``_uplinks`` (the uplinks that carry flows, ascending): one
+        # bincount over these pairs is every such uplink's offered load
+        # when none clogs (see ``_clogs``; int32 keeps the table small)
+        link, slot = slot_as, np.arange(slot_as.shape[0])
+        pair_link, pair_slot = [link[:0]], [slot[:0]]
         while True:
             keep = link != 0
-            link, origin = link[keep], origin[keep]
+            link, slot = link[keep], slot[keep]
             if not link.size:
                 break
             pair_link.append(link)
-            pair_origin.append(origin)
+            pair_slot.append(slot)
             link = self.parent[link]
-        self._pair_link = np.concatenate(pair_link).astype(np.int32)
-        self._pair_origin = np.concatenate(pair_origin).astype(np.int32)
+        uplinks, pair_uplink = np.unique(
+            np.concatenate(pair_link), return_inverse=True
+        )
+        self._uplinks = uplinks.astype(np.int32)
+        self._pair_uplink = pair_uplink.astype(np.int32)
+        self._pair_slot = np.concatenate(pair_slot).astype(np.int32)
         self._plan_tables()
 
     def _plan_tables(self) -> None:
         """Per-plan quantities of ``_admit_floc``: each group's capacity
-        allocation, each AS's fair share per flow and its flag bar.  They
-        depend on the plan and on ``target_capacity``, ``_counts_by_as``
-        and ``attack_flag_factor``, which are fixed for a simulator's
-        life, so they change only when the plan does.
+        allocation, and each slot's group, fair share per flow and flag
+        bar.  They depend on the plan and on ``target_capacity``,
+        ``_counts_by_as`` and ``attack_flag_factor``, which are fixed for
+        a simulator's life, so they change only when the plan does.
         """
         gidx_as = self._group_of_as
         if gidx_as is None:
-            self._alloc = self._fair_as = self._flag_bar_as = None
+            self._alloc = self._group_of_slot = None
+            self._fair_slot = self._flag_bar_slot = None
             return
         shares = self._group_shares
         self._alloc = self.scn.target_capacity * shares / shares.sum()
+        gidx_s = self._group_of_slot = gidx_as[self._slot_as]
         # group size from the per-AS counts (group membership is per
         # origin AS, so AS-level bincounts are exact)
         group_flows = np.bincount(
-            gidx_as, weights=self._counts_as_f64, minlength=shares.shape[0]
+            gidx_s, weights=self._counts_slot, minlength=shares.shape[0]
         )
         fair = self._alloc / np.maximum(group_flows, 1.0)
-        self._fair_as = fair[gidx_as]
+        self._fair_slot = fair[gidx_s]
         # MTD-equivalent flagging: a flow whose *smoothed* send rate stays
         # above the flag factor times its fair share, inside an
         # over-subscribed group, is an attack flow (its drop rate — and so
@@ -294,8 +316,8 @@ class FluidSimulator:
         # modelled), so a conformant-but-starved TCP flow cannot send
         # slower than ~sqrt(2)/RTT; rates at or below that floor are what
         # the MTD reference classifies as responsive, so they never flag.
-        self._flag_bar_as = np.maximum(
-            self.attack_flag_factor * self._fair_as, self._tcp_floor_as
+        self._flag_bar_slot = np.maximum(
+            self.attack_flag_factor * self._fair_slot, self._tcp_floor_slot
         )
 
     def split(self, flows) -> None:
@@ -414,6 +436,45 @@ class FluidSimulator:
             minlength=self.scn.topology.n_as,
         )
 
+    def _loads_by_slot(self, rates: np.ndarray) -> np.ndarray:
+        """``_loads_by_as`` on the slot axis."""
+        return np.bincount(
+            self._class_slot,
+            weights=self.count * rates,
+            minlength=self._slot_as.shape[0],
+        )
+
+    def _as_totals(self, *slot_vectors: np.ndarray) -> List[float]:
+        """The sum over ASes of each slot vector, summed in the per-AS
+        layout (zeros at the ASes without flows), so that it is bit-equal
+        to ``np.sum`` over the per-AS vector."""
+        layout = np.zeros((len(slot_vectors), self.scn.topology.n_as))
+        for row, vector in zip(layout, slot_vectors):
+            row[self._slot_as] = vector
+        return layout.sum(axis=1).tolist()
+
+    def _clogs(self, own_s: np.ndarray) -> bool:
+        """Whether an uplink may clog under the per-slot source loads
+        ``own_s``: some uplink's subtree load comes within a ``1e-9``
+        relative margin of its capacity (see ``_survival_from_loads``).
+        ``scn.link_capacity`` is read on every call."""
+        subtree = np.bincount(
+            self._pair_uplink,
+            weights=np.take(own_s, self._pair_slot),
+            minlength=self._uplinks.shape[0],
+        )
+        caps = np.take(self.scn.link_capacity, self._uplinks)
+        return bool(np.count_nonzero(subtree > caps * (1.0 - 1e-9)))
+
+    def _slot_survival(self, own_s: np.ndarray) -> np.ndarray:
+        """``_survival_from_loads`` on the slot axis: all ones unless an
+        uplink may clog, and then the walk over the per-AS layout."""
+        if not self._clogs(own_s):
+            return np.ones_like(own_s)
+        own = np.zeros(self.scn.topology.n_as)
+        own[self._slot_as] = own_s
+        return self._survival_from_loads(own)[self._slot_as]
+
     def _survival_from_loads(self, own: np.ndarray) -> np.ndarray:
         """Per-AS survival fraction from origin to (not including) the
         target link, given the per-AS source-load vector.
@@ -428,25 +489,21 @@ class FluidSimulator:
 
         Most steps clog no uplink, and then every survival is 1.0.  An
         unclogged uplink's offered load is the sum of ``own`` over its
-        subtree, which one bincount over the (uplink, origin AS) pairs
-        gives for every uplink at once; only an AS with flows appears in
-        a pair, so ``own`` must be zero elsewhere (as a load vector of
-        this simulator's flows is).  Both sums add the same non-negative
-        terms in different orders, so they differ by far less than the
-        ``1e-9`` relative margin: if no subtree sum comes within it of
-        its uplink's capacity, the walk below would clog nothing, and
-        its all-ones answer is returned without walking.  A zero
-        capacity under load fails the test too and takes the walk,
+        subtree, which one bincount over the (uplink, slot) pairs gives
+        for every uplink that carries flows at once (``_clogs``); only an
+        AS with flows appears in a pair, so ``own`` must be zero elsewhere
+        (as a load vector of this simulator's flows is).  Both sums add
+        the same non-negative terms in different orders, so they differ
+        by far less than the ``1e-9`` relative margin: if no subtree sum
+        comes within it of its uplink's capacity, the walk below would
+        clog nothing, and its all-ones answer is returned without
+        walking.  An uplink that carries no flows clogs nothing either.
+        A zero capacity under load fails the test and takes the walk,
         which reads it as "no limit".
         """
         caps = self.scn.link_capacity
         own = np.asarray(own, dtype=np.float64)
-        subtree = np.bincount(
-            self._pair_link,
-            weights=np.take(own, self._pair_origin),
-            minlength=own.shape[0],
-        )
-        if not np.count_nonzero(subtree > caps * (1.0 - 1e-9)):
+        if not self._clogs(own[self._slot_as]):
             return np.ones_like(own)
         inflow = own.copy()
         passfrac: Optional[np.ndarray] = None
@@ -476,16 +533,16 @@ class FluidSimulator:
 
     # -- target-link strategies ------------------------------------------
     def _admit_nd(
-        self, arrivals: np.ndarray, arr_by_as: Optional[np.ndarray] = None
+        self, arrivals: np.ndarray, arr_s: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Uniform random-drop admission.
 
-        The arrival total is reduced from the per-AS vector, which
+        The arrival total is reduced from the per-slot vector, which
         ``step_run`` already holds; direct callers may omit it.
         """
-        if arr_by_as is None:
-            arr_by_as = self._loads_by_as(arrivals)
-        total = float(np.sum(arr_by_as))
+        if arr_s is None:
+            arr_s = self._loads_by_slot(arrivals)
+        (total,) = self._as_totals(arr_s)
         cap = self.scn.target_capacity
         if total <= cap:
             self._admitted_total = total
@@ -522,83 +579,90 @@ class FluidSimulator:
         return admitted
 
     def _rebuild_groups(self) -> None:
-        """Run conformance partition + aggregation, rebuild group arrays."""
-        ases = sorted(self.pid_of_as)
-        pids = [self.pid_of_as[a] for a in ases]
-        counts_by_as = self._counts_by_as.tolist()
+        """Run conformance partition + aggregation, rebuild group arrays.
+
+        Groups are numbered in order of their first AS, ascending; the
+        ASes with flows are the slots, which are ascending too.
+        """
+        pid_of_as = self.pid_of_as
+        pids = [pid_of_as[asn] for asn in self._slot_as.tolist()]
         legit, attack = self.conformance.partition(pids, threshold=0.5)
-        self._plan = build_plan(
+        plan = self._plan = build_plan(
             legit,
             attack,
             self.conformance.values(),
-            {pid: float(counts_by_as[asn]) for asn, pid in zip(ases, pids)},
+            dict(zip(pids, self._counts_slot.tolist())),
             self.s_max,
         )
-        group_keys = {}
-        group_of_as = [0] * self.scn.topology.n_as
+        group_of, plan_shares = plan.group_of, plan.shares
+        group_keys: Dict[GroupKey, int] = {}
+        group_of_slot: List[int] = []
         shares: List[float] = []
-        for asn, pid in zip(ases, pids):
-            key = self._plan.group(pid)
-            if key not in group_keys:
-                group_keys[key] = len(shares)
-                shares.append(self._plan.shares.get(key, 1.0))
-            group_of_as[asn] = group_keys[key]
-        self._group_of_as = np.asarray(group_of_as, dtype=np.int64)
+        for pid in pids:
+            key = group_of.get(pid, pid)
+            gidx = group_keys.get(key)
+            if gidx is None:
+                gidx = group_keys[key] = len(shares)
+                shares.append(plan_shares.get(key, 1.0))
+            group_of_slot.append(gidx)
+        group_of_as = np.zeros(self.scn.topology.n_as, dtype=np.int64)
+        group_of_as[self._slot_as] = group_of_slot
+        self._group_of_as = group_of_as
         self._group_shares = np.asarray(shares, dtype=np.float64)
         self.n_groups = len(shares)
         self._plan_tables()
 
     def _class_sums(
         self,
-        origin_u: np.ndarray,
+        slot_u: np.ndarray,
         count_u: np.ndarray,
         arrivals_u: np.ndarray,
-        origin_f: np.ndarray,
+        slot_f: np.ndarray,
         count_f: np.ndarray,
         arrivals_f: np.ndarray,
         capped_f: np.ndarray,
     ) -> Tuple[np.ndarray, ...]:
-        """Per-origin-AS sums of the two flag sets' arrivals and of the
+        """Per-slot sums of the two flag sets' arrivals and of the
         flagged set's capped arrivals, each class weighted by its count.
 
         ``np.bincount`` over an empty set returns *int64* zeros, so the
-        dtype is pinned: every sum is float64 of shape ``(n_as,)`` for
+        dtype is pinned: every sum is float64 of shape ``(n_slots,)`` for
         every input (a no-op for a non-empty set).
         """
-        n_as = self.scn.topology.n_as
+        n_slots = self._slot_as.shape[0]
         sets = (
-            (origin_u, count_u * arrivals_u),
-            (origin_f, count_f * arrivals_f),
-            (origin_f, count_f * capped_f),
+            (slot_u, count_u * arrivals_u),
+            (slot_f, count_f * arrivals_f),
+            (slot_f, count_f * capped_f),
         )
         return tuple(
-            np.bincount(origin, weights=weights, minlength=n_as).astype(
+            np.bincount(slot, weights=weights, minlength=n_slots).astype(
                 np.float64, copy=False
             )
-            for origin, weights in sets
+            for slot, weights in sets
         )
 
     def _admit_floc(
         self,
         arrivals: np.ndarray,
         tick: int,
-        arr_by_as: Optional[np.ndarray] = None,
+        arr_s: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         arrivals = np.asarray(arrivals, dtype=np.float64)
-        if arr_by_as is None:
-            arr_by_as = self._loads_by_as(arrivals)
+        if arr_s is None:
+            arr_s = self._loads_by_slot(arrivals)
         if self._warmup_until is not None:
             if tick >= self._warmup_until:
                 self._warmup_until = None
             else:
                 # post-restart warm-up: no per-path state to allocate by,
                 # so degrade to neutral admission while rates re-smooth
-                admitted = self._admit_nd(arrivals, arr_by_as)
+                admitted = self._admit_nd(arrivals, arr_s)
                 tel = self.telemetry
                 if tel.enabled:
+                    (total,) = self._as_totals(arr_s)
                     tel.record_fluid_drop_volumes(
-                        tick,
-                        neutral=float(np.sum(arr_by_as)) - self._admitted_total,
+                        tick, neutral=total - self._admitted_total
                     )
                 return admitted
         cap = self.scn.target_capacity
@@ -616,17 +680,15 @@ class FluidSimulator:
                         n_groups=self.n_groups,
                         previous_count=previous_groups,
                     )
-        gidx_as = self._group_of_as
+        gidx_s = self._group_of_slot
         n_groups = self.n_groups
         alloc = self._alloc
-        fair_as = self._fair_as
-        # group demand from the per-AS vector (group membership is per
+        fair_s = self._fair_slot
+        # group demand from the per-slot vector (group membership is per
         # origin AS, so an AS-level bincount is exact)
-        group_arrival = np.bincount(
-            gidx_as, weights=arr_by_as, minlength=n_groups
-        )
+        group_arrival = np.bincount(gidx_s, weights=arr_s, minlength=n_groups)
         # Everything below that depends on a class only through its origin
-        # AS is computed on the n_as vector and gathered once per class.
+        # AS is computed on the slot vector and gathered once per class.
         # The plan's flag bar (see ``_plan_tables``) holds where the group
         # is over-subscribed; elsewhere no rate exceeds an infinite bar,
         # which folds that condition into the one per-class compare.
@@ -636,34 +698,34 @@ class FluidSimulator:
         # arrives at the allocation itself; without the margin, rounding
         # alone (a class's count times its rate against its members'
         # running sum) would decide whether its flows flag.
-        bar_as = np.where(
-            (group_arrival > alloc * (1.0 + 1e-9))[gidx_as],
-            self._flag_bar_as, np.inf,
+        bar_s = np.where(
+            (group_arrival > alloc * (1.0 + 1e-9))[gidx_s],
+            self._flag_bar_slot, np.inf,
         )
-        origin = self.class_origin
+        slot = self._class_slot
         count = self.count
         previously_flagged = self._flagged
-        flagged = self._rate_ewma > bar_as[origin]
+        flagged = self._rate_ewma > bar_s[slot]
         self._flagged = flagged
         unflagged = ~flagged
 
         # From here on the two flag sets are worked on as compressed
-        # arrays and written into the per-class result once.  Each per-AS
+        # arrays and written into the per-class result once.  Each per-slot
         # bincount runs over its own set only: the classes it leaves out
         # would add 0.0, which changes no partial sum, so every entry is
         # bit-equal to the full-length masked reduction.
-        origin_u = origin[unflagged]
+        slot_u = slot[unflagged]
         count_u = count[unflagged]
         arrivals_u = arrivals[unflagged]
-        origin_f = origin[flagged]
+        slot_f = slot[flagged]
         count_f = count[flagged]
         arrivals_f = arrivals[flagged]
         # Eq.-(IV.5) preferential cap: flagged flows get at most fair share
-        admitted_f = fair_as[origin_f]
+        admitted_f = fair_s[slot_f]
         np.minimum(arrivals_f, admitted_f, out=admitted_f)
 
         arr_unflagged, arr_flagged, capped_flagged = self._class_sums(
-            origin_u, count_u, arrivals_u, origin_f, count_f, arrivals_f,
+            slot_u, count_u, arrivals_u, slot_f, count_f, arrivals_f,
             admitted_f,
         )
         if tel.enabled:
@@ -684,26 +746,26 @@ class FluidSimulator:
                         flagged_total=n_flagged,
                     )
 
-        capped_by_as = arr_unflagged + capped_flagged
-        group_demand = np.bincount(
-            gidx_as, weights=capped_by_as, minlength=n_groups
-        )
+        capped_s = arr_unflagged + capped_flagged
+        group_demand = np.bincount(gidx_s, weights=capped_s, minlength=n_groups)
         scale = np.minimum(1.0, alloc / np.maximum(group_demand, 1e-12))
-        scale_as = scale[gidx_as]
+        scale_s = scale[gidx_s]
         # admitted = capped * scale
-        admitted_u = scale_as[origin_u]
+        admitted_u = scale_s[slot_u]
         admitted_u *= arrivals_u
-        admitted_f *= scale_as[origin_f]
-        admitted_total = float(np.sum(capped_by_as * scale_as))
+        admitted_f *= scale_s[slot_f]
 
         # work conservation (congested-mode random drop admits without
         # tokens): leftover capacity goes to *unflagged* flows' unmet
         # demand first — flagged flows are still preferentially dropped —
         # and only then to flagged flows.  The pool totals decompose per
         # AS (unmet = arrivals - capped*scale), so they reduce from the
-        # per-AS set sums.
-        pool_unflagged = float(np.sum(arr_unflagged - arr_unflagged * scale_as))
-        pool_flagged = float(np.sum(arr_flagged - capped_flagged * scale_as))
+        # per-slot set sums.
+        admitted_total, pool_unflagged, pool_flagged = self._as_totals(
+            capped_s * scale_s,
+            arr_unflagged - arr_unflagged * scale_s,
+            arr_flagged - capped_flagged * scale_s,
+        )
         grant_unflagged = 0.0
         grant_flagged = 0.0
         leftover = cap - admitted_total
@@ -789,21 +851,21 @@ class FluidSimulator:
         self._rate_ewma += scratch
         if prof is not None:
             clock = prof.lap("sources", clock)
-        own = self._loads_by_as(rates)
-        surv = self._survival_from_loads(own)
-        # indices are AS numbers below n_as by construction; "clip" only
+        own_s = self._loads_by_slot(rates)
+        surv_s = self._slot_survival(own_s)
+        # indices are slots below n_slots by construction; "clip" only
         # spares take() the bounds-checked copy it makes under "raise"
-        arrivals = np.take(surv, self.class_origin, out=scratch, mode="clip")
+        arrivals = np.take(surv_s, self._class_slot, out=scratch, mode="clip")
         arrivals *= rates
-        arr_by_as = own * surv
+        arr_s = own_s * surv_s
         if prof is not None:
             clock = prof.lap("queueing", clock)
         if self.strategy == "nd":
-            admitted = self._admit_nd(arrivals, arr_by_as)
+            admitted = self._admit_nd(arrivals, arr_s)
         elif self.strategy == "ff":
             admitted = self._admit_ff(arrivals)
         else:
-            admitted = self._admit_floc(arrivals, tick, arr_by_as)
+            admitted = self._admit_floc(arrivals, tick, arr_s)
             if tick % self._conf_interval == 0:
                 self._update_conformance()
         if prof is not None:
@@ -909,7 +971,11 @@ class FluidSimulator:
 
     def _update_conformance(self) -> None:
         """Fold the current flagging into per-path conformance."""
-        flagged = self._loads_by_as(self._flagged).tolist()
+        # flows, not classes: every count is a whole number, so the float
+        # sums are exact
+        flagged = self._loads_by_as(self._flagged).astype(np.int64).tolist()
         totals = self._counts_by_as.tolist()
-        for asn, pid in self.pid_of_as.items():
-            self.conformance.update(pid, totals[asn], int(flagged[asn]))
+        self.conformance.update_many(
+            (pid, totals[asn], flagged[asn])
+            for asn, pid in self.pid_of_as.items()
+        )

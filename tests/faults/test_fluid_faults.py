@@ -41,8 +41,8 @@ class TestRestartDefense:
         assert sim.n_groups == 0
         assert sim._plan is None and sim._group_of_as is None
         # the plan's derived tables go with it
-        assert sim._alloc is None and sim._fair_as is None
-        assert sim._flag_bar_as is None
+        assert sim._alloc is None and sim._group_of_slot is None
+        assert sim._fair_slot is None and sim._flag_bar_slot is None
         assert not sim._flagged.any()
         assert np.all(sim._rate_ewma == 0.0)
         assert sim._warmup_until == 110

@@ -11,7 +11,10 @@ restart), every tick is compared:
 * **fully split** (every flow a singleton class): every value the step
   hands from one stage to the next, and every piece of state, has the
   oracle's dtype, shape and bytes, and the results' fields pickle
-  identically;
+  identically.  The simulator hands its per-AS values over on the slot
+  axis (the ASes with flows); they are compared in the per-AS layout,
+  zeros at the ASes without flows, against the oracle's value with the
+  same zeros;
 * **collapsed** (the default partition, one class per origin AS and
   kind): every member's flag and every group plan is the oracle's, and
   every share is within 1e-12 relative.
@@ -44,7 +47,7 @@ TICKS = 48
 WARMUP = 16
 REL = 1e-12
 
-#: the methods whose return value is the next stage's input
+#: the oracle's methods whose return value is the next stage's input
 HANDOFFS = (
     "_send_rates",
     "_survival_from_loads",
@@ -54,24 +57,65 @@ HANDOFFS = (
     "_class_sums",
 )
 
+#: the simulator's hand-offs: the same methods, except that the step's
+#: per-AS values come from slot-axis methods, recorded under the name of
+#: the oracle method they stand for
+SIM_HANDOFFS = {
+    "_send_rates": "_send_rates",
+    "_slot_survival": "_survival_from_loads",
+    "_admit_nd": "_admit_nd",
+    "_admit_ff": "_admit_ff",
+    "_admit_floc": "_admit_floc",
+    "_class_sums": "_class_sums",
+}
 
-def recording(cls):
-    """``cls`` with every hand-off's return value copied into
-    ``self.handoffs`` as ``(method, value)``."""
+#: the hand-offs that hold per-AS values
+PER_AS = ("_survival_from_loads", "_class_sums")
+
+
+def in_as_layout(sim, name, out):
+    """A simulator hand-off in the per-AS layout: a slot vector (or a
+    tuple of them) spread over the ASes, zeros elsewhere, dtype kept."""
+    if name not in PER_AS:
+        return out
+    if isinstance(out, tuple):
+        return tuple(in_as_layout(sim, name, v) for v in out)
+    assert out.shape == sim._slot_as.shape, name
+    spread = np.zeros(sim.scn.topology.n_as, dtype=out.dtype)
+    spread[sim._slot_as] = out
+    return spread
+
+
+def at_ases_with_flows(oracle, name, out):
+    """An oracle hand-off with the per-AS entries of the ASes without
+    flows, which the step never reads, zeroed (dtype kept)."""
+    if name not in PER_AS:
+        return out
+    if isinstance(out, tuple):
+        return tuple(at_ases_with_flows(oracle, name, v) for v in out)
+    out = out.copy()
+    out[oracle._counts_by_as == 0] = 0
+    return out
+
+
+def recording(cls, handoffs, layout):
+    """``cls`` with the return value of every method in ``handoffs`` (a
+    map from method to hand-off name) copied into ``self.handoffs`` as
+    ``(name, layout(self, name, value))``."""
 
     class Recording(cls):
         pass
 
-    for name in HANDOFFS:
+    for method_name, name in handoffs.items():
 
-        def method(self, *args, _name=name, **kwargs):
-            out = getattr(cls, _name)(self, *args, **kwargs)
+        def method(self, *args, _method=method_name, _name=name, **kwargs):
+            out = getattr(cls, _method)(self, *args, **kwargs)
             self.__dict__.setdefault("handoffs", []).append(
-                (_name, copy.deepcopy(out))
+                (_name, layout(self, _name, copy.deepcopy(out)))
             )
             return out
 
-        setattr(Recording, name, method)
+        setattr(Recording, method_name, method)
     return Recording
 
 
@@ -87,8 +131,10 @@ class Oracle(fluid_oracle.FluidSimulator):
         pass
 
 
-RecordingOracle = recording(Oracle)
-RecordingSim = recording(FluidSimulator)
+RecordingOracle = recording(
+    Oracle, {name: name for name in HANDOFFS}, at_ases_with_flows
+)
+RecordingSim = recording(FluidSimulator, SIM_HANDOFFS, in_as_layout)
 
 SHAPES = (
     "free",

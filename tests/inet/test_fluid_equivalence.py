@@ -6,9 +6,10 @@ simulator's level-wise survival pass and per-flag-class bincounts must
 match them byte for byte on random trees, loads, capacities and flag
 patterns — and on the degenerate *shapes* a random draw rarely reaches
 (an empty flag class, a single flow, a starved target), where the
-per-AS class sums must still be float64 of shape ``(n_as,)``:
-``np.bincount`` over an empty class returns int64 zeros, whose bytes
-equal float64 zeros', so a bytes comparison alone cannot see it.  The
+per-slot class sums (one entry per AS with flows), spread over the
+ASes, must still be float64 of shape ``(n_as,)``: ``np.bincount`` over
+an empty class returns int64 zeros, whose bytes equal float64 zeros',
+so a bytes comparison alone cannot see it.  The
 survival pass's no-clog shortcut is held to the same per-AS loop with
 capacities a few ulps either side of an uplink's load, a boundary no
 shipped run reaches.
@@ -336,7 +337,7 @@ def admit_floc_oracle(sim, arrivals, arr_by_as):
 
 
 class RecordingSim(FluidSimulator):
-    """Simulator that keeps the per-AS class sums ``_admit_floc`` built."""
+    """Simulator that keeps the per-slot class sums ``_admit_floc`` built."""
 
     def _class_sums(self, *sets):
         self.class_sums = super()._class_sums(*sets)
@@ -421,14 +422,18 @@ def test_floc_admission_matches_masked_reductions(case):
         admit_floc_oracle(sim, arrivals, arr_by_as)
     )
     kept = arrivals.copy()
-    got = sim._admit_floc(arrivals, tick=1, arr_by_as=arr_by_as)
+    got = sim._admit_floc(arrivals, tick=1, arr_s=arr_by_as[sim._slot_as])
     assert arrivals.tobytes() == kept.tobytes()  # the argument is not scratch
     if shape == "none_flagged":
         assert not want_flagged.any()
     elif shape == "all_flagged":
         assert want_flagged.all()
     assert len(sim.class_sums) == len(want_vectors)
-    for (name, want), got_sum in zip(want_vectors.items(), sim.class_sums):
+    for (name, want), got_slots in zip(want_vectors.items(), sim.class_sums):
+        assert got_slots.shape == sim._slot_as.shape, name
+        # spread over the ASes, zeros at the ASes without flows
+        got_sum = np.zeros(n_as, dtype=got_slots.dtype)
+        got_sum[sim._slot_as] = got_slots
         assert got_sum.dtype == np.float64, name
         assert got_sum.shape == (n_as,), name
         assert got_sum.tobytes() == want.tobytes(), name
