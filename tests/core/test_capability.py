@@ -1,6 +1,14 @@
 """Two-part capabilities: authenticity and the covert fanout limit."""
 
+import enum
+import hashlib
+import hmac
+import pickle
+import pickletools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.capability import CapabilityIssuer
 
@@ -71,3 +79,120 @@ class TestFanoutLimit:
 
     def test_bucket_deterministic(self, issuer):
         assert issuer.fanout_bucket("x") == issuer.fanout_bucket("x")
+
+
+# ----------------------------------------------------------------------
+# the capability bytes, locked against HMAC-SHA256 as the library computes it
+# ----------------------------------------------------------------------
+class Colour(enum.IntEnum):
+    """An address type whose ``str()`` and ``format()`` differ on 3.10."""
+
+    RED = 1
+    GREEN = 2
+
+
+def reference_mac(key, *parts):
+    return hmac.new(
+        key, "|".join(map(str, parts)).encode(), hashlib.sha256
+    ).digest()[:8]
+
+
+def reference_bucket(dst, n_max):
+    digest = hashlib.sha256("|".join(map(str, ("F", dst))).encode()).digest()
+    return int.from_bytes(digest[:4], "big") % n_max
+
+
+scalars = st.one_of(
+    st.text(max_size=12),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.sampled_from(list(Colour)),
+)
+addresses = st.one_of(
+    scalars, st.tuples(scalars), st.tuples(st.text(max_size=4), st.integers())
+)
+pids = st.lists(
+    st.integers(min_value=0, max_value=2**40), min_size=1, max_size=8
+).map(tuple)
+
+
+class TestCapabilityBytes:
+    def test_pinned_capabilities(self):
+        issuer = CapabilityIssuer(b"secret")
+        assert (
+            issuer.issue("10.0.0.1", "10.9.9.9", (1, 2, 3)).hex()
+            == "983167b568e7526ac6f2340220fa8f1a"
+        )
+        assert (
+            issuer.issue("b_5_0", "srv0", (10000123, 5, 2, 1)).hex()
+            == "02914ef331b5497e56033702184ceee2"
+        )
+
+    @settings(max_examples=300)
+    @given(
+        secret=st.binary(max_size=80),
+        n_max=st.integers(min_value=1, max_value=5),
+        src=addresses,
+        dst=addresses,
+        pid=pids,
+    )
+    def test_halves_match_the_library_hmac(self, secret, n_max, src, dst, pid):
+        issuer = CapabilityIssuer(secret, n_max=n_max)
+        k0 = hmac.new(secret, b"C0", hashlib.sha256).digest()
+        k1 = hmac.new(secret, b"C1", hashlib.sha256).digest()
+        bucket = reference_bucket(dst, n_max)
+        c0 = reference_mac(k0, src, dst, pid)
+        c1 = reference_mac(k1, src, bucket, pid)
+        assert issuer.fanout_bucket(dst) == bucket
+        assert issuer._c0(src, dst, pid) == c0
+        assert issuer._c1(src, bucket, pid) == c1
+        # a memo miss: authenticate computes the halves itself and
+        # remembers exactly what issue would have
+        fresh = CapabilityIssuer(secret, n_max=n_max)
+        assert fresh.authenticate(c0 + c1, src, dst, pid) == (src, bucket, pid)
+        assert fresh._flows[pid][(src, dst)] == (c0 + c1, (src, bucket, pid))
+        assert issuer.issue(src, dst, pid) == c0 + c1
+        for forged in (bytes([c0[0] ^ 1]) + c0[1:] + c1, c0 + c1[:-1] + bytes([c1[-1] ^ 1])):
+            blank = CapabilityIssuer(secret, n_max=n_max)
+            assert blank.authenticate(forged, src, dst, pid) is None
+            assert not blank.verify(forged, src, dst, pid)
+            assert blank.memoised_paths() == 0
+
+
+class TestPickling:
+    def test_parent_format_state_loads_and_verifies(self, issuer):
+        cap = issuer.issue("10.0.0.1", "10.9.9.9", (1, 2, 3))
+        # the state as a pickle without __getstate__ carried it: the
+        # instance dict, keys and memo only
+        state = {
+            "_k0": issuer._k0,
+            "_k1": issuer._k1,
+            "n_max": issuer.n_max,
+            "_flows": issuer._flows,
+            "_buckets": issuer._buckets,
+        }
+
+        class ParentFormat:
+            def __reduce__(self):
+                return (object.__new__, (CapabilityIssuer,), state)
+
+        restored = pickle.loads(pickle.dumps(ParentFormat()))
+        assert type(restored) is CapabilityIssuer
+        assert restored.verify(cap, "10.0.0.1", "10.9.9.9", (1, 2, 3))
+        assert restored.authenticate(cap, "10.0.0.1", "10.9.9.9", (1, 2, 3))
+        other = issuer.issue("b_5_0", "srv0", (10000123, 5, 2, 1))
+        restored.forget((10000123, 5, 2, 1))
+        assert restored.authenticate(other, "b_5_0", "srv0", (10000123, 5, 2, 1))
+        assert restored.issue("h", "d", (7,)) == issuer.issue("h", "d", (7,))
+
+    def test_pickle_carries_no_hash_object(self, issuer):
+        issuer.issue("10.0.0.1", "10.9.9.9", (1, 2, 3))
+        data = pickle.dumps(issuer)
+        strings = [
+            arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, str)
+        ]
+        assert not [s for s in strings if "hashlib" in s or "_sha" in s], strings
+        restored = pickle.loads(data)
+        assert restored.issue("a", "b", (1,)) == issuer.issue("a", "b", (1,))
+        forged = bytes(16)
+        assert restored.authenticate(forged, "a", "b", (2,)) is None
