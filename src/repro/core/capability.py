@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from .pathid import PathId
 
@@ -30,9 +30,33 @@ _DIGEST_BYTES = 8
 #: The unit at which the router accounts flow bandwidth and drops.
 AccountKey = Tuple[Hashable, int, PathId]
 
+#: SHA-256 block size: an HMAC key is zero-padded to it (RFC 2104).
+_BLOCK_BYTES = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
-def _encode(*parts: object) -> bytes:
-    return "|".join(str(p) for p in parts).encode()
+#: The attributes :meth:`CapabilityIssuer.__setstate__` rebuilds from the
+#: keys; hash objects cannot be pickled.
+_PADS = ("_inner0", "_outer0", "_inner1", "_outer1")
+
+
+def _hmac_pads(key: bytes) -> Tuple["hashlib._Hash", "hashlib._Hash"]:
+    """SHA-256 states that have absorbed ``key XOR ipad`` and ``key XOR
+    opad``: ``HMAC(key, m)`` is then ``outer.copy()`` fed
+    ``inner.copy()``'s digest of ``m`` (RFC 2104), without hashing the
+    key schedule again per message.  RFC 2104 hashes a key longer than
+    a block first; that case is refused instead, since the issuer's
+    derived keys are 32 bytes."""
+    if len(key) > _BLOCK_BYTES:
+        raise ValueError(
+            f"HMAC key of {len(key)} bytes is longer than the "
+            f"{_BLOCK_BYTES}-byte SHA-256 block"
+        )
+    key = key.ljust(_BLOCK_BYTES, b"\0")
+    return (
+        hashlib.sha256(key.translate(_IPAD)),
+        hashlib.sha256(key.translate(_OPAD)),
+    )
 
 
 class CapabilityIssuer:
@@ -73,18 +97,37 @@ class CapabilityIssuer:
             PathId, Dict[Tuple[Hashable, Hashable], Tuple[bytes, AccountKey]]
         ] = {}
         self._buckets: Dict[Hashable, int] = {}
+        self._key_pads()
 
+    def _key_pads(self) -> None:
+        self._inner0, self._outer0 = _hmac_pads(self._k0)
+        self._inner1, self._outer1 = _hmac_pads(self._k1)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k not in _PADS}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._key_pads()
+
+    # ``"%s" % x`` is ``str(x)``, as the message format requires; an
+    # f-string would call ``format(x)``, which differs for an ``IntEnum``
+    # before 3.11.
     def _c0(
         self, src_addr: Hashable, dst_addr: Hashable, pid: PathId
     ) -> bytes:
-        return hmac.new(
-            self._k0, _encode(src_addr, dst_addr, pid), hashlib.sha256
-        ).digest()[:_DIGEST_BYTES]
+        inner = self._inner0.copy()
+        inner.update(("%s|%s|%s" % (src_addr, dst_addr, pid)).encode())
+        outer = self._outer0.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:_DIGEST_BYTES]
 
     def _c1(self, src_addr: Hashable, bucket: int, pid: PathId) -> bytes:
-        return hmac.new(
-            self._k1, _encode(src_addr, bucket, pid), hashlib.sha256
-        ).digest()[:_DIGEST_BYTES]
+        inner = self._inner1.copy()
+        inner.update(("%s|%s|%s" % (src_addr, bucket, pid)).encode())
+        outer = self._outer1.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:_DIGEST_BYTES]
 
     def _flow(
         self, src_addr: Hashable, dst_addr: Hashable, pid: PathId
@@ -123,7 +166,7 @@ class CapabilityIssuer:
         """``F(IP_d)``: hash the destination into ``[0, n_max - 1]``."""
         bucket = self._buckets.get(dst_addr)
         if bucket is None:
-            digest = hashlib.sha256(_encode("F", dst_addr)).digest()
+            digest = hashlib.sha256(("F|%s" % (dst_addr,)).encode()).digest()
             bucket = int.from_bytes(digest[:4], "big") % self.n_max
             self._buckets[dst_addr] = bucket
         return bucket
@@ -175,8 +218,10 @@ class CapabilityIssuer:
         """The flow's accounting unit if ``capability`` is its
         ``C0 || C1``, else ``None``: what a router asks of every data
         packet, answered by one memo lookup.  Read-only on refusal, as
-        :meth:`verify` is; an authentic flow the memo does not hold yet
-        is remembered, as :meth:`account_key` would next."""
+        :meth:`verify` is, and checked in this frame: a forged identifier
+        costs one ``C0``.  An authentic flow the memo does not hold yet
+        is remembered with the capability just checked, which equals
+        what :meth:`issue` would compute."""
         if capability is None or len(capability) != 2 * _DIGEST_BYTES:
             return None
         by_endpoints = self._flows.get(pid)
@@ -186,9 +231,20 @@ class CapabilityIssuer:
                 if hmac.compare_digest(capability, entry[0]):
                     return entry[1]
                 return None
-        if not self.verify(capability, src_addr, dst_addr, pid):
+        if not hmac.compare_digest(
+            capability[:_DIGEST_BYTES], self._c0(src_addr, dst_addr, pid)
+        ):
             return None
-        return self._flow(src_addr, dst_addr, pid)[1]
+        bucket = self.fanout_bucket(dst_addr)
+        if not hmac.compare_digest(
+            capability[_DIGEST_BYTES:], self._c1(src_addr, bucket, pid)
+        ):
+            return None
+        key = (src_addr, bucket, pid)
+        if by_endpoints is None:
+            by_endpoints = self._flows[pid] = {}
+        by_endpoints[(src_addr, dst_addr)] = (bytes(capability), key)
+        return key
 
     # ------------------------------------------------------------------
     # accounting

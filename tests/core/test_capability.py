@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.capability import CapabilityIssuer
+from repro.core.capability import CapabilityIssuer, _hmac_pads
 
 
 @pytest.fixture
@@ -152,11 +152,34 @@ class TestCapabilityBytes:
         assert fresh.authenticate(c0 + c1, src, dst, pid) == (src, bucket, pid)
         assert fresh._flows[pid][(src, dst)] == (c0 + c1, (src, bucket, pid))
         assert issuer.issue(src, dst, pid) == c0 + c1
-        for forged in (bytes([c0[0] ^ 1]) + c0[1:] + c1, c0 + c1[:-1] + bytes([c1[-1] ^ 1])):
+        bad_c0 = bytes([c0[0] ^ 1]) + c0[1:] + c1
+        bad_c1 = c0 + c1[:-1] + bytes([c1[-1] ^ 1])
+        for forged in (bad_c0, bad_c1):
             blank = CapabilityIssuer(secret, n_max=n_max)
             assert blank.authenticate(forged, src, dst, pid) is None
             assert not blank.verify(forged, src, dst, pid)
             assert blank.memoised_paths() == 0
+
+
+class TestPads:
+    def test_rfc4231_case_2(self):
+        inner, outer = _hmac_pads(b"Jefe")
+        inner = inner.copy()
+        inner.update(b"what do ya want for nothing?")
+        outer = outer.copy()
+        outer.update(inner.digest())
+        assert outer.hexdigest() == (
+            "5bdcc146bf60754e6a042426089575c7"
+            "5a003f089d2739839dec58b964ec3843"
+        )
+
+    def test_keys_longer_than_a_block_refused(self):
+        _hmac_pads(bytes(64))
+        with pytest.raises(ValueError):
+            _hmac_pads(bytes(65))
+
+    def test_derived_keys_fit_a_block(self, issuer):
+        assert len(issuer._k0) == len(issuer._k1) == 32
 
 
 class TestPickling:

@@ -10,6 +10,9 @@ link, ``_deliver -> _reply``, ``CbrSource._packet``, ``DropTailPolicy.admit``,
 ``authenticate`` instead of a twenty-call chain.  Frames entered are
 deterministic for a seed, which wall time is not, so this is the tier-1
 guard; the benchmark measures what the frames cost.
+
+A forged packet is budgeted on its own, library frames included: under
+identifier churn its refusal is what an attacker buys from the router.
 """
 
 import collections
@@ -20,7 +23,9 @@ import pytest
 
 import repro
 from repro import FLocConfig, FLocPolicy, build_tree_scenario
+from repro.net.packet import DATA, Packet
 from repro.net.policy import DropTailPolicy
+from repro.traffic.churn import CHURN_ORIGIN_BASE
 
 TICKS = 2000
 
@@ -74,3 +79,43 @@ def test_frames_per_emitted_packet_stay_under_the_ceiling(name):
         f"ceiling {ceiling:.2f}; the five functions entered most, per "
         f"emitted packet:\n{top}"
     )
+
+
+def test_forged_packet_enters_four_frames():
+    """A DATA packet with a stale capability on an identifier the router
+    does not track: ``authenticate`` refuses it on ``C0`` (one HMAC from
+    the keyed pads, no ``hmac.py`` frame, no ``C1``) and ``on_drop``
+    counts it.  Every Python frame counts here, the standard library's
+    too."""
+    scenario = build_tree_scenario(
+        scale_factor=0.03, attack_kind="cbr", seed=3
+    )
+    policy = FLocPolicy(FLocConfig())
+    scenario.attach_policy(policy)
+    engine = scenario.engine
+    engine.run(200)
+    flow = next(f for f in engine.flows.values() if f.is_attack)
+    stale = policy.issuer.issue(flow.src_host, flow.dst_host, flow.path_id)
+    churned = (CHURN_ORIGIN_BASE + 7,) + flow.path_id[1:]
+    assert churned not in policy.paths
+    pkt = Packet(
+        flow.flow_id, DATA, 1, churned, flow.route, flow.src_host,
+        flow.dst_host, engine.tick, stale,
+    )
+    entered = []
+
+    def count(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    spoofed = policy.drop_stats["spoofed"]
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        if not policy.admit(pkt, engine.tick):
+            policy.on_drop(pkt, engine.tick)
+    finally:
+        sys.setprofile(previous)
+    assert entered == ["admit", "authenticate", "_c0", "on_drop"]
+    assert policy.drop_stats["spoofed"] == spoofed + 1
+    assert churned not in policy.paths
