@@ -1,0 +1,85 @@
+"""Aggregation on real traffic: every regroup of a Section VII fluid run
+against the oracle.
+
+The Hypothesis draws of ``tests/core/test_aggregation.py`` stop at 30
+ASes.  The fluid simulator at the paper's Section VII size (2,000 ASes,
+110 k flows) hands ``build_plan`` trees of about 430 nodes whose
+root-level nodes gather dozens of units, and its covert guard runs
+several exclusion rounds.  A tick hook rebuilds ``_rebuild_groups``'s
+inputs from the simulator (slot path ids, the conformance partition, the
+conformance values and the slot flow counts) at every regroup tick, and
+the plan and the legitimate groups must equal those of
+``aggregation_oracle``; so must the plan the simulator itself built.
+"""
+
+import pytest
+
+from repro.core.aggregation import aggregate_legitimate_paths, build_plan
+from repro.inet.scenarios import build_internet_scenario
+from repro.inet.simulator import FluidSimulator
+
+from ..core import aggregation_oracle
+
+TICKS = 500
+
+
+def regroup_inputs(sim):
+    pids = [sim.pid_of_as[asn] for asn in sim._slot_as.tolist()]
+    legit, attack = sim.conformance.partition(pids, threshold=0.5)
+    counts = dict(zip(pids, sim._counts_slot.tolist()))
+    return legit, attack, sim.conformance.values(), counts
+
+
+def plan_items(plan):
+    return (
+        list(plan.group_of.items()),
+        list(plan.members.items()),
+        list(plan.shares.items()),
+        plan.s_max,
+        plan.n_legit_inputs,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_regroup_of_a_section_vii_run_matches_oracle(seed):
+    scenario = build_internet_scenario(
+        n_as=2000, n_legit_sources=10_000, n_legit_ases=200,
+        n_bots=100_000, target_capacity=16_000.0, placement="localized",
+        build_flow_links=False, seed=seed,
+    )
+    sim = FluidSimulator(scenario, strategy="floc", seed=seed)
+    pending = []
+
+    def capture(host, tick):
+        if tick % host.aggregation_interval == 0:
+            pending.append((tick, regroup_inputs(host)))
+
+    sim.add_tick_hook(capture)
+    sim.begin_run(ticks=TICKS, warmup=100)
+    checked = []
+    while True:
+        more = sim.step_run()
+        while pending:
+            tick, (legit, attack, conf, counts) = pending.pop()
+            want = aggregation_oracle.build_plan(
+                legit, attack, conf, counts, sim.s_max
+            )
+            got = build_plan(legit, attack, conf, counts, sim.s_max)
+            assert plan_items(got) == plan_items(want), tick
+            assert plan_items(sim._plan) == plan_items(want), tick
+            assert aggregate_legitimate_paths(
+                legit, conf, counts
+            ) == aggregation_oracle.aggregate_legitimate_paths(
+                legit, conf, counts
+            ), tick
+            n_nodes = len(list(aggregation_oracle.PathTree(legit).nodes()))
+            checked.append((tick, len(legit), len(attack), n_nodes))
+        if not more:
+            break
+    assert [tick for tick, *_ in checked] == list(range(0, TICKS, 50))
+    # the shape the drawn trees never reach: hundreds of legitimate
+    # paths on a tree of hundreds of nodes, and convicted attack paths
+    # taken out of it
+    assert max(n for *_, n in checked) >= 400
+    assert min(n_legit for _, n_legit, _, _ in checked) >= 150
+    assert max(n_attack for _, _, n_attack, _ in checked) > 0
