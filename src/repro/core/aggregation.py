@@ -26,7 +26,8 @@ Two complementary aggregations run at a congested router:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from .pathid import PathId, PathTree, PathTreeNode
@@ -204,8 +205,59 @@ def legitimate_aggregation_cost(
 
 
 #: A current unit of ``aggregate_legitimate_paths``, one path or an
-#: already-merged group: ``(paths, flows, conformance, suffix)``.
-_LegitUnit = Tuple[List[PathId], float, float, PathId]
+#: already-merged group: ``(flows, conformance, n_paths, per_flow,
+#: conformance * flows, paths, suffix)``, where ``per_flow`` is the
+#: unit's per-flow allocation ``n_paths / flows`` (0.0 when it has no
+#: flows, where the covert guard never reads it).
+_LegitUnit = Tuple[float, float, int, float, float, List[PathId], PathId]
+
+_flows_of = itemgetter(0)
+_conformance_of = itemgetter(1)
+_n_paths_of = itemgetter(2)
+_weighted_of = itemgetter(4)
+
+
+#: ``_flat_tree``'s lists: ``(kids, depth, leaves, own, first)``.
+_FlatTree = Tuple[
+    List[Dict[int, int]], List[int], List[int], List[Optional[PathId]],
+    List[PathId],
+]
+
+
+def _flat_tree(pids: Sequence[PathId]) -> _FlatTree:
+    """The traffic tree of ``pids`` as plain lists, built in one pass
+    from the router side: node 0 is the router, and node ``i`` has its
+    children ``kids[i]`` (AS number -> node, in order of creation, which
+    is ``PathTree``'s child order), its ``depth``, its number of
+    ``leaves`` below or at it, the path that ends at it (``own``, or
+    ``None``) and the first path through it (``first``; its suffix of
+    length ``depth[i]`` is the node's, and it is the only path through a
+    node with one leaf).  ``pids`` must be distinct.
+    """
+    kids: List[Dict[int, int]] = [{}]
+    depth = [0]
+    leaves = [len(pids)]
+    own: List[Optional[PathId]] = [None]
+    first: List[PathId] = [()]
+    for pid in pids:
+        if not pid:
+            raise ConfigError("empty path identifier")
+        node = 0
+        for asn in reversed(pid):
+            below = kids[node]
+            if asn in below:
+                node = below[asn]
+                leaves[node] += 1
+            else:
+                child = below[asn] = len(kids)
+                kids.append({})
+                depth.append(depth[node] + 1)
+                leaves.append(1)
+                own.append(None)
+                first.append(pid)
+                node = child
+        own[node] = pid
+    return kids, depth, leaves, own, first
 
 
 def aggregate_legitimate_paths(
@@ -237,36 +289,47 @@ def aggregate_legitimate_paths(
     reference implementation bit for bit, and CI runs it on Python 3.10
     and 3.12, whose ``sum`` rounds differently (3.12 adds floats with
     compensation).  Only the same call over the same sequence matches
-    the reference on both; an ``np.bincount`` pass or a reordered sum
-    would not.
+    the reference on both; an ``np.bincount`` pass, ``math.fsum`` or a
+    reordered or running sum would not.
 
     Returns ``[(suffix, member paths), ...]`` for groups of >= 2 paths.
     """
     legit_pids = list(dict.fromkeys(legit_pids))
     if len(legit_pids) < 2:
         return []
-    tree = PathTree(legit_pids)
+    kids, depth, leaves, own, first = _flat_tree(legit_pids)
     factor_cap = 1.0 + bandwidth_increase_cap
 
+    def leaf_unit(pid: PathId) -> _LegitUnit:
+        flows = max(0.0, flow_counts.get(pid, 0.0))
+        conf = conformance.get(pid, 1.0)
+        return (
+            flows, conf, 1, 1 / flows if flows > 0 else 0.0, conf * flows,
+            [pid], pid,
+        )
+
     def try_merge(
-        units: List[_LegitUnit], suffix: PathId
+        units: List[_LegitUnit], node: int
     ) -> Optional[List[_LegitUnit]]:
         """Merge as many of ``units`` as allowed; None if no merge."""
         candidates = units
         total_flows = 0.0
+        n_paths = 0
+        after = 0.0
         # exclude the units whose per-flow allocation would grow past the
-        # cap (``|paths_u| / n_u`` shares per flow before the merge,
-        # ``|paths_G| / n_G`` after); removing one changes the post-merge
-        # allocation, so repeat to a fixed point
+        # cap (``per_flow`` shares per flow before the merge,
+        # ``n_paths / total_flows`` after); removing one changes the
+        # post-merge allocation, so repeat to a fixed point
         while len(candidates) >= 2:
-            total_flows = sum([u[1] for u in candidates])
+            total_flows = sum(map(_flows_of, candidates))
             if total_flows <= 0:
                 return None
-            after = sum([len(u[0]) for u in candidates]) / total_flows
+            n_paths = sum(map(_n_paths_of, candidates))
+            after = n_paths / total_flows
             kept = [
                 u
                 for u in candidates
-                if u[1] <= 0 or not after / (len(u[0]) / u[1]) > factor_cap
+                if u[0] <= 0 or not after / u[3] > factor_cap
             ]
             if len(kept) == len(candidates):
                 break
@@ -274,60 +337,68 @@ def aggregate_legitimate_paths(
         if len(candidates) < 2:
             return None
         # Eq. (IV.8) over the units (the loop's last pass summed
-        # ``total_flows`` over exactly these)
-        mean_e = sum([u[2] for u in candidates]) / len(candidates)
-        weighted_e = sum([u[2] * u[1] for u in candidates]) / total_flows
+        # ``total_flows`` and ``n_paths`` over exactly these)
+        mean_e = sum(map(_conformance_of, candidates)) / len(candidates)
+        weighted_e = sum(map(_weighted_of, candidates)) / total_flows
         if not mean_e - weighted_e <= cost_tolerance:
             return None
+        pid = first[node]
         merged: _LegitUnit = (
-            [pid for u in candidates for pid in u[0]],
             total_flows,
             weighted_e,
-            suffix,
+            n_paths,
+            after,
+            weighted_e * total_flows,
+            [p for u in candidates for p in u[5]],
+            pid[len(pid) - depth[node] :],
         )
         if candidates is units:
             return [merged]
         kept_ids = {id(u) for u in candidates}
         return [merged] + [u for u in units if id(u) not in kept_ids]
 
-    def merge_at(node: PathTreeNode) -> Tuple[List[_LegitUnit], bool]:
-        """The units left at ``node`` after merging in its subtree, and
-        whether ``try_merge`` already failed on exactly these units."""
-        if len(node.children) == 1 and not node.leaf_pids:
+    # the units left at each node with >= 2 leaves after merging in its
+    # subtree, and whether ``try_merge`` already failed on exactly these
+    # units; a child is numbered after its parent, so walking the nodes
+    # backwards reaches every child first
+    units_at: List[List[_LegitUnit]] = [[]] * len(kids)
+    failed_at = [False] * len(kids)
+    for node in range(len(kids) - 1, -1, -1):
+        if leaves[node] < 2:
+            continue
+        children = kids[node]
+        if len(children) == 1 and own[node] is None:
             # a pass-through node holds its child's units unchanged, and
             # whether try_merge merges depends on the units alone: a
             # failure below is a failure here
-            (child,) = node.children.values()
-            units, failed = merge_at(child)
-            if failed:
-                return units, True
+            (child,) = children.values()
+            units = units_at[child]
+            if failed_at[child]:
+                units_at[node] = units
+                failed_at[node] = True
+                continue
         else:
-            # gather units from children (recursively merged) and own
-            # leaves; unmerged units propagate upward so every ancestor
-            # gets a chance
+            # gather units from children (merged below) and own leaf;
+            # unmerged units propagate upward so every ancestor gets a
+            # chance.  A one-leaf subtree merges nothing: it is its
+            # path's unit.
             units = []
-            for child in node.children.values():
-                units.extend(merge_at(child)[0])
-            for pid in node.leaf_pids:
-                units.append(
-                    (
-                        [pid],
-                        max(0.0, flow_counts.get(pid, 0.0)),
-                        conformance.get(pid, 1.0),
-                        pid,
-                    )
-                )
-        if len(units) < 2:
-            return units, False
-        merged = try_merge(units, node.suffix)
-        return (units, True) if merged is None else (merged, False)
-
-    final_units, _ = merge_at(tree.root)
-    return [
-        (suffix, paths)
-        for paths, _, _, suffix in final_units
-        if len(paths) >= 2
-    ]
+            for child in children.values():
+                if leaves[child] == 1:
+                    units.append(leaf_unit(first[child]))
+                else:
+                    units.extend(units_at[child])
+            pid = own[node]
+            if pid is not None:
+                units.append(leaf_unit(pid))
+        if len(units) >= 2:
+            merged = try_merge(units, node)
+            if merged is None:
+                failed_at[node] = True
+            else:
+                units = merged
+        units_at[node] = units
+    return [(u[6], u[5]) for u in units_at[0] if u[2] >= 2]
 
 
 def _is_attack_group(key: GroupKey) -> bool:
@@ -396,19 +467,12 @@ def build_plan(
     plan.n_legit_inputs = len(remaining_legit)
 
     if s_max is not None and remaining_attack:
-        merged_attack: Set[PathId] = set()
         for suffix, members in aggregate_attack_paths(
             remaining_attack, conformance, len(remaining_legit), s_max
         ):
             plan.add_group(("AGG-A",) + tuple(suffix), members, 1.0)
-            merged_attack.update(map(tuple, members))
-        if merged_attack:
-            remaining_attack = [
-                p for p in remaining_attack if tuple(p) not in merged_attack
-            ]
 
     if legitimate_aggregation and len(remaining_legit) >= 2:
-        merged_legit: Set[PathId] = set()
         for suffix, members in aggregate_legitimate_paths(
             remaining_legit,
             conformance,
@@ -417,12 +481,15 @@ def build_plan(
             cost_tolerance=cost_tolerance,
         ):
             plan.add_group(("AGG-L",) + tuple(suffix), members, float(len(members)))
-            merged_legit.update(map(tuple, members))
-        if merged_legit:
-            remaining_legit = [
-                p for p in remaining_legit if tuple(p) not in merged_legit
-            ]
 
+    # every path no group above took is a singleton, written straight
+    # into the plan's dicts (each gets its keys in the order
+    # ``add_group`` would give them); the two lists are disjoint, so a
+    # path already in ``group_of`` is one a group took
+    group_of, members, shares = plan.group_of, plan.members, plan.shares
     for pid in remaining_legit + remaining_attack:
-        plan.add_group(pid, [pid], 1.0)
+        if pid not in group_of:
+            members[pid] = [pid]
+            shares[pid] = 1.0
+            group_of[pid] = pid
     return plan

@@ -87,6 +87,11 @@ _DERIVED = (
     "_flag_bar_slot",
 )
 
+#: ``FluidSimulator`` buffers a tick fills and reads back, kept across
+#: ticks to spare the allocation: not state, so they are neither pickled
+#: nor rebuilt with the derived tables, but made by ``_build_scratch``
+_SCRATCH = ("_totals_layout", "_no_clog")
+
 #: per-class run state that ``split`` carries over to the new classes
 _CLASS_STATE = ("w", "_rate_ewma", "_flagged", "_acc", "_last_admitted")
 
@@ -182,6 +187,7 @@ class FluidSimulator:
         self._group_of_as: Optional[np.ndarray] = None
         self._group_shares: Optional[np.ndarray] = None
         self._build_derived()
+        self._build_scratch()
         self._n_flows_by_cat = {
             name: int(self.count[self._class_cat == idx].sum())
             for idx, name in enumerate(CATEGORY_NAMES)
@@ -206,7 +212,7 @@ class FluidSimulator:
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        for name in _DERIVED:
+        for name in _DERIVED + _SCRATCH:
             state.pop(name, None)
         return state
 
@@ -219,6 +225,7 @@ class FluidSimulator:
             )
         self.__dict__.update(state)
         self._build_derived()
+        self._build_scratch()
 
     @property
     def n_classes(self) -> int:
@@ -284,6 +291,20 @@ class FluidSimulator:
         self._pair_uplink = pair_uplink.astype(np.int32)
         self._pair_slot = np.concatenate(pair_slot).astype(np.int32)
         self._plan_tables()
+
+    def _build_scratch(self) -> None:
+        """Make the per-tick buffers of ``_SCRATCH``.  Both are sized by
+        the scenario's ASes and the slots, which ``split`` leaves as they
+        are.
+
+        ``_totals_layout`` is ``_as_totals``'s per-AS layout: only its
+        slot columns are ever written, so everywhere else it stays zero.
+        ``_no_clog`` is ``_slot_survival``'s answer when no uplink
+        clogs; every tick shares it, so it is read-only.
+        """
+        self._totals_layout = np.zeros((3, self.scn.topology.n_as))
+        no_clog = self._no_clog = np.ones(self._slot_as.shape[0])
+        no_clog.flags.writeable = False
 
     def _plan_tables(self) -> None:
         """Per-plan quantities of ``_admit_floc``: each group's capacity
@@ -415,7 +436,7 @@ class FluidSimulator:
         once every bot class is a singleton, so it is refused otherwise.
         """
         attack_rate = self.scn.attack_rate
-        if np.ndim(attack_rate):
+        if not isinstance(attack_rate, float) and np.ndim(attack_rate):
             if np.any(self.count[self._class_attack] > 1.0):
                 raise SimulationError(
                     "scn.attack_rate is a per-flow array but a bot class "
@@ -423,7 +444,8 @@ class FluidSimulator:
                 )
             rates = np.asarray(attack_rate, dtype=np.float64)[self._class_first]
         else:
-            rates = np.full(self.n_classes, attack_rate, dtype=np.float64)
+            rates = np.empty(self.n_classes, dtype=np.float64)
+            rates.fill(attack_rate)
         legit = self._legit_idx
         rates[legit] = self.w[legit] / self._rtt_legit
         return rates
@@ -447,8 +469,10 @@ class FluidSimulator:
     def _as_totals(self, *slot_vectors: np.ndarray) -> List[float]:
         """The sum over ASes of each slot vector, summed in the per-AS
         layout (zeros at the ASes without flows), so that it is bit-equal
-        to ``np.sum`` over the per-AS vector."""
-        layout = np.zeros((len(slot_vectors), self.scn.topology.n_as))
+        to ``np.sum`` over the per-AS vector.  The layout is kept across
+        calls (see ``_build_scratch``); each row is reduced on its own, so
+        the rows a call leaves unused change nothing."""
+        layout = self._totals_layout[: len(slot_vectors)]
         for row, vector in zip(layout, slot_vectors):
             row[self._slot_as] = vector
         return layout.sum(axis=1).tolist()
@@ -467,10 +491,11 @@ class FluidSimulator:
         return bool(np.count_nonzero(subtree > caps * (1.0 - 1e-9)))
 
     def _slot_survival(self, own_s: np.ndarray) -> np.ndarray:
-        """``_survival_from_loads`` on the slot axis: all ones unless an
-        uplink may clog, and then the walk over the per-AS layout."""
+        """``_survival_from_loads`` on the slot axis: all ones (the shared,
+        read-only ``_no_clog``) unless an uplink may clog, and then the
+        walk over the per-AS layout."""
         if not self._clogs(own_s):
-            return np.ones_like(own_s)
+            return self._no_clog
         own = np.zeros(self.scn.topology.n_as)
         own[self._slot_as] = own_s
         return self._survival_from_loads(own)[self._slot_as]
@@ -878,13 +903,23 @@ class FluidSimulator:
         # never read)
         legit = self._legit_idx
         sent = rates[legit]
-        p_drop = 1.0 - np.divide(
-            admitted[legit], sent, out=np.ones_like(sent), where=sent > 1e-12
-        )
-        p_drop = np.clip(p_drop, 0.0, 1.0)
+        # the admitted fraction, 1.0 where nothing was sent
+        ratio = np.ones(sent.shape[0])
+        np.divide(admitted[legit], sent, out=ratio, where=sent > 1e-12)
+        # ``np.clip(x, lo, hi)`` is ``minimum(maximum(x, lo), hi)``; the
+        # two differ at most in which of two equal operands they return,
+        # and here no tie has two: ``1.0 - x`` is never -0.0 (round to
+        # nearest gives +0.0 for ``1.0 - 1.0``), the bounds are not zeros
+        # of the other sign, and every operand is finite (rates and
+        # windows are, and ``sent`` is divided by only above 1e-12)
+        p_drop = np.subtract(1.0, ratio, out=ratio)
+        np.minimum(np.maximum(p_drop, 0.0, out=p_drop), 1.0, out=p_drop)
         w = self.w[legit]
         dw = self._inv_rtt_legit - 0.5 * w * p_drop * sent
-        self.w[legit] = np.clip(w + dw, 0.5, self._w_max_legit)
+        w += dw
+        self.w[legit] = np.minimum(
+            np.maximum(w, 0.5, out=w), self._w_max_legit, out=w
+        )
         self._last_admitted = admitted
         if tick >= self._run_warmup:
             self._acc += admitted

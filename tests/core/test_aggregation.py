@@ -1,7 +1,7 @@
 """Attack-path aggregation (Algorithm 1) and legitimate-path aggregation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import (
@@ -150,11 +150,29 @@ def legit_cases(draw):
     return pids, conf, counts, cap, tolerance
 
 
+#: Three paths under one node whose merge sits exactly on both
+#: thresholds under the builtin ``sum`` of Python 3.11 and earlier (which
+#: adds left to right, rounding each time): the largest per-flow growth
+#: ``after / before`` equals ``1 + cap``, and the Eq. (IV.8) cost equals
+#: the tolerance.  ``math.fsum`` rounds the flow total, the conformance
+#: sum and the weighted sum differently, so swapping any one of the three
+#: for it moves a value off its threshold and changes the groups.
+KNIFE_EDGE = (
+    [(1, 50, 99), (2, 50, 99), (3, 50, 99)],
+    {(1, 50, 99): 0.35, (2, 50, 99): 0.3, (3, 50, 99): 0.2},
+    {(1, 50, 99): 1.1, (2, 50, 99): 3.3, (3, 50, 99): 1.7},
+    0.622950819672131,
+    0.0021857923497267118,
+)
+
+
 @given(legit_cases())
+@example(KNIFE_EDGE)
 @settings(max_examples=300, deadline=None)
 def test_legitimate_aggregation_matches_oracle(case):
     """Skipping try_merge at pass-through nodes whose units already failed
-    below, and the one-filter exclusion rounds, change no plan."""
+    below, the one-filter exclusion rounds and the flat traffic tree
+    change no plan."""
     pids, conf, counts, cap, tolerance = case
     want = aggregation_oracle.aggregate_legitimate_paths(
         pids, conf, counts, cap, cost_tolerance=tolerance

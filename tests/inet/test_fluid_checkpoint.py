@@ -7,7 +7,10 @@ state:
 a pickle must not carry them (its size is held in
 ``test_fluid_memory.py``), a state dict written without them must load,
 and a run resumed from a mid-run pickle must end byte-identical to one
-that never stopped.  And nothing the step hands out (``_last_admitted``,
+that never stopped.  The buffers a tick fills and reads back
+(``_SCRATCH``) are neither state nor derived tables: a pickle leaves
+them out, loading makes them anew, and the one every tick shares is
+read-only.  And nothing the step hands out (``_last_admitted``,
 ``_flagged``) may be written again by a later tick.  A checkpoint of the
 per-flow simulator, which has no class partition, is refused rather
 than resumed.
@@ -20,7 +23,7 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.inet.scenarios import build_internet_scenario
-from repro.inet.simulator import _DERIVED, FluidSimulator
+from repro.inet.simulator import _DERIVED, _SCRATCH, FluidSimulator
 from repro.runner import CheckpointStore
 from repro.runner.resumable import FluidRun, run_checkpointed
 
@@ -84,6 +87,42 @@ class TestDerivedState:
             else:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), name
                 assert got.tobytes() == want.tobytes(), name
+
+
+class TestScratch:
+    """The per-tick buffers kept across ticks are neither state nor
+    derived tables: a pickle leaves them out, loading makes them anew,
+    and the one every tick shares cannot be written."""
+
+    def test_pickle_carries_no_scratch(self):
+        sim = FluidSimulator(_scenario(), strategy="floc", seed=SEED)
+        sim.begin_run(ticks=TICKS, warmup=WARMUP)
+        for _ in range(STOP_AT):
+            sim.step_run()
+        assert not set(_SCRATCH) & set(_DERIVED)
+        assert not set(_SCRATCH) & set(sim.__getstate__())
+        revived = pickle.loads(pickle.dumps(sim))
+        for name in _SCRATCH:
+            got, want = getattr(revived, name), getattr(sim, name)
+            assert got is not want
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+
+    def test_shared_no_clog_answer_is_read_only(self):
+        # bots at the default rate: no uplink clogs
+        scenario = build_internet_scenario(
+            n_as=120, n_legit_sources=240, n_legit_ases=30, n_bots=2_000,
+            target_capacity=150.0, seed=SEED,
+        )
+        sim = FluidSimulator(scenario, strategy="floc", seed=SEED)
+        own_s = sim._loads_by_slot(sim._send_rates())
+        assert not sim._clogs(own_s)
+        surv = sim._slot_survival(own_s)
+        assert surv is sim._slot_survival(own_s)
+        assert surv.tobytes() == np.ones_like(own_s).tobytes()
+        with pytest.raises(ValueError):
+            surv[0] = 0.5
+        with pytest.raises(ValueError):
+            surv *= 0.5
 
 
 class TestResume:
