@@ -115,11 +115,9 @@ class TestLegitimateAggregation:
 
 
 @st.composite
-def legit_cases(draw):
-    """A route tree, the paths of some of its ASes (inner ones too, so a
-    node can hold a leaf and children), their conformance and flow
-    counts (zeros, a covert-sized count, some missing), a cap and a
-    tolerance."""
+def route_tree(draw):
+    """A route tree: the path of each of its 2 to 30 ASes, AS 0 the
+    router's."""
     n_as = draw(st.integers(min_value=2, max_value=30))
     parent = [0] + [
         draw(st.integers(min_value=0, max_value=asn - 1))
@@ -128,10 +126,20 @@ def legit_cases(draw):
     paths = {0: (0,)}
     for asn in range(1, n_as):
         paths[asn] = (asn,) + paths[parent[asn]]
+    return paths
+
+
+@st.composite
+def legit_cases(draw):
+    """A route tree, the paths of some of its ASes (inner ones too, so a
+    node can hold a leaf and children), their conformance and flow
+    counts (zeros, a covert-sized count, some missing), a cap and a
+    tolerance."""
+    paths = draw(route_tree())
     ases = draw(
         st.lists(
-            st.integers(min_value=0, max_value=n_as - 1),
-            min_size=0, max_size=n_as,
+            st.integers(min_value=0, max_value=len(paths) - 1),
+            min_size=0, max_size=len(paths),
         )
     )
     pids = [paths[asn] for asn in ases]
@@ -181,6 +189,79 @@ def test_legitimate_aggregation_matches_oracle(case):
         pids, conf, counts, cap, cost_tolerance=tolerance
     )
     assert got == want
+
+
+@st.composite
+def attack_cases(draw):
+    """A route tree whose ASes each send an attack path with probability
+    7/8 (``k`` paths), their conformance (mostly below 0.5, as a
+    convicted path's is, some missing, some +-1e16 so that the order of
+    a cost's float sum shows), ``n_legit_paths`` in 0..k and ``s_max``
+    in 1..k+3: budgets from 1 to above ``k``, where Algorithm 1's greedy
+    loop takes several nodes and its step 2 runs."""
+    paths = draw(route_tree())
+    pids = [path for path in paths.values() if draw(st.integers(0, 7))]
+    conformance = st.one_of(
+        st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45, 1e16, -1e16]),
+        st.floats(min_value=0.0, max_value=0.5),
+    )
+    conf = {p: draw(conformance) for p in pids if draw(st.integers(0, 7))}
+    n_legit_paths = draw(st.integers(min_value=0, max_value=len(pids)))
+    s_max = draw(st.integers(min_value=1, max_value=len(pids) + 3))
+    return pids, conf, n_legit_paths, s_max
+
+
+#: Two cheap sibling subtrees (10 and 11 under AS 50) and two clean
+#: paths beside them.  A budget of 4 identifiers for 6 paths needs both
+#: subtrees; their costs sum to 0.6, and AS 50 (cost 3.2 / 6) costs
+#: more than either but less than the sum, so Algorithm 1's step 2
+#: replaces the pair with it.
+STEP_TWO_CHALLENGER = (
+    [
+        (1, 10, 50, 99), (2, 10, 50, 99), (3, 11, 50, 99),
+        (4, 11, 50, 99), (5, 50, 99), (6, 50, 99),
+    ],
+    {
+        (1, 10, 50, 99): 0.3, (2, 10, 50, 99): 0.3,
+        (3, 11, 50, 99): 0.3, (4, 11, 50, 99): 0.3,
+    },
+    0,
+    4,
+)
+#: The same tree with dirtier subtrees: AS 50 (cost 2.8 / 6) costs more
+#: than the pair (0.4), so the solution keeps both nodes.
+TWO_NODE_SOLUTION = (
+    STEP_TWO_CHALLENGER[0],
+    {p: 0.2 for p in STEP_TWO_CHALLENGER[1]},
+    0,
+    4,
+)
+
+
+def test_step_two_replaces_the_pair_and_keeps_it_otherwise():
+    """The two examples below do what their comments say, so the
+    oracle comparison runs both outcomes of step 2."""
+    paths = STEP_TWO_CHALLENGER[0]
+    assert aggregate_attack_paths(*STEP_TWO_CHALLENGER) == [((50, 99), paths)]
+    assert aggregate_attack_paths(*TWO_NODE_SOLUTION) == [
+        ((10, 50, 99), paths[0:2]),
+        ((11, 50, 99), paths[2:4]),
+    ]
+
+
+@given(attack_cases())
+@example(STEP_TWO_CHALLENGER)
+@example(TWO_NODE_SOLUTION)
+@settings(max_examples=300, deadline=None)
+def test_attack_aggregation_matches_oracle(case):
+    """Algorithm 1 picks the oracle's nodes in the oracle's order, with
+    the members in the same order, at every budget: candidate order,
+    the (cost, -depth) sort, the overlap test, step 2 and the fallback."""
+    pids, conf, n_legit_paths, s_max = case
+    want = aggregation_oracle.aggregate_attack_paths(
+        pids, conf, n_legit_paths, s_max
+    )
+    assert aggregate_attack_paths(pids, conf, n_legit_paths, s_max) == want
 
 
 @st.composite
