@@ -1,6 +1,7 @@
 """Path-identifier aggregation (paper Section IV-C).
 
-Two complementary aggregations run at a congested router:
+Two complementary aggregations run at a congested router, both on the
+traffic tree of its path identifiers (``_flat_tree``):
 
 * **Attack-path aggregation** (Section IV-C.1, Algorithm 1): when the
   number of active path identifiers exceeds ``|S|_max``, path identifiers
@@ -30,7 +31,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from .pathid import PathId, PathTree, PathTreeNode
+from .pathid import PathId
 
 #: Group keys: a singleton group is keyed by its path id; an aggregated
 #: group by ("AGG-A"/"AGG-L", router-side suffix).
@@ -87,15 +88,79 @@ class AggregationPlan:
 
 
 # ----------------------------------------------------------------------
+# the traffic tree
+# ----------------------------------------------------------------------
+#: ``_flat_tree``'s lists: ``(kids, depth, leaves, own, first)``.
+_FlatTree = Tuple[
+    List[Dict[int, int]], List[int], List[int], List[Optional[PathId]],
+    List[PathId],
+]
+
+
+def _flat_tree(pids: Sequence[PathId]) -> _FlatTree:
+    """The traffic tree of ``pids`` as plain lists, built in one pass
+    from the router side: node 0 is the router, and node ``i`` has its
+    children ``kids[i]`` (AS number -> node, in order of creation), its
+    ``depth``, its number of ``leaves`` below or at it, the path that
+    ends at it (``own``, or ``None``) and the first path through it
+    (``first``; its suffix of length ``depth[i]`` is the node's, and it
+    is the only path through a node with one leaf).  Nodes are numbered
+    in order of creation, parents before children; Algorithm 1 breaks
+    cost ties by that order.  ``pids`` must be distinct.
+    """
+    kids: List[Dict[int, int]] = [{}]
+    depth = [0]
+    leaves = [len(pids)]
+    own: List[Optional[PathId]] = [None]
+    first: List[PathId] = [()]
+    for pid in pids:
+        if not pid:
+            raise ConfigError("empty path identifier")
+        node = 0
+        for asn in reversed(pid):
+            below = kids[node]
+            if asn in below:
+                node = below[asn]
+                leaves[node] += 1
+            else:
+                child = below[asn] = len(kids)
+                kids.append({})
+                depth.append(depth[node] + 1)
+                leaves.append(1)
+                own.append(None)
+                first.append(pid)
+                node = child
+        own[node] = pid
+    return kids, depth, leaves, own, first
+
+
+def _depth_first(
+    kids: List[Dict[int, int]], leaves: List[int], own: List[Optional[PathId]]
+) -> Tuple[List[PathId], List[int]]:
+    """The paths of a ``_flat_tree`` listed depth first, a node's own
+    path before its children's, and where each node's subtree starts in
+    that list: node ``i``'s paths are ``order[start[i] : start[i] +
+    leaves[i]]``.  A parent is numbered before its children, so one
+    pass in node order knows where a node starts before it places the
+    node's children.
+    """
+    order: List[PathId] = [()] * leaves[0]
+    start = [0] * len(kids)
+    for node, children in enumerate(kids):
+        at = start[node]
+        pid = own[node]
+        if pid is not None:
+            order[at] = pid
+            at += 1
+        for child in children.values():
+            start[child] = at
+            at += leaves[child]
+    return order, start
+
+
+# ----------------------------------------------------------------------
 # attack-path aggregation (Algorithm 1)
 # ----------------------------------------------------------------------
-def _aggregation_cost(node: PathTreeNode, conformance: Dict[PathId, float]) -> float:
-    leaves = node.descend_leaves()
-    if not leaves:
-        return 0.0
-    return sum(conformance.get(pid, 1.0) for pid in leaves) / len(leaves)
-
-
 def aggregate_attack_paths(
     attack_pids: Sequence[PathId],
     conformance: Dict[PathId, float],
@@ -121,68 +186,57 @@ def aggregate_attack_paths(
     if len(attack_pids) <= budget:
         return []
 
-    tree = PathTree(attack_pids)
-    # candidate aggregation points: internal nodes covering >= 2 paths,
-    # deepest (nearest the origins) first so "aggregation starts from
-    # nearby domains".
-    candidates = [
-        node
-        for node in tree.nodes()
-        if len(node.descend_leaves()) >= 2 and node.children
-    ]
-    if not candidates:
-        return [((), attack_pids)] if len(attack_pids) > budget else []
+    kids, depth, leaves, own, first = _flat_tree(attack_pids)
+    order, start = _depth_first(kids, leaves, own)
 
-    costs = {node.suffix: _aggregation_cost(node, conformance) for node in candidates}
-    # sort: cost ascending, then deeper nodes first (longest suffix)
-    ordered = sorted(candidates, key=lambda n: (costs[n.suffix], -n.depth))
+    def paths_under(node: int) -> List[PathId]:
+        return order[start[node] : start[node] + leaves[node]]
 
-    solution: List[PathTreeNode] = []
+    # candidate aggregation points: nodes below the router covering >= 2
+    # paths, in order of creation; each costs C^A, the mean conformance
+    # of its paths
+    candidates = [node for node in range(1, len(kids)) if leaves[node] >= 2]
+    cost = [0.0] * len(kids)
+    for node in candidates:
+        paths = paths_under(node)
+        cost[node] = sum(conformance.get(pid, 1.0) for pid in paths) / len(paths)
+    # sort: cost ascending, then deeper nodes first (longest suffix), so
+    # "aggregation starts from nearby domains"
+    ordered = sorted(candidates, key=lambda n: (cost[n], -depth[n]))
 
-    def is_suffix(short: PathId, long: PathId) -> bool:
-        return len(short) <= len(long) and long[len(long) - len(short) :] == short
-
-    def covered(node: PathTreeNode, chosen: List[PathTreeNode]) -> bool:
-        # two aggregation points overlap iff one subtree contains the other,
-        # i.e. one node's suffix is a suffix of the other's.
-        return any(
-            is_suffix(other.suffix, node.suffix) or is_suffix(node.suffix, other.suffix)
-            for other in chosen
-        )
-
-    def reduction(chosen: List[PathTreeNode]) -> int:
-        return sum(len(node.descend_leaves()) - 1 for node in chosen)
-
+    solution: List[int] = []
+    reduction = 0  # identifiers the solution saves: its paths minus its nodes
     needed = len(attack_pids) - budget
     for node in ordered:
-        if reduction(solution) >= needed:
+        if reduction >= needed:
             break
-        if covered(node, solution):
+        # two aggregation points overlap iff one subtree contains the
+        # other, i.e. their slices of ``order`` overlap
+        lo, hi = start[node], start[node] + leaves[node]
+        if any(start[n] < hi and lo < start[n] + leaves[n] for n in solution):
             continue
         solution.append(node)
+        reduction += leaves[node] - 1
         # Algorithm 1 step 2: a single candidate replaces the current
         # solution set if it is cheaper than the set's total cost while
         # costing more than any individual member (an ancestor covering
         # them all), provided it still achieves the needed reduction.
         if len(solution) >= 2:
-            total = sum(costs[n.suffix] for n in solution)
-            worst = max(costs[n.suffix] for n in solution)
+            total = sum(cost[n] for n in solution)
+            worst = max(cost[n] for n in solution)
             for challenger in ordered:
-                cost = costs[challenger.suffix]
-                if not worst < cost < total:
-                    continue
-                if len(challenger.descend_leaves()) - 1 >= needed:
+                saves = leaves[challenger] - 1
+                if worst < cost[challenger] < total and saves >= needed:
                     solution = [challenger]
+                    reduction = saves
                     break
 
-    if reduction(solution) < needed:
+    if reduction < needed:
         # fall back: merge every attack path into one identifier
         return [((), attack_pids)]
-
-    groups: List[Tuple[PathId, List[PathId]]] = []
-    for node in solution:
-        groups.append((node.suffix, node.descend_leaves()))
-    return groups
+    return [
+        (first[n][len(first[n]) - depth[n] :], paths_under(n)) for n in solution
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -215,49 +269,6 @@ _flows_of = itemgetter(0)
 _conformance_of = itemgetter(1)
 _n_paths_of = itemgetter(2)
 _weighted_of = itemgetter(4)
-
-
-#: ``_flat_tree``'s lists: ``(kids, depth, leaves, own, first)``.
-_FlatTree = Tuple[
-    List[Dict[int, int]], List[int], List[int], List[Optional[PathId]],
-    List[PathId],
-]
-
-
-def _flat_tree(pids: Sequence[PathId]) -> _FlatTree:
-    """The traffic tree of ``pids`` as plain lists, built in one pass
-    from the router side: node 0 is the router, and node ``i`` has its
-    children ``kids[i]`` (AS number -> node, in order of creation, which
-    is ``PathTree``'s child order), its ``depth``, its number of
-    ``leaves`` below or at it, the path that ends at it (``own``, or
-    ``None``) and the first path through it (``first``; its suffix of
-    length ``depth[i]`` is the node's, and it is the only path through a
-    node with one leaf).  ``pids`` must be distinct.
-    """
-    kids: List[Dict[int, int]] = [{}]
-    depth = [0]
-    leaves = [len(pids)]
-    own: List[Optional[PathId]] = [None]
-    first: List[PathId] = [()]
-    for pid in pids:
-        if not pid:
-            raise ConfigError("empty path identifier")
-        node = 0
-        for asn in reversed(pid):
-            below = kids[node]
-            if asn in below:
-                node = below[asn]
-                leaves[node] += 1
-            else:
-                child = below[asn] = len(kids)
-                kids.append({})
-                depth.append(depth[node] + 1)
-                leaves.append(1)
-                own.append(None)
-                first.append(pid)
-                node = child
-        own[node] = pid
-    return kids, depth, leaves, own, first
 
 
 def aggregate_legitimate_paths(

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from repro.core.aggregation import (
     AggregationPlan,
+    _depth_first,
+    _flat_tree,
     aggregate_attack_paths,
     aggregate_legitimate_paths,
     build_plan,
     legitimate_aggregation_cost,
 )
-from repro.core.pathid import PathTree
 from repro.errors import ConfigError
 
 from . import aggregation_oracle
@@ -284,11 +285,31 @@ def plan_cases(draw):
 
 
 def tree_shape(tree):
-    """Node suffixes in ``nodes()`` order, each node's children in their
-    insertion order, and its leaves."""
+    """The oracle tree's nodes, the root first and then in ``nodes()``
+    order: each node's suffix, its children in their insertion order, the
+    path that ends at it, and every path below or at it in
+    ``descend_leaves`` order."""
     return [
-        (node.suffix, list(node.children), list(node.leaf_pids))
-        for node in tree.nodes()
+        (
+            node.suffix, list(node.children), list(node.leaf_pids),
+            node.descend_leaves(),
+        )
+        for node in [tree.root, *tree.nodes()]
+    ]
+
+
+def flat_shape(paths):
+    """``tree_shape`` of ``_flat_tree``, its paths under a node read off
+    the ``_depth_first`` order."""
+    kids, depth, leaves, own, first = _flat_tree(paths)
+    order, start = _depth_first(kids, leaves, own)
+    return [
+        (
+            first[n][len(first[n]) - depth[n] :], list(kids[n]),
+            [] if own[n] is None else [own[n]],
+            order[start[n] : start[n] + leaves[n]],
+        )
+        for n in range(len(kids))
     ]
 
 
@@ -297,13 +318,17 @@ def tree_shape(tree):
 def test_plan_and_tree_match_oracle(case):
     """The traffic tree and the whole plan (Algorithm 1, Eq. IV.8 and
     the singletons) are the oracle's: same groups with members in the
-    same order, same shares, same node order."""
+    same order, same shares, same node order.  Both aggregations walk
+    ``_flat_tree``, and Algorithm 1 breaks cost ties by its node order,
+    so the tree must list the oracle's nodes, children and paths in the
+    oracle's order."""
     (
         pids, attack, conf, counts, cap, tolerance, s_max,
         legitimate_aggregation,
     ) = case
     for paths in (pids, attack, pids + attack):
-        assert tree_shape(PathTree(paths)) == tree_shape(
+        paths = list(dict.fromkeys(paths))
+        assert flat_shape(paths) == tree_shape(
             aggregation_oracle.PathTree(paths)
         )
     kwargs = dict(
@@ -326,6 +351,16 @@ def test_plan_and_tree_match_oracle(case):
         ) == aggregation_oracle.aggregate_attack_paths(
             attack, conf, len(pids), s_max
         )
+
+
+def test_empty_pid_rejected():
+    """Both aggregations build the traffic tree, which refuses an
+    empty path identifier."""
+    paths = [pid(1, 10), ()]
+    with pytest.raises(ConfigError, match="empty path identifier"):
+        aggregate_attack_paths(paths, {}, n_legit_paths=0, s_max=1)
+    with pytest.raises(ConfigError, match="empty path identifier"):
+        aggregate_legitimate_paths(paths, {}, {})
 
 
 class TestBuildPlan:

@@ -10,11 +10,17 @@ inputs from the simulator (slot path ids, the conformance partition, the
 conformance values and the slot flow counts) at every regroup tick, and
 the plan and the legitimate groups must equal those of
 ``aggregation_oracle``; so must the plan the simulator itself built.
+The same runs with ``|S|_max`` = 200 (the paper's A-200) hold Algorithm
+1's attack groups to the oracle at every regroup too.
 """
 
 import pytest
 
-from repro.core.aggregation import aggregate_legitimate_paths, build_plan
+from repro.core.aggregation import (
+    aggregate_attack_paths,
+    aggregate_legitimate_paths,
+    build_plan,
+)
 from repro.inet.scenarios import build_internet_scenario
 from repro.inet.simulator import FluidSimulator
 
@@ -40,14 +46,16 @@ def plan_items(plan):
     )
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_every_regroup_of_a_section_vii_run_matches_oracle(seed):
+def check_every_regroup(seed, s_max):
+    """Run the Section VII scenario of ``seed`` under FLoc with
+    ``s_max`` and hold every regroup to the oracle; return one row per
+    regroup: ``(tick, n_legit, n_attack, n_nodes, attack groups)``."""
     scenario = build_internet_scenario(
         n_as=2000, n_legit_sources=10_000, n_legit_ases=200,
         n_bots=100_000, target_capacity=16_000.0, placement="localized",
         build_flow_links=False, seed=seed,
     )
-    sim = FluidSimulator(scenario, strategy="floc", seed=seed)
+    sim = FluidSimulator(scenario, strategy="floc", s_max=s_max, seed=seed)
     pending = []
 
     def capture(host, tick):
@@ -72,14 +80,52 @@ def test_every_regroup_of_a_section_vii_run_matches_oracle(seed):
             ) == aggregation_oracle.aggregate_legitimate_paths(
                 legit, conf, counts
             ), tick
+            groups = []
+            if s_max is not None and attack:
+                groups = aggregate_attack_paths(
+                    attack, conf, len(legit), s_max
+                )
+                assert groups == aggregation_oracle.aggregate_attack_paths(
+                    attack, conf, len(legit), s_max
+                ), tick
             n_nodes = len(list(aggregation_oracle.PathTree(legit).nodes()))
-            checked.append((tick, len(legit), len(attack), n_nodes))
+            checked.append((tick, len(legit), len(attack), n_nodes, groups))
         if not more:
             break
     assert [tick for tick, *_ in checked] == list(range(0, TICKS, 50))
+    return checked
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_regroup_of_a_section_vii_run_matches_oracle(seed):
+    checked = check_every_regroup(seed, s_max=None)
     # the shape the drawn trees never reach: hundreds of legitimate
     # paths on a tree of hundreds of nodes, and convicted attack paths
     # taken out of it
-    assert max(n for *_, n in checked) >= 400
-    assert min(n_legit for _, n_legit, _, _ in checked) >= 150
-    assert max(n_attack for _, _, n_attack, _ in checked) > 0
+    assert max(n for _, _, _, n, _ in checked) >= 400
+    assert min(n_legit for _, n_legit, _, _, _ in checked) >= 150
+    assert max(n_attack for _, _, n_attack, _, _ in checked) > 0
+
+
+#: What Algorithm 1 does at the regroups of the A-200 runs that have
+#: attack paths: with ~250 legitimate paths the budget is one attack
+#: identifier, which seed 1 always reaches with one node covering every
+#: attack path, and seed 2's first regroups reach only by the fallback
+#: that merges them at the router.
+A200_OUTCOMES = {1: {"covering node"}, 2: {"router fallback", "covering node"}}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_regroup_of_an_a200_run_matches_oracle(seed):
+    """The paper's A-200 (``|S|_max`` = 200) at the Section VII size:
+    Algorithm 1 runs at every regroup with convicted paths, on trees of
+    dozens of attack paths, and its groups are the oracle's."""
+    checked = check_every_regroup(seed, s_max=200)
+    outcomes = set()
+    for _, _, n_attack, _, groups in checked:
+        if n_attack:
+            ((suffix, members),) = groups
+            assert len(members) == n_attack
+            outcomes.add("router fallback" if suffix == () else "covering node")
+    assert outcomes == A200_OUTCOMES[seed]
+    assert max(n_attack for _, _, n_attack, _, _ in checked) >= 40

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import cdf_at, empirical_cdf, percentile
-from repro.core.aggregation import build_plan
+from repro.core.aggregation import _depth_first, _flat_tree, build_plan
 from repro.core.conformance import ConformanceTracker
-from repro.core.pathid import PathTree, common_suffix
 from repro.core.tokenbucket import PathTokenBucket
 from repro.tcp import model
 
@@ -63,21 +62,20 @@ class TestTcpModelProperties:
 
 
 class TestPathTreeProperties:
-    @given(st.lists(pid_strategy, min_size=1, max_size=30))
+    @given(st.lists(pid_strategy, min_size=1, max_size=30, unique=True))
     def test_tree_preserves_all_paths(self, pids):
-        tree = PathTree(pids)
-        recovered = sorted(tree.root.descend_leaves())
-        assert recovered == sorted(pids)
-
-    @given(pid_strategy, pid_strategy)
-    def test_common_suffix_is_suffix_of_both(self, a, b):
-        s = common_suffix(a, b)
-        assert a[len(a) - len(s):] == s
-        assert b[len(b) - len(s):] == s
-
-    @given(pid_strategy)
-    def test_common_suffix_idempotent(self, a):
-        assert common_suffix(a, a) == a
+        """The depth-first order of the traffic tree lists every path
+        exactly once, and a node's slice of it holds exactly the paths
+        through the node."""
+        kids, depth, leaves, own, first = _flat_tree(pids)
+        order, start = _depth_first(kids, leaves, own)
+        assert sorted(order) == sorted(pids)
+        for node in range(len(kids)):
+            suffix = first[node][len(first[node]) - depth[node]:]
+            under = order[start[node] : start[node] + leaves[node]]
+            assert sorted(under) == sorted(
+                p for p in pids if p[len(p) - len(suffix):] == suffix
+            )
 
 
 class TestTokenBucketProperties:
