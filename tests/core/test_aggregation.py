@@ -240,8 +240,9 @@ TWO_NODE_SOLUTION = (
 
 
 def test_step_two_replaces_the_pair_and_keeps_it_otherwise():
-    """The two examples below do what their comments say, so the
-    oracle comparison runs both outcomes of step 2."""
+    """``STEP_TWO_CHALLENGER`` and ``TWO_NODE_SOLUTION`` end as their
+    comments say, so the oracle test's examples run both outcomes of
+    step 2."""
     paths = STEP_TWO_CHALLENGER[0]
     assert aggregate_attack_paths(*STEP_TWO_CHALLENGER) == [((50, 99), paths)]
     assert aggregate_attack_paths(*TWO_NODE_SOLUTION) == [
