@@ -35,6 +35,12 @@ from repro.chaos import (
     write_artifact,
 )
 
+
+def mutations(campaign: CampaignSpec) -> int:
+    """How many attacker mutations a campaign switches on."""
+    return sum(len(squad.mutations) for squad in campaign.attackers)
+
+
 # -- 1. a hand-written campaign: two faults + one adaptive shrew squad --
 spec = CampaignSpec(
     seed=2024,
@@ -80,8 +86,7 @@ shrunk = shrink_campaign(broken, violated.slo, log=lambda m: print(f"  {m}"))
 print(
     f"  {shrunk.trials} trial(s): {len(spec.faults)} fault(s) -> "
     f"{len(shrunk.minimal.faults)}, "
-    f"{spec.mutation_count()} mutation(s) -> "
-    f"{shrunk.minimal.mutation_count()}"
+    f"{mutations(spec)} mutation(s) -> {mutations(shrunk.minimal)}"
 )
 
 # -- 5. write the artifact, replay it, verify ---------------------------

@@ -37,8 +37,9 @@ from repro.runner import figure_tasks
 
 
 class TripAfter:
-    """Wraps a task: once ``budget`` tasks have run, raises the same
-    Interrupted the SIGTERM handler path produces."""
+    """Wraps a task: once ``budget`` tasks have run, raises Interrupted,
+    which stops the run as ``interrupted``, as a SIGTERM does once the
+    running unit finishes."""
 
     budget = 2
 

@@ -97,13 +97,10 @@ from .sanitize import (
 )
 from .runner import (
     CheckpointStore,
-    EngineRun,
-    FluidRun,
     GracefulShutdown,
     RetryPolicy,
     Watchdog,
     build_figure_job,
-    run_checkpointed,
 )
 from .chaos import (
     AttackerSpec,
@@ -180,9 +177,6 @@ __all__ = [
     "RetryPolicy",
     "Watchdog",
     "GracefulShutdown",
-    "EngineRun",
-    "FluidRun",
-    "run_checkpointed",
     "build_figure_job",
     "AttackerSpec",
     "CampaignSpec",

@@ -299,9 +299,6 @@ class CampaignSpec:
         start = self.warmup_ticks + index * self.window_ticks
         return start, start + self.window_ticks
 
-    def mutation_count(self) -> int:
-        return sum(len(a.mutations) for a in self.attackers)
-
     def validate(self) -> None:
         if self.simulator not in SIMULATORS:
             raise ConfigError(

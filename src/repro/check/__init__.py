@@ -15,8 +15,8 @@ Rule families
     ``repro.traffic``).
 ``FLC002``
     Checkpoint/pickle safety: lambdas or nested closures installed into
-    state reachable from checkpointed objects (``EngineRun``/``FluidRun``
-    wrappers, tasks handed to ``run_fleet``).
+    state the scheduler pickles (tasks handed to ``run_fleet``, their
+    stored results).
 ``FLC003``
     Float equality on rates, tokens, shares, and other continuous
     quantities.

@@ -5,7 +5,7 @@ determines a run (see ``docs/architecture.md``).  Inside the simulation
 packages that means:
 
 * no wall-clock reads (``time.time``, ``datetime.now``, ...) — simulated
-  time is the engine tick, and checkpoint resume replays ticks, not hours;
+  time is the engine tick, and a re-run unit replays ticks, not hours;
 * no module-level ``random.*`` calls — the process-global RNG is shared
   mutable state seeded from the OS; every component must draw from a
   seed-derived ``random.Random`` (``Engine.spawn_rng``);
@@ -20,11 +20,10 @@ exporters must be tick-driven so traces replay byte-identically — with
 exactly one carve-out: :data:`WALL_CLOCK_ALLOWED_MODULES` exempts
 ``repro.telemetry.profiler`` from the *wall-clock* findings (and only
 those).  That module is the tick profiler, which the span tracer owns
-(the simulators reach it through ``current_tracer().profiler``); it
-stays at that dotted path because old checkpoints name it.  Its entire
-job is attributing real elapsed time to subsystems; its measurements
-never feed back into simulation state, and its pickle support erases
-them so checkpoints and digests stay wall-clock-free.
+(the simulators reach it through ``current_tracer().profiler``).  Its
+entire job is attributing real elapsed time to subsystems; its
+measurements never feed back into simulation state, and its pickle
+support erases them so stored results and digests stay wall-clock-free.
 
 The span-tracing package ``repro.trace`` is in scope on the same terms:
 its one allowed clock is ``repro.trace.clock`` (the second and last

@@ -1,16 +1,15 @@
 """FLC002 — checkpoint/pickle safety: no closures in checkpointed state.
 
-The crash-safe runner (:mod:`repro.runner`) pickles ``EngineRun`` /
-``FluidRun`` wrappers and supervisor state into the checkpoint store.
-``pickle`` cannot serialise lambdas, closures over local state, or local
-classes — and the failure surfaces *at checkpoint time*, hours into a
-run, not at construction.  This rule flags the two ways such objects get
-installed into checkpoint-reachable state:
+The scheduler (:func:`repro.fleet.pool.run_fleet`) pickles its tasks
+across a spawn and their results into the checkpoint store.  ``pickle``
+cannot serialise lambdas, closures over local state, or local classes —
+and the failure surfaces *when the task is shipped or its result
+stored*, not at construction.  This rule flags the two ways such objects
+get installed into checkpoint-reachable state:
 
 * a ``lambda`` (or a nested ``def``) passed as any argument to a
-  checkpoint sink — ``*.checkpointed(...)``, ``run_checkpointed(...)``,
-  or the scheduler entry point ``run_fleet(...)``, whose tasks and
-  results are pickled into the store (and across a spawn);
+  checkpoint sink — the scheduler entry point ``run_fleet(...)``, whose
+  tasks and results are pickled into the store (and across a spawn);
 * a ``lambda`` assigned onto an instance attribute (``self.x = lambda``,
   including defaulting forms like ``self._log = log or (lambda: None)``)
   inside the runner/CLI layer, where instances end up in pickled state.
@@ -29,15 +28,12 @@ from ..diagnostics import Diagnostic
 from . import Rule, register
 
 #: Callee names (terminal segment) whose arguments become pickled state.
-CHECKPOINT_SINKS = frozenset(
-    {"checkpointed", "run_checkpointed", "run_fleet"}
-)
+CHECKPOINT_SINKS = frozenset({"run_fleet"})
 
 #: Modules where instance attributes are reachable from pickled state.
 #: repro.chaos instances (CampaignJob, injectors inside specs) ride
-#: through the scheduler's checkpoints; repro.traffic sources are
-#: engine state pickled by EngineRun snapshots.
-ATTRIBUTE_SCOPE = ("repro.runner", "repro.cli", "repro.chaos", "repro.traffic")
+#: through the scheduler's checkpoints.
+ATTRIBUTE_SCOPE = ("repro.runner", "repro.cli", "repro.chaos")
 
 
 def _callee_terminal(call: ast.Call) -> Optional[str]:
@@ -59,7 +55,7 @@ class PickleSafetyRule(Rule):
     rule_id = "FLC002"
     description = (
         "lambdas or closures installed into checkpoint-reachable state "
-        "make EngineRun/FluidRun/supervisor snapshots unpicklable"
+        "make scheduled tasks and their results unpicklable"
     )
     scope = ("repro",)
 

@@ -38,7 +38,7 @@ digests are byte-identical with it on or off.
 
 ``run`` and ``chaos`` (``--replay`` included) also accept ``--trace``:
 wall-clock span tracing of the execution fabric itself (scheduler, fleet
-workers, checkpoint/salvage, chaos campaigns, and the per-tick phases
+workers, retries, chaos campaigns, and the per-tick phases
 the tracer's tick profiler times — the one answer to "where did the
 time go").  Every
 process appends to its own ``spans-*.jsonl`` under ``--trace-dir``
@@ -58,8 +58,9 @@ every simulator.
 Exit codes: 0 all units completed; 1 every unit failed; 2 bad
 configuration or unusable checkpoint directory; 3 partial (some units
 failed — completed rows are still printed and salvaged); 4 watchdog
-deadline exceeded; 5 interrupted by SIGTERM/SIGINT (progress
-checkpointed; re-run with ``--resume``); 6 a poison job was quarantined
+deadline exceeded; 5 interrupted by SIGTERM/SIGINT (the running unit
+finishes and is stored, no further unit starts; re-run with
+``--resume`` to run the rest); 6 a poison job was quarantined
 by the worker pool (its reproducer artifact path is in the status table);
 7 no data — ``metrics`` found no telemetry export at the given path, or
 ``trace`` found no span files in the given directory (the command names
@@ -258,7 +259,7 @@ def _supervision(args, store, plan, **knobs):
     the :class:`~repro.fleet.pool.FleetOptions` the flags ask for; the
     caller runs the scheduler inside the block and leaves its
     ``FleetReport`` on ``.report``.  A spawn pool needs a shared store
-    for results and mid-task salvage even when the user asked for no
+    for results and telemetry pieces even when the user asked for no
     checkpoints: it is lent a scratch one, removed when the run ends
     ``ok`` and kept (its path printed) otherwise — quarantine
     reproducers live in it.  On the way out the merged telemetry is
@@ -729,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--resume", metavar="DIR", default=None,
         help="resume from the checkpoints in DIR: completed units are "
-             "loaded, interrupted simulations continue mid-run",
+             "loaded, the rest run from the start",
     )
     run.add_argument(
         "--deadline", type=float, metavar="SECONDS", default=None,
@@ -894,7 +895,7 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", action="store_true",
         help="span-trace the execution fabric (supervisor, fleet "
-             "workers, checkpoint/salvage, per-tick phases) into per-process JSONL files merged into a "
+             "workers, retries, per-tick phases) into per-process JSONL files merged into a "
              "Perfetto-loadable trace.json; results and digests are "
              "byte-identical either way",
     )

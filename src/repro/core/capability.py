@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from .pathid import PathId
 
@@ -34,10 +34,6 @@ AccountKey = Tuple[Hashable, int, PathId]
 _BLOCK_BYTES = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
-
-#: The attributes :meth:`CapabilityIssuer.__setstate__` rebuilds from the
-#: keys; hash objects cannot be pickled.
-_PADS = ("_inner0", "_outer0", "_inner1", "_outer1")
 
 
 def _hmac_pads(key: bytes) -> Tuple["hashlib._Hash", "hashlib._Hash"]:
@@ -97,18 +93,8 @@ class CapabilityIssuer:
             PathId, Dict[Tuple[Hashable, Hashable], Tuple[bytes, AccountKey]]
         ] = {}
         self._buckets: Dict[Hashable, int] = {}
-        self._key_pads()
-
-    def _key_pads(self) -> None:
         self._inner0, self._outer0 = _hmac_pads(self._k0)
         self._inner1, self._outer1 = _hmac_pads(self._k1)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {k: v for k, v in self.__dict__.items() if k not in _PADS}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._key_pads()
 
     # ``"%s" % x`` is ``str(x)``, as the message format requires; an
     # f-string would call ``format(x)``, which differs for an ``IntEnum``

@@ -51,11 +51,13 @@ class CheckpointError(RunnerError):
 
 
 class DeadlineExceeded(RunnerError):
-    """A supervised job ran past its watchdog deadline."""
+    """A supervised task gave up on its job's deadline; the scheduler
+    ends the run as ``deadline``."""
 
 
 class Interrupted(RunnerError):
-    """A supervised job was stopped by a shutdown signal (SIGTERM/SIGINT)
-    after checkpointing its progress; re-run with ``--resume`` to
-    continue."""
+    """A supervised task asked its run to stop; the scheduler ends the
+    run as ``interrupted``, as it does when a shutdown signal
+    (SIGTERM/SIGINT) arrives between tasks.  Completed units stay
+    stored; re-run with ``--resume`` to run the rest."""
 

@@ -22,18 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..analysis.cdf import percentile
 from ..core.config import FLocConfig
 from ..traffic.scenarios import build_tree_scenario
 from .common import FunctionalSettings, mean, run_breakdown
-
-
-def _coefficient_of_variation(values: List[float]) -> float:
-    m = mean(values)
-    if m <= 0.0 or len(values) < 2:
-        return 0.0
-    var = sum((v - m) ** 2 for v in values) / (len(values) - 1)
-    return (var ** 0.5) / m
 
 
 @dataclass
@@ -50,17 +41,6 @@ class Fig09Variant:
         """Mean small-domain flow rate over mean big-domain flow rate."""
         big = mean(self.big_domain_rates)
         return mean(self.small_domain_rates) / big if big > 0 else float("inf")
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation of legit-path per-flow bandwidth."""
-        return _coefficient_of_variation(self.all_rates)
-
-    def spread_ratio(self) -> float:
-        """p90/p10 of per-flow bandwidth — 1.0 is perfectly even."""
-        p10 = percentile(self.all_rates, 0.10)
-        p90 = percentile(self.all_rates, 0.90)
-        return p90 / p10 if p10 > 0 else float("inf")
 
 
 @dataclass

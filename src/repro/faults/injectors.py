@@ -11,9 +11,8 @@ Two stateful injector pairs model transient faults that must undo
 themselves — :class:`LinkFlap` (packet level) and
 :class:`FluidLinkDegrade` (fluid level) — and a set of callable classes
 wrap the :class:`~repro.net.policy.LinkPolicy` fault hooks (restart,
-partial state corruption, clock jitter).  Injectors are plain picklable
-objects (no closures) so a simulator with an installed fault schedule can
-be checkpointed mid-run by :mod:`repro.runner`.
+partial state corruption, clock jitter).  Injectors are plain objects
+(no closures).
 
 :class:`CounterCorruption` and :class:`FluidCounterCorruption` silently
 corrupt internal accounting state without any behavioural side effect —

@@ -198,9 +198,7 @@ class FaultSchedule:
         ``spawn_rng(name)`` — both simulators do.  Installing the same
         schedule on several hosts is allowed (each gets its own RNG), but
         stateful injectors (:class:`~repro.faults.injectors.LinkFlap`)
-        must not be shared across hosts.  The hook is a plain picklable
-        object, so a host checkpointed mid-run by :mod:`repro.runner`
-        resumes with the schedule (and its RNG position) intact.
+        must not be shared across hosts.
         """
         host.add_tick_hook(_InstalledSchedule(self, host.spawn_rng("faults")))
         return self

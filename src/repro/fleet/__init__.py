@@ -13,8 +13,8 @@ spawn-based worker pool with real fault tolerance:
   SIGKILLed (:mod:`repro.fleet.heartbeat`);
 * dead workers are replaced and their tasks salvaged from the shared
   :class:`~repro.runner.checkpoint.CheckpointStore` — finished results
-  load instead of re-running, interrupted simulations resume tick-level
-  on another worker (:mod:`repro.fleet.pool`);
+  load instead of re-running, and an interrupted task runs again from
+  its recipe on another worker (:mod:`repro.fleet.pool`);
 * tasks that keep killing workers are quarantined with a reproducer
   artifact instead of retried forever;
 * the chaos fault space extends to the fabric itself — planned

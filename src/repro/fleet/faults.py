@@ -7,20 +7,20 @@ supervision:
 
 * ``kill_worker`` — a timer thread SIGKILLs the worker's own process
   partway through the victim task.  The supervisor must notice the
-  death, respawn, and salvage the task from its last checkpoint.
+  death, respawn, and run the task again on the replacement worker.
 * ``stall_worker`` — the worker suppresses its heartbeat and blocks
-  instead of running the victim task, simulating a hang the cooperative
-  watchdog can never see.  The supervisor's liveness monitor must
+  instead of running the victim task, simulating a hang the run's
+  deadline watchdog can never see.  The supervisor's liveness monitor must
   convict and SIGKILL it.
 
 Faults are sampled deterministically from the sweep seed via
 :func:`repro.chaos.spec.chaos_rng` and fire **once** per plan: the
 worker claims an ``O_EXCL`` marker file in the shared fleet directory
 before applying a fault, so the task's retry on the replacement worker
-runs clean.  Because recovery is checkpoint-resume (or a from-scratch
-rerun of a pure unit), a faulted sweep's digests and results stay
-byte-identical to an unfaulted one — which is precisely the property
-the CI lane asserts.
+runs clean.  Because recovery is a from-scratch rerun of a pure unit
+(or a load of the result it already stored), a faulted sweep's digests
+and results stay byte-identical to an unfaulted one — which is
+precisely the property the CI lane asserts.
 """
 
 from __future__ import annotations

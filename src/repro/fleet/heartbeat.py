@@ -1,9 +1,9 @@
 """Worker liveness: heartbeat files and the supervisor-side reader.
 
-The cooperative :class:`~repro.runner.supervisor.Watchdog` cannot see a
-worker hung inside a C call, frozen by the OS, or killed outright — the
-poll point never runs.  The fleet closes that gap with a *heartbeat
-file* per worker:
+The run's :class:`~repro.runner.supervisor.Watchdog` bounds the whole
+run, not one worker: it cannot see a worker hung inside a C call,
+frozen by the OS, or killed outright.  The fleet closes that gap with a
+*heartbeat file* per worker:
 
 * the worker side (:class:`Heartbeat`) rewrites its file — atomically,
   via temp + ``os.replace``, so the supervisor never reads a torn JSON —
@@ -11,8 +11,8 @@ file* per worker:
   ``HEARTBEAT_INTERVAL_SECONDS`` (proves the process is alive and
   scheduled: a SIGSTOP, an OOM freeze, or a GIL-holding hang in C all
   silence it),
-  and the job path itself at start/finish and at cooperative poll
-  points (carries *progress*: which job, how many beats into it);
+  and the job path itself at the start and end of each task (carries
+  *which job* the worker holds);
 * the supervisor side (:class:`HeartbeatMonitor`) remembers, per
   worker, when the file content last *changed* on its own monotonic
   clock.  ``stale()`` after ``timeout_seconds`` of no change convicts

@@ -7,10 +7,11 @@ canonical-order telemetry fold — and has two executors for the tasks
 themselves, both calling the same :func:`repro.fleet.worker._run_task`:
 
 * ``FleetOptions.workers=None`` — **in-process**: the earliest ready
-  task runs in the calling process, with the run's real
-  ``GracefulShutdown`` and ``Watchdog`` on its ``UnitContext`` (a task
-  that unwinds on either ends the run as ``interrupted``/``deadline``).
-  No store is required and no ``fleet/`` directory is written.
+  task runs in the calling process, from start to finish; a SIGTERM or
+  an expired deadline stops the run before the next task starts (and a
+  task that raises ``Interrupted``/``DeadlineExceeded`` itself ends the
+  run as ``interrupted``/``deadline``).  No store is required and no
+  ``fleet/`` directory is written.
 * ``workers=N`` — a **spawn pool**: N shared-nothing worker processes,
   each with a private task queue, all reporting into one result queue.
   The supervision loop then also
@@ -24,8 +25,8 @@ themselves, both calling the same :func:`repro.fleet.worker._run_task`:
      holds the completed unit, the worker died in the report window —
      the result is loaded, nothing re-runs), otherwise counts the death
      against the task and either re-enqueues it (a replacement worker
-     resumes from the last tick-level checkpoint) or quarantines it once
-     it has killed ``max_worker_deaths`` distinct workers;
+     runs it again from its recipe) or quarantines it once it has
+     killed ``max_worker_deaths`` distinct workers;
   4. replaces dead workers with fresh processes (worker ids are never
      reused, so "distinct workers killed" is well-defined);
   5. assigns ready tasks — including ``RetryPolicy``-delayed retries —
@@ -204,8 +205,8 @@ class _FleetRun:
             raise ConfigError("fleet task names must be unique")
         if options.workers is not None and store is None:
             raise ConfigError(
-                "a spawn pool needs a checkpoint store: results, salvage "
-                "state and heartbeats all live in it"
+                "a spawn pool needs a checkpoint store: results, telemetry "
+                "pieces and heartbeats all live in it"
             )
         self.store = store
         self.options = options
@@ -286,7 +287,7 @@ class _FleetRun:
         for worker in self.workers.values():
             if force:
                 # mid-task workers won't drain their queue; SIGTERM them
-                # (tick-level state snapshots make this resumable)
+                # (their tasks re-run from their recipes on --resume)
                 worker.process.terminate()
             else:
                 try:
@@ -335,14 +336,11 @@ class _FleetRun:
             # queue to a dying worker; liveness sweep will reassign
             pass
 
-    def run_inline(
-        self, shutdown: GracefulShutdown, watchdog: Optional[Watchdog]
-    ) -> Optional[str]:
+    def run_inline(self) -> Optional[str]:
         """The in-process executor: run the earliest ready task here.
 
         Returns the run status to stop with when the task unwound on a
-        job-level condition (its mid-run state is already checkpointed),
-        else ``None``.
+        job-level condition, else ``None``.
         """
         at, _, task, attempt = heapq.heappop(self.ready)
         span = self._begin(task, attempt, worker=None)
@@ -356,8 +354,6 @@ class _FleetRun:
         ctx = UnitContext(
             name=task.name,
             store=self.store,
-            shutdown=shutdown,
-            watchdog=watchdog,
             sanitize=self.options.sanitize,
             trace_parent=span.span_id,
         )
@@ -681,7 +677,7 @@ def run_fleet(
                     elif watchdog is not None and watchdog.expired:
                         status_override = "deadline"
                     elif options.workers is None:
-                        status_override = run.run_inline(shutdown, watchdog)
+                        status_override = run.run_inline()
                     else:
                         run.assign_ready()
                         run.drain_results(POLL_INTERVAL_SECONDS)

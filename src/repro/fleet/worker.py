@@ -15,17 +15,16 @@ task's telemetry piece and then its result into the shared
 :class:`~repro.runner.checkpoint.CheckpointStore` (telemetry first, so a
 stored result implies a stored telemetry piece).  A worker SIGKILLed in
 the send window therefore loses nothing — the supervisor salvages the
-completed task straight from the store.  A worker killed mid-task left a
-``state`` snapshot behind (tick-level checkpointing inside the task), so
-the replacement worker resumes instead of restarting.
+completed task straight from the store.  A worker killed mid-task leaves
+nothing of the task behind, so the replacement worker runs it again from
+its recipe, with the same result.
 
 Each task runs under a **fresh** telemetry of the configured mode; the
 piece ships back with the result and the supervisor folds the pieces in
 canonical task order (:mod:`repro.fleet.merge`), which is what makes
 telemetry independent of the executor and of scheduling.  The in-process
 executor (``FleetOptions.workers=None``) calls the same :func:`_run_task`
-directly, with a real ``GracefulShutdown``/``Watchdog`` on the context
-where a worker has its :class:`HeartbeatPulse`.
+directly.
 """
 
 from __future__ import annotations
@@ -84,23 +83,6 @@ class WorkerConfig:
     fault_plan: Optional[ProcessFaultPlan] = None
     #: run tracing context (trace id, span dir, epoch); None = no tracing
     trace: Optional[TraceContext] = None
-
-
-class HeartbeatPulse:
-    """Duck-typed stand-in for the cooperative ``Watchdog``.
-
-    Installed as ``UnitContext.watchdog`` so resumable tick loops beat
-    the heartbeat at every segment boundary — turning tick progress into
-    liveness evidence.  Never raises: deadlines are the supervisor's
-    job in the fleet.
-    """
-
-    def __init__(self, heartbeat: Heartbeat, job: str) -> None:
-        self._heartbeat = heartbeat
-        self._job = job
-
-    def check(self) -> None:
-        self._heartbeat.beat("run", job=self._job)
 
 
 def _run_task(
@@ -179,7 +161,6 @@ def worker_main(
                 ctx = UnitContext(
                     name=name,
                     store=store,
-                    watchdog=HeartbeatPulse(heartbeat, name),  # type: ignore[arg-type]
                     sanitize=config.sanitize,
                     trace_parent=span.span_id,
                 )

@@ -49,48 +49,18 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.aggregation import GroupKey, build_plan
 from ..core.conformance import ConformanceTracker
-from ..errors import CheckpointError, ConfigError, SimulationError
+from ..errors import ConfigError, SimulationError
 from ..telemetry import NullTelemetry, current
 from ..trace import current_tracer
 from .scenarios import InternetScenario
 
 STRATEGIES = ("nd", "ff", "floc")
-
-#: ``FluidSimulator`` attributes rebuilt by ``_build_derived`` instead of
-#: being checkpointed
-_DERIVED = (
-    "_levels",
-    "_slot_as",
-    "_pair_uplink",
-    "_pair_slot",
-    "_uplinks",
-    "_rtt_as",
-    "_tcp_floor_slot",
-    "_counts_slot",
-    "class_origin",
-    "_class_slot",
-    "_class_attack",
-    "_class_cat",
-    "_legit_idx",
-    "_rtt_legit",
-    "_inv_rtt_legit",
-    "_w_max_legit",
-    "_alloc",
-    "_group_of_slot",
-    "_fair_slot",
-    "_flag_bar_slot",
-)
-
-#: ``FluidSimulator`` buffers a tick fills and reads back, kept across
-#: ticks to spare the allocation: not state, so they are neither pickled
-#: nor rebuilt with the derived tables, but made by ``_build_scratch``
-_SCRATCH = ("_totals_layout", "_no_clog")
 
 #: per-class run state that ``split`` carries over to the new classes
 _CLASS_STATE = ("w", "_rate_ewma", "_flagged", "_acc", "_last_admitted")
@@ -210,23 +180,6 @@ class FluidSimulator:
         self._rate_ewma = np.zeros(self.n_classes, dtype=np.float64)
         self.n_groups = 0
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        for name in _DERIVED + _SCRATCH:
-            state.pop(name, None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        if "flow_class" not in state:
-            raise CheckpointError(
-                "fluid checkpoint has no flow_class: it holds per-flow state "
-                "written by a simulator without classes, which this one "
-                "cannot resume; start the run over"
-            )
-        self.__dict__.update(state)
-        self._build_derived()
-        self._build_scratch()
-
     @property
     def n_classes(self) -> int:
         return int(self.count.shape[0])
@@ -234,11 +187,10 @@ class FluidSimulator:
     def _build_derived(self) -> None:
         """(Re)build the static lookup tables of the step hot path.
 
-        Everything here is a pure function of the scenario and of state
-        that *is* checkpointed (the partition and the aggregation plan's
-        ``_group_of_as``/``_group_shares``), so none of it is pickled
-        (see ``_DERIVED``): a checkpoint stays as small as the state it
-        records, and one written without these attributes loads.
+        Everything here is a pure function of the scenario, the class
+        partition and the aggregation plan (``_group_of_as``/
+        ``_group_shares``), so ``split`` rebuilds it after changing the
+        partition.
         """
         scn = self.scn
         depth = np.asarray(scn.topology.depth, dtype=np.int64)
@@ -293,8 +245,9 @@ class FluidSimulator:
         self._plan_tables()
 
     def _build_scratch(self) -> None:
-        """Make the per-tick buffers of ``_SCRATCH``.  Both are sized by
-        the scenario's ASes and the slots, which ``split`` leaves as they
+        """Make the per-tick buffers a tick fills and reads back, kept
+        across ticks to spare the allocation.  Both are sized by the
+        scenario's ASes and the slots, which ``split`` leaves as they
         are.
 
         ``_totals_layout`` is ``_as_totals``'s per-AS layout: only its
@@ -829,9 +782,9 @@ class FluidSimulator:
         return admitted
 
     # ------------------------------------------------------------------
-    # stepwise run interface (crash-safe checkpointing: repro.runner
-    # pickles the simulator between step_run calls, so every piece of run
-    # state lives on self rather than in loop locals)
+    # stepwise run interface: ``run`` is begin_run, step_run until it
+    # returns False, finish_run; every piece of run state lives on self,
+    # so a caller may drive or time the steps one by one
     # ------------------------------------------------------------------
     def begin_run(
         self,

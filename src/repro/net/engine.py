@@ -24,7 +24,6 @@ import random
 from itertools import chain
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     Hashable,
@@ -327,15 +326,9 @@ class Engine:
         link.arrivals.append(pkt)
         self._active[link] = None
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        # packets pickle without their links: re-stamp them on the next tick
-        self._links_revision = -1
-
     def _reresolve_routes(self) -> None:
         """Forget every resolved route and re-stamp the packets in flight:
-        a link was replaced (a stale resolution would cross the old object)
-        or this engine was just unpickled."""
+        a link was replaced (a stale resolution would cross the old object)."""
         self._links_revision = self.topology.revision
         self._route_links.clear()
         for _, pkts in self.packets_in_transit():

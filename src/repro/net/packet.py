@@ -11,7 +11,7 @@ tokens.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .topology import Link
@@ -52,8 +52,7 @@ class Packet:
         ``route`` resolved to its :class:`~repro.net.topology.Link` objects,
         ``None``-terminated so ``links[hop] is None`` means "route
         complete"; stamped by :meth:`Engine.emit` (empty until then), never
-        by the constructor, and left out of pickles: the engine re-stamps
-        the packets in flight after a restore.
+        by the constructor.
     src_addr / dst_addr:
         Endpoint addresses used by capability hashing (host ids double as
         addresses).
@@ -74,8 +73,6 @@ class Packet:
         "sent_tick",
         "capability",
     )
-    #: what a pickle carries: every slot but ``links`` (see ``__getstate__``)
-    _PICKLED = tuple(name for name in __slots__ if name != "links")
 
     def __init__(
         self,
@@ -100,17 +97,6 @@ class Packet:
         self.dst_addr = dst_addr
         self.sent_tick = sent_tick
         self.capability = capability
-
-    # A packet that pickled its links would drag in every link of its route
-    # and, through their queues, every other packet's route: one recursion
-    # as deep as the network is wide (RecursionError on a 10x10 mesh).
-    def __getstate__(self) -> Tuple[Any, ...]:
-        return tuple(getattr(self, name) for name in self._PICKLED)
-
-    def __setstate__(self, state: Tuple[Any, ...]) -> None:
-        for name, value in zip(self._PICKLED, state):
-            setattr(self, name, value)
-        self.links = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,11 +1,9 @@
-"""Crash-safe experiment running: storage, resumable runs, figure jobs.
+"""Crash-safe experiment running: storage, supervision, figure jobs.
 
 Layers (bottom-up):
 
 * :mod:`~repro.runner.checkpoint` — atomic, manifest-verified pickle
   storage (:class:`CheckpointStore`).
-* :mod:`~repro.runner.resumable` — tick-level resumable simulation runs
-  (:class:`EngineRun`, :class:`FluidRun`, :func:`run_checkpointed`).
 * :mod:`~repro.runner.supervisor` — what a supervised task sees of its
   supervisor: watchdog, retry policy, graceful shutdown,
   :class:`UnitContext`.  The supervisor itself is the scheduler,
@@ -23,7 +21,6 @@ from .figures import (
     build_figure_job,
     figure_tasks,
 )
-from .resumable import EngineRun, FluidRun, run_checkpointed
 from .supervisor import (
     NON_RETRYABLE,
     GracefulShutdown,
@@ -40,9 +37,6 @@ __all__ = [
     "FigureUnitTask",
     "build_figure_job",
     "figure_tasks",
-    "EngineRun",
-    "FluidRun",
-    "run_checkpointed",
     "NON_RETRYABLE",
     "GracefulShutdown",
     "RetryPolicy",

@@ -6,14 +6,11 @@ entries, all pickled Python objects:
 * ``unit`` — the finished result of one experiment unit (e.g. one
   (scheme, attack-rate) cell of a figure sweep).  A resumed job skips
   every unit already stored.
-* ``state`` — a mid-run simulator snapshot (a pickled
-  :class:`~repro.runner.resumable.EngineRun`/``FluidRun``), written
-  periodically so a kill mid-unit loses at most one checkpoint interval.
 * ``salvage`` — partial results rescued from a failed or interrupted
   job, clearly segregated from trustworthy ``unit`` entries.
-* ``telemetry`` — the run's telemetry object (metrics registry and, when
-  tracing, the event log), saved alongside each unit so a resumed run
-  continues its exported series instead of restarting them.  Telemetry
+* ``telemetry`` — one task's telemetry piece (metrics registry and, when
+  tracing, the event log), saved alongside its unit so a resumed run
+  folds the same pieces into its exports as an uninterrupted one.  Telemetry
   holds no wall-clock data (the tick profiler belongs to the span
   tracer, which simulators look up per tick and never store).
 
@@ -64,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import CheckpointError
 
-KINDS = ("unit", "state", "salvage", "telemetry")
+KINDS = ("unit", "salvage", "telemetry")
 
 _MANIFEST = "MANIFEST.json"
 _LOCKFILE = "MANIFEST.lock"

@@ -12,10 +12,6 @@ given the settings' seed, so:
   table and lists the missing cells in ``notes`` rather than discarding
   the run.
 
-Internet-scale units additionally checkpoint *within* the unit at tick
-granularity (see :func:`~repro.runner.resumable.run_checkpointed`) —
-their single long fluid run is the most expensive thing the suite does.
-
 The scheduler (:func:`repro.fleet.pool.run_fleet`) runs *tasks*, and a
 task may have to cross a spawn boundary, where the unit closures built
 here cannot go.  So what is scheduled is the *recipe*: a frozen
@@ -56,15 +52,6 @@ class FigureJob:
     units: List[Tuple[str, UnitFn]]
     finalize: Callable[[Dict[str, Any]], FigureOutput]
     fingerprint: Dict[str, Any] = field(default_factory=dict)
-
-
-def _finish_fluid_run(run: Any) -> Any:
-    """Finalizer for checkpointed internet-scale units.
-
-    Module-level (not a lambda) so the checkpointed state that references
-    it stays picklable.
-    """
-    return run.sim.finish_run()
 
 
 def _missing(results: Dict[str, Any], names: Sequence[str]) -> List[str]:
@@ -374,7 +361,7 @@ def _fig11_job(settings: FunctionalSettings, variants: Tuple[str, ...]) -> Figur
 
 
 # ----------------------------------------------------------------------
-# internet-scale figures (tick-level checkpointing inside each unit)
+# internet-scale figures
 # ----------------------------------------------------------------------
 def _internet_job(
     figure: str, placement: str, variants: Tuple[str, ...]
@@ -396,28 +383,23 @@ def _internet_job(
                 from ..inet.scenarios import build_internet_scenario
                 from ..inet.simulator import FluidSimulator
                 from ..sanitize import install_sanitizer
-                from .resumable import FluidRun
 
-                def build() -> FluidRun:
-                    scenario = build_internet_scenario(
-                        variant=variant,
-                        placement=placement,
-                        n_as=iset.n_as,
-                        n_legit_sources=iset.n_legit_sources,
-                        n_legit_ases=iset.n_legit_ases,
-                        n_bots=iset.n_bots,
-                        target_capacity=iset.target_capacity,
-                        seed=iset.seed,
-                        build_flow_links=False,
-                    )
-                    sim = FluidSimulator(
-                        scenario, strategy=strategy, s_max=s_max,
-                        seed=iset.seed,
-                    )
-                    install_sanitizer(sim, ctx.sanitize)
-                    return FluidRun(sim, ticks=iset.ticks, warmup=iset.warmup)
-
-                return ctx.checkpointed(build, _finish_fluid_run)
+                scenario = build_internet_scenario(
+                    variant=variant,
+                    placement=placement,
+                    n_as=iset.n_as,
+                    n_legit_sources=iset.n_legit_sources,
+                    n_legit_ases=iset.n_legit_ases,
+                    n_bots=iset.n_bots,
+                    target_capacity=iset.target_capacity,
+                    seed=iset.seed,
+                    build_flow_links=False,
+                )
+                sim = FluidSimulator(
+                    scenario, strategy=strategy, s_max=s_max, seed=iset.seed
+                )
+                install_sanitizer(sim, ctx.sanitize)
+                return sim.run(ticks=iset.ticks, warmup=iset.warmup)
 
             units.append((f"{figure}:{variant}:{label}", unit))
     names = [name for name, _ in units]

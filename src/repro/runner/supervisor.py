@@ -7,13 +7,12 @@ same either way and lives here:
 * :class:`RetryPolicy` — a bounded number of retries with seed-derived
   jittered backoff (deterministic errors — bad config, invariant
   violations — are never retried: re-running cannot fix them);
-* :class:`Watchdog` — a cooperative wall-clock deadline, checked between
-  tasks and inside resumable tick loops, so cancellation is clean (no
-  half-written checkpoints);
-* :class:`GracefulShutdown` — SIGTERM/SIGINT request a stop: the current
-  task checkpoints its mid-run state, completed results stay in the
-  store, and the run reports ``interrupted`` so a later ``--resume``
-  continues bit-identically;
+* :class:`Watchdog` — a wall-clock deadline, checked between tasks, so
+  a task that has started always finishes;
+* :class:`GracefulShutdown` — SIGTERM/SIGINT request a stop: the
+  running task finishes and its result is stored, no further task
+  starts, and the run reports ``interrupted`` so a later ``--resume``
+  runs only the tasks left;
 * :class:`UnitContext` — what the scheduler hands a task's ``run``.
 """
 
@@ -38,13 +37,11 @@ NON_RETRYABLE = (ConfigError, InvariantViolation, DeadlineExceeded, Interrupted)
 
 
 class Watchdog:
-    """Cooperative wall-clock deadline.
+    """Wall-clock deadline.
 
-    ``check()`` raises :class:`~repro.errors.DeadlineExceeded` once
-    ``deadline_seconds`` have elapsed since construction.  Cooperative by
-    design: the supervised code polls at safe points (between units,
-    between checkpoint segments), so cancellation never interrupts a
-    checkpoint write halfway.
+    :attr:`expired` turns true once ``deadline_seconds`` have elapsed
+    since construction.  The scheduler reads it between tasks, so a
+    deadline never cuts a task short.
     """
 
     def __init__(
@@ -69,13 +66,6 @@ class Watchdog:
     @property
     def expired(self) -> bool:
         return self.remaining() <= 0
-
-    def check(self) -> None:
-        if self.expired:
-            raise DeadlineExceeded(
-                f"job exceeded its {self.deadline_seconds:.1f}s deadline "
-                f"(elapsed {self.elapsed():.1f}s)"
-            )
 
 
 class RetryPolicy:
@@ -121,20 +111,17 @@ class GracefulShutdown:
     """SIGTERM/SIGINT -> a cooperative stop flag.
 
     Used as a context manager around a supervised job.  The first signal
-    sets :attr:`requested`; supervised loops poll it at checkpoint-safe
-    points and raise :class:`~repro.errors.Interrupted` after saving
-    state.  Previous handlers are restored on exit.
+    sets :attr:`requested`; the scheduler reads it between tasks.
+    Previous handlers are restored on exit.
     """
 
     def __init__(self, signals: Sequence[int] = (signal.SIGTERM, signal.SIGINT)) -> None:
         self.signals = tuple(signals)
         self.requested = False
-        self.signum: Optional[int] = None
         self._previous: Dict[int, Any] = {}
 
     def _handler(self, signum, frame) -> None:
         self.requested = True
-        self.signum = signum
 
     def __enter__(self) -> "GracefulShutdown":
         for signum in self.signals:
@@ -150,14 +137,6 @@ class GracefulShutdown:
             signal.signal(signum, handler)
         self._previous.clear()
 
-    def raise_if_requested(self, context: str = "") -> None:
-        if self.requested:
-            where = f" during {context}" if context else ""
-            raise Interrupted(
-                f"shutdown signal {self.signum} received{where}; progress "
-                f"checkpointed"
-            )
-
 
 @dataclass
 class UnitContext:
@@ -165,27 +144,7 @@ class UnitContext:
 
     name: str
     store: Optional[CheckpointStore] = None
-    shutdown: Optional[GracefulShutdown] = None
-    watchdog: Optional[Watchdog] = None
     sanitize: Optional[str] = None
-    checkpoint_interval: int = 200
-    #: span id of the supervisor's unit/task span, so spans opened deeper
-    #: in the stack (checkpoint save, salvage, tick segments) parent
-    #: under it on the merged timeline
+    #: span id of the supervisor's unit/task span, so spans a task opens
+    #: (a chaos campaign's) parent under it on the merged timeline
     trace_parent: Optional[str] = None
-
-    def checkpointed(self, build, finalize):
-        """Run a tick-level resumable simulation for this unit (see
-        :func:`repro.runner.resumable.run_checkpointed`)."""
-        from .resumable import run_checkpointed
-
-        return run_checkpointed(
-            self.store,
-            self.name,
-            build,
-            finalize,
-            checkpoint_interval=self.checkpoint_interval,
-            shutdown=self.shutdown,
-            watchdog=self.watchdog,
-            trace_parent=self.trace_parent,
-        )

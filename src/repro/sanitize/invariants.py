@@ -142,8 +142,7 @@ class EngineSanitizer(_BaseSanitizer):
     Install with :meth:`install` (or :func:`install_sanitizer`); the
     sanitizer registers itself as a tick hook and snapshots per-link
     service baselines so the capacity invariant measures only the
-    supervised window.  The object is picklable and travels with a
-    checkpointed engine.
+    supervised window.
     """
 
     telemetry_label = "sanitizer"

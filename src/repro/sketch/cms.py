@@ -5,7 +5,7 @@ Index derivation is shared with the Section V-B drop-record filter
 blake2b digest per key yields ``depth`` independent 4-byte row offsets.
 Hashing a key is therefore a pure function of ``repr(key)`` — no seeds,
 no RNG, no process-dependent state — which keeps every estimate
-reproducible across runs, checkpoint restores, and spawn workers.
+reproducible across runs, policy snapshot restores, and spawn workers.
 
 :class:`CountMinSketch` is the classic overestimating counter sketch
 with optional *conservative update* (only the cells that currently hold
@@ -74,8 +74,9 @@ def _zero_cells(width: int, depth: int) -> "array[float]":
 
 def _as_numpy(cells: "array[float]") -> "np.ndarray[Any, np.dtype[np.float64]]":
     """Zero-copy numpy view for the whole-array operations.  Built per
-    call and never stored: a stored view would pickle as a second copy
-    of the cells and stop aliasing them after a restore."""
+    call and never stored: a stored view would deep-copy (in a policy
+    snapshot) as a second copy of the cells and stop aliasing them after
+    a restore."""
     return np.frombuffer(cells, dtype=np.float64)
 
 

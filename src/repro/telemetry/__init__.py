@@ -25,7 +25,8 @@ Design invariants:
 * **Tick-keyed.**  Metrics and events carry simulation ticks and
   telemetry reads no clock.  Wall time per subsystem is the span
   tracer's job: :mod:`repro.trace` owns the tick profiler, whose module
-  stays in this package so that old checkpoints still unpickle.
+  (:mod:`repro.telemetry.profiler`) is on the FLC001 wall-clock
+  allowlist.
 * **Per-task install.**  :func:`use` installs a session for one task,
   and the scheduler pickles each task's session back to fold it; the
   tracer has its own slot (``current_tracer()/use_tracer()``) because it
@@ -126,13 +127,10 @@ class NullTelemetry:
     def scrape_fluid(self, sim: Any) -> None:
         """Fold end-of-run fluid-simulator totals into gauges."""
 
-    # -- provenance / persistence ---------------------------------------
+    # -- provenance -----------------------------------------------------
     def drop_provenance(self) -> Dict[str, float]:
         """Per-cause drop totals recorded so far (empty when disabled)."""
         return {}
-
-    def adopt_state(self, other: "NullTelemetry") -> None:
-        """Take over another telemetry's registry and trace (for resume)."""
 
 
 class Telemetry(NullTelemetry):
@@ -220,7 +218,7 @@ class Telemetry(NullTelemetry):
         reg.gauge("fluid_flows_count").set(float(sim.n_flows))
         reg.gauge("fluid_groups_count").set(float(sim.n_groups))
 
-    # -- provenance / persistence ---------------------------------------
+    # -- provenance -----------------------------------------------------
     def drop_provenance(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         packet = self.registry.get("drops_by_cause_packets")
@@ -232,13 +230,6 @@ class Telemetry(NullTelemetry):
             for label, value in fluid.items():
                 out[str(label)] = out.get(str(label), 0.0) + float(value)
         return out
-
-    def adopt_state(self, other: NullTelemetry) -> None:
-        if not other.enabled:
-            return
-        self.registry = other.registry
-        if self.trace is not None and other.trace is not None:
-            self.trace = other.trace
 
 
 #: Shared disabled singleton; simulators default to this.

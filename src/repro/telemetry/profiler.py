@@ -3,9 +3,7 @@
 The profiler belongs to the span tracer: an enabled
 :class:`~repro.trace.Tracer` holds one, the packet engine and the fluid
 simulator read it from :func:`~repro.trace.current_tracer` on every tick,
-and the scheduler turns its totals into per-task phase spans.  It keeps
-this dotted path because checkpoints written while telemetry owned it
-name the class here.
+and the scheduler turns its totals into per-task phase spans.
 
 It is one of the two modules allowed to read a wall clock
 (``time.perf_counter``; the other is :mod:`repro.trace.clock`), by the

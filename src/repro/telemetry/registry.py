@@ -8,8 +8,9 @@ human or FLC004 — can tell ``pkts_per_tick`` from ``mbps`` without a
 side channel.
 
 All primitives are plain picklable containers keyed by simulation tick,
-never wall clock, so a registry travels inside engine checkpoints and a
-resumed run extends its series seamlessly.  :class:`LabeledCounter` and
+never wall clock, so a registry travels inside a task's telemetry piece
+(stored with its unit, shipped back from a spawn worker) and folds the
+same wherever the task ran.  :class:`LabeledCounter` and
 :class:`BinnedCounter` subclass :class:`dict` on purpose: the monitor
 classes in :mod:`repro.net.engine` expose them where plain dicts used to
 live, and equality/iteration/pickling must stay bit-identical.
@@ -320,8 +321,7 @@ class MetricsRegistry:
     Get-or-create accessors (:meth:`counter`, :meth:`gauge`, ...) make
     instrumentation sites one-liners; a name is bound to its kind on
     first use and reusing it as a different kind raises.  The registry
-    pickles whole — it rides inside engine checkpoints so resumed runs
-    keep extending the same series.
+    pickles whole — it rides inside each task's telemetry piece.
     """
 
     def __init__(self) -> None:

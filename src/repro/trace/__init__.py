@@ -3,13 +3,13 @@
 Where :mod:`repro.telemetry` answers *what did the simulation decide*
 (tick-keyed metrics and decision events, digest-safe by construction),
 this package answers *where did the wall clock go*: spans covering the
-scheduler, fleet pool workers, resumable-run phases (checkpoint save /
-load / salvage, retry backoff), chaos campaign jobs, and the per-tick
-engine/fluid phases.  Those come from the tick profiler an enabled
-:class:`Tracer` owns (:class:`~repro.telemetry.profiler.TickProfiler`,
-read by both simulators through :func:`current_tracer`): its totals
-become one task's phase spans, so ``--trace`` alone answers where the
-time went and telemetry never reads a clock.
+scheduler, fleet pool workers, retry backoff, chaos campaign jobs, and
+the per-tick engine/fluid phases.  Those come from the tick profiler an
+enabled :class:`Tracer` owns
+(:class:`~repro.telemetry.profiler.TickProfiler`, read by both
+simulators through :func:`current_tracer`): its totals become one
+task's phase spans, so ``--trace`` alone answers where the time went
+and telemetry never reads a clock.
 
 Layout::
 

@@ -8,15 +8,15 @@ Three views:
 
 * **Rollups** — per ``(cat, name)`` total time, *self* time (total minus
   time covered by child spans), and count.  Self time is what makes a
-  phase table honest: a ``unit`` span that spends 95% of its life inside
-  ``checkpoint.save`` children has almost no self time.
+  phase table honest: a ``task`` span that spends 95% of its life inside
+  per-tick ``phase`` children has almost no self time.
 * **Critical path** — the last-finisher walk through the span DAG: from
   the latest-ending root, repeatedly descend into the child that ends
   last.  Across the fleet DAG this surfaces the chain of spans that
   actually bounded the run's wall clock (the slowest worker's last
   task, the retry that pushed a unit past the others, ...).
 * **Phase attribution** — buckets span time into the named phases the
-  roadmap cares about (queueing / checkpoint / salvage / ...), using
+  roadmap cares about (queueing / policy / retry-wait / ...), using
   each span's *self* time so a second is never attributed twice.
 """
 
@@ -41,8 +41,6 @@ __all__ = [
 #: so the engine's ``admission`` and ``forwarding`` hot paths show up by
 #: name.
 _PHASE_BY_CAT: Dict[str, str] = {
-    "checkpoint": "checkpoint",
-    "salvage": "salvage",
     "retry": "retry-wait",
     "queue": "queueing-delay",
 }
@@ -52,13 +50,7 @@ def attribute_phase(span: Span) -> str:
     """The report phase a span's self time is charged to."""
     if span.cat == "phase":
         return span.name
-    if span.cat in _PHASE_BY_CAT:
-        return _PHASE_BY_CAT[span.cat]
-    if span.name.startswith("checkpoint"):
-        return "checkpoint"
-    if span.name.startswith("salvage"):
-        return "salvage"
-    return span.cat
+    return _PHASE_BY_CAT.get(span.cat, span.cat)
 
 
 def self_times(trace: MergedTrace) -> Dict[str, float]:

@@ -26,9 +26,8 @@ Every mutation is gated by a *mutation name* carried in the source's
 ``mutations`` tuple, so a chaos campaign (and its shrinker) can switch
 individual behaviours off without replacing the source.  All randomness
 flows through an RNG derived from the host simulator's master seed
-(``engine.spawn_rng``), and the sources are plain picklable objects — no
-lambdas, no closures — so a mid-run checkpoint of an engine with adaptive
-attackers resumes bit-identically.
+(``engine.spawn_rng``), so a run with adaptive attackers replays
+bit-identically from its seed.
 """
 
 from __future__ import annotations

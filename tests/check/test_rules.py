@@ -84,16 +84,17 @@ class TestFLC001Determinism:
 
 class TestFLC002PickleSafety:
     def test_lambda_into_checkpointed_flagged(self):
+        # a task built around a lambda: the spawn pool pickles it
         found = findings(
             "FLC002",
             """
-            def job(ctx, build):
-                return ctx.checkpointed(build, lambda run: run.finish())
+            def job(run_fleet, Task, store):
+                return run_fleet([Task("u", lambda ctx: 1)], store)
             """,
             module="repro.runner.fixture",
         )
         assert len(found) == 1
-        assert "checkpoint sink checkpointed" in found[0].message
+        assert "checkpoint sink run_fleet" in found[0].message
 
     def test_lambda_into_supervisor_constructor_flagged(self):
         found = findings(
@@ -123,11 +124,11 @@ class TestFLC002PickleSafety:
         found = findings(
             "FLC002",
             """
-            def _finish(run):
-                return run.finish()
+            def _unit(ctx):
+                return 1
 
-            def job(ctx, build):
-                return ctx.checkpointed(build, _finish)
+            def job(run_fleet, Task, store):
+                return run_fleet([Task("u", _unit)], store)
             """,
             module="repro.runner.fixture",
         )

@@ -3,8 +3,6 @@
 import enum
 import hashlib
 import hmac
-import pickle
-import pickletools
 
 import pytest
 from hypothesis import given, settings
@@ -180,42 +178,3 @@ class TestPads:
 
     def test_derived_keys_fit_a_block(self, issuer):
         assert len(issuer._k0) == len(issuer._k1) == 32
-
-
-class TestPickling:
-    def test_parent_format_state_loads_and_verifies(self, issuer):
-        cap = issuer.issue("10.0.0.1", "10.9.9.9", (1, 2, 3))
-        # the state as a pickle without __getstate__ carried it: the
-        # instance dict, keys and memo only
-        state = {
-            "_k0": issuer._k0,
-            "_k1": issuer._k1,
-            "n_max": issuer.n_max,
-            "_flows": issuer._flows,
-            "_buckets": issuer._buckets,
-        }
-
-        class ParentFormat:
-            def __reduce__(self):
-                return (object.__new__, (CapabilityIssuer,), state)
-
-        restored = pickle.loads(pickle.dumps(ParentFormat()))
-        assert type(restored) is CapabilityIssuer
-        assert restored.verify(cap, "10.0.0.1", "10.9.9.9", (1, 2, 3))
-        assert restored.authenticate(cap, "10.0.0.1", "10.9.9.9", (1, 2, 3))
-        other = issuer.issue("b_5_0", "srv0", (10000123, 5, 2, 1))
-        restored.forget((10000123, 5, 2, 1))
-        assert restored.authenticate(other, "b_5_0", "srv0", (10000123, 5, 2, 1))
-        assert restored.issue("h", "d", (7,)) == issuer.issue("h", "d", (7,))
-
-    def test_pickle_carries_no_hash_object(self, issuer):
-        issuer.issue("10.0.0.1", "10.9.9.9", (1, 2, 3))
-        data = pickle.dumps(issuer)
-        strings = [
-            arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, str)
-        ]
-        assert not [s for s in strings if "hashlib" in s or "_sha" in s], strings
-        restored = pickle.loads(data)
-        assert restored.issue("a", "b", (1,)) == issuer.issue("a", "b", (1,))
-        forged = bytes(16)
-        assert restored.authenticate(forged, "a", "b", (2,)) is None

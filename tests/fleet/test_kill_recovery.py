@@ -3,13 +3,13 @@
 The fault plan arms a ``kill_worker`` process fault inside the worker
 that picks up the victim campaign: a timer SIGKILLs the worker partway
 through the simulation.  The supervisor must convict the dead worker,
-salvage the campaign from its tick-level checkpoints, finish it on a
-replacement worker, and produce run digests byte-identical to a serial
-sweep that never saw a fault.
+run the campaign again from its recipe on a replacement worker, and
+produce run digests byte-identical to a serial sweep that never saw a
+fault.
 
 The figure-unit case kills from outside instead, the instant the
-victim's mid-run ``FluidRun`` snapshot is in the store, so the
-replacement provably resumes from that snapshot rather than from tick 0.
+victim's worker heartbeats that it holds the victim, so the fluid unit
+dies mid-run and the replacement runs it again from its recipe.
 """
 
 import glob
@@ -32,8 +32,12 @@ from repro.fleet import (
     run_fleet,
     sample_process_faults,
 )
-from repro.runner import CheckpointStore, UnitContext, figure_tasks
-from repro.trace import Tracer, merge_trace, use_tracer
+from repro.runner import (
+    CheckpointStore,
+    UnitContext,
+    build_figure_job,
+    figure_tasks,
+)
 
 
 def options():
@@ -62,14 +66,10 @@ class TestFaultPlan:
             ProcessFault(task="x", kind="meteor_strike", delay_seconds=0.1)
 
 
-def _kill_worker_once_checkpointed(root, victim, stop):
-    """SIGKILL whichever worker runs ``victim`` as soon as the store at
-    ``root`` holds its mid-run state; returns the pid it killed."""
-    store = CheckpointStore(root)
+def _kill_worker_running(root, victim, stop):
+    """SIGKILL whichever worker runs ``victim`` as soon as its heartbeat
+    under ``root`` names it; returns the pid it killed."""
     while not stop.wait(0.002):
-        store.refresh()
-        if not store.has("state", victim):
-            continue
         for path in glob.glob(os.path.join(root, "fleet", "hb", "*.hb.json")):
             with open(path, encoding="utf-8") as fh:
                 beat = json.load(fh)
@@ -137,10 +137,11 @@ class TestKillRecovery:
         assert fleet.workers_spawned > 2
         assert digests(fleet.results) == digests(serial.job.results)
 
-    def test_sigkilled_fluid_unit_resumes_from_snapshot(self, tmp_path):
+    def test_sigkilled_fluid_unit_reruns_from_its_recipe(self, tmp_path):
+        settings = FunctionalSettings()
         tasks = [
             task
-            for task in figure_tasks("fig13", FunctionalSettings())
+            for task in figure_tasks("fig13", settings)
             if task.unit.endswith((":NA", ":A-lo"))
         ]
         victim = tasks[0].name
@@ -148,39 +149,32 @@ class TestKillRecovery:
 
         root = str(tmp_path / "store")
         stop = threading.Event()
-        tracer = Tracer(str(tmp_path / "trace"), proc="main")
         with ThreadPoolExecutor(max_workers=1) as pool:
-            killer = pool.submit(
-                _kill_worker_once_checkpointed, root, victim, stop
-            )
+            killer = pool.submit(_kill_worker_running, root, victim, stop)
             try:
-                with use_tracer(tracer):
-                    fleet = run_fleet(
-                        tasks,
-                        CheckpointStore(root),
-                        FleetOptions(
-                            workers=2,
-                            heartbeat_timeout_seconds=5.0,
-                            max_worker_deaths=3,
-                        ),
-                    )
+                fleet = run_fleet(
+                    tasks,
+                    CheckpointStore(root),
+                    FleetOptions(
+                        workers=2,
+                        heartbeat_timeout_seconds=5.0,
+                        max_worker_deaths=3,
+                    ),
+                )
             finally:
                 stop.set()
-                tracer.close()
-            assert killer.result(timeout=10.0), "no mid-run snapshot seen"
+            assert killer.result(timeout=10.0), "victim never seen running"
 
         assert fleet.status == "ok"
         by_name = {o.name: o for o in fleet.outcomes}
+        # a death counts only when the store held no result for the
+        # victim yet, so the replacement ran the unit again from its recipe
         assert by_name[victim].worker_deaths == 1
         assert fleet.workers_spawned == 3, "no replacement worker was spawned"
-        # the replacement loaded the dead worker's snapshot: it did not
-        # start the unit over
-        loads = [
-            span for span in merge_trace(str(tmp_path / "trace")).spans
-            if span.name == "salvage.load" and span.args["unit"] == victim
-        ]
-        assert [span.args["ticks_done"] for span in loads] == [200]
         for task in tasks:
             assert pickle.dumps(fleet.results[task.name]) == pickle.dumps(
                 want[task.name]
             ), task.name
+        # and the figure table, row for row, is the in-process one
+        job = build_figure_job("fig13", settings)
+        assert job.finalize(fleet.results) == job.finalize(want)

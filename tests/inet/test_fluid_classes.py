@@ -428,3 +428,73 @@ class TestPartition:
         sim.split(np.flatnonzero(sim.is_attack))
         rates = sim._send_rates()
         assert np.all(rates[sim._class_attack] == 2.0)
+
+
+# ----------------------------------------------------------------------
+# buffers the step keeps across ticks or hands out
+# ----------------------------------------------------------------------
+ALIAS_SEED = 7
+
+
+class TestScratch:
+    """The per-tick buffers kept across ticks: the one every tick shares
+    cannot be written."""
+
+    def test_shared_no_clog_answer_is_read_only(self):
+        # bots at the default rate: no uplink clogs
+        scenario = build_internet_scenario(
+            n_as=120, n_legit_sources=240, n_legit_ases=30, n_bots=2_000,
+            target_capacity=150.0, seed=ALIAS_SEED,
+        )
+        sim = FluidSimulator(scenario, strategy="floc", seed=ALIAS_SEED)
+        own_s = sim._loads_by_slot(sim._send_rates())
+        assert not sim._clogs(own_s)
+        surv = sim._slot_survival(own_s)
+        assert surv is sim._slot_survival(own_s)
+        assert surv.tobytes() == np.ones_like(own_s).tobytes()
+        with pytest.raises(ValueError):
+            surv[0] = 0.5
+        with pytest.raises(ValueError):
+            surv *= 0.5
+
+
+class TestHandedOutArrays:
+    @pytest.mark.parametrize("strategy", ["nd", "ff", "floc"])
+    def test_later_ticks_never_write_what_a_tick_handed_out(self, strategy):
+        """The ``_last_admitted`` a tick hook sees at tick t+1 is what
+        tick t returned, and every array a tick published stays as it was
+        for as long as someone holds it."""
+        scenario = build_internet_scenario(
+            n_as=120, n_legit_sources=240, n_legit_ases=30, n_bots=2_000,
+            target_capacity=150.0, attack_rate=2.0, seed=ALIAS_SEED,
+        )
+        if strategy == "nd":
+            # under capacity _admit_nd returns its argument: the step's
+            # own arrivals array is then the one that is handed out
+            scenario.target_capacity = 1e9
+        sim = FluidSimulator(scenario, strategy=strategy, seed=ALIAS_SEED)
+        held = []  # (name, tick, the live array, a copy taken on publication)
+        seen_by_hook = []
+
+        def hook(host, tick):
+            if tick:
+                _, _, _, snap = held[-2]
+                assert host._last_admitted.tobytes() == snap.tobytes()
+                seen_by_hook.append(tick)
+
+        sim.add_tick_hook(hook)
+        sim.begin_run(ticks=60, warmup=10)
+        tick = 0
+        more = True
+        while more:
+            more = sim.step_run()
+            held.append(
+                ("admitted", tick, sim._last_admitted, sim._last_admitted.copy())
+            )
+            held.append(("flagged", tick, sim._flagged, sim._flagged.copy()))
+            tick += 1
+        assert seen_by_hook == list(range(1, 60))
+        for name, at, live, snap in held:
+            assert live.tobytes() == snap.tobytes(), (name, at)
+        admitted = [live for name, _, live, _ in held if name == "admitted"]
+        assert len({id(a) for a in admitted}) == len(admitted)

@@ -5,14 +5,11 @@ only full-length arrays a run holds are the scenario's flow tables and
 the flow-to-class map ``flow_class``; a step allocates nothing of flow
 length.  This test counts what is left: the ``tracemalloc`` peak of a
 simulator over 20 steps, in units of one full-length float64 array,
-must not exceed what it was when flows were collapsed into classes, and
-a mid-run pickle is held to its size then in the same units.  With one
-state row per flow the counts were 13.75 / 13.75 / 18.38 (peak) and
-7.67 / 7.67 / 8.75 (pickle), so a return to per-flow state or per-flow
-step temporaries fails here.
+must not exceed what it was when flows were collapsed into classes.
+With one state row per flow the counts were 13.75 / 13.75 / 18.38, so a
+return to per-flow state or per-flow step temporaries fails here.
 """
 
-import pickle
 import tracemalloc
 
 import pytest
@@ -23,9 +20,6 @@ from repro.inet.simulator import FluidSimulator
 # peak_bytes / (8 * n_flows), simulator state plus step temporaries, as
 # measured on the class axis (1.76 / 1.77 / 2.62) rounded up to a tenth
 PARENT_PEAK_ARRAYS = {"nd": 1.8, "ff": 1.8, "floc": 2.7}
-# len(pickle.dumps(sim)) / (8 * n_flows) after 60 ticks, measured on the
-# class axis (2.47 / 2.47 / 2.55) rounded up to a tenth
-PARENT_PICKLE_ARRAYS = {"nd": 2.5, "ff": 2.5, "floc": 2.6}
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +60,3 @@ def test_step_peak_memory_not_above_parent(scenario, strategy):
         f"arrays, above the {PARENT_PEAK_ARRAYS[strategy]} it was given"
     )
 
-
-@pytest.mark.parametrize("strategy", ["nd", "ff", "floc"])
-def test_mid_run_pickle_not_larger_than_parent(scenario, strategy):
-    """Lookup tables are derived state and stay out of checkpoints."""
-    sim = FluidSimulator(scenario, strategy=strategy, seed=4)
-    sim.begin_run(ticks=100, warmup=0)
-    for _ in range(60):
-        sim.step_run()
-    arrays = len(pickle.dumps(sim)) / (8 * sim.n_flows)
-    assert arrays <= PARENT_PICKLE_ARRAYS[strategy]

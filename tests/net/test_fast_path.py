@@ -2,7 +2,6 @@
 wire links that forward without queueing, and what happens when the
 topology, a flow's route or a link's observers change mid-run."""
 
-import pickle
 
 import pytest
 
@@ -151,31 +150,3 @@ class TestRouteResolution:
         assert old.serviced_total == served_old + 1
         assert new.serviced_total == 4
         assert new is topo.link("b", "c")
-
-    def test_mesh_engine_pickles_mid_run_and_resumes_identically(self):
-        # packets must not pickle their links: through the links' queues
-        # that nests the whole network into one recursion
-        side = 8
-        topo = Topology()
-        for i in range(side):
-            for j in range(side):
-                if i + 1 < side:
-                    topo.add_duplex_link((i, j), (i + 1, j))
-                if j + 1 < side:
-                    topo.add_duplex_link((i, j), (i, j + 1))
-        engine = Engine(topo, seed=1)
-        rng = engine.spawn_rng("mesh-flows")
-        nodes = [(i, j) for i in range(side) for j in range(side)]
-        for k in range(80):
-            a, b = rng.sample(nodes, 2)
-            flow = engine.open_flow(a, b, path_id=(k,))
-            engine.add_source(CbrSource(flow, rate=0.5, handshake=False))
-        install_sanitizer(engine, "strict")
-        engine.run(40)
-        clone = pickle.loads(pickle.dumps(engine))
-        for run in (engine, clone):
-            run.run(40)
-        assert clone.packets_delivered == engine.packets_delivered > 0
-        assert [l.serviced_total for l in clone.topology.links()] == [
-            l.serviced_total for l in engine.topology.links()
-        ]

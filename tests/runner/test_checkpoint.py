@@ -20,11 +20,11 @@ class TestRoundTrip:
     def test_kinds_are_separate_namespaces(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.save("unit", "a", 1)
-        store.save("state", "a", 2)
+        store.save("salvage", "a", 2)
         assert store.load("unit", "a") == 1
-        assert store.load("state", "a") == 2
+        assert store.load("salvage", "a") == 2
         assert store.names("unit") == ["a"]
-        assert store.names("state") == ["a"]
+        assert store.names("salvage") == ["a"]
 
     def test_missing_entry_raises_keyerror(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
@@ -38,10 +38,10 @@ class TestRoundTrip:
 
     def test_delete(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        store.save("state", "a", 1)
-        store.delete("state", "a")
-        assert not store.has("state", "a")
-        store.delete("state", "a")  # idempotent
+        store.save("unit", "a", 1)
+        store.delete("unit", "a")
+        assert not store.has("unit", "a")
+        store.delete("unit", "a")  # idempotent
 
     def test_unknown_kind_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
@@ -49,6 +49,12 @@ class TestRoundTrip:
             store.save("junk", "a", 1)
         with pytest.raises(CheckpointError):
             store.names("junk")
+
+    def test_mid_run_state_kind_refused(self, tmp_path):
+        # units run from build to finish in one call: there is no
+        # mid-run simulator state to store
+        with pytest.raises(CheckpointError, match="unknown checkpoint kind"):
+            CheckpointStore(str(tmp_path)).save("state", "a", 1)
 
     def test_unpicklable_object_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -2,6 +2,7 @@
 exit codes."""
 
 import os
+import signal
 
 import pytest
 
@@ -110,6 +111,38 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(["run", "fig03", "--resume", ckpt]) == 0
         assert capsys.readouterr().out == first
+
+    def test_sigterm_mid_unit_lets_it_finish_then_resume_is_identical(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.inet.simulator import FluidSimulator
+
+        fig13 = ["run", "fig13", "--variants", "f-root"]
+        assert main(fig13 + ["--csv", str(tmp_path / "whole")]) == 0
+        step_run = FluidSimulator.step_run
+        signalled = []
+
+        def signal_at_tick_100(sim):
+            if not signalled and sim._run_tick == 100:
+                signalled.append(sim)
+                signal.raise_signal(signal.SIGTERM)
+            return step_run(sim)
+
+        monkeypatch.setattr(FluidSimulator, "step_run", signal_at_tick_100)
+        ckpt = str(tmp_path / "ckpt")
+        assert main(fig13 + ["--checkpoint-dir", ckpt]) == 5
+        # the unit the signal landed in ran to its end and was stored;
+        # no other unit started
+        assert len(signalled) == 1
+        first = figure_tasks("fig13", SMALL)[0].name
+        assert CheckpointStore(ckpt).names("unit") == [first]
+        monkeypatch.undo()
+        capsys.readouterr()
+        csv_dir = str(tmp_path / "resumed")
+        assert main(fig13 + ["--resume", ckpt, "--csv", csv_dir]) == 0
+        assert (tmp_path / "resumed" / "fig13.csv").read_bytes() == (
+            tmp_path / "whole" / "fig13.csv"
+        ).read_bytes()
 
     def test_resume_with_other_settings_exits_2(self, tmp_path, capsys):
         ckpt = str(tmp_path / "ckpt")

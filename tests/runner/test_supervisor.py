@@ -6,6 +6,7 @@ Everything here runs ``run_fleet(..., workers=None)`` with closure tasks
 unless the behaviour under test is the store's.
 """
 
+import signal
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -14,9 +15,10 @@ import pytest
 from repro.errors import (
     ConfigError,
     DeadlineExceeded,
+    Interrupted,
     InvariantViolation,
 )
-from repro.fleet import FleetOptions, run_fleet
+from repro.fleet import FleetOptions, pool, run_fleet
 from repro.runner import (
     CheckpointStore,
     GracefulShutdown,
@@ -159,10 +161,16 @@ class TestResume:
 
 
 class TestWatchdog:
-    def test_deadline_between_units(self):
+    def test_deadline_between_units(self, monkeypatch):
+        clock = {"t": 0.0}
+        monkeypatch.setattr(
+            pool, "Watchdog",
+            lambda seconds: Watchdog(seconds, clock=lambda: clock["t"]),
+        )
+
         def slow(ctx):
             # ten seconds pass on the run's watchdog while the unit runs
-            ctx.watchdog._started -= 10.0
+            clock["t"] += 10.0
             return 1
 
         report = run_units(
@@ -172,14 +180,12 @@ class TestWatchdog:
         assert report.completed() == ["a", "b"]  # c never started
         assert "c" not in report.results
 
-    def test_watchdog_check_raises_after_expiry(self):
+    def test_watchdog_expires_after_its_deadline(self):
         clock = {"t": 0.0}
         dog = Watchdog(5.0, clock=lambda: clock["t"])
-        dog.check()
+        assert not dog.expired and dog.remaining() == 5.0
         clock["t"] = 6.0
-        assert dog.expired
-        with pytest.raises(DeadlineExceeded):
-            dog.check()
+        assert dog.expired and dog.elapsed() == 6.0
 
     def test_nonpositive_deadline_rejected(self):
         with pytest.raises(ConfigError):
@@ -192,9 +198,8 @@ class TestShutdown:
 
         def unit(ctx):
             ran.append(ctx.name)
-            # simulate a signal arriving while the first unit runs
-            ctx.shutdown.requested = True
-            ctx.shutdown.signum = 15
+            # a signal arrives while the first unit runs
+            signal.raise_signal(signal.SIGTERM)
             return 1
 
         report = run_units([("a", unit), ("b", unit)], tmp_path)
@@ -226,20 +231,18 @@ class TestShutdown:
 
 class TestInProcessExecutor:
     def test_task_unwinding_on_the_watchdog_ends_the_run(self):
-        def polls(ctx):
-            ctx.watchdog._started -= 10.0
-            ctx.watchdog.check()  # what a resumable tick loop does
+        def gives_up(ctx):
+            raise DeadlineExceeded("out of time")
 
         report = run_units(
-            [("a", polls), ("b", lambda ctx: 1)], deadline_seconds=5.0
+            [("a", gives_up), ("b", lambda ctx: 1)], deadline_seconds=5.0
         )
         assert report.status == "deadline"
         assert report.outcomes == [] and report.results == {}
 
     def test_task_unwinding_on_shutdown_ends_the_run(self):
         def stopped(ctx):
-            ctx.shutdown.requested = True
-            ctx.shutdown.raise_if_requested(context=ctx.name)
+            raise Interrupted("stop requested")
 
         report = run_units([("a", stopped), ("b", lambda ctx: 1)])
         assert report.status == "interrupted"

@@ -28,8 +28,8 @@ def _fleet_trace(tmp_path):
             begin("w0", 1, 0.2, "task:u0", cat="task", parent="main:2"),
             begin("w0", 2, 1.0, "ticks", parent="w0:1", cat="run"),
             end("w0", 2, 4.0),
-            begin("w0", 3, 5.0, "checkpoint.save", parent="w0:1",
-                  cat="checkpoint"),
+            begin("w0", 3, 5.0, "retry.wait", parent="w0:1",
+                  cat="retry"),
             end("w0", 3, 5.5),
             end("w0", 1, 8.8),
         ],
@@ -41,8 +41,8 @@ def _fleet_trace(tmp_path):
             begin("w1", 1, 0.2, "task:u1", cat="task", parent="main:3"),
             begin("w1", 2, 3.5, "ticks", parent="w1:1", cat="run"),
             end("w1", 2, 4.0),
-            begin("w1", 3, 4.5, "salvage.load", parent="w1:1",
-                  cat="salvage"),
+            begin("w1", 3, 4.5, "policy", parent="w1:1",
+                  cat="phase"),
             end("w1", 3, 5.0),
             end("w1", 1, 9.4),
         ],
@@ -107,10 +107,6 @@ class TestPhaseAttribution:
                 proc="x", start=0.0, end=1.0,
             )
 
-        assert attribute_phase(span("checkpoint", "checkpoint.save")) == (
-            "checkpoint"
-        )
-        assert attribute_phase(span("salvage", "salvage.load")) == "salvage"
         assert attribute_phase(span("retry", "retry.wait")) == "retry-wait"
         # synthetic profiler phases attribute under their subsystem name
         assert attribute_phase(span("phase", "queueing")) == "queueing"
@@ -120,8 +116,8 @@ class TestPhaseAttribution:
     def test_analysis_charges_self_time_to_named_phases(self, tmp_path):
         analysis = analyze(_fleet_trace(tmp_path))
         assert abs(analysis.phases["run"] - 3.5) < 1e-9
-        assert abs(analysis.phases["checkpoint"] - 0.5) < 1e-9
-        assert abs(analysis.phases["salvage"] - 0.5) < 1e-9
+        assert abs(analysis.phases["retry-wait"] - 0.5) < 1e-9
+        assert abs(analysis.phases["policy"] - 0.5) < 1e-9
         assert analysis.wall_seconds == 10.0
 
     def test_rollups_sorted_by_total_with_counts(self, tmp_path):

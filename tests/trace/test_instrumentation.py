@@ -7,22 +7,15 @@ byte-identical with tracing on or off — the regression lock for the
 observation-only contract.
 """
 
-import pickle
-from dataclasses import dataclass
-
 from repro.chaos import ChaosOptions, run_chaos
+from repro.core.config import FLocConfig
+from repro.core.router import FLocPolicy
 from repro.errors import ConfigError
 from repro.experiments.common import FunctionalSettings
 from repro.fleet import FleetOptions, run_fleet
-from repro.runner import CheckpointStore, figure_tasks, run_checkpointed
+from repro.runner import CheckpointStore, figure_tasks
 from repro.trace import Tracer, merge_trace, use_tracer
-
-from ..runner.test_resumable import (
-    build_engine_run,
-    build_fluid_run,
-    finalize_engine,
-    finalize_fluid,
-)
+from repro.traffic.scenarios import build_tree_scenario
 
 
 def _settings():
@@ -45,41 +38,13 @@ class FailsAfterTicks:
     name = "fails"
 
     def run(self, ctx):
-        build_engine_run().advance(50)
-        raise ConfigError("refused after 50 ticks")
-
-
-RUNS = {
-    "engine": (build_engine_run, finalize_engine),
-    "fluid": (build_fluid_run, finalize_fluid),
-}
-
-
-@dataclass(frozen=True)
-class SnapshottingTask:
-    """One simulator run that snapshots itself every 50 ticks."""
-
-    name: str
-
-    def run(self, ctx):
-        build, finalize = RUNS[self.name]
-        return run_checkpointed(
-            ctx.store, self.name, build, finalize, checkpoint_interval=50,
-            trace_parent=ctx.trace_parent,
+        scenario = build_tree_scenario(
+            scale_factor=0.05, attack_kind="cbr", attack_rate_mbps=2.0,
+            seed=3,
         )
-
-
-class SnapshotLog(CheckpointStore):
-    """A store that keeps the bytes of every mid-run snapshot."""
-
-    def __init__(self, root):
-        super().__init__(root)
-        self.snapshots = []
-
-    def save(self, kind, name, obj):
-        if kind == "state":
-            self.snapshots.append(pickle.dumps(obj))
-        return super().save(kind, name, obj)
+        scenario.attach_policy(FLocPolicy(FLocConfig(s_max=25)))
+        scenario.engine.run(50)
+        raise ConfigError("refused after 50 ticks")
 
 
 class TestRunnerSpans:
@@ -206,37 +171,3 @@ class TestChaosDigestIdentity:
         # the sweep actually emitted campaign spans
         merged = merge_trace(str(tmp_path))
         assert any(s.name == "campaign.run" for s in merged.spans)
-
-
-class TestCheckpointPurity:
-    def test_mid_run_snapshots_hold_no_profiler(self, tmp_path):
-        # the tracer times every tick, but a snapshot pickles only the
-        # simulator and its telemetry, neither of which holds a profiler
-        store = SnapshotLog(str(tmp_path / "store"))
-        tracer = Tracer(str(tmp_path / "trace"), proc="main")
-        with use_tracer(tracer):
-            report = run_fleet(
-                [SnapshottingTask("engine"), SnapshottingTask("fluid")], store
-            )
-        tracer.close()
-        assert report.status == "ok"
-        assert {
-            type(pickle.loads(blob)).__name__ for blob in store.snapshots
-        } == {"EngineRun", "FluidRun"}
-        for blob in store.snapshots:
-            assert b"TickProfiler" not in blob
-        assert any(
-            s.cat == "phase" for s in merge_trace(str(tmp_path / "trace")).spans
-        )
-
-    def test_tracer_state_never_reaches_pickles(self, tmp_path):
-        tracer = Tracer(str(tmp_path), proc="main")
-        tracer.span("unit").end()
-        payload = pickle.dumps(tracer)
-        clone = pickle.loads(payload)
-        assert not clone.enabled
-        # pickling twice is stable: no hidden wall-clock state leaks in
-        assert pickle.dumps(clone) == pickle.dumps(
-            pickle.loads(payload)
-        )
-        tracer.close()
