@@ -1,6 +1,15 @@
 """CSV export round trips."""
 
-from repro.analysis.export import read_csv, write_csv
+import csv
+
+from repro.analysis.export import write_csv
+
+
+def read_csv(path):
+    """``(headers, rows)`` of a CSV file."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    return (rows[0], rows[1:]) if rows else ([], [])
 
 
 class TestCsv:

@@ -13,24 +13,29 @@ def small_filter(**kwargs):
     return DropRecordFilter(**defaults)
 
 
+def excess_drops(filt, key, tick, epoch_ticks):
+    """The extra-drop estimate ``d`` the Eq. (V.1) queries read."""
+    return filt._min_entry(key, tick, epoch_ticks)[0]
+
+
 class TestRecording:
     def test_clean_flow_zero_ratio(self):
         filt = small_filter()
         assert filt.preferential_drop_ratio("f", tick=0, epoch_ticks=100) == 0.0
-        assert filt.excess_drops("f", tick=0, epoch_ticks=100) == 0.0
+        assert excess_drops(filt, "f", tick=0, epoch_ticks=100) == 0.0
 
     def test_extra_drops_accumulate(self):
         filt = small_filter()
         for i in range(5):
             filt.record_drop("f", tick=i, epoch_ticks=100)
-        assert filt.excess_drops("f", tick=5, epoch_ticks=100) >= 4.0
+        assert excess_drops(filt, "f", tick=5, epoch_ticks=100) >= 4.0
 
     def test_decay_one_per_epoch(self):
         filt = small_filter()
         filt.record_drop("f", tick=0, epoch_ticks=10)
         filt.record_drop("f", tick=0, epoch_ticks=10)
         # after 2 epochs the 2 extra drops have decayed away
-        assert filt.excess_drops("f", tick=20, epoch_ticks=10) == pytest.approx(
+        assert excess_drops(filt, "f", tick=20, epoch_ticks=10) == pytest.approx(
             0.0
         )
 
@@ -39,7 +44,7 @@ class TestRecording:
         filt = small_filter()
         for epoch in range(20):
             filt.record_drop("f", tick=epoch * 10, epoch_ticks=10)
-        assert filt.excess_drops("f", tick=200, epoch_ticks=10) <= 1.5
+        assert excess_drops(filt, "f", tick=200, epoch_ticks=10) <= 1.5
         assert filt.preferential_drop_ratio("f", 200, 10) < 0.10
 
     def test_aggressive_flow_high_ratio(self):
@@ -62,7 +67,7 @@ class TestRecording:
         filt = small_filter()
         for _ in range(4):
             filt.record_drop("f", tick=0, epoch_ticks=100)
-        d = filt.excess_drops("f", tick=0, epoch_ticks=100)
+        d = excess_drops(filt, "f", tick=0, epoch_ticks=100)
         ts = 1.0 + 1.0  # t_s advanced once (d exceeded cap*ts? cap=4: no)
         ratio = filt.preferential_drop_ratio("f", 0, 100)
         assert ratio == pytest.approx(min(1.0, d / (filt._min_entry('f',0,100)[1] + d - 1)))

@@ -9,6 +9,8 @@ from repro.core.mtd import (
     aggregate_mtd,
 )
 
+from .crafted import CraftedRouter
+
 
 class TestTracker:
     def test_no_drops_infinite_mtd(self):
@@ -62,11 +64,16 @@ class TestClassifier:
     def classifier(self):
         return MtdClassifier(attack_mtd_fraction=0.5, block_mtd_fraction=1 / 64)
 
-    def test_service_probability_eq_iv5(self, classifier):
-        # min(1, MTD/ref): proportional penalty below the reference
-        assert classifier.service_probability(5.0, 20.0) == pytest.approx(0.25)
-        assert classifier.service_probability(40.0, 20.0) == 1.0
-        assert classifier.service_probability(INFINITE_MTD, 20.0) == 1.0
+    def test_service_probability_eq_iv5(self):
+        # min(1, MTD/ref), as FLocPolicy.admit draws it for an identified
+        # attack unit: proportional penalty below the reference
+        router = CraftedRouter()
+        mtd = router.mtd_window / 4  # four drops in the window
+        assert router.service_probability(100, 4, 4 * mtd) == pytest.approx(0.25)
+        router = CraftedRouter()
+        assert router.service_probability(100, 4, mtd / 2) == 1.0
+        router = CraftedRouter()
+        assert router.service_probability(100, 0, 20.0) == 1.0  # INFINITE_MTD
 
     def test_attack_flow_threshold(self, classifier):
         assert classifier.is_attack_flow(9.0, 20.0)  # < 0.5 * ref
@@ -91,11 +98,12 @@ class TestClassifier:
             aggregate_mtd=9.0, token_period=5.0, request_rate=30.0, bandwidth=10.0
         )
 
-    def test_misidentified_flow_recovers(self, classifier):
+    def test_misidentified_flow_recovers(self):
         # as a source backs off, MTD grows and service probability -> 1
+        window = CraftedRouter().mtd_window
         probs = [
-            classifier.service_probability(mtd, 20.0)
-            for mtd in (2.0, 5.0, 10.0, 20.0, 40.0)
+            CraftedRouter().service_probability(100, drops, window / 2)
+            for drops in (20, 8, 4, 2, 1)
         ]
         assert probs == sorted(probs)
         assert probs[-1] == 1.0

@@ -7,6 +7,8 @@ import pytest
 from repro.core.queue_manager import QueueManager, QueueMode
 from repro.errors import ConfigError
 
+from .crafted import CraftedRouter
+
 
 @pytest.fixture
 def qm():
@@ -46,17 +48,27 @@ class TestQMax:
 
 
 class TestEarlyActivation:
-    def test_oversubscribed_path_enters_early(self, qm):
+    """Section V-A's early activation, as ``FLocPolicy.admit`` runs it:
+    a packet meets its bucket once ``Q_curr > Q_min * min(1, C/lambda)``
+    (``Q_min`` = 200 of a 1000-packet buffer)."""
+
+    @pytest.fixture
+    def router(self):
+        return CraftedRouter(buffer=1000, q_min_fraction=0.2)
+
+    def test_oversubscribed_path_enters_early(self, router):
         # lambda = 4C: threshold = Q_min/4 = 50
-        assert qm.early_congestion(q_curr=51, bandwidth=10.0, request_rate=40.0)
-        assert not qm.early_congestion(q_curr=49, bandwidth=10.0, request_rate=40.0)
+        assert router.draws_token(10, q_curr=51, bandwidth=10.0, request_rate=40.0)
+        assert not router.draws_token(11, q_curr=49, bandwidth=10.0, request_rate=40.0)
 
-    def test_conformant_path_keeps_full_q_min(self, qm):
-        assert not qm.early_congestion(q_curr=199, bandwidth=10.0, request_rate=5.0)
-        assert qm.early_congestion(q_curr=201, bandwidth=10.0, request_rate=5.0)
+    def test_conformant_path_keeps_full_q_min(self, router):
+        assert not router.draws_token(10, q_curr=199, bandwidth=10.0, request_rate=5.0)
+        assert router.draws_token(11, q_curr=201, bandwidth=10.0, request_rate=5.0)
 
-    def test_zero_rate_never_early(self, qm):
-        assert not qm.early_congestion(q_curr=999, bandwidth=10.0, request_rate=0.0)
+    def test_zero_rate_never_early(self, router):
+        # the largest uncongested queue: only the early test could bite
+        q_min = router.policy.qm.q_min
+        assert not router.draws_token(10, q_curr=q_min, bandwidth=10.0, request_rate=0.0)
 
 
 class TestRandomDrop:

@@ -70,7 +70,7 @@ class TestStateTracking:
 
     def test_conformance_separates_attack_paths(self, small_tree):
         policy, _ = run_floc(small_tree, seconds=8.0)
-        snapshot = policy.conformance_snapshot()
+        snapshot = {p: policy.conformance.value(p) for p in policy.paths}
         attack = set(small_tree.attack_path_ids)
         attack_vals = [v for p, v in snapshot.items() if p in attack]
         legit_vals = [v for p, v in snapshot.items() if p not in attack]

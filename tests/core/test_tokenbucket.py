@@ -6,6 +6,8 @@ from repro.core.tokenbucket import PathTokenBucket
 from repro.errors import ConfigError
 from repro.tcp import model
 
+from .crafted import CraftedRouter
+
 
 class TestParameters:
     def test_period_matches_model(self):
@@ -76,9 +78,13 @@ class TestRuntime:
         assert bucket.request()
 
     def test_drop_counters_rotate_per_period(self):
-        bucket = PathTokenBucket(bandwidth=10.0, rtt=10.0, n_flows=4, now=0)
-        bucket.record_drop()
-        bucket.record_drop()
+        # FLocPolicy.on_drop charges each drop to the group's bucket
+        router = CraftedRouter()
+        bucket = router.group.bucket
+        for tick in (2, 3):
+            pkt = router.packet(tick)
+            assert router.policy.admit(pkt, tick)
+            router.policy.on_drop(pkt, tick)  # a tail drop
         assert bucket.drops_this_period == 2
         bucket.on_tick(bucket.period)
         assert bucket.drops_this_period == 0

@@ -1,12 +1,21 @@
-"""The robustness_faults experiment: completion + recovery criterion."""
+"""The robustness_faults experiment: completion + recovery criterion.
+
+The study runs as ``repro run faults`` runs it: the ``faults`` job's
+unit tasks through the scheduler, in this process, then the job's
+``finalize``.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.common import FunctionalSettings
-from repro.experiments.robustness_faults import (
-    PhaseBandwidth,
-    run_robustness_faults,
-)
+from repro.experiments.robustness_faults import PhaseBandwidth
+from repro.fleet import run_fleet
+from repro.runner import build_figure_job, figure_tasks
+
+PACKET = ("floc",)
+FLUID = ("floc", "nd")
 
 
 @pytest.fixture(scope="module")
@@ -14,10 +23,17 @@ def result():
     settings = FunctionalSettings(
         scale=0.05, warmup_seconds=2.0, measure_seconds=6.0, seed=3
     )
-    return run_robustness_faults(
-        settings,
-        packet_schemes=("floc",),
-        fluid_strategies=("floc", "nd"),
+    names = [f"faults:packet:{s}" for s in PACKET] + [
+        f"faults:fluid:{s}" for s in FLUID
+    ]
+    tasks = [t for t in figure_tasks("faults", settings) if t.unit in names]
+    report = run_fleet(tasks)
+    assert report.ok, report.summary_rows()
+    table = build_figure_job("faults", settings).finalize(report.results)
+    return SimpleNamespace(
+        packet=[report.results[f"faults:packet:{s}"] for s in PACKET],
+        fluid=[report.results[f"faults:fluid:{s}"] for s in FLUID],
+        rows=lambda: table.rows,
     )
 
 

@@ -68,6 +68,15 @@ class TestLabeled:
         assert list(out.get("c_count")) == ["zeta", "alpha"]
 
 
+def series(registry):
+    """The registry's ``t_count`` tick series, adopted on first use as a
+    monitor's series is."""
+    metric = registry.get("t_count")
+    if metric is None:
+        metric = registry.adopt("t_count", TickSeries())
+    return metric
+
+
 class TestSeries:
     def serial(self, observations):
         series = TickSeries()
@@ -80,9 +89,9 @@ class TestSeries:
         # serial would have accumulated both into one group
         a, b = regs()
         for tick, amount in [(1, 1), (1, 1), (2, 1)]:
-            a.tick_series("t_count").observe(tick, amount)
+            series(a).observe(tick, amount)
         for tick, amount in [(2, 2), (3, 1)]:
-            b.tick_series("t_count").observe(tick, amount)
+            series(b).observe(tick, amount)
         out = merge_registries(MetricsRegistry(), [a, b])
         serial = self.serial([(1, 1), (1, 1), (2, 1), (2, 2), (3, 1)])
         merged = out.get("t_count")
@@ -92,9 +101,9 @@ class TestSeries:
 
     def test_flushed_piece_flushes_merge(self):
         a, b = regs()
-        a.tick_series("t_count").observe(1, 4)
-        b.tick_series("t_count").observe(2, 5)
-        b.tick_series("t_count").flush()
+        series(a).observe(1, 4)
+        series(b).observe(2, 5)
+        series(b).flush()
         out = merge_registries(MetricsRegistry(), [a, b])
         serial = self.serial([(1, 4), (2, 5)])
         serial.flush()
@@ -103,8 +112,8 @@ class TestSeries:
 
     def test_empty_piece_does_not_flush_anothers_pending(self):
         a, b = regs()
-        a.tick_series("t_count").observe(3, 1)
-        b.tick_series("t_count")  # created, never observed
+        series(a).observe(3, 1)
+        series(b)  # created, never observed
         out = merge_registries(MetricsRegistry(), [a, b])
         assert out.get("t_count").pending_tick == 3
 

@@ -77,6 +77,6 @@ class TestAssembly:
             build_internet_scenario(placement="everywhere")
 
     def test_path_id_matches_topology(self, scenario):
-        pid = scenario.path_id_of_flow(0)
+        pid = scenario.topology.path_of(int(scenario.flow_origin_as[0]))
         assert pid[0] == scenario.flow_origin_as[0]
         assert pid[-1] == 0

@@ -41,7 +41,7 @@ class TestConstruction:
         topo.add_link("a", "b", capacity=1.0)
         topo.add_link("a", "b", capacity=2.0)
         assert topo.link("a", "b").capacity == 2.0
-        assert topo.successors("a") == ["b"]
+        assert topo.predecessors("b") == ["a"]
 
     def test_predecessors(self, diamond):
         assert sorted(diamond.predecessors("d")) == ["b", "c"]

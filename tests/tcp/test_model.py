@@ -66,7 +66,8 @@ class TestTokenBucketEquations:
     def test_increase_factor_from_sigma_mu(self):
         # the (1 + eps sigma/mu) definition must match the closed form
         n, w = 16.0, 10.0
-        mu, sigma = model.aggregate_request_stats(w, n)
+        mu = n * model.mean_window(w)
+        sigma = model.window_std(w) * math.sqrt(n)
         factor = 1.0 + model.EPSILON * sigma / mu
         assert factor == pytest.approx(1.0 + 2.0 / (3.0 * math.sqrt(n)))
 

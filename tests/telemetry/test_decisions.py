@@ -1,21 +1,31 @@
 """The pure decision helpers telemetry traces are built from, and the
 FLoc decision counters a traced run actually produces."""
 
+import math
+
 import pytest
 
 from repro.core.aggregation import AggregationPlan, plan_moves
 from repro.core.config import FLocConfig
 from repro.core.conformance import ConformanceTracker
-from repro.core.mtd import MtdClassifier
 from repro.core.router import FLocPolicy
 from repro.core.tokenbucket import PathTokenBucket
 from repro.telemetry import Telemetry, use
 from repro.traffic.scenarios import build_tree_scenario
+from tests.core.crafted import CraftedRouter
+
+
+def identity_plan(pids):
+    """Every path its own group with one bandwidth share."""
+    plan = AggregationPlan()
+    for pid in pids:
+        plan.add_group(pid, [pid], 1.0)
+    return plan
 
 
 class TestPlanMoves:
     def _plans(self):
-        old = AggregationPlan.identity([(1,), (2,), (3,)])
+        old = identity_plan([(1,), (2,), (3,)])
         new = AggregationPlan()
         new.add_group(("AGG-A", 0), [(1,)], 0.1)   # (1,) demoted
         new.add_group((2,), [(2,)], 0.4)
@@ -35,7 +45,7 @@ class TestPlanMoves:
         assert kinds[(1,)] == "promote"
 
     def test_unchanged_paths_produce_no_moves(self):
-        plan = AggregationPlan.identity([(1,), (2,)])
+        plan = identity_plan([(1,), (2,)])
         assert plan_moves(plan, plan, [(1,), (2,)]) == []
 
 
@@ -45,17 +55,45 @@ class TestClassifiers:
         assert ConformanceTracker.classify_value(0.5, 0.5) == "legit"
         tracker = ConformanceTracker(beta=0.5)
         tracker.update((1,), n_flows=10, n_attack=10)
-        assert tracker.classify((1,), threshold=0.8) == "attack"
-        assert tracker.classify((2,), threshold=0.8) == "legit"
+        classify = ConformanceTracker.classify_value
+        assert classify(tracker.value((1,)), 0.8) == "attack"
+        assert classify(tracker.value((2,)), 0.8) == "legit"
 
     def test_mtd_classification_precedence(self):
-        clf = MtdClassifier(
-            attack_mtd_fraction=0.5, block_mtd_fraction=1.0 / 64.0
+        # FLocPolicy's refresh on three units of one path whose MTDs sit
+        # far below, below and above half the reference MTD: the block
+        # test subsumes the attack test
+        router = CraftedRouter(
+            sources=("block", "attack", "benign"),
+            attack_mtd_fraction=0.5, block_mtd_fraction=1.0 / 64.0,
         )
-        ref = 64.0
-        assert clf.classification(0.5, ref) == "block"
-        assert clf.classification(16.0, ref) == "attack"
-        assert clf.classification(60.0, ref) == "benign"
+        policy = router.policy
+        interval = policy.cfg.measure_interval
+        policy.on_tick(interval)  # buckets sized for the three units
+        group = router.group
+        ref = policy._reference_mtd(group)
+        window = policy._mtd_window(group)
+        drops = {
+            "block": math.ceil(128 * window / ref),
+            "attack": math.ceil(4 * window / ref),
+            "benign": max(1, math.floor(window / ref)),
+        }
+        assert window / drops["block"] < ref / 64
+        assert ref / 64 <= window / drops["attack"] < ref / 2
+        assert window / drops["benign"] >= ref / 2
+        tick = 2 * interval
+        for src, count in drops.items():
+            for _ in range(count):
+                policy.tracker.record_drop(router.unit(src), tick)
+        policy.on_tick(tick)
+        assert policy._reference_mtd(group) == ref
+        streaks = router.state.attack_streak
+        assert router.unit("block") in policy._blocked
+        assert router.unit("block") in streaks
+        assert router.unit("attack") not in policy._blocked
+        assert router.unit("attack") in streaks
+        assert router.unit("benign") not in policy._blocked
+        assert router.unit("benign") not in streaks
 
 
 class TestTokenBucketCounters:

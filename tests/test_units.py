@@ -19,7 +19,7 @@ class TestTimeConversion:
 
     def test_ticks_to_seconds_roundtrip(self):
         ticks = DEFAULT_SCALE.seconds_to_ticks(2.5)
-        assert DEFAULT_SCALE.ticks_to_seconds(ticks) == pytest.approx(2.5)
+        assert ticks * DEFAULT_SCALE.tick_seconds == pytest.approx(2.5)
 
     def test_internet_scale_uses_5ms_ticks(self):
         assert INTERNET_SCALE.seconds_to_ticks(1.0) == 200
@@ -43,7 +43,7 @@ class TestBandwidthConversion:
     def test_file_size_12mb(self):
         packets = DEFAULT_SCALE.megabytes_to_packets(12.0)
         assert packets == 8000
-        assert DEFAULT_SCALE.packets_to_megabytes(packets) == pytest.approx(12.0)
+        assert packets * DEFAULT_SCALE.packet_bytes / 1e6 == pytest.approx(12.0)
 
 
 class TestValidation:
