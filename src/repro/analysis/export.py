@@ -29,13 +29,3 @@ def write_csv(
         for row in rows:
             writer.writerow(list(row))
     return out
-
-
-def read_csv(path: Union[str, Path]):
-    """Read back a CSV written by :func:`write_csv` (headers, rows)."""
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]

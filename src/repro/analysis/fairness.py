@@ -25,14 +25,3 @@ def jain_index(values: Sequence[float]) -> float:
     if squares <= 0.0:
         return 1.0
     return (total * total) / (len(values) * squares)
-
-
-def max_min_ratio(values: Sequence[float], floor: float = 1e-12) -> float:
-    """``max/min`` of a distribution; ``inf`` when some flow is starved."""
-    values = list(values)
-    if not values:
-        return 1.0
-    low = min(values)
-    if low <= floor:
-        return float("inf")
-    return max(values) / low

@@ -52,14 +52,6 @@ class AggregationPlan:
         self.s_max: Optional[int] = None
         self.n_legit_inputs: Optional[int] = None
 
-    @classmethod
-    def identity(cls, pids: Iterable[PathId]) -> "AggregationPlan":
-        """Every path is its own group with one bandwidth share."""
-        plan = cls()
-        for pid in pids:
-            plan.add_group(pid, [pid], 1.0)
-        return plan
-
     def add_group(
         self, key: GroupKey, members: Sequence[PathId], share: float
     ) -> None:
@@ -73,18 +65,10 @@ class AggregationPlan:
         """Group key of ``pid`` (unknown paths are their own group)."""
         return self.group_of.get(pid, pid)
 
-    def total_shares(self) -> float:
-        """Sum of bandwidth shares across groups."""
-        return sum(self.shares.values())
-
     @property
     def n_groups(self) -> int:
         """Number of distinct path identifiers after aggregation."""
         return len(self.members)
-
-    def aggregated_groups(self) -> List[GroupKey]:
-        """Keys of groups holding more than one original path."""
-        return [k for k, v in self.members.items() if len(v) > 1]
 
 
 # ----------------------------------------------------------------------
@@ -242,20 +226,6 @@ def aggregate_attack_paths(
 # ----------------------------------------------------------------------
 # legitimate-path aggregation (Eq. IV.8)
 # ----------------------------------------------------------------------
-def legitimate_aggregation_cost(
-    members: Sequence[PathId],
-    conformance: Dict[PathId, float],
-    flow_counts: Dict[PathId, float],
-) -> float:
-    """Eq. (IV.8): mean conformance minus flow-weighted mean conformance."""
-    e = [conformance.get(pid, 1.0) for pid in members]
-    n = [max(0.0, flow_counts.get(pid, 0.0)) for pid in members]
-    total_flows = sum(n)
-    mean_e = sum(e) / len(e)
-    if total_flows <= 0:
-        return 0.0
-    weighted = sum(ei * ni for ei, ni in zip(e, n)) / total_flows
-    return mean_e - weighted
 
 
 #: A current unit of ``aggregate_legitimate_paths``, one path or an

@@ -177,6 +177,11 @@ class CapabilityIssuer:
         computed only once ``C0`` has matched, so a forged identifier
         costs one HMAC and no state.  The answer is that of
         ``compare_digest(capability, issue(src, dst, pid))`` either way.
+
+        The router calls :meth:`authenticate`, which also returns the
+        unit.  This boolean form is what the capability tests check and
+        the ``core.capability.verify_us`` micro-loop of
+        ``benchmarks/e2e/layers.py`` times.
         """
         if capability is None or len(capability) != 2 * _DIGEST_BYTES:
             return False

@@ -101,7 +101,3 @@ class ConformanceTracker:
     def classify_value(value: float, threshold: float) -> str:
         """Label a conformance value against ``E_th``: attack or legit."""
         return "attack" if value < threshold else "legit"
-
-    def classify(self, pid: PathId, threshold: float) -> str:
-        """Label ``pid``'s current conformance against ``E_th``."""
-        return self.classify_value(self.value(pid), threshold)

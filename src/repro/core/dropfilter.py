@@ -159,11 +159,6 @@ class DropRecordFilter:
                 best_d, best_ts = d, ts
         return best_d, best_ts
 
-    def excess_drops(self, key: Hashable, tick: int, epoch_ticks: float) -> float:
-        """Estimated extra drops ``d`` of ``key`` (0 for clean flows)."""
-        d, _ = self._min_entry(key, tick, epoch_ticks)
-        return d
-
     def excess_ratio(self, key: Hashable, tick: int, epoch_ticks: float) -> float:
         """``d / t_s``: estimated multiple of the fair send rate above 1."""
         d, ts = self._min_entry(key, tick, epoch_ticks)

@@ -19,13 +19,15 @@ Identified attack flows are admitted with probability
 
 which upper-bounds their throughput by the fair share and *self-heals* for
 misidentified flows: a source that backs off sees its MTD rise and its
-service probability return to one.
+service probability return to one.  ``FLocPolicy.admit`` computes Eq. IV.4
+for the packet's unit and draws Eq. IV.5 inline; this module keeps the
+drop records it counts and the per-interval identification rules.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, List, Tuple
+from typing import Deque, Dict, Hashable, List
 
 INFINITE_MTD = float("inf")
 
@@ -50,7 +52,8 @@ class FlowDropTracker:
         self._drops: Dict[Hashable, Deque[int]] = {}
 
     def record_drop(self, key: Hashable, tick: int) -> None:
-        """Record one drop of accounting unit ``key`` at ``tick``."""
+        """Record one drop of accounting unit ``key`` at ``tick``
+        (``FLocPolicy.on_drop`` calls this for every charged drop)."""
         dq = self._drops.get(key)
         if dq is None:
             dq = deque()
@@ -85,7 +88,10 @@ class FlowDropTracker:
         return count
 
     def mtd(self, key: Hashable, tick: int, window: int) -> float:
-        """Eq. (IV.4): ``window / drops``; infinite when drop-free."""
+        """Eq. (IV.4): ``window / drops``; infinite when drop-free.
+
+        The refresh (``FLocPolicy._refresh``) identifies units with this;
+        ``admit`` writes the same count out for the arriving unit."""
         window = min(window, self.horizon)
         drops = self.drops_in_window(key, tick, window)
         if drops == 0:
@@ -134,12 +140,6 @@ class MtdClassifier:
         self.attack_mtd_fraction = attack_mtd_fraction
         self.block_mtd_fraction = block_mtd_fraction
 
-    def service_probability(self, mtd: float, reference_mtd: float) -> float:
-        """Eq. (IV.5) without the token indicator: ``min(1, MTD/ref)``."""
-        if reference_mtd <= 0 or mtd == INFINITE_MTD:
-            return 1.0
-        return min(1.0, mtd / reference_mtd)
-
     def is_attack_flow(self, mtd: float, reference_mtd: float) -> bool:
         """A flow whose MTD sits well below the reference is attacking."""
         if mtd == INFINITE_MTD:
@@ -151,48 +151,3 @@ class MtdClassifier:
         if mtd == INFINITE_MTD:
             return False
         return mtd < self.block_mtd_fraction * reference_mtd
-
-    def classification(self, mtd: float, reference_mtd: float) -> str:
-        """Full decision for one flow: ``block``, ``attack`` or ``benign``.
-
-        Mirrors the precedence the identification loop applies — the
-        block test subsumes the attack test — so telemetry traces can
-        label a transition with a single word.
-        """
-        if self.should_block(mtd, reference_mtd):
-            return "block"
-        if self.is_attack_flow(mtd, reference_mtd):
-            return "attack"
-        return "benign"
-
-    def is_attack_path(
-        self,
-        aggregate_mtd: float,
-        token_period: float,
-        request_rate: float,
-        bandwidth: float,
-    ) -> bool:
-        """Section IV-B.1 test for attack (domain) paths.
-
-        ``MTD(F_Si) < T_Si`` — the aggregate drops faster than the bucket's
-        one-drop-per-period reference — while the path's request rate
-        exceeds its allocation plus the reference drop rate:
-        ``lambda_Si > C_Si + 1/T_Si``.
-        """
-        if aggregate_mtd >= token_period:
-            return False
-        return request_rate > bandwidth + 1.0 / max(token_period, 1e-9)
-
-
-def aggregate_mtd(
-    tracker: FlowDropTracker, keys: Iterable[Hashable], tick: int, window: int
-) -> Tuple[float, int]:
-    """MTD of a path's flow aggregate and its total window drop count."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    total = 0
-    for key in keys:
-        total += tracker.drops_in_window(key, tick, window)
-    if total == 0:
-        return INFINITE_MTD, 0
-    return window / total, total

@@ -8,7 +8,8 @@ length ``Q_curr``:
   attack paths from quietly consuming buffers in this mode, a path whose
   request rate ``lambda`` exceeds its allocation ``C`` is pushed into
   congested mode early, as soon as
-  ``Q_curr > Q_min * min(1, C / lambda)``.
+  ``Q_curr > Q_min * min(1, C / lambda)`` (``FLocPolicy.admit`` makes
+  this test inline, per packet).
 * **congested** (``Q_min < Q_curr <= Q_max``): token buckets are active,
   but because FLoc deliberately *under*-estimates RTTs (and hence bucket
   parameters), a packet that finds no token is not dropped outright;
@@ -80,20 +81,6 @@ class QueueManager:
         if q_curr <= self.q_max:
             return QueueMode.CONGESTED
         return QueueMode.FLOODING
-
-    def early_congestion(
-        self, q_curr: int, bandwidth: float, request_rate: float
-    ) -> bool:
-        """Early token-bucket activation test for over-subscribing paths.
-
-        True when ``Q_curr > Q_min * min(1, C_Si / lambda_Si)`` — attack
-        paths hit this before legitimate ones (Section V-A, uncongested
-        mode).
-        """
-        if request_rate <= 0:
-            return False
-        threshold = self.q_min * min(1.0, bandwidth / request_rate)
-        return q_curr > threshold
 
     def random_drop(self, q_curr: int) -> bool:
         """Congested-mode neutral drop: ``Q_th ~ U[Q_min, Q_max]``."""

@@ -19,7 +19,7 @@ and implements the full paper pipeline:
 5. **MTD-based identification** — drops feed per-unit MTD estimates
    (exact tracker or the scalable Bloom filter); attack flows are
    preferentially dropped per Eq. (IV.5), extreme flows blocked
-   (Section V-B.3); attack paths are flagged per Section IV-B.1;
+   (Section V-B.3);
 6. **conformance and aggregation** — Eq. (IV.6) conformance drives
    attack-path aggregation (Algorithm 1) and legitimate-path aggregation
    (Eq. IV.8) at every aggregation interval.
@@ -259,12 +259,15 @@ class FLocPolicy(LinkPolicy):
     # ------------------------------------------------------------------
     def admit(self, pkt: Packet, tick: int) -> bool:
         """Decide one arrival, start to finish in this frame: a flooded
-        router pays this per packet (Sections III-A, V-B).  The arithmetic
-        of ``QueueManager.early_congestion``, ``FlowDropTracker.mtd``,
-        ``MtdClassifier.service_probability`` and
-        ``PathTokenBucket.request`` is written out here; those methods
-        stay as each component's statement of it.  A refusal leaves the
-        pending record :meth:`on_drop` consumes."""
+        router pays this per packet (Sections III-A, V-B).  The
+        early-activation test (Section V-A), Eq. IV.4's MTD, Eq. IV.5's
+        service probability and the token take are written out here.
+        Of these only the MTD (``FlowDropTracker.mtd``, which the refresh
+        runs) and the take (``PathTokenBucket.request``) have a second
+        copy in ``repro``; the early test and Eq. IV.5 live on as
+        verbatim copies in ``tests/core/test_admission_equivalence.py``,
+        whose oracle holds this frame equal to them.  A refusal leaves
+        the pending record :meth:`on_drop` consumes."""
         kind = pkt.kind
         if kind != DATA:
             if kind == SYN:
@@ -1158,7 +1161,3 @@ class FLocPolicy(LinkPolicy):
             "blocked": len(self._blocked),
             "syn_ticks": sum(len(s.syn_ticks) for s in self.paths.values()),
         }
-
-    def conformance_snapshot(self) -> Dict[PathId, float]:
-        """Current conformance per known path."""
-        return {pid: self.conformance.value(pid) for pid in self.paths}

@@ -122,14 +122,15 @@ class PathTokenBucket:
             self._refill(now)
 
     def request(self, amount: float = 1.0) -> bool:
-        """Consume ``amount`` tokens if available; return success."""
+        """Consume ``amount`` tokens if available; return success.
+
+        ``FLocPolicy.admit`` writes this take out inline.  This method is
+        the take the admission equivalence oracle runs and the
+        ``core.tokenbucket.request_us`` micro-loop of
+        ``benchmarks/e2e/layers.py`` times."""
         self.requests_total += 1
         if self.tokens >= amount:
             self.tokens -= amount
             return True
         self.denials_total += 1
         return False
-
-    def record_drop(self) -> None:
-        """Count a packet drop charged to this path in the current period."""
-        self.drops_this_period += 1

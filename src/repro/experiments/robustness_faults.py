@@ -62,29 +62,6 @@ class PhaseBandwidth:
         return self.post / self.pre
 
 
-@dataclass
-class RobustnessFaultsResult:
-    """Outcome of the combined packet-level + fluid-level study."""
-
-    packet: List[PhaseBandwidth]
-    fluid: List[PhaseBandwidth]
-
-    def rows(self) -> List[List]:
-        rows = []
-        for entry in self.packet + self.fluid:
-            rows.append(
-                [
-                    entry.simulator,
-                    entry.scheme,
-                    round(entry.pre, 4),
-                    round(entry.during, 4),
-                    round(entry.post, 4),
-                    round(entry.recovery_ratio, 3),
-                ]
-            )
-        return rows
-
-
 def _phase_ticks(settings: FunctionalSettings, units) -> Tuple[int, int]:
     warmup = units.seconds_to_ticks(settings.warmup_seconds)
     phase = max(1, units.seconds_to_ticks(settings.measure_seconds) // 3)
@@ -232,15 +209,3 @@ def run_fluid_faults(
             )
         )
     return results
-
-
-def run_robustness_faults(
-    settings: FunctionalSettings,
-    packet_schemes: Sequence[str] = PACKET_SCHEMES,
-    fluid_strategies: Sequence[str] = FLUID_STRATEGIES,
-) -> RobustnessFaultsResult:
-    """Run both halves of the robustness study."""
-    return RobustnessFaultsResult(
-        packet=run_packet_faults(settings, packet_schemes),
-        fluid=run_fluid_faults(settings, fluid_strategies),
-    )

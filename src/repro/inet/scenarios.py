@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class InternetScenario:
     def n_links(self) -> int:
         return len(self.link_capacity)
 
-    def path_id_of_flow(self, flow: int) -> Tuple[int, ...]:
-        """FLoc path identifier (origin-first AS path) of a flow."""
-        return self.topology.path_of(int(self.flow_origin_as[flow]))
-
     def categories(self) -> np.ndarray:
         """0 = legit in legit AS, 1 = legit in attack AS, 2 = attack."""
         attack_as = np.zeros(self.topology.n_as, dtype=bool)
@@ -95,8 +91,12 @@ def build_internet_scenario(
 
     The paper's full size (10 k legit / 100 k bots / 16 k pkts-per-tick
     target) is reached with ``n_legit_sources=10_000, n_bots=100_000,
-    n_as=2000, n_legit_ases=200, target_capacity=16_000``; defaults are a
-    5x reduction with identical ratios so the benches run in seconds.
+    n_as=2000, n_legit_ases=200, target_capacity=16_000``.  The defaults
+    divide sources and bots by 5 but the target link by 16, so the
+    benches run in seconds but the ratios move: a legitimate flow sends
+    at most ``legit_rate`` pkt/tick, so at ``legit_rate=1`` legitimate
+    demand is 2.0x the link at the defaults and 0.625x at full size, and
+    the per-flow fair share is 0.045 pkt/tick against 0.145.
 
     ``build_flow_links=False`` skips the per-flow link-chain table — the
     only O(flows) Python loop in assembly.  The fluid simulator never

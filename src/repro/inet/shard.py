@@ -98,10 +98,6 @@ class ShardSpec:
                 "shard_of_as names shards outside the partition plan"
             )
 
-    @property
-    def owned_mask(self) -> np.ndarray:
-        return self.shard_of_as == self.shard
-
 
 class BarrierExchange:
     """On-disk per-tick allreduce between the shards of one unit.

@@ -59,14 +59,6 @@ class SkitterLikeMap:
     def path_of(self, asn: int) -> Tuple[int, ...]:
         return self.paths[asn]
 
-    def children_of(self) -> Dict[int, List[int]]:
-        """Reverse adjacency (towards the origins)."""
-        children: Dict[int, List[int]] = {}
-        for asn, par in enumerate(self.parent):
-            if asn != par:
-                children.setdefault(par, []).append(asn)
-        return children
-
     def depth_histogram(self) -> Dict[int, int]:
         """AS count per distance-to-target (the Fig. 11/12 x-axis)."""
         hist: Dict[int, int] = {}

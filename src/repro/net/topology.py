@@ -219,10 +219,6 @@ class Topology:
         """All node ids."""
         return list(self._out.keys())
 
-    def successors(self, node: NodeId) -> List[NodeId]:
-        """Nodes reachable over one outgoing link of ``node``."""
-        return list(self._out.get(node, ()))
-
     def predecessors(self, node: NodeId) -> List[NodeId]:
         """Nodes with a link into ``node`` (used by Pushback propagation)."""
         return list(self._in.get(node, ()))

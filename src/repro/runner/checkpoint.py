@@ -328,22 +328,6 @@ class CheckpointStore:
                 f"checkpoint {key} cannot be unpickled: {exc}"
             ) from exc
 
-    def delete(self, kind: str, name: str) -> None:
-        key = self._key(kind, name)
-        removed: List[str] = []
-
-        def mutate(manifest: Dict[str, Any]) -> None:
-            entry = manifest["entries"].pop(key, None)
-            if entry is not None:
-                removed.append(entry["file"])
-
-        self._mutate_manifest(mutate)
-        for filename in removed:
-            try:
-                os.unlink(os.path.join(self.root, filename))
-            except OSError:
-                pass
-
     def names(self, kind: str) -> List[str]:
         """Names of all stored entries of one kind, insertion-ordered."""
         if kind not in KINDS:

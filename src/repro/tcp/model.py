@@ -109,25 +109,6 @@ def increased_bucket_size(bandwidth: float, rtt: float, n_flows: float) -> float
     return (1.0 + 2.0 / (3.0 * math.sqrt(n_flows))) * base
 
 
-def synchronized_bucket_size(bandwidth: float, rtt: float, n_flows: float) -> float:
-    """Worst-case (fully synchronised) bucket ``(4/3) N`` (Section IV-A)."""
-    return (4.0 / 3.0) * bucket_size(bandwidth, rtt, n_flows)
-
-
-def aggregate_request_stats(peak_window_size: float, n_flows: float):
-    """Mean and std of the aggregate token request of ``n`` i.i.d. flows."""
-    _require_positive(peak_window_size=peak_window_size, n_flows=n_flows)
-    mu = n_flows * mean_window(peak_window_size)
-    sigma = window_std(peak_window_size) * math.sqrt(n_flows)
-    return mu, sigma
-
-
-def reference_mtd(token_period_value: float, n_flows: float) -> float:
-    """Reference MTD of a flow on path ``S_i``: ``n_i * T_Si`` (Sec. IV-B)."""
-    _require_positive(token_period_value=token_period_value, n_flows=n_flows)
-    return n_flows * token_period_value
-
-
 # ----------------------------------------------------------------------
 # drop-ratio model (Section V-B.1)
 # ----------------------------------------------------------------------

@@ -377,11 +377,6 @@ class MetricsRegistry:
         assert isinstance(metric, BinnedCounter)
         return metric
 
-    def tick_series(self, name: str) -> TickSeries:
-        metric = self._bind(name, "tick_series", TickSeries())
-        assert isinstance(metric, TickSeries)
-        return metric
-
     def series(self, name: str, capacity: int = 4096) -> RingSeries:
         metric = self._bind(name, "series", RingSeries(capacity))
         assert isinstance(metric, RingSeries)

@@ -82,14 +82,6 @@ class TraceContext:
     epoch: float
     parent_span_id: Optional[str] = None
 
-    def with_parent(self, parent_span_id: Optional[str]) -> "TraceContext":
-        return TraceContext(
-            trace_id=self.trace_id,
-            trace_dir=self.trace_dir,
-            epoch=self.epoch,
-            parent_span_id=parent_span_id,
-        )
-
 
 class SpanHandle:
     """One open span; close it with :meth:`end` or a ``with`` block.

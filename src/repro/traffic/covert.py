@@ -62,11 +62,6 @@ class CovertSource(TrafficSource):
         """Number of concurrent destinations (flows) of this bot."""
         return len(self._subsources)
 
-    @property
-    def total_rate(self) -> float:
-        """Aggregate send rate of the bot, packets per tick."""
-        return self.per_flow_rate * self.fanout
-
     def flows(self) -> Iterable[FlowInfo]:
         return [sub.flow for sub in self._subsources]
 

@@ -93,11 +93,6 @@ class TreeScenario:
         """Advance the scenario's engine by sim-time seconds."""
         self.engine.run_seconds(seconds)
 
-    def fair_flow_rate(self) -> float:
-        """Ideal fair per-flow rate at the target link, packets per tick."""
-        total = len(self.legit_flows) + len(self.attack_flows)
-        return self.capacity / total if total else self.capacity
-
 
 def _scaled(count: int, scale_factor: float) -> int:
     return max(1, round(count * scale_factor))

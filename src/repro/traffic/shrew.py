@@ -65,8 +65,3 @@ class ShrewSource(CbrSource):
         """Burst rate inside the on-phase, zero outside."""
         offset = (tick - self.phase) % self.period_ticks
         return self.burst_rate if offset < self.on_ticks else 0.0
-
-    @property
-    def average_rate(self) -> float:
-        """Long-run average send rate in packets per tick."""
-        return self.burst_rate * self.on_ticks / self.period_ticks

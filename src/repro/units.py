@@ -59,10 +59,6 @@ class UnitScale:
         """Convert a duration in seconds to a whole number of ticks (>= 1)."""
         return max(1, round(seconds / self.tick_seconds))
 
-    def ticks_to_seconds(self, ticks: float) -> float:
-        """Convert a tick count (possibly fractional) to seconds."""
-        return ticks * self.tick_seconds
-
     # ------------------------------------------------------------------
     # bandwidth
     # ------------------------------------------------------------------
@@ -76,10 +72,6 @@ class UnitScale:
         """Convert a rate in packets per tick to Mbps."""
         packets_per_second = rate / self.tick_seconds
         return packets_per_second * self.packet_bytes * BITS_PER_BYTE / 1e6
-
-    def packets_to_megabytes(self, packets: float) -> float:
-        """Convert a packet count to megabytes of payload."""
-        return packets * self.packet_bytes / 1e6
 
     def megabytes_to_packets(self, megabytes: float) -> int:
         """Convert a payload size in megabytes to a whole packet count."""

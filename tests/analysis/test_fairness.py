@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.fairness import jain_index, max_min_ratio
+from repro.analysis.fairness import jain_index
 
 
 class TestJain:
@@ -26,17 +26,3 @@ class TestJain:
         values = [0.1, 5.0, 2.0, 0.0, 3.3]
         index = jain_index(values)
         assert 1.0 / len(values) <= index <= 1.0
-
-
-class TestMaxMin:
-    def test_equal(self):
-        assert max_min_ratio([3, 3, 3]) == 1.0
-
-    def test_starved_flow_is_infinite(self):
-        assert max_min_ratio([1.0, 0.0]) == float("inf")
-
-    def test_ratio(self):
-        assert max_min_ratio([1.0, 4.0]) == 4.0
-
-    def test_empty(self):
-        assert max_min_ratio([]) == 1.0

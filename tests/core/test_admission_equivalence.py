@@ -18,10 +18,15 @@ capability memo, the drop counters, the target link, and under trace
 telemetry the event list element by element.
 
 The oracle also carries the parent's ``CapabilityIssuer`` and
-``FlowDropTracker`` methods the chain enters.  ``QueueManager``,
-``PathTokenBucket``, ``MtdClassifier`` and ``DropRecordFilter`` are shared
-with the code under test: the rewrite inlines their arithmetic and must not
-edit them, and the oracle calling them is what holds the two equal.
+``FlowDropTracker`` methods the chain enters, and the three methods whose
+arithmetic ``FLocPolicy.admit`` and ``on_drop`` write out inline:
+``QueueManager.early_congestion``, ``MtdClassifier.service_probability``
+and ``PathTokenBucket.record_drop``.  These three live only here now, as
+verbatim module-level copies the oracle calls with the component as
+``self``; the router's inline code is the one copy in ``src``, and this
+suite is what holds the two equal.  ``PathTokenBucket.request``,
+``QueueManager.mode`` / ``random_drop`` and ``DropRecordFilter`` are
+shared with the code under test.
 """
 
 from __future__ import annotations
@@ -171,6 +176,33 @@ class OracleTracker(FlowDropTracker):
             return INFINITE_MTD
         return window / drops
 
+def early_congestion(
+    self, q_curr: int, bandwidth: float, request_rate: float
+) -> bool:
+    """Early token-bucket activation test for over-subscribing paths.
+
+    True when ``Q_curr > Q_min * min(1, C_Si / lambda_Si)`` — attack
+    paths hit this before legitimate ones (Section V-A, uncongested
+    mode).
+    """
+    if request_rate <= 0:
+        return False
+    threshold = self.q_min * min(1.0, bandwidth / request_rate)
+    return q_curr > threshold
+
+
+def service_probability(self, mtd: float, reference_mtd: float) -> float:
+    """Eq. (IV.5) without the token indicator: ``min(1, MTD/ref)``."""
+    if reference_mtd <= 0 or mtd == INFINITE_MTD:
+        return 1.0
+    return min(1.0, mtd / reference_mtd)
+
+
+def record_drop(self) -> None:
+    """Count a packet drop charged to this path in the current period."""
+    self.drops_this_period += 1
+
+
 class OraclePolicy(FLocPolicy):
     """``FLocPolicy`` with the admission chain of ``af4b032``.
 
@@ -261,8 +293,8 @@ class OraclePolicy(FLocPolicy):
         q_curr = len(self.link.queue)
         mode = self.qm.mode(q_curr)
         if mode is QueueMode.UNCONGESTED:
-            if not self.qm.early_congestion(
-                q_curr, group.bandwidth, state.lambda_rate
+            if not early_congestion(
+                self.qm, q_curr, group.bandwidth, state.lambda_rate
             ):
                 return True
             mode = QueueMode.CONGESTED
@@ -276,8 +308,8 @@ class OraclePolicy(FLocPolicy):
         if cfg.preferential_drop and key in state.attack_flows:
             if self.tracker is not None:
                 mtd_value = self._mtd(key, tick, group)
-                p_service = self.classifier.service_probability(
-                    mtd_value, self._reference_mtd(group)
+                p_service = service_probability(
+                    self.classifier, mtd_value, self._reference_mtd(group)
                 )
             else:
                 # scalable mode: Eq. (V.1) preferential drop ratio
@@ -330,7 +362,7 @@ class OraclePolicy(FLocPolicy):
             return
         key = self.issuer.account_key(pkt.src_addr, pkt.dst_addr, pid)
         group = self._group_state(pid, tick)
-        group.bucket.record_drop()
+        record_drop(group.bucket)
         group.interval_drops += 1
         if self.tracker is not None:
             self.tracker.record_drop(key, tick)

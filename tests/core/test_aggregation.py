@@ -11,7 +11,6 @@ from repro.core.aggregation import (
     aggregate_attack_paths,
     aggregate_legitimate_paths,
     build_plan,
-    legitimate_aggregation_cost,
 )
 from repro.errors import ConfigError
 
@@ -76,12 +75,6 @@ class TestAttackAggregation:
 
 
 class TestLegitimateAggregation:
-    def test_cost_zero_for_equal_conformance(self):
-        members = [pid(1, 10), pid(2, 10)]
-        cost = legitimate_aggregation_cost(
-            members, {p: 1.0 for p in members}, {members[0]: 15, members[1]: 30}
-        )
-        assert cost == pytest.approx(0.0)
 
     def test_equal_conformance_merges_proportionally(self):
         # the Fig. 9 case: same conformance, different populations

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.mtd import (
-    INFINITE_MTD,
-    FlowDropTracker,
-    MtdClassifier,
-    aggregate_mtd,
-)
+from repro.core.mtd import INFINITE_MTD, FlowDropTracker, MtdClassifier
 
 from .crafted import CraftedRouter
 
@@ -50,14 +45,6 @@ class TestTracker:
         with pytest.raises(ValueError):
             FlowDropTracker(horizon=0)
 
-    def test_aggregate_mtd_sums_keys(self):
-        tracker = FlowDropTracker()
-        tracker.record_drop("a", 10)
-        tracker.record_drop("b", 20)
-        mtd, drops = aggregate_mtd(tracker, ["a", "b"], tick=20, window=20)
-        assert drops == 2
-        assert mtd == pytest.approx(10.0)
-
 
 class TestClassifier:
     @pytest.fixture
@@ -83,20 +70,6 @@ class TestClassifier:
     def test_blocking_threshold(self, classifier):
         assert classifier.should_block(0.1, 20.0)
         assert not classifier.should_block(1.0, 20.0)
-
-    def test_attack_path_requires_both_conditions(self, classifier):
-        # MTD below the period AND request rate above allocation + 1/T
-        assert classifier.is_attack_path(
-            aggregate_mtd=2.0, token_period=5.0, request_rate=30.0, bandwidth=10.0
-        )
-        # low MTD but modest rate: not an attack path
-        assert not classifier.is_attack_path(
-            aggregate_mtd=2.0, token_period=5.0, request_rate=10.0, bandwidth=10.0
-        )
-        # high rate but healthy MTD: not an attack path
-        assert not classifier.is_attack_path(
-            aggregate_mtd=9.0, token_period=5.0, request_rate=30.0, bandwidth=10.0
-        )
 
     def test_misidentified_flow_recovers(self):
         # as a source backs off, MTD grows and service probability -> 1

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mtd import (
-    INFINITE_MTD,
-    FlowDropTracker,
-    MtdClassifier,
-    aggregate_mtd,
-)
+from repro.core.mtd import INFINITE_MTD, FlowDropTracker, MtdClassifier
 from tests.core.crafted import CraftedRouter
 
 ticks = st.integers(min_value=0, max_value=100_000)
@@ -31,13 +26,6 @@ class TestEmptyHistory:
         tracker.forget("f")
         assert tracker.mtd("f", tick, window) == INFINITE_MTD
 
-    @given(tick=ticks, window=windows)
-    def test_aggregate_of_empty_keys_is_infinite(self, tick, window):
-        tracker = FlowDropTracker()
-        mtd, drops = aggregate_mtd(tracker, ["a", "b"], tick, window)
-        assert mtd == INFINITE_MTD
-        assert drops == 0
-
 
 class TestWindowValidation:
     @given(window=bad_windows)
@@ -51,12 +39,6 @@ class TestWindowValidation:
         tracker = FlowDropTracker()
         with pytest.raises(ValueError):
             tracker.drops_in_window("f", 100, window)
-
-    @given(window=bad_windows)
-    def test_aggregate_mtd_rejects_non_positive_windows(self, window):
-        tracker = FlowDropTracker()
-        with pytest.raises(ValueError):
-            aggregate_mtd(tracker, ["f"], 100, window)
 
     @given(horizon=st.integers(min_value=-100, max_value=0))
     def test_tracker_rejects_non_positive_horizon(self, horizon):

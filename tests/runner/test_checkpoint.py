@@ -36,13 +36,6 @@ class TestRoundTrip:
         CheckpointStore(str(tmp_path)).save("unit", "a", [1, 2])
         assert CheckpointStore(str(tmp_path)).load("unit", "a") == [1, 2]
 
-    def test_delete(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
-        store.save("unit", "a", 1)
-        store.delete("unit", "a")
-        assert not store.has("unit", "a")
-        store.delete("unit", "a")  # idempotent
-
     def test_unknown_kind_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         with pytest.raises(CheckpointError):

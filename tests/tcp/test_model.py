@@ -71,15 +71,6 @@ class TestTokenBucketEquations:
         factor = 1.0 + model.EPSILON * sigma / mu
         assert factor == pytest.approx(1.0 + 2.0 / (3.0 * math.sqrt(n)))
 
-    def test_synchronized_bucket_four_thirds(self):
-        c, rtt, n = 30.0, 12.0, 6.0
-        assert model.synchronized_bucket_size(c, rtt, n) == pytest.approx(
-            model.bucket_size(c, rtt, n) * 4.0 / 3.0
-        )
-
-    def test_reference_mtd(self):
-        assert model.reference_mtd(5.0, 8.0) == 40.0
-
 
 class TestDropRatioModel:
     def test_gamma_formula(self):

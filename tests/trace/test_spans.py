@@ -155,14 +155,6 @@ class TestContextPropagation:
         begins = [r for r in child_records if r["ph"] == "B"]
         assert begins[0]["parent"] == span.span_id
 
-    def test_with_parent_rewrites_only_the_parent(self):
-        ctx = TraceContext("t", "d", 1.0, parent_span_id=None)
-        rewired = ctx.with_parent("main:7")
-        assert rewired.parent_span_id == "main:7"
-        assert (rewired.trace_id, rewired.trace_dir, rewired.epoch) == (
-            "t", "d", 1.0,
-        )
-
 
 class TestPicklePurity:
     def test_tracer_pickles_to_disabled_empty_shell(self, tmp_path):

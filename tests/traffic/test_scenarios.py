@@ -94,9 +94,3 @@ class TestRun:
         monitor = no_attack_tree.add_target_monitor(start_seconds=1.0)
         no_attack_tree.run_seconds(3.0)
         assert monitor.total_serviced > 0
-
-    def test_fair_flow_rate(self, small_tree):
-        total = len(small_tree.legit_flows) + len(small_tree.attack_flows)
-        assert small_tree.fair_flow_rate() == pytest.approx(
-            small_tree.capacity / total
-        )
