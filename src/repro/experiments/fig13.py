@@ -38,10 +38,10 @@ class InternetRunSettings:
 
     The defaults reduce the paper's Section VII size: sources and bots by
     5, the target link by 16, so the legitimate demand ratio and the
-    per-flow fair share differ from the full size's.  At the full size (2,000 ASes, 10 k legitimate sources,
-    100 k bots, 16,000 pkt/tick) FLoc's legitimate share falls below the
-    paper's majority claim; EXPERIMENTS.md, "Known deviations", has the
-    numbers.
+    per-flow fair share differ from the full size's.  At the full size
+    (2,000 ASes, 10 k legitimate sources, 100 k bots, 16,000 pkt/tick)
+    FLoc's legitimate share falls below the paper's majority claim;
+    EXPERIMENTS.md, "Known deviations", has the numbers.
     """
 
     n_as: int = 500

@@ -176,6 +176,11 @@ class OracleTracker(FlowDropTracker):
             return INFINITE_MTD
         return window / drops
 
+
+# The parent's QueueManager.early_congestion,
+# MtdClassifier.service_probability and PathTokenBucket.record_drop,
+# verbatim: src keeps only the router's inline form of each, and the
+# oracle calls these with the component as ``self``.
 def early_congestion(
     self, q_curr: int, bandwidth: float, request_rate: float
 ) -> bool:

@@ -69,8 +69,8 @@ class TestLabeled:
 
 
 def series(registry):
-    """The registry's ``t_count`` tick series, adopted on first use as a
-    monitor's series is."""
+    """The registry's ``t_count`` tick series, registered through
+    ``adopt`` on first use."""
     metric = registry.get("t_count")
     if metric is None:
         metric = registry.adopt("t_count", TickSeries())
