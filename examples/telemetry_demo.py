@@ -2,7 +2,7 @@
 """Telemetry demo: metrics, decision traces, and a wall-time profile.
 
 The telemetry layer (:mod:`repro.telemetry`) observes a run without
-changing it: a metrics registry (counters, gauges, histograms, tick
+changing it: a metrics registry (counters, gauges, histograms, ring
 series) and a tick-keyed decision-trace log.  Wall time is the span
 tracer's (:mod:`repro.trace`), whose tick profiler times each phase of
 every tick.  This demo walks the whole surface by hand:
@@ -11,14 +11,14 @@ every tick.  This demo walks the whole surface by hand:
    telemetry off, once with full tracing and a span tracer — and show
    the monitor output is bit-identical (both are observation-only);
 2. read the registry: FLoc decision counters, the queue-depth
-   histogram, and the engine's delivered-packet tick series;
+   histogram, and the engine's delivered-packet ring series;
 3. read the drop provenance — every engine drop carries exactly one
    cause from the Section V pipeline order — and the raw trace events
    behind it;
 4. print the tracer's per-subsystem wall-time breakdown;
 5. export everything (metrics.json, metrics.prom, series.csv,
    events.jsonl) the way ``repro run --telemetry trace`` does, then
-   render the export back with the ``repro metrics`` loader.
+   render the export back with the loader ``repro report`` uses.
 
 Run:  python examples/telemetry_demo.py
 """

@@ -19,33 +19,27 @@ Commands
     re-executes and verifies (see :mod:`repro.chaos`).
 ``check [options]``
     The flocheck static-analysis rules (see :mod:`repro.check`).
-``metrics PATH``
-    Render a ``metrics.json`` telemetry export (or the directory holding
-    one) as a table.
-``trace {report,export} DIR``
-    Analyse a span-trace directory produced by ``--trace``: ``report``
-    prints phase attribution, rollups, the cross-process critical path
-    and an ASCII timeline; ``export`` (re)writes the Perfetto-loadable
-    ``trace.json`` (see :mod:`repro.trace`).
+``report DIR``
+    Render what a run left in its ``--telemetry-dir``: the metrics table
+    and decision-event counts of ``metrics.json``, and, when span files
+    are there, the phase attribution, rollups, cross-process critical
+    path and ASCII timeline of the merged trace (see :mod:`repro.trace`),
+    rewriting the Perfetto-loadable ``trace.json`` from the span files.
 
-``run`` and ``chaos`` accept ``--telemetry {off,metrics,trace,jsonl}``:
-``metrics`` records the registry (counters, gauges, series), ``trace``
-additionally logs every FLoc decision event keyed by simulation tick
-(``jsonl`` is an alias emphasising the event-log artifact).  Exports
-land in ``--telemetry-dir`` (default ``telemetry/``) and are the same
-bytes whatever the executor.  Telemetry is observation-only: results and
-digests are byte-identical with it on or off.
-
-``run`` and ``chaos`` (``--replay`` included) also accept ``--trace``:
-wall-clock span tracing of the execution fabric itself (scheduler, fleet
-workers, retries, chaos campaigns, and the per-tick phases
-the tracer's tick profiler times — the one answer to "where did the
-time go").  Every
-process appends to its own ``spans-*.jsonl`` under ``--trace-dir``
-(default ``trace/``); at the end of the run the files are merged into a
-Perfetto-loadable ``trace.json`` and a summary is printed.  Like
-telemetry, tracing is observation-only — digests are byte-identical
-with it on or off — and wall-clock data never reaches checkpoints.
+``run`` and ``chaos`` (``--replay`` included) take one flag family.
+``--telemetry {off,metrics,trace}``: ``metrics`` records the registry
+(counters, gauges, series), ``trace`` additionally logs every FLoc
+decision event keyed by simulation tick.  ``--trace``: wall-clock span
+tracing of the execution fabric itself (scheduler, fleet workers,
+retries, chaos campaigns, and the per-tick phases the tracer's tick
+profiler times — the one answer to "where did the time go").  Every
+export lands in ``--telemetry-dir`` (default ``telemetry/``):
+``metrics.json``, ``metrics.prom``, ``series.csv`` and ``events.jsonl``
+from telemetry, one ``spans-*.jsonl`` per process and, at the end of
+the run, their merged ``trace.json`` from tracing.  Telemetry exports
+are the same bytes whatever the executor.  Both are observation-only:
+results and digests are byte-identical with them on or off, and
+wall-clock data never reaches checkpoints.
 
 Scale/duration flags apply to the functional figures; internet-scale
 figures take ``--variants``.  Every ``run`` is supervised (see
@@ -62,9 +56,8 @@ deadline exceeded; 5 interrupted by SIGTERM/SIGINT (the running unit
 finishes and is stored, no further unit starts; re-run with
 ``--resume`` to run the rest); 6 a poison job was quarantined
 by the worker pool (its reproducer artifact path is in the status table);
-7 no data — ``metrics`` found no telemetry export at the given path, or
-``trace`` found no span files in the given directory (the command names
-the missing artifact and how to produce it).
+7 no data — ``report`` found neither a ``metrics.json`` nor span files
+in the given directory (the command says how to produce them).
 With several jobs (``run`` with multiple figures), the exit code is the
 *worst* job's, and a per-job status table is printed whenever any job
 ended non-ok.
@@ -73,6 +66,7 @@ ended non-ok.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 from contextlib import contextmanager
@@ -102,7 +96,7 @@ FIGURES = {
 
 #: Job/fleet status -> process exit code (see module docstring).
 #: ``nodata`` is not a job status: it is the documented loud exit for
-#: ``metrics``/``trace`` invoked on a path with nothing to render.
+#: ``report`` invoked on a directory with nothing to render.
 EXIT_CODES = {
     "ok": 0,
     "failed": 1,
@@ -147,42 +141,48 @@ def _runner_log(message: str) -> None:
     sys.stderr.write(f"[runner] {message}\n")
 
 
-def _telemetry_mode(args) -> str:
-    """The telemetry mode ``--telemetry`` asked for ("jsonl" is the
-    tracing mode named after its artifact)."""
-    mode = getattr(args, "telemetry", "off")
-    return "trace" if mode == "jsonl" else mode
+def _span_files(directory: str) -> List[str]:
+    """The ``spans-*.jsonl`` files in ``directory`` (none if it is missing)."""
+    return sorted(glob.glob(os.path.join(glob.escape(directory), "spans-*.jsonl")))
 
 
-def _tracer_from_args(args):
-    """Build the run tracer the ``--trace`` flag asked for.
+@contextmanager
+def _observation(args):
+    """The observation flags' wiring around one run.
 
-    Stale ``spans-*.jsonl`` from an earlier run in the same directory
-    are removed first — span files are append-only, so leftovers would
-    otherwise merge into this run's timeline.
+    Installs the tracer ``--trace`` asks for (a ``Tracer`` writing into
+    ``--telemetry-dir``, after removing stale ``spans-*.jsonl`` left
+    there by an earlier run: span files are append-only, so leftovers
+    would merge into this run's timeline) and yields a namespace whose
+    ``telemetry`` the caller sets to the run's telemetry.  On the way
+    out the telemetry is exported, the span files are merged into
+    ``trace.json`` and a summary of both is printed.
     """
-    from .trace import NULL_TRACER, Tracer
+    from .telemetry import NULL_TELEMETRY
+    from .trace import NULL_TRACER, Tracer, use_tracer
 
-    if not getattr(args, "trace", False):
-        return NULL_TRACER
-    os.makedirs(args.trace_dir, exist_ok=True)
-    for name in os.listdir(args.trace_dir):
-        if name.startswith("spans-") and name.endswith(".jsonl"):
-            os.unlink(os.path.join(args.trace_dir, name))
-    return Tracer(args.trace_dir, proc="main")
+    directory = args.telemetry_dir
+    tracer = NULL_TRACER
+    if args.trace:
+        os.makedirs(directory, exist_ok=True)
+        for path in _span_files(directory):
+            os.unlink(path)
+        tracer = Tracer(directory, proc="main")
+    obs = SimpleNamespace(tracer=tracer, telemetry=NULL_TELEMETRY)
+    with use_tracer(tracer):
+        yield obs
+    if obs.telemetry.enabled:
+        from .telemetry.exporters import export_all
 
-
-def _finish_trace(args, tracer) -> None:
-    """Merge the run's span files, write trace.json, print the summary."""
+        for kind, path in sorted(export_all(obs.telemetry, directory).items()):
+            sys.stdout.write(f"telemetry {kind}: {path}\n")
     if not tracer.enabled:
         return
     tracer.close()
     from .trace import analyze, merge_trace, write_chrome_trace
 
-    trace = merge_trace(args.trace_dir)
-    path = write_chrome_trace(
-        trace, os.path.join(args.trace_dir, "trace.json")
-    )
+    trace = merge_trace(directory)
+    path = write_chrome_trace(trace, os.path.join(directory, "trace.json"))
     analysis = analyze(trace)
     top = [
         f"{name} {seconds:.3f}s"
@@ -198,18 +198,8 @@ def _finish_trace(args, tracer) -> None:
         sys.stdout.write("trace: top phases: " + ", ".join(top) + "\n")
     sys.stdout.write(
         f"trace: load {path} in ui.perfetto.dev, or run "
-        f"`repro trace report {args.trace_dir}`\n"
+        f"`repro report {directory}`\n"
     )
-
-
-def _export_telemetry(args, tel) -> None:
-    """Write every telemetry artifact and say where each one went."""
-    if not tel.enabled:
-        return
-    from .telemetry.exporters import export_all
-
-    for kind, path in sorted(export_all(tel, args.telemetry_dir).items()):
-        sys.stdout.write(f"telemetry {kind}: {path}\n")
 
 
 def _emit(args, name: str, headers, rows, title: str) -> None:
@@ -262,15 +252,14 @@ def _supervision(args, store, plan, **knobs):
     for results and telemetry pieces even when the user asked for no
     checkpoints: it is lent a scratch one, removed when the run ends
     ``ok`` and kept (its path printed) otherwise — quarantine
-    reproducers live in it.  On the way out the merged telemetry is
-    exported and the trace finished.
+    reproducers live in it.  The merged telemetry and the trace go out
+    through :func:`_observation`.
     """
     import shutil
     import tempfile
 
     from .fleet.pool import FleetOptions
     from .runner import CheckpointStore
-    from .trace import use_tracer
 
     scratch = store is None and args.workers is not None
     if scratch:
@@ -286,27 +275,25 @@ def _supervision(args, store, plan, **knobs):
         report=None,
         fleet=FleetOptions(
             workers=args.workers,
-            telemetry_mode=_telemetry_mode(args),
+            telemetry_mode=args.telemetry,
             deadline_seconds=args.deadline,
             fault_plan=plan,
             heartbeat_timeout_seconds=timeout,
             **knobs,
         ),
     )
-    tracer = _tracer_from_args(args)
-    try:
-        with use_tracer(tracer):
+    with _observation(args) as obs:
+        try:
             yield run
-    except ReproError:
-        if scratch:  # refused before any task ran: nothing to inspect
+        except ReproError:
+            if scratch:  # refused before any task ran: nothing to inspect
+                shutil.rmtree(store.root, ignore_errors=True)
+            raise
+        if scratch and run.report.ok:
             shutil.rmtree(store.root, ignore_errors=True)
-        raise
-    if scratch and run.report.ok:
-        shutil.rmtree(store.root, ignore_errors=True)
-    elif scratch:
-        sys.stderr.write(f"kept the run's scratch store: {store.root}\n")
-    _export_telemetry(args, run.report.telemetry)
-    _finish_trace(args, tracer)
+        elif scratch:
+            sys.stderr.write(f"kept the run's scratch store: {store.root}\n")
+        obs.telemetry = run.report.telemetry
 
 
 def _run_figures(args) -> int:
@@ -459,20 +446,16 @@ def _chaos(args) -> int:
     from .runner import CheckpointStore
 
     if args.replay:
-        from .telemetry import NULL_TELEMETRY, Telemetry, use
-        from .trace import use_tracer
+        from .telemetry import Telemetry, use
 
-        mode = _telemetry_mode(args)
-        tel = NULL_TELEMETRY if mode == "off" else Telemetry(mode=mode)
-        tracer = _tracer_from_args(args)
-        with use_tracer(tracer), use(tel):
-            with tracer.span(
+        with _observation(args) as obs:
+            if args.telemetry != "off":
+                obs.telemetry = Telemetry(mode=args.telemetry)
+            with use(obs.telemetry), obs.tracer.span(
                 "campaign.replay", cat="campaign", artifact=args.replay
             ) as span:
                 outcome = replay_artifact(args.replay)
-                tracer.emit_phases(span)
-        _export_telemetry(args, tel)
-        _finish_trace(args, tracer)
+                obs.tracer.emit_phases(span)
         _emit(
             args,
             "chaos-replay",
@@ -575,69 +558,60 @@ def _metric_cell(value) -> str:
     return str(value)
 
 
-def _metrics(args) -> int:
+def _report(args) -> int:
     from .telemetry.exporters import load_metrics_json
+    from .trace import merge_trace, render_report, write_chrome_trace
 
-    path = args.path
-    if os.path.isdir(path):
-        path = os.path.join(path, "metrics.json")
-    if not os.path.exists(path):
+    directory = args.dir
+    metrics = os.path.join(directory, "metrics.json")
+    has_metrics = os.path.isfile(metrics)
+    spans = _span_files(directory)
+    if not has_metrics and not spans:
         # the documented "nothing to render" exit (code 7, see module
         # docstring) — distinct from a malformed export, which is a
         # ConfigError (exit 2)
-        sys.stderr.write(f"error: no telemetry export at {path}\n")
         sys.stderr.write(
-            "hint: produce one with `repro run FIG --telemetry metrics` "
-            "(exports land in --telemetry-dir, default telemetry/)\n"
+            f"error: no metrics.json and no span files (spans-*.jsonl) "
+            f"in {directory}\n"
+        )
+        sys.stderr.write(
+            "hint: produce them with `repro run FIG --telemetry metrics "
+            "--trace` (both land in --telemetry-dir, default telemetry/)\n"
         )
         return EXIT_CODES["nodata"]
-    payload = load_metrics_json(path)
-    rows = [
-        [name, entry.get("kind", "?"), _metric_cell(entry.get("value"))]
-        for name, entry in sorted(payload["metrics"].items())
-    ]
-    sys.stdout.write(
-        format_table(
-            ["metric", "kind", "value"],
-            rows,
-            title=f"telemetry export {path} (mode {payload.get('mode', '?')})",
-        )
-    )
-    sys.stdout.write("\n")
-    trace = payload.get("trace")
-    if trace:
-        kinds = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(trace.get("counts_by_kind", {}).items())
-        )
+    if has_metrics:
+        payload = load_metrics_json(metrics)
+        rows = [
+            [name, entry.get("kind", "?"), _metric_cell(entry.get("value"))]
+            for name, entry in sorted(payload["metrics"].items())
+        ]
         sys.stdout.write(
-            f"trace: {trace.get('emitted_total', 0)} event(s)"
-            + (f" ({kinds})" if kinds else "")
-            + "\n"
+            format_table(
+                ["metric", "kind", "value"],
+                rows,
+                title=f"telemetry export {metrics} "
+                      f"(mode {payload.get('mode', '?')})",
+            )
         )
-    return 0
-
-
-def _trace_cmd(args) -> int:
-    from .trace import merge_trace, render_report, write_chrome_trace
-
-    try:
-        trace = merge_trace(args.dir)
-    except ConfigError as exc:
-        # the documented "nothing to analyse" exit (code 7, see module
-        # docstring)
-        sys.stderr.write(f"error: {exc}\n")
-        sys.stderr.write(
-            "hint: produce span files with `repro run FIG --trace` "
-            "(they land in --trace-dir, default trace/)\n"
-        )
-        return EXIT_CODES["nodata"]
-    if args.action == "report":
+        sys.stdout.write("\n")
+        events = payload.get("trace")
+        if events:
+            kinds = ", ".join(
+                f"{kind}={count}"
+                for kind, count in sorted(
+                    events.get("counts_by_kind", {}).items()
+                )
+            )
+            sys.stdout.write(
+                f"trace: {events.get('emitted_total', 0)} event(s)"
+                + (f" ({kinds})" if kinds else "")
+                + "\n"
+            )
+    if spans:
+        trace = merge_trace(directory)
+        path = write_chrome_trace(trace, os.path.join(directory, "trace.json"))
         sys.stdout.write(render_report(trace))
-        return 0
-    out = args.out or os.path.join(args.dir, "trace.json")
-    path = write_chrome_trace(trace, out)
-    sys.stdout.write(f"wrote {path}\n")
+        sys.stdout.write(f"wrote {path}\n")
     return 0
 
 
@@ -742,8 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max retries per unit for transient failures (default 1)",
     )
     _add_heartbeat(run)
-    _add_telemetry(run)
-    _add_trace_flags(run)
+    _add_observation(run)
 
     quick = sub.add_parser("quickstart", help="FLoc vs a CBR flood")
     _add_common(quick)
@@ -812,35 +785,17 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--csv", metavar="DIR", default=None,
                        help="also write the sweep table to DIR/chaos.csv")
     _add_heartbeat(chaos)
-    _add_telemetry(chaos)
-    _add_trace_flags(chaos)
+    _add_observation(chaos)
 
-    metrics = sub.add_parser(
-        "metrics", help="render a telemetry metrics.json export as a table"
+    report = sub.add_parser(
+        "report",
+        help="render a --telemetry-dir: the metrics table and event counts "
+             "of metrics.json, and the phase attribution, critical path and "
+             "timeline of the span files (rewriting trace.json)",
     )
-    metrics.add_argument(
-        "path", metavar="PATH",
-        help="a metrics.json file, or the --telemetry-dir that holds one",
-    )
-
-    trace = sub.add_parser(
-        "trace",
-        help="analyse a span-trace directory produced by --trace",
-    )
-    trace.add_argument(
-        "action", choices=("report", "export"),
-        help="'report' prints phase attribution, per-span rollups, the "
-             "cross-process critical path and an ASCII timeline; "
-             "'export' (re)writes the Perfetto-loadable trace.json",
-    )
-    trace.add_argument(
+    report.add_argument(
         "dir", metavar="DIR",
-        help="the --trace-dir of a finished run (holds spans-*.jsonl)",
-    )
-    trace.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="where 'export' writes the Chrome trace-event JSON "
-             "(default: DIR/trace.json)",
+        help="the --telemetry-dir of a finished run",
     )
 
     check = sub.add_parser(
@@ -876,33 +831,26 @@ def _add_heartbeat(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_telemetry(parser: argparse.ArgumentParser) -> None:
+def _add_observation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--telemetry", choices=("off", "metrics", "trace", "jsonl"),
+        "--telemetry", choices=("off", "metrics", "trace"),
         default="off",
         help="record telemetry: 'metrics' keeps the registry, 'trace' "
-             "additionally logs per-tick decision events ('jsonl' is an "
-             "alias); results are identical either way",
+             "additionally logs per-tick decision events; results are "
+             "identical either way",
     )
     parser.add_argument(
         "--telemetry-dir", metavar="DIR", default="telemetry",
-        help="directory the telemetry exports are written to "
-             "(default: telemetry/)",
+        help="directory the telemetry exports, span files and trace.json "
+             "are written to (default: telemetry/)",
     )
-
-
-def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", action="store_true",
         help="span-trace the execution fabric (supervisor, fleet "
-             "workers, retries, per-tick phases) into per-process JSONL files merged into a "
-             "Perfetto-loadable trace.json; results and digests are "
-             "byte-identical either way",
-    )
-    parser.add_argument(
-        "--trace-dir", metavar="DIR", default="trace",
-        help="directory the span files and trace.json land in "
-             "(default: trace/)",
+             "workers, retries, per-tick phases) into per-process JSONL "
+             "files merged into a Perfetto-loadable trace.json in "
+             "--telemetry-dir; results and digests are byte-identical "
+             "either way",
     )
 
 
@@ -932,10 +880,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _chaos(args)
         if args.command == "check":
             return _check(args)
-        if args.command == "metrics":
-            return _metrics(args)
-        if args.command == "trace":
-            return _trace_cmd(args)
+        if args.command == "report":
+            return _report(args)
         return _quickstart(args)
     except ReproError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,11 +20,6 @@ order would hold:
   order), which matters because ``metrics.json`` preserves it.
 * ``LabeledGauge`` — per-label last-write-wins: these hold absolute
   engine scrapes, so the later piece replaces, never sums.
-* ``TickSeries`` — pieces concatenate group-by-group with the serial
-  pending-point protocol: a piece whose first group continues the
-  running pending tick accumulates into it rather than opening a new
-  group, and the merged series ends with the last piece's pending state
-  unflushed — byte-for-byte what one shared series would hold.
 * ``RingSeries`` — replay pieces' surviving samples in order into a
   fresh ring of the same capacity.  Each piece survives at least the
   suffix the final ring needs, so the result equals the serial ring.
@@ -40,7 +35,7 @@ association order every export shares.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..errors import ConfigError
 from ..telemetry import NullTelemetry, Telemetry
@@ -55,25 +50,9 @@ from ..telemetry.registry import (
     Metric,
     MetricsRegistry,
     RingSeries,
-    TickSeries,
 )
 
 __all__ = ["merge_telemetry", "merge_registries"]
-
-
-def _merge_tick_series(out: TickSeries, piece: TickSeries) -> None:
-    groups: List[Tuple[int, int]] = list(piece)
-    pending = piece.pending_tick >= 0
-    if pending:
-        groups.append((piece.pending_tick, piece.pending_value))
-    if not groups:
-        return  # the task created but never observed the series
-    for tick, value in groups:
-        out.observe(tick, value)
-    if not pending:
-        # the task flushed its series (end-of-run finalisation); a
-        # shared serial series would have been flushed at that point.
-        out.flush()
 
 
 def _merge_ring_series(out: RingSeries, piece: RingSeries) -> None:
@@ -115,8 +94,6 @@ def _merge_metric(out: Metric, piece: Metric) -> None:
             # fluid volume counters hold floats; mirror the raw-sum
             # convention from Telemetry.record_fluid_drop_volumes.
             out[label] = out.get(label, 0) + value
-    elif isinstance(piece, TickSeries) and isinstance(out, TickSeries):
-        _merge_tick_series(out, piece)
     elif isinstance(piece, RingSeries) and isinstance(out, RingSeries):
         _merge_ring_series(out, piece)
     elif isinstance(piece, Histogram) and isinstance(out, Histogram):

@@ -23,7 +23,6 @@ from .registry import (
     LabeledGauge,
     MetricsRegistry,
     RingSeries,
-    TickSeries,
 )
 
 __all__ = [
@@ -104,11 +103,9 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f'{name}_bucket{{le="+Inf"}} {float(metric.total):g}')
             lines.append(f"{name}_sum {metric.sum:g}")
             lines.append(f"{name}_count {float(metric.total):g}")
-        elif isinstance(metric, (RingSeries, TickSeries)):
+        elif isinstance(metric, RingSeries):
             # expose only the latest point; full history goes to CSV
-            last = metric.last if isinstance(metric, RingSeries) else (
-                metric[-1] if len(metric) else None
-            )
+            last = metric.last
             if last is not None:
                 lines.append(f"# TYPE {name} gauge")
                 lines.append(f"{name} {float(last[1]):g}")
@@ -136,9 +133,6 @@ def export_series_csv(tel: NullTelemetry, path: str) -> str:
             if isinstance(metric, RingSeries):
                 for tick, value in metric.points():
                     writer.writerow([name, tick, f"{value:g}"])
-            elif isinstance(metric, TickSeries):
-                for tick, count in metric:
-                    writer.writerow([name, tick, f"{float(count):g}"])
     return path
 
 

@@ -101,7 +101,7 @@ class PhaseRollup:
 
 @dataclass
 class TraceAnalysis:
-    """Everything ``repro trace report`` prints."""
+    """Everything ``repro report`` prints about the spans."""
 
     trace_id: str
     wall_seconds: float

@@ -7,7 +7,7 @@ timestamps, and per-process metadata) which both ``chrome://tracing``
 and https://ui.perfetto.dev load directly — drag the file in, or use
 *Open trace file*.
 
-The ASCII exporters back ``repro trace report``: a phase/rollup summary
+The ASCII exporters back ``repro report``: a phase/rollup summary
 with the critical path, and a proportional per-process timeline for
 terminals, so the common "where did the wall clock go" question never
 needs a browser.
@@ -175,7 +175,7 @@ def ascii_timeline(trace: MergedTrace, width: int = 72) -> str:
 
 
 def render_report(trace: MergedTrace, width: int = 72) -> str:
-    """The full ``repro trace report`` text: analysis + timeline."""
+    """The full span report ``repro report`` prints: analysis + timeline."""
     analysis: TraceAnalysis = analyze(trace)
     lines: List[str] = []
     lines.append(f"trace {analysis.trace_id or '(unnamed)'}")

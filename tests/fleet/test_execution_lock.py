@@ -72,7 +72,7 @@ def _sha(data: bytes) -> str:
 def _run_and_digest(tmp_path, argv, table):
     csv_dir, tel_dir = tmp_path / "csv", tmp_path / "tel"
     code = main(
-        argv + ["--csv", str(csv_dir), "--telemetry", "jsonl",
+        argv + ["--csv", str(csv_dir), "--telemetry", "trace",
                 "--telemetry-dir", str(tel_dir)]
     )
     assert code == 0

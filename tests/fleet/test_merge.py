@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.fleet.merge import merge_registries, merge_telemetry
 from repro.telemetry import NullTelemetry, Telemetry
-from repro.telemetry.registry import MetricsRegistry, TickSeries
+from repro.telemetry.registry import MetricsRegistry
 
 
 def regs(n=2):
@@ -68,55 +68,7 @@ class TestLabeled:
         assert list(out.get("c_count")) == ["zeta", "alpha"]
 
 
-def series(registry):
-    """The registry's ``t_count`` tick series, registered through
-    ``adopt`` on first use."""
-    metric = registry.get("t_count")
-    if metric is None:
-        metric = registry.adopt("t_count", TickSeries())
-    return metric
-
-
 class TestSeries:
-    def serial(self, observations):
-        series = TickSeries()
-        for tick, amount in observations:
-            series.observe(tick, amount)
-        return series
-
-    def test_pending_point_spans_pieces(self):
-        # piece 1 ends with tick 2 pending; piece 2 opens at tick 2 —
-        # serial would have accumulated both into one group
-        a, b = regs()
-        for tick, amount in [(1, 1), (1, 1), (2, 1)]:
-            series(a).observe(tick, amount)
-        for tick, amount in [(2, 2), (3, 1)]:
-            series(b).observe(tick, amount)
-        out = merge_registries(MetricsRegistry(), [a, b])
-        serial = self.serial([(1, 1), (1, 1), (2, 1), (2, 2), (3, 1)])
-        merged = out.get("t_count")
-        assert list(merged) == list(serial)
-        assert merged.pending_tick == serial.pending_tick
-        assert merged.pending_value == serial.pending_value
-
-    def test_flushed_piece_flushes_merge(self):
-        a, b = regs()
-        series(a).observe(1, 4)
-        series(b).observe(2, 5)
-        series(b).flush()
-        out = merge_registries(MetricsRegistry(), [a, b])
-        serial = self.serial([(1, 4), (2, 5)])
-        serial.flush()
-        assert list(out.get("t_count")) == list(serial)
-        assert out.get("t_count").pending_tick == -1
-
-    def test_empty_piece_does_not_flush_anothers_pending(self):
-        a, b = regs()
-        series(a).observe(3, 1)
-        series(b)  # created, never observed
-        out = merge_registries(MetricsRegistry(), [a, b])
-        assert out.get("t_count").pending_tick == 3
-
     def test_ring_series_replay(self):
         a, b = regs()
         for tick in range(4):

@@ -73,7 +73,7 @@ class TestChaosCommand:
         assert "reproduced" in capsys.readouterr().out
 
     def test_replay_writes_a_trace(self, tmp_path, capsys):
-        art, trace_dir = tmp_path / "art", tmp_path / "trace"
+        art, trace_dir = tmp_path / "art", tmp_path / "tel"
         main(
             ["chaos", "--seed", "2024", "--campaigns", "1", "--simulator",
              "packet", "--floor", "0.99", "--max-shrink-trials", "2",
@@ -82,7 +82,7 @@ class TestChaosCommand:
         (artifact,) = art.glob("reproducer-*.json")
         assert main(
             ["chaos", "--replay", str(artifact), "--trace",
-             "--trace-dir", str(trace_dir)]
+             "--telemetry-dir", str(trace_dir)]
         ) == 0
         assert (trace_dir / "spans-main.jsonl").exists()
         assert (trace_dir / "trace.json").exists()
@@ -96,14 +96,29 @@ class TestTelemetryFlags:
         )
         assert args.telemetry == "trace"
         assert args.telemetry_dir == "tel"
-        args = build_parser().parse_args(["chaos", "--telemetry", "jsonl"])
-        assert args.telemetry == "jsonl"
+        args = build_parser().parse_args(["chaos", "--telemetry", "trace"])
+        assert args.telemetry == "trace"
         assert args.telemetry_dir == "telemetry"
 
-    def test_metrics_subcommand_parsed(self):
-        args = build_parser().parse_args(["metrics", "tel"])
-        assert args.command == "metrics"
-        assert args.path == "tel"
+    def test_report_subcommand_parsed(self):
+        args = build_parser().parse_args(["report", "tel"])
+        assert args.command == "report"
+        assert args.dir == "tel"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig03", "--trace-dir", "t"],
+            ["chaos", "--trace-dir", "t"],
+            ["run", "fig03", "--telemetry", "jsonl"],
+            ["chaos", "--telemetry", "jsonl"],
+            ["metrics", "tel"],
+            ["trace", "report", "t"],
+        ],
+    )
+    def test_retired_flags_and_commands_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_chaos_exports_and_metrics_renders(self, tmp_path, capsys):
         tel_dir = tmp_path / "tel"
@@ -118,7 +133,7 @@ class TestTelemetryFlags:
         assert (tel_dir / "metrics.json").exists()
         assert (tel_dir / "events.jsonl").exists()
 
-        assert main(["metrics", str(tel_dir)]) == 0
+        assert main(["report", str(tel_dir)]) == 0
         out = capsys.readouterr().out
         assert "telemetry export" in out
         assert "drops_by_cause_packets" in out
@@ -263,38 +278,56 @@ class TestScratchStore:
 class TestTraceCommand:
     def test_trace_flags_parsed(self):
         args = build_parser().parse_args(
-            ["run", "fig03", "--trace", "--trace-dir", "t"]
+            ["run", "fig03", "--trace", "--telemetry-dir", "t"]
         )
         assert args.trace
-        assert args.trace_dir == "t"
+        assert args.telemetry_dir == "t"
         args = build_parser().parse_args(["chaos", "--trace"])
         assert args.trace
-        assert args.trace_dir == "trace"
-        args = build_parser().parse_args(["trace", "report", "t"])
-        assert args.command == "trace"
-        assert args.action == "report"
+        assert args.telemetry_dir == "telemetry"
+        args = build_parser().parse_args(["report", "t"])
+        assert args.command == "report"
         assert args.dir == "t"
 
     def test_run_trace_exports_and_reports(self, tmp_path, capsys):
-        trace_dir = tmp_path / "trace"
+        trace_dir = tmp_path / "tel"
         rc = main(
-            ["run", "fig03", "--trace", "--trace-dir", str(trace_dir)]
+            ["run", "fig03", "--trace", "--telemetry-dir", str(trace_dir)]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "trace:" in out
         assert (trace_dir / "trace.json").exists()
 
-        assert main(["trace", "report", str(trace_dir)]) == 0
+        assert main(["report", str(trace_dir)]) == 0
         report = capsys.readouterr().out
         assert "critical path" in report
         assert "timeline" in report
 
-        out_json = tmp_path / "exported.json"
-        assert main(
-            ["trace", "export", str(trace_dir), "--out", str(out_json)]
-        ) == 0
+        out_json = trace_dir / "trace.json"
+        out_json.unlink()
+        assert main(["report", str(trace_dir)]) == 0
         assert out_json.exists()
+
+    def test_one_directory_holds_both_exports(self, tmp_path, capsys):
+        tel_dir = tmp_path / "tel"
+        rc = main(
+            ["run", "fig03", "--telemetry", "trace", "--trace",
+             "--telemetry-dir", str(tel_dir)]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        for name in ("metrics.json", "metrics.prom", "series.csv",
+                     "events.jsonl", "spans-main.jsonl", "trace.json"):
+            assert (tel_dir / name).exists(), name
+
+        assert main(["report", str(tel_dir)]) == 0
+        report = capsys.readouterr().out
+        assert "telemetry export" in report
+        assert "(mode trace)" in report
+        assert "event(s)" in report
+        assert "critical path" in report
+        assert "timeline" in report
 
     def test_trace_does_not_change_results(self, tmp_path, capsys):
         base_csv = tmp_path / "base"
@@ -304,8 +337,8 @@ class TestTraceCommand:
         assert main(common + ["--csv", str(base_csv)]) == 0
         assert main(
             common
-            + ["--csv", str(traced_csv), "--trace", "--trace-dir",
-               str(tmp_path / "trace")]
+            + ["--csv", str(traced_csv), "--trace", "--telemetry-dir",
+               str(tmp_path / "tel")]
         ) == 0
         capsys.readouterr()
         assert (
@@ -314,14 +347,15 @@ class TestTraceCommand:
         )
 
     def test_trace_report_missing_dir_is_loud_nodata(self, tmp_path, capsys):
-        rc = main(["trace", "report", str(tmp_path / "nope")])
+        rc = main(["report", str(tmp_path / "nope")])
         assert rc == 7
         err = capsys.readouterr().err
         assert "error:" in err
         assert "hint:" in err
 
     def test_metrics_missing_dir_is_loud_nodata(self, tmp_path, capsys):
-        rc = main(["metrics", str(tmp_path / "nope")])
+        (tmp_path / "empty").mkdir()
+        rc = main(["report", str(tmp_path / "empty")])
         assert rc == 7
         err = capsys.readouterr().err
         assert "error:" in err
