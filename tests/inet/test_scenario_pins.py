@@ -5,7 +5,9 @@ placement were rewritten for speed.  Each digest covers what
 ``build_internet_scenario`` hands the simulators: the route tree's
 ``parent`` and ``depth``, the per-flow origin AS and attack flag, the
 link capacities and the attack ASes, for the three placements on the
-three skitter-like variants, plus the benchmark's own 2000-AS build.
+three skitter-like variants at the figures' 500 ASes, and again at the
+paper's Section VII size of 2000 ASes (the benchmark's own build is the
+f-root localized cell there).
 """
 
 import hashlib
@@ -44,10 +46,22 @@ PINS = {
     "jpn-separated": "68e591ac10cc09da4f7c1a47f05f4b15fb53487dafeedf60e418ca8a9882cc56",
 }
 
+#: the paper's Section VII size (2000 ASes, 10 k legitimate sources in
+#: 200 ASes, 100 k bots, 16,000 pkt/tick), seed 1
+FULL_SIZE_PINS = {
+    "f-root-localized": "0c61e3d62c67b7e925776da7971b97782f2a2df6fdfe44a0695255d667faab80",
+    "f-root-dispersed": "f89bdaf8f2aa4a81f1064e96936113459af14e0a5920521192444a3e82b5f54c",
+    "f-root-separated": "6355958a488a1dfbb9d19019a1e67ff4e4e8d8797bb2754360b6351dd21099b3",
+    "h-root-localized": "3790ae1f39828c511b21526e9ee1e5c4c216325db0b7b9d1b8e57e09197a1f7a",
+    "h-root-dispersed": "4d8ff4452577dd59598bf4c3c786c4c15f2b42cc9ca51e227b9050becd96869d",
+    "h-root-separated": "d700b06c8474748dd99113d310896623b11fe3b91961504b6194a4e0790ee716",
+    "jpn-localized": "38e1eade2e77dddbf806c7d81ed699d6b7205fa186186d47198176c860ea52ab",
+    "jpn-dispersed": "0e0f42b4757b416a8b52edeaf33a9e4b3f25f7853f62586c630bcaeac9697a7d",
+    "jpn-separated": "0ba91d0690afd60623d3c2edf6a89c9a055f7584e0b89af4cd7ecad87dc31e17",
+}
+
 #: the ``inet_fluid_floc`` benchmark build at scale 1.0, seed 1
-FULL_SIZE_PIN = (
-    "0c61e3d62c67b7e925776da7971b97782f2a2df6fdfe44a0695255d667faab80"
-)
+FULL_SIZE_PIN = FULL_SIZE_PINS["f-root-localized"]
 
 
 @pytest.mark.parametrize("variant", ["f-root", "h-root", "jpn"])
@@ -59,15 +73,28 @@ def test_assembly_pinned(variant, placement):
     assert scenario_digest(scenario) == PINS[f"{variant}-{placement}"]
 
 
-def test_benchmark_size_pinned():
-    scenario = build_internet_scenario(
+def build_full_size(variant="f-root", placement="localized"):
+    return build_internet_scenario(
+        variant=variant,
+        placement=placement,
         n_as=2000,
         n_legit_sources=10_000,
         n_legit_ases=200,
         n_bots=100_000,
         target_capacity=16_000.0,
-        placement="localized",
         build_flow_links=False,
         seed=1,
     )
-    assert scenario_digest(scenario) == FULL_SIZE_PIN
+
+
+def test_benchmark_size_pinned():
+    assert scenario_digest(build_full_size()) == FULL_SIZE_PIN
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(set(FULL_SIZE_PINS) - {"f-root-localized"})
+)
+def test_full_size_pinned(cell):
+    variant, placement = cell.rsplit("-", 1)
+    scenario = build_full_size(variant, placement)
+    assert scenario_digest(scenario) == FULL_SIZE_PINS[cell]

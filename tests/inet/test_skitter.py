@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -67,6 +67,9 @@ class TestGeneration:
 
 
 @settings(max_examples=60, deadline=None)
+@example(variant="f-root", n_as=2000, seed=None)
+@example(variant="h-root", n_as=2000, seed=None)
+@example(variant="jpn", n_as=2000, seed=None)
 @given(
     variant=st.sampled_from(sorted(VARIANTS)),
     n_as=st.integers(min_value=2, max_value=2500),
