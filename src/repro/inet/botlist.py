@@ -12,6 +12,7 @@ The paper's measured facts that we reproduce synthetically:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -85,8 +86,11 @@ def place_bots(
         assigned += share
     fringe_bots = n_bots - assigned
     if fringe:
-        for i in range(max(0, fringe_bots)):
-            bots_per_as[fringe[i % len(fringe)]] += 1
+        # round robin over the fringe: every AS gets ``base``, the first
+        # ``extra`` one more
+        base, extra = divmod(max(0, fringe_bots), len(fringe))
+        for i, asn in enumerate(fringe):
+            bots_per_as[asn] += base + (i < extra)
     else:
         bots_per_as[core[0]] += max(0, fringe_bots)
     return BotPlacement(bots_per_as=bots_per_as, attack_ases=attack_ases)
@@ -133,7 +137,11 @@ def place_legitimate(
 
     if overlap:
         attack_list = list(attack_ases)
-        for i in range(overlap):
-            asn = attack_list[rng.randrange(len(attack_list))]
-            sources_per_as[asn] = sources_per_as.get(asn, 0) + 1
+        n_attack = len(attack_list)
+        # a Counter keeps first-draw order, as one-at-a-time adds would
+        drawn = Counter(
+            attack_list[rng.randrange(n_attack)] for _ in range(overlap)
+        )
+        for asn, count in drawn.items():
+            sources_per_as[asn] = sources_per_as.get(asn, 0) + count
     return sources_per_as

@@ -20,6 +20,7 @@ way to the target as they clog some other links").
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -98,14 +99,27 @@ def build_internet_scenario(
     demand is 2.0x the link at the defaults and 0.625x at full size, and
     the per-flow fair share is 0.045 pkt/tick against 0.145.
 
-    ``build_flow_links=False`` skips the per-flow link-chain table — the
-    only O(flows) Python loop in assembly.  The fluid simulator never
-    reads ``flow_links`` (it works on per-AS aggregates), so the
-    benchmark's fluid workload turns it off; anything that walks
-    per-flow paths needs the default.
+    No step of assembly loops over flows in Python: the flow tables are
+    ``np.repeat`` over the per-AS counts, and the per-flow link-chain
+    table repeats one array per origin AS.  ``build_flow_links=False``
+    skips that table, a list with one entry per flow.  The fluid
+    simulator never reads ``flow_links`` (it works on per-AS
+    aggregates), so the benchmark's fluid workload turns it off;
+    anything that walks per-flow paths needs the default.
+
+    ``target_capacity``, ``legit_rate`` and ``headroom`` must be finite
+    and positive: a capacity of 0 means "no limit" to the fluid model,
+    and every uplink's capacity is a multiple of ``legit_rate``.
     """
     if placement not in PLACEMENTS:
         raise ConfigError(f"unknown placement {placement!r}; choose {PLACEMENTS}")
+    for name, value in (
+        ("target_capacity", target_capacity),
+        ("legit_rate", legit_rate),
+        ("headroom", headroom),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
     if n_attack_ases is None:
         # paper: 100 ASes localized, 300 dispersed; scale with the AS count
         base = 100 if placement == "localized" else 300
@@ -135,16 +149,14 @@ def build_internet_scenario(
     )
 
     # --- flows -----------------------------------------------------------
-    origins: List[int] = []
-    is_attack: List[bool] = []
-    for asn, count in sorted(legit.items()):
-        origins.extend([asn] * count)
-        is_attack.extend([False] * count)
-    for asn, count in sorted(bots.bots_per_as.items()):
-        origins.extend([asn] * count)
-        is_attack.extend([True] * count)
-    flow_origin_as = np.asarray(origins, dtype=np.int64)
-    flow_is_attack = np.asarray(is_attack, dtype=bool)
+    # legitimate flows, then bots, each by origin AS ascending
+    per_as = sorted(legit.items()) + sorted(bots.bots_per_as.items())
+    counts = np.array([count for _, count in per_as], dtype=np.int64)
+    flow_origin_as = np.repeat(
+        np.array([asn for asn, _ in per_as], dtype=np.int64), counts
+    )
+    flow_is_attack = np.zeros(len(flow_origin_as), dtype=bool)
+    flow_is_attack[sum(legit.values()):] = True
 
     # --- links ------------------------------------------------------------
     # link 0: the target link (root AS -> destination); link asn (>0):
@@ -161,28 +173,26 @@ def build_internet_scenario(
             if node == 0:
                 break
             node = topo.parent[node]
-    link_capacity = np.empty(n_as, dtype=np.float64)
+    link_capacity = np.maximum(
+        legit_rate * 10.0, headroom * legit_rate * hosts_below
+    )
     link_capacity[0] = target_capacity
-    for asn in range(1, n_as):
-        link_capacity[asn] = max(
-            legit_rate * 10.0, headroom * legit_rate * hosts_below[asn]
-        )
 
     flow_links: List[np.ndarray] = []
     if build_flow_links:
+        # one array per origin AS, shared by all of its flows
         path_cache: Dict[int, np.ndarray] = {}
-        for asn in flow_origin_as:
+        for asn, count in per_as:
             links = path_cache.get(asn)
             if links is None:
                 chain = []
-                node = int(asn)
+                node = asn
                 while node != 0:
                     chain.append(node)  # link id == AS id for asn -> parent
                     node = topo.parent[node]
                 chain.append(0)  # the target link
-                links = np.asarray(chain, dtype=np.int64)
-                path_cache[int(asn)] = links
-            flow_links.append(links)
+                links = path_cache[asn] = np.asarray(chain, dtype=np.int64)
+            flow_links.extend([links] * count)
 
     return InternetScenario(
         topology=topo,

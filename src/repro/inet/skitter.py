@@ -30,6 +30,15 @@ VARIANTS: Dict[str, dict] = {
     "jpn": {"seed": 303, "hub_bias": 0.7, "max_depth": 8},
 }
 
+#: Every weight ``(degree + 1) ** hub_bias`` is >= 1, so its float is a
+#: whole multiple of 2**-52 and ``w * _SCALE`` is an exact integer.
+_SCALE = float(2**52)
+#: A pick is decided on exact sums when ``random()`` times the exact total,
+#: widened by ``n_eligible * total / 2**_SLACK_SHIFT`` on both sides, lies
+#: inside one AS's interval.  The scan's float sums and its pick are off
+#: by less than ``(2 n + 3) * 2**-53 * total``, over 2**10 times less.
+_SLACK_SHIFT = 40
+
 
 @dataclass
 class SkitterLikeMap:
@@ -88,40 +97,81 @@ def generate_route_tree(
     hub_bias = params["hub_bias"]
     max_depth = params["max_depth"]
 
-    # The pick is a linear scan's: the first eligible AS whose running
-    # weight sum (``acc += w`` in ``eligible`` order) reaches ``pick``,
-    # else ``eligible[-1]``.  ``np.cumsum`` adds sequentially in that
-    # order, so ``searchsorted`` finds the same AS.  One weight per
-    # eligible AS is kept, and only the chosen AS's changes.  The list
-    # feeds ``total`` through the builtin ``sum``, whose float algorithm
-    # differs between CPython versions, as the scan's total did; the
-    # array feeds the prefix scan.
+    # The pick is a linear scan's (``_scan_pick``), decided on exact
+    # sums: a Fenwick tree over the weights as integers (``w * _SCALE``)
+    # gives every prefix sum S_k in O(log n).  The descent finds the
+    # first eligible AS whose S_k reaches the low end of the draw's
+    # window; when S_k also clears the high end (or the AS is the last
+    # eligible one, which the scan falls back to), no rounding of the
+    # scan's float sums can move its pick, so that AS is the scan's.
+    # Otherwise the step runs the scan itself.
     parent = [0]
     depth = [0]
     degree = [1.0]
     eligible = [0]  # ASes that can still take children
     leaf_weight = 2.0**hub_bias  # (degree 1 + 1) ** hub_bias
+    leaf_int = int(leaf_weight * _SCALE)
+    # one weight per eligible AS, in ``eligible`` order, as a float for
+    # the scan and as an exact integer for the Fenwick tree
     weights = [leaf_weight]
-    weight_arr = np.empty(n_as, dtype=np.float64)
-    weight_arr[0] = leaf_weight
+    exact = [leaf_int]
+    # Every Fenwick slot starts at ``leaf_int``, as if all ASes were
+    # eligible leaves: a slot past the eligible ones never changes, and
+    # the descent never reaches it, since ``low`` is below ``total``.
+    size = 1 << n_as.bit_length()  # Fenwick indices 1 .. size - 1 >= n_as
+    fenwick = [(index & -index) * leaf_int for index in range(size)]
+    total = leaf_int  # the exact sum of ``exact``
+    steps = [1 << b for b in range(size.bit_length() - 2, -1, -1)]
     for asn in range(1, n_as):
-        total = sum(weights)
-        pick = rng.random() * total
         n_eligible = len(eligible)
-        k = int(np.cumsum(weight_arr[:n_eligible]).searchsorted(pick))
-        k = min(k, n_eligible - 1)
+        r = rng.random()
+        # r is a whole multiple of 2**-53, so ``center`` is floor(r * total)
+        center = (int(r * 9007199254740992.0) * total) >> 53
+        slack = (n_eligible * total) >> _SLACK_SHIFT
+        low = center - slack
+        k = 0
+        below = 0  # the exact weight of eligible[:k]
+        for step in steps:
+            reach = below + fenwick[k + step]
+            if reach < low:
+                k += step
+                below = reach
+        if k < n_eligible - 1 and below + exact[k] <= center + slack:
+            k = _scan_pick(weights, r)
         chosen = eligible[k]
         parent.append(chosen)
         depth.append(depth[chosen] + 1)
         degree.append(1.0)
         degree[chosen] += 1.0
-        weights[k] = weight_arr[k] = (degree[chosen] + 1.0) ** hub_bias
+        weights[k] = weight = (degree[chosen] + 1.0) ** hub_bias
+        weight_int = int(weight * _SCALE)
+        delta = weight_int - exact[k]
+        exact[k] = weight_int
+        total += delta
+        index = k + 1
+        while index < size:
+            fenwick[index] += delta
+            index += index & -index
         if depth[-1] < max_depth:
-            weight_arr[n_eligible] = leaf_weight
             eligible.append(asn)
             weights.append(leaf_weight)
+            exact.append(leaf_int)
+            total += leaf_int
 
     paths: Dict[int, Tuple[int, ...]] = {0: (0,)}
     for asn in range(1, n_as):
         paths[asn] = (asn,) + paths[parent[asn]]
     return SkitterLikeMap(variant=variant, parent=parent, depth=depth, paths=paths)
+
+
+def _scan_pick(weights: List[float], r: float) -> int:
+    """The linear scan's pick: the first index whose running weight sum
+    (``acc += w`` in order) reaches ``r * sum(weights)``, else the last.
+
+    ``np.cumsum`` adds sequentially in that order, so ``searchsorted``
+    finds the same index.  ``total`` is the builtin ``sum``, whose float
+    algorithm differs between CPython versions, as the scan's total did.
+    """
+    pick = r * sum(weights)
+    k = int(np.cumsum(weights).searchsorted(pick))
+    return min(k, len(weights) - 1)

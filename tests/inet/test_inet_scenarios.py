@@ -76,6 +76,31 @@ class TestAssembly:
         with pytest.raises(ConfigError):
             build_internet_scenario(placement="everywhere")
 
+    # unchecked, a zero target capacity divided by zero inside the fluid
+    # run, a negative one ran and reported a legitimate share above 1, a
+    # zero legitimate rate gave every uplink capacity 0 ("no limit"), and
+    # a NaN headroom would give every uplink a NaN capacity
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"target_capacity": 0.0},
+            {"target_capacity": -5.0},
+            {"target_capacity": float("nan")},
+            {"target_capacity": float("inf")},
+            {"legit_rate": 0.0},
+            {"legit_rate": -1.0},
+            {"legit_rate": float("nan")},
+            {"legit_rate": float("inf")},
+            {"headroom": 0.0},
+            {"headroom": float("nan")},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_degenerate_rates_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ConfigError, match=name):
+            build_internet_scenario(n_as=120, seed=3, **kwargs)
+
     def test_path_id_matches_topology(self, scenario):
         pid = scenario.topology.path_of(int(scenario.flow_origin_as[0]))
         assert pid[0] == scenario.flow_origin_as[0]

@@ -1,13 +1,19 @@
 """Byte lock on scenario assembly.
 
-``PINS`` were computed before the route-tree generator and the separated
-placement were rewritten for speed.  Each digest covers what
-``build_internet_scenario`` hands the simulators: the route tree's
-``parent`` and ``depth``, the per-flow origin AS and attack flag, the
-link capacities and the attack ASes, for the three placements on the
-three skitter-like variants at the figures' 500 ASes, and again at the
-paper's Section VII size of 2000 ASes (the benchmark's own build is the
-f-root localized cell there).
+Each digest covers what ``build_internet_scenario`` hands the
+simulators: the route tree's ``parent`` and ``depth``, the per-flow
+origin AS and attack flag, the link capacities and the attack ASes, for
+the three placements on the three skitter-like variants.  ``PINS`` (the
+figures' 500 ASes) were computed before the route-tree generator and
+the separated placement were first rewritten for speed, and
+``FULL_SIZE_PINS`` (the paper's Section VII size of 2000 ASes; the
+benchmark's own build is its f-root localized cell) before the route
+tree moved to exact prefix sums and the flow tables to ``np.repeat``.
+
+The route tree decides each pick on exact sums and falls back to the
+float scan only when rounding could matter; every pinned build is also
+run with that fallback made to raise, so the exact path alone returns
+the pinned bytes.
 """
 
 import hashlib
@@ -15,6 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.inet import skitter
 from repro.inet.scenarios import build_internet_scenario
 
 
@@ -98,3 +105,25 @@ def test_full_size_pinned(cell):
     variant, placement = cell.rsplit("-", 1)
     scenario = build_full_size(variant, placement)
     assert scenario_digest(scenario) == FULL_SIZE_PINS[cell]
+
+
+def _no_scan(weights, r):
+    raise AssertionError("a pinned build fell back to the float scan")
+
+
+@pytest.mark.parametrize(
+    "size,cell",
+    [("fig", cell) for cell in sorted(PINS)]
+    + [("full", cell) for cell in sorted(FULL_SIZE_PINS)],
+)
+def test_pinned_builds_need_no_scan_fallback(monkeypatch, size, cell):
+    monkeypatch.setattr(skitter, "_scan_pick", _no_scan)
+    variant, placement = cell.rsplit("-", 1)
+    if size == "fig":
+        scenario = build_internet_scenario(
+            variant=variant, placement=placement, n_as=500, seed=7
+        )
+        assert scenario_digest(scenario) == PINS[cell]
+    else:
+        scenario = build_full_size(variant, placement)
+        assert scenario_digest(scenario) == FULL_SIZE_PINS[cell]

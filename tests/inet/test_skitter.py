@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.inet import skitter
 from repro.inet.skitter import VARIANTS, generate_route_tree
 
 from . import skitter_oracle
@@ -83,3 +84,28 @@ def test_prefix_scan_matches_linear_scan_oracle(variant, n_as, seed):
     assert got.parent == want.parent
     assert got.depth == want.depth
     assert got.paths == want.paths
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("n_as,seed", [(400, None), (900, 5)])
+def test_scan_fallback_matches_linear_scan_oracle(
+    monkeypatch, variant, n_as, seed
+):
+    """With the exact-sum slack widened to n * total, every step with more
+    than one eligible AS falls back to the float scan, which must still
+    pick what the old generator picked."""
+    fallbacks = []
+    scan_pick = skitter._scan_pick
+
+    def counted(weights, r):
+        fallbacks.append(len(weights))
+        return scan_pick(weights, r)
+
+    monkeypatch.setattr(skitter, "_SLACK_SHIFT", 0)
+    monkeypatch.setattr(skitter, "_scan_pick", counted)
+    got = generate_route_tree(n_as=n_as, variant=variant, seed=seed)
+    want = skitter_oracle.generate_route_tree(n_as=n_as, variant=variant, seed=seed)
+    assert got.parent == want.parent
+    assert got.depth == want.depth
+    # only the first AS attaches while the root is the one eligible AS
+    assert len(fallbacks) == n_as - 2
