@@ -32,7 +32,7 @@ VARIANTS: Dict[str, dict] = {
 
 #: Every weight ``(degree + 1) ** hub_bias`` is >= 1, so its float is a
 #: whole multiple of 2**-52 and ``w * _SCALE`` is an exact integer.
-_SCALE = float(2**52)
+_SCALE = 2.0**52
 #: A pick is decided on exact sums when ``random()`` times the exact total,
 #: widened by ``n_eligible * total / 2**_SLACK_SHIFT`` on both sides, lies
 #: inside one AS's interval.  The scan's float sums and its pick are off
@@ -126,7 +126,7 @@ def generate_route_tree(
         n_eligible = len(eligible)
         r = rng.random()
         # r is a whole multiple of 2**-53, so ``center`` is floor(r * total)
-        center = (int(r * 9007199254740992.0) * total) >> 53
+        center = (int(r * 2.0**53) * total) >> 53
         slack = (n_eligible * total) >> _SLACK_SHIFT
         low = center - slack
         k = 0
