@@ -47,6 +47,7 @@ Three target-link strategies reproduce the paper's comparisons:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -121,6 +122,13 @@ class FluidSimulator:
     ) -> None:
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {strategy!r}; choose {STRATEGIES}")
+        # every share is divided by it at finish_run: 0 would raise
+        # ZeroDivisionError there, NaN would return NaN shares
+        capacity = scenario.target_capacity
+        if not (math.isfinite(capacity) and capacity > 0):
+            raise ConfigError(
+                f"target_capacity must be finite and > 0, got {capacity!r}"
+            )
         self.scn = scenario
         self.strategy = strategy
         self.s_max = s_max

@@ -1,5 +1,7 @@
 """Fluid simulator: conservation, strategies, paper-shape outcomes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,20 @@ class TestMechanics:
     def test_unknown_strategy_rejected(self, scenario):
         with pytest.raises(ConfigError):
             FluidSimulator(scenario, strategy="magic")
+
+    # a hand-built scenario skips build_internet_scenario's checks;
+    # unchecked, 0 divided by zero in finish_run and NaN returned NaN
+    # shares
+    @pytest.mark.parametrize("strategy", ["nd", "ff", "floc"])
+    @pytest.mark.parametrize(
+        "capacity", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_degenerate_target_capacity_rejected(
+        self, scenario, strategy, capacity
+    ):
+        bad = dataclasses.replace(scenario, target_capacity=capacity)
+        with pytest.raises(ConfigError, match="target_capacity"):
+            FluidSimulator(bad, strategy=strategy)
 
     def test_shares_bounded(self, scenario):
         result = run(scenario, "nd")
