@@ -25,6 +25,14 @@ Commands
     are there, the phase attribution, rollups, cross-process critical
     path and ASCII timeline of the merged trace (see :mod:`repro.trace`),
     rewriting the Perfetto-loadable ``trace.json`` from the span files.
+``selfcheck [DIR]``
+    The proofs CI runs, runnable anywhere (see :mod:`repro.selfcheck`):
+    strict-sanitizer runs, and the same runs with and without telemetry,
+    tracing, a worker fleet and process faults, compared byte for byte,
+    with tracing's 25 % overhead gate.  Each check runs its commands in
+    ``DIR/<check>/`` (default ``selfcheck-out/``) and prints one
+    ``PASS``/``FAIL`` line; exit 0 when all pass, 1 when any fails, 2
+    when DIR exists and is not empty.
 
 ``run`` and ``chaos`` (``--replay`` included) take one flag family.
 ``--telemetry {off,metrics,trace}``: ``metrics`` records the registry
@@ -58,6 +66,8 @@ finishes and is stored, no further unit starts; re-run with
 by the worker pool (its reproducer artifact path is in the status table);
 7 no data — ``report`` found neither a ``metrics.json`` nor span files
 in the given directory (the command says how to produce them).
+``selfcheck`` exits 0 or 1 by its checks' verdicts, and 2 when its
+directory is not a fresh one.
 With several jobs (``run`` with multiple figures), the exit code is the
 *worst* job's, and a per-job status table is printed whenever any job
 ended non-ok.
@@ -798,6 +808,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="the --telemetry-dir of a finished run",
     )
 
+    selfcheck = sub.add_parser(
+        "selfcheck",
+        help="run the byte-identity, strict-sanitizer and overhead proofs "
+             "CI runs, each as subprocesses in DIR/<check>/",
+    )
+    selfcheck.add_argument(
+        "dir", metavar="DIR", nargs="?", default="selfcheck-out",
+        help="a fresh or empty directory for the runs and their logs "
+             "(default: selfcheck-out/)",
+    )
+
     check = sub.add_parser(
         "check", help="run the flocheck static-analysis rules"
     )
@@ -882,6 +903,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _check(args)
         if args.command == "report":
             return _report(args)
+        if args.command == "selfcheck":
+            from .selfcheck import selfcheck
+
+            return selfcheck(args.dir)
         return _quickstart(args)
     except ReproError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,7 +20,8 @@ before applying a fault, so the task's retry on the replacement worker
 runs clean.  Because recovery is a from-scratch rerun of a pure unit
 (or a load of the result it already stored), a faulted sweep's digests
 and results stay byte-identical to an unfaulted one — which is
-precisely the property the CI lane asserts.
+precisely the property the ``kill-recovery`` and ``chaos-fleet`` checks
+of ``repro selfcheck`` assert.
 """
 
 from __future__ import annotations
