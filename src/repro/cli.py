@@ -17,8 +17,6 @@ Commands
     judged against resilience SLOs; violations are delta-debugged to
     minimal reproducer artifacts that ``chaos --replay FILE``
     re-executes and verifies (see :mod:`repro.chaos`).
-``check [options]``
-    The flocheck static-analysis rules (see :mod:`repro.check`).
 ``report DIR``
     Render what a run left in its ``--telemetry-dir``: the metrics table
     and decision-event counts of ``metrics.json``, and, when span files
@@ -625,51 +623,6 @@ def _report(args) -> int:
     return 0
 
 
-def _check(args) -> int:
-    from .check import Checker, rule_catalog
-
-    if args.list_rules:
-        rows = [[rid, sev, desc] for rid, sev, desc in rule_catalog()]
-        sys.stdout.write(format_table(["rule", "severity", "description"], rows))
-        sys.stdout.write("\n")
-        return 0
-
-    extra_roots = _check_extra_roots() if args.include_tests else ()
-    report = Checker.for_package(extra_roots=extra_roots).run(args.paths or None)
-    for diag in report.findings:
-        sys.stdout.write(diag.format() + "\n")
-    if args.show_suppressed:
-        if report.suppression_records:
-            sys.stdout.write("suppressions:\n")
-        for relpath, record in report.suppression_records:
-            ids = ",".join(sorted(record.ids))
-            reason = record.reason or "(NO REASON -- inert, see FLC099)"
-            sys.stdout.write(
-                f"  {relpath}:{record.line}: {ids}: {reason}\n"
-            )
-    sys.stdout.write(report.summary() + "\n")
-    return 0 if report.ok else 1
-
-
-def _check_extra_roots():
-    """tests/ and benchmarks/ siblings of the package, when present.
-
-    Resolved from the installed package location (src layout); roots
-    that do not exist — an installed wheel without the repo — are
-    silently skipped.
-    """
-    from pathlib import Path
-
-    import repro
-
-    repo_root = Path(repro.__file__).resolve().parent.parent.parent
-    return [
-        root
-        for root in (repo_root / "tests", repo_root / "benchmarks")
-        if root.is_dir()
-    ]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -819,28 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: selfcheck-out/)",
     )
 
-    check = sub.add_parser(
-        "check", help="run the flocheck static-analysis rules"
-    )
-    check.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories under the repro package to check "
-             "(default: the whole package)",
-    )
-    check.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
-    check.add_argument(
-        "--show-suppressed", action="store_true",
-        help="list every '# flocheck: disable=' comment with its reason "
-             "(the inline-waiver audit surface)",
-    )
-    check.add_argument(
-        "--include-tests", action="store_true",
-        help="also sweep tests/ and benchmarks/ with the relaxed rule "
-             "subset (mutable defaults, spawn-payload safety)",
-    )
     return parser
 
 
@@ -899,8 +830,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_figures(args)
         if args.command == "chaos":
             return _chaos(args)
-        if args.command == "check":
-            return _check(args)
         if args.command == "report":
             return _report(args)
         if args.command == "selfcheck":

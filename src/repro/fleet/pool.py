@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import tempfile
 import time
@@ -116,10 +117,11 @@ class FleetOptions:
             raise ConfigError(
                 f"max_worker_deaths must be >= 1, got {self.max_worker_deaths}"
             )
-        if self.heartbeat_timeout_seconds <= HEARTBEAT_INTERVAL_SECONDS:
+        timeout = self.heartbeat_timeout_seconds
+        if not (math.isfinite(timeout) and timeout > HEARTBEAT_INTERVAL_SECONDS):
             raise ConfigError(
-                "heartbeat_timeout_seconds must exceed the "
-                f"{HEARTBEAT_INTERVAL_SECONDS}s beat interval"
+                "heartbeat_timeout_seconds must be finite and exceed the "
+                f"{HEARTBEAT_INTERVAL_SECONDS}s beat interval, got {timeout}"
             )
         if self.workers is None and self.fault_plan is not None:
             raise ConfigError(

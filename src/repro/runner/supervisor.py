@@ -19,6 +19,7 @@ same either way and lives here:
 from __future__ import annotations
 
 import hashlib
+import math
 import signal
 import time
 from dataclasses import dataclass
@@ -49,9 +50,9 @@ class Watchdog:
         deadline_seconds: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if deadline_seconds <= 0:
+        if not (math.isfinite(deadline_seconds) and deadline_seconds > 0):
             raise ConfigError(
-                f"deadline must be positive, got {deadline_seconds}"
+                f"deadline must be positive and finite, got {deadline_seconds}"
             )
         self.deadline_seconds = deadline_seconds
         self._clock = clock

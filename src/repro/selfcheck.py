@@ -9,7 +9,8 @@ compare the bytes.  :data:`CHECKS` holds every such proof:
     Figure runs and a drop-tail CBR flood under ``--sanitize strict``,
     including a checkpointed run resumed from its own checkpoints.
 ``chaos-rerun``
-    The seed-pinned chaos sweep twice: equal tables and artifacts.
+    The seed-pinned chaos sweep twice, and its fluid-simulator twin
+    twice: equal tables and artifacts.
 ``telemetry``
     A chaos sweep with telemetry off and ``trace``: equal tables, a
     rendered registry, an ``events.jsonl``, and the overhead gate.
@@ -23,8 +24,9 @@ compare the bytes.  :data:`CHECKS` holds every such proof:
 ``kill-recovery``
     ``fig13`` with a worker killed or stalled: the in-process table.
 ``chaos-fleet``
-    The strict chaos sweep in-process, on two workers, and on two
-    workers with process faults: three equal tables.
+    The strict chaos sweep and its fluid twin, each in-process, on two
+    workers, and on two workers with process faults: three equal tables
+    per sweep.
 
 Each check runs its commands as ``python -m repro ...`` subprocesses in
 its own subdirectory of DIR (``DIR/<check>/``), logs their output to
@@ -183,15 +185,29 @@ def _strict(d: Path) -> str:
     return f"{len(commands)} commands exit 0"
 
 
+#: ``(directory prefix, sweep)``: the seed-pinned chaos sweep with the
+#: default simulator choice (three packet campaigns at this seed), and
+#: the same sweep on the fluid simulator
+_CHAOS_SWEEPS = (
+    ("", "chaos --seed 2024 --campaigns 3"),
+    ("fluid-", "chaos --seed 2024 --campaigns 3 --simulator fluid"),
+)
+
+
 def _chaos_rerun(d: Path) -> str:
-    sweep = "chaos --seed 2024 --campaigns 3 --sanitize strict"
-    run(d, repro(f"{sweep} --artifact-dir chaos-artifacts --csv csv1"))
-    run(d, repro(f"{sweep} --artifact-dir chaos-artifacts-2 --csv csv2"))
-    same(d, "csv1/chaos.csv", "csv2/chaos.csv")
-    if (d / "chaos-artifacts").exists() or (d / "chaos-artifacts-2").exists():
-        same(d, "chaos-artifacts", "chaos-artifacts-2")
-        return "chaos.csv and artifacts equal"
-    return "chaos.csv equal, no artifacts"
+    details = []
+    for p, sweep in _CHAOS_SWEEPS:
+        arts = (f"{p}chaos-artifacts", f"{p}chaos-artifacts-2")
+        for art, csv in zip(arts, (f"{p}csv1", f"{p}csv2")):
+            run(d, repro(f"{sweep} --sanitize strict "
+                         f"--artifact-dir {art} --csv {csv}"))
+        same(d, f"{p}csv1/chaos.csv", f"{p}csv2/chaos.csv")
+        if any((d / art).exists() for art in arts):
+            same(d, *arts)
+            details.append(f"{p}chaos.csv and artifacts equal")
+        else:
+            details.append(f"{p}chaos.csv equal, no artifacts")
+    return "; ".join(details)
 
 
 def _telemetry(d: Path) -> str:
@@ -280,16 +296,21 @@ def _kill_recovery(d: Path) -> str:
 
 
 def _chaos_fleet(d: Path) -> str:
-    sweep = "chaos --seed 2024 --campaigns 3"
-    run(d, repro(f"{sweep} --sanitize strict --artifact-dir art-serial "
-                 "--csv csv-chaos-serial"))
-    run(d, repro(f"{sweep} --workers 2 --sanitize strict "
-                 "--artifact-dir art-fleet --csv csv-chaos-fleet"))
-    run(d, repro(f"{sweep} --workers 2 --process-faults 2 --sanitize strict "
-                 "--artifact-dir art-faulted --csv csv-chaos-faulted"))
-    same(d, "csv-chaos-serial/chaos.csv", "csv-chaos-fleet/chaos.csv")
-    same(d, "csv-chaos-serial/chaos.csv", "csv-chaos-faulted/chaos.csv")
-    return "chaos.csv equal serial, on 2 workers, and under process faults"
+    executors = (
+        ("serial", ""),
+        ("fleet", " --workers 2"),
+        ("faulted", " --workers 2 --process-faults 2"),
+    )
+    for p, sweep in _CHAOS_SWEEPS:
+        for name, flags in executors:
+            run(d, repro(f"{sweep}{flags} --sanitize strict "
+                         f"--artifact-dir {p}art-{name} "
+                         f"--csv {p}csv-chaos-{name}"))
+        for name, _ in executors[1:]:
+            same(d, f"{p}csv-chaos-serial/chaos.csv",
+                 f"{p}csv-chaos-{name}/chaos.csv")
+    return ("chaos.csv and fluid-chaos.csv each equal serial, on 2 workers, "
+            "and under process faults")
 
 
 #: name -> check; each runs in ``DIR/<name>/`` and returns its PASS detail

@@ -7,11 +7,11 @@ and the scheduler turns its totals into per-task phase spans.
 
 It is one of the two modules allowed to read a wall clock
 (``time.perf_counter``; the other is :mod:`repro.trace.clock`), by the
-FLC001 allowlist in :mod:`repro.check.rules.determinism`.  Profiler
-output is *diagnostic only* — it never feeds run digests, checkpoints,
-or any simulated quantity — and :meth:`__getstate__` drops all timings,
-so anything that holds a profiler pickles the same however fast the
-host ran.
+FLC001 allowlist in ``tests/check/flocheck/rules/determinism.py``.
+Profiler output is *diagnostic only* — it never feeds run digests,
+checkpoints, or any simulated quantity — and :meth:`__getstate__` drops
+all timings, so anything that holds a profiler pickles the same however
+fast the host ran.
 
 Usage inside a tick loop::
 

@@ -1,11 +1,11 @@
 """Metric primitives and the registry that names them.
 
 Every metric name must end in one of the repo's unit suffixes (the same
-table :mod:`repro.check.rules.units` enforces statically, re-exported
-from :mod:`repro.units`) or in one of the dimensionless suffixes below.
-That keeps exported telemetry dimensionally self-describing: a reader —
-human or FLC004 — can tell ``pkts_per_tick`` from ``mbps`` without a
-side channel.
+table ``tests/check/flocheck/rules/units.py`` enforces statically,
+re-exported from :mod:`repro.units`) or in one of the dimensionless
+suffixes below.  That keeps exported telemetry dimensionally
+self-describing: a reader — human or FLC004 — can tell
+``pkts_per_tick`` from ``mbps`` without a side channel.
 
 All primitives are plain picklable containers keyed by simulation tick,
 never wall clock, so a registry travels inside a task's telemetry piece

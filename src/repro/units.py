@@ -87,9 +87,9 @@ INTERNET_SCALE = UnitScale(tick_seconds=0.005)
 
 #: Identifier suffix -> dimension class, longest suffix wins.  This is the
 #: single source of truth for the repo's units-in-the-name convention: the
-#: FLC004 static rule (:mod:`repro.check.rules.units`) checks arithmetic
-#: against it, and the telemetry registry (:mod:`repro.telemetry`)
-#: validates metric names against it at runtime.
+#: FLC004 static rule (``tests/check/flocheck/rules/units.py``) checks
+#: arithmetic against it, and the telemetry registry
+#: (:mod:`repro.telemetry`) validates metric names against it at runtime.
 SUFFIX_DIMENSIONS = (
     ("pkts_per_tick", "rate[pkt/tick]"),
     ("per_tick", "rate[pkt/tick]"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check import Checker
+from tests.check.flocheck import Checker
 
 
 @pytest.fixture(scope="session")

@@ -55,16 +55,17 @@ the source.  Only comments count: the same text inside a string does
 nothing.  The trailing ``-- <reason>`` is mandatory: a reasonless comment
 does not suppress anything and is itself flagged as ``FLC099``, as is a
 suppression that silenced no finding of a rule that ran on its module —
-so waivers cannot outlive their findings.  Every suppression in the tree
-is auditable via ``repro check --show-suppressed``.
+so waivers cannot outlive their findings.  The waiver-lock test
+(``tests/check/test_tree_clean.py``) lists every suppression in the
+tree.
 
 Entry points
 ------------
-``python -m repro check`` from the CLI — with ``--include-tests`` to
-widen the sweep over ``tests/`` and ``benchmarks/`` with a relaxed rule
-subset — or programmatically::
+Tier-1 runs flocheck (``pytest tests/check``): the full-rule scan of
+``src/repro`` and the relaxed scan of ``tests/`` and ``benchmarks/``.
+Programmatically::
 
-    from repro.check import Checker
+    from tests.check.flocheck import Checker
     report = Checker.for_package().run()
     for diag in report.findings:
         print(diag.format())
@@ -72,7 +73,7 @@ subset — or programmatically::
 
 from .diagnostics import Diagnostic, Severity
 from .engine import Checker, CheckReport, SourceModule
-from .rules import Rule, all_rules, get_rule, rule_catalog
+from .rules import Rule, all_rules, get_rule
 
 __all__ = [
     "Checker",
@@ -83,5 +84,4 @@ __all__ = [
     "SourceModule",
     "all_rules",
     "get_rule",
-    "rule_catalog",
 ]

@@ -18,7 +18,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ConfigError
+import repro
+from repro.errors import ConfigError
+
 from .astutil import import_aliases
 from .diagnostics import Diagnostic, Severity
 from .rules import (
@@ -84,8 +86,9 @@ class SourceModule:
 
     @cached_property
     def import_aliases(self) -> Dict[str, str]:
-        """The module's :func:`~repro.check.astutil.import_aliases` map,
-        walked once (rules ask per call node); read-only by convention."""
+        """The module's
+        :func:`~tests.check.flocheck.astutil.import_aliases` map, walked
+        once (rules ask per call node); read-only by convention."""
         return import_aliases(self.tree)
 
     def _parse_suppressions(self) -> List[SuppressionRecord]:
@@ -130,12 +133,10 @@ class SourceModule:
 
 
 class Project:
-    """Lazy view over the whole package for cross-file rules.
+    """View over the whole package for cross-file rules.
 
-    ``get_module`` serves the already-parsed modules of the current run
-    and lazily loads any other module of the package by dotted name, so
-    project rules see the full tree even when the user checked a subset
-    of paths.  ``read_text`` reaches *outside* the package (docs, config
+    ``get_module`` serves the parsed modules of the current run by
+    dotted name.  ``read_text`` reaches *outside* the package (docs, config
     files) relative to the repository root; it returns ``None`` when the
     file does not exist — e.g. an installed package without a docs tree.
     """
@@ -155,11 +156,7 @@ class Project:
 
     def get_module(self, name: str) -> Optional[SourceModule]:
         """The parsed module for a dotted name, or None if absent/broken."""
-        if name in self._cache:
-            return self._cache[name]
-        module = self._load_module(name)
-        self._cache[name] = module
-        return module
+        return self._cache.get(name)
 
     def module_for_path(self, relpath: str) -> Optional[SourceModule]:
         """Reverse lookup used when applying suppressions to findings."""
@@ -175,35 +172,6 @@ class Project:
             return path.read_text(encoding="utf-8")
         except OSError:
             return None
-
-    def _load_module(self, name: str) -> Optional[SourceModule]:
-        parts = name.split(".")
-        if parts[0] != self.package_root.name:
-            return None
-        below = parts[1:]
-        stem = self.package_root.joinpath(*below) if below else self.package_root
-        candidates = [
-            stem.with_suffix(".py") if below else None,
-            stem / "__init__.py",
-        ]
-        for path in candidates:
-            if path is not None and path.is_file():
-                try:
-                    return SourceModule.load(
-                        path, module_relpath(self.package_root, path), name
-                    )
-                except (SyntaxError, OSError):
-                    return None
-        return None
-
-
-def module_relpath(package_root: Path, path: Path) -> str:
-    """Path of a module file relative to the package *parent* directory.
-
-    ``src/repro/core/router.py`` -> ``repro/core/router.py`` — stable
-    across checkouts and install locations.
-    """
-    return path.relative_to(package_root.parent).as_posix()
 
 
 def _dotted(base: Path, path: Path) -> str:
@@ -223,21 +191,9 @@ class CheckReport:
     findings: List[Diagnostic] = field(default_factory=list)
     suppressed: List[Diagnostic] = field(default_factory=list)
     #: every parsed suppression comment, as ``(relpath, record)`` pairs —
-    #: the audit surface behind ``repro check --show-suppressed``
+    #: the audit surface the waiver-lock test reads
     suppression_records: List[tuple] = field(default_factory=list)
     modules_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """No findings (reason-suppressed ones are tolerated)."""
-        return not self.findings
-
-    def summary(self) -> str:
-        return (
-            f"{self.modules_checked} modules checked, "
-            f"{len(self.findings)} finding(s), "
-            f"{len(self.suppressed)} suppressed"
-        )
 
 
 class Checker:
@@ -271,21 +227,19 @@ class Checker:
         root = (
             Path(package_root)
             if package_root is not None
-            else Path(__file__).resolve().parent.parent
+            else Path(repro.__file__).resolve().parent
         )
         return cls(root, rules=rules, extra_roots=extra_roots)
 
     # ------------------------------------------------------------------
     # collection
     # ------------------------------------------------------------------
-    def _load_selected(
-        self, paths: Optional[Sequence[str]]
-    ) -> tuple:
+    def _load_selected(self) -> tuple:
         """Parse the selected files once, splitting successes from
         ``FLC000`` parse-failure diagnostics."""
         modules: List[SourceModule] = []
         failures: List[Diagnostic] = []
-        for path in self._select_files(paths):
+        for path in self._select_files():
             base = self._base_for(path)
             relpath = path.relative_to(base).as_posix()
             try:
@@ -317,33 +271,16 @@ class Checker:
                 )
         return modules, failures
 
-    def _select_files(self, paths: Optional[Sequence[str]]) -> List[Path]:
-        if not paths:
-            selected = sorted(self.package_root.rglob("*.py"))
-            for root in self.extra_roots:
-                # the seeded-defect corpus is test *data*, not code under
-                # check: sweeping it would report its mutants as findings
-                selected.extend(
-                    p
-                    for p in sorted(root.rglob("*.py"))
-                    if "corpus" not in p.relative_to(root).parts
-                )
-            return selected
-        selected = []
-        for raw in paths:
-            path = Path(raw).resolve()
-            if path.is_dir():
-                selected.extend(sorted(path.rglob("*.py")))
-            elif path.is_file():
-                selected.append(path)
-            else:
-                raise ConfigError(f"no such file or directory: {raw}")
-        for path in selected:
-            if self._base_for(path) is None:
-                roots = [self.package_root, *self.extra_roots]
-                raise ConfigError(
-                    f"{path} is outside the checked roots {roots}"
-                )
+    def _select_files(self) -> List[Path]:
+        selected = sorted(self.package_root.rglob("*.py"))
+        for root in self.extra_roots:
+            # the seeded-defect corpus is test *data*, not code under
+            # check: sweeping it would report its mutants as findings
+            selected.extend(
+                p
+                for p in sorted(root.rglob("*.py"))
+                if "corpus" not in p.relative_to(root).parts
+            )
         return selected
 
     def _base_for(self, path: Path) -> Optional[Path]:
@@ -368,8 +305,8 @@ class Checker:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(self, paths: Optional[Sequence[str]] = None) -> CheckReport:
-        modules, raw = self._load_selected(paths)
+    def run(self) -> CheckReport:
+        modules, raw = self._load_selected()
         project = Project(self.package_root, modules)
         for rule in self.rules:
             if isinstance(rule, ProjectRule):

@@ -2,8 +2,9 @@
 
 A rule is a class with a unique ``rule_id`` (``FLCnnn``), a one-line
 ``description``, and a ``check(module)`` generator yielding
-:class:`~repro.check.diagnostics.Diagnostic` objects.  Project-wide rules
-(cross-file consistency) override ``check_project(project)`` instead.
+:class:`~tests.check.flocheck.diagnostics.Diagnostic` objects.
+Project-wide rules (cross-file consistency) override
+``check_project(project)`` instead.
 
 Register new rules with the :func:`register` decorator; the engine
 instantiates every registered rule unless a subset is requested.
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Type
 
-from ...errors import ConfigError
+from repro.errors import ConfigError
+
 from ..diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -72,8 +74,8 @@ class ProjectRule(Rule):
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
-#: Rules safe to run on test/benchmark code (``--include-tests``).  Test
-#: modules legitimately read wall clocks, compare floats, and mutate
+#: Rules safe to run on test/benchmark code (the ``extra_roots`` sweep).
+#: Test modules legitimately read wall clocks, compare floats, and mutate
 #: fixtures, so only the universally-wrong defect classes apply there:
 #: mutable default arguments and unpicklable spawn payloads.
 RELAXED_RULE_IDS = frozenset({"FLC005", "FLC007"})
@@ -85,7 +87,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
         raise ConfigError(f"rule {cls.__name__} has no rule_id")
     if cls.rule_id in _REGISTRY:
         raise ConfigError(f"duplicate rule id {cls.rule_id}")
-    _REGISTRY[cls.rule_id] = cls
+    _REGISTRY[cls.rule_id] = cls  # flocheck: disable=FLC007 -- import-time registration, the same in every process
     return cls
 
 
@@ -104,14 +106,6 @@ def get_rule(rule_id: str) -> Rule:
         raise ConfigError(
             f"unknown rule {rule_id!r}; known: {sorted(_REGISTRY)}"
         ) from None
-
-
-def rule_catalog() -> List[tuple]:
-    """``(rule_id, severity, description)`` rows for ``--list-rules``."""
-    return [
-        (rule.rule_id, str(rule.severity), rule.description)
-        for rule in all_rules()
-    ]
 
 
 def known_rule_ids() -> Iterable[str]:

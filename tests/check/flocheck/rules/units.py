@@ -20,7 +20,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ...units import SUFFIX_DIMENSIONS, dimension_of
+from repro.units import SUFFIX_DIMENSIONS, dimension_of
+
 from ..astutil import terminal_identifier
 from ..diagnostics import Diagnostic
 from . import Rule, register

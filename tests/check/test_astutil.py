@@ -2,7 +2,7 @@
 
 import ast
 
-from repro.check.astutil import (
+from tests.check.flocheck.astutil import (
     dotted_name,
     import_aliases,
     is_constant_name,

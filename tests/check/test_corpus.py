@@ -9,8 +9,8 @@ asserts the expected rule fires the expected number of times — and that
 no other family fires, so each mutant is caught by exactly the intended
 rule.
 
-The corpus directory is excluded from ``--include-tests`` sweeps (the
-engine skips any path with a ``corpus`` component): these files are
+The corpus directory is excluded from the relaxed sweep of ``tests/``
+(the engine skips any path with a ``corpus`` component): these files are
 test *data* whose defects are the point.
 """
 
@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import Checker
-from repro.check.rules import get_rule
+from tests.check.flocheck import Checker
+from tests.check.flocheck.rules import get_rule
 
 CORPUS = Path(__file__).parent / "corpus"
 FAMILIES = ("FLC009",)

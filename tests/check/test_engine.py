@@ -1,13 +1,12 @@
-"""Engine behaviour: suppression, project rules, exit codes."""
+"""Engine behaviour: suppression, extra roots, parse errors, project rules."""
 
 import textwrap
 
 import pytest
 
-from repro.check import Checker
-from repro.check.rules import get_rule
-from repro.cli import main as cli_main
 from repro.errors import ConfigError
+from tests.check.flocheck import Checker
+from tests.check.flocheck.rules import get_rule
 
 
 def write_package(tmp_path, files):
@@ -362,42 +361,3 @@ class TestProjectRuleConfigDrift:
         # installed package without docs/: nothing to cross-check
         checker = self.build(tmp_path, docs=None)
         assert checker.run().findings == []
-
-
-class TestCliCheck:
-    def test_clean_tree_exits_zero(self, capsys):
-        assert cli_main(["check"]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_list_rules(self, capsys):
-        assert cli_main(["check", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("FLC001", "FLC002", "FLC003", "FLC004",
-                        "FLC005", "FLC006", "FLC007", "FLC009", "FLC012"):
-            assert rule_id in out
-        # retired ids are not reused
-        for rule_id in ("FLC008", "FLC010", "FLC011"):
-            assert rule_id not in out
-
-    def test_unknown_path_is_config_error(self, capsys):
-        assert cli_main(["check", "does/not/exist.py"]) == 2
-
-    def test_subset_run(self, capsys):
-        import repro.core
-        core_dir = repro.core.__file__.rsplit("/", 1)[0]
-        assert cli_main(["check", core_dir]) == 0
-
-    def test_show_suppressed(self, capsys):
-        import repro.fleet
-        fleet_dir = repro.fleet.__file__.rsplit("/", 1)[0]
-        assert cli_main(["check", "--show-suppressed", fleet_dir]) == 0
-        text = capsys.readouterr().out
-        assert "suppressions:\n  repro/fleet/merge.py:" in text
-        assert "NO REASON" not in text
-
-    def test_include_tests_widens_the_sweep(self, capsys):
-        assert cli_main(["check", "--include-tests"]) == 0
-        out = capsys.readouterr().out
-        # the widened sweep checks strictly more modules than the package
-        modules = int(out.split(" modules checked")[0].rsplit(None, 1)[-1])
-        assert modules > 150

@@ -3,8 +3,8 @@
 import textwrap
 from pathlib import Path
 
-from repro.check.engine import SourceModule
-from repro.check.rules import get_rule
+from tests.check.flocheck.engine import SourceModule
+from tests.check.flocheck.rules import get_rule
 
 
 def module_from(source, module="repro.net.fixture"):

@@ -2,11 +2,15 @@
 
 This is the drift lock: a new finding fails (fix it, or suppress it
 with a reason), and so does a suppression whose finding is gone (the
-engine reports it as ``FLC099``).  ``repro check`` in CI enforces the
-same.
+engine reports it as ``FLC099``).  The relaxed sweep of ``tests/`` and
+``benchmarks/`` is held clean the same way.
 """
 
-from repro.check import Checker
+from pathlib import Path
+
+from tests.check.flocheck import Checker
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_tree_is_clean(tree_report):
@@ -21,6 +25,8 @@ def test_every_rule_family_ran_over_the_tree(tree_report):
         "FLC001", "FLC002", "FLC003", "FLC004", "FLC005", "FLC006",
         "FLC007", "FLC009", "FLC012",
     } <= ran
+    # retired ids are not reused
+    assert not {"FLC008", "FLC010", "FLC011"} & ran
     assert tree_report.modules_checked > 50
 
 
@@ -34,3 +40,18 @@ def test_every_waiver_is_a_reasoned_comment(tree_report):
         record.well_formed for _, record in tree_report.suppression_records
     )
     assert [d.path for d in tree_report.suppressed] == ["repro/fleet/merge.py"]
+
+
+def test_include_tests_widens_the_sweep():
+    report = Checker.for_package(
+        extra_roots=[REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
+    ).run()
+    assert report.findings == [], (
+        "findings:\n" + "\n".join(d.format() for d in report.findings)
+    )
+    # the widened sweep checks strictly more modules than the package
+    assert report.modules_checked > 150
+    # the registry's import-time write is the one waiver outside src
+    assert sorted({d.path for d in report.suppressed}) == [
+        "repro/fleet/merge.py", "tests/check/flocheck/rules/__init__.py",
+    ]

@@ -76,6 +76,14 @@ class TestOptions:
             FleetOptions(heartbeat_timeout_seconds=0.1).validate()
         FleetOptions(heartbeat_timeout_seconds=0.2).validate()
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_nonfinite_heartbeat_timeout_rejected(self, seconds):
+        # such a timeout never convicts a hung worker
+        with pytest.raises(ConfigError, match="finite"):
+            FleetOptions(
+                workers=2, heartbeat_timeout_seconds=seconds
+            ).validate()
+
     def test_spawn_pool_needs_a_store(self):
         with pytest.raises(ConfigError, match="checkpoint store"):
             run_fleet([PoisonTask()], None, FleetOptions(workers=1))

@@ -191,6 +191,13 @@ class TestWatchdog:
         with pytest.raises(ConfigError):
             Watchdog(0.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_nonfinite_deadline_rejected(self, seconds):
+        # nan <= 0 is false: without the finiteness check the watchdog
+        # was built and never expired
+        with pytest.raises(ConfigError, match="finite"):
+            Watchdog(seconds)
+
 
 class TestShutdown:
     def test_requested_flag_stops_between_units(self, tmp_path):

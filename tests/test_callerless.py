@@ -2,10 +2,9 @@
 keep-list.
 
 A name scan over code, not a call graph.  For every function, class and
-method defined in ``src/repro`` outside ``repro.check`` (dunder methods
-aside: the interpreter calls those), it looks for the name among the
-identifiers the code of ``src/repro`` uses: names, attributes and
-imports.  Comments, docstrings and other strings do not count, so a
+method defined in ``src/repro`` (dunder methods aside: the interpreter
+calls those), it looks for the name among the identifiers the code of
+``src/repro`` uses: names, attributes and imports.  Comments, docstrings and other strings do not count, so a
 definition that is only written about has no caller.  The result must
 equal ``KEEP`` exactly: a new callerless definition fails this test, and
 so does a listed one that gains a caller in ``src`` (take it off the
@@ -137,10 +136,9 @@ def callerless() -> Dict[str, str]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used.update(_identifiers(tree))
         rel = path.relative_to(SRC.parent)
-        if rel.parts[1] != "check":
-            module = ".".join(rel.with_suffix("").parts)
-            module = module.removesuffix(".__init__")
-            scanned.append((module, str(rel), _definitions(tree)))
+        module = ".".join(rel.with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        scanned.append((module, str(rel), _definitions(tree)))
     found = {}
     for module, rel, defs in scanned:
         for qualname, name in defs:

@@ -114,6 +114,8 @@ class TestTelemetryFlags:
             ["chaos", "--telemetry", "jsonl"],
             ["metrics", "tel"],
             ["trace", "report", "t"],
+            ["check"],
+            ["check", "--include-tests"],
         ],
     )
     def test_retired_flags_and_commands_rejected(self, argv, capsys):
@@ -268,6 +270,22 @@ class TestScratchStore:
 
     def test_removed_when_the_run_is_refused(self, tmp, capsys):
         assert main(["run", "fig03", "--workers", "1", "--deadline", "0"]) == 2
+        assert list(tmp.glob("repro-fleet-*")) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig03", "--deadline"],
+            ["chaos", "--campaigns", "1", "--deadline"],
+            ["run", "fig03", "--workers", "1", "--heartbeat-timeout"],
+            ["chaos", "--campaigns", "1", "--workers", "1",
+             "--heartbeat-timeout"],
+        ],
+    )
+    def test_nonfinite_guard_is_a_config_error(self, tmp, capsys, argv, value):
+        assert main(argv + [value]) == 2
+        assert "finite" in capsys.readouterr().err
         assert list(tmp.glob("repro-fleet-*")) == []
 
     def test_in_process_runs_need_no_store(self, tmp, capsys):
