@@ -4,12 +4,13 @@ keep-list.
 A name scan over code, not a call graph.  For every function, class and
 method defined in ``src/repro`` (dunder methods aside: the interpreter
 calls those), it looks for the name among the identifiers the code of
-``src/repro`` uses: names, attributes and imports.  Comments, docstrings and other strings do not count, so a
-definition that is only written about has no caller.  The result must
-equal ``KEEP`` exactly: a new callerless definition fails this test, and
-so does a listed one that gains a caller in ``src`` (take it off the
-list).  ``docs/architecture.md`` gives the same list with the numbers
-the paper-test entries assert.
+``src/repro`` uses: names, attributes and imports.  Comments, docstrings
+and other strings do not count, so a definition that is only written
+about has no caller.  The result must equal ``KEEP`` exactly: a new
+callerless definition fails this test, and so does a listed one that
+gains a caller in ``src`` (take it off the list).
+``docs/architecture.md`` gives the same list with the numbers the
+paper-test entries assert.
 """
 
 import ast
