@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from tests.check.flocheck import Checker
-from tests.check.flocheck.rules import get_rule
+from tests.check.flocheck.rules import get_rule, known_rule_ids
 
 
 def write_package(tmp_path, files):
@@ -361,3 +361,17 @@ class TestProjectRuleConfigDrift:
         # installed package without docs/: nothing to cross-check
         checker = self.build(tmp_path, docs=None)
         assert checker.run().findings == []
+
+
+class TestCliCheck:
+    """The rule listing that ``check --list-rules`` printed, read from the
+    registry it printed from."""
+
+    def test_list_rules(self):
+        listed = set(known_rule_ids())
+        assert {
+            "FLC001", "FLC002", "FLC003", "FLC004", "FLC005", "FLC006",
+            "FLC007", "FLC009", "FLC012",
+        } <= listed
+        # retired ids are not reused
+        assert not {"FLC008", "FLC010", "FLC011"} & listed
