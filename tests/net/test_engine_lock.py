@@ -5,6 +5,14 @@ to ``Link`` tuples, wire links forwarded without queueing and TCP sources
 slept between events — and every later engine change must reproduce them:
 same link-processing order, same arrival order on every link, same RNG
 draw order.
+
+The 300-tick FLoc runs end before the MTD has identified anyone (the CBR
+run makes no preferential drop), so :data:`LONG_PINNED` also holds three
+FLoc variants over 2,000 ticks, where identified attack units are
+refused on every tick: the exact tracker, the sketch backend under a
+64-path budget, and the Section V-B drop filter.  Their digests also
+cover the router's drop causes, each unit's retained drop count and each
+path's identification streaks.
 """
 
 import hashlib
@@ -50,12 +58,57 @@ def packets_sent(source):
     return [sub.packets_sent for sub in subsources]
 
 
+#: 2,000-tick CBR runs (scale 0.03, seed 3) under FLoc variants, by name:
+#: at tick 2,000 the exact run has made 28,547 preferential drops.
+LONG_CONFIGS = {
+    "exact": FLocConfig(),
+    "sketch": FLocConfig(state_backend="sketch", sketch_hot_paths=64),
+    "drop-filter": FLocConfig(use_drop_filter=True),
+}
+
+LONG_PINNED = {
+    "exact": (
+        "d97aaf40353216f046111e936c3f498241c7c4104b549b1cad3d13f2e58c62df"
+    ),
+    "sketch": (
+        "e75fa19ffefd73569018b991b2641c388b2d05233528371454f01a768aef9b8b"
+    ),
+    "drop-filter": (
+        "0884f9591674c82740827c7e80fe6c0e780ed6a0516378e77d9ac31cb2576ef7"
+    ),
+}
+
+
 def run_digest(attack_kind: str, policy_name: str, ticks: int = 300) -> str:
-    scenario = build_tree_scenario(
-        scale_factor=0.03, attack_kind=attack_kind, seed=3
-    )
     policy = (
         DropTailPolicy() if policy_name == "droptail" else FLocPolicy(FLocConfig())
+    )
+    return _digest(attack_kind, policy, ticks, with_router=False)
+
+
+def router_state(policy: FLocPolicy) -> dict:
+    """What the refusal path writes: drop causes, every unit's retained
+    drop records, and the streaks that escalate Eq. IV.5."""
+    tracker = policy.tracker
+    drop_count = None  # the drop filter keeps no per-unit record
+    if tracker is not None:
+        drop_count = sorted(
+            (repr(unit), tracker.drop_count(unit)) for unit in tracker.units()
+        )
+    streaks = sorted(
+        (repr(pid), sorted((repr(k), n) for k, n in state.attack_streak.items()))
+        for pid, state in policy.paths.items()
+    )
+    return {
+        "drop_stats": policy.drop_stats,
+        "drop_count": drop_count,
+        "attack_streak": streaks,
+    }
+
+
+def _digest(attack_kind: str, policy, ticks: int, with_router: bool) -> str:
+    scenario = build_tree_scenario(
+        scale_factor=0.03, attack_kind=attack_kind, seed=3
     )
     scenario.attach_policy(policy)
     monitor = scenario.add_target_monitor()
@@ -72,6 +125,8 @@ def run_digest(attack_kind: str, policy_name: str, ticks: int = 300) -> str:
             for source in scenario.legit_sources + scenario.attack_sources
         ],
     }
+    if with_router:
+        payload["router"] = router_state(policy)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -79,3 +134,10 @@ def run_digest(attack_kind: str, policy_name: str, ticks: int = 300) -> str:
 @pytest.mark.parametrize("attack_kind,policy_name", sorted(PINNED))
 def test_tree_run_digest_unchanged(attack_kind, policy_name):
     assert run_digest(attack_kind, policy_name) == PINNED[(attack_kind, policy_name)]
+
+
+@pytest.mark.parametrize("variant", sorted(LONG_PINNED))
+def test_long_floc_run_digest_unchanged(variant):
+    policy = FLocPolicy(LONG_CONFIGS[variant])
+    digest = _digest("cbr", policy, 2000, with_router=True)
+    assert digest == LONG_PINNED[variant]
