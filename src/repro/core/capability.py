@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from hmac import compare_digest
 from typing import Dict, Hashable, Optional, Tuple
 
 from .pathid import PathId
 
 #: Bytes kept from each hash half; 8 bytes is ample for simulation.
 _DIGEST_BYTES = 8
+
+#: Length of a whole capability ``C0 || C1``.
+_CAPABILITY_BYTES = 2 * _DIGEST_BYTES
 
 #: The unit at which the router accounts flow bandwidth and drops.
 AccountKey = Tuple[Hashable, int, PathId]
@@ -183,18 +187,18 @@ class CapabilityIssuer:
         the ``core.capability.verify_us`` micro-loop of
         ``benchmarks/e2e/layers.py`` times.
         """
-        if capability is None or len(capability) != 2 * _DIGEST_BYTES:
+        if capability is None or len(capability) != _CAPABILITY_BYTES:
             return False
         by_endpoints = self._flows.get(pid)
         if by_endpoints is not None:
             entry = by_endpoints.get((src_addr, dst_addr))
             if entry is not None:
-                return hmac.compare_digest(capability, entry[0])
-        if not hmac.compare_digest(
+                return compare_digest(capability, entry[0])
+        if not compare_digest(
             capability[:_DIGEST_BYTES], self._c0(src_addr, dst_addr, pid)
         ):
             return False
-        return hmac.compare_digest(
+        return compare_digest(
             capability[_DIGEST_BYTES:],
             self._c1(src_addr, self.fanout_bucket(dst_addr), pid),
         )
@@ -213,21 +217,21 @@ class CapabilityIssuer:
         costs one ``C0``.  An authentic flow the memo does not hold yet
         is remembered with the capability just checked, which equals
         what :meth:`issue` would compute."""
-        if capability is None or len(capability) != 2 * _DIGEST_BYTES:
+        if capability is None or len(capability) != _CAPABILITY_BYTES:
             return None
         by_endpoints = self._flows.get(pid)
         if by_endpoints is not None:
             entry = by_endpoints.get((src_addr, dst_addr))
             if entry is not None:
-                if hmac.compare_digest(capability, entry[0]):
+                if compare_digest(capability, entry[0]):
                     return entry[1]
                 return None
-        if not hmac.compare_digest(
+        if not compare_digest(
             capability[:_DIGEST_BYTES], self._c0(src_addr, dst_addr, pid)
         ):
             return None
         bucket = self.fanout_bucket(dst_addr)
-        if not hmac.compare_digest(
+        if not compare_digest(
             capability[_DIGEST_BYTES:], self._c1(src_addr, bucket, pid)
         ):
             return None

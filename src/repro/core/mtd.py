@@ -26,6 +26,7 @@ drop records it counts and the per-interval identification rules.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Deque, Dict, Hashable, List
 
@@ -41,7 +42,7 @@ class FlowDropTracker:
 
     Invariant: each unit's record is in non-decreasing tick order —
     :meth:`record_drop` refuses a tick older than the unit's newest.
-    Trimming from the old end, counting a window from the new end and the
+    Trimming from the old end, counting a window by bisection and the
     sanitizer's ``mtd-monotonic`` check all rely on it.
     """
 
@@ -65,27 +66,22 @@ class FlowDropTracker:
             )
         dq.append(tick)
 
-    def _trim(self, dq: Deque[int], oldest: int) -> None:
-        while dq and dq[0] < oldest:
-            dq.popleft()
-
     def drops_in_window(self, key: Hashable, tick: int, window: int) -> int:
-        """Drops of ``key`` within ``(tick - window, tick]``, in time
-        proportional to that count rather than to the retained record."""
+        """Drops of ``key`` within ``(tick - window, tick]``: the records
+        newer than ``tick - window``, found by bisecting the sorted
+        record.  The cost is logarithmic in the retained record: about
+        ten comparisons, made in C, over the ~1,000 records an identified
+        unit holds under ``tree_flood_floc``.  ``admit`` asks this for
+        every packet of an identified unit."""
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         dq = self._drops.get(key)
         if not dq:
             return 0
-        if dq[0] < tick - self.horizon:
-            self._trim(dq, tick - self.horizon)
-        oldest = tick - window
-        count = 0
-        for t in reversed(dq):
-            if t <= oldest:
-                break
-            count += 1
-        return count
+        oldest = tick - self.horizon
+        while dq and dq[0] < oldest:
+            dq.popleft()
+        return len(dq) - bisect_right(dq, tick - window)
 
     def mtd(self, key: Hashable, tick: int, window: int) -> float:
         """Eq. (IV.4): ``window / drops``; infinite when drop-free.
@@ -113,7 +109,8 @@ class FlowDropTracker:
         oldest = tick - self.horizon
         stale = []
         for key, dq in self._drops.items():
-            self._trim(dq, oldest)
+            while dq and dq[0] < oldest:
+                dq.popleft()
             if not dq:
                 stale.append(key)
         for key in stale:

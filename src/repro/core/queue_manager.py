@@ -38,7 +38,14 @@ from .pathid import PathId
 
 
 class QueueMode(enum.Enum):
-    """Operating mode of the FLoc buffer queue."""
+    """Operating mode of the FLoc buffer queue.
+
+    Reading a member off the class is not free: ``QueueMode.UNCONGESTED``
+    goes through the Enum metaclass and costs 126-180 ns on CPython
+    3.10/3.11 (41 ns on 3.12), against about 15 ns for a module global
+    (``timeit``).  Per-packet code binds the members it tests once, as
+    ``repro.core.router`` does.
+    """
 
     UNCONGESTED = "uncongested"
     CONGESTED = "congested"

@@ -47,6 +47,12 @@ from .pathid import PathId
 from .queue_manager import QueueManager, QueueMode
 from .tokenbucket import PathTokenBucket
 
+#: The queue modes ``admit`` tests, bound once as module constants: see
+#: the note on :class:`~repro.core.queue_manager.QueueMode` for what an
+#: Enum member lookup costs per packet.
+_UNCONGESTED = QueueMode.UNCONGESTED
+_CONGESTED = QueueMode.CONGESTED
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..net.engine import Engine
     from ..net.topology import Link
@@ -163,7 +169,7 @@ class FLocPolicy(LinkPolicy):
     ] = None
     _judged_tick = -1
     _tick_queue = 0
-    _tick_mode = QueueMode.UNCONGESTED
+    _tick_mode = _UNCONGESTED
 
     def __init__(self, config: Optional[FLocConfig] = None) -> None:
         self.cfg = config or FLocConfig()
@@ -266,8 +272,11 @@ class FLocPolicy(LinkPolicy):
         runs) and the take (``PathTokenBucket.request``) have a second
         copy in ``repro``; the early test and Eq. IV.5 live on as
         verbatim copies in ``tests/core/test_admission_equivalence.py``,
-        whose oracle holds this frame equal to them.  A refusal leaves
-        the pending record :meth:`on_drop` consumes."""
+        whose oracle holds this frame equal to them.  Its ``min``/``max``
+        clamps are written as comparisons that give the same values:
+        most packets under a flood are refusals of identified units, and
+        a builtin call costs more than the test.  A refusal leaves the
+        pending record :meth:`on_drop` consumes."""
         kind = pkt.kind
         if kind != DATA:
             if kind == SYN:
@@ -339,7 +348,7 @@ class FLocPolicy(LinkPolicy):
             # neutral congested-mode admission (random queue threshold,
             # footnote 8) — it needs no per-path history — while the state
             # bookkeeping above re-converges lambda_Si and the RTTs.
-            if mode is not QueueMode.UNCONGESTED and self.qm.random_drop(q_curr):
+            if mode is not _UNCONGESTED and self.qm.random_drop(q_curr):
                 self._pending = (pkt, "random", key, None)
                 return False
             return True
@@ -347,15 +356,16 @@ class FLocPolicy(LinkPolicy):
         group = self.groups.get(self.plan.group_of.get(pid, pid))
         if group is None:
             group = self._group_state(pid, tick)
-        if mode is QueueMode.UNCONGESTED:
+        if mode is _UNCONGESTED:
             # early bucket activation for an over-subscribing path:
             # Q_curr > Q_min * min(1, C_Si / lambda_Si)
             rate = state.lambda_rate
-            if rate <= 0 or q_curr <= self.qm.q_min * min(
-                1.0, group.bandwidth / rate
-            ):
+            if rate <= 0:
                 return True
-            mode = QueueMode.CONGESTED
+            ratio = group.bandwidth / rate
+            if q_curr <= self.qm.q_min * (ratio if ratio < 1.0 else 1.0):
+                return True
+            mode = _CONGESTED
 
         # Eq. (IV.5): identified attack flows are serviced with probability
         # min(1, MTD(f) / (n_i * T_Si)) before competing for tokens.  Flows
@@ -378,18 +388,26 @@ class FLocPolicy(LinkPolicy):
                     member_state = paths.get(member)
                     if member_state is not None:
                         flows += len(member_state.flows)
-                window = max(
-                    1,
-                    int(max(flows, 1, cfg.mtd_window_periods) * bucket.period),
-                )
-                span = min(window, tracker.horizon)
+                periods = cfg.mtd_window_periods
+                if flows > periods:
+                    periods = flows
+                if periods < 1:
+                    periods = 1
+                window = int(periods * bucket.period)
+                if window < 1:
+                    window = 1
+                span = tracker.horizon
+                if window <= span:
+                    span = window
                 drops = tracker.drops_in_window(key, tick, span)
                 mtd_value = span / drops if drops else INFINITE_MTD
                 if self.sketch is not None:
                     mtd_value = self._sketch_clamped_mtd(mtd_value, key, window)
                 p_service = 1.0
                 if reference > 0:
-                    p_service = min(1.0, mtd_value / reference)
+                    p_service = mtd_value / reference
+                    if not p_service < 1.0:  # a nan ratio too, as in min
+                        p_service = 1.0
             else:
                 # scalable mode: Eq. (V.1) preferential drop ratio
                 p_service = 1.0 - self.drop_filter.preferential_drop_ratio(
@@ -397,7 +415,10 @@ class FLocPolicy(LinkPolicy):
                 )
             streak = state.attack_streak.get(key, 1)
             if streak > 1:
-                p_service = p_service ** min(3.0, 1.0 + 0.5 * (streak - 1))
+                exponent = 1.0 + 0.5 * (streak - 1)
+                if exponent > 3.0:
+                    exponent = 3.0
+                p_service = p_service ** exponent
             if self._rng.random() > p_service:
                 self._pending = (pkt, "preferential", key, group)
                 return False
@@ -405,7 +426,7 @@ class FLocPolicy(LinkPolicy):
         # one token; congested mode draws on the increased bucket size and
         # falls back to the random threshold, flooding mode is strict at
         # the base size
-        congested = mode is QueueMode.CONGESTED
+        congested = mode is _CONGESTED
         bucket.use_increased = congested
         bucket.requests_total += 1
         if bucket.tokens >= 1.0:

@@ -546,13 +546,23 @@ class Engine:
             kept = policy.batch_admit(arrivals, tick)
             if kept is None:
                 admitted = []
+                tel = self.telemetry
+                monitors = link.monitors
                 for pkt in arrivals:
                     # drop notification happens immediately after a failed
                     # admit so policies can attribute the drop's cause
                     if policy.admit(pkt, tick):
                         admitted.append(pkt)
-                    else:
-                        self._drop(link, (pkt,), tick)
+                        continue
+                    # _drop(link, (pkt,), tick) written out: under a flood
+                    # most arrivals end here, one at a time
+                    link.dropped_total += 1
+                    if tel.enabled:
+                        cause = policy.pending_drop_cause() or "overflow"
+                        tel.record_drop(tick, cause, pkt.flow_id, pkt.path_id)
+                    policy.on_drop(pkt, tick)
+                    for mon in monitors:
+                        mon.on_drop(pkt, tick)
             else:
                 admitted = kept
                 if len(kept) != len(arrivals):

@@ -9,13 +9,12 @@ from dataclasses import dataclass
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings break determinism, resumability, or correctness
-    outright; ``WARNING`` findings are hazards that need a human look.
-    Both fail a run unless suppressed.
+    Every rule reports ``ERROR``: a finding breaks determinism,
+    resumability, or correctness outright, and fails a run unless
+    suppressed.
     """
 
     ERROR = "error"
-    WARNING = "warning"
 
     def __str__(self) -> str:
         return self.value

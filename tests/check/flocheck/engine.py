@@ -283,24 +283,20 @@ class Checker:
             )
         return selected
 
-    def _base_for(self, path: Path) -> Optional[Path]:
+    def _base_for(self, path: Path) -> Path:
         """The directory relpaths/module names are computed against.
 
         Package files anchor at the package *parent* (``repro/...`` —
         stable across checkouts); files under an extra root anchor at
-        that root's parent (``tests/...``).
+        that root's parent (``tests/...``).  :meth:`_select_files` takes
+        every file from under one of these roots.
         """
-        candidates = [self.package_root.parent] + [
-            r.parent for r in self.extra_roots
-        ]
-        roots = [self.package_root, *self.extra_roots]
-        for root, base in zip(roots, candidates):
-            try:
-                path.relative_to(root)
-            except ValueError:
-                continue
-            return base
-        return None
+        if path.is_relative_to(self.package_root):
+            return self.package_root.parent
+        return next(
+            root.parent for root in self.extra_roots
+            if path.is_relative_to(root)
+        )
 
     # ------------------------------------------------------------------
     # running

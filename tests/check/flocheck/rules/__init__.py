@@ -1,7 +1,7 @@
 """Rule registry for flocheck.
 
-A rule is a class with a unique ``rule_id`` (``FLCnnn``), a one-line
-``description``, and a ``check(module)`` generator yielding
+A rule is a class with a unique ``rule_id`` (``FLCnnn``) and a
+``check(module)`` generator yielding
 :class:`~tests.check.flocheck.diagnostics.Diagnostic` objects.
 Project-wide rules (cross-file consistency) override
 ``check_project(project)`` instead.
@@ -26,7 +26,6 @@ class Rule:
     """Base class for per-module rules."""
 
     rule_id: str = ""
-    description: str = ""
     severity: Severity = Severity.ERROR
     #: Module-name prefixes this rule applies to; empty = everywhere.
     scope: tuple = ()

@@ -102,10 +102,6 @@ def docs_table_fields(markdown: str, section: str) -> Optional[List[str]]:
 @register
 class ConfigDriftRule(ProjectRule):
     rule_id = "FLC006"
-    description = (
-        "FLocConfig/FunctionalSettings fields drifted from the CLI flags "
-        "or the docs configuration table"
-    )
 
     def check_project(self, project) -> Iterator[Diagnostic]:
         yield from self._check_settings_vs_cli(project)

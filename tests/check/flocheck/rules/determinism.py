@@ -91,10 +91,6 @@ NUMPY_RANDOM_OK = frozenset(
 @register
 class DeterminismRule(Rule):
     rule_id = "FLC001"
-    description = (
-        "wall-clock reads, global random.* calls, or legacy numpy.random "
-        "API in simulation code break (scenario, seed) determinism"
-    )
     scope = (
         "repro.net",
         "repro.inet",

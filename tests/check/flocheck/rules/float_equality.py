@@ -56,10 +56,6 @@ def _is_float_literal(node: ast.AST) -> bool:
 @register
 class FloatEqualityRule(Rule):
     rule_id = "FLC003"
-    description = (
-        "== / != on rates, tokens, shares or float literals; accumulated "
-        "floats are never exactly equal"
-    )
     scope = ("repro",)
 
     def check(self, module) -> Iterator[Diagnostic]:

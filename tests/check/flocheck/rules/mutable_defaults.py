@@ -61,10 +61,6 @@ def _is_mutable_default(node: ast.AST) -> bool:
 @register
 class MutableDefaultRule(Rule):
     rule_id = "FLC005"
-    description = (
-        "mutable default argument (list/dict/set/numpy buffer) shared "
-        "across calls and simulator instances"
-    )
     scope = ("repro",)
 
     def check(self, module) -> Iterator[Diagnostic]:

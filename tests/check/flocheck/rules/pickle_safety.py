@@ -53,10 +53,6 @@ def _contains_lambda(node: ast.AST) -> Optional[ast.Lambda]:
 @register
 class PickleSafetyRule(Rule):
     rule_id = "FLC002"
-    description = (
-        "lambdas or closures installed into checkpoint-reachable state "
-        "make scheduled tasks and their results unpicklable"
-    )
     scope = ("repro",)
 
     def check(self, module) -> Iterator[Diagnostic]:

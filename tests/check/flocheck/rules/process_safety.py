@@ -47,9 +47,6 @@ def _uses_os_replace(fn: ast.AST, aliases) -> bool:
 @register
 class ProcessSafetyRule(Rule):
     rule_id = "FLC009"
-    description = (
-        "files another process reads need atomic tmp+os.replace writes"
-    )
     #: subtrees whose files another process reads
     scope = ("repro.fleet", "repro.runner", "repro.inet")
 

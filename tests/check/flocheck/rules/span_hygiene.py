@@ -170,10 +170,6 @@ def _getstate_is_empty(fn: ast.FunctionDef) -> bool:
 @register
 class SpanHygieneRule(Rule):
     rule_id = "FLC012"
-    description = (
-        "spans must close (with / try-finally end / stored handle), and "
-        "repro.trace must keep wall-clock state out of pickles"
-    )
 
     def check(self, module) -> Iterator[Diagnostic]:
         aliases = module.import_aliases

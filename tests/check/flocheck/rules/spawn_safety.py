@@ -140,10 +140,6 @@ def _contains_unpicklable(node: ast.AST) -> Optional[ast.AST]:
 @register
 class SpawnSafetyRule(Rule):
     rule_id = "FLC007"
-    description = (
-        "payloads crossing the fleet's spawn boundary must pickle, and "
-        "worker-reachable code must not mutate module-global state"
-    )
     scope = ("repro.fleet", "repro.runner")
 
     def check(self, module) -> Iterator[Diagnostic]:

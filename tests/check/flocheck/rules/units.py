@@ -36,10 +36,6 @@ def _operand_dimension(node: ast.AST) -> Optional[str]:
 @register
 class UnitsConsistencyRule(Rule):
     rule_id = "FLC004"
-    description = (
-        "additive arithmetic or comparison between identifiers with "
-        "mismatched unit suffixes (Mbps vs pkts/tick, seconds vs ticks)"
-    )
     scope = ("repro",)
 
     def check(self, module) -> Iterator[Diagnostic]:

@@ -13,6 +13,8 @@ guard; the benchmark measures what the frames cost.
 
 A forged packet is budgeted on its own, library frames included: under
 identifier churn its refusal is what an attacker buys from the router.
+So is the preferential refusal of a unit the MTD has identified, which
+is what most packets of a flood get from a FLoc router.
 """
 
 import collections
@@ -38,7 +40,10 @@ PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: FLoc's admission was flattened into one frame the second figure was
 #: 20.93 (15.2 of it inside ``repro.core``, now 3.4); before the tick loop
 #: was, the two runs took 9.20 and 25.02 with library frames counted.
-MEASURED = {"droptail": 4.03, "floc": 9.08}
+#: Refusing a packet in the engine's admission loop instead of through
+#: ``_drop``, and counting the MTD window without a trim frame, took FLoc
+#: from 9.05 to 8.65.
+MEASURED = {"droptail": 4.03, "floc": 8.65}
 
 
 def frames_per_packet(policy):
@@ -119,3 +124,63 @@ def test_forged_packet_enters_four_frames():
     assert entered == ["admit", "authenticate", "_c0", "on_drop"]
     assert policy.drop_stats["spoofed"] == spoofed + 1
     assert churned not in policy.paths
+
+
+def test_identified_unit_refusal_enters_five_frames():
+    """A packet of a unit the MTD has identified, refused by Eq. IV.5:
+    ``authenticate`` answers from the memo, ``drops_in_window`` counts
+    the unit's window, and ``on_drop`` records the drop.  Every Python
+    frame counts, and ``admit`` itself calls no ``min`` or ``max``."""
+    scenario = build_tree_scenario(
+        scale_factor=0.03, attack_kind="cbr", seed=3
+    )
+    policy = FLocPolicy(FLocConfig())
+    scenario.attach_policy(policy)
+    engine = scenario.engine
+    engine.run(TICKS)
+    identified = policy.identified_attack_units()
+    flows = [
+        flow for flow in engine.flows.values()
+        if flow.is_attack and policy.issuer.account_key(
+            flow.src_host, flow.dst_host, flow.path_id
+        ) in identified
+    ]
+    assert flows
+    # the last tick run: admit already holds its queue reading, so the
+    # once-per-tick QueueManager.mode call is not in the profile
+    tick = engine.tick - 1
+    entered = []
+    builtins = []
+
+    def count(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code.co_name == "admit":
+            builtins.append(arg.__name__)
+
+    preferential = policy.drop_stats["preferential"]
+    for seq, flow in enumerate(flows * 4):
+        capability = policy.issuer.issue(
+            flow.src_host, flow.dst_host, flow.path_id
+        )
+        pkt = Packet(
+            flow.flow_id, DATA, seq, flow.path_id, flow.route,
+            flow.src_host, flow.dst_host, tick, capability,
+        )
+        entered.clear()
+        builtins.clear()
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            refused = not policy.admit(pkt, tick)
+            if refused:
+                policy.on_drop(pkt, tick)
+        finally:
+            sys.setprofile(previous)
+        if refused:
+            break
+    assert policy.drop_stats["preferential"] == preferential + 1
+    assert entered == [
+        "admit", "authenticate", "drops_in_window", "on_drop", "record_drop",
+    ]
+    assert "min" not in builtins and "max" not in builtins, builtins

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on the MTD tracker edge cases."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mtd import INFINITE_MTD, FlowDropTracker, MtdClassifier
@@ -126,10 +126,38 @@ tracker_ops = st.lists(
 
 
 class TestWindowCountEquivalence:
-    """Counting from the newest record must equal rescanning them all."""
+    """Counting the window by bisection must equal rescanning every record."""
 
     @given(ops=tracker_ops, horizon=st.integers(min_value=1, max_value=60))
     @settings(max_examples=200)
+    # two records on tick 5, exactly at tick - window of a count at 8
+    # over 3 (both out), then over 4 (both in)
+    @example(
+        ops=[
+            ("drop", 5, 0, 1), ("drop", 0, 0, 1),
+            ("count", 3, 0, 3), ("count", 0, 0, 4), ("mtd", 0, 0, 3),
+        ],
+        horizon=60,
+    )
+    # a window equal to the horizon: the record at tick - horizon is
+    # kept by the trim and excluded by the window
+    @example(
+        ops=[
+            ("drop", 0, 0, 1), ("drop", 5, 0, 1), ("drop", 5, 0, 1),
+            ("count", 0, 0, 10), ("mtd", 0, 0, 10), ("count", 1, 0, 10),
+        ],
+        horizon=10,
+    )
+    # a count whose trim drops the two oldest records, then counts right
+    # after it, on the trimmed record, at and behind the newest tick
+    @example(
+        ops=[
+            ("drop", 0, 0, 1), ("drop", 2, 0, 1), ("drop", 2, 0, 1),
+            ("drop", 2, 0, 1), ("count", 2, 0, 12), ("count", 0, 1, 3),
+            ("count", 0, 0, 1),
+        ],
+        horizon=5,
+    )
     def test_matches_brute_force(self, ops, horizon):
         tracker = FlowDropTracker(horizon=horizon)
         reference = _RescanTracker(horizon)
