@@ -79,28 +79,13 @@ import os
 import sys
 from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from .analysis.export import write_csv
 from .analysis.report import format_table
 from .errors import ConfigError, ReproError
 from .experiments.common import FunctionalSettings
-
-FIGURES = {
-    "fig02": "packet service vs drop rate at a congested link",
-    "fig03": "packet-size distribution (synthetic trace)",
-    "fig04": "TCP window synchronisation and token consumption",
-    "fig06": "attack confinement (tcp/cbr/shrew), per-path bandwidth",
-    "fig07": "robustness CDFs across schemes and attack strengths",
-    "fig08": "differential bandwidth guarantees vs attack rate",
-    "fig09": "legitimate-path aggregation",
-    "fig10": "covert attacks vs per-bot fanout",
-    "fig11": "internet-scale topology statistics (localized/dispersed)",
-    "fig13": "internet-scale bandwidth shares, localized attacks",
-    "fig14": "internet-scale bandwidth shares, dispersed attacks",
-    "fig15": "internet-scale bandwidth shares, separated placement",
-    "faults": "graceful degradation under router restart + link faults",
-}
+from .runner.figures import FIGURES
 
 #: Job/fleet status -> process exit code (see module docstring).
 #: ``nodata`` is not a job status: it is the documented loud exit for
@@ -375,7 +360,7 @@ def _run_figures(args) -> int:
 
     for fig in figures:
         output = jobs[fig].finalize(results)
-        _emit(args, fig, output.headers, output.rows, FIGURES[fig])
+        _emit(args, fig, output.headers, output.rows, FIGURES[fig].title)
         for note in output.notes:
             sys.stdout.write(f"{note}\n")
 
@@ -821,7 +806,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        rows = [[fig, desc] for fig, desc in sorted(FIGURES.items())]
+        rows = [[fig, FIGURES[fig].title] for fig in sorted(FIGURES)]
         sys.stdout.write(format_table(["figure", "reproduces"], rows))
         sys.stdout.write("\n")
         return 0

@@ -67,12 +67,17 @@ class FlowDropTracker:
         dq.append(tick)
 
     def drops_in_window(self, key: Hashable, tick: int, window: int) -> int:
-        """Drops of ``key`` within ``(tick - window, tick]``: the records
-        newer than ``tick - window``, found by bisecting the sorted
-        record.  The cost is logarithmic in the retained record: about
-        ten comparisons, made in C, over the ~1,000 records an identified
-        unit holds under ``tree_flood_floc``.  ``admit`` asks this for
-        every packet of an identified unit."""
+        """Drops of ``key`` newer than ``tick - window``: every retained
+        record after ``tick - window``, found by bisecting the sorted
+        record, once the records older than ``tick - horizon`` are
+        trimmed.  When ``tick`` is at or after the unit's newest record,
+        as at every caller (each passes the current tick), that is the
+        window ``(tick - window, tick]``; a query that trails the newest
+        record also counts the records after ``tick``.  The cost is
+        logarithmic in the retained record: about ten comparisons, made
+        in C, over the ~1,000 records an identified unit holds under
+        ``tree_flood_floc``.  ``admit`` asks this for every packet of an
+        identified unit."""
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         dq = self._drops.get(key)

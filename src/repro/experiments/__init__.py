@@ -1,11 +1,15 @@
 """Experiment runners — one module per paper figure.
 
 Each ``run_*`` function builds the scenario, attaches the scheme under
-test, simulates, and returns a structured result object whose fields map
-directly onto the figure's series.  ``repro.runner.figures`` splits each
-figure into units over these runners for ``repro run``, and
-``tests/paper/`` asserts the paper's *shape* claims on them (who wins,
-by roughly what factor).
+test, simulates, and returns a structured result.  For the sweep
+figures (fig07, fig08, fig10 and the faults study) a call runs one cell
+of the sweep — one (scheme, attack rate), (scheme, fanout) or
+(simulator, scheme) — and returns that cell's result.  Which cells make
+a figure is written once, in the figure's job in
+``repro.runner.figures``, which runs one unit per cell for ``repro run``
+and builds the table; ``tests/paper/`` calls the runners for the cells
+it asserts the paper's *shape* claims on (who wins, by roughly what
+factor).
 
 Functional evaluation (Section VI): fig02, fig03, fig04, fig06, fig07,
 fig08, fig09, fig10.  Internet-scale evaluation (Section VII): fig11

@@ -10,70 +10,41 @@ shift left as attacks intensify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from ..analysis.cdf import percentile
 from ..traffic.scenarios import build_tree_scenario
-from .common import FunctionalSettings, mean, run_breakdown
-
-
-@dataclass
-class Fig07Result:
-    """Per (scheme, attack rate): legit-path per-flow bandwidth samples."""
-
-    ideal_flow_mbps: float
-    #: (scheme, per-bot Mbps) -> list of per-flow Mbps of legit-path flows
-    samples: Dict[Tuple[str, float], List[float]] = field(default_factory=dict)
-
-    def summary_rows(self) -> List[Tuple[str, float, float, float, float, float]]:
-        """Rows (scheme, rate, mean, p10, p50, p90)."""
-        rows = []
-        for (scheme, rate), values in sorted(self.samples.items()):
-            rows.append(
-                (
-                    scheme,
-                    rate,
-                    mean(values),
-                    percentile(values, 0.10),
-                    percentile(values, 0.50),
-                    percentile(values, 0.90),
-                )
-            )
-        return rows
+from .common import FunctionalSettings, run_breakdown
 
 
 def run_fig07(
-    settings: FunctionalSettings = FunctionalSettings(),
-    schemes: Tuple[str, ...] = ("floc", "pushback", "redpd"),
-    attack_rates_mbps: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0),
-    include_red_reference: bool = True,
-) -> Fig07Result:
-    """Sweep schemes x CBR strengths; collect legit-path flow bandwidths."""
-    result = Fig07Result(ideal_flow_mbps=0.0)
-    for scheme in schemes:
-        for rate in attack_rates_mbps:
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="cbr",
-                attack_rate_mbps=rate,
-                seed=settings.seed,
-                start_spread_seconds=1.0,
-            )
-            run = run_breakdown(scenario, scheme, settings)
-            result.samples[(scheme, rate)] = run.legit_in_legit_rates
-    if include_red_reference:
-        scenario = build_tree_scenario(
-            scale_factor=settings.scale,
-            attack_kind="none",
-            seed=settings.seed,
-            start_spread_seconds=1.0,
-        )
-        run = run_breakdown(scenario, "red", settings)
-        result.samples[("red-noattack", 0.0)] = run.legit_in_legit_rates
-        # ideal fair rate: link capacity split over all legit flows
-        n_flows = len(scenario.legit_flows)
-        result.ideal_flow_mbps = scenario.units.pkts_per_tick_to_mbps(
-            scenario.capacity / max(1, n_flows)
-        )
-    return result
+    settings: FunctionalSettings, scheme: str, rate: float
+) -> List[float]:
+    """One cell: per-flow Mbps of legit-path flows under ``scheme``
+    while the bots send CBR at ``rate`` Mbps each."""
+    scenario = build_tree_scenario(
+        scale_factor=settings.scale,
+        attack_kind="cbr",
+        attack_rate_mbps=rate,
+        seed=settings.seed,
+        start_spread_seconds=1.0,
+    )
+    return run_breakdown(scenario, scheme, settings).legit_in_legit_rates
+
+
+def run_fig07_reference(
+    settings: FunctionalSettings,
+) -> Tuple[List[float], float]:
+    """The RED no-attack reference: per-flow Mbps of legit-path flows,
+    and the ideal fair per-flow rate (link capacity over all legit
+    flows)."""
+    scenario = build_tree_scenario(
+        scale_factor=settings.scale,
+        attack_kind="none",
+        seed=settings.seed,
+        start_spread_seconds=1.0,
+    )
+    run = run_breakdown(scenario, "red", settings)
+    ideal = scenario.units.pkts_per_tick_to_mbps(
+        scenario.capacity / max(1, len(scenario.legit_flows))
+    )
+    return run.legit_in_legit_rates, ideal

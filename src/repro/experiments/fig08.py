@@ -18,57 +18,24 @@ at high rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
 from ..analysis.accounting import BandwidthBreakdown
 from ..core.config import FLocConfig
 from ..traffic.scenarios import build_tree_scenario
 from .common import FunctionalSettings, run_breakdown
 
 
-@dataclass
-class Fig08Result:
-    """(scheme, per-bot Mbps) -> category bandwidth breakdown."""
-
-    s_max: int
-    breakdowns: Dict[Tuple[str, float], BandwidthBreakdown] = field(
-        default_factory=dict
-    )
-
-    def rows(self) -> List[Tuple[str, float, float, float, float, float]]:
-        """Rows (scheme, rate, legit-legit, legit-attack, attack, util)."""
-        return [
-            (
-                scheme,
-                rate,
-                b.legit_in_legit,
-                b.legit_in_attack,
-                b.attack,
-                b.utilization,
-            )
-            for (scheme, rate), b in sorted(self.breakdowns.items())
-        ]
-
-
 def run_fig08(
-    settings: FunctionalSettings = FunctionalSettings(),
-    schemes: Tuple[str, ...] = ("floc", "pushback", "redpd"),
-    attack_rates_mbps: Tuple[float, ...] = (0.2, 0.4, 0.8, 1.6, 3.2, 4.0),
-    s_max: int = 25,
-) -> Fig08Result:
-    """Sweep schemes x per-bot rates with attack-path aggregation on."""
-    result = Fig08Result(s_max=s_max)
-    for scheme in schemes:
-        for rate in attack_rates_mbps:
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="cbr",
-                attack_rate_mbps=rate,
-                seed=settings.seed,
-                start_spread_seconds=1.0,
-            )
-            cfg = FLocConfig(s_max=s_max) if scheme.startswith("floc") else None
-            run = run_breakdown(scenario, scheme, settings, floc_config=cfg)
-            result.breakdowns[(scheme, rate)] = run.breakdown
-    return result
+    settings: FunctionalSettings, scheme: str, rate: float, s_max: int
+) -> BandwidthBreakdown:
+    """One cell: the link's bandwidth breakdown under ``scheme`` while
+    the bots send CBR at ``rate`` Mbps each, FLoc aggregating attack
+    paths down to ``s_max`` identifiers."""
+    scenario = build_tree_scenario(
+        scale_factor=settings.scale,
+        attack_kind="cbr",
+        attack_rate_mbps=rate,
+        seed=settings.seed,
+        start_spread_seconds=1.0,
+    )
+    cfg = FLocConfig(s_max=s_max) if scheme.startswith("floc") else None
+    return run_breakdown(scenario, scheme, settings, floc_config=cfg).breakdown

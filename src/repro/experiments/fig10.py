@@ -19,56 +19,30 @@ offered attack load already exceeds the 500 Mbps link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
 from ..analysis.accounting import BandwidthBreakdown
 from ..core.config import FLocConfig
 from ..traffic.scenarios import build_tree_scenario
 from .common import FunctionalSettings, run_breakdown
 
 
-@dataclass
-class Fig10Result:
-    """(scheme, fanout) -> category bandwidth breakdown."""
-
-    n_max: int
-    per_flow_rate_mbps: float
-    breakdowns: Dict[Tuple[str, int], BandwidthBreakdown] = field(
-        default_factory=dict
-    )
-
-    def rows(self) -> List[Tuple[str, int, float, float, float]]:
-        """Rows (scheme, fanout, legit total, attack, utilization)."""
-        return [
-            (scheme, fanout, b.legit_total, b.attack, b.utilization)
-            for (scheme, fanout), b in sorted(self.breakdowns.items())
-        ]
-
-
 def run_fig10(
-    settings: FunctionalSettings = FunctionalSettings(),
-    schemes: Tuple[str, ...] = ("floc", "pushback", "redpd"),
-    fanouts: Tuple[int, ...] = (1, 2, 5, 10, 20),
-    per_flow_rate_mbps: float = 0.2,
-    n_max: int = 2,
-) -> Fig10Result:
-    """Sweep schemes x covert fanout."""
-    result = Fig10Result(n_max=n_max, per_flow_rate_mbps=per_flow_rate_mbps)
-    for scheme in schemes:
-        for fanout in fanouts:
-            scenario = build_tree_scenario(
-                scale_factor=settings.scale,
-                attack_kind="covert",
-                attack_rate_mbps=per_flow_rate_mbps,
-                covert_fanout=fanout,
-                n_servers=max(fanout, 1),
-                seed=settings.seed,
-                start_spread_seconds=1.0,
-            )
-            cfg = (
-                FLocConfig(n_max=n_max) if scheme.startswith("floc") else None
-            )
-            run = run_breakdown(scenario, scheme, settings, floc_config=cfg)
-            result.breakdowns[(scheme, fanout)] = run.breakdown
-    return result
+    settings: FunctionalSettings,
+    scheme: str,
+    fanout: int,
+    per_flow_rate_mbps: float,
+    n_max: int,
+) -> BandwidthBreakdown:
+    """One cell: the link's bandwidth breakdown under ``scheme`` while
+    each bot opens ``fanout`` connections of ``per_flow_rate_mbps``,
+    FLoc keeping at most ``n_max`` accounting units per source."""
+    scenario = build_tree_scenario(
+        scale_factor=settings.scale,
+        attack_kind="covert",
+        attack_rate_mbps=per_flow_rate_mbps,
+        covert_fanout=fanout,
+        n_servers=max(fanout, 1),
+        seed=settings.seed,
+        start_spread_seconds=1.0,
+    )
+    cfg = FLocConfig(n_max=n_max) if scheme.startswith("floc") else None
+    return run_breakdown(scenario, scheme, settings, floc_config=cfg).breakdown

@@ -24,23 +24,17 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..core.config import FLocConfig
 from ..faults import FaultSchedule, FluidLinkDegrade, fluid_restart
+from ..faults.injectors import busiest_legit_as
 from ..inet.scenarios import build_internet_scenario
 from ..inet.simulator import FluidSimulator
 from ..net.engine import LinkMonitor
 from ..sanitize import install_sanitizer
 from ..traffic.scenarios import ROOT, build_tree_scenario
 from .common import FunctionalSettings, make_policy
-
-#: Packet-level schemes compared (a stateful defense vs stateless bases).
-PACKET_SCHEMES = ("floc", "fairshare", "droptail")
-#: Fluid-level strategies compared.
-FLUID_STRATEGIES = ("floc", "nd")
 
 
 @dataclass
@@ -69,96 +63,79 @@ def _phase_ticks(settings: FunctionalSettings, units) -> Tuple[int, int]:
 
 
 def run_packet_faults(
-    settings: FunctionalSettings,
-    schemes: Sequence[str] = PACKET_SCHEMES,
-) -> List[PhaseBandwidth]:
-    """Packet-level study: restart the target policy and flap an uplink."""
-    results = []
-    for scheme in schemes:
-        scenario = build_tree_scenario(
-            scale_factor=settings.scale,
-            attack_kind="cbr",
-            attack_rate_mbps=2.0,
-            seed=settings.seed,
-        )
-        # Backup cross-link between the root's first two subtrees.  Added
-        # after flow setup so initial shortest routes are unchanged; it
-        # only carries traffic while the root.0 uplink is down.
-        scenario.topology.add_duplex_link("root.0", "root.1", capacity=None)
-
-        warmup, phase = _phase_ticks(settings, scenario.units)
-        t1 = warmup + phase  # faults begin
-        t2 = t1 + phase  # faults cleared
-        t3 = t2 + phase  # end of post-fault phase
-
-        cfg = FLocConfig(
-            s_max=settings.s_max,
-            restart_warmup_ticks=max(1, phase // 2),
-        )
-        scenario.attach_policy(make_policy(scheme, settings, cfg))
-        monitors = [
-            scenario.engine.add_monitor(
-                *scenario.target, LinkMonitor(start_tick=a, stop_tick=b)
-            )
-            for a, b in ((warmup, t1), (t1, t2), (t2, t3))
-        ]
-
-        faults = FaultSchedule()
-        faults.router_restart(*scenario.target, tick=t1)
-        faults.link_flap(
-            "root.0", ROOT,
-            down_tick=t1 + phase // 4,
-            up_tick=t1 + (3 * phase) // 4,
-        )
-        faults.install(scenario.engine)
-        install_sanitizer(scenario.engine, settings.sanitize)
-        scenario.engine.run(t3)
-
-        legit_ids = {f.flow_id for f in scenario.legit_flows}
-        budget = scenario.capacity * phase
-
-        def legit_share(monitor: LinkMonitor) -> float:
-            serviced = sum(
-                count
-                for flow_id, count in monitor.service_counts.items()
-                if flow_id in legit_ids
-            )
-            return serviced / budget
-
-        pre, during, post = (legit_share(m) for m in monitors)
-        results.append(
-            PhaseBandwidth(
-                simulator="packet",
-                scheme=scheme,
-                pre=pre,
-                during=during,
-                post=post,
-                fault_log=list(faults.log),
-            )
-        )
-    return results
-
-
-def _busiest_legit_as(scn) -> int:
-    """The non-attack AS hosting the most legitimate flows."""
-    counts = np.bincount(
-        scn.flow_origin_as[~scn.flow_is_attack], minlength=scn.n_links
+    settings: FunctionalSettings, scheme: str
+) -> PhaseBandwidth:
+    """Packet-level study of one scheme: restart the target policy and
+    flap an uplink."""
+    scenario = build_tree_scenario(
+        scale_factor=settings.scale,
+        attack_kind="cbr",
+        attack_rate_mbps=2.0,
+        seed=settings.seed,
     )
-    counts[0] = 0  # the target itself hosts no sources
-    for asn in scn.attack_ases:
-        counts[asn] = 0
-    return int(counts.argmax())
+    # Backup cross-link between the root's first two subtrees.  Added
+    # after flow setup so initial shortest routes are unchanged; it
+    # only carries traffic while the root.0 uplink is down.
+    scenario.topology.add_duplex_link("root.0", "root.1", capacity=None)
+
+    warmup, phase = _phase_ticks(settings, scenario.units)
+    t1 = warmup + phase  # faults begin
+    t2 = t1 + phase  # faults cleared
+    t3 = t2 + phase  # end of post-fault phase
+
+    cfg = FLocConfig(
+        s_max=settings.s_max,
+        restart_warmup_ticks=max(1, phase // 2),
+    )
+    scenario.attach_policy(make_policy(scheme, settings, cfg))
+    monitors = [
+        scenario.engine.add_monitor(
+            *scenario.target, LinkMonitor(start_tick=a, stop_tick=b)
+        )
+        for a, b in ((warmup, t1), (t1, t2), (t2, t3))
+    ]
+
+    faults = FaultSchedule()
+    faults.router_restart(*scenario.target, tick=t1)
+    faults.link_flap(
+        "root.0", ROOT,
+        down_tick=t1 + phase // 4,
+        up_tick=t1 + (3 * phase) // 4,
+    )
+    faults.install(scenario.engine)
+    install_sanitizer(scenario.engine, settings.sanitize)
+    scenario.engine.run(t3)
+
+    legit_ids = {f.flow_id for f in scenario.legit_flows}
+    budget = scenario.capacity * phase
+
+    def legit_share(monitor: LinkMonitor) -> float:
+        serviced = sum(
+            count
+            for flow_id, count in monitor.service_counts.items()
+            if flow_id in legit_ids
+        )
+        return serviced / budget
+
+    pre, during, post = (legit_share(m) for m in monitors)
+    return PhaseBandwidth(
+        simulator="packet",
+        scheme=scheme,
+        pre=pre,
+        during=during,
+        post=post,
+        fault_log=list(faults.log),
+    )
 
 
 def run_fluid_faults(
-    settings: FunctionalSettings,
-    strategies: Sequence[str] = FLUID_STRATEGIES,
-    warmup: int = 100,
-    phase: int = 100,
-    scenario_kwargs: Optional[dict] = None,
-) -> List[PhaseBandwidth]:
-    """Fluid-level study: defense restart + legit-uplink degradation."""
-    kwargs = dict(
+    settings: FunctionalSettings, strategy: str
+) -> PhaseBandwidth:
+    """Fluid-level study of one strategy: defense restart +
+    legit-uplink degradation, in 100-tick phases after 100 ticks of
+    warm-up."""
+    warmup = phase = 100
+    scn = build_internet_scenario(
         n_as=300,
         n_legit_sources=800,
         n_legit_ases=60,
@@ -166,46 +143,37 @@ def run_fluid_faults(
         target_capacity=400.0,
         seed=settings.seed,
     )
-    if scenario_kwargs:
-        kwargs.update(scenario_kwargs)
+    sim = FluidSimulator(
+        scn, strategy=strategy, s_max=settings.s_max, seed=settings.seed
+    )
+    t1 = warmup + phase
+    t2 = t1 + phase
+    t3 = t2 + phase
 
-    results = []
-    for strategy in strategies:
-        scn = build_internet_scenario(**kwargs)
-        sim = FluidSimulator(
-            scn, strategy=strategy, s_max=settings.s_max, seed=settings.seed
-        )
-        t1 = warmup + phase
-        t2 = t1 + phase
-        t3 = t2 + phase
+    faults = FaultSchedule()
+    faults.at(
+        t1, fluid_restart(warmup_ticks=max(1, phase // 2)),
+        name="defense-restart",
+    )
+    degrade = FluidLinkDegrade(busiest_legit_as(scn), factor=0.3)
+    faults.at(t1, degrade.down, name="uplink-degrade")
+    faults.at(t2, degrade.up, name="uplink-restore")
+    faults.install(sim)
+    install_sanitizer(sim, settings.sanitize)
 
-        faults = FaultSchedule()
-        faults.at(
-            t1, fluid_restart(warmup_ticks=max(1, phase // 2)),
-            name="defense-restart",
-        )
-        degrade = FluidLinkDegrade(_busiest_legit_as(scn), factor=0.3)
-        faults.at(t1, degrade.down, name="uplink-degrade")
-        faults.at(t2, degrade.up, name="uplink-restore")
-        faults.install(sim)
-        install_sanitizer(sim, settings.sanitize)
+    result = sim.run(ticks=t3, warmup=warmup, record_series=True)
 
-        result = sim.run(ticks=t3, warmup=warmup, record_series=True)
+    def legit_share(a: int, b: int) -> float:
+        window = [
+            ll + la for tick, ll, la, _ in result.series if a <= tick < b
+        ]
+        return sum(window) / len(window) if window else 0.0
 
-        def legit_share(a: int, b: int) -> float:
-            window = [
-                ll + la for tick, ll, la, _ in result.series if a <= tick < b
-            ]
-            return sum(window) / len(window) if window else 0.0
-
-        results.append(
-            PhaseBandwidth(
-                simulator="fluid",
-                scheme=strategy,
-                pre=legit_share(warmup, t1),
-                during=legit_share(t1, t2),
-                post=legit_share(t2, t3),
-                fault_log=list(faults.log),
-            )
-        )
-    return results
+    return PhaseBandwidth(
+        simulator="fluid",
+        scheme=strategy,
+        pre=legit_share(warmup, t1),
+        during=legit_share(t1, t2),
+        post=legit_share(t2, t3),
+        fault_log=list(faults.log),
+    )

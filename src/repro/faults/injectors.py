@@ -24,9 +24,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError, SimulationError, TopologyError
+
+if TYPE_CHECKING:
+    from ..inet.scenarios import InternetScenario
 
 
 def _target_policy(engine, src, dst):
@@ -240,6 +245,19 @@ class FluidLinkDegrade:
         if self._active:
             sim.scn.link_capacity[self.asn] = self._original
             self._active = False
+
+
+def busiest_legit_as(scn: InternetScenario) -> int:
+    """The non-attack AS hosting the most legitimate flows: the uplink
+    a :class:`FluidLinkDegrade` hits so legitimate traffic feels it
+    most."""
+    counts = np.bincount(
+        scn.flow_origin_as[~scn.flow_is_attack], minlength=scn.n_links
+    )
+    counts[0] = 0  # the target itself hosts no sources
+    for asn in scn.attack_ases:
+        counts[asn] = 0
+    return int(counts.argmax())
 
 
 class fluid_restart:

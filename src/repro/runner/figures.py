@@ -1,9 +1,12 @@
 """Figure jobs: unit decompositions and the task recipes that run them.
 
-Every figure's sweep is decomposed into independent *units* — one cell
-of the sweep each (a (scheme, attack-rate) pair, a (variant, strategy)
-pair, ...).  Each unit builds its scenario fresh and is deterministic
-given the settings' seed, so:
+:data:`FIGURES` is the one table of reproducible figures: each name's
+title and job builder.  A figure's job is the one place its sweep grid
+is written: it decomposes the sweep into independent *units* — one cell
+each (a (scheme, attack-rate) pair, a (variant, strategy) pair, ...),
+each a call of the experiment's one-cell runner — and builds the
+figure's table from the cells' results.  Each unit builds its scenario
+fresh and is deterministic given the settings' seed, so:
 
 * a killed job resumes by skipping checkpointed units and re-running
   only the incomplete ones, with bit-identical results;
@@ -26,13 +29,18 @@ other's progress.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple,
+)
 
 from ..errors import ConfigError
 from ..experiments.common import FunctionalSettings, mean
 from .supervisor import UnitContext
 
 UnitFn = Callable[[UnitContext], Any]
+#: skitter-map variants, for the internet-scale figures
+Variants = Tuple[str, ...]
 
 
 @dataclass
@@ -54,17 +62,39 @@ class FigureJob:
     fingerprint: Dict[str, Any] = field(default_factory=dict)
 
 
-def _missing(results: Dict[str, Any], names: Sequence[str]) -> List[str]:
+def _missing(results: Dict[str, Any], names: Iterable[str]) -> List[str]:
     gone = [name for name in names if name not in results]
     if not gone:
         return []
     return [f"missing unit (failed or not run): {name}" for name in gone]
 
 
+def _sweep(
+    figure: str, cells: Sequence[Tuple], label: str, run: Callable[..., Any]
+) -> Tuple[Dict[Tuple, str], List[Tuple[str, UnitFn]]]:
+    """One unit per cell of a sweep: ``run(*cell)``, named
+    ``figure:`` + ``label.format(*cell)``.  Returns the names by cell
+    and the units."""
+    names = {cell: f"{figure}:" + label.format(*cell) for cell in cells}
+    units: List[Tuple[str, UnitFn]] = [
+        (names[cell], lambda ctx, cell=cell: run(*cell)) for cell in cells
+    ]
+    return names, units
+
+
+def _done(
+    results: Dict[str, Any], names: Dict[Tuple, str]
+) -> Dict[Tuple, Any]:
+    """The result of every completed cell, by cell, in unit order."""
+    return {
+        cell: results[name] for cell, name in names.items() if name in results
+    }
+
+
 # ----------------------------------------------------------------------
 # functional figures
 # ----------------------------------------------------------------------
-def _fig02_job(settings: FunctionalSettings) -> FigureJob:
+def _fig02_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
     def unit(ctx: UnitContext):
         from ..experiments.fig02 import run_fig02
 
@@ -86,7 +116,7 @@ def _fig02_job(settings: FunctionalSettings) -> FigureJob:
     return FigureJob("fig02", [("fig02", unit)], finalize)
 
 
-def _fig03_job(settings: FunctionalSettings) -> FigureJob:
+def _fig03_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
     def unit(ctx: UnitContext):
         from ..experiments.fig03 import run_fig03
 
@@ -101,7 +131,7 @@ def _fig03_job(settings: FunctionalSettings) -> FigureJob:
     return FigureJob("fig03", [("fig03", unit)], finalize)
 
 
-def _fig04_job(settings: FunctionalSettings) -> FigureJob:
+def _fig04_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
     def unit(ctx: UnitContext):
         from ..experiments.fig04 import run_fig04
 
@@ -122,142 +152,94 @@ def _fig04_job(settings: FunctionalSettings) -> FigureJob:
     return FigureJob("fig04", [("fig04", unit)], finalize)
 
 
-def _fig06_job(settings: FunctionalSettings) -> FigureJob:
-    kinds = ("tcp", "cbr", "shrew")
+def _fig06_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..experiments.fig06 import run_fig06
 
-    def make_unit(kind: str) -> UnitFn:
-        def unit(ctx: UnitContext, kind=kind):
-            from ..experiments.fig06 import run_fig06
-
-            return run_fig06(kind, settings)
-
-        return unit
-
-    names = [f"fig06:{kind}" for kind in kinds]
+    names, units = _sweep(
+        "fig06",
+        [("tcp",), ("cbr",), ("shrew",)],
+        "{}",
+        lambda kind: run_fig06(kind, settings),
+    )
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        rows = []
-        for kind, name in zip(kinds, names):
-            result = results.get(name)
-            if result is None:
-                continue
-            rows.append(
-                [
-                    kind,
-                    result.fair_path_mbps,
-                    mean(result.legit_path_means),
-                    mean(result.attack_path_means),
-                ]
-            )
+        rows = [
+            [kind, r.fair_path_mbps, mean(r.legit_path_means),
+             mean(r.attack_path_means)]
+            for (kind,), r in _done(results, names).items()
+        ]
         return FigureOutput(
             ["attack", "fair Mbps/path", "legit-path mean", "attack-path mean"],
             rows,
-            _missing(results, names),
+            _missing(results, names.values()),
         )
 
-    return FigureJob(
-        "fig06",
-        [(name, make_unit(kind)) for kind, name in zip(kinds, names)],
-        finalize,
+    return FigureJob("fig06", units, finalize)
+
+
+#: the schemes Figs. 7, 8 and 10 compare
+_SCHEMES = ("floc", "pushback", "redpd")
+
+
+def _fig07_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..analysis.cdf import percentile
+    from ..experiments.fig07 import run_fig07, run_fig07_reference
+
+    names, units = _sweep(
+        "fig07",
+        [(s, rate) for s in _SCHEMES for rate in (0.5, 1.0, 2.0, 4.0)],
+        "{}@{}",
+        lambda scheme, rate: run_fig07(settings, scheme, rate),
     )
-
-
-def _fig07_job(settings: FunctionalSettings) -> FigureJob:
-    schemes = ("floc", "pushback", "redpd")
-    rates = (0.5, 1.0, 2.0, 4.0)
-    units: List[Tuple[str, UnitFn]] = []
-    for scheme in schemes:
-        for rate in rates:
-
-            def unit(ctx: UnitContext, scheme=scheme, rate=rate):
-                from ..experiments.fig07 import run_fig07
-
-                return run_fig07(
-                    settings,
-                    schemes=(scheme,),
-                    attack_rates_mbps=(rate,),
-                    include_red_reference=False,
-                )
-
-            units.append((f"fig07:{scheme}@{rate}", unit))
-
-    def ref_unit(ctx: UnitContext):
-        from ..experiments.fig07 import run_fig07
-
-        return run_fig07(
-            settings, schemes=(), attack_rates_mbps=(),
-            include_red_reference=True,
-        )
-
-    units.append(("fig07:red-reference", ref_unit))
-    names = [name for name, _ in units]
+    reference = "fig07:red-reference"
+    units.append((reference, lambda ctx: run_fig07_reference(settings)))
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        from ..experiments.fig07 import Fig07Result
-
-        merged = Fig07Result(ideal_flow_mbps=0.0)
-        for name in names:
-            part = results.get(name)
-            if part is None:
-                continue
-            merged.samples.update(part.samples)
-            merged.ideal_flow_mbps = max(
-                merged.ideal_flow_mbps, part.ideal_flow_mbps
-            )
-        notes = _missing(results, names)
-        if merged.ideal_flow_mbps:
-            notes.append(
-                f"ideal fair per-flow: {merged.ideal_flow_mbps:.3f} Mbps"
-            )
+        notes = _missing(results, [name for name, _ in units])
+        done = _done(results, names)
+        if reference in results:
+            done[("red-noattack", 0.0)], ideal_flow_mbps = results[reference]
+            notes.append(f"ideal fair per-flow: {ideal_flow_mbps:.3f} Mbps")
+        rows = [
+            (scheme, rate, mean(v), percentile(v, 0.10),
+             percentile(v, 0.50), percentile(v, 0.90))
+            for (scheme, rate), v in sorted(done.items())
+        ]
         return FigureOutput(
-            ["scheme", "bot Mbps", "mean", "p10", "p50", "p90"],
-            merged.summary_rows(),
-            notes,
+            ["scheme", "bot Mbps", "mean", "p10", "p50", "p90"], rows, notes
         )
 
     return FigureJob("fig07", units, finalize)
 
 
-def _fig08_job(settings: FunctionalSettings) -> FigureJob:
-    schemes = ("floc", "pushback", "redpd")
-    rates = (0.2, 0.4, 0.8, 1.6, 3.2, 4.0)
-    s_max = 25
-    units: List[Tuple[str, UnitFn]] = []
-    for scheme in schemes:
-        for rate in rates:
+def _fig08_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..experiments.fig08 import run_fig08
 
-            def unit(ctx: UnitContext, scheme=scheme, rate=rate):
-                from ..experiments.fig08 import run_fig08
-
-                return run_fig08(
-                    settings,
-                    schemes=(scheme,),
-                    attack_rates_mbps=(rate,),
-                    s_max=s_max,
-                )
-
-            units.append((f"fig08:{scheme}@{rate}", unit))
-    names = [name for name, _ in units]
+    names, units = _sweep(
+        "fig08",
+        [(s, rate) for s in _SCHEMES
+         for rate in (0.2, 0.4, 0.8, 1.6, 3.2, 4.0)],
+        "{}@{}",
+        lambda scheme, rate: run_fig08(settings, scheme, rate, s_max=25),
+    )
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        from ..experiments.fig08 import Fig08Result
-
-        merged = Fig08Result(s_max=s_max)
-        for name in names:
-            part = results.get(name)
-            if part is not None:
-                merged.breakdowns.update(part.breakdowns)
+        rows = [
+            (scheme, rate, b.legit_in_legit, b.legit_in_attack, b.attack,
+             b.utilization)
+            for (scheme, rate), b in sorted(_done(results, names).items())
+        ]
         return FigureOutput(
             ["scheme", "bot Mbps", "legit-legit", "legit-attack", "attack",
              "util"],
-            merged.rows(),
-            _missing(results, names),
+            rows,
+            _missing(results, names.values()),
         )
 
     return FigureJob("fig08", units, finalize)
 
 
-def _fig09_job(settings: FunctionalSettings) -> FigureJob:
+def _fig09_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
     def unit(ctx: UnitContext):
         from ..experiments.fig09 import run_fig09
 
@@ -287,74 +269,54 @@ def _fig09_job(settings: FunctionalSettings) -> FigureJob:
     return FigureJob("fig09", [("fig09", unit)], finalize)
 
 
-def _fig10_job(settings: FunctionalSettings) -> FigureJob:
-    schemes = ("floc", "pushback", "redpd")
-    fanouts = (1, 2, 5, 10, 20)
-    units: List[Tuple[str, UnitFn]] = []
-    for scheme in schemes:
-        for fanout in fanouts:
+def _fig10_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..experiments.fig10 import run_fig10
 
-            def unit(ctx: UnitContext, scheme=scheme, fanout=fanout):
-                from ..experiments.fig10 import run_fig10
-
-                return run_fig10(settings, schemes=(scheme,), fanouts=(fanout,))
-
-            units.append((f"fig10:{scheme}@x{fanout}", unit))
-    names = [name for name, _ in units]
+    names, units = _sweep(
+        "fig10",
+        [(s, fanout) for s in _SCHEMES for fanout in (1, 2, 5, 10, 20)],
+        "{}@x{}",
+        lambda scheme, fanout: run_fig10(
+            settings, scheme, fanout, per_flow_rate_mbps=0.2, n_max=2
+        ),
+    )
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        from ..experiments.fig10 import Fig10Result
-
-        merged: Optional[Fig10Result] = None
-        for name in names:
-            part = results.get(name)
-            if part is None:
-                continue
-            if merged is None:
-                merged = Fig10Result(
-                    n_max=part.n_max,
-                    per_flow_rate_mbps=part.per_flow_rate_mbps,
-                )
-            merged.breakdowns.update(part.breakdowns)
-        rows = merged.rows() if merged is not None else []
+        rows = [
+            (scheme, fanout, b.legit_total, b.attack, b.utilization)
+            for (scheme, fanout), b in sorted(_done(results, names).items())
+        ]
         return FigureOutput(
             ["scheme", "fanout", "legit total", "attack", "util"],
             rows,
-            _missing(results, names),
+            _missing(results, names.values()),
         )
 
     return FigureJob("fig10", units, finalize)
 
 
-def _fig11_job(settings: FunctionalSettings, variants: Tuple[str, ...]) -> FigureJob:
-    placements = ("localized", "dispersed")
-    units: List[Tuple[str, UnitFn]] = []
-    for placement in placements:
+def _fig11_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..experiments.fig11 import run_fig11
 
-        def unit(ctx: UnitContext, placement=placement):
-            from ..experiments.fig11 import run_fig11
-
-            return run_fig11(placement, variants=variants)
-
-        units.append((f"fig11:{placement}", unit))
-    names = [name for name, _ in units]
+    names, units = _sweep(
+        "fig11",
+        [("localized",), ("dispersed",)],
+        "{}",
+        lambda placement: run_fig11(placement, variants=variants),
+    )
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        rows = []
-        for placement, name in zip(placements, names):
-            stats = results.get(name)
-            if stats is None:
-                continue
-            for s in stats:
-                rows.append(
-                    [placement, s.variant, s.n_as, s.n_attack_ases,
-                     s.red_links, round(s.bot_concentration_top_10pct, 3)]
-                )
+        rows = [
+            [placement, s.variant, s.n_as, s.n_attack_ases, s.red_links,
+             round(s.bot_concentration_top_10pct, 3)]
+            for (placement,), stats in _done(results, names).items()
+            for s in stats
+        ]
         return FigureOutput(
             ["placement", "variant", "ASes", "attack ASes", "red links",
              "bot concentration"],
             rows,
-            _missing(results, names),
+            _missing(results, names.values()),
         )
 
     return FigureJob("fig11", units, finalize)
@@ -364,72 +326,60 @@ def _fig11_job(settings: FunctionalSettings, variants: Tuple[str, ...]) -> Figur
 # internet-scale figures
 # ----------------------------------------------------------------------
 def _internet_job(
-    figure: str, placement: str, variants: Tuple[str, ...]
+    figure: str, placement: str, settings: FunctionalSettings,
+    variants: Variants,
 ) -> FigureJob:
     from ..experiments.fig13 import InternetRunSettings
 
     iset = InternetRunSettings()
-    units: List[Tuple[str, UnitFn]] = []
-    for variant in variants:
-        for label, strategy, s_max in iset.strategies:
+    runs = {
+        label: (strategy, s_max) for label, strategy, s_max in iset.strategies
+    }
 
-            def unit(
-                ctx: UnitContext,
-                variant=variant,
-                label=label,
-                strategy=strategy,
-                s_max=s_max,
-            ):
-                from ..inet.scenarios import build_internet_scenario
-                from ..inet.simulator import FluidSimulator
-                from ..sanitize import install_sanitizer
+    def unit(ctx: UnitContext, variant: str, label: str):
+        from ..inet.scenarios import build_internet_scenario
+        from ..inet.simulator import FluidSimulator
+        from ..sanitize import install_sanitizer
 
-                scenario = build_internet_scenario(
-                    variant=variant,
-                    placement=placement,
-                    n_as=iset.n_as,
-                    n_legit_sources=iset.n_legit_sources,
-                    n_legit_ases=iset.n_legit_ases,
-                    n_bots=iset.n_bots,
-                    target_capacity=iset.target_capacity,
-                    seed=iset.seed,
-                    build_flow_links=False,
-                )
-                sim = FluidSimulator(
-                    scenario, strategy=strategy, s_max=s_max, seed=iset.seed
-                )
-                install_sanitizer(sim, ctx.sanitize)
-                return sim.run(ticks=iset.ticks, warmup=iset.warmup)
+        strategy, s_max = runs[label]
+        scenario = build_internet_scenario(
+            variant=variant,
+            placement=placement,
+            n_as=iset.n_as,
+            n_legit_sources=iset.n_legit_sources,
+            n_legit_ases=iset.n_legit_ases,
+            n_bots=iset.n_bots,
+            target_capacity=iset.target_capacity,
+            seed=iset.seed,
+            build_flow_links=False,
+        )
+        sim = FluidSimulator(
+            scenario, strategy=strategy, s_max=s_max, seed=iset.seed
+        )
+        install_sanitizer(sim, ctx.sanitize)
+        return sim.run(ticks=iset.ticks, warmup=iset.warmup)
 
-            units.append((f"{figure}:{variant}:{label}", unit))
-    names = [name for name, _ in units]
-    keys = [
-        (variant, label)
+    names = {
+        (variant, label): f"{figure}:{variant}:{label}"
         for variant in variants
-        for label, _, _ in iset.strategies
+        for label in runs
+    }
+    units: List[Tuple[str, UnitFn]] = [
+        (name, partial(unit, variant=variant, label=label))
+        for (variant, label), name in names.items()
     ]
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        rows = []
-        for (variant, label), name in sorted(zip(keys, names)):
-            r = results.get(name)
-            if r is None:
-                continue
-            rows.append(
-                (
-                    variant,
-                    label,
-                    r.shares["legit_in_legit"],
-                    r.shares["legit_in_attack"],
-                    r.shares["attack"],
-                    r.utilization,
-                )
-            )
+        rows = [
+            (variant, label, r.shares["legit_in_legit"],
+             r.shares["legit_in_attack"], r.shares["attack"], r.utilization)
+            for (variant, label), r in sorted(_done(results, names).items())
+        ]
         return FigureOutput(
             ["variant", "strategy", "legit-legit", "legit-attack", "attack",
              "util"],
             rows,
-            _missing(results, names),
+            _missing(results, names.values()),
         )
 
     return FigureJob(figure, units, finalize)
@@ -438,48 +388,32 @@ def _internet_job(
 # ----------------------------------------------------------------------
 # faults study
 # ----------------------------------------------------------------------
-def _faults_job(settings: FunctionalSettings) -> FigureJob:
-    from ..experiments.robustness_faults import FLUID_STRATEGIES, PACKET_SCHEMES
+def _faults_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..experiments.robustness_faults import (
+        run_fluid_faults,
+        run_packet_faults,
+    )
 
-    units: List[Tuple[str, UnitFn]] = []
-    for scheme in PACKET_SCHEMES:
-
-        def unit(ctx: UnitContext, scheme=scheme):
-            from ..experiments.robustness_faults import run_packet_faults
-
-            return run_packet_faults(settings, (scheme,))[0]
-
-        units.append((f"faults:packet:{scheme}", unit))
-    for strategy in FLUID_STRATEGIES:
-
-        def unit(ctx: UnitContext, strategy=strategy):
-            from ..experiments.robustness_faults import run_fluid_faults
-
-            return run_fluid_faults(settings, (strategy,))[0]
-
-        units.append((f"faults:fluid:{strategy}", unit))
-    names = [name for name, _ in units]
+    runners = {"packet": run_packet_faults, "fluid": run_fluid_faults}
+    # a stateful defense against stateless bases, on each simulator
+    names, units = _sweep(
+        "faults",
+        [("packet", s) for s in ("floc", "fairshare", "droptail")]
+        + [("fluid", s) for s in ("floc", "nd")],
+        "{}:{}",
+        lambda simulator, scheme: runners[simulator](settings, scheme),
+    )
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        rows = []
-        for name in names:
-            entry = results.get(name)
-            if entry is None:
-                continue
-            rows.append(
-                [
-                    entry.simulator,
-                    entry.scheme,
-                    round(entry.pre, 4),
-                    round(entry.during, 4),
-                    round(entry.post, 4),
-                    round(entry.recovery_ratio, 3),
-                ]
-            )
+        rows = [
+            [e.simulator, e.scheme, round(e.pre, 4), round(e.during, 4),
+             round(e.post, 4), round(e.recovery_ratio, 3)]
+            for e in _done(results, names).values()
+        ]
         return FigureOutput(
             ["simulator", "scheme", "pre", "during", "post", "recovery"],
             rows,
-            _missing(results, names),
+            _missing(results, names.values()),
         )
 
     return FigureJob("faults", units, finalize)
@@ -488,6 +422,47 @@ def _faults_job(settings: FunctionalSettings) -> FigureJob:
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
+class Figure(NamedTuple):
+    """A reproducible figure: its one-line title and its job builder."""
+
+    title: str
+    build: Callable[[FunctionalSettings, Variants], FigureJob]
+
+
+#: Every figure ``repro run`` reproduces.  ``repro list``, the choices
+#: of ``repro run``, the printed tables' titles and
+#: :func:`build_figure_job` all read this table.
+FIGURES: Dict[str, Figure] = {
+    "fig02": Figure("packet service vs drop rate at a congested link",
+                    _fig02_job),
+    "fig03": Figure("packet-size distribution (synthetic trace)", _fig03_job),
+    "fig04": Figure("TCP window synchronisation and token consumption",
+                    _fig04_job),
+    "fig06": Figure("attack confinement (tcp/cbr/shrew), per-path bandwidth",
+                    _fig06_job),
+    "fig07": Figure("robustness CDFs across schemes and attack strengths",
+                    _fig07_job),
+    "fig08": Figure("differential bandwidth guarantees vs attack rate",
+                    _fig08_job),
+    "fig09": Figure("legitimate-path aggregation", _fig09_job),
+    "fig10": Figure("covert attacks vs per-bot fanout", _fig10_job),
+    "fig11": Figure(
+        "internet-scale topology statistics (localized/dispersed)",
+        _fig11_job,
+    ),
+    "fig13": Figure("internet-scale bandwidth shares, localized attacks",
+                    partial(_internet_job, "fig13", "localized")),
+    "fig14": Figure("internet-scale bandwidth shares, dispersed attacks",
+                    partial(_internet_job, "fig14", "dispersed")),
+    "fig15": Figure("internet-scale bandwidth shares, separated placement",
+                    partial(_internet_job, "fig15", "separated")),
+    "faults": Figure(
+        "graceful degradation under router restart + link faults",
+        _faults_job,
+    ),
+}
+
+
 def build_figure_job(
     figure: str,
     settings: FunctionalSettings,
@@ -499,27 +474,13 @@ def build_figure_job(
     install the sanitizer via their experiment entry points; internet
     figures install it per simulator).
     """
-    builders: Dict[str, Callable[[], FigureJob]] = {
-        "fig02": lambda: _fig02_job(settings),
-        "fig03": lambda: _fig03_job(settings),
-        "fig04": lambda: _fig04_job(settings),
-        "fig06": lambda: _fig06_job(settings),
-        "fig07": lambda: _fig07_job(settings),
-        "fig08": lambda: _fig08_job(settings),
-        "fig09": lambda: _fig09_job(settings),
-        "fig10": lambda: _fig10_job(settings),
-        "fig11": lambda: _fig11_job(settings, variants),
-        "fig13": lambda: _internet_job("fig13", "localized", variants),
-        "fig14": lambda: _internet_job("fig14", "dispersed", variants),
-        "fig15": lambda: _internet_job("fig15", "separated", variants),
-        "faults": lambda: _faults_job(settings),
-    }
     try:
-        job = builders[figure]()
+        build = FIGURES[figure].build
     except KeyError:
         raise ConfigError(
-            f"unknown figure {figure!r}; choose one of {sorted(builders)}"
+            f"unknown figure {figure!r}; choose one of {sorted(FIGURES)}"
         ) from None
+    job = build(settings, variants)
     # the fingerprint excludes `sanitize`: invariant checking observes a
     # run without changing its numbers, so checkpoints stay compatible
     job.fingerprint = {

@@ -1,18 +1,24 @@
 """FIG-7: robustness CDFs across schemes and attack strengths."""
 
+from types import SimpleNamespace
+
 from repro.analysis.cdf import percentile
 from repro.experiments.common import mean
-from repro.experiments.fig07 import run_fig07
+from repro.experiments.fig07 import run_fig07, run_fig07_reference
 
 from . import SETTINGS
 
 
 def test_fig07_robustness():
-    result = run_fig07(
-        SETTINGS,
-        schemes=("floc", "pushback", "redpd"),
-        attack_rates_mbps=(0.5, 2.0, 4.0),
+    samples = {
+        (scheme, rate): run_fig07(SETTINGS, scheme, rate)
+        for scheme in ("floc", "pushback", "redpd")
+        for rate in (0.5, 2.0, 4.0)
+    }
+    samples[("red-noattack", 0.0)], ideal_flow_mbps = run_fig07_reference(
+        SETTINGS
     )
+    result = SimpleNamespace(samples=samples, ideal_flow_mbps=ideal_flow_mbps)
 
     def series(scheme):
         return {

@@ -8,11 +8,15 @@ RATES = (0.2, 0.8, 2.0, 4.0)
 
 
 def test_fig08_differential():
-    result = run_fig08(SETTINGS, attack_rates_mbps=RATES, s_max=25)
+    breakdowns = {
+        (scheme, r): run_fig08(SETTINGS, scheme, r, s_max=25)
+        for scheme in ("floc", "pushback", "redpd")
+        for r in RATES
+    }
 
-    floc = {r: result.breakdowns[("floc", r)] for r in RATES}
-    push = {r: result.breakdowns[("pushback", r)] for r in RATES}
-    redpd = {r: result.breakdowns[("redpd", r)] for r in RATES}
+    floc = {r: breakdowns[("floc", r)] for r in RATES}
+    push = {r: breakdowns[("pushback", r)] for r in RATES}
+    redpd = {r: breakdowns[("redpd", r)] for r in RATES}
 
     # paper shape 1: FLoc keeps the legitimate-path share high (the paper
     # reports > 80% ~ 21/25 shares) at every attack rate

@@ -8,10 +8,16 @@ FANOUTS = (1, 4, 10)
 
 
 def test_fig10_covert():
-    result = run_fig10(SETTINGS, fanouts=FANOUTS, n_max=2)
+    breakdowns = {
+        (scheme, f): run_fig10(
+            SETTINGS, scheme, f, per_flow_rate_mbps=0.2, n_max=2
+        )
+        for scheme in ("floc", "pushback", "redpd")
+        for f in FANOUTS
+    }
 
-    floc = {f: result.breakdowns[("floc", f)] for f in FANOUTS}
-    redpd = {f: result.breakdowns[("redpd", f)] for f in FANOUTS}
+    floc = {f: breakdowns[("floc", f)] for f in FANOUTS}
+    redpd = {f: breakdowns[("redpd", f)] for f in FANOUTS}
 
     # paper shape 1: under FLoc the attack share stays capped as fanout
     # grows — a bot's flows collapse into n_max accounting units

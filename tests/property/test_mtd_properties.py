@@ -158,6 +158,15 @@ class TestWindowCountEquivalence:
         ],
         horizon=5,
     )
+    # a count at tick 2 that trails the newest record (tick 6) by 4:
+    # the records at 3 and 6, after the query's tick, count too (3, not 1)
+    @example(
+        ops=[
+            ("drop", 0, 0, 1), ("drop", 3, 0, 1), ("drop", 3, 0, 1),
+            ("count", 0, 4, 5),
+        ],
+        horizon=60,
+    )
     def test_matches_brute_force(self, ops, horizon):
         tracker = FlowDropTracker(horizon=horizon)
         reference = _RescanTracker(horizon)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
+from repro.runner.figures import FIGURES
 
 
 class TestParser:
