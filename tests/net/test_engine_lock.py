@@ -13,6 +13,12 @@ refused on every tick: the exact tracker, the sketch backend under a
 64-path budget, and the Section V-B drop filter.  Their digests also
 cover the router's drop causes, each unit's retained drop count and each
 path's identification streaks.
+
+:data:`BASELINE_PINNED` holds each default baseline of
+:func:`repro.experiments.common.make_policy` on the same CBR tree over
+2,000 ticks, long enough for RED's early drops, RED-PD's monitoring,
+Pushback's limiters and CDF-PSP's trained profile to act.  Their digests
+also cover each baseline's own counters (:func:`baseline_state`).
 """
 
 import hashlib
@@ -21,6 +27,7 @@ import json
 import pytest
 
 from repro import FLocConfig, FLocPolicy, build_tree_scenario
+from repro.experiments.common import FunctionalSettings, make_policy
 from repro.net.policy import DropTailPolicy
 
 PINNED = {
@@ -79,6 +86,28 @@ LONG_PINNED = {
 }
 
 
+BASELINE_PINNED = {
+    "cdfpsp": (
+        "5cb1a3824b152649ec3354f89fd6c337d65d3c9538bf0118c4a0721c4eb749d9"
+    ),
+    "fairshare": (
+        "fd9faf3f566249b8b09742ad7f485e6475a6c24b0849354d7bdbea8322374495"
+    ),
+    "pushback": (
+        "baadb15413089ac8ae5c86723de81880cf7840562d7c8c278eaae0f16993b909"
+    ),
+    "randomdrop": (
+        "7516ad17e9152e795c9b5f3af070153050b2ddd93b24bf2d181587de995928aa"
+    ),
+    "red": (
+        "e5bab17af0d5376296c105680a7445268a617dec1196e920607bfe507810ab7a"
+    ),
+    "redpd": (
+        "fbf8822194f213b1bafc0ad1b729c6db9b892916c617ac2bed9fd04cc56b3bd5"
+    ),
+}
+
+
 def run_digest(attack_kind: str, policy_name: str, ticks: int = 300) -> str:
     policy = (
         DropTailPolicy() if policy_name == "droptail" else FLocPolicy(FLocConfig())
@@ -106,6 +135,33 @@ def router_state(policy: FLocPolicy) -> dict:
     }
 
 
+def baseline_state(policy) -> dict:
+    """A baseline's own counters and the state that drives its drops."""
+    state = {}
+    red = getattr(policy, "queue", policy)  # Pushback queues through RED
+    if hasattr(red, "early_drops"):
+        state["red"] = [red.forced_drops, red.early_drops, red.avg]
+    if hasattr(policy, "prefilter_drops"):  # RED-PD
+        state["redpd"] = [
+            policy.prefilter_drops,
+            sorted((repr(k), m.drop_prob) for k, m in policy.monitored.items()),
+        ]
+    if hasattr(policy, "limiter_drops"):  # Pushback
+        state["pushback"] = [
+            policy.limiter_drops,
+            sorted((repr(k), lim.rate) for k, lim in policy.limiters.items()),
+        ]
+    if hasattr(policy, "low_priority_drops"):  # FairShare, CDF-PSP
+        state["low_priority_drops"] = policy.low_priority_drops
+    if hasattr(policy, "fair_rate"):
+        state["fair_rate"] = policy.fair_rate
+    if hasattr(policy, "history"):  # CDF-PSP's trained profile
+        state["history"] = sorted(
+            (repr(k), rate) for k, rate in policy.history.items()
+        )
+    return state
+
+
 def _digest(attack_kind: str, policy, ticks: int, with_router: bool) -> str:
     scenario = build_tree_scenario(
         scale_factor=0.03, attack_kind=attack_kind, seed=3
@@ -126,7 +182,11 @@ def _digest(attack_kind: str, policy, ticks: int, with_router: bool) -> str:
         ],
     }
     if with_router:
-        payload["router"] = router_state(policy)
+        payload["router"] = (
+            router_state(policy)
+            if isinstance(policy, FLocPolicy)
+            else baseline_state(policy)
+        )
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -141,3 +201,10 @@ def test_long_floc_run_digest_unchanged(variant):
     policy = FLocPolicy(LONG_CONFIGS[variant])
     digest = _digest("cbr", policy, 2000, with_router=True)
     assert digest == LONG_PINNED[variant]
+
+
+@pytest.mark.parametrize("scheme", sorted(BASELINE_PINNED))
+def test_baseline_run_digest_unchanged(scheme):
+    policy = make_policy(scheme, FunctionalSettings())
+    digest = _digest("cbr", policy, 2000, with_router=True)
+    assert digest == BASELINE_PINNED[scheme]
