@@ -27,28 +27,23 @@ from typing import Dict, Hashable, Optional
 from ..net.packet import DATA, Packet
 from ..net.policy import LinkPolicy
 
+#: EWMA weight folding an interval's rate into the history
+HISTORY_WEIGHT = 0.05
+#: tolerated burst factor above the historical rate
+HEADROOM = 1.2
+#: queue occupancy (fraction of the buffer) below which low-priority
+#: packets are serviced
+IDLE_FRACTION = 0.05
+#: ticks per rate-measurement interval
+INTERVAL_TICKS = 20
+
 
 class CdfPspPolicy(LinkPolicy):
     """History-conformance priority admission."""
 
-    def __init__(
-        self,
-        training_ticks: int = 300,
-        history_weight: float = 0.05,
-        headroom: float = 1.2,
-        idle_fraction: float = 0.05,
-        interval_ticks: int = 20,
-    ) -> None:
+    def __init__(self, training_ticks: int = 300) -> None:
         #: length of the attack-free learning phase
         self.training_ticks = training_ticks
-        #: EWMA weight folding an interval's rate into the history
-        self.history_weight = history_weight
-        #: tolerated burst factor above the historical rate
-        self.headroom = headroom
-        #: queue occupancy (fraction of buffer) below which low-priority
-        #: packets are serviced
-        self.idle_fraction = idle_fraction
-        self.interval_ticks = interval_ticks
         self.history: Dict[Hashable, float] = {}
         self._interval_counts: Dict[Hashable, int] = {}
         self._credits: Dict[Hashable, float] = {}
@@ -66,14 +61,14 @@ class CdfPspPolicy(LinkPolicy):
 
     def on_tick(self, tick: int) -> None:
         if self._next_interval is None:
-            self._next_interval = tick + self.interval_ticks
+            self._next_interval = tick + INTERVAL_TICKS
         if tick >= self._next_interval:
             self._rollover(tick)
-            self._next_interval = tick + self.interval_ticks
+            self._next_interval = tick + INTERVAL_TICKS
         # replenish high-priority credit at the learned historical rate
         if tick > self.training_ticks:
             for agg, rate in self.history.items():
-                allowance = rate * self.headroom
+                allowance = rate * HEADROOM
                 credit = self._credits.get(agg, allowance) + allowance
                 self._credits[agg] = min(credit, 2.0 * max(1.0, allowance))
 
@@ -83,7 +78,7 @@ class CdfPspPolicy(LinkPolicy):
         # load into the profile would launder the attack into "history"
         congested = len(self.link.queue) > 0.3 * self._buffer
         for agg, count in self._interval_counts.items():
-            rate = count / self.interval_ticks
+            rate = count / INTERVAL_TICKS
             if learning:
                 previous = self.history.get(agg)
                 if previous is None:
@@ -92,7 +87,7 @@ class CdfPspPolicy(LinkPolicy):
                     self.history[agg] = previous + 0.5 * (rate - previous)
             elif not congested:
                 previous = self.history.get(agg, 0.0)
-                self.history[agg] = previous + self.history_weight * (
+                self.history[agg] = previous + HISTORY_WEIGHT * (
                     rate - previous
                 )
         self._interval_counts.clear()
@@ -113,7 +108,7 @@ class CdfPspPolicy(LinkPolicy):
             self._credits[agg] = credit - 1.0
             return True
         # non-conformant: serviced only when the link is near idle
-        if len(self.link.queue) <= self.idle_fraction * self._buffer:
+        if len(self.link.queue) <= IDLE_FRACTION * self._buffer:
             return True
         self.low_priority_drops += 1
         return False

@@ -25,31 +25,27 @@ from typing import Dict, Optional
 from ..net.packet import DATA, Packet
 from ..net.policy import LinkPolicy
 
+#: queue occupancy (fraction of the buffer) below which the link counts
+#: as idle, so normal priority packets are serviced too
+IDLE_FRACTION = 0.05
+
 
 class FairSharePolicy(LinkPolicy):
     """Oracle per-flow fairness with priority for legitimate traffic."""
 
-    def __init__(
-        self,
-        idle_fraction: float = 0.05,
-        fair_rate: Optional[float] = None,
-    ) -> None:
-        #: queue occupancy below which the link counts as idle (normal
-        #: priority packets are then serviced too)
-        self.idle_fraction = idle_fraction
-        #: per-flow fair rate in packets/tick; derived at attach time from
-        #: the engine flow table when not given
-        self.fair_rate = fair_rate
+    def __init__(self) -> None:
+        #: per-flow fair rate in packets/tick, derived at attach time
+        #: from the engine flow table
+        self.fair_rate: Optional[float] = None
         self._credits: Dict[int, float] = {}
         self.low_priority_drops = 0
 
     def attach(self, link, engine) -> None:
         super().attach(link, engine)
         self._buffer = link.buffer if link.buffer is not None else 1000
-        if self.fair_rate is None:
-            n_flows = max(1, len(engine.flows))
-            capacity = link.capacity if link.capacity is not None else 1.0
-            self.fair_rate = capacity / n_flows
+        n_flows = max(1, len(engine.flows))
+        capacity = link.capacity if link.capacity is not None else 1.0
+        self.fair_rate = capacity / n_flows
 
     def on_tick(self, tick: int) -> None:
         # replenish attack flows' high-priority credit at the fair rate
@@ -72,7 +68,7 @@ class FairSharePolicy(LinkPolicy):
             return True  # within fair share: high priority
         self._credits[pkt.flow_id] = credit
         # normal priority: serviced only when the link is close to idle
-        if len(self.link.queue) <= self.idle_fraction * self._buffer:
+        if len(self.link.queue) <= IDLE_FRACTION * self._buffer:
             return True
         self.low_priority_drops += 1
         return False

@@ -28,6 +28,15 @@ from ..net.packet import DATA, Packet
 from ..net.policy import LinkPolicy
 from .red import RedPolicy
 
+#: interval drop rate above which the link counts as congested
+DROP_RATE_TRIGGER = 0.10
+#: share of capacity the limited arrival rate is brought down to
+TARGET_UTILIZATION = 0.95
+#: most aggregates limited at once
+MAX_AGGREGATES = 8
+#: well-behaved intervals after which an aggregate's limiter is released
+RELEASE_INTERVALS = 5
+
 
 class _RateLimiter:
     """Leaky-bucket limiter for one aggregate."""
@@ -53,22 +62,11 @@ class PushbackPolicy(LinkPolicy):
     """Aggregate congestion control with optional upstream pushback."""
 
     def __init__(
-        self,
-        interval_ticks: int = 100,
-        drop_rate_trigger: float = 0.10,
-        target_utilization: float = 0.95,
-        max_aggregates: int = 8,
-        release_intervals: int = 5,
-        propagate: bool = False,
-        queue: Optional[RedPolicy] = None,
+        self, interval_ticks: int = 100, propagate: bool = False
     ) -> None:
         self.interval_ticks = interval_ticks
-        self.drop_rate_trigger = drop_rate_trigger
-        self.target_utilization = target_utilization
-        self.max_aggregates = max_aggregates
-        self.release_intervals = release_intervals
         self.propagate = propagate
-        self.queue = queue or RedPolicy()
+        self.queue = RedPolicy()
         self.limiters: Dict[Hashable, _RateLimiter] = {}
         self._arrivals: Dict[Hashable, int] = {}
         self._interval_drops = 0
@@ -104,18 +102,18 @@ class PushbackPolicy(LinkPolicy):
         drops = self._interval_drops
         serviced = max(1, self._interval_serviced)
         drop_rate = drops / (drops + serviced)
-        congested = drop_rate > self.drop_rate_trigger
+        congested = drop_rate > DROP_RATE_TRIGGER
 
         if congested and total_arr > 0:
             # identify: heaviest aggregates whose removal restores the
             # target utilization
-            target_rate = self.capacity * self.target_utilization
+            target_rate = self.capacity * TARGET_UTILIZATION
             arrival_rate = total_arr / self.interval_ticks
             excess = arrival_rate - target_rate
             by_load = sorted(
                 self._arrivals.items(), key=lambda kv: kv[1], reverse=True
             )
-            chosen = by_load[: self.max_aggregates]
+            chosen = by_load[:MAX_AGGREGATES]
             chosen_rate = sum(v for _, v in chosen) / self.interval_ticks
             if chosen and excess > 0:
                 # each chosen aggregate is limited to its share of what
@@ -135,7 +133,7 @@ class PushbackPolicy(LinkPolicy):
             arrivals = self._arrivals.get(agg, 0) / self.interval_ticks
             if not congested or arrivals < limiter.rate * 0.9:
                 limiter.idle_intervals += 1
-                if limiter.idle_intervals >= self.release_intervals:
+                if limiter.idle_intervals >= RELEASE_INTERVALS:
                     stale.append(agg)
             else:
                 limiter.idle_intervals = 0

@@ -3,8 +3,8 @@
 Classic RED (Floyd & Jacobson 1993): an EWMA of the queue length drives a
 drop probability that rises linearly between ``min_th`` and ``max_th``;
 the inter-drop spacing correction (``count``) makes drops roughly uniform.
-The "gentle" variant ramps the probability from ``max_p`` to 1 between
-``max_th`` and ``2 * max_th`` instead of jumping to 1.
+This is the "gentle" variant: the probability ramps from ``MAX_P`` to 1
+between ``max_th`` and ``2 * max_th`` instead of jumping to 1.
 
 RED gives the paper's no-attack fairness reference (Fig. 7) — it
 de-synchronises TCP flows and shares bandwidth reasonably — but it has no
@@ -19,29 +19,23 @@ from typing import Optional
 from ..net.packet import DATA, Packet
 from ..net.policy import LinkPolicy
 
+#: the drop probability at ``max_th``
+MAX_P = 0.10
+#: EWMA weight of the instantaneous queue length in the average
+WEIGHT = 0.002
+
 
 class RedPolicy(LinkPolicy):
-    """RED admission control.
+    """Gentle RED admission control.
 
-    Thresholds default to fractions of the link buffer: ``min_th = 20 %``,
-    ``max_th = 60 %``.
+    The thresholds are fractions of the link buffer, set at attach time:
+    ``min_th = 20 %``, ``max_th = 60 %``.
     """
 
-    def __init__(
-        self,
-        min_th: Optional[float] = None,
-        max_th: Optional[float] = None,
-        max_p: float = 0.10,
-        weight: float = 0.002,
-        gentle: bool = True,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        self.min_th = min_th
-        self.max_th = max_th
-        self.max_p = max_p
-        self.weight = weight
-        self.gentle = gentle
-        self._rng = rng
+    def __init__(self) -> None:
+        self.min_th: Optional[float] = None
+        self.max_th: Optional[float] = None
+        self._rng: Optional[random.Random] = None
         self.avg = 0.0
         self._count = -1
         self.forced_drops = 0
@@ -50,25 +44,22 @@ class RedPolicy(LinkPolicy):
     def attach(self, link, engine) -> None:
         super().attach(link, engine)
         buffer = link.buffer if link.buffer is not None else 1000
-        if self.min_th is None:
-            self.min_th = 0.2 * buffer
-        if self.max_th is None:
-            self.max_th = 0.6 * buffer
-        if self._rng is None:
-            self._rng = engine.spawn_rng("red")
+        self.min_th = 0.2 * buffer
+        self.max_th = 0.6 * buffer
+        self._rng = engine.spawn_rng("red")
 
     def admit(self, pkt: Packet, tick: int) -> bool:
         if pkt.kind != DATA:
             return True
         q = len(self.link.queue)
-        self.avg += self.weight * (q - self.avg)
+        self.avg += WEIGHT * (q - self.avg)
         avg = self.avg
         if avg < self.min_th:
             self._count = -1
             return True
         if avg < self.max_th:
             self._count += 1
-            p_b = self.max_p * (avg - self.min_th) / (self.max_th - self.min_th)
+            p_b = MAX_P * (avg - self.min_th) / (self.max_th - self.min_th)
             denom = 1.0 - self._count * p_b
             p_a = p_b / denom if denom > 0 else 1.0
             if self._rng.random() < p_a:
@@ -76,9 +67,9 @@ class RedPolicy(LinkPolicy):
                 self.early_drops += 1
                 return False
             return True
-        if self.gentle and avg < 2.0 * self.max_th:
+        if avg < 2.0 * self.max_th:
             self._count += 1
-            p_b = self.max_p + (1.0 - self.max_p) * (avg - self.max_th) / self.max_th
+            p_b = MAX_P + (1.0 - MAX_P) * (avg - self.max_th) / self.max_th
             if self._rng.random() < p_b:
                 self._count = 0
                 self.forced_drops += 1

@@ -3,12 +3,14 @@
 A per-flow flooding defense built entirely from the router's *drop
 history* (so, like FLoc, it keeps no state for conformant flows):
 
-* recent drops are kept in ``history_lists`` consecutive time intervals;
-* a flow appearing in at least ``identify_lists`` of them is *monitored*;
+* recent drops are kept in ``HISTORY_LISTS`` consecutive time intervals;
+* a flow appearing in at least ``IDENTIFY_LISTS`` of them is *monitored*;
 * monitored flows pass a pre-filter that drops their packets with a
-  per-flow probability ``p_f`` before they reach the RED queue;
-* each interval, ``p_f`` is increased while the flow keeps taking RED
-  drops (still sending above the target rate) and decreased when its
+  per-flow probability ``p_f`` (first ``INITIAL_DROP_PROB``) before they
+  reach the RED queue;
+* each interval, ``p_f`` rises by ``PROB_STEP`` (up to
+  ``MAX_DROP_PROB``) while the flow keeps taking RED drops (still
+  sending above the target rate) and falls by ``PROB_STEP`` when its
   pre-filter sees traffic but the flow stays drop-free; flows whose
   ``p_f`` decays to zero are released.
 
@@ -28,6 +30,17 @@ from typing import Dict, Hashable, Optional
 from ..net.packet import DATA, Packet
 from .red import RedPolicy
 
+#: drop-history intervals kept
+HISTORY_LISTS = 5
+#: intervals of the history a flow must appear in to be monitored
+IDENTIFY_LISTS = 3
+#: a newly monitored flow's pre-filter drop probability
+INITIAL_DROP_PROB = 0.05
+#: per-interval change of a monitored flow's drop probability
+PROB_STEP = 0.05
+#: cap on the pre-filter drop probability
+MAX_DROP_PROB = 0.95
+
 
 class _MonitoredFlow:
     __slots__ = ("drop_prob", "drops_this_interval", "arrivals_this_interval")
@@ -41,24 +54,10 @@ class _MonitoredFlow:
 class RedPdPolicy(RedPolicy):
     """RED plus drop-history-driven per-flow preferential dropping."""
 
-    def __init__(
-        self,
-        interval_ticks: int = 50,
-        history_lists: int = 5,
-        identify_lists: int = 3,
-        initial_drop_prob: float = 0.05,
-        prob_step: float = 0.05,
-        max_drop_prob: float = 0.95,
-        **red_kwargs,
-    ) -> None:
-        super().__init__(**red_kwargs)
+    def __init__(self, interval_ticks: int = 50) -> None:
+        super().__init__()
         self.interval_ticks = interval_ticks
-        self.history_lists = history_lists
-        self.identify_lists = identify_lists
-        self.initial_drop_prob = initial_drop_prob
-        self.prob_step = prob_step
-        self.max_drop_prob = max_drop_prob
-        self._history: deque = deque(maxlen=history_lists)  # deque of sets
+        self._history: deque = deque(maxlen=HISTORY_LISTS)  # deque of sets
         self._current_list: set = set()
         self.monitored: Dict[Hashable, _MonitoredFlow] = {}
         self._next_interval: Optional[int] = None
@@ -75,23 +74,21 @@ class RedPdPolicy(RedPolicy):
     def _rotate(self, tick: int) -> None:
         self._history.append(self._current_list)
         self._current_list = set()
-        # identification: flows present in >= identify_lists of the history
+        # identification: flows present in >= IDENTIFY_LISTS of the history
         counts: Dict[Hashable, int] = {}
         for interval_set in self._history:
             for key in interval_set:
                 counts[key] = counts.get(key, 0) + 1
         for key, hits in counts.items():
-            if hits >= self.identify_lists and key not in self.monitored:
-                self.monitored[key] = _MonitoredFlow(self.initial_drop_prob)
+            if hits >= IDENTIFY_LISTS and key not in self.monitored:
+                self.monitored[key] = _MonitoredFlow(INITIAL_DROP_PROB)
         # adaptation and release
         released = []
         for key, mon in self.monitored.items():
             if mon.drops_this_interval > 0:
-                mon.drop_prob = min(
-                    self.max_drop_prob, mon.drop_prob + self.prob_step
-                )
+                mon.drop_prob = min(MAX_DROP_PROB, mon.drop_prob + PROB_STEP)
             elif mon.arrivals_this_interval > 0:
-                mon.drop_prob -= self.prob_step
+                mon.drop_prob -= PROB_STEP
                 if mon.drop_prob <= 0.0:
                     released.append(key)
             mon.drops_this_interval = 0

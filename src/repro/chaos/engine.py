@@ -47,7 +47,6 @@ class ChaosOptions:
     seed: int = 0
     campaigns: int = 3
     simulator: str = "both"  # "packet" | "fluid" | "both"
-    include_silent: bool = False
     slo: Optional[SloSpec] = None  # None = per-simulator default catalog
     shrink: bool = True
     max_shrink_trials: int = 64
@@ -55,8 +54,6 @@ class ChaosOptions:
     #: Extra state-exhaustion campaigns (path-churn flood vs a bounded
     #: memory budget) appended after the sampled ones; 0 = none.
     exhaustion: int = 0
-    #: Router state backend for the exhaustion campaigns.
-    state_backend: str = "sketch"
     #: Hard per-router path budget for the exhaustion campaigns; None
     #: leaves the backend's default hot-tier size in charge.
     max_tracked_paths: Optional[int] = None
@@ -197,7 +194,6 @@ def chaos_tasks(options: ChaosOptions) -> List[CampaignJob]:
                 index,
                 simulator=options.simulator,
                 slo=options.slo,
-                include_silent=options.include_silent,
             ),
         )
         for index in range(options.campaigns)
@@ -209,7 +205,6 @@ def chaos_tasks(options: ChaosOptions) -> List[CampaignJob]:
                 options.seed,
                 index,
                 slo=options.slo,
-                state_backend=options.state_backend,
                 max_tracked_paths=options.max_tracked_paths,
             ),
         )
@@ -234,13 +229,17 @@ def chaos_fingerprint(options: ChaosOptions) -> Dict[str, Any]:
         "seed": options.seed,
         "campaigns": options.campaigns,
         "simulator": options.simulator,
-        "include_silent": options.include_silent,
+        # constant since sweeps always leave silent faults out; kept so
+        # existing checkpoint stores still resume
+        "include_silent": False,
     }
     if options.exhaustion:
         # keyed in only when requested so pre-existing sweep checkpoints
         # keep their fingerprints
         fingerprint["exhaustion"] = options.exhaustion
-        fingerprint["state_backend"] = options.state_backend
+        # exhaustion sweeps always run the sketch backend; kept so
+        # existing checkpoint stores still resume
+        fingerprint["state_backend"] = "sketch"
         fingerprint["max_tracked_paths"] = options.max_tracked_paths
     return fingerprint
 

@@ -44,8 +44,8 @@ FLUID_FAULT_KINDS = ("router_restart", "link_degrade", "counter_corruption")
 WINDOWED_FAULT_KINDS = ("link_flap", "link_degrade")
 
 #: Silent-corruption kinds: they never recover by themselves, so the
-#: default sample space excludes them (the sanitizer-clean SLO would be
-#: violated by construction); ``include_silent=True`` opts back in.
+#: sampler leaves them out (the sanitizer-clean SLO would be violated by
+#: construction); a hand-built :class:`CampaignSpec` may still hold one.
 SILENT_FAULT_KINDS = ("counter_corruption",)
 
 #: Attacker squad kinds on the packet engine.  ``churn-flood`` is the
@@ -431,15 +431,16 @@ def _sample_faults(
     rng: random.Random,
     simulator: str,
     shape: Dict[str, int],
-    include_silent: bool,
 ) -> Tuple[FaultSpec, ...]:
     warmup = shape["warmup_ticks"]
     window = shape["window_ticks"]
-    kinds = list(
-        PACKET_FAULT_KINDS if simulator == "packet" else FLUID_FAULT_KINDS
-    )
-    if not include_silent:
-        kinds = [k for k in kinds if k not in SILENT_FAULT_KINDS]
+    kinds = [
+        k
+        for k in (
+            PACKET_FAULT_KINDS if simulator == "packet" else FLUID_FAULT_KINDS
+        )
+        if k not in SILENT_FAULT_KINDS
+    ]
     n_faults = rng.randint(1, 2)
     faults: List[FaultSpec] = []
     # fault ticks stay inside [warmup + window, warmup + (n-4)*window] so
@@ -509,17 +510,14 @@ def sample_campaign(
     index: int,
     simulator: str = "both",
     slo: Optional[SloSpec] = None,
-    include_silent: bool = False,
 ) -> CampaignSpec:
     """Sample campaign ``index`` of a sweep, deterministically from
     ``seed``.
 
     ``simulator`` may be ``"packet"``, ``"fluid"``, or ``"both"`` (the
     backend is then itself a sampled choice, packet-biased).  ``slo``
-    overrides the per-simulator default catalog; ``include_silent`` adds
-    the silent-corruption fault kinds to the sample space (campaigns
-    containing one are *expected* to fail the sanitizer-clean SLO and
-    shrink down to exactly that fault).
+    overrides the per-simulator default catalog.  The silent-corruption
+    fault kinds are never sampled.
     """
     if simulator not in SIMULATORS + ("both",):
         raise ConfigError(
@@ -538,7 +536,7 @@ def sample_campaign(
         warmup_ticks=shape["warmup_ticks"],
         window_ticks=shape["window_ticks"],
         n_windows=shape["n_windows"],
-        faults=_sample_faults(rng, backend, shape, include_silent),
+        faults=_sample_faults(rng, backend, shape),
         attackers=_sample_attackers(rng, backend, shape),
         slo=slo if slo is not None else default_slo(backend),
     )

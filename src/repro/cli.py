@@ -345,7 +345,7 @@ def _run_figures(args) -> int:
     with _supervision(
         args, store, plan,
         sanitize=settings.sanitize,
-        retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
+        retry=RetryPolicy(max_retries=1, seed=args.seed),
     ) as run:
         run.report = run_fleet(
             tasks, run.store, run.fleet,
@@ -460,27 +460,22 @@ def _chaos(args) -> int:
         return 0 if outcome.ok else 1
 
     slo = None
-    if args.floor is not None or args.epsilon is not None or args.sanitize:
+    if args.floor is not None or args.sanitize:
         # per-simulator default catalogs diverge only in the floor, so a
         # single override catalog (packet default base) covers both
         simulator = args.simulator if args.simulator != "both" else "packet"
         slo = default_slo(
-            simulator,
-            floor=args.floor,
-            epsilon=args.epsilon,
-            sanitize=args.sanitize or None,
+            simulator, floor=args.floor, sanitize=args.sanitize or None
         )
     options = ChaosOptions(
         seed=args.seed,
         campaigns=args.campaigns,
         simulator=args.simulator,
-        include_silent=args.include_silent,
         slo=slo,
         shrink=not args.no_shrink,
         max_shrink_trials=args.max_shrink_trials,
         artifact_dir=args.artifact_dir,
         exhaustion=args.exhaustion,
-        state_backend=args.state_backend,
         max_tracked_paths=args.max_paths,
     )
     store = CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None
@@ -659,10 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock watchdog deadline for the whole run (all "
              "figures together, with or without --workers)",
     )
-    run.add_argument(
-        "--retries", type=int, metavar="N", default=1,
-        help="max retries per unit for transient failures (default 1)",
-    )
     _add_heartbeat(run)
     _add_observation(run)
 
@@ -682,25 +673,16 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--simulator", choices=("packet", "fluid", "both"),
                        default="both",
                        help="simulator backend ('both' samples per campaign)")
-    chaos.add_argument("--include-silent", action="store_true",
-                       help="include silent-corruption faults in the sample "
-                            "space (these are expected sanitizer violations)")
     chaos.add_argument("--floor", type=float, default=None,
                        help="override the legitimate-share floor SLO")
-    chaos.add_argument("--epsilon", type=float, default=None,
-                       help="override the recovery-SLO tolerance")
     chaos.add_argument("--sanitize", choices=("off", "strict", "record"),
                        default=None,
                        help="override the sanitizer SLO mode "
                             "(default: strict)")
     chaos.add_argument("--exhaustion", type=int, default=0, metavar="N",
                        help="append N state-exhaustion campaigns (path-churn "
-                            "flood vs a bounded memory budget, judged by the "
-                            "bounded_state SLO)")
-    chaos.add_argument("--state-backend", choices=("exact", "sketch"),
-                       default="sketch",
-                       help="router state backend for --exhaustion "
-                            "campaigns (default: sketch)")
+                            "flood vs the sketch backend's bounded memory "
+                            "budget, judged by the bounded_state SLO)")
     chaos.add_argument("--max-paths", type=int, default=None, metavar="N",
                        help="hard per-router tracked-path budget for "
                             "--exhaustion campaigns")

@@ -29,7 +29,8 @@ class PathTokenBucket:
     """Token bucket for one path identifier / aggregation group.
 
     The bucket operates in ticks.  ``use_increased`` selects between the
-    congested-mode size ``N'`` and the flooding-mode size ``N``.
+    congested-mode size ``N'`` (the initial one) and the flooding-mode
+    size ``N``.
     """
 
     __slots__ = (
@@ -54,9 +55,8 @@ class PathTokenBucket:
         rtt: float,
         n_flows: float,
         now: int = 0,
-        use_increased: bool = True,
     ) -> None:
-        self.use_increased = use_increased
+        self.use_increased = True
         self.drops_this_period = 0
         self.last_period_drops = 0
         self.requests_total = 0

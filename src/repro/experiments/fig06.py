@@ -47,15 +47,14 @@ class Fig06Result:
 
 
 def run_fig06(
-    attack_kind: str,
-    settings: FunctionalSettings = FunctionalSettings(),
-    attack_rate_mbps: float = 2.0,
+    attack_kind: str, settings: FunctionalSettings = FunctionalSettings()
 ) -> Fig06Result:
-    """Run one confinement experiment (``attack_kind`` in tcp/cbr/shrew)."""
+    """Run one confinement experiment (``attack_kind`` in tcp/cbr/shrew)
+    at 2.0 Mbps per attack source."""
     scenario = build_tree_scenario(
         scale_factor=settings.scale,
         attack_kind=attack_kind,
-        attack_rate_mbps=attack_rate_mbps,
+        attack_rate_mbps=2.0,
         seed=settings.seed,
         start_spread_seconds=1.0,
     )

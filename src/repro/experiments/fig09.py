@@ -53,15 +53,13 @@ class Fig09Result:
 
 def run_fig09(
     settings: FunctionalSettings = FunctionalSettings(),
-    small_domain_sources: int = 15,
-    s_max: int = 25,
-    buffer_fraction: float = 0.3,
 ) -> Fig09Result:
     """Run the uneven-population scenario with aggregation on and off.
 
-    ``buffer_fraction`` shrinks the target-link buffer so the flood keeps
-    the router in flooding mode part of the time, where the per-path
-    buckets bind (see module docstring).
+    Every third uncontaminated leaf hosts 15 legitimate sources, and FLoc
+    runs with ``s_max = 25``.  The target-link buffer shrinks to 30 % so
+    the flood keeps the router in flooding mode part of the time, where
+    the per-path buckets bind (see module docstring).
     """
     probe = build_tree_scenario(scale_factor=settings.scale, attack_kind="cbr")
     attack_leaf_pids = set(probe.attack_path_ids)
@@ -69,7 +67,7 @@ def run_fig09(
         i for i, pid in enumerate(probe.path_ids) if pid not in attack_leaf_pids
     ]
     overrides: Dict[int, int] = {
-        i: small_domain_sources for i in legit_leaf_indices[::3]
+        i: 15 for i in legit_leaf_indices[::3]
     }
     small_pids = {probe.path_ids[i] for i in overrides}
 
@@ -84,8 +82,8 @@ def run_fig09(
             legit_count_overrides=overrides,
         )
         link = scenario.topology.link(*scenario.target)
-        link.buffer = max(30, int(link.buffer * buffer_fraction))
-        cfg = FLocConfig(s_max=s_max, legitimate_aggregation=legit_agg)
+        link.buffer = max(30, int(link.buffer * 0.3))
+        cfg = FLocConfig(s_max=25, legitimate_aggregation=legit_agg)
         run = run_breakdown(scenario, "floc", settings, floc_config=cfg)
         legit_leaf_flows = [
             f

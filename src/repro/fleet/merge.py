@@ -15,9 +15,9 @@ order would hold:
 * ``Counter`` — piece values sum.
 * ``Gauge`` — last writer wins; a piece that never touched the gauge
   leaves the running value alone, exactly like a unit that never set it.
-* ``LabeledCounter`` / ``BinnedCounter`` — per-label/bin sums, label
-  insertion order = first-seen in canonical order (serial insertion
-  order), which matters because ``metrics.json`` preserves it.
+* ``LabeledCounter`` — per-label sums, label insertion order =
+  first-seen in canonical order (serial insertion order), which matters
+  because ``metrics.json`` preserves it.
 * ``LabeledGauge`` — per-label last-write-wins: these hold absolute
   engine scrapes, so the later piece replaces, never sums.
 * ``RingSeries`` — replay pieces' surviving samples in order into a
@@ -41,7 +41,6 @@ from ..errors import ConfigError
 from ..telemetry import NullTelemetry, Telemetry
 from ..telemetry.events import TraceLog
 from ..telemetry.registry import (
-    BinnedCounter,
     Counter,
     Gauge,
     Histogram,
@@ -79,11 +78,6 @@ def _merge_metric(out: Metric, piece: Metric) -> None:
         out.value += piece.value
     elif isinstance(piece, Gauge) and isinstance(out, Gauge):
         out.value = piece.value
-    elif isinstance(piece, BinnedCounter) and isinstance(out, BinnedCounter):
-        for category, bins in piece.items():
-            merged = out.setdefault(category, {})
-            for bin_index, count in bins.items():
-                merged[bin_index] = merged.get(bin_index, 0) + count
     elif isinstance(piece, LabeledGauge) and isinstance(out, LabeledGauge):
         # absolute per-label scrape: later piece's value replaces,
         # first-seen label order still matches serial insertion order
@@ -155,16 +149,7 @@ def merge_telemetry(pieces: Sequence[NullTelemetry]) -> NullTelemetry:
     modes = {p.mode for p in enabled}
     if len(modes) > 1:
         raise ConfigError(f"cannot merge telemetry across modes {sorted(modes)}")
-    first = enabled[0]
-    max_events = max(
-        (p.trace.max_events for p in enabled if p.trace is not None),
-        default=100_000,
-    )
-    merged = Telemetry(
-        mode=first.mode,
-        max_events=max_events,
-        sample_interval_ticks=first.sample_interval_ticks,
-    )
+    merged = Telemetry(mode=enabled[0].mode)
     merge_registries(merged.registry, [p.registry for p in enabled])
     if merged.trace is not None:
         _merge_traces(merged.trace, [p.trace for p in enabled])

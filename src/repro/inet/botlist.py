@@ -41,13 +41,12 @@ class BotPlacement:
         return sum(counts[:top]) / max(1, self.total_bots)
 
 
-def heavy_tailed_populations(
-    n_as: int, rng: random.Random, alpha: float = 1.2
-) -> List[float]:
-    """Zipf-like AS population weights (GeoLite-style heavy tail)."""
+def heavy_tailed_populations(n_as: int, rng: random.Random) -> List[float]:
+    """Zipf-like AS population weights (GeoLite-style heavy tail,
+    exponent 1.2)."""
     ranks = list(range(1, n_as + 1))
     rng.shuffle(ranks)
-    return [1.0 / (rank ** alpha) for rank in ranks]
+    return [1.0 / (rank ** 1.2) for rank in ranks]
 
 
 def place_bots(
@@ -55,14 +54,12 @@ def place_bots(
     n_bots: int,
     n_attack_ases: int,
     rng: random.Random,
-    core_fraction: float = 0.95,
-    core_as_fraction: float = 0.10,
 ) -> BotPlacement:
     """Distribute ``n_bots`` over ``n_attack_ases`` contaminated ASes.
 
-    A ``core_as_fraction`` of the attack ASes (at least one) receives
-    ``core_fraction`` of the bots Zipf-style; the rest are spread thinly —
-    matching CBL's extreme concentration.
+    A core of 10 % of the attack ASes (at least one) receives 95 % of the
+    bots Zipf-style; the rest are spread thinly — matching CBL's extreme
+    concentration.
     """
     if n_attack_ases < 1:
         raise ConfigError(f"n_attack_ases must be >= 1, got {n_attack_ases}")
@@ -72,11 +69,11 @@ def place_bots(
             f"{len(candidate_ases)} candidates"
         )
     attack_ases = rng.sample(list(candidate_ases), n_attack_ases)
-    n_core = max(1, round(core_as_fraction * n_attack_ases))
+    n_core = max(1, round(0.10 * n_attack_ases))
     core, fringe = attack_ases[:n_core], attack_ases[n_core:]
 
     bots_per_as: Dict[int, int] = {asn: 0 for asn in attack_ases}
-    core_bots = round(core_fraction * n_bots) if fringe else n_bots
+    core_bots = round(0.95 * n_bots) if fringe else n_bots
     weights = [1.0 / (i + 1) for i in range(len(core))]
     total_w = sum(weights)
     assigned = 0

@@ -69,7 +69,6 @@ class FlowInfo:
         reverse_route: Tuple[Hashable, ...],
         path_id: Tuple[int, ...],
         is_attack: bool,
-        source: Optional["TrafficSource"] = None,
     ) -> None:
         self.flow_id = flow_id
         self.src_host = src_host
@@ -78,7 +77,7 @@ class FlowInfo:
         self.reverse_route = reverse_route
         self.path_id = path_id
         self.is_attack = is_attack
-        self.source = source
+        self.source: Optional["TrafficSource"] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "attack" if self.is_attack else "legit"
@@ -228,13 +227,13 @@ class Engine:
         dst_host: Hashable,
         path_id: Tuple[int, ...],
         route: Optional[Sequence[Hashable]] = None,
-        reverse_route: Optional[Sequence[Hashable]] = None,
         is_attack: bool = False,
     ) -> FlowInfo:
         """Register a flow and return its :class:`FlowInfo`.
 
         ``path_id`` is the FLoc domain-path identifier, origin AS first.
-        Routes default to the topology's shortest paths.
+        The forward route defaults to the topology's shortest path; the
+        reverse route (ACKs) is always the shortest path back.
         """
         if route is None:
             route = self.topology.shortest_route(src_host, dst_host)
@@ -251,8 +250,7 @@ class Engine:
                 f"flow {src_host!r} -> {dst_host!r} has a degenerate "
                 f"single-node route; source and destination must differ"
             )
-        if reverse_route is None:
-            reverse_route = self.topology.shortest_route(dst_host, src_host)
+        reverse_route = self.topology.shortest_route(dst_host, src_host)
         flow_id = self._next_flow_id
         self._next_flow_id += 1
         info = FlowInfo(
@@ -760,9 +758,10 @@ class Engine:
         self,
         flow: FlowInfo,
         route: Optional[Sequence[Hashable]] = None,
-        reverse_route: Optional[Sequence[Hashable]] = None,
     ) -> None:
-        """Re-path a flow mid-run (defaults to current shortest routes).
+        """Re-path a flow mid-run (the forward route defaults to the
+        current shortest path; the reverse route is always the shortest
+        path back).
 
         Packets already in flight keep the old route; only subsequent
         emissions follow the new one.  The flow keeps its ``path_id`` — the
@@ -773,11 +772,8 @@ class Engine:
             route = self.topology.shortest_route(flow.src_host, flow.dst_host)
         else:
             self.topology.validate_route(list(route))
-        if reverse_route is None:
-            reverse_route = self.topology.shortest_route(
-                flow.dst_host, flow.src_host
-            )
-        else:
-            self.topology.validate_route(list(reverse_route))
+        reverse_route = self.topology.shortest_route(
+            flow.dst_host, flow.src_host
+        )
         flow.route = tuple(route)
         flow.reverse_route = tuple(reverse_route)

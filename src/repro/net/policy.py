@@ -132,13 +132,11 @@ class RandomDropPolicy(LinkPolicy):
     arrivals rather than strictly from the tail.
     """
 
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self._rng = rng
+    _rng: Optional[random.Random] = None
 
     def attach(self, link: "Link", engine: "Engine") -> None:
         super().attach(link, engine)
-        if self._rng is None:
-            self._rng = engine.spawn_rng("random-drop")
+        self._rng = engine.spawn_rng("random-drop")
 
     def pending_drop_cause(self) -> Optional[str]:
         return "random"

@@ -105,12 +105,10 @@ class _ManifestLock:
         path: str,
         timeout_seconds: float = 30.0,
         stale_seconds: float = 10.0,
-        poll_seconds: float = 0.005,
     ) -> None:
         self.path = path
         self.timeout_seconds = timeout_seconds
         self.stale_seconds = stale_seconds
-        self.poll_seconds = poll_seconds
 
     def __enter__(self) -> "_ManifestLock":
         deadline = time.monotonic() + self.timeout_seconds
@@ -126,7 +124,7 @@ class _ManifestLock:
                         f"writer is wedged or the directory is shared too "
                         f"widely"
                     )
-                time.sleep(self.poll_seconds)
+                time.sleep(0.005)
                 continue
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(str(os.getpid()))

@@ -470,6 +470,9 @@ def build_figure_job(
 ) -> FigureJob:
     """Build the unit-decomposed job for one figure.
 
+    Every name in ``variants`` must be a skitter-map variant
+    (:data:`repro.inet.skitter.VARIANTS`), whatever the figure, so a
+    misspelt one is refused before any task runs.
     ``settings.sanitize`` propagates into every unit (functional figures
     install the sanitizer via their experiment entry points; internet
     figures install it per simulator).
@@ -480,6 +483,13 @@ def build_figure_job(
         raise ConfigError(
             f"unknown figure {figure!r}; choose one of {sorted(FIGURES)}"
         ) from None
+    from ..inet.skitter import VARIANTS
+
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise ConfigError(
+            f"unknown variant(s) {unknown}; choose from {sorted(VARIANTS)}"
+        )
     job = build(settings, variants)
     # the fingerprint excludes `sanitize`: invariant checking observes a
     # run without changing its numbers, so checkpoints stay compatible

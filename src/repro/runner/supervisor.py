@@ -23,7 +23,7 @@ import math
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import (
     ConfigError,
@@ -116,8 +116,7 @@ class GracefulShutdown:
     Previous handlers are restored on exit.
     """
 
-    def __init__(self, signals: Sequence[int] = (signal.SIGTERM, signal.SIGINT)) -> None:
-        self.signals = tuple(signals)
+    def __init__(self) -> None:
         self.requested = False
         self._previous: Dict[int, Any] = {}
 
@@ -125,7 +124,7 @@ class GracefulShutdown:
         self.requested = True
 
     def __enter__(self) -> "GracefulShutdown":
-        for signum in self.signals:
+        for signum in (signal.SIGTERM, signal.SIGINT):
             try:
                 self._previous[signum] = signal.signal(signum, self._handler)
             except ValueError:

@@ -400,10 +400,9 @@ class FluidSanitizer(_BaseSanitizer):
             _check_plan(self, plan, tick)
 
 
-def install_sanitizer(
-    host, mode: Optional[str], check_interval: int = 1
-):
-    """Install the right sanitizer flavour on ``host`` and return it.
+def install_sanitizer(host, mode: Optional[str]):
+    """Install the right sanitizer flavour on ``host``, checking every
+    tick, and return it.
 
     ``host`` is a packet :class:`~repro.net.engine.Engine` or a
     :class:`~repro.inet.simulator.FluidSimulator`; ``mode`` is ``"strict"``
@@ -414,5 +413,5 @@ def install_sanitizer(
     if mode is None or mode == "off":
         return None
     if hasattr(host, "topology"):
-        return EngineSanitizer(mode, check_interval).install(host)
-    return FluidSanitizer(mode, check_interval).install(host)
+        return EngineSanitizer(mode).install(host)
+    return FluidSanitizer(mode).install(host)

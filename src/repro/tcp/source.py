@@ -177,9 +177,9 @@ class TcpSource(TrafficSource):
     # ------------------------------------------------------------------
     # congestion control internals
     # ------------------------------------------------------------------
-    def rtt_estimate(self, default: float = 10.0) -> float:
-        """Smoothed RTT in ticks (``default`` before the first sample)."""
-        return self.srtt if self.srtt is not None else default
+    def rtt_estimate(self) -> float:
+        """Smoothed RTT in ticks (10.0 before the first sample)."""
+        return self.srtt if self.srtt is not None else 10.0
 
     def _rtt_sample(self, sample: float) -> None:
         if self.srtt is None:

@@ -20,6 +20,11 @@ from ..net.topology import Topology
 from .source import TcpSource
 from . import model
 
+#: bottleneck capacity, packets/tick
+CAPACITY = 10.0
+#: routers on every flow's path; the bottleneck leaves the first
+HOPS = 3
+
 
 @dataclass
 class ValidationPoint:
@@ -52,27 +57,25 @@ class ValidationPoint:
 
 def run_validation_point(
     n_flows: int,
-    capacity: float = 10.0,
-    hops: int = 3,
-    buffer_factor: float = 1.0,
     warmup_ticks: int = 800,
     measure_ticks: int = 2_000,
     seed: int = 1,
 ) -> ValidationPoint:
     """Run ``n_flows`` persistent TCP flows through one drop-tail bottleneck.
 
-    The bottleneck buffer defaults to one bandwidth-delay product
-    (``buffer_factor = 1.0``), the regime the analytic model describes.
+    The bottleneck (``CAPACITY`` packets/tick, the first of ``HOPS``
+    routers) buffers one bandwidth-delay product, the regime the analytic
+    model describes.
     """
     topo = Topology()
-    nodes = [f"r{i}" for i in range(hops)] + ["srv"]
+    nodes = [f"r{i}" for i in range(HOPS)] + ["srv"]
     for i in range(n_flows):
         topo.add_duplex_link(f"h{i}", nodes[0], capacity=None)
     for a, b in zip(nodes, nodes[1:]):
         topo.add_duplex_link(a, b, capacity=None)
-    rtt = 2.0 * (hops + 1)
-    buffer = max(8, int(buffer_factor * capacity * rtt))
-    topo.add_link(nodes[0], nodes[1], capacity=capacity, buffer=buffer)
+    rtt = 2.0 * (HOPS + 1)
+    buffer = max(8, int(CAPACITY * rtt))
+    topo.add_link(nodes[0], nodes[1], capacity=CAPACITY, buffer=buffer)
 
     engine = Engine(topo, seed=seed)
     for i in range(n_flows):
@@ -89,7 +92,7 @@ def run_validation_point(
 
     # model operating point: n flows fairly share the *measured* service
     # rate at the effective RTT (propagation + standing queue delay)
-    queue_delay = len(topo.link(nodes[0], nodes[1]).queue) / capacity
+    queue_delay = len(topo.link(nodes[0], nodes[1]).queue) / CAPACITY
     effective_rtt = rtt + queue_delay
     w = model.peak_window(max(measured_rate, 1e-9), effective_rtt, n_flows)
     model_drops = model.drop_rate(measured_rate, w)
@@ -101,7 +104,7 @@ def run_validation_point(
     )
     return ValidationPoint(
         n_flows=n_flows,
-        capacity=capacity,
+        capacity=CAPACITY,
         rtt_ticks=rtt,
         measured_rate=measured_rate,
         measured_drop_rate=measured_drops,
@@ -111,12 +114,7 @@ def run_validation_point(
 
 
 def run_validation_sweep(
-    flow_counts=(4, 8, 16, 32),
-    capacity: float = 10.0,
-    seed: int = 1,
+    flow_counts=(4, 8, 16, 32), seed: int = 1
 ) -> List[ValidationPoint]:
     """Validation points across flow counts (drop rates spanning decades)."""
-    return [
-        run_validation_point(n, capacity=capacity, seed=seed)
-        for n in flow_counts
-    ]
+    return [run_validation_point(n, seed=seed) for n in flow_counts]

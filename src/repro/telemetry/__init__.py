@@ -136,24 +136,14 @@ class NullTelemetry:
 class Telemetry(NullTelemetry):
     """Enabled telemetry facade shared by both simulators."""
 
-    def __init__(
-        self,
-        mode: str = "metrics",
-        max_events: int = 100_000,
-        sample_interval_ticks: int = 16,
-    ) -> None:
+    def __init__(self, mode: str = "metrics") -> None:
         super().__init__()
         if mode not in MODES:
             raise ConfigError(f"telemetry mode must be one of {MODES}, got {mode!r}")
-        if sample_interval_ticks <= 0:
-            raise ConfigError(
-                f"sample_interval_ticks must be > 0, got {sample_interval_ticks}"
-            )
         self.mode = mode
         self.enabled = True
         self.trace_enabled = mode == "trace"
-        self.trace = TraceLog(max_events) if self.trace_enabled else None
-        self.sample_interval_ticks = sample_interval_ticks
+        self.trace = TraceLog() if self.trace_enabled else None
 
     # -- event / metric entry points ------------------------------------
     def emit_event(self, tick: int, kind: str, subsystem: str, **data: Any) -> None:

@@ -10,12 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..errors import ConfigError
 from . import NullTelemetry
 from .registry import (
-    BinnedCounter,
     Counter,
     Gauge,
     Histogram,
@@ -109,11 +108,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             if last is not None:
                 lines.append(f"# TYPE {name} gauge")
                 lines.append(f"{name} {float(last[1]):g}")
-        elif isinstance(metric, BinnedCounter):
-            lines.append(f"# TYPE {name} counter")
-            for category in sorted(metric, key=repr):
-                total = float(sum(metric[category].values()))
-                lines.append(f'{name}{{category="{category}"}} {total:g}')
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -10,10 +10,15 @@ self-describing: a reader — human or FLC004 — can tell
 All primitives are plain picklable containers keyed by simulation tick,
 never wall clock, so a registry travels inside a task's telemetry piece
 (stored with its unit, shipped back from a spawn worker) and folds the
-same wherever the task ran.  :class:`LabeledCounter` and
-:class:`BinnedCounter` subclass :class:`dict` on purpose: the monitor
-classes in :mod:`repro.net.engine` expose them where plain dicts used to
-live, and equality/iteration/pickling must stay bit-identical.
+same wherever the task ran.  :class:`LabeledCounter` subclasses
+:class:`dict` on purpose: the monitor classes in :mod:`repro.net.engine`
+expose it where plain dicts used to live, and equality/iteration/pickling
+must stay bit-identical.
+
+:class:`BinnedCounter` and :class:`TickSeries` are monitor containers
+(:class:`~repro.analysis.timeseries.CategorySeriesMonitor` and
+:class:`~repro.net.engine.LinkMonitor`), not metrics: no registry holds
+them.
 """
 
 from __future__ import annotations
@@ -150,17 +155,9 @@ class BinnedCounter(Dict[Hashable, Dict[int, int]]):
     historical public shape, so this too subclasses :class:`dict`.
     """
 
-    kind = "binned"
-
-    def observe(self, category: Hashable, bin_index: int, amount: int = 1) -> None:
+    def observe(self, category: Hashable, bin_index: int) -> None:
         bins = self.setdefault(category, {})
-        bins[bin_index] = bins.get(bin_index, 0) + amount
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        return {
-            str(category): {str(b): float(n) for b, n in sorted(bins.items())}
-            for category, bins in self.items()
-        }
+        bins[bin_index] = bins.get(bin_index, 0) + 1
 
 
 class TickSeries(List[Tuple[int, int]]):
@@ -173,8 +170,6 @@ class TickSeries(List[Tuple[int, int]]):
     Subclasses :class:`list` so ``monitor.series`` remains list-equal to
     the tuples tests expect.
     """
-
-    kind = "tick_series"
 
     def __init__(self, points: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         super().__init__(points or ())
@@ -203,9 +198,6 @@ class TickSeries(List[Tuple[int, int]]):
             self.append((self._pending_tick, self._pending_value))
             self._pending_tick = -1
             self._pending_value = 0
-
-    def snapshot(self) -> List[List[float]]:
-        return [[float(t), float(v)] for t, v in self]
 
     def __reduce__(
         self,
@@ -308,8 +300,6 @@ Metric = Union[
     Gauge,
     LabeledCounter[Hashable],
     LabeledGauge[Hashable],
-    BinnedCounter,
-    TickSeries,
     RingSeries,
     Histogram,
 ]
@@ -372,11 +362,6 @@ class MetricsRegistry:
         assert isinstance(metric, LabeledGauge)
         return metric
 
-    def binned(self, name: str) -> BinnedCounter:
-        metric = self._bind(name, "binned", BinnedCounter())
-        assert isinstance(metric, BinnedCounter)
-        return metric
-
     def series(self, name: str, capacity: int = 4096) -> RingSeries:
         metric = self._bind(name, "series", RingSeries(capacity))
         assert isinstance(metric, RingSeries)
@@ -390,7 +375,7 @@ class MetricsRegistry:
         return metric
 
     def adopt(self, name: str, metric: Metric) -> Metric:
-        """Register an externally owned metric (e.g. a monitor's series)."""
+        """Register an externally built metric (a merge's fresh copy)."""
         return self._bind(name, metric.kind, metric)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:

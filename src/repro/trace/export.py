@@ -124,9 +124,11 @@ def _bar(fraction: float, width: int) -> str:
 #: per-process row budget: the lane keeps the longest spans and sums
 #: the rest
 MAX_LANE_ROWS = 12
+#: columns of a timeline bar
+TIMELINE_WIDTH = 72
 
 
-def ascii_timeline(trace: MergedTrace, width: int = 72) -> str:
+def ascii_timeline(trace: MergedTrace) -> str:
     """A proportional per-process lane view of the top-level spans."""
     if not trace.spans:
         return "(empty trace)\n"
@@ -134,6 +136,7 @@ def ascii_timeline(trace: MergedTrace, width: int = 72) -> str:
     t1 = max(s.end for s in trace.spans)
     total = max(t1 - t0, 1e-9)
     ids = {s.span_id for s in trace.spans}
+    width = TIMELINE_WIDTH
     lines: List[str] = [
         f"timeline  {total:.3f}s  ({len(trace.spans)} spans, "
         f"{len(_proc_order(trace))} procs)"
@@ -174,7 +177,7 @@ def ascii_timeline(trace: MergedTrace, width: int = 72) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(trace: MergedTrace, width: int = 72) -> str:
+def render_report(trace: MergedTrace) -> str:
     """The full span report ``repro report`` prints: analysis + timeline."""
     analysis: TraceAnalysis = analyze(trace)
     lines: List[str] = []
@@ -213,5 +216,5 @@ def render_report(trace: MergedTrace, width: int = 72) -> str:
             f"{span.duration:.3f}s"
         )
     lines.append("")
-    lines.append(ascii_timeline(trace, width=width))
+    lines.append(ascii_timeline(trace))
     return "\n".join(lines)

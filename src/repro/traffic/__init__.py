@@ -21,7 +21,7 @@ The "high-population TCP attack" is simply many
 of the above attached.
 """
 
-from .base import TrafficSource
+from ..net.source import TrafficSource
 from .cbr import CbrSource
 from .shrew import ShrewSource
 from .covert import CovertSource

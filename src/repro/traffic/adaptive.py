@@ -60,8 +60,16 @@ def _check_mutations(mutations: Sequence[str], allowed: Tuple[str, ...]) -> Tupl
 
 
 class _AdaptationMixin:
-    """Shared marked-detection state: ack-ratio over adaptation windows."""
+    """Shared marked-detection state: ack-ratio over adaptation windows.
 
+    Listed before the source class it extends, so its ``on_tick`` and
+    ``on_ack`` wrap the source's own.
+    """
+
+    flow: FlowInfo
+    packets_sent: int
+    mutations: Tuple[str, ...]
+    rate_bounds: Tuple[float, float]
     adapt_interval: int
     loss_threshold: float
     adaptations: int
@@ -69,6 +77,18 @@ class _AdaptationMixin:
     _window_sent: int
     _window_acked: int
     _next_adapt: int
+
+    def _set_rate_bounds(
+        self, rate_bounds: Optional[Tuple[float, float]], rate: float
+    ) -> None:
+        if rate_bounds is None:
+            rate_bounds = (0.5 * rate, 2.0 * rate)
+        lo, hi = rate_bounds
+        if not 0.0 < lo <= hi:
+            raise ConfigError(
+                f"rate_bounds must satisfy 0 < lo <= hi, got {rate_bounds}"
+            )
+        self.rate_bounds = (float(lo), float(hi))
 
     def _init_adaptation(
         self, adapt_interval: int, loss_threshold: float
@@ -89,10 +109,27 @@ class _AdaptationMixin:
         self._window_acked = 0
         self._next_adapt = adapt_interval
 
-    def _adaptation_rng(self, engine: Engine, flow_id: int) -> random.Random:
+    def on_tick(self, engine: Engine, tick: int) -> None:
+        if self.mutations and tick >= self._next_adapt:
+            self._maybe_adapt(engine, tick)
+        before = self.packets_sent
+        super().on_tick(engine, tick)
+        self._window_sent += self.packets_sent - before
+
+    def on_ack(
+        self, engine: Engine, flow: FlowInfo, pkt: Packet, tick: int
+    ) -> None:
+        self._window_acked += 1
+
+    def _maybe_adapt(self, engine: Engine, tick: int) -> None:
         if self._rng is None:
-            self._rng = engine.spawn_rng(f"adaptive-{flow_id}")
-        return self._rng
+            self._rng = engine.spawn_rng(f"adaptive-{self.flow.flow_id}")
+        if self._marked():
+            self._mutate(self._rng)
+            self.adaptations += 1
+        self._window_sent = 0
+        self._window_acked = 0
+        self._next_adapt = tick + self.adapt_interval
 
     def _marked(self) -> bool:
         """The bot's own view of being throttled: ack ratio collapsed."""
@@ -101,7 +138,7 @@ class _AdaptationMixin:
         return self._window_acked < self.loss_threshold * self._window_sent
 
 
-class AdaptiveCbrSource(CbrSource, _AdaptationMixin):
+class AdaptiveCbrSource(_AdaptationMixin, CbrSource):
     """A flooding bot that mutates once its goodput collapses.
 
     Mutations (any subset of :data:`CBR_MUTATIONS`):
@@ -138,14 +175,7 @@ class AdaptiveCbrSource(CbrSource, _AdaptationMixin):
             handshake=handshake,
         )
         self.mutations = _check_mutations(mutations, CBR_MUTATIONS)
-        if rate_bounds is None:
-            rate_bounds = (0.5 * rate, 2.0 * rate)
-        lo, hi = rate_bounds
-        if not 0.0 < lo <= hi:
-            raise ConfigError(
-                f"rate_bounds must satisfy 0 < lo <= hi, got {rate_bounds}"
-            )
-        self.rate_bounds = (float(lo), float(hi))
+        self._set_rate_bounds(rate_bounds, rate)
         self.path_id_pool = tuple(tuple(pid) for pid in path_id_pool)
         if "churn" in self.mutations and not self.path_id_pool:
             raise ConfigError(
@@ -154,46 +184,30 @@ class AdaptiveCbrSource(CbrSource, _AdaptationMixin):
         self._pool_index = 0
         self._init_adaptation(adapt_interval, loss_threshold)
 
-    def on_tick(self, engine: Engine, tick: int) -> None:
-        if self.mutations and tick >= self._next_adapt:
-            self._maybe_adapt(engine, tick)
-        before = self.packets_sent
-        super().on_tick(engine, tick)
-        self._window_sent += self.packets_sent - before
-
-    def on_ack(
-        self, engine: Engine, flow: FlowInfo, pkt: Packet, tick: int
-    ) -> None:
-        self._window_acked += 1
-
-    def _maybe_adapt(self, engine: Engine, tick: int) -> None:
-        rng = self._adaptation_rng(engine, self.flow.flow_id)
-        if self._marked():
-            if "rerandomize" in self.mutations:
-                lo, hi = self.rate_bounds
-                self.rate = rng.uniform(lo, hi)
-            if "churn" in self.mutations:
-                self._pool_index = (self._pool_index + 1) % len(
-                    self.path_id_pool
-                )
-                self.flow.path_id = self.path_id_pool[self._pool_index]
-            self.adaptations += 1
-        self._window_sent = 0
-        self._window_acked = 0
-        self._next_adapt = tick + self.adapt_interval
+    def _mutate(self, rng: random.Random) -> None:
+        if "rerandomize" in self.mutations:
+            lo, hi = self.rate_bounds
+            self.rate = rng.uniform(lo, hi)
+        if "churn" in self.mutations:
+            self._pool_index = (self._pool_index + 1) % len(
+                self.path_id_pool
+            )
+            self.flow.path_id = self.path_id_pool[self._pool_index]
 
 
-class AdaptiveShrewSource(ShrewSource, _AdaptationMixin):
+class AdaptiveShrewSource(_AdaptationMixin, ShrewSource):
     """A Shrew burster that re-times itself once throttled.
 
     Mutations (any subset of :data:`SHREW_MUTATIONS`):
 
     * ``"rephase"`` — move the burst to a random offset within the cycle,
       breaking any detector synchronised to the old phase;
-    * ``"rerandomize"`` — re-draw the burst rate from ``rate_bounds``.
+    * ``"rerandomize"`` — re-draw the burst rate from ``rate_bounds``,
+      half to twice ``burst_rate``.
 
     Adaptation is evaluated once per cycle (``period_ticks``), on the
-    bot's own ack-ratio signal, like :class:`AdaptiveCbrSource`.
+    bot's own ack-ratio signal (marked below half its packets acked),
+    like :class:`AdaptiveCbrSource`.
     """
 
     def __init__(
@@ -203,11 +217,7 @@ class AdaptiveShrewSource(ShrewSource, _AdaptationMixin):
         period_ticks: int,
         on_ticks: int,
         mutations: Sequence[str] = (),
-        rate_bounds: Optional[Tuple[float, float]] = None,
-        loss_threshold: float = 0.5,
         phase: int = 0,
-        start_tick: int = 0,
-        stop_tick: Optional[int] = None,
         handshake: bool = True,
     ) -> None:
         super().__init__(
@@ -216,45 +226,18 @@ class AdaptiveShrewSource(ShrewSource, _AdaptationMixin):
             period_ticks=period_ticks,
             on_ticks=on_ticks,
             phase=phase,
-            start_tick=start_tick,
-            stop_tick=stop_tick,
             handshake=handshake,
         )
         self.mutations = _check_mutations(mutations, SHREW_MUTATIONS)
-        if rate_bounds is None:
-            rate_bounds = (0.5 * burst_rate, 2.0 * burst_rate)
-        lo, hi = rate_bounds
-        if not 0.0 < lo <= hi:
-            raise ConfigError(
-                f"rate_bounds must satisfy 0 < lo <= hi, got {rate_bounds}"
-            )
-        self.rate_bounds = (float(lo), float(hi))
-        self._init_adaptation(period_ticks, loss_threshold)
+        self._set_rate_bounds(None, burst_rate)
+        self._init_adaptation(period_ticks, 0.5)
 
-    def on_tick(self, engine: Engine, tick: int) -> None:
-        if self.mutations and tick >= self._next_adapt:
-            self._maybe_adapt(engine, tick)
-        before = self.packets_sent
-        super().on_tick(engine, tick)
-        self._window_sent += self.packets_sent - before
-
-    def on_ack(
-        self, engine: Engine, flow: FlowInfo, pkt: Packet, tick: int
-    ) -> None:
-        self._window_acked += 1
-
-    def _maybe_adapt(self, engine: Engine, tick: int) -> None:
-        rng = self._adaptation_rng(engine, self.flow.flow_id)
-        if self._marked():
-            if "rephase" in self.mutations:
-                self.phase = rng.randrange(self.period_ticks)
-            if "rerandomize" in self.mutations:
-                lo, hi = self.rate_bounds
-                self.burst_rate = rng.uniform(lo, hi)
-            self.adaptations += 1
-        self._window_sent = 0
-        self._window_acked = 0
-        self._next_adapt = tick + self.adapt_interval
+    def _mutate(self, rng: random.Random) -> None:
+        if "rephase" in self.mutations:
+            self.phase = rng.randrange(self.period_ticks)
+        if "rerandomize" in self.mutations:
+            lo, hi = self.rate_bounds
+            self.burst_rate = rng.uniform(lo, hi)
 
 
 class FluidRateRandomizer:

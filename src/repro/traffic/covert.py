@@ -41,7 +41,6 @@ class CovertSource(TrafficSource):
         flows: List[FlowInfo],
         per_flow_rate: float,
         start_tick: int = 0,
-        stop_tick=None,
     ) -> None:
         if not flows:
             raise ValueError("CovertSource needs at least one flow")
@@ -49,7 +48,7 @@ class CovertSource(TrafficSource):
         if len(hosts) != 1:
             raise ValueError(f"covert flows must share one source host, got {hosts}")
         self._subsources = [
-            CbrSource(flow, per_flow_rate, start_tick=start_tick, stop_tick=stop_tick)
+            CbrSource(flow, per_flow_rate, start_tick=start_tick)
             for flow in flows
         ]
         self._by_flow = {

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..net.engine import Engine, FlowInfo, LinkMonitor
+from ..net.source import TrafficSource
 from ..net.topology import Topology
 from ..tcp.source import TcpSource
 from ..units import DEFAULT_SCALE, UnitScale
-from .base import TrafficSource
 from .cbr import CbrSource
 from .covert import CovertSource
 from .shrew import ShrewSource
@@ -75,7 +75,6 @@ class TreeScenario:
         self,
         start_seconds: float = 0.0,
         stop_seconds: Optional[float] = None,
-        record_series: bool = False,
     ) -> LinkMonitor:
         """Attach a measurement monitor to the target link."""
         start = self.units.seconds_to_ticks(start_seconds) if start_seconds else 0
@@ -84,9 +83,7 @@ class TreeScenario:
             if stop_seconds is not None
             else None
         )
-        monitor = LinkMonitor(
-            start_tick=start, stop_tick=stop, record_series=record_series
-        )
+        monitor = LinkMonitor(start_tick=start, stop_tick=stop)
         return self.engine.add_monitor(ROOT, DST_HUB, monitor)
 
     def run_seconds(self, seconds: float) -> None:
@@ -108,22 +105,20 @@ def build_tree_scenario(
     scale_factor: float = 1.0,
     attack_kind: str = "cbr",
     attack_rate_mbps: float = 2.0,
-    shrew_on_fraction: float = 0.25,
     covert_fanout: int = 1,
     n_servers: int = 1,
     rolling_period_seconds: float = 2.0,
-    units: UnitScale = DEFAULT_SCALE,
     seed: int = 0,
     legit_count_overrides: Optional[Dict[int, int]] = None,
     start_spread_seconds: float = 5.0,
     attack_start_seconds: float = 0.0,
-    file_megabytes: Optional[float] = None,
     leaf_uplink_delays: Optional[Dict[int, int]] = None,
 ) -> TreeScenario:
     """Build the Section VI tree scenario.
 
-    Parameters mirror the paper's setup; see module docstring.  Notable
-    knobs:
+    Parameters mirror the paper's setup; see module docstring.  Times
+    convert to ticks at :data:`~repro.DEFAULT_SCALE.DEFAULT_SCALE`, and legitimate
+    TCP flows are persistent.  Notable knobs:
 
     attack_kind:
         ``"tcp"`` (high-population TCP attack), ``"cbr"``, ``"shrew"``,
@@ -132,16 +127,14 @@ def build_tree_scenario(
         filters — the Section II critique of remote-filter schemes), or
         ``"none"`` (no attackers at all).
     attack_rate_mbps:
-        Per-bot rate: CBR rate, Shrew *peak* rate, or covert per-flow rate.
+        Per-bot rate: CBR rate, Shrew *peak* rate (on for a quarter of
+        each base RTT), or covert per-flow rate.
     covert_fanout:
         Concurrent destinations per covert bot (paper sweeps 1..20).
     legit_count_overrides:
         Map leaf-index -> legitimate source count, for the Fig. 9
         legitimate-path-aggregation experiment (some domains get 15
         sources instead of 30).
-    file_megabytes:
-        When set, legitimate transfers are finite files of this size
-        (paper: 12 MB); default is persistent flows.
     attack_start_seconds:
         Earliest tick (in seconds) at which attack sources begin; their
         start times spread over ``start_spread_seconds`` from there.
@@ -158,7 +151,7 @@ def build_tree_scenario(
     if covert_fanout > max(1, n_servers) and attack_kind == "covert":
         n_servers = covert_fanout
 
-    capacity = units.mbps_to_pkts_per_tick(link_mbps * scale_factor)
+    capacity = DEFAULT_SCALE.mbps_to_pkts_per_tick(link_mbps * scale_factor)
     topology = Topology()
 
     # --- router tree ---------------------------------------------------
@@ -184,7 +177,7 @@ def build_tree_scenario(
     for server in servers:
         topology.add_duplex_link(DST_HUB, server, capacity=None)
 
-    engine = Engine(topology, scale=units, seed=seed)
+    engine = Engine(topology, scale=DEFAULT_SCALE, seed=seed)
     rng = engine.spawn_rng("scenario")
 
     def path_id_of(leaf: str) -> Tuple[int, ...]:
@@ -207,7 +200,7 @@ def build_tree_scenario(
     scenario = TreeScenario(
         engine=engine,
         topology=topology,
-        units=units,
+        units=DEFAULT_SCALE,
         capacity=capacity,
         base_rtt_ticks=rtt_hops,
         path_ids=path_ids,
@@ -216,10 +209,7 @@ def build_tree_scenario(
         servers=servers,
     )
 
-    spread_ticks = max(1, units.seconds_to_ticks(start_spread_seconds))
-    total_packets = (
-        units.megabytes_to_packets(file_megabytes) if file_megabytes else None
-    )
+    spread_ticks = max(1, DEFAULT_SCALE.seconds_to_ticks(start_spread_seconds))
 
     # --- legitimate sources ---------------------------------------------
     for leaf_index, leaf in enumerate(leaves):
@@ -233,11 +223,7 @@ def build_tree_scenario(
             topology.add_duplex_link(host, leaf, capacity=None)
             server = servers[i % len(servers)]
             flow = engine.open_flow(host, server, pid, is_attack=False)
-            source = TcpSource(
-                flow,
-                total_packets=total_packets,
-                start_tick=rng.randrange(spread_ticks),
-            )
+            source = TcpSource(flow, start_tick=rng.randrange(spread_ticks))
             engine.add_source(source)
             scenario.legit_flows.append(flow)
             scenario.legit_sources.append(source)
@@ -245,9 +231,9 @@ def build_tree_scenario(
     # --- attack sources ---------------------------------------------------
     if attack_kind != "none":
         bots = _scaled(bots_per_attack_leaf, scale_factor)
-        attack_rate = units.mbps_to_pkts_per_tick(attack_rate_mbps)
+        attack_rate = DEFAULT_SCALE.mbps_to_pkts_per_tick(attack_rate_mbps)
         attack_base_tick = (
-            units.seconds_to_ticks(attack_start_seconds)
+            DEFAULT_SCALE.seconds_to_ticks(attack_start_seconds)
             if attack_start_seconds
             else 0
         )
@@ -283,7 +269,7 @@ def build_tree_scenario(
                         # domain k is active during slot k of every cycle
                         period = max(
                             len(attack_leaf_names),
-                            units.seconds_to_ticks(rolling_period_seconds),
+                            DEFAULT_SCALE.seconds_to_ticks(rolling_period_seconds),
                         )
                         slot = max(1, period // len(attack_leaf_names))
                         turn = attack_leaf_names.index(leaf)
@@ -296,7 +282,7 @@ def build_tree_scenario(
                             start_tick=start,
                         )
                     else:  # shrew
-                        on_ticks = max(1, int(round(shrew_on_fraction * rtt)))
+                        on_ticks = max(1, int(round(0.25 * rtt)))
                         source = ShrewSource(
                             flow,
                             burst_rate=attack_rate,

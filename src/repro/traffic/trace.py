@@ -89,11 +89,11 @@ class PacketSizeDistribution:
                 points.append((size, index / n))
         return points
 
-    def mode_fractions(self, sizes: Sequence[int], tolerance: int = 50):
-        """Fraction of a sample within ``tolerance`` bytes of each mode."""
+    def mode_fractions(self, sizes: Sequence[int]):
+        """Fraction of a sample within 50 bytes of each mode."""
         fractions = {}
         n = len(sizes)
         for mode in self.modes:
-            hits = sum(1 for s in sizes if abs(s - mode.size) <= tolerance)
+            hits = sum(1 for s in sizes if abs(s - mode.size) <= 50)
             fractions[mode.size] = hits / n if n else 0.0
         return fractions

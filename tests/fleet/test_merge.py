@@ -105,14 +105,6 @@ class TestHistogramsAndBins:
         with pytest.raises(ConfigError):
             merge_registries(MetricsRegistry(), [a, b])
 
-    def test_binned_counters_add_nested(self):
-        a, b = regs()
-        a.binned("b_count").observe("cat", 0, 2)
-        b.binned("b_count").observe("cat", 0, 1)
-        b.binned("b_count").observe("cat", 3, 4)
-        out = merge_registries(MetricsRegistry(), [a, b])
-        assert dict(out.get("b_count")["cat"]) == {0: 3, 3: 4}
-
     def test_kind_mismatch_raises(self):
         a, b = regs()
         a.counter("m_count").inc()

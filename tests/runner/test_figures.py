@@ -98,9 +98,15 @@ class TestCli:
         assert main(["run", "fig03", "--csv", str(csv_dir)]) == 0
         assert (csv_dir / "fig03.csv").exists()
 
-    def test_failing_units_exit_nonzero(self, capsys):
-        # a bogus skitter variant makes every fig13 unit raise ConfigError
-        code = main(["run", "fig13", "--variants", "bogus-map"])
+    def test_failing_units_exit_nonzero(self, capsys, monkeypatch):
+        from repro.inet import scenarios
+
+        def broken_map(**kwargs):
+            raise ConfigError("no route tree")
+
+        # every fig13 unit builds a route tree, so every unit fails
+        monkeypatch.setattr(scenarios, "generate_route_tree", broken_map)
+        code = main(["run", "fig13"])
         assert code == 1
         err = capsys.readouterr().err
         assert "failed" in err and "ConfigError" in err

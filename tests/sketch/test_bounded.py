@@ -1,6 +1,9 @@
 """BoundedPathState: the fold/seed overflow tier behind the router."""
 
+import ast
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +136,41 @@ class TestAccounting:
         clone = pickle.loads(pickle.dumps(tier))
         lam, _, _ = clone.seed_path((1,))
         assert lam == pytest.approx(2.0)
+
+
+class TestCommittedMemoryBound:
+    """``BENCH_sketch.json``'s ``memory_mb`` per width is
+    ``BoundedPathState.memory_bytes``, a function of the geometry alone:
+    a change to how cells are stored cannot move it without the committed
+    bound moving too."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def bench_depth(self) -> int:
+        """The depth ``benchmarks/sketch_bench.py``'s accuracy arm uses."""
+        tree = ast.parse(
+            (self.ROOT / "benchmarks" / "sketch_bench.py").read_text()
+        )
+        (arm,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "accuracy_arm"
+        ]
+        (depth,) = [
+            kw.value.value
+            for node in ast.walk(arm)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "BoundedPathState"
+            for kw in node.keywords
+            if kw.arg == "depth"
+        ]
+        return depth
+
+    def test_memory_per_width_equals_the_committed_bound(self):
+        rows = json.loads(
+            (self.ROOT / "BENCH_sketch.json").read_text()
+        )["accuracy_per_budget"]
+        depth = self.bench_depth()
+        assert rows
+        for row in rows:
+            tier = BoundedPathState(row["sketch_width"], depth)
+            assert round(tier.memory_bytes / 2**20, 3) == row["memory_mb"]

@@ -40,6 +40,8 @@ KEEP = {
     "repro.traffic.scenarios:TreeScenario.legit_path_ids":
         "tests/paper/test_fig06_confinement.py: Fig. 6, every "
         "legitimate path within 0.5-2x of link/|paths|",
+    "repro.units:UnitScale.megabytes_to_packets":
+        "tests/test_units.py: the paper's 12 MB file is 8,000 packets",
     "repro.analysis.fairness:jain_index":
         "tests/paper/test_baselines_roundup.py: FLoc's legitimate rates "
         "keep a Jain index above 0.6",

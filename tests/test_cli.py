@@ -261,13 +261,25 @@ class TestScratchStore:
         assert "scratch store" not in capsys.readouterr().err
 
     def test_kept_and_named_when_it_does_not(self, tmp, capsys):
-        # a bogus skitter variant makes every fig13 unit fail
-        code = main(
-            ["run", "fig13", "--variants", "bogus-map", "--workers", "1"]
-        )
-        assert code == 1
+        # the deadline passes before the worker finishes fig03's unit
+        code = main(["run", "fig03", "--workers", "1", "--deadline", "0.01"])
+        assert code == 4
         (kept,) = tmp.glob("repro-fleet-*")
         assert f"scratch store: {kept}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figure", ["fig11", "fig13"])
+    @pytest.mark.parametrize(
+        "executor", [[], ["--workers", "1"]], ids=["in-process", "workers-1"]
+    )
+    def test_unknown_variant_is_refused_before_any_task(
+        self, tmp, capsys, figure, executor
+    ):
+        code = main(["run", figure, "--variants", "bogus-map"] + executor)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown variant(s) ['bogus-map']" in err
+        assert "[runner]" not in err  # no task was scheduled
+        assert list(tmp.glob("repro-fleet-*")) == []
 
     def test_removed_when_the_run_is_refused(self, tmp, capsys):
         assert main(["run", "fig03", "--workers", "1", "--deadline", "0"]) == 2
