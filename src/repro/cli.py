@@ -332,6 +332,9 @@ def _run_figures(args) -> int:
                 if k not in ("kind", "figure")
             }
         )
+        fingerprint["result_format"] = {
+            fig: jobs[fig].fingerprint["result_format"] for fig in figures
+        }
     tasks = [
         task
         for fig in figures

@@ -431,22 +431,16 @@ class Engine:
                     )
                 kind = pkt.kind
                 if kind == DATA or kind == SYN:
-                    # the destination host acknowledges.  Positional on
-                    # purpose: built once per delivered packet, and keyword
-                    # passing cost a fifth of a drop-tail flood's run time
-                    emit(
-                        Packet(
-                            flow.flow_id,
-                            ACK if kind == DATA else SYNACK,
-                            pkt.seq,
-                            flow.path_id,
-                            flow.reverse_route,
-                            flow.dst_host,
-                            flow.src_host,
-                            pkt.sent_tick,
-                            pkt.capability,
-                        )
-                    )
+                    # the destination host acknowledges with the packet
+                    # itself (see Packet): the echoed seq, sent_tick and
+                    # capability stay, the rest is the flow's reply path
+                    pkt.kind = ACK if kind == DATA else SYNACK
+                    pkt.path_id = flow.path_id
+                    pkt.route = flow.reverse_route
+                    pkt.src_addr = flow.dst_host
+                    pkt.dst_addr = flow.src_host
+                    pkt.hop = 0
+                    emit(pkt)
                 elif kind == ACK:
                     # looked up on the instance, per delivery: observers
                     # wrap a source's hooks by assignment

@@ -33,6 +33,17 @@ def kind_name(kind: int) -> str:
 class Packet:
     """One simulated packet.
 
+    Lifecycle: a source builds a DATA or SYN packet and hands it to
+    :meth:`Engine.emit`.  When it reaches the destination host, the engine
+    turns that same object round as the reply: ``kind`` becomes ACK or
+    SYNACK, ``path_id``, ``route`` and the addresses become the flow's
+    (its ``reverse_route``, from ``dst_host`` to ``src_host``), ``hop``
+    restarts at 0, and ``seq``, ``sent_tick`` and ``capability`` are
+    echoed as they arrived.  So a DATA or SYN packet must not be kept
+    past its delivery: by then it is the ACK or SYN-ACK in flight.  A
+    packet that ends as a drop, or an ACK or SYN-ACK delivered to its
+    source, is not reused.
+
     Attributes
     ----------
     flow_id:

@@ -42,10 +42,12 @@ orphaned payload file and a lockfile that later writers break once it
 goes stale.  Either way the manifest parses and every manifested entry
 verifies.
 
-The manifest also carries a *job fingerprint* (figure name + settings):
-resuming with different settings than the checkpoints were produced
-under would silently mix incompatible results, so :meth:`check_job`
-fails loudly instead.
+The manifest also carries a *job fingerprint* (figure name, settings
+and, for a figure, the format of its unit results): resuming with
+different settings than the checkpoints were produced under would
+silently mix incompatible results, and resuming results of another
+format would fail only when one is unpickled, so :meth:`check_job`
+fails loudly instead, before any unit runs.
 """
 
 from __future__ import annotations
@@ -225,6 +227,18 @@ class CheckpointStore:
             self.set_job(fingerprint)
             return
         if stored != fingerprint:
+            # the same job but for the result format: its results were
+            # pickled from types this version may no longer have
+            held, wanted = dict(stored), dict(fingerprint)
+            held_format = held.pop("result_format", "unrecorded")
+            wanted_format = wanted.pop("result_format", "unrecorded")
+            if held == wanted:
+                raise CheckpointError(
+                    f"checkpoint dir {self.root} holds unit results of format "
+                    f"{held_format!r}, but this version writes "
+                    f"{wanted_format!r}; use a fresh --checkpoint-dir or drop "
+                    f"--resume to start over"
+                )
             raise CheckpointError(
                 f"checkpoint dir {self.root} belongs to a different job: "
                 f"stored {stored!r}, requested {fingerprint!r}; use a fresh "

@@ -28,7 +28,7 @@ other's progress.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple,
@@ -54,12 +54,32 @@ class FigureOutput:
 
 @dataclass
 class FigureJob:
-    """A named, unit-decomposed figure experiment."""
+    """A named, unit-decomposed figure experiment.  ``results`` are the
+    types its units' results are made of, as a checkpoint pickles them
+    (see :func:`result_format`)."""
 
     figure: str
     units: List[Tuple[str, UnitFn]]
     finalize: Callable[[Dict[str, Any]], FigureOutput]
+    results: Tuple[type, ...]
     fingerprint: Dict[str, Any] = field(default_factory=dict)
+
+
+def result_format(types: Iterable[type]) -> str:
+    """The result-format tag of a job whose unit results are made of
+    ``types``: each type's name and, for a dataclass, its field names.
+    A checkpoint store records it in the job fingerprint, so a store
+    written while a unit returned another type is refused at
+    ``check_job``, before any unit runs, instead of failing when one of
+    its results is unpickled."""
+    parts = []
+    for cls in types:
+        if is_dataclass(cls):
+            names = ",".join(f.name for f in fields(cls))
+            parts.append(f"{cls.__qualname__}({names})")
+        else:
+            parts.append(cls.__qualname__)
+    return " ".join(parts)
 
 
 def _missing(results: Dict[str, Any], names: Iterable[str]) -> List[str]:
@@ -95,9 +115,9 @@ def _done(
 # functional figures
 # ----------------------------------------------------------------------
 def _fig02_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
-    def unit(ctx: UnitContext):
-        from ..experiments.fig02 import run_fig02
+    from ..experiments.fig02 import Fig02Result, run_fig02
 
+    def unit(ctx: UnitContext):
         return run_fig02(settings)
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
@@ -113,13 +133,13 @@ def _fig02_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             ["second", "service pkt/s", "drop pkt/s"], rows, notes
         )
 
-    return FigureJob("fig02", [("fig02", unit)], finalize)
+    return FigureJob("fig02", [("fig02", unit)], finalize, (Fig02Result,))
 
 
 def _fig03_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
-    def unit(ctx: UnitContext):
-        from ..experiments.fig03 import run_fig03
+    from ..experiments.fig03 import Fig03Result, run_fig03
 
+    def unit(ctx: UnitContext):
         return run_fig03(seed=settings.seed)
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
@@ -128,13 +148,13 @@ def _fig03_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
         rows = sorted(result.mode_fractions.items()) if result else []
         return FigureOutput(["size (B)", "fraction"], rows, notes)
 
-    return FigureJob("fig03", [("fig03", unit)], finalize)
+    return FigureJob("fig03", [("fig03", unit)], finalize, (Fig03Result,))
 
 
 def _fig04_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
-    def unit(ctx: UnitContext):
-        from ..experiments.fig04 import run_fig04
+    from ..experiments.fig04 import Fig04Result, run_fig04
 
+    def unit(ctx: UnitContext):
         return run_fig04(seed=settings.seed)
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
@@ -149,11 +169,11 @@ def _fig04_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             ]
         return FigureOutput(["case", "token utilization"], rows, notes)
 
-    return FigureJob("fig04", [("fig04", unit)], finalize)
+    return FigureJob("fig04", [("fig04", unit)], finalize, (Fig04Result,))
 
 
 def _fig06_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
-    from ..experiments.fig06 import run_fig06
+    from ..experiments.fig06 import Fig06Result, run_fig06
 
     names, units = _sweep(
         "fig06",
@@ -174,7 +194,7 @@ def _fig06_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             _missing(results, names.values()),
         )
 
-    return FigureJob("fig06", units, finalize)
+    return FigureJob("fig06", units, finalize, (Fig06Result,))
 
 
 #: the schemes Figs. 7, 8 and 10 compare
@@ -209,10 +229,12 @@ def _fig07_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             ["scheme", "bot Mbps", "mean", "p10", "p50", "p90"], rows, notes
         )
 
-    return FigureJob("fig07", units, finalize)
+    # a cell's per-flow rates; the reference's (rates, ideal rate) pair
+    return FigureJob("fig07", units, finalize, (list, tuple))
 
 
 def _fig08_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..analysis.accounting import BandwidthBreakdown
     from ..experiments.fig08 import run_fig08
 
     names, units = _sweep(
@@ -236,13 +258,13 @@ def _fig08_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             _missing(results, names.values()),
         )
 
-    return FigureJob("fig08", units, finalize)
+    return FigureJob("fig08", units, finalize, (BandwidthBreakdown,))
 
 
 def _fig09_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
-    def unit(ctx: UnitContext):
-        from ..experiments.fig09 import run_fig09
+    from ..experiments.fig09 import Fig09Result, Fig09Variant, run_fig09
 
+    def unit(ctx: UnitContext):
         return run_fig09(settings)
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
@@ -266,10 +288,13 @@ def _fig09_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             notes,
         )
 
-    return FigureJob("fig09", [("fig09", unit)], finalize)
+    return FigureJob(
+        "fig09", [("fig09", unit)], finalize, (Fig09Result, Fig09Variant)
+    )
 
 
 def _fig10_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
+    from ..analysis.accounting import BandwidthBreakdown
     from ..experiments.fig10 import run_fig10
 
     names, units = _sweep(
@@ -292,11 +317,11 @@ def _fig10_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             _missing(results, names.values()),
         )
 
-    return FigureJob("fig10", units, finalize)
+    return FigureJob("fig10", units, finalize, (BandwidthBreakdown,))
 
 
 def _fig11_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
-    from ..experiments.fig11 import run_fig11
+    from ..experiments.fig11 import TopologyStats, run_fig11
 
     names, units = _sweep(
         "fig11",
@@ -319,7 +344,7 @@ def _fig11_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             _missing(results, names.values()),
         )
 
-    return FigureJob("fig11", units, finalize)
+    return FigureJob("fig11", units, finalize, (list, TopologyStats))
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +355,7 @@ def _internet_job(
     variants: Variants,
 ) -> FigureJob:
     from ..experiments.fig13 import InternetRunSettings
+    from ..inet.simulator import FluidResult
 
     iset = InternetRunSettings()
     runs = {
@@ -382,7 +408,7 @@ def _internet_job(
             _missing(results, names.values()),
         )
 
-    return FigureJob(figure, units, finalize)
+    return FigureJob(figure, units, finalize, (FluidResult,))
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +416,7 @@ def _internet_job(
 # ----------------------------------------------------------------------
 def _faults_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
     from ..experiments.robustness_faults import (
+        PhaseBandwidth,
         run_fluid_faults,
         run_packet_faults,
     )
@@ -416,7 +443,7 @@ def _faults_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
             _missing(results, names.values()),
         )
 
-    return FigureJob("faults", units, finalize)
+    return FigureJob("faults", units, finalize, (PhaseBandwidth,))
 
 
 # ----------------------------------------------------------------------
@@ -495,6 +522,7 @@ def build_figure_job(
     # run without changing its numbers, so checkpoints stay compatible
     job.fingerprint = {
         "figure": figure,
+        "result_format": result_format(job.results),
         "scale": settings.scale,
         "warmup_seconds": settings.warmup_seconds,
         "measure_seconds": settings.measure_seconds,

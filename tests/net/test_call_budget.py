@@ -42,8 +42,11 @@ PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: was, the two runs took 9.20 and 25.02 with library frames counted.
 #: Refusing a packet in the engine's admission loop instead of through
 #: ``_drop``, and counting the MTD window without a trim frame, took FLoc
-#: from 9.05 to 8.65.
-MEASURED = {"droptail": 4.03, "floc": 8.65}
+#: from 9.05 to 8.65.  Turning each delivered DATA or SYN packet round as
+#: its own ACK or SYN-ACK, instead of building a new ``Packet``, took
+#: drop-tail from 4.06 to 3.67 and FLoc from 8.65 to 8.35: the drop-tail
+#: ceiling is below 4.06, so a per-delivery constructor cannot come back.
+MEASURED = {"droptail": 3.67, "floc": 8.35}
 
 
 def frames_per_packet(policy):

@@ -1,22 +1,43 @@
 """Engine semantics: per-hop timing, capacity, buffering, delivery, ACKs."""
 
+from typing import Hashable, NamedTuple, Optional, Sequence, Tuple
+
 import pytest
 
+from repro import FLocConfig, FLocPolicy
 from repro.net.engine import Engine, LinkMonitor
 from repro.net.packet import ACK, DATA, SYN, SYNACK, Packet
 from repro.net.source import TrafficSource
 from repro.net.topology import Topology
 
 
-class OneShotSource(TrafficSource):
-    """Emits a fixed number of data packets at tick 0, records ACKs."""
+class Reply(NamedTuple):
+    """Every field of an ACK or SYN-ACK as it reached its source."""
 
-    def __init__(self, flow, count=1, kind=DATA):
+    kind: int
+    seq: int
+    tick: int
+    path_id: Tuple[int, ...]
+    route: Sequence[Hashable]
+    src_addr: Hashable
+    dst_addr: Hashable
+    sent_tick: int
+    capability: Optional[bytes]
+
+
+class OneShotSource(TrafficSource):
+    """Emits a fixed number of data packets at tick 0, records ACKs:
+    ``(seq, tick)`` in ``acks`` / ``synacks``, every field in ``replies``.
+    ``src_addr`` overrides the address the packets claim to come from."""
+
+    def __init__(self, flow, count=1, kind=DATA, src_addr=None):
         self.flow = flow
         self.count = count
         self.kind = kind
+        self.src_addr = flow.src_host if src_addr is None else src_addr
         self.acks = []
         self.synacks = []
+        self.replies = []
         self._sent = False
 
     def flows(self):
@@ -34,17 +55,27 @@ class OneShotSource(TrafficSource):
                     seq=seq,
                     path_id=self.flow.path_id,
                     route=self.flow.route,
-                    src_addr=self.flow.src_host,
+                    src_addr=self.src_addr,
                     dst_addr=self.flow.dst_host,
                     sent_tick=tick,
                 )
             )
 
+    def _record(self, pkt, tick):
+        self.replies.append(
+            Reply(
+                pkt.kind, pkt.seq, tick, pkt.path_id, pkt.route,
+                pkt.src_addr, pkt.dst_addr, pkt.sent_tick, pkt.capability,
+            )
+        )
+
     def on_ack(self, engine, flow, pkt, tick):
         self.acks.append((pkt.seq, tick))
+        self._record(pkt, tick)
 
     def on_synack(self, engine, flow, pkt, tick):
         self.synacks.append((pkt.seq, tick))
+        self._record(pkt, tick)
 
 
 def chain_engine(n_hops, capacity=None, buffer=None):
@@ -82,6 +113,62 @@ class TestTiming:
         engine.add_source(src)
         engine.run(20)
         assert src.acks == [(0, 12)]
+
+
+class TestReplyFields:
+    """An ACK or SYN-ACK takes its identifier, route and addresses from the
+    flow when the destination replies, and echoes what it acknowledges."""
+
+    def test_ack_echoes_the_data_packet(self):
+        engine, flow = chain_engine(2)
+        src = OneShotSource(flow, count=2)
+        engine.add_source(src)
+        engine.run(10)
+        assert src.replies == [
+            Reply(ACK, seq, 6, (1,), flow.reverse_route, "srv", "host", 0,
+                  None)
+            for seq in (0, 1)
+        ]
+
+    def test_ack_carries_the_identifier_the_flow_has_at_delivery(self):
+        # path-identifier churn: the DATA packet left under (1,), and the
+        # flow moved to (2,) while it was in flight
+        engine, flow = chain_engine(2)
+        src = OneShotSource(flow)
+        engine.add_source(src)
+        engine.run(1)
+        flow.path_id = (2,)
+        engine.run(9)
+        [reply] = src.replies
+        assert reply.path_id == (2,)
+        assert reply.route == flow.reverse_route
+
+    def test_ack_of_a_forged_packet_is_addressed_from_the_flow(self):
+        engine, flow = chain_engine(2)
+        src = OneShotSource(flow, src_addr="forged")
+        engine.add_source(src)
+        engine.run(10)
+        [reply] = src.replies
+        assert (reply.kind, reply.src_addr, reply.dst_addr) == (
+            ACK, flow.dst_host, flow.src_host,
+        )
+
+    def test_synack_carries_the_capability_floc_stamped_on_the_syn(self):
+        engine, flow = chain_engine(2)
+        policy = FLocPolicy(FLocConfig())
+        engine.topology.set_policy("r1", "r2", policy)
+        src = OneShotSource(flow, kind=SYN)
+        engine.add_source(src)
+        engine.run(10)
+        [reply] = src.replies
+        capability = policy.issuer.issue(
+            flow.src_host, flow.dst_host, flow.path_id
+        )
+        assert capability is not None
+        assert reply == Reply(
+            SYNACK, 0, 6, (1,), flow.reverse_route, "srv", "host", 0,
+            capability,
+        )
 
 
 class TestCapacityAndBuffer:

@@ -121,6 +121,17 @@ class TestJobFingerprint:
                 {"figure": "fig08", "seed": 2}
             )
 
+    def test_other_result_format_refused_naming_both(self, tmp_path):
+        # a store written before the fingerprint carried a result format
+        store = CheckpointStore(str(tmp_path))
+        store.check_job({"figure": "fig08", "seed": 1})
+        with pytest.raises(CheckpointError) as info:
+            CheckpointStore(str(tmp_path)).check_job(
+                {"figure": "fig08", "seed": 1, "result_format": "B(x,y)"}
+            )
+        message = str(info.value)
+        assert "'unrecorded'" in message and "'B(x,y)'" in message
+
     def test_reset_clears_everything(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.check_job({"figure": "fig08"})

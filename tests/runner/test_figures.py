@@ -29,6 +29,7 @@ class TestRegistry:
             job = build_figure_job(figure, SMALL)
             assert job.units, figure
             assert job.fingerprint["figure"] == figure
+            assert job.fingerprint["result_format"], figure
 
     def test_sweep_figures_decompose_per_cell(self):
         job = build_figure_job("fig08", SMALL)
@@ -156,6 +157,33 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", "fig03", "--seed", "9", "--resume", ckpt]) == 2
         assert "different job" in capsys.readouterr().err
+
+    def test_resume_of_another_result_format_exits_2_before_any_unit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from dataclasses import make_dataclass
+
+        from repro.experiments import fig03
+        from repro.runner.figures import result_format
+
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["run", "fig03", "--checkpoint-dir", ckpt]) == 0
+        written = result_format([fig03.Fig03Result])
+        manifest = (tmp_path / "ckpt" / "MANIFEST.json").read_bytes()
+        # a test double for a later version whose unit returns another type
+        reshaped = make_dataclass(
+            "Fig03Result", [("cdf", list), ("n_samples", int)]
+        )
+        ran = []
+        monkeypatch.setattr(fig03, "Fig03Result", reshaped)
+        monkeypatch.setattr(fig03, "run_fig03", lambda **kw: ran.append(kw))
+        capsys.readouterr()
+        assert main(["run", "fig03", "--resume", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert written in err
+        assert "Fig03Result(cdf,n_samples)" in err
+        assert ran == []
+        assert (tmp_path / "ckpt" / "MANIFEST.json").read_bytes() == manifest
 
     def test_resume_of_a_job_level_telemetry_store_says_why(
         self, tmp_path, capsys
