@@ -1,5 +1,7 @@
 """TcpSource sleeps between events (``next_wake``): a sleeping source must be
-indistinguishable from one polled every tick, and must actually sleep."""
+indistinguishable from one polled every tick, and must actually sleep.  It
+must also behave as the reference copy in ``tcp_source_oracle.py`` does,
+packet by packet and tick by tick."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from repro.net.policy import DropTailPolicy
 from repro.net.topology import Topology
 from repro.tcp.source import TcpSource
 from repro.traffic.scenarios import build_tree_scenario
+
+from . import tcp_source_oracle
 
 
 class PolledTcpSource(TcpSource):
@@ -56,26 +60,107 @@ def tcp_state(source):
     )
 
 
+def record_emissions(engine):
+    """The fields of every packet ``engine`` emits, read as it is emitted
+    (a delivered packet is later turned round in place)."""
+    log = []
+    emit = engine.emit
+
+    def recorded(pkt):
+        log.append((
+            pkt.flow_id, pkt.kind, pkt.seq, pkt.path_id, pkt.route,
+            pkt.src_addr, pkt.dst_addr, pkt.sent_tick, pkt.capability,
+            pkt.hop,
+        ))
+        emit(pkt)
+
+    engine.emit = recorded
+    return log
+
+
+def congestion_state(source):
+    return (
+        source.established,
+        source.finished,
+        source.packets_sent,
+        source.cwnd,
+        source.ssthresh,
+        source.srtt,
+        source._rto_backoff,
+        source.timeouts,
+        source.retransmissions,
+        source.loss_events,
+        source.next_wake,
+    )
+
+
+DUMBBELLS = dict(
+    capacity=st.sampled_from([0.4, 1.0, 2.5, 6.0]),
+    buffer=st.integers(min_value=1, max_value=30),
+    starts=st.lists(
+        st.integers(min_value=0, max_value=60), min_size=1, max_size=8
+    ),
+    total_packets=st.one_of(
+        st.none(), st.integers(min_value=1, max_value=120)
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+    outage=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(min_value=0, max_value=80),
+            st.integers(min_value=1, max_value=200),
+        ),
+    ),
+)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(**DUMBBELLS)
+    # the access link is down through the handshake: SYNs time out and back off
+    @example(capacity=2.5, buffer=8, starts=[3, 0, 17], total_packets=None,
+             seed=11, outage=(0, 150))
+    # a finite file that finishes well inside the run
+    @example(capacity=6.0, buffer=20, starts=[0, 5], total_packets=40, seed=5,
+             outage=None)
+    # a segment re-sent while still outstanding leaves room in the window
+    @example(capacity=6.0, buffer=3, starts=[0], total_packets=None, seed=0,
+             outage=(0, 22))
+    # an outage after establishment: every segment in flight times out
+    @example(capacity=1.0, buffer=4, starts=[0, 2, 4], total_packets=None,
+             seed=3, outage=(60, 120))
+    def test_source_matches_reference_tick_by_tick(
+        self, capacity, buffer, starts, total_packets, seed, outage
+    ):
+        args = (capacity, buffer, starts, total_packets, seed, outage)
+        current, sources, mon_c = dumbbell(TcpSource, *args)
+        oracle, references, mon_o = dumbbell(tcp_source_oracle.TcpSource, *args)
+        sent = record_emissions(current)
+        want = record_emissions(oracle)
+        for tick in range(500):
+            current.run(1)
+            oracle.run(1)
+            assert sent == want, f"emissions diverged at tick {tick}"
+            assert [congestion_state(s) for s in sources] == [
+                congestion_state(s) for s in references
+            ], f"diverged at tick {tick}"
+            sent.clear()
+            want.clear()
+        assert mon_c.service_counts == mon_o.service_counts
+        assert mon_c.drop_counts == mon_o.drop_counts
+
+    def test_examples_time_out_after_establishment(self):
+        # the fourth example above must reach an RTO of an established flow
+        engine, sources, _ = dumbbell(
+            TcpSource, 1.0, 4, [0, 2, 4], None, 3, outage=(60, 120)
+        )
+        engine.run(500)
+        assert sources[0].timeouts >= 1
+
+
 class TestPolledEquivalence:
     @settings(max_examples=40, deadline=None)
-    @given(
-        capacity=st.sampled_from([0.4, 1.0, 2.5, 6.0]),
-        buffer=st.integers(min_value=1, max_value=30),
-        starts=st.lists(
-            st.integers(min_value=0, max_value=60), min_size=1, max_size=8
-        ),
-        total_packets=st.one_of(
-            st.none(), st.integers(min_value=1, max_value=120)
-        ),
-        seed=st.integers(min_value=0, max_value=2**16),
-        outage=st.one_of(
-            st.none(),
-            st.tuples(
-                st.integers(min_value=0, max_value=80),
-                st.integers(min_value=1, max_value=200),
-            ),
-        ),
-    )
+    @given(**DUMBBELLS)
     # the access link is down through the handshake: SYNs time out and back off
     @example(capacity=2.5, buffer=8, starts=[3, 0, 17], total_packets=None,
              seed=11, outage=(0, 150))
