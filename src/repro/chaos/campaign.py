@@ -106,9 +106,18 @@ class CampaignResult:
         return self.report.ok
 
 
-def run_digest(spec: CampaignSpec, measurements: Measurements) -> str:
-    """Canonical sha256 over a run's spec and observable outcome."""
-    payload = {
+def run_digest(
+    spec: CampaignSpec,
+    measurements: Measurements,
+    fluid: Optional[Dict[str, object]] = None,
+) -> str:
+    """Canonical sha256 over a run's spec and observable outcome.
+
+    A fluid campaign also passes ``fluid``: the end-of-run
+    ``FluidResult.shares`` and each window's mean attack share, so a
+    change confined to either moves its digest.  A packet campaign's
+    payload has no such key."""
+    payload: Dict[str, object] = {
         "spec": spec.to_dict(),
         "windows": [
             [w.index, w.start, w.stop, w.legit_share]
@@ -117,6 +126,8 @@ def run_digest(spec: CampaignSpec, measurements: Measurements) -> str:
         "fault_log": [[tick, name] for tick, name in measurements.fault_log],
         "sanitizer_violations": measurements.sanitizer_violations,
     }
+    if fluid is not None:
+        payload["fluid"] = fluid
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -384,11 +395,14 @@ def _execute_fluid(spec: CampaignSpec) -> Measurements:
         ticks=spec.total_ticks, warmup=spec.warmup_ticks, record_series=True
     )
 
-    by_tick = {tick: ll + la for tick, ll, la, _ in result.series}
+    by_tick = {tick: (ll + la, at) for tick, ll, la, at in result.series}
     windows = []
+    attack_shares = []
     for index in range(spec.n_windows):
         start, stop = spec.window_bounds(index)
-        shares = [by_tick[t] for t in range(start, stop) if t in by_tick]
+        points = [by_tick[t] for t in range(start, stop) if t in by_tick]
+        shares = [legit for legit, _ in points]
+        attack = [at for _, at in points]
         windows.append(
             WindowShare(
                 index=index,
@@ -397,6 +411,7 @@ def _execute_fluid(spec: CampaignSpec) -> Measurements:
                 legit_share=sum(shares) / len(shares) if shares else 0.0,
             )
         )
+        attack_shares.append(sum(attack) / len(attack) if attack else 0.0)
     measurements = Measurements(
         windows=windows,
         fault_log=list(schedule.log),
@@ -407,7 +422,11 @@ def _execute_fluid(spec: CampaignSpec) -> Measurements:
             provenance_before, tel.drop_provenance()
         ),
     )
-    measurements.digest = run_digest(spec, measurements)
+    measurements.digest = run_digest(
+        spec,
+        measurements,
+        fluid={"shares": result.shares, "attack_shares": attack_shares},
+    )
     return measurements
 
 

@@ -13,6 +13,7 @@ from repro.chaos import (
 from repro.chaos.campaign import execute_campaign
 from repro.chaos.spec import FLUID_SHAPE, PACKET_SHAPE
 from repro.errors import ConfigError
+from repro.inet.simulator import FluidSimulator
 
 
 def packet_spec(**overrides):
@@ -67,6 +68,42 @@ class TestDeterminism:
         b = execute_campaign(fluid_spec())
         assert a.digest == b.digest
         assert a.windows == b.windows
+
+    # ``fluid_spec()``'s digest since it also reads ``FluidResult.shares``
+    # and each window's attack share
+    FLUID_PIN = (
+        "6112fce5f15b8d6188cd944b305c5e34c8c2defed97ec845a6c74c20a541a414"
+    )
+
+    def test_fluid_digest_is_pinned(self):
+        assert execute_campaign(fluid_spec()).digest == self.FLUID_PIN
+
+    def test_fluid_digest_reads_the_end_of_run_shares(self, monkeypatch):
+        finish_run = FluidSimulator.finish_run
+
+        def nudged(sim):
+            result = finish_run(sim)
+            result.shares = {
+                k: v * (1 + 1e-9) for k, v in result.shares.items()
+            }
+            return result
+
+        monkeypatch.setattr(FluidSimulator, "finish_run", nudged)
+        m = execute_campaign(fluid_spec())
+        assert m.digest != self.FLUID_PIN
+
+    def test_fluid_digest_reads_the_attack_share(self, monkeypatch):
+        series_point = FluidSimulator._series_point
+
+        def nudged(sim, tick, admitted):
+            t, ll, la, at = series_point(sim, tick, admitted)
+            return t, ll, la, at * (1 + 1e-9)
+
+        base = execute_campaign(fluid_spec())
+        monkeypatch.setattr(FluidSimulator, "_series_point", nudged)
+        m = execute_campaign(fluid_spec())
+        assert m.windows == base.windows
+        assert m.digest != base.digest
 
     def test_replay_slo_passes_on_both_backends(self):
         for spec in (packet_spec(), fluid_spec()):
