@@ -76,6 +76,12 @@ class CapabilityIssuer:
     is then a subset of the paths that owner tracks by construction,
     whatever order it calls in.
 
+    ``FLocPolicy.admit`` reads the memo itself, since it checks every
+    data packet: its memo hit is a written-out copy of
+    :meth:`authenticate`'s (the lookup and one ``compare_digest``), and
+    a miss is passed to :meth:`authenticate`.  A change to the memo's
+    layout or to that branch is a change to the copy.
+
     Parameters
     ----------
     secret:

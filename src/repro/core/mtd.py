@@ -44,6 +44,13 @@ class FlowDropTracker:
     :meth:`record_drop` refuses a tick older than the unit's newest.
     Trimming from the old end, counting a window by bisection and the
     sanitizer's ``mtd-monotonic`` check all rely on it.
+
+    ``FLocPolicy`` holds written-out copies of two methods, since it
+    runs them per packet: ``admit`` counts an identified unit's window
+    as :meth:`drops_in_window` does, and ``on_drop`` appends an in-order
+    drop to a unit's record as :meth:`record_drop` does (it calls
+    :meth:`record_drop` to open a record or to refuse an out-of-order
+    tick).  A change to either method is a change to its copy.
     """
 
     def __init__(self, horizon: int = 2000) -> None:
@@ -54,7 +61,8 @@ class FlowDropTracker:
 
     def record_drop(self, key: Hashable, tick: int) -> None:
         """Record one drop of accounting unit ``key`` at ``tick``
-        (``FLocPolicy.on_drop`` calls this for every charged drop)."""
+        (``FLocPolicy.on_drop`` appends a charged drop itself, and calls
+        this for a unit without a record or a tick out of order)."""
         dq = self._drops.get(key)
         if dq is None:
             dq = deque()
@@ -76,8 +84,9 @@ class FlowDropTracker:
         record also counts the records after ``tick``.  The cost is
         logarithmic in the retained record: about ten comparisons, made
         in C, over the ~1,000 records an identified unit holds under
-        ``tree_flood_floc``.  ``admit`` asks this for every packet of an
-        identified unit."""
+        ``tree_flood_floc``.  ``FLocPolicy.admit`` counts the same window
+        for every packet of an identified unit, with a copy of these
+        lines."""
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         dq = self._drops.get(key)

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import copy
 import random
+from bisect import bisect_right
 from collections import OrderedDict
+from hmac import compare_digest
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -265,12 +267,16 @@ class FLocPolicy(LinkPolicy):
     # ------------------------------------------------------------------
     def admit(self, pkt: Packet, tick: int) -> bool:
         """Decide one arrival, start to finish in this frame: a flooded
-        router pays this per packet (Sections III-A, V-B).  The
-        early-activation test (Section V-A), Eq. IV.4's MTD, Eq. IV.5's
-        service probability and the token take are written out here.
-        Of these only the MTD (``FlowDropTracker.mtd``, which the refresh
-        runs) and the take (``PathTokenBucket.request``) have a second
-        copy in ``repro``; the early test and Eq. IV.5 live on as
+        router pays this per packet (Sections III-A, V-B).  The memo hit
+        of the capability check, the early-activation test (Section
+        V-A), Eq. IV.4's MTD with its window count, Eq. IV.5's service
+        probability and the token take are written out here.  Three of
+        these are copies of code kept elsewhere in ``repro``: the memo
+        hit of ``CapabilityIssuer.authenticate`` (a miss still goes
+        there), the window count of ``FlowDropTracker.drops_in_window``
+        (which ``FlowDropTracker.mtd``, run by the refresh, calls) and
+        the take of ``PathTokenBucket.request``; a change to one is a
+        change to both.  The early test and Eq. IV.5 live on as
         verbatim copies in ``tests/core/test_admission_equivalence.py``,
         whose oracle holds this frame equal to them.  Its ``min``/``max``
         clamps are written as comparisons that give the same values:
@@ -296,9 +302,26 @@ class FLocPolicy(LinkPolicy):
         # charged on a claim
         key = None
         if cfg.capability_checks:
-            key = self.issuer.authenticate(
-                pkt.capability, pkt.src_addr, pkt.dst_addr, pid
+            # the issuer's per-flow memo, read here: a remembered flow is
+            # one constant-time comparison (CapabilityIssuer.authenticate's
+            # memo branch, written out); any other flow is authenticate's
+            # to check, so a forged identifier still costs one C0
+            by_endpoints = self.issuer._flows.get(pid)
+            entry = (
+                None
+                if by_endpoints is None
+                else by_endpoints.get((pkt.src_addr, pkt.dst_addr))
             )
+            if entry is None:
+                key = self.issuer.authenticate(
+                    pkt.capability, pkt.src_addr, pkt.dst_addr, pid
+                )
+            else:
+                capability = pkt.capability
+                if capability is not None and compare_digest(
+                    capability, entry[0]
+                ):
+                    key = entry[1]
             if key is None:
                 self._pending = (pkt, "spoofed", None, None)
                 return False
@@ -399,7 +422,15 @@ class FLocPolicy(LinkPolicy):
                 span = tracker.horizon
                 if window <= span:
                     span = window
-                drops = tracker.drops_in_window(key, tick, span)
+                # FlowDropTracker.drops_in_window, written out: trim the
+                # records older than the horizon, bisect the window
+                drops = 0
+                record = tracker._drops.get(key)
+                if record:
+                    oldest = tick - tracker.horizon
+                    while record and record[0] < oldest:
+                        record.popleft()
+                    drops = len(record) - bisect_right(record, tick - span)
                 mtd_value = span / drops if drops else INFINITE_MTD
                 if self.sketch is not None:
                     mtd_value = self._sketch_clamped_mtd(mtd_value, key, window)
@@ -472,8 +503,16 @@ class FLocPolicy(LinkPolicy):
             group = self._group_state(pid, tick)
         group.bucket.drops_this_period += 1
         group.interval_drops += 1
-        if self.tracker is not None:
-            self.tracker.record_drop(key, tick)
+        tracker = self.tracker
+        if tracker is not None:
+            # FlowDropTracker.record_drop, written out for a unit that
+            # holds a record and a tick in order; it opens a record and
+            # refuses an out-of-order tick itself
+            record = tracker._drops.get(key)
+            if record is None or (record and tick < record[-1]):
+                tracker.record_drop(key, tick)
+            else:
+                record.append(tick)
         else:
             # the filter decays one drop per "epoch"; the measured fair
             # reference MTD is exactly the legitimate one-drop interval

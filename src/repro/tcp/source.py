@@ -105,16 +105,89 @@ class TcpSource(TrafficSource):
         return (self.flow,)
 
     def on_tick(self, engine: Engine, tick: int) -> None:
+        """Act on a wake.  An established source's wake is written out in
+        this frame, since it runs per ACK-clocked send: the RTO check,
+        the window send, each ``Packet`` and the next ``next_wake``."""
         if self.finished:
             self.next_wake = NEVER
-        elif tick < self.start_tick:
+            return
+        if tick < self.start_tick:
             self.next_wake = self.start_tick
-        elif not self.established:
+            return
+        if not self.established:
             self.next_wake = self._handshake(engine, tick)
-        else:
-            self._check_rto(engine, tick)
-            self._send_window(engine, tick)
-            self.next_wake = self._next_timer(tick)
+            return
+        meta = self._meta
+        order = self._order
+        retransmit = self._retransmit
+        rtt = self.srtt if self.srtt is not None else 10.0
+        rto = int(round(2.0 * rtt))
+        if rto < MIN_RTO_TICKS:
+            rto = MIN_RTO_TICKS
+        # the oldest outstanding segment's RTO: on expiry everything
+        # outstanding is presumed lost
+        if meta:
+            while order and order[0] not in meta:
+                order.popleft()
+            if order and tick - meta[order[0]][0] > rto * self._rto_backoff:
+                self.timeouts += 1
+                retransmitted = self._retransmitted
+                for seq in order:
+                    if meta.pop(seq, None) is not None:
+                        retransmit.append(seq)
+                        retransmitted.add(seq)
+                order.clear()
+                self.ssthresh = max(2.0, self.cwnd / 2.0)
+                self.cwnd = 1.0
+                self._recovery_until = tick + int(round(rtt))
+                self._rto_backoff = min(self._rto_backoff * 2, 64)
+                self.loss_events += 1
+        # send while the window has room and a retransmission or a
+        # never-sent segment is waiting
+        total = self.total_packets
+        can_send = int(self.cwnd) - len(meta)
+        if can_send > 0:
+            flow = self.flow
+            while can_send > 0:
+                if retransmit:
+                    seq = retransmit.popleft()
+                elif total is None or self._next_seq < total:
+                    seq = self._next_seq
+                    self._next_seq = seq + 1
+                else:
+                    break
+                meta[seq] = [tick, 0]
+                order.append(seq)
+                self.packets_sent += 1
+                engine.emit(
+                    Packet(
+                        flow.flow_id,
+                        DATA,
+                        seq,
+                        flow.path_id,
+                        flow.route,
+                        flow.src_host,
+                        flow.dst_host,
+                        tick,
+                        self.capability,
+                    )
+                )
+                can_send -= 1
+        if int(self.cwnd) > len(meta) and (
+            retransmit or total is None or self._next_seq < total
+        ):
+            # re-sending a segment that was still outstanding used a window
+            # slot without filling it: the next tick sends more
+            self.next_wake = tick + 1
+            return
+        # the window is full or there is nothing left to send, so the next
+        # event is the oldest segment's RTO
+        self.next_wake = NEVER
+        if meta:
+            while order and order[0] not in meta:
+                order.popleft()
+            if order:
+                self.next_wake = meta[order[0]][0] + rto * self._rto_backoff + 1
 
     def on_synack(
         self, engine: Engine, flow: FlowInfo, pkt: Packet, tick: int
@@ -132,6 +205,9 @@ class TcpSource(TrafficSource):
             self._rtt_sample(max(1, tick - self._first_syn_tick))
 
     def on_ack(self, engine: Engine, flow: FlowInfo, pkt: Packet, tick: int) -> None:
+        """Take one ACK: its RTT sample (as :meth:`_rtt_sample`) and the
+        window growth are written out in this frame, since every ACK
+        runs them."""
         self.next_wake = 0
         seq = pkt.seq
         meta = self._meta
@@ -139,16 +215,36 @@ class TcpSource(TrafficSource):
         if entry is not None:
             self._acked += 1
             if seq not in self._retransmitted:
-                self._rtt_sample(max(1, tick - entry[0]))
+                sample = tick - entry[0]
+                if sample < 1:
+                    sample = 1
+                srtt = self.srtt
+                if srtt is None:
+                    self.srtt = float(sample)
+                else:
+                    self.srtt = srtt + 0.125 * (sample - srtt)
                 # only a fresh segment's timely ACK proves the timer is
                 # long enough; ACKs of retransmits must not reset backoff
                 self._rto_backoff = 1
             else:
                 self._retransmitted.discard(seq)
-            self._grow_window()
-            if self.total_packets is not None and self._acked >= self.total_packets:
-                self.finished = True
-                return
+            cwnd = self.cwnd
+            if cwnd < self.ssthresh:
+                cwnd += 1.0  # slow start
+            else:
+                cwnd += 1.0 / cwnd  # congestion avoidance
+            total = self.total_packets
+            if total is not None:
+                # cap in-flight work for finite transfers
+                remaining = total - self._acked
+                if cwnd > remaining + 1:
+                    cwnd = float(remaining + 1)
+                self.cwnd = cwnd
+                if self._acked >= total:
+                    self.finished = True
+                    return
+            else:
+                self.cwnd = cwnd
         # duplicate-ACK accounting: outstanding segments older than the
         # acknowledged one have been "passed" by this ACK.
         order = self._order
@@ -182,21 +278,12 @@ class TcpSource(TrafficSource):
         return self.srtt if self.srtt is not None else 10.0
 
     def _rtt_sample(self, sample: float) -> None:
+        """Fold a handshake RTT sample into ``srtt`` (:meth:`on_ack`
+        writes the same update out for data segments)."""
         if self.srtt is None:
             self.srtt = float(sample)
         else:
             self.srtt += 0.125 * (sample - self.srtt)
-
-    def _grow_window(self) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd += 1.0  # slow start
-        else:
-            self.cwnd += 1.0 / self.cwnd  # congestion avoidance
-        # cap in-flight work for finite transfers
-        if self.total_packets is not None:
-            remaining = self.total_packets - self._acked
-            if self.cwnd > remaining + 1:
-                self.cwnd = float(remaining + 1)
 
     def _loss_event(self, tick: int) -> None:
         """Multiplicative decrease, at most once per RTT of losses."""
@@ -210,49 +297,6 @@ class TcpSource(TrafficSource):
     def _rto_ticks(self) -> int:
         rtt = self.rtt_estimate()
         return max(MIN_RTO_TICKS, int(round(2.0 * rtt))) * self._rto_backoff
-
-    def _oldest_outstanding(self) -> Optional[int]:
-        """Sequence number of the oldest unacknowledged segment."""
-        meta = self._meta
-        if not meta:
-            return None
-        order = self._order
-        while order and order[0] not in meta:
-            order.popleft()
-        return order[0] if order else None
-
-    def _next_timer(self, tick: int) -> int:
-        """First tick after ``tick`` on which an established source acts
-        without an ACK arriving first."""
-        if int(self.cwnd) > len(self._meta) and self._has_unsent():
-            # re-sending a segment that was still outstanding used a window
-            # slot without filling it: the next tick sends more
-            return tick + 1
-        # the window is full or there is nothing left to send, so the next
-        # event is the oldest segment's RTO
-        oldest = self._oldest_outstanding()
-        if oldest is None:
-            return NEVER
-        return self._meta[oldest][0] + self._rto_ticks() + 1
-
-    def _check_rto(self, engine: Engine, tick: int) -> None:
-        oldest = self._oldest_outstanding()
-        meta = self._meta
-        if oldest is None or tick - meta[oldest][0] <= self._rto_ticks():
-            return
-        # timeout: everything outstanding is presumed lost
-        order = self._order
-        self.timeouts += 1
-        for seq in list(order):
-            if meta.pop(seq, None) is not None:
-                self._retransmit.append(seq)
-                self._retransmitted.add(seq)
-        order.clear()
-        self.ssthresh = max(2.0, self.cwnd / 2.0)
-        self.cwnd = 1.0
-        self._recovery_until = tick + int(round(self.rtt_estimate()))
-        self._rto_backoff = min(self._rto_backoff * 2, 64)
-        self.loss_events += 1
 
     # ------------------------------------------------------------------
     # emission
@@ -268,42 +312,18 @@ class TcpSource(TrafficSource):
             else:
                 self._first_syn_tick = tick
             self._syn_sent_tick = sent = tick
-            engine.emit(self._packet(SYN, 0, tick))
+            flow = self.flow
+            engine.emit(
+                Packet(
+                    flow.flow_id,
+                    SYN,
+                    0,
+                    flow.path_id,
+                    flow.route,
+                    flow.src_host,
+                    flow.dst_host,
+                    tick,
+                    self.capability,
+                )
+            )
         return sent + self._rto_ticks() + 1
-
-    def _has_unsent(self) -> bool:
-        """Whether a retransmission or a never-sent segment is waiting."""
-        return (
-            bool(self._retransmit)
-            or self.total_packets is None
-            or self._next_seq < self.total_packets
-        )
-
-    def _send_window(self, engine: Engine, tick: int) -> None:
-        meta = self._meta
-        can_send = int(self.cwnd) - len(meta)
-        while can_send > 0 and self._has_unsent():
-            if self._retransmit:
-                seq = self._retransmit.popleft()
-            else:
-                seq = self._next_seq
-                self._next_seq += 1
-            meta[seq] = [tick, 0]
-            self._order.append(seq)
-            self.packets_sent += 1
-            engine.emit(self._packet(DATA, seq, tick))
-            can_send -= 1
-
-    def _packet(self, kind: int, seq: int, tick: int) -> Packet:
-        flow = self.flow
-        return Packet(
-            flow.flow_id,
-            kind,
-            seq,
-            flow.path_id,
-            flow.route,
-            flow.src_host,
-            flow.dst_host,
-            tick,
-            self.capability,
-        )

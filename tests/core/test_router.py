@@ -196,6 +196,24 @@ class TestPendingRecord:
         assert policy.drop_stats["overflow"] == 0
         assert policy.pending_drop_cause() is None
 
+    def test_drop_records_stay_in_tick_order(self):
+        """``on_drop`` appends in-order drops to the unit's record itself
+        and leaves an out-of-order tick to ``record_drop``, which refuses
+        it."""
+        policy = self.policy()
+        syn = Packet(1, SYN, 0, (1, 9), ("a", "b"), "h", "srv", 0)
+        assert policy.admit(syn, 0)
+        unit = policy.issuer.account_key("h", "srv", (1, 9))
+        for tick in (1, 5, 5):
+            data = Packet(1, DATA, tick, (1, 9), ("a", "b"), "h", "srv",
+                          tick, syn.capability)
+            assert policy.admit(data, tick)
+            policy.on_drop(data, tick)
+        assert policy.tracker.drop_count(unit) == 3
+        with pytest.raises(ValueError, match="older than the newest"):
+            policy.on_drop(data, 4)
+        assert policy.tracker.drop_count(unit) == 3
+
     @pytest.mark.parametrize("event", ["restart", "restore", "corrupt_state"])
     def test_state_replacement_clears_the_record(self, event):
         policy = self.policy()
