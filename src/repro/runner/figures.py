@@ -200,6 +200,12 @@ def _fig06_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
 #: the schemes Figs. 7, 8 and 10 compare
 _SCHEMES = ("floc", "pushback", "redpd")
 
+#: the bot rates (Mbps) of the Fig. 8 sweep and the per-bot fanouts of the
+#: Fig. 10 sweep: the cells ``repro run`` prints, and the cells the
+#: ``tests/paper`` shape claims of those figures assert on
+FIG08_RATES = (0.2, 0.4, 0.8, 1.6, 3.2, 4.0)
+FIG10_FANOUTS = (1, 2, 5, 10, 20)
+
 
 def _fig07_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
     from ..analysis.cdf import percentile
@@ -239,8 +245,7 @@ def _fig08_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
 
     names, units = _sweep(
         "fig08",
-        [(s, rate) for s in _SCHEMES
-         for rate in (0.2, 0.4, 0.8, 1.6, 3.2, 4.0)],
+        [(s, rate) for s in _SCHEMES for rate in FIG08_RATES],
         "{}@{}",
         lambda scheme, rate: run_fig08(settings, scheme, rate, s_max=25),
     )
@@ -299,7 +304,7 @@ def _fig10_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
 
     names, units = _sweep(
         "fig10",
-        [(s, fanout) for s in _SCHEMES for fanout in (1, 2, 5, 10, 20)],
+        [(s, fanout) for s in _SCHEMES for fanout in FIG10_FANOUTS],
         "{}@x{}",
         lambda scheme, fanout: run_fig10(
             settings, scheme, fanout, per_flow_rate_mbps=0.2, n_max=2

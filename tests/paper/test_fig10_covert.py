@@ -1,10 +1,10 @@
-"""FIG-10: covert attacks vs fanout for FLoc / Pushback / RED-PD."""
+"""FIG-10: covert attacks vs fanout for FLoc / Pushback / RED-PD, on every
+fanout the figure prints."""
 
 from repro.experiments.fig10 import run_fig10
+from repro.runner.figures import FIG10_FANOUTS as FANOUTS
 
 from . import SETTINGS
-
-FANOUTS = (1, 4, 10)
 
 
 def test_fig10_covert():
@@ -17,15 +17,28 @@ def test_fig10_covert():
     }
 
     floc = {f: breakdowns[("floc", f)] for f in FANOUTS}
+    push = {f: breakdowns[("pushback", f)] for f in FANOUTS}
     redpd = {f: breakdowns[("redpd", f)] for f in FANOUTS}
 
     # paper shape 1: under FLoc the attack share stays capped as fanout
     # grows — a bot's flows collapse into n_max accounting units
     assert floc[10].attack <= floc[1].attack + 0.15
     assert floc[10].legit_total > 0.6
+    for f in FANOUTS:
+        assert floc[f].attack <= floc[1].attack + 0.15, f
+        assert floc[f].legit_total > 0.6, f
 
     # paper shape 2: per-flow fairness (RED-PD) hands bandwidth to whoever
     # owns the most flows — attack share grows with fanout
     assert redpd[10].attack > redpd[1].attack
+    for low, high in zip(FANOUTS, FANOUTS[1:]):
+        assert redpd[high].attack > redpd[low].attack, high
     # and at high fanout FLoc protects much more legitimate traffic
     assert floc[10].legit_total > redpd[10].legit_total
+    assert floc[FANOUTS[-1]].legit_total > redpd[FANOUTS[-1]].legit_total
+
+    # Known deviation 3: this Pushback aggregates by origin domain, which
+    # blunts covert attacks (the paper's fails them) — its attack share
+    # stays capped as fanout grows, as FLoc's does
+    for f in FANOUTS:
+        assert push[f].attack <= push[1].attack + 0.15, f
