@@ -145,34 +145,33 @@ class TcpSource(TrafficSource):
         # send while the window has room and a retransmission or a
         # never-sent segment is waiting
         total = self.total_packets
+        flow = self.flow
         can_send = int(self.cwnd) - len(meta)
-        if can_send > 0:
-            flow = self.flow
-            while can_send > 0:
-                if retransmit:
-                    seq = retransmit.popleft()
-                elif total is None or self._next_seq < total:
-                    seq = self._next_seq
-                    self._next_seq = seq + 1
-                else:
-                    break
-                meta[seq] = [tick, 0]
-                order.append(seq)
-                self.packets_sent += 1
-                engine.emit(
-                    Packet(
-                        flow.flow_id,
-                        DATA,
-                        seq,
-                        flow.path_id,
-                        flow.route,
-                        flow.src_host,
-                        flow.dst_host,
-                        tick,
-                        self.capability,
-                    )
+        while can_send > 0:
+            if retransmit:
+                seq = retransmit.popleft()
+            elif total is None or self._next_seq < total:
+                seq = self._next_seq
+                self._next_seq = seq + 1
+            else:
+                break
+            meta[seq] = [tick, 0]
+            order.append(seq)
+            self.packets_sent += 1
+            engine.emit(
+                Packet(
+                    flow.flow_id,
+                    DATA,
+                    seq,
+                    flow.path_id,
+                    flow.route,
+                    flow.src_host,
+                    flow.dst_host,
+                    tick,
+                    self.capability,
                 )
-                can_send -= 1
+            )
+            can_send -= 1
         if int(self.cwnd) > len(meta) and (
             retransmit or total is None or self._next_seq < total
         ):
@@ -239,12 +238,10 @@ class TcpSource(TrafficSource):
                 remaining = total - self._acked
                 if cwnd > remaining + 1:
                     cwnd = float(remaining + 1)
-                self.cwnd = cwnd
-                if self._acked >= total:
-                    self.finished = True
-                    return
-            else:
-                self.cwnd = cwnd
+            self.cwnd = cwnd
+            if total is not None and self._acked >= total:
+                self.finished = True
+                return
         # duplicate-ACK accounting: outstanding segments older than the
         # acknowledged one have been "passed" by this ACK.
         order = self._order

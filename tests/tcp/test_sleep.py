@@ -249,6 +249,6 @@ class TestSourcesSleep:
                 + source._syn_retransmits
             )
             # + the first SYN, and the odd tick after a duplicate re-send
-            # left room in the window (see TcpSource._next_timer)
+            # left room in the window (see the end of TcpSource.on_tick)
             assert tally["on_tick"] <= events + 2, (tally, events)
             assert tally["on_tick"] < ticks / 4
