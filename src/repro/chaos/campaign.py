@@ -401,17 +401,16 @@ def _execute_fluid(spec: CampaignSpec) -> Measurements:
     for index in range(spec.n_windows):
         start, stop = spec.window_bounds(index)
         points = [by_tick[t] for t in range(start, stop) if t in by_tick]
-        shares = [legit for legit, _ in points]
-        attack = [at for _, at in points]
+        n = len(points)
         windows.append(
             WindowShare(
                 index=index,
                 start=start,
                 stop=stop,
-                legit_share=sum(shares) / len(shares) if shares else 0.0,
+                legit_share=sum(p[0] for p in points) / n if n else 0.0,
             )
         )
-        attack_shares.append(sum(attack) / len(attack) if attack else 0.0)
+        attack_shares.append(sum(p[1] for p in points) / n if n else 0.0)
     measurements = Measurements(
         windows=windows,
         fault_log=list(schedule.log),
