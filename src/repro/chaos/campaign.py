@@ -14,11 +14,11 @@ function of its spec, so the sha256 *run digest* over those measurements
 is too.  The ``replay`` SLO enforces the contract by executing the spec
 twice and comparing digests.
 
-Packet campaigns run FLoc on the Section VI tree (scaled down by
-``spec.scale``) with the spec's squads placed on the designated attack
-leaves; fluid campaigns run the FLoc strategy on a reduced Internet-scale
-scenario with the whole bot population driven by the spec's behaviour
-toggles.
+Packet campaigns run ``spec.scheme`` (FLoc by default) on the Section VI
+tree (scaled down by ``spec.scale``) with the spec's squads placed on the
+designated attack leaves; fluid campaigns run the ``spec.scheme``
+strategy on a reduced Internet-scale scenario with the whole bot
+population driven by the spec's behaviour toggles.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.config import FLocConfig
 from ..core.router import FLocPolicy
 from ..errors import ConfigError
+from ..experiments.common import FunctionalSettings, make_policy
 from ..faults import FaultSchedule
 from ..faults.injectors import (
     FluidCounterCorruption,
@@ -41,7 +42,7 @@ from ..faults.injectors import (
 from ..inet.scenarios import InternetScenario, build_internet_scenario
 from ..inet.simulator import FluidSimulator
 from ..net.engine import LinkMonitor
-from ..sanitize import install_sanitizer
+from ..sanitize import Violation, install_sanitizer
 from ..telemetry import NullTelemetry, Telemetry, current
 from ..traffic.adaptive import (
     AdaptiveCbrSource,
@@ -74,6 +75,9 @@ class Measurements:
     windows: List[WindowShare] = field(default_factory=list)
     fault_log: List[Tuple[int, str]] = field(default_factory=list)
     sanitizer_violations: int = 0
+    #: The violations themselves, for a caller that names them; the
+    #: digest keeps only their count.
+    violations: List[Violation] = field(default_factory=list)
     digest: str = ""
     #: Traced drop totals by cause (telemetry provenance).  Deliberately
     #: NOT part of the run digest: telemetry is observation-only, and the
@@ -252,8 +256,8 @@ def _execute_packet(spec: CampaignSpec) -> Measurements:
         seed=spec.seed,
     )
     # backup path between the root's first two subtrees, idle until a
-    # link_flap fault takes the root.0 uplink down (same arrangement as
-    # the robustness_faults experiment)
+    # link_flap fault takes the root.0 uplink down; added after flow
+    # setup, so it leaves the initial shortest routes unchanged
     scenario.topology.add_duplex_link("root.0", "root.1", capacity=None)
     cfg_kwargs: Dict[str, Any] = {}
     if spec.state_backend != "exact":
@@ -263,13 +267,15 @@ def _execute_packet(spec: CampaignSpec) -> Measurements:
         # and the sketch mode's hot-tier size
         cfg_kwargs["max_tracked_paths"] = spec.max_tracked_paths
         cfg_kwargs["sketch_hot_paths"] = spec.max_tracked_paths
-    policy = FLocPolicy(
-        FLocConfig(
-            s_max=CHAOS_S_MAX,
-            restart_warmup_ticks=settle_ticks(spec),
-            **cfg_kwargs,
-        )
+    cfg = FLocConfig(
+        s_max=CHAOS_S_MAX,
+        restart_warmup_ticks=settle_ticks(spec),
+        **cfg_kwargs,
     )
+    if spec.scheme == "floc":
+        policy = FLocPolicy(cfg)
+    else:
+        policy = make_policy(spec.scheme, FunctionalSettings(), cfg)
     scenario.attach_policy(policy)
 
     leaves = list(scenario.as_of_leaf)
@@ -322,19 +328,20 @@ def _execute_packet(spec: CampaignSpec) -> Measurements:
                 legit_share=serviced / budget,
             )
         )
+    violations = sanitizer.report.violations if sanitizer is not None else []
     measurements = Measurements(
         windows=windows,
         fault_log=list(schedule.log),
-        sanitizer_violations=(
-            len(sanitizer.report.violations) if sanitizer is not None else 0
-        ),
+        sanitizer_violations=len(violations),
+        violations=list(violations),
         drop_provenance=_provenance_delta(
             provenance_before, tel.drop_provenance()
         ),
-        eviction_stats=dict(policy.eviction_stats),
-        tracked_paths_peak=policy.tracked_paths_peak,
-        state_peaks=dict(policy.state_peaks),
     )
+    if spec.scheme.startswith("floc"):
+        measurements.eviction_stats = dict(policy.eviction_stats)
+        measurements.tracked_paths_peak = policy.tracked_paths_peak
+        measurements.state_peaks = dict(policy.state_peaks)
     measurements.digest = run_digest(spec, measurements)
     return measurements
 
@@ -373,7 +380,7 @@ def _fluid_fault_schedule(
 def _execute_fluid(spec: CampaignSpec) -> Measurements:
     scn = build_internet_scenario(seed=spec.seed, **FLUID_SCENARIO)
     sim = FluidSimulator(
-        scn, strategy="floc", s_max=CHAOS_S_MAX, seed=spec.seed
+        scn, strategy=spec.scheme, s_max=CHAOS_S_MAX, seed=spec.seed
     )
     for squad in spec.attackers:
         if "rerandomize" in squad.mutations:
@@ -411,12 +418,12 @@ def _execute_fluid(spec: CampaignSpec) -> Measurements:
             )
         )
         attack_shares.append(sum(p[1] for p in points) / n if n else 0.0)
+    violations = sanitizer.report.violations if sanitizer is not None else []
     measurements = Measurements(
         windows=windows,
         fault_log=list(schedule.log),
-        sanitizer_violations=(
-            len(sanitizer.report.violations) if sanitizer is not None else 0
-        ),
+        sanitizer_violations=len(violations),
+        violations=list(violations),
         drop_provenance=_provenance_delta(
             provenance_before, tel.drop_provenance()
         ),

@@ -25,6 +25,8 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
+from ..experiments.common import SCHEMES
+from ..inet.simulator import STRATEGIES
 
 #: Simulator backends a campaign can target.
 SIMULATORS = ("packet", "fluid")
@@ -289,6 +291,10 @@ class CampaignSpec:
     #: in exact mode, ``sketch_hot_paths`` in sketch mode); ``None``
     #: keeps the config defaults (exact: unbounded).
     max_tracked_paths: Optional[int] = None
+    #: The defense on the target link: a ``make_policy`` scheme on the
+    #: packet simulator, a fluid strategy on the fluid one.  The two
+    #: fields above configure FLoc and need a FLoc scheme.
+    scheme: str = "floc"
 
     @property
     def total_ticks(self) -> int:
@@ -345,6 +351,21 @@ class CampaignSpec:
                 "the fluid simulator's state is bounded by its AS count; "
                 "state_backend='sketch' only applies to the packet engine"
             )
+        schemes: Tuple[str, ...] = (
+            SCHEMES if self.simulator == "packet" else STRATEGIES
+        )
+        if self.scheme not in schemes:
+            raise ConfigError(
+                f"scheme {self.scheme!r} is not available on the "
+                f"{self.simulator} simulator; choose one of {schemes}"
+            )
+        if not self.scheme.startswith("floc") and (
+            self.state_backend != "exact" or self.max_tracked_paths is not None
+        ):
+            raise ConfigError(
+                f"state_backend and max_tracked_paths configure FLoc; "
+                f"scheme {self.scheme!r} has no path state"
+            )
         self.slo.validate()
 
     # ------------------------------------------------------------------
@@ -353,7 +374,8 @@ class CampaignSpec:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict that :meth:`from_dict` round-trips exactly.
 
-        Fields added after PR 4 (``state_backend``, ``max_tracked_paths``,
+        Fields younger than the shipped replay artifacts
+        (``state_backend``, ``max_tracked_paths``, ``scheme``,
         ``slo.bounded_floor``) are omitted at their defaults: the dict
         feeds :func:`repro.chaos.campaign.run_digest`, so a default spec
         must serialize byte-identically to the shipped replay artifacts.
@@ -368,6 +390,8 @@ class CampaignSpec:
             del out["state_backend"]
         if self.max_tracked_paths is None:
             del out["max_tracked_paths"]
+        if self.scheme == "floc":
+            del out["scheme"]
         if self.slo.bounded_floor is None:
             del out["slo"]["bounded_floor"]
         return out
@@ -395,6 +419,7 @@ class CampaignSpec:
                 slo=slo,
                 state_backend=data.get("state_backend", "exact"),
                 max_tracked_paths=data.get("max_tracked_paths"),
+                scheme=data.get("scheme", "floc"),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed campaign spec: {exc}") from None

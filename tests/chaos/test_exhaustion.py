@@ -54,6 +54,27 @@ class TestSpecExtension:
         with pytest.raises(ConfigError):
             base_spec(slo=SloSpec(bounded_floor=1.5)).validate()
 
+    @pytest.mark.parametrize("simulator, scheme", [
+        ("packet", "nd"), ("packet", "tarpit"), ("fluid", "fairshare"),
+    ])
+    def test_scheme_the_simulator_lacks_rejected(self, simulator, scheme):
+        with pytest.raises(ConfigError):
+            base_spec(simulator=simulator, attackers=(), scheme=scheme).validate()
+
+    @pytest.mark.parametrize("simulator, scheme, floc_only", [
+        ("packet", "droptail", {"state_backend": "sketch"}),
+        ("packet", "fairshare", {"max_tracked_paths": 64}),
+        ("fluid", "nd", {"max_tracked_paths": 64}),
+    ])
+    def test_floc_only_fields_on_another_scheme_rejected(
+        self, simulator, scheme, floc_only
+    ):
+        spec = base_spec(
+            simulator=simulator, attackers=(), scheme=scheme, **floc_only
+        )
+        with pytest.raises(ConfigError):
+            spec.validate()
+
 
 class TestSerializationCompat:
     def test_default_spec_dict_omits_new_keys(self):
@@ -63,6 +84,18 @@ class TestSerializationCompat:
         assert "state_backend" not in d
         assert "max_tracked_paths" not in d
         assert "bounded_floor" not in d["slo"]
+
+    def test_default_scheme_dict_omits_scheme(self):
+        assert "scheme" not in base_spec().to_dict()
+
+    @pytest.mark.parametrize("simulator, scheme", [
+        ("packet", "fairshare"), ("packet", "floc-noagg"), ("fluid", "nd"),
+    ])
+    def test_other_scheme_round_trips(self, simulator, scheme):
+        spec = base_spec(simulator=simulator, attackers=(), scheme=scheme)
+        d = spec.to_dict()
+        assert d["scheme"] == scheme
+        assert CampaignSpec.from_dict(d) == spec
 
     def test_old_shape_dict_loads(self):
         d = base_spec().to_dict()
