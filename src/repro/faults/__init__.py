@@ -9,8 +9,9 @@ The subsystem has two halves:
   corruption, measurement-clock jitter, and fluid-level uplink
   degradation.
 
-See ``docs/architecture.md`` ("Fault injection & degradation") and the
-``robustness_faults`` experiment for how the pieces compose.
+See ``docs/architecture.md`` ("Fault injection & degradation") for how
+the pieces compose; :mod:`repro.chaos` builds every schedule that
+``repro chaos`` and ``repro run faults`` install.
 """
 
 from .injectors import (

@@ -420,35 +420,83 @@ def _internet_job(
 # faults study
 # ----------------------------------------------------------------------
 def _faults_job(settings: FunctionalSettings, variants: Variants) -> FigureJob:
-    from ..experiments.robustness_faults import (
-        PhaseBandwidth,
-        run_fluid_faults,
-        run_packet_faults,
-    )
+    from ..chaos.campaign import Measurements, execute_campaign
+    from ..chaos.slo import WindowShare
+    from ..chaos.spec import AttackerSpec, CampaignSpec, FaultSpec, SloSpec
+    from ..errors import InvariantViolation
+    from ..sanitize import Violation
+    from ..units import DEFAULT_SCALE
 
-    runners = {"packet": run_packet_faults, "fluid": run_fluid_faults}
+    sanitize = settings.sanitize or "off"
+    ticks = DEFAULT_SCALE.seconds_to_ticks
+    warmup = ticks(settings.warmup_seconds)
+    phase = max(1, ticks(settings.measure_seconds) // 3)
+    t1, flap = warmup + phase, warmup + phase + phase // 4
+    # each cell is one fixed chaos campaign whose three windows are the
+    # pre, during and post phases; the faults fire as the second opens.
+    # Packet: a restart and a root.0 uplink flap over the window's middle
+    # half, under build_tree_scenario(attack_kind="cbr")'s flood (60 bots
+    # on each of its 6 attack leaves, scaled).  Fluid: a restart and the
+    # busiest legitimate uplink at 30 % for the whole window.
+    runs = {
+        "packet": dict(
+            warmup_ticks=warmup, window_ticks=phase, scale=settings.scale,
+            faults=(FaultSpec("router_restart", t1),
+                    FaultSpec("link_flap", flap, t1 + 3 * phase // 4 - flap)),
+            attackers=(
+                AttackerSpec("cbr", bots=max(1, round(60 * settings.scale))),
+            ) * 6,
+        ),
+        "fluid": dict(
+            warmup_ticks=100, window_ticks=100,
+            faults=(FaultSpec("router_restart", 200),
+                    FaultSpec("link_degrade", 200, 100, 0.3)),
+        ),
+    }
+
+    def run(simulator: str, scheme: str) -> Measurements:
+        measurements = execute_campaign(
+            CampaignSpec(
+                seed=settings.seed,
+                simulator=simulator,
+                n_windows=3,
+                slo=SloSpec(sanitize=sanitize),
+                scheme=scheme,
+                **runs[simulator],
+            )
+        )
+        if sanitize == "strict" and measurements.violations:
+            first = measurements.violations[0]
+            raise InvariantViolation(first.invariant, first.tick, first.detail)
+        return measurements
+
     # a stateful defense against stateless bases, on each simulator
     names, units = _sweep(
         "faults",
         [("packet", s) for s in ("floc", "fairshare", "droptail")]
         + [("fluid", s) for s in ("floc", "nd")],
         "{}:{}",
-        lambda simulator, scheme: runners[simulator](settings, scheme),
+        run,
     )
 
     def finalize(results: Dict[str, Any]) -> FigureOutput:
-        rows = [
-            [e.simulator, e.scheme, round(e.pre, 4), round(e.during, 4),
-             round(e.post, 4), round(e.recovery_ratio, 3)]
-            for e in _done(results, names).values()
-        ]
+        rows = []
+        for (simulator, scheme), m in _done(results, names).items():
+            pre, during, post = (w.legit_share for w in m.windows)
+            recovery = 1.0 if pre <= 1e-12 else post / pre
+            rows.append(
+                [simulator, scheme, round(pre, 4), round(during, 4),
+                 round(post, 4), round(recovery, 3)]
+            )
         return FigureOutput(
             ["simulator", "scheme", "pre", "during", "post", "recovery"],
             rows,
             _missing(results, names.values()),
         )
 
-    return FigureJob("faults", units, finalize, (PhaseBandwidth,))
+    return FigureJob(
+        "faults", units, finalize, (Measurements, WindowShare, Violation)
+    )
 
 
 # ----------------------------------------------------------------------

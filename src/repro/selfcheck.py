@@ -164,14 +164,15 @@ def _strict(d: Path) -> str:
         repro("run fig06 --scale 0.03 --seconds 2 --warmup 1 "
               "--sanitize strict --checkpoint-dir ckpt/fig06"),
         ["-c", _DROPTAIL_FLOOD],
-        # run_fluid_faults installs fluid_restart (warm-up branch of
-        # _admit_floc) and FluidLinkDegrade (scn.link_capacity rewritten
-        # mid-run) under a strict FluidSanitizer, which stops the run at
-        # the first violation.  chaos-rerun's fluid sweep crosses both
-        # paths too (at seed 2024 campaign 1 restarts the defense and
-        # campaigns 0 and 2 degrade an uplink), on its own smaller
-        # scenario, with the sanitizer recording and the SLO failing the
-        # sweep on any violation
+        # each faults unit is a fixed chaos campaign; the fluid ones
+        # install fluid_restart (warm-up branch of _admit_floc) and
+        # FluidLinkDegrade (scn.link_capacity rewritten mid-run) under a
+        # recording FluidSanitizer, and with --sanitize strict a unit
+        # that recorded any violation fails, naming the first invariant,
+        # so the run exits non-zero.  chaos-rerun's fluid sweep crosses
+        # both paths too (at seed 2024 campaign 1 restarts the defense
+        # and campaigns 0 and 2 degrade an uplink), with the SLO failing
+        # the sweep on any violation
         repro("run faults --scale 0.05 --seconds 2 --warmup 1 "
               "--sanitize strict --checkpoint-dir ckpt/faults"),
         repro("run fig13 --variants f-root "
