@@ -24,7 +24,7 @@ CSV_SHA256 = {
     "fig09": "af60ec52cd447eec37ba29418b0d0f00ea437d4519002c9830db3da0280eb7d7",
     "fig10": "2c3f6bbd1df73ce51ed376470360b576dcac4283d3e801cc8028581404fcd079",
     "fig11": "c435b215154e3f396dd2cc217fc11b75c14d0ddff97a55c31f9cd799cad96f52",
-    "faults": "566dc693aee42a005b194bd54584460b132e15c0ad8b23e3abb7aefa8785c859",
+    "faults": "36e73c4249da41705a8f2e281744fbc629b5e913800898f6b97714490eb40a4f",
 }
 
 #: sha256 of what ``repro list`` prints
