@@ -272,6 +272,7 @@ def _execute_packet(spec: CampaignSpec) -> Measurements:
         restart_warmup_ticks=settle_ticks(spec),
         **cfg_kwargs,
     )
+    # FLoc through this module's name, which a test can substitute
     if spec.scheme == "floc":
         policy = FLocPolicy(cfg)
     else:

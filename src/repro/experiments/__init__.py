@@ -4,12 +4,11 @@ Each ``run_*`` function builds the scenario, attaches the scheme under
 test, simulates, and returns a structured result.  For the sweep
 figures (fig07, fig08, fig10) a call runs one cell of the sweep — one
 (scheme, attack rate) or (scheme, fanout) — and returns that cell's
-result.  Which cells make
-a figure is written once, in the figure's job in
-``repro.runner.figures``, which runs one unit per cell for ``repro run``
-and builds the table; ``tests/paper/`` calls the runners for the cells
-it asserts the paper's *shape* claims on (who wins, by roughly what
-factor).
+result.  Which cells make a figure is written once, in the figure's job
+in ``repro.runner.figures``, which runs one unit per cell for
+``repro run`` and builds the table; ``tests/paper/`` calls the runners
+for the cells it asserts the paper's *shape* claims on (who wins, by
+roughly what factor).
 
 Functional evaluation (Section VI): fig02, fig03, fig04, fig06, fig07,
 fig08, fig09, fig10.  Internet-scale evaluation (Section VII): fig11

@@ -58,8 +58,9 @@ class TestSpecExtension:
         ("packet", "nd"), ("packet", "tarpit"), ("fluid", "fairshare"),
     ])
     def test_scheme_the_simulator_lacks_rejected(self, simulator, scheme):
+        spec = base_spec(simulator=simulator, attackers=(), scheme=scheme)
         with pytest.raises(ConfigError):
-            base_spec(simulator=simulator, attackers=(), scheme=scheme).validate()
+            spec.validate()
 
     @pytest.mark.parametrize("simulator, scheme, floc_only", [
         ("packet", "droptail", {"state_backend": "sketch"}),
